@@ -12,7 +12,7 @@ where the observed peaks sit directly at the geodesic lengths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -25,17 +25,17 @@ from .catalog import SurfaceSpec
 B_SIGN_FLOOR = 0.011
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: compare by identity
 class APProfile:
-    samples: tuple
+    """Samples g_est(x) on an ascending x grid, with the window they cover.
+
+    `frequencies` holds (omega, amplitude, phase) peaks once
+    frequency_spectrum has filled them in.
+    """
+    xs: np.ndarray
+    gs: np.ndarray
     window: tuple
     frequencies: tuple = ()
-
-    def xs(self) -> np.ndarray:
-        return np.array([s.x for s in self.samples])
-
-    def gs(self) -> np.ndarray:
-        return np.array([s.g_est for s in self.samples])
 
 
 @dataclass(frozen=True)
@@ -64,34 +64,58 @@ def make_profile(spec: SurfaceSpec, x_lo, x_hi, n: int = 4001,
     if n < 2:
         raise ValueError("need at least two samples")
     xs = np.linspace(x_lo, x_hi, int(n))
-    return APProfile(samples=tuple(average.g_samples(spec, xs, order=order)),
+    return APProfile(xs=xs, gs=average.g_samples(spec, xs, order=order),
                      window=(x_lo, x_hi))
 
 
 def window_mean(profile: APProfile) -> float:
     """Trapezoidal mean of g_est over the profile's window."""
-    if len(profile.samples) < 100:
+    if profile.xs.size < 100:
         raise ValueError("need at least 100 samples for a stable mean")
-    xs = profile.xs()
-    gs = profile.gs()
+    xs = profile.xs
+    gs = profile.gs
     return float(np.trapezoid(gs, xs) / (xs[-1] - xs[0]))
 
 
-def fourier_coefficients(profile: APProfile, omega_grid) -> np.ndarray:
-    """Complex (2/L) integral of g_est e^{-i omega x} over the window.
+def _uniform_step(grid: np.ndarray, other_max: float, name: str) -> float:
+    """Spacing of an evenly spaced grid, or ValueError if it is not one.
 
-    Trapezoid rule over the plain (untapered) window, one value per omega.
+    The grid counts as uniform when its worst deviation from
+    grid[0] + j * step, times the largest magnitude on the other grid,
+    stays within 1e-9 rad of phase.
+    """
+    step = (grid[-1] - grid[0]) / (grid.size - 1)
+    dev = float(np.max(np.abs(grid - (grid[0] + step * np.arange(grid.size)))))
+    if dev * other_max > 1e-9:
+        raise ValueError(f"{name} grid must be uniform: a point sits {dev:.3g} "
+                         f"off the line, {dev * other_max:.3g} rad of phase")
+    return float(step)
+
+
+def fourier_coefficients(profile: APProfile, omega_grid) -> np.ndarray:
+    """Complex (2/L) sum_j w_j g_j e^{-i omega_k x_j}, one value per omega.
+
+    The trapezoid rule over the plain (untapered) window: w_j are the
+    trapezoid weights of the x grid and L its length.  Both grids must be
+    uniform, x_j = x0 + j dx and omega_k = w0 + k dw, so that
+
+        omega_k x_j = w0 x0 + w0 j dx + x0 k dw + dw dx (k^2 + j^2 - (k-j)^2) / 2
+
+    and the sum over j becomes one convolution with the chirp
+    e^{+i dw dx m^2 / 2}, done with zero-padded FFTs (Bluestein's chirp-z
+    transform): O((n + m) log(n + m)) instead of n * m complex exponentials.
+
     Guards: omega ascending and positive, spacing no coarser than the
-    window resolution 2*pi/L, and the window at least 10 periods of the
-    smallest candidate frequency.
+    window resolution 2*pi/L, the window at least 10 periods of the
+    smallest candidate frequency, and both grids uniform to 1e-9 rad.
     """
     omega = np.asarray(omega_grid, dtype=np.float64)
     if omega.size < 3 or np.any(np.diff(omega) <= 0):
         raise ValueError("omega grid must be ascending with >= 3 points")
     if np.any(omega <= 0):
         raise ValueError("omega grid must be positive")
-    xs = profile.xs()
-    gs = profile.gs()
+    xs = profile.xs
+    gs = profile.gs
     L = xs[-1] - xs[0]
     if np.max(np.diff(omega)) > 2.0 * math.pi / L + 1e-12:
         raise ValueError("omega grid spacing exceeds the window resolution "
@@ -99,19 +123,26 @@ def fourier_coefficients(profile: APProfile, omega_grid) -> np.ndarray:
     if L < 10.0 * (2.0 * math.pi / omega[0]):
         raise ValueError("window shorter than 10 periods of the smallest "
                          "candidate frequency")
-    # trapezoid weights, then one matrix-vector product per omega chunk
+    dx = _uniform_step(xs, float(omega[-1]), "x")
+    dw = _uniform_step(omega, float(np.max(np.abs(xs))), "omega")
     w = np.empty_like(xs)
     w[1:-1] = 0.5 * (xs[2:] - xs[:-2])
     w[0] = 0.5 * (xs[1] - xs[0])
     w[-1] = 0.5 * (xs[-1] - xs[-2])
-    gw = gs * w
-    coef = np.empty(omega.size, dtype=np.complex128)
-    step = max(1, int(4e6 // max(xs.size, 1)))
-    for i in range(0, omega.size, step):
-        block = omega[i:i + step]
-        coef[i:i + step] = np.exp(-1j * np.outer(block, xs)) @ gw
-    coef *= 2.0 / L
-    return coef
+    n, m = xs.size, omega.size
+    x0, w0 = float(xs[0]), float(omega[0])
+    half = 0.5 * dw * dx
+    j = np.arange(n, dtype=np.float64)
+    k = np.arange(m, dtype=np.float64)
+    lag = np.arange(-(n - 1), m, dtype=np.float64)  # k - j
+    size = 1 << (n + m - 2).bit_length()  # a power of two >= n + m - 1
+    chirp = np.exp(1j * half * lag * lag)
+    kernel = np.zeros(size, dtype=np.complex128)
+    kernel[:m] = chirp[n - 1:]
+    kernel[size - (n - 1):] = chirp[:n - 1]
+    pre = gs * w * np.exp(-1j * (w0 * dx * j + half * j * j))
+    conv = np.fft.ifft(np.fft.fft(pre, size) * np.fft.fft(kernel))[:m]
+    return conv * np.exp(-1j * (w0 * x0 + x0 * dw * k + half * k * k)) * (2.0 / L)
 
 
 def frequency_spectrum(profile: APProfile, omega_grid) -> APProfile:
@@ -132,8 +163,7 @@ def frequency_spectrum(profile: APProfile, omega_grid) -> APProfile:
             peaks.append((float(omega[i]), float(amp[i]),
                           float(np.angle(coef[i]))))
     peaks.sort(key=lambda p: -p[1])
-    return APProfile(samples=profile.samples, window=profile.window,
-                     frequencies=tuple(peaks))
+    return replace(profile, frequencies=tuple(peaks))
 
 
 def match_geodesics(freqs, lengths, tol) -> MatchReport:
@@ -169,8 +199,8 @@ def almost_period_check(profile: APProfile, period) -> float:
     period = float(period)
     if period <= 0:
         raise ValueError("period must be positive")
-    xs = profile.xs()
-    gs = profile.gs()
+    xs = profile.xs
+    gs = profile.gs
     span = xs[-1] - xs[0]
     if span < 3.0 * period:
         raise ValueError("window must cover at least 3 periods")

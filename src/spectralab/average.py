@@ -44,13 +44,6 @@ class AvgErrorSample:
     tilde_integral: float
 
 
-@dataclass(frozen=True)
-class GSample:
-    x: float
-    g_est: float
-    order: int = 1
-
-
 def integral_counting(spec: SurfaceSpec, t) -> float:
     """Integral of the counting function from 0 to t, exactly.
 
@@ -211,17 +204,17 @@ def sphere_avg_decomposed(t):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def g_samples(spec: SurfaceSpec, x_grid, order: int = 1) -> list[GSample]:
-    """Conjecture-normalized profile samples over an ascending grid.
+def g_samples(spec: SurfaceSpec, x_grid, order: int = 1) -> np.ndarray:
+    """Conjecture-normalized profile g_est over an ascending grid, one per x.
 
     Flat surfaces: g_est = avg_error(x^2) * sqrt(x).  Spherical surfaces:
     g_est = avg_error(x^2 - 1/4).  Orders 2 and 3 subtract the known
     lower-order sphere profiles and rescale to expose the next one; they
     are defined for the sphere only.
     """
-    xs = np.asarray(list(x_grid), dtype=np.float64)
+    xs = np.asarray(x_grid, dtype=np.float64)
     if xs.size == 0:
-        return []
+        return np.empty(0)
     if not np.all(xs > 0):
         raise ValueError("grid values must be positive")
     if np.any(np.diff(xs) <= 0):
@@ -244,8 +237,7 @@ def g_samples(spec: SurfaceSpec, x_grid, order: int = 1) -> list[GSample]:
     else:
         ts = xs * xs
         est = avg_error_grid(spec, ts) * np.sqrt(xs)
-    return [GSample(x=float(x), g_est=float(e), order=order)
-            for x, e in zip(xs, est)]
+    return est
 
 
 def remainder_exponent(spec: SurfaceSpec, t_lo, t_hi,

@@ -200,7 +200,8 @@ def cmd_gprofile(args) -> int:
     lo, hi, n = _parse_grid(args.grid, "--grid")
     _budget(spec, hi * hi, "--grid")
     profile = analysis.make_profile(spec, lo, hi, n=n)
-    rows = [{"x": s.x, "g_est": s.g_est} for s in profile.samples]
+    rows = [{"x": x, "g_est": g}
+            for x, g in zip(profile.xs.tolist(), profile.gs.tolist())]
     emit(rows, ["x", "g_est"], args.format)
     return 0
 

@@ -262,7 +262,6 @@ class ExactConst:
 
 
 ZERO = ExactConst()
-ONE = ExactConst.rational(1)
 
 
 def isqrt_frac_floor(x: Fraction) -> int:

@@ -24,8 +24,6 @@ from . import catalog
 from .catalog import Family, SurfaceSpec
 from .exact import flat_rho_bounds, isqrt_frac_floor
 
-Key = "Fraction | int"
-
 _OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)  # primitive cube root of unity
 
 
@@ -276,7 +274,8 @@ def _brute_fpp(acc: _FlatAcc) -> None:
                 tr += (-1) ** (j + k)  # T fixes j = 0
             if j == -j and k == -k:
                 tr += 1  # ST fixes the origin only
-        assert tr % 4 == 0, (q, tr)
+        if tr % 4 != 0:
+            raise ArithmeticError((q, tr))
         acc.add(Fraction(q), tr // 4)
 
 
@@ -286,7 +285,8 @@ def _brute_tetrahedron(acc: _FlatAcc) -> None:
     for q, modes in _hex_shells(qcap).items():
         fixed = sum(1 for n in modes if n == (-n[0], -n[1]))
         tot = len(modes) + fixed
-        assert tot % 2 == 0
+        if tot % 2 != 0:
+            raise ArithmeticError((q, tot))
         acc.add(Fraction(4 * q, 3), tot // 2)
 
 
@@ -305,7 +305,8 @@ def _brute_half_tetrahedron(acc: _FlatAcc, bc: str) -> None:
                 tr += sgn
             if (n1, n2) == (-n2, -n1):
                 tr += sgn
-        assert tr % 4 == 0, (q, tr)
+        if tr % 4 != 0:
+            raise ArithmeticError((q, tr))
         acc.add(Fraction(4 * q, 3), tr // 4)
 
 
@@ -358,7 +359,8 @@ def _brute_sector_square_torus(acc: _FlatAcc, irrep: str) -> None:
         for g, act in _D4_TORUS.items():
             tr = sum(1 for jk in modes if act(*jk) == jk)
             tot += ch[g] * tr
-        assert tot % 8 == 0, (q, tot)
+        if tot % 8 != 0:
+            raise ArithmeticError((q, tot))
         acc.add(Fraction(4 * q), dim * (tot // 8))
 
 
@@ -389,7 +391,8 @@ def _brute_sector_square_bc(acc: _FlatAcc, bc: str, irrep: str) -> None:
             "r270": sum((-1) ** (j + s) for j, _ in diag),
         }
         tot = sum(ch[g] * tr[g] for g in tr)
-        assert tot % 8 == 0, (q, tot)
+        if tot % 8 != 0:
+            raise ArithmeticError((q, tot))
         acc.add(Fraction(q), dim * (tot // 8))
 
 
@@ -418,7 +421,8 @@ def _brute_sector_hex_torus(acc: _FlatAcc, irrep: str) -> None:
             tot, dim = n_id + n_rot - n_ref, 1
         else:
             tot, dim = 2 * n_id - n_rot, 2
-        assert tot % 6 == 0, (q, tot)
+        if tot % 6 != 0:
+            raise ArithmeticError((q, tot))
         acc.add(Fraction(16 * q, 9), dim * (tot // 6))
 
 
@@ -479,7 +483,8 @@ def _brute_sector_equilateral(acc: _FlatAcc, bc: str, irrep: str) -> None:
                         tr += _OMEGA ** ((c1 * n[0] + c2 * n[1]) % 3)
                 total += w * tr
         val = total.real * dim / 36
-        assert abs(total.imag) < 1e-9 and abs(val - round(val)) < 1e-9, (q, total)
+        if not (abs(total.imag) < 1e-9 and abs(val - round(val)) < 1e-9):
+            raise ArithmeticError((q, total))
         acc.add(Fraction(16 * q, 9), int(round(val)))
 
 

@@ -94,7 +94,7 @@ def _rational_cutoff(t) -> Fraction:
     if isinstance(t, ExactTime):
         tv = t.rho  # pi2 handled by callers
     else:
-        tv = Fraction(t) if not isinstance(t, float) else Fraction(t)
+        tv = Fraction(t)
     if tv < 0:
         raise ValueError("negative cutoff")
     return tv
@@ -195,11 +195,6 @@ def _get_table(key, unit, builder, qneed: int) -> dict:
 
 def _pq(x: Fraction):
     return x.numerator, x.denominator
-
-
-def _axis_weights(n: int, doubled: bool) -> np.ndarray:
-    w = np.full(n, 2 if doubled else 1, dtype=np.int64)
-    return w
 
 
 def _build_sum_of_two(U: int, V: int, g: int, jgen, kgen, qcap: int):

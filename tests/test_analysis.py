@@ -8,7 +8,6 @@ import pytest
 
 from spectralab import analysis, average, catalog
 from spectralab.analysis import APProfile
-from spectralab.average import GSample
 
 
 def spec(label):
@@ -16,9 +15,9 @@ def spec(label):
 
 
 def synthetic_profile(xs, values):
-    samples = tuple(GSample(x=float(x), g_est=float(v))
-                    for x, v in zip(xs, values))
-    return APProfile(samples=samples, window=(float(xs[0]), float(xs[-1])))
+    xs = np.asarray(xs, dtype=np.float64)
+    return APProfile(xs=xs, gs=np.asarray(values, dtype=np.float64),
+                     window=(float(xs[0]), float(xs[-1])))
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +63,61 @@ def test_window_mean_decay_across_windows():
         assert abs(means[X]) * X <= 1.0
     assert abs(means[200]) <= 1.5 * abs(means[100])
     assert abs(means[400]) <= 1.5 * abs(means[200])
+
+
+# ---------------------------------------------------------------------------
+# fourier_coefficients
+
+
+def reference_coefficients(xs, gs, omega):
+    """(2/L) trapezoid sum of g e^{-i omega x}, one cos and one sin dot per omega."""
+    w = np.empty_like(xs)
+    w[1:-1] = 0.5 * (xs[2:] - xs[:-2])
+    w[0] = 0.5 * (xs[1] - xs[0])
+    w[-1] = 0.5 * (xs[-1] - xs[-2])
+    wg = w * gs
+    out = np.array([complex(np.dot(wg, np.cos(om * xs)),
+                            -np.dot(wg, np.sin(om * xs))) for om in omega])
+    return out * (2.0 / (xs[-1] - xs[0]))
+
+
+@pytest.mark.parametrize("x0, L, n, omega", [
+    # n not a power of two
+    (0.5, 60.0, 3001, np.linspace(1.5, 9.0, 250)),
+    # n + m - 1 = 4097, one above a power of two, and x0 far from 0
+    (1000.0, 200.0, 3841, np.linspace(0.5, 4.0, 257)),
+    (12345.678, 150.0, 2049, np.arange(0.7, 6.3, 0.02)),
+    # arange grid with n + m - 1 = 8193
+    (500.0, 100.0, 8034, np.arange(1.0, 5.0, 0.025)),
+])
+def test_fourier_coefficients_match_direct_sum(x0, L, n, omega):
+    rng = np.random.default_rng(n)
+    xs = np.linspace(x0, x0 + L, n)
+    gs = rng.standard_normal(n)
+    for w in rng.uniform(omega[0], omega[-1], 3):
+        gs += rng.uniform(0.5, 2.0) * np.cos(w * xs + rng.uniform(0.0, 6.3))
+    want = reference_coefficients(xs, gs, omega)
+    got = analysis.fourier_coefficients(synthetic_profile(xs, gs), omega)
+    assert got.shape == omega.shape
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_fourier_coefficients_need_uniform_grids():
+    xs = np.linspace(10.0, 70.0, 3001)
+    p = synthetic_profile(xs, np.sin(2.0 * xs))
+    omega = np.linspace(1.5, 9.0, 250)
+    analysis.fourier_coefficients(p, omega)
+    bent = xs.copy()
+    bent[1000] += 1e-6
+    with pytest.raises(ValueError):
+        analysis.fourier_coefficients(synthetic_profile(bent, p.gs), omega)
+    with pytest.raises(ValueError):
+        analysis.fourier_coefficients(
+            synthetic_profile(np.geomspace(10.0, 70.0, 3001), p.gs), omega)
+    skewed = omega.copy()
+    skewed[100] += 1e-7
+    with pytest.raises(ValueError):
+        analysis.fourier_coefficients(p, skewed)
 
 
 # ---------------------------------------------------------------------------

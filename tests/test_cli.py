@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -56,10 +57,14 @@ def test_count_example(capsys):
 
 
 def test_count_example_subprocess():
-    # once through the real interpreter entry point
+    # once through the real interpreter entry point, importing the same
+    # package as this process whether it is installed or on pytest's path
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (package_root, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
         [sys.executable, "-m", "spectralab.cli", "count", "sphere", "--at", "6"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1] == "6,9,9"
 
@@ -149,9 +154,9 @@ def test_gprofile_matches_g_samples(capsys):
     xs = np.linspace(50, 60, 21)
     want = average.g_samples(catalog.sphere(), xs)
     assert len(body) == 21
-    for row, s in zip(body, want):
-        assert float(row[0]) == pytest.approx(s.x)
-        assert float(row[1]) == pytest.approx(s.g_est, rel=1e-12, abs=1e-15)
+    for row, x, g in zip(body, xs, want):
+        assert float(row[0]) == pytest.approx(x)
+        assert float(row[1]) == pytest.approx(g, rel=1e-12, abs=1e-15)
 
 
 def test_freq_scan_peaks_near_great_circle(capsys):

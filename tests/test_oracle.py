@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -167,3 +169,13 @@ def test_brute_rejects_ambiguous_cutoff():
 
     with pytest.raises(ArithmeticError):
         oracle.brute_levels(catalog.rectangle(1, 1, "N"), PI_LO * PI_LO)
+
+
+def test_package_checks_survive_optimize():
+    # python -O strips assert statements, so no check in the package may be one
+    found = []
+    for path in sorted(Path(oracle.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert not found, found
