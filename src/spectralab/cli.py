@@ -307,8 +307,9 @@ def cmd_conjecture(args) -> int:
         out.append(f"check {line} -> {'ok' if ok else 'FAIL'}")
 
     # window means of the normalized profile
-    for X in (100, 200, 400):
-        prof = analysis.make_profile(spec, X, 2 * X, n=8001)
+    profiles = {X: analysis.make_profile(spec, X, 2 * X, n=8001)
+                for X in (100, 200, 400)}
+    for X, prof in profiles.items():
         mean = analysis.window_mean(prof)
         bound = 5.0 / X
         check(f"mean [{X},{2 * X}]: {mean:+.6g} within {bound:g}",
@@ -340,7 +341,7 @@ def cmd_conjecture(args) -> int:
 
     # frequency content against geodesic lengths
     if spherical:
-        prof = analysis.make_profile(spec, 100, 200, n=8001)
+        prof = profiles[100]
         omega = np.linspace(1.0, 30.0, 1451)
     else:
         prof = analysis.make_profile(spec, 200, 800, n=60001)

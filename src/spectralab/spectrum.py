@@ -4,11 +4,13 @@ Two routes live here and are kept deliberately separate so they can check
 each other.  The table route enumerates eigenvalues on an integer grid
 (every flat family has eigenvalues unit * q * pi^2 for integers q; every
 spherical family has eigenvalues N(N+1)) and answers counting questions by
-prefix sums.  The closed-form route evaluates the floor-bracket identities
-for N(t) directly, jump discontinuities included, using exact rational
-arithmetic throughout.  `closed_form_identity` reports both numbers side by
-side; `oracle.check_equivalence` compares them against a third, structurally
-different enumeration.
+prefix sums.  Each surface has one cached table holding only the occupied
+integer keys, so its memory follows the number of levels, not the size of
+the grid up to the cutoff.  The closed-form route evaluates the
+floor-bracket identities for N(t) directly, jump discontinuities included,
+using exact rational arithmetic throughout.  `closed_form_identity` reports
+both numbers side by side; `oracle.check_equivalence` compares them against
+a third, structurally different enumeration.
 
 Cutoffs may be given as plain numbers (int, float, Fraction) or as an
 `ExactTime`, which pins down cutoffs of the form rho * pi^2 that no float
@@ -157,91 +159,154 @@ class _FlatTime:
 
 
 # ---------------------------------------------------------------------------
-# integer-grid enumeration (the table route)
+# level tables (the table route)
+
+
+class _LevelTable:
+    """The levels of one surface or internal lattice, grown by `_table`.
+
+    keys are the sorted integer level keys of nonzero multiplicity: key q
+    is the eigenvalue unit * q * pi^2 on a flat table and q(q+1), q the
+    degree, on a round one (unit None).  mults are the multiplicities and
+    prefix[i] is the sum of the first i of them.  Every level with key <=
+    qcap is present; build(qcap) makes (keys, mults) for a larger qcap.
+    """
+
+    __slots__ = ("unit", "build", "keys", "mults", "prefix", "qcap")
+
+    def __init__(self, unit, build):
+        self.unit = unit
+        self.build = build
+        self.keys = self.mults = np.empty(0, dtype=np.int64)
+        self.prefix = np.zeros(1, dtype=np.int64)
+        self.qcap = -1
+
+    def qmax(self, t) -> int:
+        """Largest key whose eigenvalue is <= t, decided exactly."""
+        if self.unit is None:
+            return _sph_window(t) - 1
+        return _flat_qmax(self.unit, t)
+
+    def upto(self, q: int):
+        """(keys, mults) views of the levels with key <= q."""
+        i = self.keys.searchsorted(q, side="right")
+        return self.keys[:i], self.mults[:i]
+
 
 _TABLES: dict = {}
-_VALIDATED: set = set()
 
 
-def _checked(spec: SurfaceSpec) -> SurfaceSpec:
-    if spec not in _VALIDATED:
-        catalog.validate(spec)
-        _VALIDATED.add(spec)
-    return spec
+def _table(spec, qneed: int = -1) -> _LevelTable:
+    """The cached table of spec, holding every level with key <= qneed.
 
-
-def _dense_to_levels(counts: np.ndarray):
-    if counts.min(initial=0) < 0:
-        raise ArithmeticError("negative multiplicity in level table")
-    qs = np.nonzero(counts)[0].astype(np.int64)
-    return qs, counts[qs].astype(np.int64)
-
-
-def _get_table(key, unit, builder, qneed: int) -> dict:
-    tb = _TABLES.get(key)
-    if tb is None or tb["qcap"] < qneed:
-        qcap = max(qneed, 256, 2 * (tb["qcap"] if tb else 0))
-        qs, ms = builder(qcap)
-        tb = {
-            "unit": unit,
-            "qs": qs,
-            "ms": ms,
-            "prefix": np.cumsum(ms, dtype=np.int64),
-            "qcap": qcap,
-        }
-        _TABLES[key] = tb
+    spec is a catalog surface (validated when its table is made) or an
+    internal lattice key such as ("mobius_even", a, b).  A table that is
+    too short is rebuilt at twice its size or qneed, whichever is larger.
+    """
+    tb = _TABLES.get(spec)
+    if tb is None:
+        tb = _TABLES[spec] = _new_table(spec)
+    if tb.qcap < qneed:
+        qcap = max(qneed, 256, 2 * tb.qcap)
+        keys, mults = tb.build(qcap)
+        if mults.min(initial=0) < 0:
+            raise ArithmeticError("negative multiplicity in level table")
+        prefix = np.zeros(len(mults) + 1, dtype=np.int64)
+        np.cumsum(mults, out=prefix[1:])
+        tb.keys, tb.mults, tb.prefix, tb.qcap = keys, mults, prefix, qcap
     return tb
+
+
+def _lookup(spec, t):
+    """(table, i): the table of spec covers t and its first i levels are <= t."""
+    tb = _table(spec)
+    qm = tb.qmax(t)
+    if qm > tb.qcap:
+        _table(spec, qm)
+    return tb, int(tb.keys.searchsorted(qm, side="right"))
+
+
+def _reduce(qcap: int, rows=(), arrays=()):
+    """Sorted (keys, sums) of weighted integer keys in [0, qcap], exactly.
+
+    A row (c0, c1, c2, ks, w) puts the weight w on the key c0 + c1 k + c2 k^2
+    for each k in the range ks; arrays holds (keys, weights) array pairs.
+    Keys whose weights sum to zero are dropped.
+
+    When the key span qcap + 1 is no larger than the number of lattice
+    points (the summed absolute weights), the weights are counted into a
+    span-sized array, the cheapest route for unit-shaped tables.  Otherwise
+    each weight is packed into the low bits of its key, the packed keys are
+    sorted in place and runs of equal keys are summed, so that memory
+    follows the number of points and not the span.  Rows are expanded one
+    at a time on both routes.
+    """
+    n = sum(len(r[3]) for r in rows) + sum(len(k) for k, _ in arrays)
+    points = (sum(len(r[3]) * abs(r[4]) for r in rows)
+              + sum(int(np.abs(w).sum()) for _, w in arrays))
+    wts = [r[4] for r in rows if len(r[3])]
+    wts += [int(f(w)) for _, w in arrays if len(w) for f in (np.min, np.max)]
+    wlo = min(wts, default=0)
+    shift = (max(wts, default=0) - wlo).bit_length()
+    if qcap >> (62 - shift):
+        raise ArithmeticError(
+            "level keys up to %d do not fit int64 with %d weight bits"
+            % (qcap, shift))
+
+    def chunks():
+        for c0, c1, c2, ks, w in rows:
+            if len(ks):
+                k = np.arange(ks.start, ks.stop, ks.step, dtype=np.int64)
+                yield c0 + k * (c1 + c2 * k), w
+        yield from arrays
+
+    if qcap + 1 <= points:
+        counts = np.zeros(qcap + 1, dtype=np.int64)
+        for keys, w in chunks():
+            np.add.at(counts, keys, w)
+        keys = np.flatnonzero(counts)
+        return keys, counts[keys]
+
+    if not n:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    packed = np.empty(n, dtype=np.int64)
+    i = 0
+    for keys, w in chunks():
+        packed[i:i + len(keys)] = (keys << shift) | (w - wlo)
+        i += len(keys)
+    packed.sort()
+    low = packed & ((1 << shift) - 1)
+    packed >>= shift
+    starts = np.flatnonzero(packed[1:] != packed[:-1]) + 1
+    starts = np.concatenate(([0], starts))
+    sums = np.add.reduceat(low, starts)
+    sums += wlo * np.diff(starts, append=n)
+    keep = sums != 0
+    return packed[starts][keep], sums[keep]
 
 
 def _pq(x: Fraction):
     return x.numerator, x.denominator
 
 
-def _build_sum_of_two(U: int, V: int, g: int, jgen, kgen, qcap: int):
-    """Counts over q = (U j^2 + V k^2) / g for index generators.
-
-    jgen yields (j, weight); kgen(j) yields an integer array of k values and
-    a matching weight array.  Everything lands on one dense array.
-    """
-    counts = np.zeros(qcap + 1, dtype=np.int64)
-    Ug, Vg = U // g, V // g
-    for j, wj in jgen(qcap, Ug):
-        qj = Ug * j * j
-        if qj > qcap:
-            break
-        ks, wk = kgen(j, (qcap - qj) // Vg)
-        if len(ks) == 0:
-            continue
-        qs = qj + Vg * ks * ks
-        np.add.at(counts, qs, wj * wk)
-    return _dense_to_levels(counts)
+def _axis_rows(c0: int, c2: int, lo: int, step: int, full: bool, kmax: int,
+               w: int) -> list:
+    """Rows c0 + c2 k^2 over k = lo, lo+step, ... <= kmax; a full circle
+    counts +-k, so k > 0 carries twice the weight of k = 0."""
+    ks = range(lo, kmax + 1, step)
+    if full and lo == 0:
+        return [(c0, 0, c2, ks[:1], w), (c0, 0, c2, ks[1:], 2 * w)]
+    return [(c0, 0, c2, ks, 2 * w if full else w)]
 
 
-def _gen_nonneg(lo: int, step: int = 1, torus: bool = False):
-    """Index generator over j = lo, lo+step, ...; torus doubles j > 0."""
-
-    def gen(qcap, Ug):
-        j = lo
-        while Ug * j * j <= qcap:
-            yield j, (2 if torus and j > 0 else 1)
-            j += step
-        return
-
-    return gen
-
-
-def _ks_range(lo: int, step: int, torus: bool):
-    def kgen(j, kq):
-        if kq < 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        kmax = isqrt(kq)
-        ks = np.arange(lo, kmax + 1, step, dtype=np.int64)
-        w = np.full(len(ks), 2 if torus else 1, dtype=np.int64)
-        if torus and len(ks) and ks[0] == 0:
-            w[0] = 1
-        return ks, w
-
-    return kgen
+# per axis kind: first (doubled) index, index step, full circle
+_AXES = {
+    "torus": (0, 1, True),
+    "cos": (0, 1, False),
+    "sin": (1, 1, False),
+    "mix": (1, 2, False),  # odd doubled indices 1, 3, 5, ...
+    "circ": (0, 1, True),  # a circle on its own grid
+}
 
 
 def _plan_product(a: Fraction, b: Fraction, xset: str, yset: str):
@@ -262,28 +327,17 @@ def _plan_product(a: Fraction, b: Fraction, xset: str, yset: str):
     # mix keeps odd doubled indices, so its own factor stays inside the index
     g = gcd(U, V)
     unit = Fraction(g, 4 * pa * pa * pb * pb)
-
-    def axis(kind):
-        if kind == "torus":
-            return 0, 1, True
-        if kind == "cos":
-            return 0, 1, False
-        if kind == "sin":
-            return 1, 1, False
-        if kind == "mix":
-            return 1, 2, False  # odd doubled indices 1, 3, 5, ...
-        return 0, 1, True  # circ behaves like torus on its own grid
-
-    xlo, xstep, xtor = axis(xset)
-    ylo, ystep, ytor = axis(yset)
+    Ug, Vg = U // g, V // g
+    xlo, xstep, xtor = _AXES[xset]
+    ylo, ystep, ytor = _AXES[yset]
 
     def build(qcap):
-        return _build_sum_of_two(
-            U, V, g,
-            _gen_nonneg(xlo, xstep, xtor),
-            _ks_range(ylo, ystep, ytor),
-            qcap,
-        )
+        rows = []
+        for j in range(xlo, isqrt(qcap // Ug) + 1, xstep):
+            c0 = Ug * j * j
+            rows += _axis_rows(c0, Vg, ylo, ystep, ytor,
+                               isqrt((qcap - c0) // Vg), 2 if xtor and j else 1)
+        return _reduce(qcap, rows)
 
     return unit, build
 
@@ -305,91 +359,41 @@ def _plan_mobius(a: Fraction, b: Fraction, parity: int, kmin):
     klo = 0 if torus_y else int(kmin)
 
     def build(qcap):
-        counts = np.zeros(qcap + 1, dtype=np.int64)
-        j = 0
-        while Ug * j * j <= qcap:
-            wj = 2 if j > 0 else 1
-            kq = (qcap - Ug * j * j) // Vg
-            kmax = isqrt(kq)
+        rows = []
+        for j in range(isqrt(qcap // Ug) + 1):
+            c0 = Ug * j * j
             k0 = klo if (j + klo) % 2 == parity else klo + 1
-            ks = np.arange(k0, kmax + 1, 2, dtype=np.int64)
-            if len(ks):
-                w = np.full(len(ks), 2 if torus_y else 1, dtype=np.int64)
-                if torus_y and ks[0] == 0:
-                    w[0] = 1
-                qs = Ug * j * j + Vg * ks * ks
-                np.add.at(counts, qs, wj * w)
-            j += 1
-        return _dense_to_levels(counts)
+            rows += _axis_rows(c0, Vg, k0, 2, torus_y,
+                               isqrt((qcap - c0) // Vg), 2 if j else 1)
+        return _reduce(qcap, rows)
 
     return unit, build
 
 
-def _hex_norm_counts(qcap: int) -> np.ndarray:
-    """r[q] = #{(n1, n2) in Z^2 : n1^2 - n1 n2 + n2^2 = q}, q <= qcap."""
-    counts = np.zeros(qcap + 1, dtype=np.int64)
-    M = isqrt(max(4 * qcap, 0) // 3) + 1
-    n2s = np.arange(-M, M + 1, dtype=np.int64)
-    for n1 in range(-M, M + 1):
-        qs = n1 * n1 - n1 * n2s + n2s * n2s
-        sel = qs <= qcap
-        np.add.at(counts, qs[sel], 1)
-    return counts
+def _hex_norm_table(qcap: int):
+    """Levels of n1^2 - n1 n2 + n2^2 over (n1, n2) in Z^2, up to qcap."""
+    rows = []
+    for n1 in range(-isqrt(4 * qcap // 3), isqrt(4 * qcap // 3) + 1):
+        # q <= qcap  <=>  |2 n2 - n1| <= sqrt(4 qcap - 3 n1^2)
+        s = isqrt(4 * qcap - 3 * n1 * n1)
+        rows.append((n1 * n1, -n1, 1, range(-((s - n1) // 2), (n1 + s) // 2 + 1), 1))
+    return _reduce(qcap, rows)
 
 
-def _square_norm_counts(qcap: int) -> np.ndarray:
-    """r2[q] = #{(j, k) in Z^2 : j^2 + k^2 = q}, q <= qcap."""
-    counts = np.zeros(qcap + 1, dtype=np.int64)
-    for j in range(isqrt(qcap) + 1):
-        rem = qcap - j * j
-        kmax = isqrt(rem)
-        ks = np.arange(kmax + 1, dtype=np.int64)
-        w = np.full(kmax + 1, 2 if j else 1, dtype=np.int64) * 2
-        if len(w):
-            w[0] //= 2
-        np.add.at(counts, j * j + ks * ks, w)
-    return counts
-
-
-def _hex_pair_rows(qcap: int, lo: int, nfloor) -> np.ndarray:
-    """Dense counts of pairs m >= lo, n >= nfloor(m) with m^2+mn+n^2 <= qcap."""
-    counts = np.zeros(qcap + 1, dtype=np.int64)
+def _hex_pair_table(qcap: int, lo: int, diag):
+    """Levels m^2 + mn + n^2 <= qcap of pairs m >= lo with n >= lo (diag
+    None), n >= m (diag 0) or n > m (diag 1)."""
+    rows = []
     m = lo
     while True:
-        n0 = nfloor(m)
+        n0 = lo if diag is None else m + diag
         if m * m + m * n0 + n0 * n0 > qcap:
             break
         # m^2 + mn + n^2 <= qcap  <=>  n <= (sqrt(4 qcap - 3 m^2) - m) / 2
         nmax = (isqrt(4 * qcap - 3 * m * m) - m) // 2
-        ns = np.arange(n0, nmax + 1, dtype=np.int64)
-        if len(ns):
-            np.add.at(counts, m * m + m * ns + ns * ns, 1)
+        rows.append((m * m, m, 1, range(n0, nmax + 1), 1))
         m += 1
-    return counts
-
-
-def _plan_eq_pairs(lo: int):
-    """Ordered pairs m, n >= lo on the hexagonal quadratic form."""
-
-    def build(qcap):
-        return _dense_to_levels(_hex_pair_rows(qcap, lo, lambda m: lo))
-
-    return Fraction(16, 9), build
-
-
-def _plan_half_eq(mode: str):
-    """Pairs on the hexagonal form with m <= n ('le') or m < n ('lt'),
-    starting from lo encoded in the mode string: 'le0', 'lt0', 'le1', 'lt1'.
-    """
-    lo = int(mode[2])
-    strict = mode[:2] == "lt"
-
-    def build(qcap):
-        nf = (lambda m: m + 1) if strict else (lambda m: m)
-        counts = _hex_pair_rows(qcap, lo, nf)
-        return _dense_to_levels(counts)
-
-    return Fraction(16, 9), build
+    return _reduce(qcap, rows)
 
 
 def _plan_right_iso(a: Fraction, bc: str):
@@ -410,64 +414,58 @@ def _plan_right_iso(a: Fraction, bc: str):
     strict = bc in ("D", "ND", "MD")
 
     def build(qcap):
-        counts = np.zeros(qcap + 1, dtype=np.int64)
+        rows = []
         m = start
         while True:
             n0 = m + step if strict else m
             if m * m + n0 * n0 > qcap:
                 break
-            ns = np.arange(n0, isqrt(qcap - m * m) + 1, step, dtype=np.int64)
-            if len(ns):
-                np.add.at(counts, m * m + ns * ns, 1)
+            rows.append((m * m, 0, 1, range(n0, isqrt(qcap - m * m) + 1, step), 1))
             m += step
-        return _dense_to_levels(counts)
+        return _reduce(qcap, rows)
 
     return unit, build
 
 
-def _plan_fpp():
-    def build(qcap):
-        r2 = _square_norm_counts(qcap)
-        if np.any(r2[1:] % 4):
-            raise ArithmeticError("square-lattice shell size not in 4Z")
-        qs = np.arange(qcap + 1, dtype=np.int64)
-        s = np.sqrt(qs.astype(np.float64)).round().astype(np.int64)
-        corr = np.where(s * s == qs, np.where(s % 2 == 0, 1, -1), 0)
-        m = r2 // 4 + corr
-        m[0] = 1
-        return _dense_to_levels(m)
-
-    return Fraction(1), build
+def _fpp_table(qcap: int):
+    """Flat projective plane: r2(q)/4 plus +1 at even and -1 at odd squares,
+    with r2 the square-lattice shell sizes (the unit square torus table)."""
+    keys, r2 = _table(catalog.flat_torus_rect(1, 1), qcap).upto(qcap)
+    if np.any(r2[keys > 0] % 4):
+        raise ArithmeticError("square-lattice shell size not in 4Z")
+    s = isqrt(qcap)
+    rows = [(0, 0, 4, range(s // 2 + 1), 1),  # (2i)^2
+            (1, 4, 4, range((s + 1) // 2), -1)]  # (2i+1)^2
+    return _reduce(qcap, rows, [(keys, r2 // 4)])
 
 
-def _plan_tetra():
-    def build(qcap):
-        r = _hex_norm_counts(qcap)
-        m = r // 2
-        m[0] = 1
-        return _dense_to_levels(m)
+def _hex_lattice(qcap: int):
+    """(keys, r): the norms n1^2 - n1 n2 + n2^2 <= qcap of the hexagonal
+    lattice and their shell sizes, from the flat hex torus table."""
+    return _table(catalog.flat_torus_hex(), qcap).upto(qcap)
 
-    return Fraction(4, 3), build
+
+def _tetra_table(qcap: int):
+    """Tetrahedron surface: half of each hexagonal shell, key 0 once."""
+    keys, r = _hex_lattice(qcap)
+    m = r // 2
+    m[0] = 1  # key 0, the constant mode
+    return keys, m
 
 
 def _plan_half_tetra(bc: str):
     sign = 1 if bc == "N" else -1
 
     def build(qcap):
-        r = _hex_norm_counts(qcap)
-        qs = np.arange(qcap + 1, dtype=np.int64)
-        s = np.sqrt(qs.astype(np.float64)).round().astype(np.int64)
-        fsw = np.where(s * s == qs, 2, 0)
-        s3 = np.sqrt((qs / 3.0)).round().astype(np.int64)
-        fnsw = np.where(3 * s3 * s3 == qs, 2, 0)
-        fsw[0] = 1
-        fnsw[0] = 1
-        z = np.zeros_like(qs)
-        z[0] = 1
-        tot = r + z + sign * (fsw + fnsw)
+        # four times the count: r(q), plus 1 at q = 0, plus sign * 2 on the
+        # squares and three times the squares (sign * 1 each at q = 0)
+        rows = [(0, 0, 0, range(1), 1 + 2 * sign),
+                (0, 0, 1, range(1, isqrt(qcap) + 1), 2 * sign),
+                (0, 0, 3, range(1, isqrt(qcap // 3) + 1), 2 * sign)]
+        keys, tot = _reduce(qcap, rows, [_hex_lattice(qcap)])
         if np.any(tot % 4):
             raise ArithmeticError("symmetry average came out non-integral")
-        return _dense_to_levels(tot // 4)
+        return keys, tot // 4
 
     return Fraction(4, 3), build
 
@@ -482,19 +480,51 @@ def _sector_source(spec: SurfaceSpec):
     return catalog.triangle_306090(bc), Fraction(3)
 
 
+def _frac_gcd(x: Fraction, y: Fraction) -> Fraction:
+    return Fraction(
+        gcd(x.numerator * y.denominator, y.numerator * x.denominator),
+        x.denominator * y.denominator,
+    )
+
+
+def _plan_sector2(spec: SurfaceSpec):
+    """The 2-dim isotypic table: base minus all 1-dim sector tables."""
+    parts = [(catalog.base_spec(spec.base), 1)] + [
+        (catalog.symmetry_sector(spec.base, ir), -1)
+        for ir in catalog.sector_irreps(spec.base)
+        if ir != "2"
+    ]
+    units = [_table(s).unit for s, _ in parts]
+    common = units[0]
+    for u in units[1:]:
+        common = _frac_gcd(common, u)
+    factors = [(u / common, s, sign) for u, (s, sign) in zip(units, parts)]
+    if any(f.denominator != 1 for f, _, _ in factors):
+        raise ArithmeticError("sector level grids do not align")
+
+    def build(qcap):
+        arrays = []
+        for f, s, sign in factors:
+            keys, ms = _table(s, qcap // int(f)).upto(qcap // int(f))
+            arrays.append((keys * int(f), sign * ms))
+        keys, ms = _reduce(qcap, arrays=arrays)
+        if ms.min(initial=0) < 0:
+            raise ArithmeticError("sector tables exceed the base count")
+        if np.any(ms % 2):
+            raise ArithmeticError("2-dim isotypic count came out odd")
+        return keys, ms
+
+    return common, build
+
+
 def _plan_flat(spec: SurfaceSpec):
-    """(unit, builder) for every flat family except the 2-dim sectors."""
+    """(unit, build) of a flat surface's table."""
     f = spec.family
     a, b = spec.a, spec.b
     if f == Family.FLAT_TORUS_RECT:
         return _plan_product(a, b, "torus", "torus")
     if f == Family.FLAT_TORUS_HEX:
-        unit = Fraction(16, 9)
-
-        def build(qcap):
-            return _dense_to_levels(_hex_norm_counts(qcap))
-
-        return unit, build
+        return Fraction(16, 9), _hex_norm_table
     if f == Family.RECTANGLE:
         xset, yset = {
             "N": ("cos", "cos"), "D": ("sin", "sin"), "ND": ("sin", "cos"),
@@ -511,129 +541,45 @@ def _plan_flat(spec: SurfaceSpec):
     if f == Family.RIGHT_ISO_TRIANGLE:
         return _plan_right_iso(a, spec.bc)
     if f == Family.EQUILATERAL_TRIANGLE:
-        return _plan_eq_pairs(0 if spec.bc == "N" else 1)
+        lo = 0 if spec.bc == "N" else 1
+        return Fraction(16, 9), lambda qcap: _hex_pair_table(qcap, lo, None)
     if f == Family.TRIANGLE_306090:
-        mode = {"N": "le0", "ND": "lt0", "DN": "le1", "D": "lt1"}[spec.bc]
-        return _plan_half_eq(mode)
+        lo = 0 if spec.bc in ("N", "ND") else 1
+        diag = 1 if spec.bc in ("ND", "D") else 0
+        return Fraction(16, 9), lambda qcap: _hex_pair_table(qcap, lo, diag)
     if f == Family.FLAT_PROJECTIVE_PLANE:
-        return _plan_fpp()
+        return Fraction(1), _fpp_table
     if f == Family.TETRAHEDRON_SURFACE:
-        return _plan_tetra()
+        return Fraction(4, 3), _tetra_table
     if f == Family.HALF_TETRAHEDRON:
         return _plan_half_tetra(spec.bc)
+    if f == Family.SYMMETRY_SECTOR:
+        if spec.irrep == "2":
+            return _plan_sector2(spec)
+        src, scale = _sector_source(spec)
+        return _table(src).unit * scale, lambda qcap: _table(src, qcap).upto(qcap)
     raise ValueError("no flat table plan for %s" % (spec,))
 
 
-def _frac_gcd(x: Fraction, y: Fraction) -> Fraction:
-    return Fraction(
-        gcd(x.numerator * y.denominator, y.numerator * x.denominator),
-        x.denominator * y.denominator,
-    )
+def _sph_table(spec: SurfaceSpec, ncap: int):
+    """Degrees N <= ncap and their multiplicities, from the window counts."""
+    cums = [_sph_cum(spec, k) for k in range(ncap + 2)]
+    ms = np.diff(np.asarray(cums, dtype=np.int64))
+    keys = np.flatnonzero(ms)
+    return keys, ms[keys]
 
 
-def _plan_sector2(spec: SurfaceSpec):
-    """The 2-dim isotypic table: base minus all 1-dim sector tables."""
-    base_spec = catalog.base_spec(spec.base)
-    one_dims = [
-        catalog.symmetry_sector(spec.base, ir)
-        for ir in catalog.sector_irreps(spec.base)
-        if ir != "2"
-    ]
-    unit_b = _unit_of(base_spec)
-    units_s = [_unit_of(s) for s in one_dims]
-    common = unit_b
-    for u in units_s:
-        common = _frac_gcd(common, u)
-
-    factors = [(unit_b / common, base_spec, 1)]
-    factors += [(u / common, s, -1) for s, u in zip(one_dims, units_s)]
-    if any(f.denominator != 1 for f, _, _ in factors):
-        raise ArithmeticError("sector level grids do not align")
-
-    def build(qcap):
-        dense = np.zeros(qcap + 1, dtype=np.int64)
-        for f, s, sign in factors:
-            f = int(f)
-            qs, ms = _table_arrays(s, qcap // f)
-            sel = qs * f <= qcap
-            np.add.at(dense, qs[sel] * f, sign * ms[sel])
-        if dense.min(initial=0) < 0:
-            raise ArithmeticError("sector tables exceed the base count")
-        if np.any(dense % 2):
-            raise ArithmeticError("2-dim isotypic count came out odd")
-        return _dense_to_levels(dense)
-
-    return common, build
-
-
-def _unit_of(spec: SurfaceSpec) -> Fraction:
-    if spec.family == Family.SYMMETRY_SECTOR:
-        if spec.irrep == "2":
-            base_spec = catalog.base_spec(spec.base)
-            common = _unit_of(base_spec)
-            for ir in catalog.sector_irreps(spec.base):
-                if ir != "2":
-                    common = _frac_gcd(
-                        common,
-                        _unit_of(catalog.symmetry_sector(spec.base, ir)))
-            return common
-        src, scale = _sector_source(spec)
-        return _unit_of(src) * scale
-    return _plan_flat(spec)[0]
-
-
-def _table_arrays(spec: SurfaceSpec, qneed: int):
-    """(qs, ms) arrays for spec, valid at least up to integer key qneed."""
-    if spec.family == Family.SYMMETRY_SECTOR and spec.irrep != "2":
-        src, _ = _sector_source(spec)
-        return _table_arrays(src, qneed)
-    if spec.family == Family.SYMMETRY_SECTOR:
-        unit, builder = _plan_sector2(spec)
-        tb = _get_table(spec, unit, builder, qneed)
-        return tb["qs"], tb["ms"]
-    unit, builder = _plan_flat(spec)
-    tb = _get_table(spec, unit, builder, qneed)
-    return tb["qs"], tb["ms"]
-
-
-def _flat_table(spec: SurfaceSpec, qneed: int):
-    """(unit, qs, ms, prefix) with prefix sums, cached."""
-    unit = _unit_of(spec)
-    if spec.family == Family.SYMMETRY_SECTOR and spec.irrep != "2":
-        src, scale = _sector_source(spec)
-        u2, qs, ms, prefix = _flat_table(src, qneed)
-        return u2 * scale, qs, ms, prefix
-    if spec.family == Family.SYMMETRY_SECTOR:
-        tb = _get_table(spec, unit, _plan_sector2(spec)[1], qneed)
-    else:
-        tb = _get_table(spec, unit, _plan_flat(spec)[1], qneed)
-    return unit, tb["qs"], tb["ms"], tb["prefix"]
-
-
-def _internal_count(key: str, t, a=None, b=None) -> int:
-    """Counts for helper lattices that are not cataloged surfaces."""
-    if key == "mobius_even":
-        unit, builder = _plan_mobius(a, b, 0, "torus")
-        cache_key = ("mobius_even", a, b)
-    elif key == "hexlat43":
-        unit = Fraction(4, 3)
-
-        def builder(qcap):
-            return _dense_to_levels(_hex_norm_counts(qcap))
-
-        cache_key = ("hexlat43",)
-    else:
-        raise ValueError(key)
-    qm = _flat_qmax(unit, t)
-    if qm < 0:
-        return 0
-    tb = _get_table(cache_key, unit, builder, qm)
-    idx = np.searchsorted(tb["qs"], qm, side="right")
-    return int(tb["prefix"][idx - 1]) if idx else 0
+def _new_table(spec) -> _LevelTable:
+    if isinstance(spec, tuple):  # ("mobius_even", a, b): k in Z, j + k even
+        return _LevelTable(*_plan_mobius(spec[1], spec[2], 0, "torus"))
+    catalog.validate(spec)
+    if catalog.is_spherical(spec):
+        return _LevelTable(None, lambda ncap: _sph_table(spec, ncap))
+    return _LevelTable(*_plan_flat(spec))
 
 
 # ---------------------------------------------------------------------------
-# spherical tables
+# spherical window counts
 
 
 def _sph_cum(spec: SurfaceSpec, k: int) -> int:
@@ -700,20 +646,6 @@ def _half_lune_cum(m: int, side: str, eq: str, k: int) -> Fraction:
     if eq == "N":
         return nplus - Fraction(-(-k // 2))  # ceil(k/2)
     return nminus - Fraction(k // 2)
-
-
-def _sph_table(spec: SurfaceSpec, nmax: int) -> dict:
-    tb = _TABLES.get(spec)
-    if tb is None or tb["ncap"] < nmax:
-        ncap = max(nmax, 64, 2 * (tb["ncap"] if tb else 0))
-        cums = [_sph_cum(spec, kk) for kk in range(ncap + 2)]
-        ms = np.diff(np.asarray(cums, dtype=np.int64))
-        if ms.min(initial=0) < 0:
-            raise ArithmeticError("negative multiplicity in level table")
-        tb = {"ms": ms, "prefix": np.cumsum(ms, dtype=np.int64),
-              "ncap": ncap}
-        _TABLES[spec] = tb
-    return tb
 
 
 # ---------------------------------------------------------------------------
@@ -797,7 +729,8 @@ def _closed_flat(spec: SurfaceSpec, t) -> Fraction:
         return Fraction(C3, 2) - fl - HALF
 
     if f == Family.MOBIUS_BAND:
-        Ce = _internal_count("mobius_even", t, a, b)
+        even, i = _lookup(("mobius_even", a, b), t)
+        Ce = int(even.prefix[i])
         fl4 = Fraction(a) * Fraction(a) / 4
         if spec.bc == "N":
             return Fraction(Ce, 2) + ft.fl(fl4) + HALF
@@ -809,11 +742,12 @@ def _closed_flat(spec: SurfaceSpec, t) -> Fraction:
         eps = 1 if ft.fl(Fraction(1)) % 2 == 0 else -1
         return Fraction(C, 4) + QUARTER + Fraction(eps, 2)
 
-    if f == Family.TETRAHEDRON_SURFACE:
-        return Fraction(_internal_count("hexlat43", t), 2) + HALF
-
-    if f == Family.HALF_TETRAHEDRON:
-        Ch = _internal_count("hexlat43", t)
+    if f in (Family.TETRAHEDRON_SURFACE, Family.HALF_TETRAHEDRON):
+        # the hexagonal lattice with keys in units of 4/3: the hex torus
+        # (unit 16/9) at 4/3 times the cutoff
+        Ch = count(catalog.flat_torus_hex(), _scale_time(t, Fraction(4, 3)))
+        if f == Family.TETRAHEDRON_SURFACE:
+            return Fraction(Ch, 2) + HALF
         fn = Fraction(ft.fl(Fraction(3, 4)))
         fo = Fraction(ft.fl(QUARTER))
         if spec.bc == "N":
@@ -855,71 +789,31 @@ def _closed_sector(spec: SurfaceSpec, t) -> Fraction:
 
 def levels(spec: SurfaceSpec, T) -> list[EigenLevel]:
     """All eigenvalues <= T as (value, exact key, multiplicity), sorted."""
-    _checked(spec)
-    if catalog.is_spherical(spec):
-        nmax = _sph_window(T) - 1
-        if nmax < 0:
-            return []
-        tb = _sph_table(spec, nmax)
-        out = []
-        for N in range(nmax + 1):
-            mN = int(tb["ms"][N])
-            if mN:
-                out.append(EigenLevel(float(N * (N + 1)), N, mN))
-        return out
-    unit = _unit_of(spec)
-    qm = _flat_qmax(unit, T)
-    if qm < 0:
-        return []
-    _, qs, ms, _ = _flat_table(spec, qm)
-    idx = np.searchsorted(qs, qm, side="right")
+    tb, i = _lookup(spec, T)
+    pairs = zip(tb.keys[:i].tolist(), tb.mults[:i].tolist())
+    if tb.unit is None:
+        return [EigenLevel(float(N * (N + 1)), N, m) for N, m in pairs]
+    unit = tb.unit
     pi2 = math.pi * math.pi
-    return [
-        EigenLevel(float(unit * int(q)) * pi2, unit * int(q), int(m))
-        for q, m in zip(qs[:idx], ms[:idx])
-    ]
+    return [EigenLevel(float(unit * q) * pi2, unit * q, m) for q, m in pairs]
 
 
 def level_arrays(spec: SurfaceSpec, T):
     """(values, multiplicities) as numpy arrays, for bulk numerics."""
-    _checked(spec)
-    if catalog.is_spherical(spec):
-        nmax = _sph_window(T) - 1
-        if nmax < 0:
-            return np.empty(0), np.empty(0, dtype=np.int64)
-        tb = _sph_table(spec, nmax)
-        Ns = np.arange(nmax + 1, dtype=np.int64)
-        ms = tb["ms"][: nmax + 1]
-        keep = ms > 0
-        Ns, ms = Ns[keep], ms[keep]
-        return Ns.astype(np.float64) * (Ns + 1), ms.astype(np.int64)
-    unit = _unit_of(spec)
-    qm = _flat_qmax(unit, T)
-    if qm < 0:
-        return np.empty(0), np.empty(0, dtype=np.int64)
-    _, qs, ms, _ = _flat_table(spec, qm)
-    idx = np.searchsorted(qs, qm, side="right")
-    vals = (qs[:idx].astype(np.float64) * unit.numerator / unit.denominator
-            * (math.pi * math.pi))
-    return vals, ms[:idx].copy()
+    tb, i = _lookup(spec, T)
+    keys = tb.keys[:i]
+    if tb.unit is None:
+        vals = keys.astype(np.float64) * (keys + 1)
+    else:
+        vals = (keys.astype(np.float64) * tb.unit.numerator / tb.unit.denominator
+                * (math.pi * math.pi))
+    return vals, tb.mults[:i].copy()
 
 
 def count(spec: SurfaceSpec, t) -> int:
     """Number of eigenvalues <= t, from the enumerated level table."""
-    _checked(spec)
-    if catalog.is_spherical(spec):
-        nmax = _sph_window(t) - 1
-        if nmax < 0:
-            return 0
-        tb = _sph_table(spec, nmax)
-        return int(tb["prefix"][nmax])
-    unit = _unit_of(spec)
-    qm = _flat_qmax(unit, t)
-    if qm < 0:
-        return 0
-    _, qs, _, prefix = _flat_table(spec, qm)
-    idx = np.searchsorted(qs, qm, side="right")
-    return int(prefix[idx - 1]) if idx else 0
+    tb, i = _lookup(spec, t)
+    return int(tb.prefix[i])
 
 
 def closed_form_identity(spec: SurfaceSpec, t) -> CountReport:
@@ -928,7 +822,6 @@ def closed_form_identity(spec: SurfaceSpec, t) -> CountReport:
     Both numbers are exact; the closed form is evaluated in rational
     arithmetic and must land on an integer, else ArithmeticError.
     """
-    _checked(spec)
     c = count(spec, t)
     if catalog.is_spherical(spec):
         cf = _sph_cum(spec, _sph_window(t))

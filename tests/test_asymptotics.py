@@ -232,7 +232,7 @@ def test_heat_trace_difference_decreases_in_high_precision():
             if catalog.is_spherical(spec):
                 lam = [mpmath.mpf(v) for v in vals.tolist()]
             else:
-                unit = spectrum._unit_of(spec)
+                unit = spectrum._table(spec).unit
                 pisq = mpmath.pi ** 2
                 lam = []
                 for v in vals.tolist():

@@ -179,3 +179,40 @@ def test_package_checks_survive_optimize():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+# --- seeded sweeps over random rational shapes ------------------------------
+
+
+def _random_shape(rng):
+    a, b = (F(rng.randint(1, 12), rng.randint(1, 7)) for _ in range(2))
+    family = rng.choice(("flat_torus_rect", "rectangle", "cylinder", "mobius_band"))
+    if family == "flat_torus_rect":
+        return catalog.flat_torus_rect(a, b)
+    if family == "rectangle":
+        return catalog.rectangle(a, b, rng.choice(("N", "D", "ND", "NM", "DM", "MM")))
+    if family == "cylinder":
+        return catalog.cylinder(a, b, rng.choice("NDM"))
+    return catalog.mobius_band(a, b, rng.choice("ND"))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_rational_shapes_match_oracle(seed):
+    rng = random.Random(seed)
+    for _ in range(8):
+        spec = _random_shape(rng)
+        # about a hundred eigenvalues (area * T / 4 pi) whatever the shape
+        T = F(round(1200 / float(spec.a * spec.b)) + rng.randrange(50))
+        brute = oracle.brute_levels(spec, T)
+        got = [(lv.key, lv.multiplicity) for lv in spectrum.levels(spec, T)]
+        assert got == brute, spec
+        for key, mult in rng.sample(brute, min(12, len(brute))):
+            below = sum(m for k, m in brute if k < key)
+            # levels are at least 1/(4 * 12^4) apart: eps stays beside this one
+            eps = F(1, 10**9)
+            cases = [(key, below + mult), (key + eps, below + mult)]
+            if key:
+                cases.append((key - eps, below))
+            for t, want in cases:
+                rep = spectrum.closed_form_identity(spec, spectrum.ExactTime(t))
+                assert rep.count == rep.closed_form == want, (spec, t)

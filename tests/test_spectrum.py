@@ -1,11 +1,12 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from spectralab import catalog
+from spectralab import catalog, spectrum
 from spectralab.exact import PI_LO
 from spectralab.spectrum import (
     CountReport,
@@ -289,3 +290,67 @@ def test_report_types():
     assert rep.t == 10.0
     lv = levels(catalog.sphere(), 10)
     assert isinstance(lv[0], EigenLevel)
+
+
+# --- level tables: memory and cache ----------------------------------------
+
+
+def test_table_memory_follows_level_count(monkeypatch):
+    # side 101/100 makes the key unit 1/10201, so at this cutoff a table
+    # indexed by key would hold about 1e7 entries for 3121 eigenvalues; the
+    # table's build may take at most 64 bytes per eigenvalue
+    monkeypatch.setattr(spectrum, "_TABLES", {})
+    spec = catalog.flat_torus_rect(F(101, 100), 1)
+    T = 9675.0
+    assert 0.99e7 < T / (F(1, 10201) * math.pi ** 2) < 1.01e7
+    tracemalloc.start()
+    try:
+        vals, mults = level_arrays(spec, T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    points = int(mults.sum())
+    assert points == 3121
+    assert peak <= 64 * points, (peak, points)
+
+
+def test_table_keys_beyond_int64_raise():
+    # keys of this torus reach about 1e19 at t = 1e8: refused before any
+    # array is made
+    spec = catalog.flat_torus_rect(F(1000003, 1000000), 1)
+    with pytest.raises(ArithmeticError):
+        count(spec, 1e8)
+
+
+GROWTH_SPECS = [
+    catalog.rectangle(F(7, 5), F(11, 13), "NM"),
+    catalog.mobius_band(F(5, 7), F(11, 5), "N"),
+    catalog.symmetry_sector("square_n", "+-"),
+    catalog.symmetry_sector("hex_torus", "2"),
+]
+
+
+def _answers(spec, T):
+    vals, mults = level_arrays(spec, T)
+    lv = [(l.value, l.key, l.multiplicity) for l in levels(spec, T)]
+    return count(spec, T), count(spec, T / 3), vals.tolist(), mults.tolist(), lv
+
+
+@pytest.mark.parametrize("spec", GROWTH_SPECS, ids=lambda s: s.label())
+def test_table_growth_matches_fresh_tables(spec, monkeypatch):
+    small, large = 40.0, 40000.0
+    fresh = {}
+    for T in (small, large):
+        monkeypatch.setattr(spectrum, "_TABLES", {})
+        fresh[T] = _answers(spec, T)
+    monkeypatch.setattr(spectrum, "_TABLES", {})
+    assert _answers(spec, small) == fresh[small]
+    tb = spectrum._table(spec)
+    first_cap = tb.qcap
+    assert _answers(spec, large) == fresh[large]
+    assert tb.qcap > first_cap
+    keys, qcap = tb.keys, tb.qcap
+    assert _answers(spec, small) == fresh[small]
+    # answered from the grown table, without a rebuild
+    assert spectrum._table(spec) is tb
+    assert tb.keys is keys and tb.qcap == qcap
