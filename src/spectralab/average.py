@@ -86,22 +86,38 @@ def avg_error(spec: SurfaceSpec, t) -> AvgErrorSample:
                           n_integral=n_int, tilde_integral=tilde)
 
 
+_BLOCK = 65536  # times per block of avg_error_grid's temporaries
+
+
 def avg_error_grid(spec: SurfaceSpec, ts) -> np.ndarray:
-    """Averaged error over an ascending grid, one spectrum fetch."""
+    """Averaged error over an ascending grid, one spectrum fetch.
+
+    The level prefix sums are made once; the times are then evaluated in
+    blocks of _BLOCK into one output array, so the temporaries stay
+    block-sized however long the grid is.
+    """
     ts = np.asarray(ts, dtype=np.float64)
     if ts.size == 0:
         return ts.copy()
     if not np.all(ts > 0):
         raise ValueError("averaged error needs t > 0")
-    if np.any(np.diff(ts) < 0):
+    if np.any(ts[1:] < ts[:-1]):
         raise ValueError("grid must be ascending")
     vals, mults = spectrum.level_arrays(spec, float(ts[-1]))
     m = mults.astype(np.float64)
     n_pref = np.concatenate(([0.0], np.cumsum(m)))
     l_pref = np.concatenate(([0.0], np.cumsum(m * vals)))
-    idx = np.searchsorted(vals, ts, side="right")
-    n_int = ts * n_pref[idx] - l_pref[idx]
-    return (n_int - _tilde_integral(_constants(spec), ts)) / ts
+    rc = _constants(spec)
+    out = np.empty_like(ts)
+    for i in range(0, ts.size, _BLOCK):
+        t = ts[i:i + _BLOCK]
+        o = out[i:i + _BLOCK]
+        idx = np.searchsorted(vals, t, side="right")
+        np.multiply(t, n_pref[idx], out=o)
+        o -= l_pref[idx]
+        o -= _tilde_integral(rc, t)
+        o /= t
+    return out
 
 
 def _window_index(t):

@@ -279,8 +279,10 @@ def cmd_heat(args) -> int:
 def _scaled_residual(spec, ts: np.ndarray, spherical: bool) -> np.ndarray:
     avg = average.avg_error_grid(spec, ts)
     if spherical:
-        avg = avg - average.leading_profile(spec, np.sqrt(ts + 0.25))
-    return np.abs(avg) * ts ** 0.25
+        avg -= average.leading_profile(spec, np.sqrt(ts + 0.25))
+    np.abs(avg, out=avg)
+    avg *= ts ** 0.25
+    return avg
 
 
 def _decade_sup(spec, t_lo: float, t_hi: float, spherical: bool) -> float:

@@ -2,9 +2,9 @@
 
 Rational combinations of sqrt(s) * pi^p (s squarefree, p an integer) cover
 every refined-asymptotics constant in the catalog, so they get a tiny exact
-ring here instead of floats.  The module also carries integer floor/sqrt
-utilities used by the closed-form counting functions, and a rational
-enclosure of pi tight enough to decide every comparison the package makes.
+ring here instead of floats.  The module also carries exact floor/sqrt
+utilities and a rational enclosure of pi tight enough to decide every
+comparison the package makes.
 """
 
 from __future__ import annotations
@@ -272,27 +272,21 @@ def isqrt_frac_floor(x: Fraction) -> int:
 
 
 def floor_affine_sqrt(x: Fraction, a: Fraction = Fraction(1), c: Fraction = Fraction(0)) -> int:
-    """floor(a*sqrt(x) + c), exact, for Fractions with a >= 0 and x >= 0."""
+    """floor(a*sqrt(x) + c), exact, for Fractions with a >= 0 and x >= 0.
+
+    With a^2 x = p/q and c = s/r this is (isqrt(r^2 p q) // q + s) // r:
+    floor(y + s/r) = floor((floor(r y) + s) / r) for real y, and
+    r sqrt(p/q) = sqrt(r^2 p q) / q.
+    """
     x = Fraction(x)
     a = Fraction(a)
     c = Fraction(c)
     if a < 0 or x < 0:
         raise ValueError("need a >= 0 and x >= 0")
-    a2x = a * a * x
-
-    def le(n: int) -> bool:
-        # n <= a*sqrt(x) + c ?
-        d = n - c
-        if d <= 0:
-            return True
-        return d * d <= a2x
-
-    n = isqrt_frac_floor(a2x) + math.floor(c)
-    while le(n + 1):
-        n += 1
-    while not le(n):
-        n -= 1
-    return n
+    y = a * a * x
+    p, q = y.numerator, y.denominator
+    s, r = c.numerator, c.denominator
+    return (math.isqrt(r * r * p * q) // q + s) // r
 
 
 def floor_div_pi2(x: Fraction) -> int:
@@ -324,33 +318,3 @@ def flat_rho_bounds(T: Fraction) -> tuple[Fraction, Fraction]:
     if T < 0:
         raise ValueError("negative cutoff")
     return T / PI_HI**2, T / PI_LO**2
-
-
-def floor_sqrt_shift_pi(x: Fraction, c: Fraction = Fraction(0)) -> int:
-    """floor(sqrt(x)/pi + c), exact, for rational x >= 0.
-
-    Decidable because (n - c)^2 * pi^2 is irrational for rational n - c != 0,
-    so the 100-digit pi enclosure always separates the two sides.
-    """
-    x = Fraction(x)
-    c = Fraction(c)
-    if x < 0:
-        raise ValueError("need x >= 0")
-
-    def le(n: int) -> bool:
-        # n <= sqrt(x)/pi + c ?
-        d = n - c
-        if d <= 0:
-            return True
-        if d * d * PI_HI * PI_HI <= x:
-            return True
-        if d * d * PI_LO * PI_LO > x:
-            return False
-        raise ArithmeticError("pi enclosure too coarse for %s" % x)
-
-    n = math.floor(c) + isqrt_frac_floor(x / PI_LO / PI_LO)
-    while le(n + 1):
-        n += 1
-    while not le(n):
-        n -= 1
-    return n

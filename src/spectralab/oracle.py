@@ -24,9 +24,6 @@ from . import catalog
 from .catalog import Family, SurfaceSpec
 from .exact import flat_rho_bounds, isqrt_frac_floor
 
-_OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)  # primitive cube root of unity
-
-
 # --- accumulators ---
 
 
@@ -429,7 +426,8 @@ def _brute_sector_hex_torus(acc: _FlatAcc, irrep: str) -> None:
 # Equilateral-triangle sectors: double character average.  The base group
 # G_b (reflections cutting the triangle out of the hex torus) is linear; the
 # triangle's own D3 about its centroid picks up cube-root-of-unity phases
-# omega^(n1+n2) on the rotations.
+# omega^(n1+n2) on the rotations.  Sums are exact in the Eisenstein integers,
+# x + y omega kept as the pair (x, y), with omega^2 = -1 - omega.
 _GB_MATS = [
     lambda n: n,
     _hex_rot,
@@ -439,6 +437,8 @@ _GB_MATS = [
     lambda n: (n[1], n[0]),
 ]
 _GB_SIGNS = [1, 1, 1, -1, -1, -1]
+
+_OMEGA_POW = [(1, 0), (0, 1), (-1, -1)]  # omega^0, omega^1, omega^2 as (x, y)
 
 
 def _swapneg(n):
@@ -454,10 +454,9 @@ _GC_ELEMS = [
     (lambda n: _hex_rot(_swapneg(n)), (2, 2)),
     (lambda n: _hex_rot(_hex_rot(_swapneg(n))), (1, 1)),
 ]
-_GC_CLASS = ["id", "rot", "rot", "ref", "ref", "ref"]
 
 
-def _gc_char(irrep: str) -> list[float]:
+def _gc_char(irrep: str) -> list[int]:
     if irrep == "+":
         return [1, 1, 1, 1, 1, 1]
     if irrep == "-":
@@ -471,21 +470,20 @@ def _brute_sector_equilateral(acc: _FlatAcc, bc: str, irrep: str) -> None:
     dim = 2 if irrep == "2" else 1
     qcap = int(acc.hi * Fraction(9, 16)) + 1
     for q, modes in _hex_shells(qcap).items():
-        total = 0j
+        x = y = 0  # the sum x + y omega
         for gi, g in enumerate(_GB_MATS):
             for hi, (h, (c1, c2)) in enumerate(_GC_ELEMS):
                 w = chi_b[gi] * chi_c[hi]
                 if w == 0:
                     continue
-                tr = 0j
                 for n in modes:
                     if g(h(n)) == n:
-                        tr += _OMEGA ** ((c1 * n[0] + c2 * n[1]) % 3)
-                total += w * tr
-        val = total.real * dim / 36
-        if not (abs(total.imag) < 1e-9 and abs(val - round(val)) < 1e-9):
-            raise ArithmeticError((q, total))
-        acc.add(Fraction(16 * q, 9), int(round(val)))
+                        px, py = _OMEGA_POW[(c1 * n[0] + c2 * n[1]) % 3]
+                        x += w * px
+                        y += w * py
+        if y != 0 or (x * dim) % 36 != 0:
+            raise ArithmeticError((q, (x, y)))
+        acc.add(Fraction(16 * q, 9), x * dim // 36)
 
 
 def _brute_sector(acc: _FlatAcc, base: str, irrep: str) -> None:

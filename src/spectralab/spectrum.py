@@ -7,16 +7,25 @@ spherical family has eigenvalues N(N+1)) and answers counting questions by
 prefix sums.  Each surface has one cached table holding only the occupied
 integer keys, so its memory follows the number of levels, not the size of
 the grid up to the cutoff.  The closed-form route evaluates the
-floor-bracket identities for N(t) directly, jump discontinuities included,
-using exact rational arithmetic throughout.  `closed_form_identity` reports
-both numbers side by side; `oracle.check_equivalence` compares them against
-a third, structurally different enumeration.
+floor-bracket identities for N(t), jump discontinuities included.  Each
+flat surface's identity is compiled once, on first use, into an integer
+linear form cached on its table: a common denominator, a constant, counts
+of tables (tori, the hexagonal lattice, sector sources) at fixed rational
+rescalings of the cutoff, and brackets floor(sqrt(c2 rho) + shift),
+rho = t / pi^2, with c2 and shift held as integer pairs.  A query is then
+integer isqrt and floor division only.  Round surfaces use their window
+counts.
+`closed_form_identity` reports both numbers side by side;
+`oracle.check_equivalence` compares them against a third, structurally
+different enumeration.
 
 Cutoffs may be given as plain numbers (int, float, Fraction) or as an
 `ExactTime`, which pins down cutoffs of the form rho * pi^2 that no float
-can represent.  Rational cutoffs are located relative to the level grid by
-interval arithmetic with a 100-digit pi; a genuinely ambiguous cutoff (one
-within 1e-96 of a level) raises ArithmeticError rather than guessing.
+can represent.  A query turns its cutoff once into rho exactly, or into
+the enclosure T / PI_HI^2 < rho < T / PI_LO^2 with a 100-digit pi, and
+evaluates every count and bracket at both ends; a genuinely ambiguous
+cutoff (one within 1e-96 of a level) gives two different values and raises
+ArithmeticError rather than guessing.
 """
 
 from __future__ import annotations
@@ -30,13 +39,7 @@ import numpy as np
 
 from . import catalog
 from .catalog import Family, SurfaceSpec
-from .exact import (
-    PI_HI,
-    PI_LO,
-    flat_rho_bounds,
-    floor_affine_sqrt,
-    floor_sqrt_shift_pi,
-)
+from .exact import PI_HI, PI_LO
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -86,6 +89,17 @@ class CountReport:
 # cutoff handling
 
 
+_TOO_CLOSE = "cutoff %r is too close to a level to classify"
+
+
+def _pq(x: Fraction):
+    return x.numerator, x.denominator
+
+
+_LO2 = _pq(PI_LO * PI_LO)
+_HI2 = _pq(PI_HI * PI_HI)
+
+
 def _t_float(t) -> float:
     if isinstance(t, ExactTime):
         return t.value
@@ -102,60 +116,36 @@ def _rational_cutoff(t) -> Fraction:
     return tv
 
 
-def _flat_qmax(unit: Fraction, t) -> int:
-    """Largest integer q with unit * q * pi^2 <= t, exactly."""
+def _rho_ends(t) -> tuple:
+    """rho = t / pi^2 as exact integer pairs (P, Q), rho = P / Q.
+
+    One pair for an ExactTime in units of pi^2; otherwise the two ends
+    T / PI_HI^2 < rho < T / PI_LO^2 of the enclosure.
+    """
     if isinstance(t, ExactTime) and t.pi2:
-        return math.floor(t.rho / unit)
-    tv = _rational_cutoff(t)
-    lo, hi = flat_rho_bounds(tv)
-    qlo = math.floor(lo / unit)
-    qhi = math.floor(hi / unit)
-    if qlo != qhi:
-        raise ArithmeticError(
-            "cutoff %r is too close to a level to classify" % (t,))
-    return qlo
+        return (_pq(t.rho),)
+    n, d = _pq(_rational_cutoff(t))
+    return (n * _HI2[1], d * _HI2[0]), (n * _LO2[1], d * _LO2[0])
+
+
+def _decided(t, ends, value):
+    """value(P, Q), which must come out the same at every end of ends."""
+    v = value(*ends[0])
+    for P, Q in ends[1:]:
+        if value(P, Q) != v:
+            raise ArithmeticError(_TOO_CLOSE % (t,))
+    return v
 
 
 def _sph_window(t) -> int:
     """The k >= 1 with k^2 - k <= t < k^2 + k, i.e. floor(sqrt(t+1/4)+1/2)."""
     if isinstance(t, ExactTime) and t.pi2:
-        lo = t.rho * PI_LO * PI_LO
-        hi = t.rho * PI_HI * PI_HI
-        klo = floor_affine_sqrt(lo + QUARTER, 1, HALF)
-        khi = floor_affine_sqrt(hi + QUARTER, 1, HALF)
-        if klo != khi:
-            raise ArithmeticError(
-                "cutoff %r is too close to a level to classify" % (t,))
-        return klo
-    tv = _rational_cutoff(t)
-    return floor_affine_sqrt(tv + QUARTER, 1, HALF)
-
-
-def _scale_time(t, r: Fraction):
-    """The cutoff t * r, preserving exactness."""
-    if isinstance(t, ExactTime):
-        return ExactTime(t.rho * r, t.pi2)
-    return _rational_cutoff(t) * r
-
-
-class _FlatTime:
-    """Exact floor brackets of sqrt-affine expressions in a flat cutoff."""
-
-    __slots__ = ("rho", "t")
-
-    def __init__(self, t):
-        if isinstance(t, ExactTime) and t.pi2:
-            self.rho = t.rho
-            self.t = None
-        else:
-            self.rho = None
-            self.t = _rational_cutoff(t)
-
-    def fl(self, c2: Fraction, shift: Fraction = Fraction(0)) -> int:
-        """floor(sqrt(c2 * t)/pi + shift) == floor(sqrt(c2 * rho) + shift)."""
-        if self.rho is not None:
-            return floor_affine_sqrt(c2 * self.rho, 1, shift)
-        return floor_sqrt_shift_pi(c2 * self.t, shift)
+        n, d = _pq(t.rho)
+        ends = (n * _LO2[0], d * _LO2[1]), (n * _HI2[0], d * _HI2[1])
+    else:
+        ends = (_pq(_rational_cutoff(t)),)
+    # at t = P/Q: floor((sqrt((4P + Q) Q) + Q) / 2Q)
+    return _decided(t, ends, lambda P, Q: (isqrt((4 * P + Q) * Q) + Q) // (2 * Q))
 
 
 # ---------------------------------------------------------------------------
@@ -163,16 +153,17 @@ class _FlatTime:
 
 
 class _LevelTable:
-    """The levels of one surface or internal lattice, grown by `_table`.
+    """The levels of one surface or internal lattice, grown by `grow`.
 
     keys are the sorted integer level keys of nonzero multiplicity: key q
     is the eigenvalue unit * q * pi^2 on a flat table and q(q+1), q the
     degree, on a round one (unit None).  mults are the multiplicities and
     prefix[i] is the sum of the first i of them.  Every level with key <=
     qcap is present; build(qcap) makes (keys, mults) for a larger qcap.
+    form is the surface's compiled closed form, made on first use.
     """
 
-    __slots__ = ("unit", "build", "keys", "mults", "prefix", "qcap")
+    __slots__ = ("unit", "build", "keys", "mults", "prefix", "qcap", "form")
 
     def __init__(self, unit, build):
         self.unit = unit
@@ -180,12 +171,37 @@ class _LevelTable:
         self.keys = self.mults = np.empty(0, dtype=np.int64)
         self.prefix = np.zeros(1, dtype=np.int64)
         self.qcap = -1
+        self.form = None
 
-    def qmax(self, t) -> int:
-        """Largest key whose eigenvalue is <= t, decided exactly."""
+    def grow(self, qneed: int) -> None:
+        """Hold every level with key <= qneed: a table that is too short is
+        rebuilt at twice its size or qneed, whichever is larger."""
+        if self.qcap < qneed:
+            qcap = max(qneed, 256, 2 * self.qcap)
+            keys, mults = self.build(qcap)
+            if mults.min(initial=0) < 0:
+                raise ArithmeticError("negative multiplicity in level table")
+            prefix = np.zeros(len(mults) + 1, dtype=np.int64)
+            np.cumsum(mults, out=prefix[1:])
+            self.keys, self.mults, self.prefix, self.qcap = keys, mults, prefix, qcap
+
+    def qmax(self, t, ends=None) -> int:
+        """Largest key whose eigenvalue is <= t, decided exactly; a flat
+        table may be handed the ends of t's rho (`_rho_ends`)."""
         if self.unit is None:
             return _sph_window(t) - 1
-        return _flat_qmax(self.unit, t)
+        un, ud = _pq(self.unit)
+        return _decided(t, ends or _rho_ends(t), lambda P, Q: P * ud // (Q * un))
+
+    def index(self, q: int) -> int:
+        """The number of levels with key <= q, growing the table to q."""
+        self.grow(q)
+        return int(self.keys.searchsorted(q, side="right"))
+
+    def count_upto(self, q: int) -> int:
+        """The number of eigenvalues with key <= q."""
+        i = self.index(q)  # may replace self.prefix
+        return int(self.prefix[i])
 
     def upto(self, q: int):
         """(keys, mults) views of the levels with key <= q."""
@@ -200,30 +216,19 @@ def _table(spec, qneed: int = -1) -> _LevelTable:
     """The cached table of spec, holding every level with key <= qneed.
 
     spec is a catalog surface (validated when its table is made) or an
-    internal lattice key such as ("mobius_even", a, b).  A table that is
-    too short is rebuilt at twice its size or qneed, whichever is larger.
+    internal lattice key such as ("mobius_even", a, b).
     """
     tb = _TABLES.get(spec)
     if tb is None:
         tb = _TABLES[spec] = _new_table(spec)
-    if tb.qcap < qneed:
-        qcap = max(qneed, 256, 2 * tb.qcap)
-        keys, mults = tb.build(qcap)
-        if mults.min(initial=0) < 0:
-            raise ArithmeticError("negative multiplicity in level table")
-        prefix = np.zeros(len(mults) + 1, dtype=np.int64)
-        np.cumsum(mults, out=prefix[1:])
-        tb.keys, tb.mults, tb.prefix, tb.qcap = keys, mults, prefix, qcap
+    tb.grow(qneed)
     return tb
 
 
 def _lookup(spec, t):
     """(table, i): the table of spec covers t and its first i levels are <= t."""
     tb = _table(spec)
-    qm = tb.qmax(t)
-    if qm > tb.qcap:
-        _table(spec, qm)
-    return tb, int(tb.keys.searchsorted(qm, side="right"))
+    return tb, tb.index(tb.qmax(t))
 
 
 def _reduce(qcap: int, rows=(), arrays=()):
@@ -283,10 +288,6 @@ def _reduce(qcap: int, rows=(), arrays=()):
     sums += wlo * np.diff(starts, append=n)
     keep = sums != 0
     return packed[starts][keep], sums[keep]
-
-
-def _pq(x: Fraction):
-    return x.numerator, x.denominator
 
 
 def _axis_rows(c0: int, c2: int, lo: int, step: int, full: bool, kmax: int,
@@ -651,136 +652,177 @@ def _half_lune_cum(m: int, side: str, eq: str, k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # closed-form identities (the formula route)
 
+_ONE = ("one",)
 
-def _closed_flat(spec: SurfaceSpec, t) -> Fraction:
-    f = spec.family
-    ft = _FlatTime(t)
+
+def _closed_terms(spec: SurfaceSpec, r: Fraction = Fraction(1)) -> list:
+    """The closed form of N(r t) on a flat surface, as (coefficient, term).
+
+    A term is _ONE, ("count", sub, s), the number of eigenvalues <= s t of
+    the table of sub, or ("floor", c2, shift), the bracket
+    floor(sqrt(c2 rho) + shift) with rho = t / pi^2.
+    """
+    f, bc = spec.family, spec.bc
     a, b = spec.a, spec.b
 
+    def C(sub, s=1):
+        return ("count", sub, r * s)
+
     def tor(aa, bb):
-        return count(catalog.flat_torus_rect(aa, bb), t)
+        return C(catalog.flat_torus_rect(aa, bb))
+
+    def fl(c2, shift=0):
+        return ("floor", r * c2, Fraction(shift))
 
     if f in (Family.FLAT_TORUS_RECT, Family.FLAT_TORUS_HEX):
         # reference families: the lattice count is the closed form
-        return Fraction(count(spec, t))
+        return [(1, C(spec))]
 
     if f == Family.RECTANGLE:
-        bc = spec.bc
         if bc in ("N", "D", "ND"):
-            C = tor(a, b)
-            fa = ft.fl(a * a)
-            fb = ft.fl(b * b)
-            if bc == "N":
-                return Fraction(C, 4) + Fraction(fa + fb, 2) + Fraction(3, 4)
-            if bc == "D":
-                return Fraction(C, 4) - Fraction(fa + fb, 2) - QUARTER
-            return Fraction(C, 4) + Fraction(fa - fb, 2) - QUARTER
+            sa = -1 if bc == "D" else 1
+            sb = 1 if bc == "N" else -1
+            return [(QUARTER, tor(a, b)), (sa * HALF, fl(a * a)),
+                    (sb * HALF, fl(b * b)),
+                    (Fraction(3, 4) if bc == "N" else -QUARTER, _ONE)]
         if bc in ("NM", "DM"):
-            Cd = tor(a, 2 * b) - tor(a, b)
-            g = ft.fl(b * b, HALF)
-            return Fraction(Cd, 4) + (HALF * g if bc == "NM" else -HALF * g)
+            return [(QUARTER, tor(a, 2 * b)), (-QUARTER, tor(a, b)),
+                    (HALF if bc == "NM" else -HALF, fl(b * b, HALF))]
         # MM by four-torus inclusion-exclusion
-        return Fraction(
-            tor(2 * a, 2 * b) - tor(a, 2 * b) - tor(2 * a, b) + tor(a, b), 4)
+        return [(QUARTER, tor(2 * a, 2 * b)), (-QUARTER, tor(a, 2 * b)),
+                (-QUARTER, tor(2 * a, b)), (QUARTER, tor(a, b))]
 
     if f == Family.RIGHT_ISO_TRIANGLE:
-        bc = spec.bc
-        a2 = Fraction(a) * Fraction(a)
-        if bc in ("N", "D", "ND", "DN"):
-            C = tor(a, a)
-            f1 = Fraction(ft.fl(a2)) + HALF
-            f2 = Fraction(ft.fl(a2 / 2)) + HALF
-            s1 = 1 if bc in ("N", "ND") else -1
-            s2 = 1 if bc in ("N", "DN") else -1
-            const = Fraction(3, 8) if bc in ("N", "D") else Fraction(-1, 8)
-            return Fraction(C, 8) + s1 * HALF * f1 + s2 * HALF * f2 + const
-        mm = _closed_flat(catalog.rectangle(a, a, "MM"), t)
-        g = Fraction(ft.fl(a2 / 2, HALF))
-        return HALF * mm + (HALF * g if bc == "MN" else -HALF * g)
+        a2 = a * a
+        if bc in ("MN", "MD"):
+            mm = _closed_terms(catalog.rectangle(a, a, "MM"), r)
+            return [(HALF * c, term) for c, term in mm] + [
+                (HALF if bc == "MN" else -HALF, fl(a2 / 2, HALF))]
+        # C/8 + s1 (fl(a^2) + 1/2)/2 + s2 (fl(a^2/2) + 1/2)/2 + const
+        s1 = 1 if bc in ("N", "ND") else -1
+        s2 = 1 if bc in ("N", "DN") else -1
+        const = Fraction(3, 8) if bc in ("N", "D") else Fraction(-1, 8)
+        return [(Fraction(1, 8), tor(a, a)), (s1 * HALF, fl(a2)),
+                (s2 * HALF, fl(a2 / 2)), ((s1 + s2) * QUARTER + const, _ONE)]
 
     if f == Family.EQUILATERAL_TRIANGLE:
-        C = count(catalog.flat_torus_hex(), t)
-        fe = Fraction(ft.fl(Fraction(9, 16))) + HALF
-        if spec.bc == "N":
-            return Fraction(C, 6) + fe + Fraction(1, 3)
-        return Fraction(C, 6) - fe + Fraction(1, 3)
+        # C/6 + s (fl(9/16) + 1/2) + 1/3
+        s = 1 if bc == "N" else -1
+        return [(Fraction(1, 6), C(catalog.flat_torus_hex())),
+                (s, fl(Fraction(9, 16))), (s * HALF + Fraction(1, 3), _ONE)]
 
     if f == Family.TRIANGLE_306090:
-        C = count(catalog.flat_torus_hex(), t)
-        f3 = Fraction(ft.fl(Fraction(3, 16))) + HALF
-        f9 = Fraction(ft.fl(Fraction(9, 16))) + HALF
-        bc = spec.bc
-        if bc == "N":
-            return Fraction(C, 12) + HALF * (f3 + f9) + Fraction(5, 12)
-        if bc == "D":
-            return Fraction(C, 12) - HALF * (f3 + f9) + Fraction(5, 12)
-        if bc == "ND":
-            return Fraction(C, 12) + HALF * (f9 - f3) - Fraction(1, 12)
-        return Fraction(C, 12) + HALF * (f3 - f9) - Fraction(1, 12)
+        # C/12 + s3 (fl(3/16) + 1/2)/2 + s9 (fl(9/16) + 1/2)/2 + const
+        s3 = 1 if bc in ("N", "DN") else -1
+        s9 = 1 if bc in ("N", "ND") else -1
+        const = Fraction(5, 12) if bc in ("N", "D") else Fraction(-1, 12)
+        return [(Fraction(1, 12), C(catalog.flat_torus_hex())),
+                (s3 * HALF, fl(Fraction(3, 16))), (s9 * HALF, fl(Fraction(9, 16))),
+                ((s3 + s9) * QUARTER + const, _ONE)]
 
     if f == Family.CYLINDER:
-        C3 = tor(a / 2, b)  # the a x 2b torus
-        if spec.bc == "M":
-            C4 = tor(a / 2, 2 * b)
-            return Fraction(C4 - C3, 2)
-        fl = Fraction(ft.fl(Fraction(a) * Fraction(a) / 4))
-        if spec.bc == "N":
-            return Fraction(C3, 2) + fl + HALF
-        return Fraction(C3, 2) - fl - HALF
+        # tor(a/2, b) is the a x 2b torus
+        if bc == "M":
+            return [(HALF, tor(a / 2, 2 * b)), (-HALF, tor(a / 2, b))]
+        s = 1 if bc == "N" else -1
+        return [(HALF, tor(a / 2, b)), (s, fl(a * a / 4)), (s * HALF, _ONE)]
 
     if f == Family.MOBIUS_BAND:
-        even, i = _lookup(("mobius_even", a, b), t)
-        Ce = int(even.prefix[i])
-        fl4 = Fraction(a) * Fraction(a) / 4
-        if spec.bc == "N":
-            return Fraction(Ce, 2) + ft.fl(fl4) + HALF
-        Co = tor(a, b) - Ce
-        return Fraction(Co, 2) - ft.fl(fl4, HALF)
+        even = C(("mobius_even", a, b))
+        if bc == "N":
+            return [(HALF, even), (1, fl(a * a / 4)), (HALF, _ONE)]
+        return [(HALF, tor(a, b)), (-HALF, even), (-1, fl(a * a / 4, HALF))]
 
     if f == Family.FLAT_PROJECTIVE_PLANE:
-        C = tor(Fraction(1), Fraction(1))
-        eps = 1 if ft.fl(Fraction(1)) % 2 == 0 else -1
-        return Fraction(C, 4) + QUARTER + Fraction(eps, 2)
+        # C/4 + 1/4 + eps/2 with eps = (-1)^fl(1); as floor(floor(x)/2) =
+        # floor(x/2), eps/2 = 1/2 - fl(1) + 2 fl(1/4)
+        return [(QUARTER, tor(1, 1)), (-1, fl(1)), (2, fl(QUARTER)),
+                (Fraction(3, 4), _ONE)]
 
     if f in (Family.TETRAHEDRON_SURFACE, Family.HALF_TETRAHEDRON):
         # the hexagonal lattice with keys in units of 4/3: the hex torus
         # (unit 16/9) at 4/3 times the cutoff
-        Ch = count(catalog.flat_torus_hex(), _scale_time(t, Fraction(4, 3)))
+        ch = C(catalog.flat_torus_hex(), Fraction(4, 3))
         if f == Family.TETRAHEDRON_SURFACE:
-            return Fraction(Ch, 2) + HALF
-        fn = Fraction(ft.fl(Fraction(3, 4)))
-        fo = Fraction(ft.fl(QUARTER))
-        if spec.bc == "N":
-            return Fraction(Ch, 4) + HALF * (fn + fo) + Fraction(3, 4)
-        return Fraction(Ch, 4) - HALF * (fn + fo) - QUARTER
+            return [(HALF, ch), (HALF, _ONE)]
+        s = 1 if bc == "N" else -1
+        return [(QUARTER, ch), (s * HALF, fl(Fraction(3, 4))), (s * HALF, fl(QUARTER)),
+                (Fraction(3, 4) if bc == "N" else -QUARTER, _ONE)]
 
     if f == Family.SYMMETRY_SECTOR:
-        return _closed_sector(spec, t)
+        base = spec.base
+        if spec.irrep != "2":
+            src, scale = _sector_source(spec)
+            return _closed_terms(src, r / scale)
+        if base == "square_torus":
+            return [(HALF, C(catalog.base_spec(base))), (-HALF, _ONE)]
+        # the base surface minus its 1-dim sectors
+        terms = _closed_terms(catalog.base_spec(base), r)
+        for j in catalog.sector_irreps(base):
+            if j != "2":
+                sector = _closed_terms(catalog.symmetry_sector(base, j), r)
+                terms += [(-c, term) for c, term in sector]
+        return terms
 
     raise ValueError("no closed form for %s" % (spec,))
 
 
-def _closed_sector(spec: SurfaceSpec, t) -> Fraction:
-    base, ir = spec.base, spec.irrep
-    if ir != "2":
-        src, scale = _sector_source(spec)
-        return _closed_flat(src, _scale_time(t, 1 / scale))
-    if base == "square_torus":
-        C = count(catalog.base_spec(base), t)
-        return Fraction(C, 2) - HALF
-    if base == "hex_torus":
-        tot = Fraction(count(catalog.flat_torus_hex(), t))
-    elif base in ("square_n", "square_d"):
-        tot = _closed_flat(
-            catalog.rectangle(1, 1, "N" if base == "square_n" else "D"), t)
-    else:
-        tot = _closed_flat(
-            catalog.equilateral_triangle(
-                "N" if base == "equilateral_n" else "D"), t)
-    for j in catalog.sector_irreps(base):
-        if j != "2":
-            tot -= _closed_sector(catalog.symmetry_sector(base, j), t)
-    return tot
+class _Form:
+    """A flat surface's closed form, compiled once into an integer linear form.
+
+    den * N(t) = const + sum c * (eigenvalues of tb with key <= rho num / dnm)
+                       + sum c * floor(sqrt(p rho / q) + s / r)
+    with rho = t / pi^2.  A bracket is kept as (c, m, q, s, r), m = r^2 p q:
+    at rho = P/Q it is (isqrt(m P Q) // (q Q) + s) // r, since
+    floor(sqrt(x) + s/r) = floor((floor(r sqrt(x)) + s) / r).
+    """
+
+    __slots__ = ("den", "const", "counts", "floors")
+
+    def __init__(self, terms):
+        coef: dict = {}
+        for c, term in terms:
+            coef[term] = coef.get(term, 0) + Fraction(c)
+        coef = {term: c for term, c in coef.items() if c}
+        self.den = math.lcm(*(c.denominator for c in coef.values()))
+        self.const = 0
+        self.counts = []
+        self.floors = []
+        for term, c in coef.items():
+            c = int(c * self.den)
+            if term == _ONE:
+                self.const = c
+            elif term[0] == "count":
+                tb = _table(term[1])
+                num, dnm = _pq(term[2] / tb.unit)
+                self.counts.append((c, tb, num, dnm))
+            else:
+                (p, q), (s, r) = _pq(term[1]), _pq(term[2])
+                self.floors.append((c, r * r * p * q, q, s, r))
+
+    def numerator(self, t, ends) -> int:
+        """den * N(t), every term decided on the ends of rho."""
+        counts, floors = self.counts, self.floors
+
+        def values(P, Q):
+            return ([P * num // (Q * dnm) for _, _, num, dnm in counts],
+                    [(isqrt(m * P * Q) // (q * Q) + s) // r
+                     for _, m, q, s, r in floors])
+
+        keys, brackets = _decided(t, ends, values)
+        total = self.const
+        for (c, tb, _, _), q in zip(counts, keys):
+            total += c * tb.count_upto(q)
+        for (c, *_), v in zip(floors, brackets):
+            total += c * v
+        return total
+
+
+def _form(spec: SurfaceSpec, tb: _LevelTable) -> _Form:
+    """The compiled closed form of spec, cached on its table tb."""
+    if tb.form is None:
+        tb.form = _Form(_closed_terms(spec))
+    return tb.form
 
 
 # ---------------------------------------------------------------------------
@@ -819,19 +861,27 @@ def count(spec: SurfaceSpec, t) -> int:
 def closed_form_identity(spec: SurfaceSpec, t) -> CountReport:
     """Table count and closed-form count at t, side by side.
 
-    Both numbers are exact; the closed form is evaluated in rational
-    arithmetic and must land on an integer, else ArithmeticError.
+    Both numbers are exact.  On a flat surface the cutoff is turned once
+    into rho = t / pi^2, exact or enclosed, and the compiled form is
+    evaluated in integers; it must land on an integer, else
+    ArithmeticError.  A round surface's window k is found once and gives
+    both the table count and the window count.
     """
-    c = count(spec, t)
-    if catalog.is_spherical(spec):
-        cf = _sph_cum(spec, _sph_window(t))
+    tb = _table(spec)
+    if tb.unit is None:
+        k = _sph_window(t)
+        cf = _sph_cum(spec, k)
+        c = tb.count_upto(k - 1)
     else:
-        v = _closed_flat(spec, t)
-        if v.denominator != 1:
+        ends = _rho_ends(t)
+        form = _form(spec, tb)
+        v = form.numerator(t, ends)
+        if v % form.den:
             raise ArithmeticError(
                 "closed form for %s at %r is non-integral: %s"
-                % (spec, t, v))
-        cf = int(v)
+                % (spec, t, Fraction(v, form.den)))
+        cf = v // form.den
+        c = tb.count_upto(tb.qmax(t, ends))
     return CountReport(_t_float(t), c, cf)
 
 

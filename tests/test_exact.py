@@ -125,3 +125,25 @@ def test_floor_div_pi2():
         want = int(mpmath.floor(mpmath.mpf(x.numerator) / x.denominator / mpmath.pi**2))
         assert got == want
     assert floor_div_pi2(Fraction(0)) == 0
+
+
+def test_floor_affine_sqrt_hundred_digit_operands():
+    # n = floor(a sqrt(x) + c) exactly when n <= a sqrt(x) + c < n + 1,
+    # decided by squaring in rationals
+    rng = random.Random(7)
+
+    def big():
+        return Fraction(rng.randrange(10**99, 10**100), rng.randrange(10**99, 10**100))
+
+    def le(n, x, a, c):
+        d = n - c
+        return d <= 0 or d * d <= a * a * x
+
+    for _ in range(200):
+        x, a, c = big() * 10**rng.randrange(-50, 50), big(), big() - big()
+        n = floor_affine_sqrt(x, a, c)
+        assert le(n, x, a, c) and not le(n + 1, x, a, c)
+    # a perfect square plus a 100-digit shift lands exactly on an integer
+    s = 10**100 + 7
+    assert floor_affine_sqrt(Fraction(s * s), 1, Fraction(-3, 10**100)) == s - 1
+    assert floor_affine_sqrt(Fraction(s * s), 1, Fraction(0)) == s

@@ -216,3 +216,49 @@ def test_random_rational_shapes_match_oracle(seed):
             for t, want in cases:
                 rep = spectrum.closed_form_identity(spec, spectrum.ExactTime(t))
                 assert rep.count == rep.closed_form == want, (spec, t)
+
+
+def test_every_jump_and_midpoint_matches_oracle():
+    # every level of every roster surface below t = 3000 (flat keys rho up
+    # to about 300), and every midpoint between two consecutive levels: the
+    # table count and the closed form both equal the enumerated prefix
+    for spec in catalog.verification_roster():
+        spherical = catalog.is_spherical(spec)
+        brute = oracle.brute_levels(spec, 3000)
+        assert len(brute) > 10, spec
+
+        def at(key):
+            if spherical:
+                return F(key * (key + 1))
+            return spectrum.ExactTime(key)
+
+        def mid(k1, k2):
+            if spherical:
+                return F(k1 * (k1 + 1) + k2 * (k2 + 1), 2)
+            return spectrum.ExactTime((k1 + k2) / 2)
+
+        cases = []
+        below = 0
+        for i, (key, mult) in enumerate(brute):
+            if i:
+                cases.append((mid(brute[i - 1][0], key), below))
+            below += mult
+            cases.append((at(key), below))
+        for t, want in cases:
+            rep = spectrum.closed_form_identity(spec, t)
+            assert spectrum.count(spec, t) == rep.count == rep.closed_form == want, (
+                spec.label(), t)
+
+
+@pytest.mark.parametrize("powers", [
+    [(1, 0), (0, 1), (-1, 0)],  # omega^2 = -1: an omega part is left over
+    [(1, 0), (0, 1), (0, -1)],  # omega^2 = -omega: a non-integral count
+])
+def test_equilateral_sector_sums_stay_exact(powers, monkeypatch):
+    # the character sums are Eisenstein integers x + y omega; a wrong
+    # omega^2 is refused, not rounded
+    spec = catalog.symmetry_sector("equilateral_n", "2")
+    assert oracle.brute_levels(spec, 400)
+    monkeypatch.setattr(oracle, "_OMEGA_POW", powers)
+    with pytest.raises(ArithmeticError):
+        oracle.brute_levels(spec, 400)

@@ -6,8 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spectralab import catalog, spectrum
-from spectralab.exact import PI_LO
+from spectralab import catalog, oracle, spectrum
+from spectralab.exact import PI_HI, PI_LO
 from spectralab.spectrum import (
     CountReport,
     EigenLevel,
@@ -354,3 +354,70 @@ def test_table_growth_matches_fresh_tables(spec, monkeypatch):
     # answered from the grown table, without a rebuild
     assert spectrum._table(spec) is tb
     assert tb.keys is keys and tb.qcap == qcap
+
+
+# --- compiled closed forms: the enclosure path and the cache ----------------
+
+ENCLOSURE_SPECS = [
+    catalog.rectangle(F(3, 2), 1, "NM"),
+    catalog.mobius_band(1, F(1, 2), "D"),
+    catalog.flat_projective_plane(),
+    catalog.symmetry_sector("square_d", "2"),
+]
+
+
+@pytest.mark.parametrize("spec", ENCLOSURE_SPECS, ids=lambda s: s.label())
+def test_cutoff_inside_the_pi_enclosure_raises(spec):
+    # key * PI_LO * PI_HI lies between key * PI_LO^2 and key * PI_HI^2: the
+    # enclosure of t / pi^2 holds the level key and cannot place it
+    for key, _ in oracle.brute_levels(spec, 600)[1:6]:
+        t = key * PI_LO * PI_HI
+        with pytest.raises(ArithmeticError):
+            closed_form_identity(spec, t)
+        form = spectrum._form(spec, spectrum._table(spec))
+        with pytest.raises(ArithmeticError):
+            form.numerator(t, spectrum._rho_ends(t))
+
+
+@pytest.mark.parametrize("spec", ENCLOSURE_SPECS + [
+    catalog.triangle_306090("DN"), catalog.half_tetrahedron("D"),
+    catalog.sphere(), catalog.half_lune(4, "D", "N")], ids=lambda s: s.label())
+def test_cutoffs_just_beside_levels(spec):
+    # rational cutoffs 1e-30 relative below and above each level, and for
+    # round surfaces ExactTime cutoffs just as close, give the enumerated
+    # prefix
+    eps = F(1, 10**30)
+    brute = oracle.brute_levels(spec, 600)
+    for key, mult in brute[1:12]:
+        below = sum(m for k, m in brute if k < key)
+        if catalog.is_spherical(spec):
+            lam = F(key * (key + 1))
+            cases = [(lam * (1 - eps), below), (lam * (1 + eps), below + mult),
+                     (ET(lam * (1 - eps) / PI_HI**2), below),
+                     (ET(lam * (1 + eps) / PI_LO**2), below + mult)]
+        else:
+            cases = [(key * PI_LO**2 * (1 - eps), below),
+                     (key * PI_HI**2 * (1 + eps), below + mult)]
+        for t, want in cases:
+            rep = closed_form_identity(spec, t)
+            assert count(spec, t) == rep.count == rep.closed_form == want, (key, t)
+
+
+def test_closed_form_is_compiled_once_per_table(monkeypatch):
+    built = []
+    terms = spectrum._closed_terms
+    monkeypatch.setattr(spectrum, "_closed_terms",
+                        lambda *args: built.append(args) or terms(*args))
+    spec = catalog.right_iso_triangle(1, "MD")
+    monkeypatch.setattr(spectrum, "_TABLES", {})
+    first = closed_form_identity(spec, ET(F(41, 2)))
+    form = spectrum._table(spec).form
+    assert built and form is not None
+    built.clear()
+    assert closed_form_identity(spec, ET(F(41, 2))) == first
+    assert closed_form_identity(spec, 1234.5).count == count(spec, 1234.5)
+    assert not built and spectrum._table(spec).form is form
+    # an emptied cache drops the table and its form together
+    monkeypatch.setattr(spectrum, "_TABLES", {})
+    assert closed_form_identity(spec, ET(F(41, 2))) == first
+    assert built and spectrum._table(spec).form is not form
