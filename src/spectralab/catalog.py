@@ -101,6 +101,23 @@ class SurfaceSpec:
     base: str = ""
     irrep: str = ""
 
+    # Specs key the level tables and are hashed on every counting query;
+    # the generated hash goes through two Fraction hashes and Enum.__hash__
+    # each time, so it is taken once, from the same fields __eq__ compares.
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self._fields()))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through __init__: string hashes differ between processes
+        return (SurfaceSpec, self._fields())
+
+    def _fields(self) -> tuple:
+        return (self.family, self.a, self.b, self.bc, self.m, self.bc_side,
+                self.bc_equator, self.base, self.irrep)
+
     def label(self) -> str:
         """Canonical text form, e.g. 'rectangle:a=1,b=2,bc=ND'."""
         parts = []

@@ -15,16 +15,17 @@ for `rectangle` and `triangle_306090`.
 from __future__ import annotations
 
 import argparse
-import json
 import math
-import random
 import sys
 import time
 from fractions import Fraction
 
 import numpy as np
 
-from . import analysis, asymptotics, average, catalog, oracle, spectrum
+# every command parses a surface and most read its level table; the other
+# modules are imported by the commands that call them, so that a command
+# compiles and runs only the code it uses
+from . import catalog, spectrum
 
 _FAMILY_ALIASES = {
     "rect": "rectangle",
@@ -93,6 +94,8 @@ def _parse_grid(text: str, what: str):
 
 
 def _budget(spec, t_hi, param: str) -> None:
+    from . import asymptotics
+
     est = float(asymptotics.surface_constants(spec).A) * float(t_hi)
     if est > _LEVEL_BUDGET:
         raise ValueError(
@@ -103,17 +106,23 @@ def _budget(spec, t_hi, param: str) -> None:
 # --- output ---
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return "%.17g" % v
-    return str(v)
-
-
 def _csv_cell(v) -> str:
-    s = _fmt(v)
+    s = "%.17g" % v if isinstance(v, float) else str(v)
     if "," in s or '"' in s or "\n" in s:
         s = '"' + s.replace('"', '""') + '"'
     return s
+
+
+def _csv_column(values: list):
+    """(%-format, values) of one CSV column: a column of floats prints
+    with 17 significant digits and one of ints as it is, so a whole row is
+    one %-format; any other column is turned into quoted text cell by cell."""
+    kinds = set(map(type, values))
+    if all(issubclass(k, float) for k in kinds):
+        return "%.17g", values
+    if kinds <= {int}:
+        return "%d", values
+    return "%s", [_csv_cell(v) for v in values]
 
 
 def _json_value(v):
@@ -124,11 +133,15 @@ def _json_value(v):
 
 def emit(rows, columns, fmt: str) -> None:
     if fmt == "json":
+        import json
+
         out = [{c: _json_value(r[c]) for c in columns} for r in rows]
         sys.stdout.write(json.dumps(out) + "\n")
         return
+    formats, cells = zip(*(_csv_column([r[c] for r in rows]) for c in columns))
+    row = ",".join(formats)
     lines = [",".join(columns)]
-    lines.extend(",".join(_csv_cell(r[c]) for c in columns) for r in rows)
+    lines.extend(row % values for values in zip(*cells))
     sys.stdout.write("\n".join(lines) + "\n")
 
 
@@ -168,6 +181,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_asymptotics(args) -> int:
+    from . import asymptotics
+
     spec = parse_surface(args.spec)
     rc = asymptotics.surface_constants(spec)
     rows = [{"constant": name, "symbolic": str(val), "decimal": float(val)}
@@ -178,6 +193,8 @@ def cmd_asymptotics(args) -> int:
 
 
 def cmd_avg(args) -> int:
+    from . import average
+
     spec = parse_surface(args.spec)
     lo, hi, n = _parse_grid(args.grid, "--grid")
     _budget(spec, hi, "--grid")
@@ -189,13 +206,15 @@ def cmd_avg(args) -> int:
     else:
         gx = np.sqrt(ts)
         g_est = avg * ts ** 0.25
-    rows = [{"t": float(t), "avg": float(a), "gx": float(x), "g_est": float(g)}
-            for t, a, x, g in zip(ts, avg, gx, g_est)]
+    rows = [{"t": t, "avg": a, "gx": x, "g_est": g} for t, a, x, g
+            in zip(ts.tolist(), avg.tolist(), gx.tolist(), g_est.tolist())]
     emit(rows, ["t", "avg", "gx", "g_est"], args.format)
     return 0
 
 
 def cmd_gprofile(args) -> int:
+    from . import analysis
+
     spec = parse_surface(args.spec)
     lo, hi, n = _parse_grid(args.grid, "--grid")
     _budget(spec, hi * hi, "--grid")
@@ -207,6 +226,8 @@ def cmd_gprofile(args) -> int:
 
 
 def cmd_freq(args) -> int:
+    from . import analysis
+
     spec = parse_surface(args.spec)
     x_lo, x_hi = _parse_pair(args.window, "--window")
     w_lo, w_hi, n_w = _parse_grid(args.omega, "--omega")
@@ -219,12 +240,14 @@ def cmd_freq(args) -> int:
     profile = analysis.make_profile(spec, x_lo, x_hi, n=n_samp)
     omega = np.linspace(w_lo, w_hi, n_w)
     amp = np.abs(analysis.fourier_coefficients(profile, omega))
-    rows = [{"omega": float(w), "amplitude": float(a)} for w, a in zip(omega, amp)]
+    rows = [{"omega": w, "amplitude": a} for w, a in zip(omega.tolist(), amp.tolist())]
     emit(rows, ["omega", "amplitude"], args.format)
     return 0
 
 
 def cmd_proportions(args) -> int:
+    from . import analysis
+
     try:
         reports = analysis.symmetry_proportions(args.base, float(args.max_t))
     except KeyError:
@@ -237,6 +260,8 @@ def cmd_proportions(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import oracle
+
     spec = parse_surface(args.spec)
     start = time.perf_counter()
     rep = oracle.check_equivalence(spec, args.max_t, seed=args.seed)
@@ -251,6 +276,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_heat(args) -> int:
+    from . import asymptotics
+
     spec = parse_surface(args.spec)
     tol = 1e-9
     rows = []
@@ -277,6 +304,8 @@ def cmd_heat(args) -> int:
 
 
 def _scaled_residual(spec, ts: np.ndarray, spherical: bool) -> np.ndarray:
+    from . import average
+
     avg = average.avg_error_grid(spec, ts)
     if spherical:
         avg -= average.leading_profile(spec, np.sqrt(ts + 0.25))
@@ -295,6 +324,10 @@ def _decade_sup(spec, t_lo: float, t_hi: float, spherical: bool) -> float:
 
 
 def cmd_conjecture(args) -> int:
+    import random
+
+    from . import analysis, average
+
     spec = parse_surface(args.spec)
     label = spec.label()
     spherical = catalog.is_spherical(spec)

@@ -587,7 +587,9 @@ def _sph_cum(spec: SurfaceSpec, k: int) -> int:
     """Exact count of eigenvalues <= t for any t in window k.
 
     Window k is [k^2 - k, k^2 + k); the count there is the number of
-    harmonics of degree N <= k - 1 and is constant in t.
+    harmonics of degree N <= k - 1 and is constant in t.  The lune
+    families' counts are rational quadratics in k: they are computed as
+    the integer den * N(k) and divided once.
     """
     if k <= 0:
         return 0
@@ -601,52 +603,48 @@ def _sph_cum(spec: SurfaceSpec, k: int) -> int:
     m = spec.m
     p = k % m
     if f == Family.LUNE:
-        v = Fraction(k * k, 2 * m) + Fraction(p * (m - p), 2 * m)
-        v += Fraction(k, 2) if spec.bc == "N" else -Fraction(k, 2)
+        den = 2 * m
+        v = k * k + p * (m - p) + (m * k if spec.bc == "N" else -m * k)
     elif f == Family.GLUED_LUNE:
-        v = Fraction(k * k, m) + Fraction(p * (m - p), m)
+        den = m
+        v = k * k + p * (m - p)
     elif f == Family.HALF_LUNE:
+        den = 4 * m
         v = _half_lune_cum(m, spec.bc_side, spec.bc_equator, k)
     else:
         raise ValueError("no spherical count for %s" % (spec,))
-    if v.denominator != 1 or v < 0:
+    if v % den or v < 0:
         raise ArithmeticError(
-            "window count for %s at k=%d came out %s" % (spec, k, v))
-    return int(v)
+            "window count for %s at k=%d came out %s" % (spec, k, Fraction(v, den)))
+    return v // den
 
 
-def _half_lune_cum(m: int, side: str, eq: str, k: int) -> Fraction:
+def _half_lune_cum(m: int, side: str, eq: str, k: int) -> int:
+    """4m times the half lune's window count at k."""
     p = k % m
-    base = Fraction(k * k, 4 * m) + Fraction(p * (m - p), 4 * m)
+    base = k * k + p * (m - p)
     if m % 2 == 0:
         if p % 2 == 0:
-            slope = Fraction(k, 4) if side == "N" else -Fraction(k, 4)
-            return base + slope
+            return base + m * k if side == "N" else base - m * k
         if side == "N":
             if eq == "N":
-                return (base + (QUARTER + Fraction(1, 2 * m)) * k
-                        + Fraction(m - p, 2 * m))
-            return (base + (QUARTER - Fraction(1, 2 * m)) * k
-                    - Fraction(m - p, 2 * m))
+                return base + (m + 2) * k + 2 * (m - p)
+            return base + (m - 2) * k - 2 * (m - p)
         if eq == "N":
-            return (base - (QUARTER - Fraction(1, 2 * m)) * k
-                    - Fraction(p, 2 * m))
-        return (base - (QUARTER + Fraction(1, 2 * m)) * k
-                + Fraction(p, 2 * m))
+            return base - (m - 2) * k - 2 * p
+        return base - (m + 2) * k + 2 * p
     n = k // m
     if n % 2 == 1:
-        h = Fraction(0)
+        h = 0
     else:
-        h = QUARTER if p % 2 == 1 else -QUARTER
-    nplus = (base + (QUARTER + Fraction(1, 4 * m)) * k
-             + Fraction(m - p, 4 * m) + h)
-    nminus = (base + (QUARTER - Fraction(1, 4 * m)) * k
-              - Fraction(m - p, 4 * m) - h)
+        h = m if p % 2 == 1 else -m
+    nplus = base + (m + 1) * k + (m - p) + h
+    nminus = base + (m - 1) * k - (m - p) - h
     if side == "N":
         return nplus if eq == "N" else nminus
     if eq == "N":
-        return nplus - Fraction(-(-k // 2))  # ceil(k/2)
-    return nminus - Fraction(k // 2)
+        return nplus - 4 * m * -(-k // 2)  # ceil(k/2)
+    return nminus - 4 * m * (k // 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -56,6 +58,23 @@ def test_validate_rejects_stray_fields():
         validate(spec)
     validate(SurfaceSpec(Family.SPHERE))
 
+
+def test_equal_specs_hash_equal():
+    # the hash is taken once at construction, from the fields __eq__ compares
+    a = catalog.rectangle(Fraction(3, 2), 1, "N")
+    b = SurfaceSpec(Family.RECTANGLE, a=Fraction(6, 4), b=1, bc="N")
+    assert a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    assert catalog.rectangle(Fraction(3, 2), 1, "D") != a
+    c = dataclasses.replace(a, bc="D")
+    assert c == catalog.rectangle(Fraction(3, 2), 1, "D")
+    assert hash(c) == hash(catalog.rectangle(Fraction(3, 2), 1, "D"))
+    for spec in verification_roster():
+        again = pickle.loads(pickle.dumps(spec))
+        assert again == spec and hash(again) == hash(spec)
+        assert b"_hash" not in pickle.dumps(spec)
+        assert catalog.parse_spec(spec.label()) == spec
+        assert hash(catalog.parse_spec(spec.label())) == hash(spec)
 
 def test_labels():
     assert catalog.sphere().label() == "sphere"

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -267,3 +268,125 @@ def test_unknown_base_usage_error(capsys):
 def test_csv_quotes_labels_with_commas(capsys):
     _, out, _ = run_cli(capsys, "list")
     assert '"flat_torus_rect:a=1,b=1"' in out
+
+
+def test_csv_columns_of_mixed_kinds_format_cell_by_cell(capsys):
+    # a column holding floats and ints (or bools) cannot share one
+    # %-format; each cell then prints as a lone value would
+    rows = [{"x": 0.1, "n": 1, "b": True, "s": 3},
+            {"x": 2, "n": 2, "b": False, "s": 'say "a,b"'}]
+    cli.emit(rows, ["x", "n", "b", "s"], "csv")
+    assert capsys.readouterr().out == (
+        'x,n,b,s\n0.10000000000000001,1,True,3\n2,2,False,"say ""a,b"""\n')
+    cli.emit([], ["x", "n"], "csv")
+    assert capsys.readouterr().out == "x,n\n"
+
+
+# --- golden bytes: stdout captured from the commit before the CSV writer
+# formatted whole rows at once ---
+
+GOLDEN = {
+    ("count", "rectangle:a=3/2,b=1,bc=NM", "--at", "100,7/3,1e3"):
+        "t,count,closed_form\n"
+        "100,13,13\n"
+        "2.3333333333333335,0,0\n"
+        "1000,125,125\n",
+    ("spectrum", "rectangle:a=3/2,b=1,bc=NM", "--max-t", "40"):
+        "value,key,multiplicity\n"
+        "2.4674011002723395,1/4,1\n"
+        "6.8538919452009432,25/36,1\n"
+        "20.013364479986752,73/36,1\n"
+        "22.206609902451056,9/4,1\n"
+        "26.593100747379662,97/36,1\n"
+        "39.752573282165471,145/36,1\n",
+    ("spectrum", "rectangle:a=3/2,b=1,bc=NM", "--max-t", "40", "--format", "json"):
+        '[{"value": 2.4674011002723395, "key": "1/4", "multiplicity": 1}, '
+        '{"value": 6.853891945200943, "key": "25/36", "multiplicity": 1}, '
+        '{"value": 20.013364479986752, "key": "73/36", "multiplicity": 1}, '
+        '{"value": 22.206609902451056, "key": "9/4", "multiplicity": 1}, '
+        '{"value": 26.593100747379662, "key": "97/36", "multiplicity": 1}, '
+        '{"value": 39.75257328216547, "key": "145/36", "multiplicity": 1}]\n',
+    ("spectrum", "hemisphere:bc=D", "--max-t", "30", "--format", "json"):
+        '[{"value": 2.0, "key": 1, "multiplicity": 1}, '
+        '{"value": 6.0, "key": 2, "multiplicity": 2}, '
+        '{"value": 12.0, "key": 3, "multiplicity": 3}, '
+        '{"value": 20.0, "key": 4, "multiplicity": 4}, '
+        '{"value": 30.0, "key": 5, "multiplicity": 5}]\n',
+    ("avg", "sphere", "--grid", "1:10:4"):
+        "t,avg,gx,g_est\n"
+        "1,0.16666666666666674,1.1180339887498949,0.16666666666666674\n"
+        "4,0.16666666666666652,2.0615528128088303,0.16666666666666652\n"
+        "7,0.023809523809523978,2.6925824035672519,0.023809523809523978\n"
+        "10,0.06666666666666643,3.2015621187164243,0.06666666666666643\n",
+    ("avg", "flat_torus_rect:a=1,b=1", "--grid", "10:1000:3", "--log"):
+        "t,avg,gx,g_est\n"
+        "10,-0.53939119135469671,3.1622776601683795,-0.95918824954242177\n"
+        "100,-0.23383981554255115,10,-0.73946642474810409\n"
+        "1000,-0.16168911821834628,31.622776601683793,-0.90924473007763851\n",
+    ("proportions", "square_torus", "--max-t", "1e3"):
+        "irrep,measured,predicted,b_sign,b_hat\n"
+        "++,0.18518518518518517,0.125,1,0.15218324652383114\n"
+        "+-,0.1111111111111111,0.125,-1,-0.029600875599398703\n"
+        "-+,0.13580246913580246,0.125,1,0.014222293446043199\n"
+        "--,0.07407407407407407,0.125,-1,-0.11950932570264421\n"
+        "2,0.49382716049382713,0.5,-1,-0.03083941445832717\n",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
+def test_stdout_matches_golden_bytes(capsys, argv):
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    assert out == GOLDEN[argv]
+
+
+def test_list_matches_golden_bytes(capsys):
+    rc, out, _ = run_cli(capsys, "list")
+    assert rc == 0
+    assert out.startswith(
+        "label,family,curvature\n"
+        '"flat_torus_rect:a=1,b=1",flat_torus_rect,flat\n'
+        '"flat_torus_rect:a=2,b=3/2",flat_torus_rect,flat\n'
+        "flat_torus_hex,flat_torus_hex,flat\n"
+        '"rectangle:a=1,b=1,bc=N",rectangle,flat\n')
+    assert "\nequilateral_triangle:bc=N,equilateral_triangle,flat\n" in out
+    assert len(out.encode()) == 4857
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fa93f029d4ac0b30fde63ddb0402e46268b4b5599d56e21179387800395927b9")
+
+
+# --- what each command loads ---
+
+_LOADED = """
+import contextlib, io, json, sys
+import spectralab.cli
+argv = json.loads(sys.argv[1])
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        code = spectralab.cli.main(argv)
+    assert code == 0, code
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("spectralab."))))
+"""
+
+
+def loaded_modules(*argv):
+    """spectralab modules a fresh interpreter holds after importing the CLI
+    and running argv (nothing more when argv is empty)."""
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (package_root, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", _LOADED, json.dumps(argv)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return {m.split(".", 1)[1] for m in json.loads(proc.stdout)}
+
+
+def test_each_command_loads_only_what_it_calls():
+    assert loaded_modules() == {"catalog", "exact", "spectrum", "cli"}
+    count = loaded_modules("count", "rectangle:a=1,b=1,bc=N", "--at", "100,1e3")
+    assert count.isdisjoint({"oracle", "analysis", "average"})
+    assert "asymptotics" in count  # the level budget
+    verify = loaded_modules("verify", "lune:m=2,bc=N", "--max-t", "1e4")
+    assert verify.isdisjoint({"analysis", "average", "asymptotics"})
+    assert "oracle" in verify

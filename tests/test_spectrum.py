@@ -235,6 +235,32 @@ def test_spherical_closed_forms_integer_everywhere():
             assert rep.count == rep.closed_form
 
 
+
+def test_window_counts_match_oracle_to_degree_1200():
+    # the lune families' window counts are computed as den * N(k) in
+    # integers; every window up to degree 1200 against the enumeration
+    specs = [catalog.half_lune(m, s, e) for m in range(1, 8)
+             for s in "ND" for e in "ND"]
+    specs += [catalog.lune(m, bc) for m in range(1, 8) for bc in "ND"]
+    specs += [catalog.glued_lune(m) for m in range(1, 8)]
+    kmax = 1200
+    for spec in specs:
+        mult = dict(oracle.brute_levels(spec, kmax * (kmax - 1)))
+        cum = 0
+        for k in range(1, kmax + 1):
+            cum += mult.get(k - 1, 0)
+            assert spectrum._sph_cum(spec, k) == cum, (spec.label(), k)
+
+
+def test_window_count_guard_keeps_its_message(monkeypatch):
+    spec = catalog.half_lune(3, "D", "D")
+    monkeypatch.setattr(spectrum, "_half_lune_cum", lambda m, side, eq, k: 4 * m * k + 1)
+    with pytest.raises(ArithmeticError, match=r"window count for .* at k=5 came out 61/12$"):
+        spectrum._sph_cum(spec, 5)
+    monkeypatch.setattr(spectrum, "_half_lune_cum", lambda m, side, eq, k: -4 * m)
+    with pytest.raises(ArithmeticError, match=r"at k=5 came out -1$"):
+        spectrum._sph_cum(spec, 5)
+
 # --- symmetry sectors -----------------------------------------------------
 
 
