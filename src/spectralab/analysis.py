@@ -215,10 +215,7 @@ def _sector_b_hat(sector: SurfaceSpec, T: float) -> float:
     vals, mults = spectrum.level_arrays(sector, T)
     prefix = np.concatenate(([0.0], np.cumsum(mults.astype(np.float64))))
     lo = T / 10.0
-    inside = vals[(vals > lo) & (vals < T)]
-    mids = 0.5 * (inside[1:] + inside[:-1]) if inside.size > 1 else np.empty(0)
-    ts = np.unique(np.concatenate((inside, mids, np.linspace(lo, T, 2001))))
-    ts = ts[(ts >= lo) & (ts <= T)]
+    ts = average.window_samples(vals, lo, T, np.linspace(lo, T, 2001))
     counts = prefix[np.searchsorted(vals, ts, side="right")]
     y = (counts - a_j * ts) / np.sqrt(ts)
     return float(np.mean(y))

@@ -256,6 +256,20 @@ def g_samples(spec: SurfaceSpec, x_grid, order: int = 1) -> np.ndarray:
     return est
 
 
+def window_samples(vals: np.ndarray, lo, hi, grid: np.ndarray) -> np.ndarray:
+    """Sorted sample times for a sup or a fit over the window [lo, hi].
+
+    N(t) jumps and the averaged error kinks only at levels, so the samples
+    are the levels vals strictly inside (lo, hi), the midpoints between
+    neighbouring ones and the caller's grid, made unique and clipped to
+    [lo, hi].
+    """
+    inside = vals[(vals > lo) & (vals < hi)]
+    mids = 0.5 * (inside[1:] + inside[:-1])
+    ts = np.unique(np.concatenate((inside, mids, grid)))
+    return ts[(ts >= lo) & (ts <= hi)]
+
+
 def remainder_exponent(spec: SurfaceSpec, t_lo, t_hi,
                        subtract_leading: bool = True) -> float:
     """Fitted decay slope of the residual averaged error.
@@ -279,11 +293,8 @@ def remainder_exponent(spec: SurfaceSpec, t_lo, t_hi,
             f"only {n_win} full dyadic windows in [{t_lo:g}, {t_hi:g}]; need 3")
     edges = t_lo * 2.0 ** np.arange(n_win + 1)
     vals, _ = spectrum.level_arrays(spec, float(edges[-1]))
-    inside = vals[(vals > t_lo) & (vals < edges[-1])]
-    mids = 0.5 * (inside[1:] + inside[:-1]) if inside.size > 1 else np.empty(0)
-    grid = np.geomspace(t_lo, edges[-1], 160 * n_win)
-    ts = np.unique(np.concatenate((inside, mids, grid)))
-    ts = ts[(ts >= t_lo) & (ts <= edges[-1])]
+    ts = window_samples(vals, t_lo, edges[-1],
+                        np.geomspace(t_lo, edges[-1], 160 * n_win))
     resid = avg_error_grid(spec, ts)
     if subtract_leading and catalog.is_spherical(spec):
         resid = resid - leading_profile(spec, np.sqrt(ts + 0.25))

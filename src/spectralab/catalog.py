@@ -122,7 +122,7 @@ class SurfaceSpec:
         """Canonical text form, e.g. 'rectangle:a=1,b=2,bc=ND'."""
         parts = []
         for name in _FIELDS[self.family]:
-            parts.append(f"{name}={_fmt_value(getattr(self, name))}")
+            parts.append(f"{name}={getattr(self, name)}")
         if parts:
             return self.family.value + ":" + ",".join(parts)
         return self.family.value
@@ -213,12 +213,6 @@ def base_spec(base: str) -> SurfaceSpec:
     if base == "equilateral_d":
         return equilateral_triangle("D")
     raise ValueError(f"unknown sector base {base!r}")
-
-
-def _fmt_value(v) -> str:
-    if isinstance(v, Fraction):
-        return str(v)
-    return str(v)
 
 
 def _frac(v, name: str) -> Fraction:
@@ -456,23 +450,6 @@ def is_spherical(spec: SurfaceSpec) -> bool:
         Family.LUNE,
         Family.HALF_LUNE,
         Family.GLUED_LUNE,
-    )
-
-
-def has_boundary(spec: SurfaceSpec) -> bool:
-    if spec.family == Family.SYMMETRY_SECTOR:
-        return True
-    return spec.family in (
-        Family.RECTANGLE,
-        Family.RIGHT_ISO_TRIANGLE,
-        Family.EQUILATERAL_TRIANGLE,
-        Family.TRIANGLE_306090,
-        Family.CYLINDER,
-        Family.MOBIUS_BAND,
-        Family.HEMISPHERE,
-        Family.LUNE,
-        Family.HALF_LUNE,
-        Family.HALF_TETRAHEDRON,
     )
 
 

@@ -171,9 +171,9 @@ def cmd_spectrum(args) -> int:
 
 def cmd_count(args) -> int:
     spec = parse_surface(args.spec)
+    _budget(spec, max(args.at), "--at")
     rows = []
     for t in args.at:
-        _budget(spec, t, "--at")
         rep = spectrum.closed_form_identity(spec, t)
         rows.append({"t": rep.t, "count": rep.count, "closed_form": rep.closed_form})
     emit(rows, ["t", "count", "closed_form"], args.format)
@@ -315,11 +315,10 @@ def _scaled_residual(spec, ts: np.ndarray, spherical: bool) -> np.ndarray:
 
 
 def _decade_sup(spec, t_lo: float, t_hi: float, spherical: bool) -> float:
+    from . import average
+
     vals, _ = spectrum.level_arrays(spec, t_hi)
-    inside = vals[(vals > t_lo) & (vals <= t_hi)]
-    mids = 0.5 * (inside[1:] + inside[:-1]) if inside.size > 1 else np.empty(0)
-    ts = np.unique(np.concatenate((inside, mids, np.geomspace(t_lo, t_hi, 1200))))
-    ts = ts[(ts >= t_lo) & (ts <= t_hi)]
+    ts = average.window_samples(vals, t_lo, t_hi, np.geomspace(t_lo, t_hi, 1200))
     return float(np.max(_scaled_residual(spec, ts, spherical)))
 
 

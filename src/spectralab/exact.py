@@ -2,9 +2,9 @@
 
 Rational combinations of sqrt(s) * pi^p (s squarefree, p an integer) cover
 every refined-asymptotics constant in the catalog, so they get a tiny exact
-ring here instead of floats.  The module also carries exact floor/sqrt
-utilities and a rational enclosure of pi tight enough to decide every
-comparison the package makes.
+ring here instead of floats.  The module also carries an exact integer
+square root of a Fraction and a rational enclosure of pi tight enough to
+decide every comparison the package makes.
 """
 
 from __future__ import annotations
@@ -261,49 +261,11 @@ class ExactConst:
         return f"ExactConst({self._terms!r})"
 
 
-ZERO = ExactConst()
-
-
 def isqrt_frac_floor(x: Fraction) -> int:
     """floor(sqrt(x)) for a nonnegative Fraction."""
     if x < 0:
         raise ValueError("negative argument")
     return math.isqrt(x.numerator * x.denominator) // x.denominator
-
-
-def floor_affine_sqrt(x: Fraction, a: Fraction = Fraction(1), c: Fraction = Fraction(0)) -> int:
-    """floor(a*sqrt(x) + c), exact, for Fractions with a >= 0 and x >= 0.
-
-    With a^2 x = p/q and c = s/r this is (isqrt(r^2 p q) // q + s) // r:
-    floor(y + s/r) = floor((floor(r y) + s) / r) for real y, and
-    r sqrt(p/q) = sqrt(r^2 p q) / q.
-    """
-    x = Fraction(x)
-    a = Fraction(a)
-    c = Fraction(c)
-    if a < 0 or x < 0:
-        raise ValueError("need a >= 0 and x >= 0")
-    y = a * a * x
-    p, q = y.numerator, y.denominator
-    s, r = c.numerator, c.denominator
-    return (math.isqrt(r * r * p * q) // q + s) // r
-
-
-def floor_div_pi2(x: Fraction) -> int:
-    """floor(x / pi^2) for a nonnegative Fraction, exact.
-
-    x/pi^2 is irrational for rational x > 0, so the enclosure always decides.
-    """
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError("negative argument")
-    if x == 0:
-        return 0
-    lo = math.floor(x / PI_HI**2)
-    hi = math.floor(x / PI_LO**2)
-    if lo != hi:
-        raise ArithmeticError("pi enclosure too loose for this argument")
-    return lo
 
 
 def flat_rho_bounds(T: Fraction) -> tuple[Fraction, Fraction]:

@@ -637,18 +637,13 @@ def check_equivalence(spec: SurfaceSpec, T, n_times: int = 2000, seed: int = 0) 
     rng = random.Random(seed)
     for n in range(n_times):
         i = rng.randrange(len(brute))
-        if rng.random() < 0.5:
+        expected = prefix[i]
+        if rng.random() < 0.5 or i + 1 == len(brute):
             t = exact_time(brute[i][0])
-            expected = prefix[i]
             where = f"jump {i}"
-        elif i + 1 < len(brute):
-            t = mid_time(brute[i][0], brute[i + 1][0])
-            expected = prefix[i]
-            where = f"midpoint {i}"
         else:
-            t = exact_time(brute[i][0])
-            expected = prefix[i]
-            where = f"jump {i}"
+            t = mid_time(brute[i][0], brute[i + 1][0])
+            where = f"midpoint {i}"
         c = spectrum.count(spec, t)
         if c != expected:
             return report(False, n, f"count at {where}: enumerated {expected}, spectrum {c}")

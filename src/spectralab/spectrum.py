@@ -440,15 +440,9 @@ def _fpp_table(qcap: int):
     return _reduce(qcap, rows, [(keys, r2 // 4)])
 
 
-def _hex_lattice(qcap: int):
-    """(keys, r): the norms n1^2 - n1 n2 + n2^2 <= qcap of the hexagonal
-    lattice and their shell sizes, from the flat hex torus table."""
-    return _table(catalog.flat_torus_hex(), qcap).upto(qcap)
-
-
 def _tetra_table(qcap: int):
     """Tetrahedron surface: half of each hexagonal shell, key 0 once."""
-    keys, r = _hex_lattice(qcap)
+    keys, r = _table(catalog.flat_torus_hex(), qcap).upto(qcap)
     m = r // 2
     m[0] = 1  # key 0, the constant mode
     return keys, m
@@ -463,7 +457,8 @@ def _plan_half_tetra(bc: str):
         rows = [(0, 0, 0, range(1), 1 + 2 * sign),
                 (0, 0, 1, range(1, isqrt(qcap) + 1), 2 * sign),
                 (0, 0, 3, range(1, isqrt(qcap // 3) + 1), 2 * sign)]
-        keys, tot = _reduce(qcap, rows, [_hex_lattice(qcap)])
+        keys, tot = _reduce(qcap, rows,
+                            [_table(catalog.flat_torus_hex(), qcap).upto(qcap)])
         if np.any(tot % 4):
             raise ArithmeticError("symmetry average came out non-integral")
         return keys, tot // 4

@@ -286,8 +286,6 @@ def test_roster_covers_catalog():
 def test_spherical_and_boundary_flags():
     assert is_spherical(catalog.glued_lune(2))
     assert not is_spherical(catalog.flat_projective_plane())
-    assert catalog.has_boundary(catalog.hemisphere("N"))
-    assert not catalog.has_boundary(catalog.tetrahedron_surface())
 
 
 def test_base_specs():

@@ -217,13 +217,21 @@ def test_identical_config_identical_bytes(capsys):
 
 
 def test_conjecture_passes_for_asserted_families(capsys):
+    # length and sha256 of the whole report, captured before the three
+    # level-window samplers became average.window_samples
     rc, out, _ = run_cli(capsys, "conjecture", "sphere")
     assert rc == 0
     assert out.rstrip().endswith("RESULT: PASS")
     assert "check freq" in out
+    assert len(out.encode()) == 531
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d69f1a6279954e8ac004b703b4dd311447cbdb7dc98d26cbfb0a89ebeb633385")
     rc, out, _ = run_cli(capsys, "conjecture", "flat_torus_rect:a=1,b=1")
     assert rc == 0
     assert out.rstrip().endswith("RESULT: PASS")
+    assert len(out.encode()) == 625
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5897177204b641bdbd410e60f1811d973fc30ceb54532459a15744cd7ab725c6")
 
 
 def test_conjecture_report_only_for_others(capsys):
@@ -257,6 +265,11 @@ def test_level_budget_guard(capsys):
                          "--max-t", "1e8")
     assert rc == 2
     assert "--max-t" in err and "cap" in err
+    # count checks the budget once, at its largest time, before counting
+    rc, out, err = run_cli(capsys, "count", "rect:a=40,b=40,bc=N", "--at", "10,1e8")
+    assert rc == 2
+    assert out == ""
+    assert "--at" in err and "cap" in err
 
 
 def test_unknown_base_usage_error(capsys):
@@ -283,7 +296,8 @@ def test_csv_columns_of_mixed_kinds_format_cell_by_cell(capsys):
 
 
 # --- golden bytes: stdout captured from the commit before the CSV writer
-# formatted whole rows at once ---
+# formatted whole rows at once (proportions hex_torus: from the commit
+# before the level-window samplers became average.window_samples) ---
 
 GOLDEN = {
     ("count", "rectangle:a=3/2,b=1,bc=NM", "--at", "100,7/3,1e3"):
@@ -330,6 +344,11 @@ GOLDEN = {
         "-+,0.13580246913580246,0.125,1,0.014222293446043199\n"
         "--,0.07407407407407407,0.125,-1,-0.11950932570264421\n"
         "2,0.49382716049382713,0.5,-1,-0.03083941445832717\n",
+    ("proportions", "hex_torus", "--max-t", "1e3"):
+        "irrep,measured,predicted,b_sign,b_hat\n"
+        "+,0.20603015075376885,0.16666666666666666,1,0.2549670520499559\n"
+        "-,0.1306532663316583,0.16666666666666666,-1,-0.22275706950954835\n"
+        "2,0.66331658291457285,0.66666666666666663,-1,-0.031828624649677985\n",
 }
 
 

@@ -5,14 +5,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from spectralab.exact import (
-    PI_HI,
-    PI_LO,
-    ExactConst,
-    floor_affine_sqrt,
-    floor_div_pi2,
-    isqrt_frac_floor,
-)
+from spectralab import catalog, spectrum
+from spectralab.exact import PI_HI, PI_LO, ExactConst, isqrt_frac_floor
 
 
 def test_pi_enclosure_digits():
@@ -93,13 +87,21 @@ def test_isqrt_frac_floor():
         assert got * got <= x < (got + 1) * (got + 1)
 
 
+def bracket(x, a, c=Fraction(0)):
+    """floor(a sqrt(x) + c) as a closed form's one floor bracket evaluates
+    it at the exact cutoff x pi^2, i.e. at rho = x."""
+    t = spectrum.ExactTime(x)
+    form = spectrum._Form([(1, ("floor", a * a, c))])
+    return form.numerator(t, spectrum._rho_ends(t))
+
+
 def test_floor_affine_sqrt_exact_boundaries():
     # a*sqrt(x) + c hitting an integer exactly
-    assert floor_affine_sqrt(Fraction(9), Fraction(2), Fraction(5)) == 11
-    assert floor_affine_sqrt(Fraction(2), Fraction(0), Fraction(-3)) == -3
-    assert floor_affine_sqrt(Fraction(49, 4), Fraction(2)) == 7
-    assert floor_affine_sqrt(Fraction(2)) == 1
-    assert floor_affine_sqrt(Fraction(0), Fraction(5), Fraction(-1, 2)) == -1
+    assert bracket(Fraction(9), Fraction(2), Fraction(5)) == 11
+    assert bracket(Fraction(2), Fraction(0), Fraction(-3)) == -3
+    assert bracket(Fraction(49, 4), Fraction(2)) == 7
+    assert bracket(Fraction(2), Fraction(1)) == 1
+    assert bracket(Fraction(0), Fraction(5), Fraction(-1, 2)) == -1
 
 
 def test_floor_affine_sqrt_random():
@@ -108,7 +110,7 @@ def test_floor_affine_sqrt_random():
         x = Fraction(rng.randrange(0, 10**8), rng.randrange(1, 10**4))
         a = Fraction(rng.randrange(0, 50), rng.randrange(1, 20))
         c = Fraction(rng.randrange(-400, 400), rng.randrange(1, 30))
-        n = floor_affine_sqrt(x, a, c)
+        n = bracket(x, a, c)
         # n <= a sqrt x + c  <=>  (n-c) <= a sqrt x, checked by squaring
         d = n - c
         assert d <= 0 or d * d <= a * a * x
@@ -117,14 +119,18 @@ def test_floor_affine_sqrt_random():
 
 
 def test_floor_div_pi2():
+    # the unit torus table has unit 1, so its largest key below x is
+    # floor(x / pi^2), decided on both ends of the pi enclosure
+    tb = spectrum._table(catalog.flat_torus_rect(1, 1))
+    assert tb.unit == 1
     mpmath.mp.dps = 60
     rng = random.Random(0xABCD)
     for _ in range(200):
         x = Fraction(rng.randrange(0, 10**7), rng.randrange(1, 10**3))
-        got = floor_div_pi2(x)
+        got = tb.qmax(x)
         want = int(mpmath.floor(mpmath.mpf(x.numerator) / x.denominator / mpmath.pi**2))
         assert got == want
-    assert floor_div_pi2(Fraction(0)) == 0
+    assert tb.qmax(Fraction(0)) == 0
 
 
 def test_floor_affine_sqrt_hundred_digit_operands():
@@ -141,9 +147,9 @@ def test_floor_affine_sqrt_hundred_digit_operands():
 
     for _ in range(200):
         x, a, c = big() * 10**rng.randrange(-50, 50), big(), big() - big()
-        n = floor_affine_sqrt(x, a, c)
+        n = bracket(x, a, c)
         assert le(n, x, a, c) and not le(n + 1, x, a, c)
     # a perfect square plus a 100-digit shift lands exactly on an integer
     s = 10**100 + 7
-    assert floor_affine_sqrt(Fraction(s * s), 1, Fraction(-3, 10**100)) == s - 1
-    assert floor_affine_sqrt(Fraction(s * s), 1, Fraction(0)) == s
+    assert bracket(Fraction(s * s), 1, Fraction(-3, 10**100)) == s - 1
+    assert bracket(Fraction(s * s), 1, Fraction(0)) == s

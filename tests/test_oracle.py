@@ -181,6 +181,66 @@ def test_package_checks_survive_optimize():
     assert not found, found
 
 
+# module-level names that no package code reads, each kept on purpose
+_NO_PACKAGE_CALLER = {
+    ("__init__", "__version__"): "package metadata for users and packaging",
+    ("analysis", "almost_period_check"): "library check of a profile's almost "
+                                         "period, tested on its own",
+    ("asymptotics", "polygon_corner_limit"): "the polygon corner-weight limit "
+                                             "that acceptance test_11 checks",
+    ("average", "avg_error"): "the scalar averaged-error route, with its "
+                              "integral parts, that the tests compare the "
+                              "grid route against",
+    ("average", "sphere_avg_closed_form"): "the sphere's closed form that "
+                                           "acceptance test_04 checks",
+    ("average", "sphere_avg_decomposed"): "the reference route the tests "
+                                          "compare the sphere average against",
+}
+
+
+def _module_names(tree):
+    """Names bound by a module's top-level defs, classes and assignments."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name):
+                        yield sub.id
+
+
+def test_every_module_name_has_a_caller():
+    # a module-level name counts as used when package code reads it: as a
+    # bare name in its own module or in one that imports it by name, or as
+    # an attribute anywhere; a mention in a docstring or comment does not
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(Path(oracle.__file__).parent.glob("*.py"))}
+    reads = {mod: set() for mod in trees}
+    attrs = set()
+    imports = {}
+    for mod, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads[mod].add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attrs.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    imports.setdefault((node.module, alias.name), []).append(
+                        (mod, alias.asname or alias.name))
+    unread = []
+    for mod, tree in trees.items():
+        for name in _module_names(tree):
+            used = (name in reads[mod] or name in attrs
+                    or any(local in reads[other]
+                           for other, local in imports.get((mod, name), ())))
+            if not used and (mod, name) not in _NO_PACKAGE_CALLER:
+                unread.append(f"{mod}.{name}")
+    assert not unread, unread
+
+
 # --- seeded sweeps over random rational shapes ------------------------------
 
 
