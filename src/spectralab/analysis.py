@@ -54,8 +54,7 @@ class MatchReport:
     unmatched_lengths: tuple
 
 
-def make_profile(spec: SurfaceSpec, x_lo, x_hi, n: int = 4001,
-                 order: int = 1) -> APProfile:
+def make_profile(spec: SurfaceSpec, x_lo, x_hi, n: int = 4001) -> APProfile:
     """Sample the normalized profile on a uniform grid over [x_lo, x_hi]."""
     x_lo = float(x_lo)
     x_hi = float(x_hi)
@@ -64,7 +63,7 @@ def make_profile(spec: SurfaceSpec, x_lo, x_hi, n: int = 4001,
     if n < 2:
         raise ValueError("need at least two samples")
     xs = np.linspace(x_lo, x_hi, int(n))
-    return APProfile(xs=xs, gs=average.g_samples(spec, xs, order=order),
+    return APProfile(xs=xs, gs=average.g_samples(spec, xs),
                      window=(x_lo, x_hi))
 
 

@@ -109,8 +109,11 @@ def refined_constants(geom: GeometryData) -> RefinedAsymptotics:
     )
 
 
+_CONSTANTS: dict = {}
+
+
 def surface_constants(spec: SurfaceSpec) -> RefinedAsymptotics:
-    """Verified constants for a catalog surface.
+    """Verified constants for a catalog surface, cached per spec.
 
     The geometric computation and the stored per-family row must agree
     exactly; a mismatch raises rather than picking a side.  The
@@ -119,6 +122,9 @@ def surface_constants(spec: SurfaceSpec) -> RefinedAsymptotics:
     from the base surface (its whole C is reported as C1: the split into
     geometric pieces has no meaning for a difference of domains).
     """
+    rc = _CONSTANTS.get(spec)
+    if rc is not None:
+        return rc
     if spec.family is Family.SYMMETRY_SECTOR and spec.irrep == "2":
         whole = surface_constants(catalog.base_spec(spec.base))
         A, B, C = whole.A, whole.B, whole.C
@@ -138,6 +144,7 @@ def surface_constants(spec: SurfaceSpec) -> RefinedAsymptotics:
             "constants for %s disagree with the stored row: "
             "computed (%s; %s; %s), stored (%s; %s; %s)"
             % (spec.label(), rc.A, rc.B, rc.C, want[0], want[1], want[2]))
+    _CONSTANTS[spec] = rc
     return rc
 
 

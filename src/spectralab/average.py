@@ -24,18 +24,6 @@ import numpy as np
 from . import asymptotics, catalog, spectrum
 from .catalog import Family, SurfaceSpec
 
-_constants_cache: dict[str, asymptotics.RefinedAsymptotics] = {}
-
-
-def _constants(spec: SurfaceSpec) -> asymptotics.RefinedAsymptotics:
-    key = spec.label()
-    rc = _constants_cache.get(key)
-    if rc is None:
-        rc = asymptotics.surface_constants(spec)
-        _constants_cache[key] = rc
-    return rc
-
-
 @dataclass(frozen=True)
 class AvgErrorSample:
     t: float
@@ -81,7 +69,7 @@ def avg_error(spec: SurfaceSpec, t) -> AvgErrorSample:
     if not t > 0:
         raise ValueError("averaged error needs t > 0")
     n_int = integral_counting(spec, t)
-    tilde = float(_tilde_integral(_constants(spec), t))
+    tilde = float(_tilde_integral(asymptotics.surface_constants(spec), t))
     return AvgErrorSample(t=t, avg=(n_int - tilde) / t,
                           n_integral=n_int, tilde_integral=tilde)
 
@@ -107,7 +95,7 @@ def avg_error_grid(spec: SurfaceSpec, ts) -> np.ndarray:
     m = mults.astype(np.float64)
     n_pref = np.concatenate(([0.0], np.cumsum(m)))
     l_pref = np.concatenate(([0.0], np.cumsum(m * vals)))
-    rc = _constants(spec)
+    rc = asymptotics.surface_constants(spec)
     out = np.empty_like(ts)
     for i in range(0, ts.size, _BLOCK):
         t = ts[i:i + _BLOCK]
@@ -197,7 +185,7 @@ def leading_profile(spec: SurfaceSpec, x):
     if not catalog.is_spherical(spec):
         out = np.zeros_like(x)
         return float(out) if out.ndim == 0 else out
-    out = float(_constants(spec).A) * sphere_g(x)
+    out = float(asymptotics.surface_constants(spec).A) * sphere_g(x)
     w = _alternating_weight(spec)
     if w:
         k = np.floor(x + 0.5)

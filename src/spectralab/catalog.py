@@ -711,15 +711,8 @@ def geometry(spec: SurfaceSpec) -> GeometryData:
         return _geom_half_lune(spec.m, spec.bc_side, spec.bc_equator)
     if f == Family.GLUED_LUNE:
         cone = ConePoint(_pi_times(Fraction(2, spec.m)))
-        return GeometryData(
-            area=_pi_times(Fraction(4, spec.m)),
-            len_N=_ZERO,
-            len_D=_ZERO,
-            corners=(),
-            cone_points=(cone, cone),
-            K2_total=_pi_times(Fraction(4, spec.m)),
-            K1_boundary_integral=_ZERO,
-        )
+        return _geom_round(Fraction(4, spec.m), Fraction(0), Fraction(0),
+                           cones=(cone, cone))
     if f == Family.FLAT_PROJECTIVE_PLANE:
         return _closed_flat(_rat(1), [Fraction(1), Fraction(1)])
     if f == Family.TETRAHEDRON_SURFACE:

@@ -125,58 +125,55 @@ def _csv_column(values: list):
     return "%s", [_csv_cell(v) for v in values]
 
 
-def _json_value(v):
-    if isinstance(v, Fraction):
-        return str(v)
-    return v
-
-
-def emit(rows, columns, fmt: str) -> None:
+def emit(chunks, fmt: str) -> None:
+    """Write a table given as chunks, dicts of equal-length column lists
+    with the same names in the same order; each chunk is written as it
+    arrives.  CSV has one header line, JSON is one list of row objects."""
+    write = sys.stdout.write
     if fmt == "json":
         import json
 
-        out = [{c: _json_value(r[c]) for c in columns} for r in rows]
-        sys.stdout.write(json.dumps(out) + "\n")
+        sep = "["
+        for chunk in chunks:
+            rows = [dict(zip(chunk, values)) for values in zip(*chunk.values())]
+            if rows:
+                write(sep + json.dumps(rows)[1:-1])
+                sep = ", "
+        write("[]\n" if sep == "[" else "]\n")
         return
-    formats, cells = zip(*(_csv_column([r[c] for r in rows]) for c in columns))
-    row = ",".join(formats)
-    lines = [",".join(columns)]
-    lines.extend(row % values for values in zip(*cells))
-    sys.stdout.write("\n".join(lines) + "\n")
+    for n, chunk in enumerate(chunks):
+        if not n:
+            write(",".join(chunk) + "\n")
+        formats, cells = zip(*map(_csv_column, chunk.values()))
+        row = ",".join(formats) + "\n"
+        write("".join([row % values for values in zip(*cells)]))
 
 
 # --- commands ---
 
 
 def cmd_list(args) -> int:
-    rows = []
-    for spec in catalog.verification_roster():
-        rows.append({
-            "label": spec.label(),
-            "family": spec.family.value,
-            "curvature": "spherical" if catalog.is_spherical(spec) else "flat",
-        })
-    emit(rows, ["label", "family", "curvature"], args.format)
+    roster = catalog.verification_roster()
+    emit([{"label": [spec.label() for spec in roster],
+           "family": [spec.family.value for spec in roster],
+           "curvature": ["spherical" if catalog.is_spherical(spec) else "flat"
+                         for spec in roster]}], args.format)
     return 0
 
 
 def cmd_spectrum(args) -> int:
     spec = parse_surface(args.spec)
     _budget(spec, args.max_t, "--max-t")
-    rows = [{"value": lv.value, "key": lv.key, "multiplicity": lv.multiplicity}
-            for lv in spectrum.levels(spec, args.max_t)]
-    emit(rows, ["value", "key", "multiplicity"], args.format)
+    emit(spectrum.level_columns(spec, args.max_t), args.format)
     return 0
 
 
 def cmd_count(args) -> int:
     spec = parse_surface(args.spec)
     _budget(spec, max(args.at), "--at")
-    rows = []
-    for t in args.at:
-        rep = spectrum.closed_form_identity(spec, t)
-        rows.append({"t": rep.t, "count": rep.count, "closed_form": rep.closed_form})
-    emit(rows, ["t", "count", "closed_form"], args.format)
+    reps = [spectrum.closed_form_identity(spec, t) for t in args.at]
+    emit([{"t": [rep.t for rep in reps], "count": [rep.count for rep in reps],
+           "closed_form": [rep.closed_form for rep in reps]}], args.format)
     return 0
 
 
@@ -185,10 +182,10 @@ def cmd_asymptotics(args) -> int:
 
     spec = parse_surface(args.spec)
     rc = asymptotics.surface_constants(spec)
-    rows = [{"constant": name, "symbolic": str(val), "decimal": float(val)}
-            for name, val in (("A", rc.A), ("B", rc.B), ("C1", rc.C1),
-                              ("C2", rc.C2), ("C3", rc.C3), ("C", rc.C))]
-    emit(rows, ["constant", "symbolic", "decimal"], args.format)
+    names = ["A", "B", "C1", "C2", "C3", "C"]
+    vals = [getattr(rc, name) for name in names]
+    emit([{"constant": names, "symbolic": list(map(str, vals)),
+           "decimal": list(map(float, vals))}], args.format)
     return 0
 
 
@@ -206,9 +203,8 @@ def cmd_avg(args) -> int:
     else:
         gx = np.sqrt(ts)
         g_est = avg * ts ** 0.25
-    rows = [{"t": t, "avg": a, "gx": x, "g_est": g} for t, a, x, g
-            in zip(ts.tolist(), avg.tolist(), gx.tolist(), g_est.tolist())]
-    emit(rows, ["t", "avg", "gx", "g_est"], args.format)
+    emit([{"t": ts.tolist(), "avg": avg.tolist(), "gx": gx.tolist(),
+           "g_est": g_est.tolist()}], args.format)
     return 0
 
 
@@ -219,9 +215,7 @@ def cmd_gprofile(args) -> int:
     lo, hi, n = _parse_grid(args.grid, "--grid")
     _budget(spec, hi * hi, "--grid")
     profile = analysis.make_profile(spec, lo, hi, n=n)
-    rows = [{"x": x, "g_est": g}
-            for x, g in zip(profile.xs.tolist(), profile.gs.tolist())]
-    emit(rows, ["x", "g_est"], args.format)
+    emit([{"x": profile.xs.tolist(), "g_est": profile.gs.tolist()}], args.format)
     return 0
 
 
@@ -240,8 +234,7 @@ def cmd_freq(args) -> int:
     profile = analysis.make_profile(spec, x_lo, x_hi, n=n_samp)
     omega = np.linspace(w_lo, w_hi, n_w)
     amp = np.abs(analysis.fourier_coefficients(profile, omega))
-    rows = [{"omega": w, "amplitude": a} for w, a in zip(omega.tolist(), amp.tolist())]
-    emit(rows, ["omega", "amplitude"], args.format)
+    emit([{"omega": omega.tolist(), "amplitude": amp.tolist()}], args.format)
     return 0
 
 
@@ -253,9 +246,9 @@ def cmd_proportions(args) -> int:
     except KeyError:
         raise ValueError(f"unknown sector base {args.base!r}; bases: "
                          + ", ".join(catalog.SECTOR_BASES)) from None
-    rows = [{"irrep": r.irrep, "measured": r.measured, "predicted": r.predicted,
-             "b_sign": r.b_sign, "b_hat": r.b_hat} for r in reports]
-    emit(rows, ["irrep", "measured", "predicted", "b_sign", "b_hat"], args.format)
+    emit([{name: [getattr(r, name) for r in reports]
+           for name in ("irrep", "measured", "predicted", "b_sign", "b_hat")}],
+         args.format)
     return 0
 
 
@@ -280,23 +273,22 @@ def cmd_heat(args) -> int:
 
     spec = parse_surface(args.spec)
     tol = 1e-9
-    rows = []
-    for t in args.at:
-        tf = float(t)
+    ts = [float(t) for t in args.at]
+    heats = []
+    for tf in ts:
         cutoff = 64.0
         while True:
             _budget(spec, cutoff, "--at")
             try:
-                h = asymptotics.heat_trace(spec, tf, cutoff, tol)
+                heats.append(asymptotics.heat_trace(spec, tf, cutoff, tol))
                 break
             except ArithmeticError as err:
                 if "envelope" in str(err):
                     raise
                 cutoff *= 2.0
-        smooth = asymptotics.smooth_heat_trace(spec, tf)
-        rows.append({"t": tf, "heat": h, "smooth": smooth,
-                     "abs_diff": abs(h - smooth)})
-    emit(rows, ["t", "heat", "smooth", "abs_diff"], args.format)
+    smooth = [asymptotics.smooth_heat_trace(spec, tf) for tf in ts]
+    emit([{"t": ts, "heat": heats, "smooth": smooth,
+           "abs_diff": [abs(h - s) for h, s in zip(heats, smooth)]}], args.format)
     return 0
 
 

@@ -19,6 +19,10 @@ counts.
 `oracle.check_equivalence` compares them against a third, structurally
 different enumeration.
 
+`level_columns` hands the CLI's writer the levels in chunks of _CHUNK rows
+formatted from the table's int64 keys, so that a dump holds little beyond
+the table however many levels it writes.
+
 Cutoffs may be given as plain numbers (int, float, Fraction) or as an
 `ExactTime`, which pins down cutoffs of the form rho * pi^2 that no float
 can represent.  A query turns its cutoff once into rho exactly, or into
@@ -47,10 +51,9 @@ QUARTER = Fraction(1, 4)
 
 @dataclass(frozen=True)
 class ExactTime:
-    """Exact spectral cutoff: rho * pi^2 if pi2 is True, else just rho."""
+    """Exact spectral cutoff rho * pi^2."""
 
     rho: Fraction
-    pi2: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "rho", Fraction(self.rho))
@@ -59,21 +62,7 @@ class ExactTime:
 
     @property
     def value(self) -> float:
-        return float(self.rho) * (math.pi * math.pi if self.pi2 else 1.0)
-
-
-@dataclass(frozen=True)
-class EigenLevel:
-    """One eigenvalue: float value, exact key, multiplicity.
-
-    The key is the exact coordinate of the eigenvalue on the family's level
-    grid: a Fraction rho (eigenvalue rho * pi^2) for flat families, an
-    integer degree N (eigenvalue N(N+1)) for spherical ones.
-    """
-
-    value: float
-    key: object
-    multiplicity: int
+        return float(self.rho) * (math.pi * math.pi)
 
 
 @dataclass(frozen=True)
@@ -107,10 +96,7 @@ def _t_float(t) -> float:
 
 
 def _rational_cutoff(t) -> Fraction:
-    if isinstance(t, ExactTime):
-        tv = t.rho  # pi2 handled by callers
-    else:
-        tv = Fraction(t)
+    tv = Fraction(t)
     if tv < 0:
         raise ValueError("negative cutoff")
     return tv
@@ -122,7 +108,7 @@ def _rho_ends(t) -> tuple:
     One pair for an ExactTime in units of pi^2; otherwise the two ends
     T / PI_HI^2 < rho < T / PI_LO^2 of the enclosure.
     """
-    if isinstance(t, ExactTime) and t.pi2:
+    if isinstance(t, ExactTime):
         return (_pq(t.rho),)
     n, d = _pq(_rational_cutoff(t))
     return (n * _HI2[1], d * _HI2[0]), (n * _LO2[1], d * _LO2[0])
@@ -139,7 +125,7 @@ def _decided(t, ends, value):
 
 def _sph_window(t) -> int:
     """The k >= 1 with k^2 - k <= t < k^2 + k, i.e. floor(sqrt(t+1/4)+1/2)."""
-    if isinstance(t, ExactTime) and t.pi2:
+    if isinstance(t, ExactTime):
         n, d = _pq(t.rho)
         ends = (n * _LO2[0], d * _LO2[1]), (n * _HI2[0], d * _HI2[1])
     else:
@@ -662,7 +648,10 @@ def _closed_terms(spec: SurfaceSpec, r: Fraction = Fraction(1)) -> list:
         return ("count", sub, r * s)
 
     def tor(aa, bb):
-        return C(catalog.flat_torus_rect(aa, bb))
+        # the aa x bb torus is the 1 x (bb/aa) one read at aa^2 times the
+        # cutoff: tori of one lattice shape share a table
+        aa, bb = sorted((Fraction(aa), Fraction(bb)))
+        return C(catalog.flat_torus_rect(1, bb / aa), aa * aa)
 
     def fl(c2, shift=0):
         return ("floor", r * c2, Fraction(shift))
@@ -822,15 +811,43 @@ def _form(spec: SurfaceSpec, tb: _LevelTable) -> _Form:
 # public interface
 
 
-def levels(spec: SurfaceSpec, T) -> list[EigenLevel]:
-    """All eigenvalues <= T as (value, exact key, multiplicity), sorted."""
+def levels(spec: SurfaceSpec, T) -> list[tuple]:
+    """All levels <= T as sorted (exact key, multiplicity) pairs.
+
+    The key is the exact coordinate of the eigenvalue on the family's level
+    grid: a Fraction rho (eigenvalue rho * pi^2) for flat families, an
+    integer degree N (eigenvalue N(N+1)) for spherical ones.
+    """
     tb, i = _lookup(spec, T)
     pairs = zip(tb.keys[:i].tolist(), tb.mults[:i].tolist())
     if tb.unit is None:
-        return [EigenLevel(float(N * (N + 1)), N, m) for N, m in pairs]
-    unit = tb.unit
+        return list(pairs)
+    return [(tb.unit * q, m) for q, m in pairs]
+
+
+_CHUNK = 65536  # levels per chunk of level_columns
+
+
+def level_columns(spec: SurfaceSpec, T):
+    """The levels <= T as chunks of value, key and multiplicity lists.
+
+    At most _CHUNK levels a chunk, and one empty chunk when there are none.
+    A flat key prints as its Fraction rho; a flat value is unit * q rounded
+    once to float64 by Python integer division, then times pi^2.
+    """
+    tb, i = _lookup(spec, T)
+    keys, mults = tb.keys[:i], tb.mults[:i]
     pi2 = math.pi * math.pi
-    return [EigenLevel(float(unit * q) * pi2, unit * q, m) for q, m in pairs]
+    for lo in range(0, max(i, 1), _CHUNK):
+        qs = keys[lo:lo + _CHUNK].tolist()
+        if tb.unit is None:
+            vals = [float(N * (N + 1)) for N in qs]
+        else:
+            un, ud = _pq(tb.unit)
+            vals = [q * un / ud * pi2 for q in qs]
+            qs = [str(Fraction(q * un, ud)) for q in qs]
+        yield {"value": vals, "key": qs,
+               "multiplicity": mults[lo:lo + _CHUNK].tolist()}
 
 
 def level_arrays(spec: SurfaceSpec, T):

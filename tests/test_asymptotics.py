@@ -160,11 +160,30 @@ def test_weyl_term_matches_geometry_for_every_surface():
 
 
 def test_stored_row_mismatch_is_a_hard_error(monkeypatch):
+    monkeypatch.setattr(asymptotics, "_CONSTANTS", {})
     key = ("hex_torus", "+")
     a, b, c = asymptotics._SECTOR_ROWS[key]
     monkeypatch.setitem(asymptotics._SECTOR_ROWS, key, (a, b, c + 1))
     with pytest.raises(ArithmeticError):
         surface_constants(catalog.symmetry_sector("hex_torus", "+"))
+
+
+def test_constants_are_derived_once_per_surface(monkeypatch):
+    # heat asks for a 2-dim sector's constants per cutoff and per time;
+    # each surface behind them is derived once
+    from spectralab import cli
+
+    calls = []
+
+    def counted(geom):
+        calls.append(geom)
+        return refined_constants(geom)
+
+    monkeypatch.setattr(asymptotics, "_CONSTANTS", {})
+    monkeypatch.setattr(asymptotics, "refined_constants", counted)
+    assert cli.main(["heat", "symmetry_sector:base=square_d,irrep=2",
+                     "--at", "0.01,0.05,0.1,0.5,1"]) == 0
+    assert len(calls) == 5  # the base and its four 1-dim sectors
 
 
 def test_smooth_count_tracks_the_count():

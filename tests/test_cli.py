@@ -109,11 +109,12 @@ def test_spectrum_dump_matches_levels(capsys):
     header, body = parse_csv(out)
     assert header == ["value", "key", "multiplicity"]
     want = spectrum.levels(catalog.flat_torus_rect(1, 1), 50)
+    vals, _ = spectrum.level_arrays(catalog.flat_torus_rect(1, 1), 50)
     assert len(body) == len(want)
-    for row, lv in zip(body, want):
-        assert float(row[0]) == lv.value
-        assert row[1] == str(lv.key)
-        assert int(row[2]) == lv.multiplicity
+    for row, (key, mult), value in zip(body, want, vals.tolist()):
+        assert float(row[0]) == value
+        assert row[1] == str(key)
+        assert int(row[2]) == mult
 
 
 def test_spectrum_json_mirrors_csv(capsys):
@@ -286,13 +287,25 @@ def test_csv_quotes_labels_with_commas(capsys):
 def test_csv_columns_of_mixed_kinds_format_cell_by_cell(capsys):
     # a column holding floats and ints (or bools) cannot share one
     # %-format; each cell then prints as a lone value would
-    rows = [{"x": 0.1, "n": 1, "b": True, "s": 3},
-            {"x": 2, "n": 2, "b": False, "s": 'say "a,b"'}]
-    cli.emit(rows, ["x", "n", "b", "s"], "csv")
+    cli.emit([{"x": [0.1, 2], "n": [1, 2], "b": [True, False],
+               "s": [3, 'say "a,b"']}], "csv")
     assert capsys.readouterr().out == (
         'x,n,b,s\n0.10000000000000001,1,True,3\n2,2,False,"say ""a,b"""\n')
-    cli.emit([], ["x", "n"], "csv")
+    cli.emit([{"x": [], "n": []}], "csv")
     assert capsys.readouterr().out == "x,n\n"
+
+
+def test_chunks_write_one_table(capsys):
+    # the header once, then each chunk as it comes; empty chunks add nothing
+    chunks = [{"k": [1, 2], "v": ["a", "b"]}, {"k": [], "v": []},
+              {"k": [3], "v": ["c"]}]
+    cli.emit(chunks, "csv")
+    assert capsys.readouterr().out == "k,v\n1,a\n2,b\n3,c\n"
+    cli.emit(chunks, "json")
+    assert capsys.readouterr().out == json.dumps(
+        [{"k": 1, "v": "a"}, {"k": 2, "v": "b"}, {"k": 3, "v": "c"}]) + "\n"
+    cli.emit([{"k": [], "v": []}], "json")
+    assert capsys.readouterr().out == "[]\n"
 
 
 # --- golden bytes: stdout captured from the commit before the CSV writer
@@ -326,6 +339,11 @@ GOLDEN = {
         '{"value": 12.0, "key": 3, "multiplicity": 3}, '
         '{"value": 20.0, "key": 4, "multiplicity": 4}, '
         '{"value": 30.0, "key": 5, "multiplicity": 5}]\n',
+    # an empty table still prints its header
+    ("spectrum", "rectangle:a=1,b=1,bc=D", "--max-t", "1"):
+        "value,key,multiplicity\n",
+    ("spectrum", "rectangle:a=1,b=1,bc=D", "--max-t", "1", "--format", "json"):
+        "[]\n",
     ("avg", "sphere", "--grid", "1:10:4"):
         "t,avg,gx,g_est\n"
         "1,0.16666666666666674,1.1180339887498949,0.16666666666666674\n"
@@ -372,6 +390,56 @@ def test_list_matches_golden_bytes(capsys):
     assert len(out.encode()) == 4857
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "fa93f029d4ac0b30fde63ddb0402e46268b4b5599d56e21179387800395927b9")
+
+
+# `spectrum` of a torus whose 80685 levels take two chunks: (bytes, sha256)
+# of the stdout the row-dict writer printed
+SPECTRUM_1E6 = {
+    "csv": (2960626,
+            "5abd6214d1a223f02ea815dde6c7093ee6d72ba37915e8d5c57576ab7d9afb96"),
+    "json": (6048737,
+             "d88c0803dd8cfec3008dba79aa7ffff81ff0f0d57e662336faa7ff462fb415f1"),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(SPECTRUM_1E6))
+def test_chunked_spectrum_matches_golden_bytes(capsys, fmt):
+    rc, out, _ = run_cli(capsys, "spectrum", "flat_torus_rect:a=101/100,b=1",
+                         "--max-t", "1e6", "--format", fmt)
+    assert rc == 0
+    assert out.count("\n" if fmt == "csv" else "{") == 80685 + (fmt == "csv")
+    data = out.encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == SPECTRUM_1E6[fmt]
+
+
+def peak_rss_mb(*argv):
+    """Peak RSS in MB of a fresh CLI run under a 1 GiB address-space limit,
+    stdout discarded; the run must exit 0."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (package_root, os.environ.get("PYTHONPATH")))))
+    with subprocess.Popen([sys.executable, "-m", "spectralab.cli", *argv],
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          env=env, preexec_fn=limit) as proc:
+        err = proc.stderr.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0, err
+    return usage.ru_maxrss / 1024
+
+
+def test_spectrum_memory_stays_near_the_table():
+    # 805k levels: the chunked dump holds little beyond the table that
+    # `count` holds (the row-dict writer held 511 MB more)
+    spec = "flat_torus_rect:a=101/100,b=1"
+    dump = peak_rss_mb("spectrum", spec, "--max-t", "1e7")
+    table = peak_rss_mb("count", spec, "--at", "1e7")
+    assert dump <= table + 16, (dump, table)
 
 
 # --- what each command loads ---

@@ -10,11 +10,11 @@ from spectralab import catalog, oracle, spectrum
 from spectralab.exact import PI_HI, PI_LO
 from spectralab.spectrum import (
     CountReport,
-    EigenLevel,
     ExactTime,
     closed_form_identity,
     count,
     level_arrays,
+    level_columns,
     levels,
     symmetry_counts,
 )
@@ -80,8 +80,7 @@ def test_count_steps_at_levels():
 
 def test_fpp_has_no_level_at_one():
     # the antipodal average kills the whole first torus shell
-    lv = levels(catalog.flat_projective_plane(), ET(3))
-    assert [(l.key, l.multiplicity) for l in lv] == [(F(0), 1), (F(2), 1)]
+    assert levels(catalog.flat_projective_plane(), ET(3)) == [(F(0), 1), (F(2), 1)]
 
 
 def test_ambiguous_cutoff_raises():
@@ -113,11 +112,11 @@ def test_closed_form_matches_count_random_jumps():
         lv = levels(spec, ET(600))
         for _ in range(40):
             pick = rng.randrange(len(lv))
-            rho = F(lv[pick].key)
+            rho = lv[pick][0]
             rep = closed_form_identity(spec, ET(rho))
             assert rep.count == rep.closed_form
             if pick + 1 < len(lv):
-                mid = (rho + F(lv[pick + 1].key)) / 2
+                mid = (rho + lv[pick + 1][0]) / 2
                 rep = closed_form_identity(spec, ET(mid))
                 assert rep.count == rep.closed_form
 
@@ -125,18 +124,30 @@ def test_closed_form_matches_count_random_jumps():
 def test_levels_sorted_and_positive():
     for spec in (catalog.equilateral_triangle("D"), catalog.lune(3, "N")):
         lv = levels(spec, 500)
-        assert all(l.multiplicity > 0 for l in lv)
-        vals = [l.value for l in lv]
-        assert vals == sorted(vals)
+        assert all(m > 0 for _, m in lv)
+        assert lv == sorted(lv)
+        vals, _ = level_arrays(spec, 500)
+        assert np.all(vals[1:] >= vals[:-1])
 
 
 def test_level_arrays_agree_with_levels():
-    for spec in (catalog.flat_torus_hex(), catalog.hemisphere("D")):
-        lv = levels(spec, 300)
-        vals, ms = level_arrays(spec, 300)
-        assert len(vals) == len(lv)
-        assert np.all(ms == np.array([l.multiplicity for l in lv]))
-        assert np.allclose(vals, [l.value for l in lv], rtol=1e-12)
+    # the bulk values and the written ones are the same floats, bit for
+    # bit, and a written flat value is float(rho) * pi^2 (on the 3/7 x 5/7
+    # torus, unit 49/225, a second rounding moves a quarter of them)
+    pi2 = math.pi * math.pi
+    for spec in [*catalog.verification_roster(),
+                 catalog.flat_torus_rect(F(3, 7), F(5, 7))]:
+        T = 1e5 if catalog.is_spherical(spec) else 2e5
+        lv = levels(spec, T)
+        vals, ms = level_arrays(spec, T)
+        chunks = list(level_columns(spec, T))
+        assert ms.tolist() == [m for _, m in lv] == sum(
+            (c["multiplicity"] for c in chunks), [])
+        written = sum((c["value"] for c in chunks), [])
+        assert vals.tolist() == written
+        if not catalog.is_spherical(spec):
+            assert written == [float(k) * pi2 for k, _ in lv]
+            assert sum((c["key"] for c in chunks), []) == [str(k) for k, _ in lv]
 
 
 # --- spherical families ---------------------------------------------------
@@ -165,8 +176,7 @@ def test_projective_sphere_is_even_degree_part():
     ps = catalog.projective_sphere()
     assert count(ps, 2) == 1
     assert count(ps, 6) == 6
-    lv = levels(ps, 50)
-    assert [(l.key, l.multiplicity) for l in lv] == [(0, 1), (2, 5), (4, 9), (6, 13)]
+    assert levels(ps, 50) == [(0, 1), (2, 5), (4, 9), (6, 13)]
 
 
 def test_lune_one_is_hemisphere():
@@ -305,7 +315,7 @@ def test_sector_closed_forms_match_counts():
             spec = catalog.symmetry_sector(base, ir)
             lv = levels(spec, ET(500))
             for _ in range(20):
-                rho = F(lv[rng.randrange(len(lv))].key)
+                rho = lv[rng.randrange(len(lv))][0]
                 rep = closed_form_identity(spec, ET(rho))
                 assert rep.count == rep.closed_form, (base, ir, rho)
 
@@ -314,8 +324,7 @@ def test_report_types():
     rep = closed_form_identity(catalog.sphere(), 10)
     assert isinstance(rep, CountReport)
     assert rep.t == 10.0
-    lv = levels(catalog.sphere(), 10)
-    assert isinstance(lv[0], EigenLevel)
+    assert levels(catalog.sphere(), 10)[0] == (0, 1)
 
 
 # --- level tables: memory and cache ----------------------------------------
@@ -340,6 +349,15 @@ def test_table_memory_follows_level_count(monkeypatch):
     assert peak <= 64 * points, (peak, points)
 
 
+def test_tori_of_one_shape_share_a_table(monkeypatch):
+    # MM counts on the 2x2, 1x2, 2x1 and 1x1 tori: two lattice shapes
+    monkeypatch.setattr(spectrum, "_TABLES", {})
+    closed_form_identity(catalog.rectangle(1, 1, "MM"), 100)
+    tori = {(s.a, s.b) for s in spectrum._TABLES
+            if getattr(s, "family", None) is catalog.Family.FLAT_TORUS_RECT}
+    assert tori == {(1, 1), (1, 2)}
+
+
 def test_table_keys_beyond_int64_raise():
     # keys of this torus reach about 1e19 at t = 1e8: refused before any
     # array is made
@@ -358,8 +376,8 @@ GROWTH_SPECS = [
 
 def _answers(spec, T):
     vals, mults = level_arrays(spec, T)
-    lv = [(l.value, l.key, l.multiplicity) for l in levels(spec, T)]
-    return count(spec, T), count(spec, T / 3), vals.tolist(), mults.tolist(), lv
+    return (count(spec, T), count(spec, T / 3), vals.tolist(), mults.tolist(),
+            levels(spec, T), list(level_columns(spec, T)))
 
 
 @pytest.mark.parametrize("spec", GROWTH_SPECS, ids=lambda s: s.label())
