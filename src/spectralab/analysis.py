@@ -153,9 +153,12 @@ def frequency_spectrum(profile: APProfile, omega_grid) -> APProfile:
     omega = np.asarray(omega_grid, dtype=np.float64)
     coef = fourier_coefficients(profile, omega)
     amp = np.abs(coef)
+    # the median as the middle of a sort: np.median would load numpy.ma
+    srt = np.sort(amp)
+    median = 0.5 * (srt[(srt.size - 1) // 2] + srt[srt.size // 2])
     # the relative term keeps pure rounding noise out when the background
     # is exactly zero (synthetic on-bin tones)
-    floor = max(3.0 * float(np.median(amp)), 1e-9 * float(np.max(amp)))
+    floor = max(3.0 * float(median), 1e-9 * float(srt[-1]))
     peaks = []
     for i in range(1, amp.size - 1):
         if amp[i] > amp[i - 1] and amp[i] >= amp[i + 1] and amp[i] > floor:

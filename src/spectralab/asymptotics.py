@@ -23,8 +23,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import catalog, spectrum
 from .catalog import CornerKind, Family, GeometryData, SurfaceSpec
 from .exact import ExactConst
@@ -297,6 +295,8 @@ def heat_trace(spec: SurfaceSpec, t: float, cutoff: float, tol: float = 1e-9) ->
     surface's own, verified against every enumerated level below the
     cutoff.  A cutoff whose tail bound exceeds tol is refused.
     """
+    import numpy as np
+
     if not t > 0:
         raise ValueError("heat trace needs t > 0")
     cut = float(cutoff)

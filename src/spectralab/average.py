@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -254,7 +253,9 @@ def window_samples(vals: np.ndarray, lo, hi, grid: np.ndarray) -> np.ndarray:
     """
     inside = vals[(vals > lo) & (vals < hi)]
     mids = 0.5 * (inside[1:] + inside[:-1])
-    ts = np.unique(np.concatenate((inside, mids, grid)))
+    # sort and drop repeats: np.unique would load numpy.ma
+    ts = np.sort(np.concatenate((inside, mids, grid)))
+    ts = ts[np.concatenate(([True], ts[1:] != ts[:-1]))]
     return ts[(ts >= lo) & (ts <= hi)]
 
 

@@ -20,11 +20,9 @@ import sys
 import time
 from fractions import Fraction
 
-import numpy as np
-
 # every command parses a surface and most read its level table; the other
-# modules are imported by the commands that call them, so that a command
-# compiles and runs only the code it uses
+# modules, and numpy, are imported by the commands that call them, so that
+# a command compiles and runs only the code it uses
 from . import catalog, spectrum
 
 _FAMILY_ALIASES = {
@@ -190,6 +188,8 @@ def cmd_asymptotics(args) -> int:
 
 
 def cmd_avg(args) -> int:
+    import numpy as np
+
     from . import average
 
     spec = parse_surface(args.spec)
@@ -220,6 +220,8 @@ def cmd_gprofile(args) -> int:
 
 
 def cmd_freq(args) -> int:
+    import numpy as np
+
     from . import analysis
 
     spec = parse_surface(args.spec)
@@ -295,7 +297,9 @@ def cmd_heat(args) -> int:
 # --- the conjecture pipeline ---
 
 
-def _scaled_residual(spec, ts: np.ndarray, spherical: bool) -> np.ndarray:
+def _scaled_residual(spec, ts, spherical: bool):
+    import numpy as np
+
     from . import average
 
     avg = average.avg_error_grid(spec, ts)
@@ -307,6 +311,8 @@ def _scaled_residual(spec, ts: np.ndarray, spherical: bool) -> np.ndarray:
 
 
 def _decade_sup(spec, t_lo: float, t_hi: float, spherical: bool) -> float:
+    import numpy as np
+
     from . import average
 
     vals, _ = spectrum.level_arrays(spec, t_hi)
@@ -316,6 +322,8 @@ def _decade_sup(spec, t_lo: float, t_hi: float, spherical: bool) -> float:
 
 def cmd_conjecture(args) -> int:
     import random
+
+    import numpy as np
 
     from . import analysis, average
 
@@ -358,8 +366,8 @@ def cmd_conjecture(args) -> int:
 
     # seeded residual probes at unsampled times
     rng = random.Random(args.seed)
-    probes = np.unique(np.array(sorted(
-        1e3 * (t_top / 1e3) ** rng.random() for _ in range(64))))
+    probes = np.array(sorted({1e3 * (t_top / 1e3) ** rng.random()
+                              for _ in range(64)}))
     worst = float(np.max(_scaled_residual(spec, probes, spherical)))
     allowed = 1.5 * max(sups)
     check(f"probes (seed {args.seed}): worst scaled residual {worst:.6g} "

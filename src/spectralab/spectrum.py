@@ -4,8 +4,10 @@ Two routes live here and are kept deliberately separate so they can check
 each other.  The table route enumerates eigenvalues on an integer grid
 (every flat family has eigenvalues unit * q * pi^2 for integers q; every
 spherical family has eigenvalues N(N+1)) and answers counting questions by
-prefix sums.  Each surface has one cached table holding only the occupied
-integer keys, so its memory follows the number of levels, not the size of
+prefix sums.  Each surface has one cached table.  A round table is its
+list of window counts on Python integers; a flat table (`lattice`, the
+only numpy code on the exact route) holds the occupied integer keys in
+int64 arrays, so its memory follows the number of levels, not the size of
 the grid up to the cutoff.  The closed-form route evaluates the
 floor-bracket identities for N(t), jump discontinuities included.  Each
 flat surface's identity is compiled once, on first use, into an integer
@@ -13,15 +15,15 @@ linear form cached on its table: a common denominator, a constant, counts
 of tables (tori, the hexagonal lattice, sector sources) at fixed rational
 rescalings of the cutoff, and brackets floor(sqrt(c2 rho) + shift),
 rho = t / pi^2, with c2 and shift held as integer pairs.  A query is then
-integer isqrt and floor division only.  Round surfaces use their window
-counts.
+integer isqrt and floor division only.  A round closed form is the
+window count itself.
 `closed_form_identity` reports both numbers side by side;
 `oracle.check_equivalence` compares them against a third, structurally
 different enumeration.
 
-`level_columns` hands the CLI's writer the levels in chunks of _CHUNK rows
-formatted from the table's int64 keys, so that a dump holds little beyond
-the table however many levels it writes.
+`level_columns` hands the CLI's writer the levels in chunks; a flat table
+writes chunks of lattice._CHUNK rows formatted from its int64 keys, so
+that a dump holds little beyond the table however many levels it writes.
 
 Cutoffs may be given as plain numbers (int, float, Fraction) or as an
 `ExactTime`, which pins down cutoffs of the form rho * pi^2 that no float
@@ -37,9 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
-
-import numpy as np
+from math import isqrt
 
 from . import catalog
 from .catalog import Family, SurfaceSpec
@@ -123,82 +123,72 @@ def _decided(t, ends, value):
     return v
 
 
-def _sph_window(t) -> int:
-    """The k >= 1 with k^2 - k <= t < k^2 + k, i.e. floor(sqrt(t+1/4)+1/2)."""
-    if isinstance(t, ExactTime):
-        n, d = _pq(t.rho)
-        ends = (n * _LO2[0], d * _LO2[1]), (n * _HI2[0], d * _HI2[1])
-    else:
-        ends = (_pq(_rational_cutoff(t)),)
-    # at t = P/Q: floor((sqrt((4P + Q) Q) + Q) / 2Q)
-    return _decided(t, ends, lambda P, Q: (isqrt((4 * P + Q) * Q) + Q) // (2 * Q))
-
-
 # ---------------------------------------------------------------------------
 # level tables (the table route)
 
 
-class _LevelTable:
-    """The levels of one surface or internal lattice, grown by `grow`.
+class _RoundTable:
+    """A round surface's levels: cums[k] = _sph_cum(spec, k) counts the
+    eigenvalues of degree N <= k - 1 (eigenvalue N(N+1)), and the levels
+    are its nonzero differences.  The window counts are also the round
+    closed form, so the table is its own `_form`: den 1 and numerator the
+    window count of t."""
 
-    keys are the sorted integer level keys of nonzero multiplicity: key q
-    is the eigenvalue unit * q * pi^2 on a flat table and q(q+1), q the
-    degree, on a round one (unit None).  mults are the multiplicities and
-    prefix[i] is the sum of the first i of them.  Every level with key <=
-    qcap is present; build(qcap) makes (keys, mults) for a larger qcap.
-    form is the surface's compiled closed form, made on first use.
-    """
+    __slots__ = ("spec", "cums", "form")
+    den = 1
 
-    __slots__ = ("unit", "build", "keys", "mults", "prefix", "qcap", "form")
-
-    def __init__(self, unit, build):
-        self.unit = unit
-        self.build = build
-        self.keys = self.mults = np.empty(0, dtype=np.int64)
-        self.prefix = np.zeros(1, dtype=np.int64)
-        self.qcap = -1
-        self.form = None
+    def __init__(self, spec):
+        self.spec, self.cums, self.form = spec, [0], self
 
     def grow(self, qneed: int) -> None:
-        """Hold every level with key <= qneed: a table that is too short is
-        rebuilt at twice its size or qneed, whichever is larger."""
-        if self.qcap < qneed:
-            qcap = max(qneed, 256, 2 * self.qcap)
-            keys, mults = self.build(qcap)
-            if mults.min(initial=0) < 0:
+        """Hold every degree <= qneed, at least doubling a short list."""
+        n = len(self.cums)
+        if n < qneed + 2:
+            new = [_sph_cum(self.spec, k) for k in range(n, max(qneed + 2, 256, 2 * n))]
+            if any(b < a for a, b in zip(self.cums[-1:] + new, new)):
                 raise ArithmeticError("negative multiplicity in level table")
-            prefix = np.zeros(len(mults) + 1, dtype=np.int64)
-            np.cumsum(mults, out=prefix[1:])
-            self.keys, self.mults, self.prefix, self.qcap = keys, mults, prefix, qcap
+            self.cums += new
 
     def qmax(self, t, ends=None) -> int:
-        """Largest key whose eigenvalue is <= t, decided exactly; a flat
-        table may be handed the ends of t's rho (`_rho_ends`)."""
-        if self.unit is None:
-            return _sph_window(t) - 1
-        un, ud = _pq(self.unit)
-        return _decided(t, ends or _rho_ends(t), lambda P, Q: P * ud // (Q * un))
-
-    def index(self, q: int) -> int:
-        """The number of levels with key <= q, growing the table to q."""
-        self.grow(q)
-        return int(self.keys.searchsorted(q, side="right"))
+        """k - 1 for t's window k >= 1, k^2 - k <= t < k^2 + k: the largest
+        degree N with N(N+1) <= t, decided exactly."""
+        if isinstance(t, ExactTime):
+            n, d = _pq(t.rho)
+            tends = (n * _LO2[0], d * _LO2[1]), (n * _HI2[0], d * _HI2[1])
+        else:
+            tends = (_pq(_rational_cutoff(t)),)
+        # at t = P/Q: k = floor((sqrt((4P + Q) Q) + Q) / 2Q)
+        return _decided(t, tends, lambda P, Q: (isqrt((4 * P + Q) * Q) + Q) // (2 * Q)) - 1
 
     def count_upto(self, q: int) -> int:
-        """The number of eigenvalues with key <= q."""
-        i = self.index(q)  # may replace self.prefix
-        return int(self.prefix[i])
+        self.grow(q)
+        return self.cums[q + 1]
 
-    def upto(self, q: int):
-        """(keys, mults) views of the levels with key <= q."""
-        i = self.keys.searchsorted(q, side="right")
-        return self.keys[:i], self.mults[:i]
+    def numerator(self, t, ends) -> int:
+        return _sph_cum(self.spec, self.qmax(t) + 1)
+
+    def levels(self, q: int) -> list:
+        """(degree, multiplicity) pairs of the levels of degree <= q."""
+        self.grow(q)
+        c = self.cums
+        return [(N, c[N + 1] - c[N]) for N in range(q + 1) if c[N + 1] != c[N]]
+
+    def columns(self, q: int):
+        pairs = self.levels(q)
+        yield {"value": [float(N * (N + 1)) for N, _ in pairs],
+               "key": [N for N, _ in pairs], "multiplicity": [m for _, m in pairs]}
+
+    def arrays(self, q: int):
+        import numpy as np
+
+        pairs = np.array(self.levels(q), dtype=np.int64).reshape(-1, 2)
+        return pairs[:, 0] * (pairs[:, 0] + 1.0), pairs[:, 1].copy()
 
 
 _TABLES: dict = {}
 
 
-def _table(spec, qneed: int = -1) -> _LevelTable:
+def _table(spec, qneed: int = -1):
     """The cached table of spec, holding every level with key <= qneed.
 
     spec is a catalog surface (validated when its table is made) or an
@@ -211,245 +201,14 @@ def _table(spec, qneed: int = -1) -> _LevelTable:
     return tb
 
 
-def _lookup(spec, t):
-    """(table, i): the table of spec covers t and its first i levels are <= t."""
-    tb = _table(spec)
-    return tb, tb.index(tb.qmax(t))
+def _new_table(spec):
+    if not isinstance(spec, tuple):
+        catalog.validate(spec)
+        if catalog.is_spherical(spec):
+            return _RoundTable(spec)
+    from . import lattice
 
-
-def _reduce(qcap: int, rows=(), arrays=()):
-    """Sorted (keys, sums) of weighted integer keys in [0, qcap], exactly.
-
-    A row (c0, c1, c2, ks, w) puts the weight w on the key c0 + c1 k + c2 k^2
-    for each k in the range ks; arrays holds (keys, weights) array pairs.
-    Keys whose weights sum to zero are dropped.
-
-    When the key span qcap + 1 is no larger than the number of lattice
-    points (the summed absolute weights), the weights are counted into a
-    span-sized array, the cheapest route for unit-shaped tables.  Otherwise
-    each weight is packed into the low bits of its key, the packed keys are
-    sorted in place and runs of equal keys are summed, so that memory
-    follows the number of points and not the span.  Rows are expanded one
-    at a time on both routes.
-    """
-    n = sum(len(r[3]) for r in rows) + sum(len(k) for k, _ in arrays)
-    points = (sum(len(r[3]) * abs(r[4]) for r in rows)
-              + sum(int(np.abs(w).sum()) for _, w in arrays))
-    wts = [r[4] for r in rows if len(r[3])]
-    wts += [int(f(w)) for _, w in arrays if len(w) for f in (np.min, np.max)]
-    wlo = min(wts, default=0)
-    shift = (max(wts, default=0) - wlo).bit_length()
-    if qcap >> (62 - shift):
-        raise ArithmeticError(
-            "level keys up to %d do not fit int64 with %d weight bits"
-            % (qcap, shift))
-
-    def chunks():
-        for c0, c1, c2, ks, w in rows:
-            if len(ks):
-                k = np.arange(ks.start, ks.stop, ks.step, dtype=np.int64)
-                yield c0 + k * (c1 + c2 * k), w
-        yield from arrays
-
-    if qcap + 1 <= points:
-        counts = np.zeros(qcap + 1, dtype=np.int64)
-        for keys, w in chunks():
-            np.add.at(counts, keys, w)
-        keys = np.flatnonzero(counts)
-        return keys, counts[keys]
-
-    if not n:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    packed = np.empty(n, dtype=np.int64)
-    i = 0
-    for keys, w in chunks():
-        packed[i:i + len(keys)] = (keys << shift) | (w - wlo)
-        i += len(keys)
-    packed.sort()
-    low = packed & ((1 << shift) - 1)
-    packed >>= shift
-    starts = np.flatnonzero(packed[1:] != packed[:-1]) + 1
-    starts = np.concatenate(([0], starts))
-    sums = np.add.reduceat(low, starts)
-    sums += wlo * np.diff(starts, append=n)
-    keep = sums != 0
-    return packed[starts][keep], sums[keep]
-
-
-def _axis_rows(c0: int, c2: int, lo: int, step: int, full: bool, kmax: int,
-               w: int) -> list:
-    """Rows c0 + c2 k^2 over k = lo, lo+step, ... <= kmax; a full circle
-    counts +-k, so k > 0 carries twice the weight of k = 0."""
-    ks = range(lo, kmax + 1, step)
-    if full and lo == 0:
-        return [(c0, 0, c2, ks[:1], w), (c0, 0, c2, ks[1:], 2 * w)]
-    return [(c0, 0, c2, ks, 2 * w if full else w)]
-
-
-# per axis kind: first (doubled) index, index step, full circle
-_AXES = {
-    "torus": (0, 1, True),
-    "cos": (0, 1, False),
-    "sin": (1, 1, False),
-    "mix": (1, 2, False),  # odd doubled indices 1, 3, 5, ...
-    "circ": (0, 1, True),  # a circle on its own grid
-}
-
-
-def _plan_product(a: Fraction, b: Fraction, xset: str, yset: str):
-    """Table plan for separable modes on an a x b box.
-
-    xset/yset: 'torus' (full circle j in Z), 'cos' (j >= 0), 'sin' (j >= 1),
-    'mix' (half-integer j + 1/2, stored as odd 2j+1), 'circ' (circle of
-    circumference a: frequencies 2 pi j / a, stored as j in Z).
-    Eigenvalue contribution of index j on axis a: (j/a)^2 pi^2 for
-    torus/cos/sin, ((2j+1)/(2a))^2 pi^2 for mix, (2j/a)^2 pi^2 for circ.
-    """
-    pa, qa = _pq(Fraction(a))
-    pb, qb = _pq(Fraction(b))
-    # numerators over the common denominator (2 pa pb)^2, doubled indices
-    scale = {"torus": 2, "cos": 2, "sin": 2, "mix": 1, "circ": 4}
-    U = (scale[xset] * qa * pb) ** 2
-    V = (scale[yset] * qb * pa) ** 2
-    # mix keeps odd doubled indices, so its own factor stays inside the index
-    g = gcd(U, V)
-    unit = Fraction(g, 4 * pa * pa * pb * pb)
-    Ug, Vg = U // g, V // g
-    xlo, xstep, xtor = _AXES[xset]
-    ylo, ystep, ytor = _AXES[yset]
-
-    def build(qcap):
-        rows = []
-        for j in range(xlo, isqrt(qcap // Ug) + 1, xstep):
-            c0 = Ug * j * j
-            rows += _axis_rows(c0, Vg, ylo, ystep, ytor,
-                               isqrt((qcap - c0) // Vg), 2 if xtor and j else 1)
-        return _reduce(qcap, rows)
-
-    return unit, build
-
-
-def _plan_mobius(a: Fraction, b: Fraction, parity: int, kmin):
-    """Modes e^{i pi j x / a} * trig(pi k y / b) with (j + k) % 2 == parity.
-
-    kmin is an int for the band families (k >= kmin) or 'torus' for the
-    internal parity-split torus table (k in Z).
-    """
-    pa, qa = _pq(Fraction(a))
-    pb, qb = _pq(Fraction(b))
-    U = (qa * pb) ** 2
-    V = (qb * pa) ** 2
-    g = gcd(U, V)
-    unit = Fraction(g, pa * pa * pb * pb)
-    Ug, Vg = U // g, V // g
-    torus_y = kmin == "torus"
-    klo = 0 if torus_y else int(kmin)
-
-    def build(qcap):
-        rows = []
-        for j in range(isqrt(qcap // Ug) + 1):
-            c0 = Ug * j * j
-            k0 = klo if (j + klo) % 2 == parity else klo + 1
-            rows += _axis_rows(c0, Vg, k0, 2, torus_y,
-                               isqrt((qcap - c0) // Vg), 2 if j else 1)
-        return _reduce(qcap, rows)
-
-    return unit, build
-
-
-def _hex_norm_table(qcap: int):
-    """Levels of n1^2 - n1 n2 + n2^2 over (n1, n2) in Z^2, up to qcap."""
-    rows = []
-    for n1 in range(-isqrt(4 * qcap // 3), isqrt(4 * qcap // 3) + 1):
-        # q <= qcap  <=>  |2 n2 - n1| <= sqrt(4 qcap - 3 n1^2)
-        s = isqrt(4 * qcap - 3 * n1 * n1)
-        rows.append((n1 * n1, -n1, 1, range(-((s - n1) // 2), (n1 + s) // 2 + 1), 1))
-    return _reduce(qcap, rows)
-
-
-def _hex_pair_table(qcap: int, lo: int, diag):
-    """Levels m^2 + mn + n^2 <= qcap of pairs m >= lo with n >= lo (diag
-    None), n >= m (diag 0) or n > m (diag 1)."""
-    rows = []
-    m = lo
-    while True:
-        n0 = lo if diag is None else m + diag
-        if m * m + m * n0 + n0 * n0 > qcap:
-            break
-        # m^2 + mn + n^2 <= qcap  <=>  n <= (sqrt(4 qcap - 3 m^2) - m) / 2
-        nmax = (isqrt(4 * qcap - 3 * m * m) - m) // 2
-        rows.append((m * m, m, 1, range(n0, nmax + 1), 1))
-        m += 1
-    return _reduce(qcap, rows)
-
-
-def _plan_right_iso(a: Fraction, bc: str):
-    """Symmetrized square modes on legs-a right isosceles triangles.
-
-    Doubled indices M = 2j (+1 for mixed legs), eigenvalue
-    (M^2 + N^2) * qa^2 / (4 pa^2) * pi^2 over pairs M <= N, strict when the
-    hypotenuse condition kills the diagonal.
-    """
-    pa, qa = _pq(Fraction(a))
-    unit = Fraction(qa * qa, 4 * pa * pa)
-    if bc in ("MN", "MD"):
-        start, step = 1, 2
-    elif bc in ("N", "ND"):
-        start, step = 0, 2
-    else:  # D, DN: sine modes, doubled indices 2, 4, ...
-        start, step = 2, 2
-    strict = bc in ("D", "ND", "MD")
-
-    def build(qcap):
-        rows = []
-        m = start
-        while True:
-            n0 = m + step if strict else m
-            if m * m + n0 * n0 > qcap:
-                break
-            rows.append((m * m, 0, 1, range(n0, isqrt(qcap - m * m) + 1, step), 1))
-            m += step
-        return _reduce(qcap, rows)
-
-    return unit, build
-
-
-def _fpp_table(qcap: int):
-    """Flat projective plane: r2(q)/4 plus +1 at even and -1 at odd squares,
-    with r2 the square-lattice shell sizes (the unit square torus table)."""
-    keys, r2 = _table(catalog.flat_torus_rect(1, 1), qcap).upto(qcap)
-    if np.any(r2[keys > 0] % 4):
-        raise ArithmeticError("square-lattice shell size not in 4Z")
-    s = isqrt(qcap)
-    rows = [(0, 0, 4, range(s // 2 + 1), 1),  # (2i)^2
-            (1, 4, 4, range((s + 1) // 2), -1)]  # (2i+1)^2
-    return _reduce(qcap, rows, [(keys, r2 // 4)])
-
-
-def _tetra_table(qcap: int):
-    """Tetrahedron surface: half of each hexagonal shell, key 0 once."""
-    keys, r = _table(catalog.flat_torus_hex(), qcap).upto(qcap)
-    m = r // 2
-    m[0] = 1  # key 0, the constant mode
-    return keys, m
-
-
-def _plan_half_tetra(bc: str):
-    sign = 1 if bc == "N" else -1
-
-    def build(qcap):
-        # four times the count: r(q), plus 1 at q = 0, plus sign * 2 on the
-        # squares and three times the squares (sign * 1 each at q = 0)
-        rows = [(0, 0, 0, range(1), 1 + 2 * sign),
-                (0, 0, 1, range(1, isqrt(qcap) + 1), 2 * sign),
-                (0, 0, 3, range(1, isqrt(qcap // 3) + 1), 2 * sign)]
-        keys, tot = _reduce(qcap, rows,
-                            [_table(catalog.flat_torus_hex(), qcap).upto(qcap)])
-        if np.any(tot % 4):
-            raise ArithmeticError("symmetry average came out non-integral")
-        return keys, tot // 4
-
-    return Fraction(4, 3), build
+    return lattice._LevelTable(*lattice._plan_flat(spec))
 
 
 def _sector_source(spec: SurfaceSpec):
@@ -460,104 +219,6 @@ def _sector_source(spec: SurfaceSpec):
     if spec.base == "hex_torus":
         return catalog.equilateral_triangle(bc), Fraction(1)
     return catalog.triangle_306090(bc), Fraction(3)
-
-
-def _frac_gcd(x: Fraction, y: Fraction) -> Fraction:
-    return Fraction(
-        gcd(x.numerator * y.denominator, y.numerator * x.denominator),
-        x.denominator * y.denominator,
-    )
-
-
-def _plan_sector2(spec: SurfaceSpec):
-    """The 2-dim isotypic table: base minus all 1-dim sector tables."""
-    parts = [(catalog.base_spec(spec.base), 1)] + [
-        (catalog.symmetry_sector(spec.base, ir), -1)
-        for ir in catalog.sector_irreps(spec.base)
-        if ir != "2"
-    ]
-    units = [_table(s).unit for s, _ in parts]
-    common = units[0]
-    for u in units[1:]:
-        common = _frac_gcd(common, u)
-    factors = [(u / common, s, sign) for u, (s, sign) in zip(units, parts)]
-    if any(f.denominator != 1 for f, _, _ in factors):
-        raise ArithmeticError("sector level grids do not align")
-
-    def build(qcap):
-        arrays = []
-        for f, s, sign in factors:
-            keys, ms = _table(s, qcap // int(f)).upto(qcap // int(f))
-            arrays.append((keys * int(f), sign * ms))
-        keys, ms = _reduce(qcap, arrays=arrays)
-        if ms.min(initial=0) < 0:
-            raise ArithmeticError("sector tables exceed the base count")
-        if np.any(ms % 2):
-            raise ArithmeticError("2-dim isotypic count came out odd")
-        return keys, ms
-
-    return common, build
-
-
-def _plan_flat(spec: SurfaceSpec):
-    """(unit, build) of a flat surface's table."""
-    f = spec.family
-    a, b = spec.a, spec.b
-    if f == Family.FLAT_TORUS_RECT:
-        return _plan_product(a, b, "torus", "torus")
-    if f == Family.FLAT_TORUS_HEX:
-        return Fraction(16, 9), _hex_norm_table
-    if f == Family.RECTANGLE:
-        xset, yset = {
-            "N": ("cos", "cos"), "D": ("sin", "sin"), "ND": ("sin", "cos"),
-            "NM": ("cos", "mix"), "DM": ("sin", "mix"), "MM": ("mix", "mix"),
-        }[spec.bc]
-        return _plan_product(a, b, xset, yset)
-    if f == Family.CYLINDER:
-        yset = {"N": "cos", "D": "sin", "M": "mix"}[spec.bc]
-        return _plan_product(a, b, "circ", yset)
-    if f == Family.MOBIUS_BAND:
-        if spec.bc == "N":
-            return _plan_mobius(a, b, 0, 0)
-        return _plan_mobius(a, b, 1, 1)
-    if f == Family.RIGHT_ISO_TRIANGLE:
-        return _plan_right_iso(a, spec.bc)
-    if f == Family.EQUILATERAL_TRIANGLE:
-        lo = 0 if spec.bc == "N" else 1
-        return Fraction(16, 9), lambda qcap: _hex_pair_table(qcap, lo, None)
-    if f == Family.TRIANGLE_306090:
-        lo = 0 if spec.bc in ("N", "ND") else 1
-        diag = 1 if spec.bc in ("ND", "D") else 0
-        return Fraction(16, 9), lambda qcap: _hex_pair_table(qcap, lo, diag)
-    if f == Family.FLAT_PROJECTIVE_PLANE:
-        return Fraction(1), _fpp_table
-    if f == Family.TETRAHEDRON_SURFACE:
-        return Fraction(4, 3), _tetra_table
-    if f == Family.HALF_TETRAHEDRON:
-        return _plan_half_tetra(spec.bc)
-    if f == Family.SYMMETRY_SECTOR:
-        if spec.irrep == "2":
-            return _plan_sector2(spec)
-        src, scale = _sector_source(spec)
-        return _table(src).unit * scale, lambda qcap: _table(src, qcap).upto(qcap)
-    raise ValueError("no flat table plan for %s" % (spec,))
-
-
-def _sph_table(spec: SurfaceSpec, ncap: int):
-    """Degrees N <= ncap and their multiplicities, from the window counts."""
-    cums = [_sph_cum(spec, k) for k in range(ncap + 2)]
-    ms = np.diff(np.asarray(cums, dtype=np.int64))
-    keys = np.flatnonzero(ms)
-    return keys, ms[keys]
-
-
-def _new_table(spec) -> _LevelTable:
-    if isinstance(spec, tuple):  # ("mobius_even", a, b): k in Z, j + k even
-        return _LevelTable(*_plan_mobius(spec[1], spec[2], 0, "torus"))
-    catalog.validate(spec)
-    if catalog.is_spherical(spec):
-        return _LevelTable(None, lambda ncap: _sph_table(spec, ncap))
-    return _LevelTable(*_plan_flat(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -800,8 +461,9 @@ class _Form:
         return total
 
 
-def _form(spec: SurfaceSpec, tb: _LevelTable) -> _Form:
-    """The compiled closed form of spec, cached on its table tb."""
+def _form(spec: SurfaceSpec, tb):
+    """The compiled closed form of spec, cached on its table tb; a round
+    table is its own."""
     if tb.form is None:
         tb.form = _Form(_closed_terms(spec))
     return tb.form
@@ -818,81 +480,49 @@ def levels(spec: SurfaceSpec, T) -> list[tuple]:
     grid: a Fraction rho (eigenvalue rho * pi^2) for flat families, an
     integer degree N (eigenvalue N(N+1)) for spherical ones.
     """
-    tb, i = _lookup(spec, T)
-    pairs = zip(tb.keys[:i].tolist(), tb.mults[:i].tolist())
-    if tb.unit is None:
-        return list(pairs)
-    return [(tb.unit * q, m) for q, m in pairs]
-
-
-_CHUNK = 65536  # levels per chunk of level_columns
+    tb = _table(spec)
+    return tb.levels(tb.qmax(T))
 
 
 def level_columns(spec: SurfaceSpec, T):
     """The levels <= T as chunks of value, key and multiplicity lists.
 
-    At most _CHUNK levels a chunk, and one empty chunk when there are none.
-    A flat key prints as its Fraction rho; a flat value is unit * q rounded
-    once to float64 by Python integer division, then times pi^2.
+    A round table gives one chunk, a flat one `lattice._CHUNK` levels a
+    chunk and one empty chunk when there are none.
     """
-    tb, i = _lookup(spec, T)
-    keys, mults = tb.keys[:i], tb.mults[:i]
-    pi2 = math.pi * math.pi
-    for lo in range(0, max(i, 1), _CHUNK):
-        qs = keys[lo:lo + _CHUNK].tolist()
-        if tb.unit is None:
-            vals = [float(N * (N + 1)) for N in qs]
-        else:
-            un, ud = _pq(tb.unit)
-            vals = [q * un / ud * pi2 for q in qs]
-            qs = [str(Fraction(q * un, ud)) for q in qs]
-        yield {"value": vals, "key": qs,
-               "multiplicity": mults[lo:lo + _CHUNK].tolist()}
+    tb = _table(spec)
+    return tb.columns(tb.qmax(T))
 
 
 def level_arrays(spec: SurfaceSpec, T):
     """(values, multiplicities) as numpy arrays, for bulk numerics."""
-    tb, i = _lookup(spec, T)
-    keys = tb.keys[:i]
-    if tb.unit is None:
-        vals = keys.astype(np.float64) * (keys + 1)
-    else:
-        vals = (keys.astype(np.float64) * tb.unit.numerator / tb.unit.denominator
-                * (math.pi * math.pi))
-    return vals, tb.mults[:i].copy()
+    tb = _table(spec)
+    return tb.arrays(tb.qmax(T))
 
 
 def count(spec: SurfaceSpec, t) -> int:
     """Number of eigenvalues <= t, from the enumerated level table."""
-    tb, i = _lookup(spec, t)
-    return int(tb.prefix[i])
+    tb = _table(spec)
+    return tb.count_upto(tb.qmax(t))
 
 
 def closed_form_identity(spec: SurfaceSpec, t) -> CountReport:
     """Table count and closed-form count at t, side by side.
 
-    Both numbers are exact.  On a flat surface the cutoff is turned once
-    into rho = t / pi^2, exact or enclosed, and the compiled form is
-    evaluated in integers; it must land on an integer, else
-    ArithmeticError.  A round surface's window k is found once and gives
-    both the table count and the window count.
+    Both numbers are exact.  The cutoff is turned once into rho = t / pi^2,
+    exact or enclosed.  A flat surface's compiled form is evaluated on it
+    in integers and must land on an integer, else ArithmeticError.  A
+    round surface's closed form is the window count of t (`_RoundTable`).
     """
     tb = _table(spec)
-    if tb.unit is None:
-        k = _sph_window(t)
-        cf = _sph_cum(spec, k)
-        c = tb.count_upto(k - 1)
-    else:
-        ends = _rho_ends(t)
-        form = _form(spec, tb)
-        v = form.numerator(t, ends)
-        if v % form.den:
-            raise ArithmeticError(
-                "closed form for %s at %r is non-integral: %s"
-                % (spec, t, Fraction(v, form.den)))
-        cf = v // form.den
-        c = tb.count_upto(tb.qmax(t, ends))
-    return CountReport(_t_float(t), c, cf)
+    ends = _rho_ends(t)
+    form = _form(spec, tb)
+    v = form.numerator(t, ends)
+    if v % form.den:
+        raise ArithmeticError(
+            "closed form for %s at %r is non-integral: %s"
+            % (spec, t, Fraction(v, form.den)))
+    return CountReport(_t_float(t), tb.count_upto(tb.qmax(t, ends)), v // form.den)
 
 
 def symmetry_counts(base: str, t) -> dict:

@@ -310,7 +310,9 @@ def test_chunks_write_one_table(capsys):
 
 # --- golden bytes: stdout captured from the commit before the CSV writer
 # formatted whole rows at once (proportions hex_torus: from the commit
-# before the level-window samplers became average.window_samples) ---
+# before the level-window samplers became average.window_samples; count
+# lune and spectrum sphere: from the commit before round tables became
+# window-count lists) ---
 
 GOLDEN = {
     ("count", "rectangle:a=3/2,b=1,bc=NM", "--at", "100,7/3,1e3"):
@@ -355,6 +357,19 @@ GOLDEN = {
         "10,-0.53939119135469671,3.1622776601683795,-0.95918824954242177\n"
         "100,-0.23383981554255115,10,-0.73946642474810409\n"
         "1000,-0.16168911821834628,31.622776601683793,-0.90924473007763851\n",
+    ("count", "lune:m=2,bc=N", "--at", "100,7/3,1e5"):
+        "t,count,closed_form\n"
+        "100,30,30\n"
+        "2.3333333333333335,2,2\n"
+        "100000,25122,25122\n",
+    ("spectrum", "sphere", "--max-t", "30"):
+        "value,key,multiplicity\n"
+        "0,0,1\n"
+        "2,1,3\n"
+        "6,2,5\n"
+        "12,3,7\n"
+        "20,4,9\n"
+        "30,5,11\n",
     ("proportions", "square_torus", "--max-t", "1e3"):
         "irrep,measured,predicted,b_sign,b_hat\n"
         "++,0.18518518518518517,0.125,1,0.15218324652383114\n"
@@ -412,6 +427,27 @@ def test_chunked_spectrum_matches_golden_bytes(capsys, fmt):
     assert (len(data), hashlib.sha256(data).hexdigest()) == SPECTRUM_1E6[fmt]
 
 
+# `spectrum` of a round surface with 998 levels: (bytes, sha256) of the
+# stdout printed when round tables were int64 arrays; JSON would show a
+# multiplicity that is not a Python int
+ROUND_1E6 = {
+    "csv": (13788,
+            "50b4374a8ddbb363021648c6108de116ee9be6e60543c6706302b34c6f524e6d"),
+    "json": (52688,
+             "6ef6e6335afc5234d461f590aafc444511d898c769b58b2e455cecd77d5ea0d6"),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(ROUND_1E6))
+def test_round_spectrum_matches_golden_bytes(capsys, fmt):
+    rc, out, _ = run_cli(capsys, "spectrum", "half_lune:m=3,bc_side=N,bc_equator=D",
+                         "--max-t", "1e6", "--format", fmt)
+    assert rc == 0
+    assert out.count("\n" if fmt == "csv" else "{") == 998 + (fmt == "csv")
+    data = out.encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == ROUND_1E6[fmt]
+
+
 def peak_rss_mb(*argv):
     """Peak RSS in MB of a fresh CLI run under a 1 GiB address-space limit,
     stdout discarded; the run must exit 0."""
@@ -447,33 +483,56 @@ def test_spectrum_memory_stays_near_the_table():
 _LOADED = """
 import contextlib, io, json, sys
 import spectralab.cli
-argv = json.loads(sys.argv[1])
-if argv:
+for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), \\
             contextlib.redirect_stderr(io.StringIO()):
         code = spectralab.cli.main(argv)
-    assert code == 0, code
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("spectralab."))))
+    assert code == 0, (argv, code)
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("spectralab.")
+                        or m in ("numpy", "numpy.ma"))))
 """
 
 
-def loaded_modules(*argv):
-    """spectralab modules a fresh interpreter holds after importing the CLI
-    and running argv (nothing more when argv is empty)."""
+def loaded_modules(*argvs):
+    """spectralab modules (named without the package), numpy and numpy.ma
+    that a fresh interpreter holds after importing the CLI and running each
+    argv in turn (nothing more when there is none)."""
     package_root = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (package_root, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-c", _LOADED, json.dumps(argv)],
+    proc = subprocess.run([sys.executable, "-c", _LOADED, json.dumps(argvs)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    return {m.split(".", 1)[1] for m in json.loads(proc.stdout)}
+    return {m.removeprefix("spectralab.") for m in json.loads(proc.stdout)}
 
 
 def test_each_command_loads_only_what_it_calls():
     assert loaded_modules() == {"catalog", "exact", "spectrum", "cli"}
-    count = loaded_modules("count", "rectangle:a=1,b=1,bc=N", "--at", "100,1e3")
+    assert loaded_modules(["list"]) == {"catalog", "exact", "spectrum", "cli"}
+    count = loaded_modules(["count", "rectangle:a=1,b=1,bc=N", "--at", "100,1e3"])
     assert count.isdisjoint({"oracle", "analysis", "average"})
     assert "asymptotics" in count  # the level budget
-    verify = loaded_modules("verify", "lune:m=2,bc=N", "--max-t", "1e4")
+    # flat tables are int64 arrays: the one place the exact route needs numpy
+    assert {"lattice", "numpy"} <= count
+    verify = loaded_modules(["verify", "lune:m=2,bc=N", "--max-t", "1e4"])
     assert verify.isdisjoint({"analysis", "average", "asymptotics"})
     assert "oracle" in verify
+    # round surfaces are counted on Python integers
+    assert verify.isdisjoint({"lattice", "numpy"})
+    for argv in (["asymptotics", "sphere"], ["count", "sphere", "--at", "100,1e5"],
+                 ["spectrum", "hemisphere:bc=D", "--max-t", "1e4"]):
+        assert loaded_modules(argv).isdisjoint({"lattice", "numpy"}), argv
+    # np.unique and np.median would load numpy.ma
+    assert "numpy.ma" not in loaded_modules(["conjecture", "sphere"])
+
+
+def test_round_roster_never_loads_numpy():
+    argvs = []
+    for spec in catalog.verification_roster():
+        if catalog.is_spherical(spec):
+            label = spec.label()
+            argvs += [["verify", label, "--max-t", "1e4"],
+                      ["count", label, "--at", "7/3,1e5"],
+                      ["spectrum", label, "--max-t", "1e5", "--format", "json"]]
+    assert len(argvs) == 3 * 36
+    assert loaded_modules(*argvs).isdisjoint({"lattice", "numpy"})

@@ -241,6 +241,22 @@ def test_every_module_name_has_a_caller():
     assert not unread, unread
 
 
+def test_every_module_import_is_read():
+    # a name a module imports at top level is read in that module
+    unread = []
+    for path in sorted(Path(oracle.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        reads = {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                unread += [f"{path.stem}.{alias.asname or alias.name}"
+                           for alias in node.names
+                           if (alias.asname or alias.name).split(".")[0] not in reads]
+    assert not unread, unread
+
+
 # --- seeded sweeps over random rational shapes ------------------------------
 
 

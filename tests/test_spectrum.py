@@ -366,6 +366,25 @@ def test_table_keys_beyond_int64_raise():
         count(spec, 1e8)
 
 
+def test_negative_multiplicity_is_refused(monkeypatch):
+    # a build or window count that makes the count fall is refused on both
+    # table kinds rather than read as a level
+    from spectralab import lattice
+
+    hex_table = lattice._hex_norm_table
+
+    def falling(qcap):
+        keys, mults = hex_table(qcap)
+        return keys, -mults
+
+    monkeypatch.setattr(spectrum, "_TABLES", {})
+    monkeypatch.setattr(lattice, "_hex_norm_table", falling)
+    monkeypatch.setattr(spectrum, "_sph_cum", lambda spec, k: k * k if k < 5 else 0)
+    for spec in (catalog.flat_torus_hex(), catalog.sphere()):
+        with pytest.raises(ArithmeticError, match="negative multiplicity"):
+            count(spec, 100)
+
+
 GROWTH_SPECS = [
     catalog.rectangle(F(7, 5), F(11, 13), "NM"),
     catalog.mobius_band(F(5, 7), F(11, 5), "N"),
