@@ -27,14 +27,13 @@ B_SIGN_FLOOR = 0.011
 
 @dataclass(frozen=True, eq=False)  # array fields: compare by identity
 class APProfile:
-    """Samples g_est(x) on an ascending x grid, with the window they cover.
+    """Samples g_est(x) on an ascending x grid.
 
     `frequencies` holds (omega, amplitude, phase) peaks once
     frequency_spectrum has filled them in.
     """
     xs: np.ndarray
     gs: np.ndarray
-    window: tuple
     frequencies: tuple = ()
 
 
@@ -63,8 +62,7 @@ def make_profile(spec: SurfaceSpec, x_lo, x_hi, n: int = 4001) -> APProfile:
     if n < 2:
         raise ValueError("need at least two samples")
     xs = np.linspace(x_lo, x_hi, int(n))
-    return APProfile(xs=xs, gs=average.g_samples(spec, xs),
-                     window=(x_lo, x_hi))
+    return APProfile(xs=xs, gs=average.g_samples(spec, xs))
 
 
 def window_mean(profile: APProfile) -> float:

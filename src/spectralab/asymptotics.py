@@ -30,6 +30,7 @@ from .exact import ExactConst
 _INV_4PI = ExactConst.term(Fraction(1, 4), pi_pow=-1)
 _INV_12PI = ExactConst.term(Fraction(1, 12), pi_pow=-1)
 GAMMA_3_2 = math.sqrt(math.pi) / 2.0
+_HEAT_TOL = 1e-9  # largest tail bound heat_trace accepts
 
 
 def psi(theta):
@@ -286,14 +287,14 @@ def smooth_heat_trace(spec: SurfaceSpec, t: float) -> float:
     return float(rc.A) / t + GAMMA_3_2 * float(rc.B) / math.sqrt(t) + float(rc.C)
 
 
-def heat_trace(spec: SurfaceSpec, t: float, cutoff: float, tol: float = 1e-9) -> float:
+def heat_trace(spec: SurfaceSpec, t: float, cutoff: float) -> float:
     """Sum of mult * exp(-lambda * t) over eigenvalues lambda <= cutoff.
 
     Before returning, the dropped tail is bounded: counting-function
     increments beyond the cutoff are enclosed by an envelope
     A*mu + bhat*sqrt(mu) + chat whose square-root coefficient doubles the
     surface's own, verified against every enumerated level below the
-    cutoff.  A cutoff whose tail bound exceeds tol is refused.
+    cutoff.  A cutoff whose tail bound exceeds _HEAT_TOL is refused.
     """
     import numpy as np
 
@@ -320,10 +321,10 @@ def heat_trace(spec: SurfaceSpec, t: float, cutoff: float, tol: float = 1e-9) ->
     tail = math.exp(-cut * t) * (
         a / t + max(0.0, a * cut - n_cut)
         + bhat * (math.sqrt(cut) + 0.5 / (math.sqrt(cut) * t)) + chat)
-    if tail > tol:
+    if tail > _HEAT_TOL:
         raise ArithmeticError(
             f"cutoff {cut:g} leaves a tail bound of {tail:.3g} at t={t:g}; "
-            f"need below {tol:g}")
+            f"need below {_HEAT_TOL:g}")
     if not vals.size:
         return 0.0
     return float(np.dot(mults.astype(np.float64), np.exp(-t * vals)))

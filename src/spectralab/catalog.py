@@ -218,7 +218,7 @@ def base_spec(base: str) -> SurfaceSpec:
 def _frac(v, name: str) -> Fraction:
     try:
         f = Fraction(v)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"{name} must be rational, got {v!r}") from exc
     if f <= 0:
         raise ValueError(f"{name} must be positive, got {v!r}")

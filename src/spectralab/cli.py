@@ -51,11 +51,19 @@ def parse_surface(text: str) -> catalog.SurfaceSpec:
 # --- argument parsing helpers ---
 
 
-def _number(text: str) -> Fraction:
+def _fraction(text: str) -> Fraction:
+    # a zero denominator is a malformed number, not an arithmetic failure
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+        raise ValueError(f"expected a number, got {text!r}") from None
+
+
+def _number(text: str) -> Fraction:
+    try:
+        return _fraction(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def _times(text: str) -> list:
@@ -69,7 +77,7 @@ def _parse_pair(text: str, what: str):
     parts = text.split(":")
     if len(parts) != 2:
         raise ValueError(f"{what} must be lo:hi, got {text!r}")
-    lo, hi = (float(Fraction(p)) for p in parts)
+    lo, hi = (float(_fraction(p)) for p in parts)
     if not 0 < lo < hi:
         raise ValueError(f"{what} must be positive and ascending, got {text!r}")
     return lo, hi
@@ -79,7 +87,7 @@ def _parse_grid(text: str, what: str):
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"{what} must be lo:hi:n, got {text!r}")
-    lo, hi = (float(Fraction(p)) for p in parts[:2])
+    lo, hi = (float(_fraction(p)) for p in parts[:2])
     try:
         n = int(parts[2])
     except ValueError:
@@ -243,11 +251,7 @@ def cmd_freq(args) -> int:
 def cmd_proportions(args) -> int:
     from . import analysis
 
-    try:
-        reports = analysis.symmetry_proportions(args.base, float(args.max_t))
-    except KeyError:
-        raise ValueError(f"unknown sector base {args.base!r}; bases: "
-                         + ", ".join(catalog.SECTOR_BASES)) from None
+    reports = analysis.symmetry_proportions(args.base, float(args.max_t))
     emit([{name: [getattr(r, name) for r in reports]
            for name in ("irrep", "measured", "predicted", "b_sign", "b_hat")}],
          args.format)
@@ -274,7 +278,6 @@ def cmd_heat(args) -> int:
     from . import asymptotics
 
     spec = parse_surface(args.spec)
-    tol = 1e-9
     ts = [float(t) for t in args.at]
     heats = []
     for tf in ts:
@@ -282,7 +285,7 @@ def cmd_heat(args) -> int:
         while True:
             _budget(spec, cutoff, "--at")
             try:
-                heats.append(asymptotics.heat_trace(spec, tf, cutoff, tol))
+                heats.append(asymptotics.heat_trace(spec, tf, cutoff))
                 break
             except ArithmeticError as err:
                 if "envelope" in str(err):
@@ -297,27 +300,14 @@ def cmd_heat(args) -> int:
 # --- the conjecture pipeline ---
 
 
-def _scaled_residual(spec, ts, spherical: bool):
-    import numpy as np
-
-    from . import average
-
-    avg = average.avg_error_grid(spec, ts)
-    if spherical:
-        avg -= average.leading_profile(spec, np.sqrt(ts + 0.25))
-    np.abs(avg, out=avg)
-    avg *= ts ** 0.25
-    return avg
-
-
-def _decade_sup(spec, t_lo: float, t_hi: float, spherical: bool) -> float:
+def _decade_sup(spec, t_lo: float, t_hi: float) -> float:
     import numpy as np
 
     from . import average
 
     vals, _ = spectrum.level_arrays(spec, t_hi)
     ts = average.window_samples(vals, t_lo, t_hi, np.geomspace(t_lo, t_hi, 1200))
-    return float(np.max(_scaled_residual(spec, ts, spherical)))
+    return float(np.max(average.residual(spec, ts) * ts ** 0.25))
 
 
 def cmd_conjecture(args) -> int:
@@ -332,6 +322,7 @@ def cmd_conjecture(args) -> int:
     spherical = catalog.is_spherical(spec)
     t_top = 1e6 if spherical else 1e7
     _budget(spec, t_top, "surface")
+    spectrum.count(spec, t_top)  # build the table once, at its largest cutoff
     out = [f"label: {label}"]
     ok_all = True
 
@@ -354,11 +345,9 @@ def cmd_conjecture(args) -> int:
         slope = average.remainder_exponent(spec, 1e3, 1e6)
         check(f"decay: exponent {slope:+.6g} in [-0.65,-0.35]",
               -0.65 <= slope <= -0.35)
-        sups = [_decade_sup(spec, 10.0 ** d, 10.0 ** (d + 1), True)
-                for d in (3, 4, 5)]
+        sups = [_decade_sup(spec, 10.0 ** d, 10.0 ** (d + 1)) for d in (3, 4, 5)]
     else:
-        sups = [_decade_sup(spec, 10.0 ** d, 10.0 ** (d + 1), False)
-                for d in (3, 4, 5, 6)]
+        sups = [_decade_sup(spec, 10.0 ** d, 10.0 ** (d + 1)) for d in (3, 4, 5, 6)]
         lo, hi = sorted((sups[0], sups[-1]))
         ratio = hi / lo if lo > 0 else math.inf
         check(f"decay: scaled sups per decade {' '.join('%.6g' % s for s in sups)}, "
@@ -368,7 +357,7 @@ def cmd_conjecture(args) -> int:
     rng = random.Random(args.seed)
     probes = np.array(sorted({1e3 * (t_top / 1e3) ** rng.random()
                               for _ in range(64)}))
-    worst = float(np.max(_scaled_residual(spec, probes, spherical)))
+    worst = float(np.max(average.residual(spec, probes) * probes ** 0.25))
     allowed = 1.5 * max(sups)
     check(f"probes (seed {args.seed}): worst scaled residual {worst:.6g} "
           f"within {allowed:.6g}", worst <= allowed)

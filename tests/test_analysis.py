@@ -16,8 +16,7 @@ def spec(label):
 
 def synthetic_profile(xs, values):
     xs = np.asarray(xs, dtype=np.float64)
-    return APProfile(xs=xs, gs=np.asarray(values, dtype=np.float64),
-                     window=(float(xs[0]), float(xs[-1])))
+    return APProfile(xs=xs, gs=np.asarray(values, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------

@@ -235,6 +235,25 @@ def test_conjecture_passes_for_asserted_families(capsys):
         "5897177204b641bdbd410e60f1811d973fc30ceb54532459a15744cd7ab725c6")
 
 
+def test_flat_conjecture_builds_its_table_once(capsys, monkeypatch):
+    from spectralab import lattice
+
+    builds = []
+    grow = lattice._LevelTable.grow
+
+    def counting_grow(self, qneed):
+        before = self.qcap
+        grow(self, qneed)
+        if self.qcap != before:
+            builds.append(self.qcap)
+
+    monkeypatch.setattr(lattice._LevelTable, "grow", counting_grow)
+    monkeypatch.setattr(spectrum, "_TABLES", {})
+    rc, _, _ = run_cli(capsys, "conjecture", "flat_torus_rect:a=1,b=1")
+    assert rc == 0
+    assert len(builds) == 1, builds
+
+
 def test_conjecture_report_only_for_others(capsys):
     rc, out, _ = run_cli(capsys, "conjecture", "hemisphere:bc=N")
     assert rc == 0
@@ -250,6 +269,12 @@ def test_unknown_family_is_usage_error(capsys):
     assert out == ""
     assert "unknown surface family" in err
     assert "usage:" in err
+    # a zero denominator in a surface parameter is malformed input too
+    rc, out, err = run_cli(capsys, "count", "rectangle:a=1/0,b=1,bc=N", "--at", "6")
+    assert rc == 2
+    assert out == ""
+    assert "must be rational" in err
+    assert "usage:" in err
 
 
 def test_bad_grid_is_usage_error(capsys):
@@ -259,6 +284,14 @@ def test_bad_grid_is_usage_error(capsys):
     rc, _, err = run_cli(capsys, "avg", "sphere", "--grid", "1:100")
     assert rc == 2
     assert "lo:hi:n" in err
+    # a zero denominator is a bad number, not a failed check
+    for argv in (["avg", "sphere", "--grid", "1/0:10:5"],
+                 ["freq", "sphere", "--window", "0/0:200", "--omega", "5:8:301"]):
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+        assert "expected a number" in err
+        assert "usage:" in err
 
 
 def test_level_budget_guard(capsys):

@@ -188,9 +188,6 @@ _NO_PACKAGE_CALLER = {
                                          "period, tested on its own",
     ("asymptotics", "polygon_corner_limit"): "the polygon corner-weight limit "
                                              "that acceptance test_11 checks",
-    ("average", "avg_error"): "the scalar averaged-error route, with its "
-                              "integral parts, that the tests compare the "
-                              "grid route against",
     ("average", "sphere_avg_closed_form"): "the sphere's closed form that "
                                            "acceptance test_04 checks",
     ("average", "sphere_avg_decomposed"): "the reference route the tests "
@@ -211,10 +208,13 @@ def _module_names(tree):
                         yield sub.id
 
 
-def test_every_module_name_has_a_caller():
-    # a module-level name counts as used when package code reads it: as a
-    # bare name in its own module or in one that imports it by name, or as
-    # an attribute anywhere; a mention in a docstring or comment does not
+def _names_without_caller():
+    """(module, name) of every module-level name that no package code reads.
+
+    A name counts as read when package code reads it as a bare name in its
+    own module or in one that imports it by name, or as an attribute
+    anywhere; a mention in a docstring or comment does not count.
+    """
     trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(Path(oracle.__file__).parent.glob("*.py"))}
     reads = {mod: set() for mod in trees}
@@ -230,15 +230,24 @@ def test_every_module_name_has_a_caller():
                 for alias in node.names:
                     imports.setdefault((node.module, alias.name), []).append(
                         (mod, alias.asname or alias.name))
-    unread = []
-    for mod, tree in trees.items():
-        for name in _module_names(tree):
-            used = (name in reads[mod] or name in attrs
+    return {(mod, name) for mod, tree in trees.items()
+            for name in _module_names(tree)
+            if not (name in reads[mod] or name in attrs
                     or any(local in reads[other]
-                           for other, local in imports.get((mod, name), ())))
-            if not used and (mod, name) not in _NO_PACKAGE_CALLER:
-                unread.append(f"{mod}.{name}")
+                           for other, local in imports.get((mod, name), ())))}
+
+
+def test_every_module_name_has_a_caller():
+    unread = sorted(f"{mod}.{name}" for mod, name in _names_without_caller()
+                    if (mod, name) not in _NO_PACKAGE_CALLER)
     assert not unread, unread
+
+
+def test_caller_allowlist_names_exist_without_callers():
+    # an entry goes when its name is deleted or gains a package caller
+    stale = sorted(f"{mod}.{name}" for mod, name in
+                   set(_NO_PACKAGE_CALLER) - _names_without_caller())
+    assert not stale, stale
 
 
 def test_every_module_import_is_read():
