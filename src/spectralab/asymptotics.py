@@ -2,11 +2,12 @@
 
 A is the area term, B the signed boundary-length term, and C collects three
 geometric pieces: corner and cone-point angles (C1), geodesic curvature of
-the boundary (C2), and total Gauss curvature (C3).  `refined_constants`
-derives the triple from a GeometryData alone; `surface_constants` looks the
-same surface up in an independently transcribed per-family table and raises
-if the two disagree, so a slip in either the geometry data or the table is
-a hard error instead of a silent drift.
+the boundary (C2, zero here: every cataloged boundary is geodesic), and
+total Gauss curvature (C3).  `refined_constants` derives the triple from a
+GeometryData alone; `surface_constants` looks the same surface up in an
+independently transcribed per-family table and raises if the two disagree,
+so a slip in either the geometry data or the table is a hard error instead
+of a silent drift.
 
 Positively curved families take the square root at t + 1/4 rather than t
 (the `sqrt_shift` flag); the two differ only at order t^{-1/2} but the
@@ -33,22 +34,16 @@ GAMMA_3_2 = math.sqrt(math.pi) / 2.0
 _HEAT_TOL = 1e-9  # largest tail bound heat_trace accepts
 
 
-def psi(theta):
-    """Corner weight (1/24)(pi/theta - theta/pi).
+def psi(theta: ExactConst) -> Fraction:
+    """Corner weight (1/24)(pi/theta - theta/pi), exactly.
 
-    Accepts an ExactConst angle (necessarily a rational multiple of pi, as
-    all catalog angles are) and returns an exact Fraction, or a plain number
-    of radians and returns a float.  Defined for 0 < theta < 2*pi.
+    theta is an ExactConst angle, a rational multiple of pi as every
+    catalog angle is, with 0 < theta < 2*pi.
     """
-    if isinstance(theta, ExactConst):
-        r = theta.as_pi_multiple()
-        if not 0 < r < 2:
-            raise ValueError(f"angle {theta} is outside (0, 2*pi)")
-        return Fraction(1, 24) * (Fraction(1) / r - r)
-    th = float(theta)
-    if not 0.0 < th < 2.0 * math.pi:
-        raise ValueError(f"angle {theta!r} is outside (0, 2*pi)")
-    return (math.pi / th - th / math.pi) / 24.0
+    r = theta.as_pi_multiple()
+    if not 0 < r < 2:
+        raise ValueError(f"angle {theta} is outside (0, 2*pi)")
+    return Fraction(1, 24) * (Fraction(1) / r - r)
 
 
 def polygon_corner_limit(n) -> Fraction:
@@ -95,14 +90,13 @@ def refined_constants(geom: GeometryData) -> RefinedAsymptotics:
     for cone in geom.cone_points:
         c1 += 2 * psi(cone.angle / 2)
     C1 = ExactConst.rational(c1)
-    C2 = geom.K1_boundary_integral * _INV_12PI
     C3 = geom.K2_total * _INV_12PI
     return RefinedAsymptotics(
         A=A,
         B=B,
-        C=C1 + C2 + C3,
+        C=C1 + C3,
         C1=C1,
-        C2=C2,
+        C2=_ZERO,  # every cataloged boundary is geodesic
         C3=C3,
         sqrt_shift=geom.K2_total.sign() > 0,
     )
@@ -125,15 +119,11 @@ def surface_constants(spec: SurfaceSpec) -> RefinedAsymptotics:
     if rc is not None:
         return rc
     if spec.family is Family.SYMMETRY_SECTOR and spec.irrep == "2":
-        whole = surface_constants(catalog.base_spec(spec.base))
-        A, B, C = whole.A, whole.B, whole.C
-        for irrep in catalog.sector_irreps(spec.base):
-            if irrep == "2":
-                continue
-            part = surface_constants(catalog.symmetry_sector(spec.base, irrep))
-            A, B, C = A - part.A, B - part.B, C - part.C
-        zero = ExactConst.rational(0)
-        rc = RefinedAsymptotics(A=A, B=B, C=C, C1=C, C2=zero, C3=zero,
+        parts = [(surface_constants(part), sign)
+                 for part, sign in catalog.sector_parts(spec.base)]
+        A, B, C = (sum(sign * getattr(consts, name) for consts, sign in parts)
+                   for name in "ABC")
+        rc = RefinedAsymptotics(A=A, B=B, C=C, C1=C, C2=_ZERO, C3=_ZERO,
                                 sqrt_shift=False)
     else:
         rc = refined_constants(catalog.geometry(spec))

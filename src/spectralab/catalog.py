@@ -4,9 +4,12 @@ SurfaceSpec names one of the model surfaces: flat tori, flat polygons,
 cylinders and bands, round-sphere quotients, lunes, polyhedral surfaces, and
 symmetry sectors of the square/hexagonal families.  geometry() returns the
 exact data behind the two-term counting asymptotics (area, boundary length
-split by condition, corners, cone points, curvature integrals), and
+split by condition, corners, cone points, total curvature), and
 geodesic_lengths() lists closed-orbit lengths used to label oscillation
-frequencies.
+frequencies.  Every cataloged boundary is a geodesic (a straight edge, an
+equator or a meridian), so no geodesic-curvature integral is recorded.  A
+one-dimensional symmetry sector owns no geometry of its own: its data and
+lengths are its domain triangle's, scaled (`sector_domain`).
 
 All geometric quantities are ExactConst values (rational combinations of
 sqrt(s) and powers of pi), never floats.
@@ -14,6 +17,7 @@ sqrt(s) and powers of pi), never floats.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 from dataclasses import dataclass
@@ -63,24 +67,26 @@ class ConePoint:
     angle: ExactConst
 
 
+_ZERO = ExactConst()
+
+
 @dataclass(frozen=True)
 class GeometryData:
     """Exact geometric inputs to the refined counting constants.
 
     len_N / len_D are the total boundary lengths carrying Neumann resp.
     Dirichlet conditions.  K2_total is the integral of the Gauss curvature
-    over the surface; K1_boundary_integral the integral of the geodesic
-    curvature along the boundary (zero for every cataloged surface, since
-    all boundaries here are geodesic).
+    over the surface.  A field left out is zero.  There is no field for the
+    geodesic curvature of the boundary: every cataloged boundary is
+    geodesic, so its integral would be zero on every surface.
     """
 
     area: ExactConst
-    len_N: ExactConst
-    len_D: ExactConst
-    corners: tuple[CornerSpec, ...]
-    cone_points: tuple[ConePoint, ...]
-    K2_total: ExactConst
-    K1_boundary_integral: ExactConst
+    len_N: ExactConst = _ZERO
+    len_D: ExactConst = _ZERO
+    corners: tuple[CornerSpec, ...] = ()
+    cone_points: tuple[ConePoint, ...] = ()
+    K2_total: ExactConst = _ZERO
 
 
 @dataclass(frozen=True)
@@ -171,11 +177,13 @@ SECTOR_BASES = (
     "equilateral_d",
 )
 
+_SQUARE_BASES = ("square_torus", "square_n", "square_d")
+
 # Boundary-condition pattern of the fundamental-domain triangle for each
 # one-dimensional symmetry sector.  Square bases live on the right isosceles
 # triangle with legs 1/2 (one leg on the symmetry bisector, the hypotenuse on
 # the diagonal); hex/equilateral bases live on a third of their surface.
-SECTOR_DOMAIN_BC: dict[str, dict[str, str]] = {
+_SECTOR_DOMAIN_BC: dict[str, dict[str, str]] = {
     "square_torus": {"++": "N", "+-": "DN", "-+": "ND", "--": "D"},
     "square_n": {"++": "N", "+-": "MN", "-+": "ND", "--": "MD"},
     "square_d": {"++": "MN", "+-": "DN", "-+": "MD", "--": "D"},
@@ -186,7 +194,7 @@ SECTOR_DOMAIN_BC: dict[str, dict[str, str]] = {
 
 
 def sector_irreps(base: str) -> tuple[str, ...]:
-    if base in ("square_torus", "square_n", "square_d"):
+    if base in _SQUARE_BASES:
         return ("++", "+-", "-+", "--", "2")
     if base in SECTOR_BASES:
         return ("+", "-", "2")
@@ -213,6 +221,33 @@ def base_spec(base: str) -> SurfaceSpec:
     if base == "equilateral_d":
         return equilateral_triangle("D")
     raise ValueError(f"unknown sector base {base!r}")
+
+
+def sector_domain(spec: SurfaceSpec) -> tuple[SurfaceSpec, int]:
+    """(triangle, s) for a one-dimensional symmetry sector: the sector's
+    eigenvalues are s times the triangle's and its lengths the triangle's
+    divided by sqrt(s).  Square and hex bases use the triangle at its own
+    size (s = 1); the equilateral bases a 30-60-90 triangle with hypotenuse
+    1/sqrt3, which is triangle_306090 shrunk by sqrt3 (s = 3)."""
+    if spec.irrep == "2":
+        raise ValueError(
+            "the 2-dimensional sector has no single fundamental domain; "
+            "derive its asymptotics from the partition of the base surface"
+        )
+    bc = _SECTOR_DOMAIN_BC[spec.base][spec.irrep]
+    if spec.base in _SQUARE_BASES:
+        return right_iso_triangle(Fraction(1, 2), bc), 1
+    if spec.base == "hex_torus":
+        return equilateral_triangle(bc), 1
+    return triangle_306090(bc), 3
+
+
+def sector_parts(base: str) -> list[tuple[SurfaceSpec, int]]:
+    """The base surface with sign +1 and its one-dimensional sectors with
+    sign -1: the signed sum of their levels is the 2-dimensional sector's."""
+    return [(base_spec(base), 1)] + [
+        (symmetry_sector(base, ir), -1) for ir in sector_irreps(base) if ir != "2"
+    ]
 
 
 def _frac(v, name: str) -> Fraction:
@@ -468,9 +503,6 @@ def _root(q, s: int) -> ExactConst:
     return ExactConst.term(Fraction(q), root=s)
 
 
-_ZERO = ExactConst()
-
-
 def _polygon(
     area: ExactConst,
     edges: list[tuple[ExactConst, str]],
@@ -489,27 +521,12 @@ def _polygon(
     for q, i, j in corners:
         kind = CornerKind.LIKE if edges[i][1] == edges[j][1] else CornerKind.MIXED
         cs.append(CornerSpec(_pi_times(q), kind))
-    return GeometryData(
-        area=area,
-        len_N=len_n,
-        len_D=len_d,
-        corners=tuple(cs),
-        cone_points=(),
-        K2_total=_ZERO,
-        K1_boundary_integral=_ZERO,
-    )
+    return GeometryData(area=area, len_N=len_n, len_D=len_d, corners=tuple(cs))
 
 
 def _closed_flat(area: ExactConst, cone_angles: list[Fraction]) -> GeometryData:
-    return GeometryData(
-        area=area,
-        len_N=_ZERO,
-        len_D=_ZERO,
-        corners=(),
-        cone_points=tuple(ConePoint(_pi_times(q)) for q in cone_angles),
-        K2_total=_ZERO,
-        K1_boundary_integral=_ZERO,
-    )
+    cones = tuple(ConePoint(_pi_times(q)) for q in cone_angles)
+    return GeometryData(area=area, cone_points=cones)
 
 
 _RECT_EDGE_BC = {
@@ -567,46 +584,21 @@ def _geom_equilateral(bc: str) -> GeometryData:
     return _polygon(_root(Fraction(1, 4), 3), edges, corners)
 
 
-def _geom_306090(bc: str, shrink: bool = False) -> GeometryData:
-    """30-60-90 triangle; shrink scales all lengths by 1/sqrt3 (the copy that
-    tiles the equilateral triangle as a sixth)."""
+def _geom_306090(bc: str) -> GeometryData:
     e = _306090_EDGE_BC[bc]
-    if shrink:
-        hyp = _root(Fraction(1, 3), 3)  # sqrt3/3
-        long_side = _rat(Fraction(1, 2))
-        short = _root(Fraction(1, 6), 3)  # sqrt3/6
-        area = _root(Fraction(1, 24), 3)
-    else:
-        hyp = _rat(1)
-        long_side = _root(Fraction(1, 2), 3)  # sqrt3/2
-        short = _rat(Fraction(1, 2))
-        area = _root(Fraction(1, 8), 3)
+    hyp, long_side, short = _rat(1), _root(Fraction(1, 2), 3), _rat(Fraction(1, 2))
     edges = [(hyp, e[0]), (long_side, e[1]), (short, e[2])]
     corners = [
         (Fraction(1, 2), 1, 2),
         (Fraction(1, 3), 0, 2),
         (Fraction(1, 6), 0, 1),
     ]
-    return _polygon(area, edges, corners)
+    return _polygon(_root(Fraction(1, 8), 3), edges, corners)
 
 
 def _geom_cylinder(a: Fraction, b: Fraction, bc: str) -> GeometryData:
-    circle = _rat(a)
-    if bc == "N":
-        len_n, len_d = circle + circle, _ZERO
-    elif bc == "D":
-        len_n, len_d = _ZERO, circle + circle
-    else:
-        len_n, len_d = circle, circle
-    return GeometryData(
-        area=_rat(a * b),
-        len_N=len_n,
-        len_D=len_d,
-        corners=(),
-        cone_points=(),
-        K2_total=_ZERO,
-        K1_boundary_integral=_ZERO,
-    )
+    n = {"N": 2, "D": 0, "M": 1}[bc]  # Neumann circles of length a
+    return GeometryData(area=_rat(a * b), len_N=_rat(n * a), len_D=_rat((2 - n) * a))
 
 
 def _geom_mobius(a: Fraction, b: Fraction, bc: str) -> GeometryData:
@@ -615,14 +607,11 @@ def _geom_mobius(a: Fraction, b: Fraction, bc: str) -> GeometryData:
         area=_rat(a * b),
         len_N=circle if bc == "N" else _ZERO,
         len_D=circle if bc == "D" else _ZERO,
-        corners=(),
-        cone_points=(),
-        K2_total=_ZERO,
-        K1_boundary_integral=_ZERO,
     )
 
 
-def _geom_round(area_pi: Fraction, boundary_pi_n: Fraction, boundary_pi_d: Fraction,
+def _geom_round(area_pi: Fraction, boundary_pi_n: Fraction = Fraction(0),
+                boundary_pi_d: Fraction = Fraction(0),
                 corners: tuple[CornerSpec, ...] = (), cones: tuple[ConePoint, ...] = ()) -> GeometryData:
     """Unit-curvature surface; area and boundary lengths as multiples of pi."""
     area = _pi_times(area_pi)
@@ -633,7 +622,6 @@ def _geom_round(area_pi: Fraction, boundary_pi_n: Fraction, boundary_pi_d: Fract
         corners=corners,
         cone_points=cones,
         K2_total=area,
-        K1_boundary_integral=_ZERO,
     )
 
 
@@ -661,18 +649,13 @@ def _geom_half_lune(m: int, bc_side: str, bc_equator: str) -> GeometryData:
     )
 
 
-def _geom_sector(base: str, irrep: str) -> GeometryData:
-    if irrep == "2":
-        raise ValueError(
-            "the 2-dimensional sector has no single fundamental domain; "
-            "derive its asymptotics from the partition of the base surface"
-        )
-    bc = SECTOR_DOMAIN_BC[base][irrep]
-    if base in ("square_torus", "square_n", "square_d"):
-        return _geom_right_iso(Fraction(1, 2), bc)
-    if base == "hex_torus":
-        return _geom_equilateral(bc)
-    return _geom_306090(bc, shrink=True)
+def _geom_sector(spec: SurfaceSpec) -> GeometryData:
+    """The domain triangle's data with area over s and lengths over sqrt(s)."""
+    domain, s = sector_domain(spec)
+    g = geometry(domain)
+    shrink = _root(Fraction(1, s), s)
+    return dataclasses.replace(g, area=g.area / s, len_N=g.len_N * shrink,
+                               len_D=g.len_D * shrink)
 
 
 def geometry(spec: SurfaceSpec) -> GeometryData:
@@ -696,7 +679,7 @@ def geometry(spec: SurfaceSpec) -> GeometryData:
     if f == Family.MOBIUS_BAND:
         return _geom_mobius(spec.a, spec.b, spec.bc)
     if f == Family.SPHERE:
-        return _geom_round(Fraction(4), Fraction(0), Fraction(0))
+        return _geom_round(Fraction(4))
     if f == Family.HEMISPHERE:
         return _geom_round(
             Fraction(2),
@@ -704,15 +687,14 @@ def geometry(spec: SurfaceSpec) -> GeometryData:
             Fraction(2) if spec.bc == "D" else Fraction(0),
         )
     if f == Family.PROJECTIVE_SPHERE:
-        return _geom_round(Fraction(2), Fraction(0), Fraction(0))
+        return _geom_round(Fraction(2))
     if f == Family.LUNE:
         return _geom_lune(spec.m, spec.bc)
     if f == Family.HALF_LUNE:
         return _geom_half_lune(spec.m, spec.bc_side, spec.bc_equator)
     if f == Family.GLUED_LUNE:
         cone = ConePoint(_pi_times(Fraction(2, spec.m)))
-        return _geom_round(Fraction(4, spec.m), Fraction(0), Fraction(0),
-                           cones=(cone, cone))
+        return _geom_round(Fraction(4, spec.m), cones=(cone, cone))
     if f == Family.FLAT_PROJECTIVE_PLANE:
         return _closed_flat(_rat(1), [Fraction(1), Fraction(1)])
     if f == Family.TETRAHEDRON_SURFACE:
@@ -726,11 +708,9 @@ def geometry(spec: SurfaceSpec) -> GeometryData:
             len_D=boundary if spec.bc == "D" else _ZERO,
             corners=(corner, corner),
             cone_points=(ConePoint(_pi_times(Fraction(1))),),
-            K2_total=_ZERO,
-            K1_boundary_integral=_ZERO,
         )
     if f == Family.SYMMETRY_SECTOR:
-        return _geom_sector(spec.base, spec.irrep)
+        return _geom_sector(spec)
     raise ValueError(f"no geometry for {spec}")
 
 
@@ -785,72 +765,67 @@ def _pi_multiples(step: Fraction, L_max: float) -> list[float]:
         j += 1
 
 
+def _flat_lengths_sq(spec: SurfaceSpec, cap: Fraction) -> set[Fraction]:
+    """Squared closed-orbit lengths <= cap of a flat surface: the translation
+    lattice of its reflection/deck cover plus the bounce-orbit families
+    forced by the identifications."""
+    f = spec.family
+    if f in (Family.FLAT_TORUS_RECT, Family.RECTANGLE):
+        return _rect_lattice_sq(2 * spec.a, 2 * spec.b, cap)
+    if f == Family.CYLINDER:
+        return _rect_lattice_sq(spec.a, 2 * spec.b, cap)
+    if f == Family.MOBIUS_BAND:
+        # the core circle closes after odd multiples of a
+        a2 = spec.a * spec.a
+        return (_rect_lattice_sq(2 * spec.a, 2 * spec.b, cap)
+                | (_multiples_sq(a2, cap) - _multiples_sq(4 * a2, cap)))
+    if f == Family.FLAT_PROJECTIVE_PLANE:
+        return (_rect_lattice_sq(Fraction(2), Fraction(2), cap)
+                | (_multiples_sq(Fraction(1), cap) - _multiples_sq(Fraction(4), cap)))
+    if f == Family.RIGHT_ISO_TRIANGLE:
+        # even sublattice of a Z^2: generated by a(1,1) and a(1,-1)
+        a2 = 2 * spec.a * spec.a
+        return {a2 * q for q in _rect_lattice_sq(1, 1, cap / a2)}
+    if f in (Family.FLAT_TORUS_HEX, Family.EQUILATERAL_TRIANGLE, Family.TRIANGLE_306090):
+        sqs = {Fraction(3 * q) for q in _hex_qs(int(cap / 3))}
+        if f != Family.FLAT_TORUS_HEX:
+            sqs |= _multiples_sq(Fraction(9, 4), cap)
+        if f == Family.TRIANGLE_306090:
+            sqs |= _multiples_sq(Fraction(3, 4), cap)
+        return sqs
+    if f in (Family.TETRAHEDRON_SURFACE, Family.HALF_TETRAHEDRON):
+        sqs = {Fraction(4 * q) for q in _hex_qs(int(cap / 4))}
+        if f == Family.HALF_TETRAHEDRON:
+            sqs |= _multiples_sq(Fraction(1), cap)
+            sqs |= _multiples_sq(Fraction(3), cap)
+        return sqs
+    if f == Family.SYMMETRY_SECTOR:
+        # every sector of a base unfolds on the same lattice, so the
+        # 2-dimensional one takes the lengths of its siblings' domain
+        irrep = spec.irrep if spec.irrep != "2" else sector_irreps(spec.base)[0]
+        domain, s = sector_domain(symmetry_sector(spec.base, irrep))
+        return {q / s for q in _flat_lengths_sq(domain, cap * s)}
+    raise ValueError(f"no geodesic table for {spec}")
+
+
 def geodesic_lengths(spec: SurfaceSpec, L_max: float) -> list[float]:
     """Sorted lengths of closed geodesic/billiard orbit families up to L_max.
 
-    Flat families use the translation lattice of the reflection/deck cover
-    plus the bounce-orbit families forced by the identifications; these are
-    the lengths at which the counting remainder oscillates.  Spherical
+    These are the lengths at which the counting remainder oscillates.  Flat
+    families take them from `_flat_lengths_sq`, on exact squares; spherical
     families use great-circle orbit lengths.
     """
     validate(spec)
     if L_max <= 0:
         return []
-    cap = Fraction(L_max) ** 2
     f = spec.family
-    sqs: set[Fraction] = set()
-    if f in (Family.FLAT_TORUS_RECT, Family.RECTANGLE):
-        sqs = _rect_lattice_sq(2 * spec.a, 2 * spec.b, cap)
-    elif f == Family.CYLINDER:
-        sqs = _rect_lattice_sq(spec.a, 2 * spec.b, cap)
-    elif f == Family.MOBIUS_BAND:
-        sqs = _rect_lattice_sq(2 * spec.a, 2 * spec.b, cap)
-        step = spec.a * spec.a
-        j = 1
-        while step * j * j <= cap:
-            if j % 2 == 1:
-                sqs.add(step * j * j)
-            j += 1
-    elif f == Family.FLAT_PROJECTIVE_PLANE:
-        sqs = _rect_lattice_sq(Fraction(2), Fraction(2), cap)
-        sqs |= _multiples_sq(Fraction(1), cap) - _multiples_sq(Fraction(4), cap)
-        sqs = {s for s in sqs if s <= cap}
-    elif f == Family.RIGHT_ISO_TRIANGLE:
-        # even sublattice of a Z^2: generated by a(1,1) and a(1,-1)
-        sqs = {2 * spec.a * spec.a * q for q in _rect_lattice_sq(1, 1, cap / (2 * spec.a * spec.a))}
-    elif f in (Family.FLAT_TORUS_HEX, Family.EQUILATERAL_TRIANGLE, Family.TRIANGLE_306090):
-        sqs = {Fraction(3 * q) for q in _hex_qs(int(cap / 3))}
-        if f == Family.EQUILATERAL_TRIANGLE:
-            sqs |= _multiples_sq(Fraction(9, 4), cap)
-        if f == Family.TRIANGLE_306090:
-            sqs |= _multiples_sq(Fraction(9, 4), cap)
-            sqs |= _multiples_sq(Fraction(3, 4), cap)
-    elif f in (Family.TETRAHEDRON_SURFACE, Family.HALF_TETRAHEDRON):
-        sqs = {Fraction(4 * q) for q in _hex_qs(int(cap / 4))}
-        if f == Family.HALF_TETRAHEDRON:
-            sqs |= _multiples_sq(Fraction(1), cap)
-            sqs |= _multiples_sq(Fraction(3), cap)
-    elif f == Family.SYMMETRY_SECTOR:
-        if spec.base in ("square_torus", "square_n", "square_d"):
-            half = Fraction(1, 2)
-            sqs = {2 * half * half * q for q in _rect_lattice_sq(1, 1, cap * 2)}
-            sqs = {s for s in sqs if s <= cap}
-        elif spec.base == "hex_torus":
-            sqs = {Fraction(3 * q) for q in _hex_qs(int(cap / 3))}
-            sqs |= _multiples_sq(Fraction(9, 4), cap)
-        else:
-            sqs = {Fraction(q) for q in _hex_qs(int(cap))}
-            sqs |= _multiples_sq(Fraction(3, 4), cap)
-            sqs |= _multiples_sq(Fraction(1, 4), cap)
-    elif f in (Family.SPHERE, Family.HEMISPHERE):
+    if f in (Family.SPHERE, Family.HEMISPHERE):
         return _pi_multiples(Fraction(2), L_max)
-    elif f == Family.PROJECTIVE_SPHERE:
+    if f == Family.PROJECTIVE_SPHERE:
         return _pi_multiples(Fraction(1), L_max)
-    elif f in (Family.LUNE, Family.HALF_LUNE, Family.GLUED_LUNE):
+    if f in (Family.LUNE, Family.HALF_LUNE, Family.GLUED_LUNE):
         return _pi_multiples(Fraction(2, spec.m), L_max)
-    else:
-        raise ValueError(f"no geodesic table for {spec}")
-    return sorted(math.sqrt(float(s)) for s in sqs)
+    return sorted(math.sqrt(float(s)) for s in _flat_lengths_sq(spec, Fraction(L_max) ** 2))
 
 
 # --- roster ---

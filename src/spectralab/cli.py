@@ -33,6 +33,9 @@ _FAMILY_ALIASES = {
 # refuse grids that would enumerate absurd level tables; the estimate is
 # the leading coefficient times the cutoff
 _LEVEL_BUDGET = 2e7
+# most points a --grid or --omega may ask for; at this size the largest
+# command, `freq sphere --window 100:200`, peaks at about 520 MB
+_GRID_MAX = 10**6
 
 _FREQ_TOL = 0.05
 # peak sets asserted by the conjecture command; every other surface gets
@@ -92,8 +95,8 @@ def _parse_grid(text: str, what: str):
         n = int(parts[2])
     except ValueError:
         raise ValueError(f"{what}: n must be an integer, got {parts[2]!r}") from None
-    if n < 1:
-        raise ValueError(f"{what}: need n >= 1")
+    if not 1 <= n <= _GRID_MAX:
+        raise ValueError(f"{what}: need 1 <= n <= {_GRID_MAX}, got {n}")
     if not 0 < lo < hi:
         raise ValueError(f"{what} must be positive and ascending, got {text!r}")
     return lo, hi, n
@@ -251,6 +254,8 @@ def cmd_freq(args) -> int:
 def cmd_proportions(args) -> int:
     from . import analysis
 
+    # the base surface holds the levels of every sector
+    _budget(catalog.base_spec(args.base), args.max_t, "--max-t")
     reports = analysis.symmetry_proportions(args.base, float(args.max_t))
     emit([{name: [getattr(r, name) for r in reports]
            for name in ("irrep", "measured", "predicted", "b_sign", "b_hat")}],

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import catalog
 from .catalog import Family, SurfaceSpec
-from .spectrum import _decided, _pq, _rho_ends, _sector_source, _table
+from .spectrum import _decided, _pq, _rho_ends, _table
 
 _CHUNK = 65536  # levels per chunk of _LevelTable.columns
 
@@ -340,11 +340,7 @@ def _frac_gcd(x: Fraction, y: Fraction) -> Fraction:
 
 def _plan_sector2(spec: SurfaceSpec):
     """The 2-dim isotypic table: base minus all 1-dim sector tables."""
-    parts = [(catalog.base_spec(spec.base), 1)] + [
-        (catalog.symmetry_sector(spec.base, ir), -1)
-        for ir in catalog.sector_irreps(spec.base)
-        if ir != "2"
-    ]
+    parts = catalog.sector_parts(spec.base)
     units = [_table(s).unit for s, _ in parts]
     common = units[0]
     for u in units[1:]:
@@ -409,6 +405,6 @@ def _plan_flat(spec):
     if f == Family.SYMMETRY_SECTOR:
         if spec.irrep == "2":
             return _plan_sector2(spec)
-        src, scale = _sector_source(spec)
-        return _table(src).unit * scale, lambda qcap: _table(src, qcap).upto(qcap)
+        domain, s = catalog.sector_domain(spec)
+        return _table(domain).unit * s, lambda qcap: _table(domain, qcap).upto(qcap)
     raise ValueError("no flat table plan for %s" % (spec,))

@@ -12,8 +12,8 @@ the grid up to the cutoff.  The closed-form route evaluates the
 floor-bracket identities for N(t), jump discontinuities included.  Each
 flat surface's identity is compiled once, on first use, into an integer
 linear form cached on its table: a common denominator, a constant, counts
-of tables (tori, the hexagonal lattice, sector sources) at fixed rational
-rescalings of the cutoff, and brackets floor(sqrt(c2 rho) + shift),
+of tables (tori, the hexagonal lattice) at fixed rational rescalings of
+the cutoff, and brackets floor(sqrt(c2 rho) + shift),
 rho = t / pi^2, with c2 and shift held as integer pairs.  A query is then
 integer isqrt and floor division only.  A round closed form is the
 window count itself.
@@ -211,16 +211,6 @@ def _new_table(spec):
     return lattice._LevelTable(*lattice._plan_flat(spec))
 
 
-def _sector_source(spec: SurfaceSpec):
-    """Fundamental-domain surface and eigenvalue scale for a 1-dim sector."""
-    bc = catalog.SECTOR_DOMAIN_BC[spec.base][spec.irrep]
-    if spec.base in ("square_torus", "square_n", "square_d"):
-        return catalog.right_iso_triangle(Fraction(1, 2), bc), Fraction(1)
-    if spec.base == "hex_torus":
-        return catalog.equilateral_triangle(bc), Fraction(1)
-    return catalog.triangle_306090(bc), Fraction(3)
-
-
 # ---------------------------------------------------------------------------
 # spherical window counts
 
@@ -393,19 +383,13 @@ def _closed_terms(spec: SurfaceSpec, r: Fraction = Fraction(1)) -> list:
                 (Fraction(3, 4) if bc == "N" else -QUARTER, _ONE)]
 
     if f == Family.SYMMETRY_SECTOR:
-        base = spec.base
         if spec.irrep != "2":
-            src, scale = _sector_source(spec)
-            return _closed_terms(src, r / scale)
-        if base == "square_torus":
-            return [(HALF, C(catalog.base_spec(base))), (-HALF, _ONE)]
-        # the base surface minus its 1-dim sectors
-        terms = _closed_terms(catalog.base_spec(base), r)
-        for j in catalog.sector_irreps(base):
-            if j != "2":
-                sector = _closed_terms(catalog.symmetry_sector(base, j), r)
-                terms += [(-c, term) for c, term in sector]
-        return terms
+            domain, s = catalog.sector_domain(spec)
+            return _closed_terms(domain, r / s)
+        if spec.base == "square_torus":
+            return [(HALF, C(catalog.base_spec(spec.base))), (-HALF, _ONE)]
+        return [(sign * c, term) for part, sign in catalog.sector_parts(spec.base)
+                for c, term in _closed_terms(part, r)]
 
     raise ValueError("no closed form for %s" % (spec,))
 

@@ -156,7 +156,7 @@ def test_geometry_round_families():
     assert g.area == pi_times(4) and g.K2_total == pi_times(4)
     g = geometry(catalog.hemisphere("D"))
     assert g.area == pi_times(2) and g.len_D == pi_times(2)
-    assert g.K1_boundary_integral.is_zero()
+    assert g.len_N.is_zero() and g.cone_points == ()
     g = geometry(catalog.projective_sphere())
     assert g.area == pi_times(2)
 
@@ -223,6 +223,21 @@ def test_geodesic_lengths_fixtures():
 
     got = geodesic_lengths(catalog.lune(2, "N"), 13.0)
     assert [round(x / math.pi) for x in got] == [1, 2, 3, 4]
+
+    # symmetry sectors, as squared lengths: the domain triangle's lengths
+    # over sqrt(s), with s = 3 for the equilateral bases
+    F = Fraction
+    square = [F(1, 2), F(1), F(2), F(5, 2), F(4)]
+    equilateral = [F(1, 4), F(3, 4), F(1), F(9, 4), F(3), F(4)]
+    for (base, irrep), L, want in [
+        (("square_n", "++"), 2.0, square),
+        (("square_torus", "2"), 2.0, square),
+        (("equilateral_n", "+"), 2.0, equilateral),
+        (("equilateral_d", "2"), 2.0, equilateral),
+        (("hex_torus", "-"), 3.5, [F(9, 4), F(3), F(9), F(12)]),
+    ]:
+        got = geodesic_lengths(catalog.symmetry_sector(base, irrep), L)
+        assert got == [math.sqrt(float(q)) for q in want], (base, irrep)
 
 
 def test_geodesic_lengths_flat_unfoldings():

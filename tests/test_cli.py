@@ -292,6 +292,15 @@ def test_bad_grid_is_usage_error(capsys):
         assert out == ""
         assert "expected a number" in err
         assert "usage:" in err
+    # grids past 1e6 points are refused before any array is made
+    for argv in (["avg", "sphere", "--grid", "1:10:200000000"],
+                 ["gprofile", "sphere", "--grid", "1:1000:200000000"],
+                 ["freq", "sphere", "--window", "100:200", "--omega", "1:2:200000000"]):
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+        assert "1000000" in err
+        assert "usage:" in err
 
 
 def test_level_budget_guard(capsys):
@@ -304,6 +313,12 @@ def test_level_budget_guard(capsys):
     assert rc == 2
     assert out == ""
     assert "--at" in err and "cap" in err
+    # proportions holds the base surface, which has every sector's levels,
+    # to the cap
+    rc, out, err = run_cli(capsys, "proportions", "square_n", "--max-t", "1e10")
+    assert rc == 2
+    assert out == ""
+    assert "--max-t" in err and "cap" in err and "usage:" in err
 
 
 def test_unknown_base_usage_error(capsys):
