@@ -34,6 +34,10 @@ GAMMA_3_2 = math.sqrt(math.pi) / 2.0
 _HEAT_TOL = 1e-9  # largest tail bound heat_trace accepts
 
 
+class TailBoundError(ArithmeticError):
+    """heat_trace's cutoff leaves too large a tail: a larger one may not."""
+
+
 def psi(theta: ExactConst) -> Fraction:
     """Corner weight (1/24)(pi/theta - theta/pi), exactly.
 
@@ -284,7 +288,8 @@ def heat_trace(spec: SurfaceSpec, t: float, cutoff: float) -> float:
     increments beyond the cutoff are enclosed by an envelope
     A*mu + bhat*sqrt(mu) + chat whose square-root coefficient doubles the
     surface's own, verified against every enumerated level below the
-    cutoff.  A cutoff whose tail bound exceeds _HEAT_TOL is refused.
+    cutoff.  A cutoff whose tail bound exceeds _HEAT_TOL is refused with
+    TailBoundError.
     """
     import numpy as np
 
@@ -312,7 +317,7 @@ def heat_trace(spec: SurfaceSpec, t: float, cutoff: float) -> float:
         a / t + max(0.0, a * cut - n_cut)
         + bhat * (math.sqrt(cut) + 0.5 / (math.sqrt(cut) * t)) + chat)
     if tail > _HEAT_TOL:
-        raise ArithmeticError(
+        raise TailBoundError(
             f"cutoff {cut:g} leaves a tail bound of {tail:.3g} at t={t:g}; "
             f"need below {_HEAT_TOL:g}")
     if not vals.size:

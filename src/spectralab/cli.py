@@ -292,9 +292,7 @@ def cmd_heat(args) -> int:
             try:
                 heats.append(asymptotics.heat_trace(spec, tf, cutoff))
                 break
-            except ArithmeticError as err:
-                if "envelope" in str(err):
-                    raise
+            except asymptotics.TailBoundError:
                 cutoff *= 2.0
     smooth = [asymptotics.smooth_heat_trace(spec, tf) for tf in ts]
     emit([{"t": ts, "heat": heats, "smooth": smooth,

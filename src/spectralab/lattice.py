@@ -1,20 +1,35 @@
-"""Flat level tables: keys q of eigenvalues unit * q * pi^2 in int64 arrays.
-`spectrum` imports this module, and with it numpy, for the first flat table.
+"""Flat level tables: keys q of eigenvalues unit * q * pi^2 and their
+multiplicities, sorted, with prefix sums.
+
+`spectrum` imports this module for the first flat table.  `_reduce` makes
+every table on one of two engines, picked by the number of entries it
+must expand: a small table is summed in a dict and held in stdlib
+`array('q')`, a large one in int64 numpy arrays.  The table answers
+through what both types share (bisect, indexing, slicing, `tolist`), so
+numpy is imported only by the numpy engine and by `arrays`.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, isqrt
-
-import numpy as np
 
 from . import catalog
 from .catalog import Family, SurfaceSpec
 from .spectrum import _decided, _pq, _rho_ends, _table
 
 _CHUNK = 65536  # levels per chunk of _LevelTable.columns
+# Entries up to which _reduce sums in a dict, where importing numpy would
+# cost more than the table: every table of `verify` at t = 1e4 (at most
+# 4619 entries) and of `count` and `spectrum` in the shapes benchmark (5618
+# over seeds 1-20).  A dict sums 31608 entries in 12 ms, the numpy engine
+# in 31 ms after a 150 ms import; on the 796782 entries of
+# rectangle:a=1,b=1,bc=N at t = 1e7 numpy takes 0.04 s, a dict 0.55 s.
+_PY_ENTRIES = 1 << 15
 
 
 class _LevelTable:
@@ -22,9 +37,11 @@ class _LevelTable:
 
     keys are the sorted integer level keys of nonzero multiplicity: key q
     is the eigenvalue unit * q * pi^2.  mults are the multiplicities and
-    prefix[i] is the sum of the first i of them.  Every level with key <=
-    qcap is present; build(qcap) makes (keys, mults) for a larger qcap.
-    form is the surface's compiled closed form, made on first use.
+    prefix[i] is the sum of the first i of them, all three `array('q')` or
+    all three int64 numpy arrays, as `_reduce` made them.  Every level
+    with key <= qcap is present; build(qcap) makes (keys, mults, prefix)
+    for a larger qcap.  form is the surface's compiled closed form, made
+    on first use.
     """
 
     __slots__ = ("unit", "build", "keys", "mults", "prefix", "qcap", "form")
@@ -32,8 +49,8 @@ class _LevelTable:
     def __init__(self, unit, build):
         self.unit = unit
         self.build = build
-        self.keys = self.mults = np.empty(0, dtype=np.int64)
-        self.prefix = np.zeros(1, dtype=np.int64)
+        self.keys = self.mults = array("q")
+        self.prefix = array("q", [0])
         self.qcap = -1
         self.form = None
 
@@ -42,12 +59,8 @@ class _LevelTable:
         rebuilt at twice its size or qneed, whichever is larger."""
         if self.qcap < qneed:
             qcap = max(qneed, 256, 2 * self.qcap)
-            keys, mults = self.build(qcap)
-            if mults.min(initial=0) < 0:
-                raise ArithmeticError("negative multiplicity in level table")
-            prefix = np.zeros(len(mults) + 1, dtype=np.int64)
-            np.cumsum(mults, out=prefix[1:])
-            self.keys, self.mults, self.prefix, self.qcap = keys, mults, prefix, qcap
+            self.keys, self.mults, self.prefix = self.build(qcap)
+            self.qcap = qcap
 
     def qmax(self, t, ends=None) -> int:
         """Largest key whose eigenvalue is <= t, decided on t's `_rho_ends`."""
@@ -57,7 +70,7 @@ class _LevelTable:
     def index(self, q: int) -> int:
         """The number of levels with key <= q, growing the table to q."""
         self.grow(q)
-        return int(self.keys.searchsorted(q, side="right"))
+        return bisect_right(self.keys, q)
 
     def count_upto(self, q: int) -> int:
         """The number of eigenvalues with key <= q."""
@@ -65,9 +78,10 @@ class _LevelTable:
         return int(self.prefix[i])
 
     def upto(self, q: int):
-        """(keys, mults) views of the levels with key <= q."""
-        i = self.keys.searchsorted(q, side="right")
-        return self.keys[:i], self.mults[:i]
+        """(keys, mults, prefix) of the levels with key <= q, growing the
+        table to q: views of a numpy table, copies of a small one."""
+        i = self.index(q)
+        return self.keys[:i], self.mults[:i], self.prefix[:i + 1]
 
     def levels(self, q: int) -> list:
         """The levels with key <= q as (rho, multiplicity) pairs."""
@@ -90,18 +104,80 @@ class _LevelTable:
 
     def arrays(self, q: int):
         """(values, multiplicities) arrays of the levels with key <= q."""
+        import numpy as np
+
         i = self.index(q)
-        vals = (self.keys[:i].astype(np.float64) * self.unit.numerator
+        vals = (np.asarray(self.keys[:i]).astype(np.float64) * self.unit.numerator
                 / self.unit.denominator * (math.pi * math.pi))
-        return vals, self.mults[:i].copy()
+        return vals, np.array(self.mults[:i], dtype=np.int64)
 
 
-def _reduce(qcap: int, rows=(), arrays=()):
-    """Sorted (keys, sums) of weighted integer keys in [0, qcap], exactly.
+def _reduce(qcap: int, rows, parts, div: int):
+    """Sorted (keys, mults, prefix) of weighted integer keys in [0, qcap].
 
     A row (c0, c1, c2, ks, w) puts the weight w on the key c0 + c1 k + c2 k^2
-    for each k in the range ks; arrays holds (keys, weights) array pairs.
-    Keys whose weights sum to zero are dropped.
+    for each k in the range ks.  A part (slice, f, w) puts w times each
+    multiplicity of a table slice (`_LevelTable.upto`) on f times its key.
+    Each key's summed weight must be a nonnegative multiple of div, and
+    its multiplicity is that sum over div; keys whose weights sum to zero
+    are dropped.  Anything else is refused with ArithmeticError, as are
+    keys whose packing (`_reduce_np`) would not fit int64.
+
+    Up to _PY_ENTRIES row and slice entries are summed on Python integers
+    (`_reduce_py`), more on numpy (`_reduce_np`); both give the same table.
+    """
+    n = sum(len(r[3]) for r in rows) + sum(len(p[0][0]) for p in parts)
+    engine = _reduce_py if n <= _PY_ENTRIES else _reduce_np
+    return engine(qcap, rows, parts, div)
+
+
+def _weight_shift(qcap: int, wts) -> tuple:
+    """(lowest weight, bits of the weight span) for the packed route,
+    refusing keys up to qcap that would not fit int64 beside them."""
+    wlo = min(wts, default=0)
+    shift = (max(wts, default=0) - wlo).bit_length()
+    if qcap >> (62 - shift):
+        raise ArithmeticError(
+            "level keys up to %d do not fit int64 with %d weight bits"
+            % (qcap, shift))
+    return wlo, shift
+
+
+_NEGATIVE = "negative multiplicity in level table"
+_NOT_WHOLE = "level weights sum to %d at key %d, not a multiple of %d"
+
+
+def _reduce_py(qcap: int, rows, parts, div: int):
+    """`_reduce` summed in a dict and returned as `array('q')`."""
+    rows = [r for r in rows if len(r[3])]
+    parts = [(keys.tolist(), ms.tolist(), f, w) for (keys, ms, _), f, w in parts]
+    wts = [r[4] for r in rows]
+    wts += [w * m for _, ms, _, w in parts if ms for m in (min(ms), max(ms))]
+    _weight_shift(qcap, wts)
+    acc: dict = {}
+    get = acc.get
+    for c0, c1, c2, ks, w in rows:
+        for k in ks:
+            q = c0 + k * (c1 + c2 * k)
+            acc[q] = get(q, 0) + w
+    for keys, ms, f, w in parts:
+        for k, m in zip(keys, ms):
+            q = k * f
+            acc[q] = get(q, 0) + w * m
+    keys = sorted(q for q, v in acc.items() if v)
+    sums = [acc[q] for q in keys]
+    if min(sums, default=0) < 0:
+        raise ArithmeticError(_NEGATIVE)
+    for q, v in zip(keys, sums):
+        if v % div:
+            raise ArithmeticError(_NOT_WHOLE % (v, q, div))
+    mults = [v // div for v in sums]
+    return (array("q", keys), array("q", mults),
+            array("q", accumulate(mults, initial=0)))
+
+
+def _reduce_np(qcap: int, rows, parts, div: int):
+    """`_reduce` on int64 numpy arrays.
 
     When the key span qcap + 1 is no larger than the number of lattice
     points (the summed absolute weights), the weights are counted into a
@@ -111,17 +187,16 @@ def _reduce(qcap: int, rows=(), arrays=()):
     follows the number of points and not the span.  Rows are expanded one
     at a time on both routes.
     """
+    import numpy as np
+
+    arrays = [(np.asarray(keys) * f, np.asarray(ms) * w)
+              for (keys, ms, _), f, w in parts]
     n = sum(len(r[3]) for r in rows) + sum(len(k) for k, _ in arrays)
     points = (sum(len(r[3]) * abs(r[4]) for r in rows)
               + sum(int(np.abs(w).sum()) for _, w in arrays))
     wts = [r[4] for r in rows if len(r[3])]
     wts += [int(f(w)) for _, w in arrays if len(w) for f in (np.min, np.max)]
-    wlo = min(wts, default=0)
-    shift = (max(wts, default=0) - wlo).bit_length()
-    if qcap >> (62 - shift):
-        raise ArithmeticError(
-            "level keys up to %d do not fit int64 with %d weight bits"
-            % (qcap, shift))
+    wlo, shift = _weight_shift(qcap, wts)
 
     def chunks():
         for c0, c1, c2, ks, w in rows:
@@ -135,24 +210,35 @@ def _reduce(qcap: int, rows=(), arrays=()):
         for keys, w in chunks():
             np.add.at(counts, keys, w)
         keys = np.flatnonzero(counts)
-        return keys, counts[keys]
-
-    if not n:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    packed = np.empty(n, dtype=np.int64)
-    i = 0
-    for keys, w in chunks():
-        packed[i:i + len(keys)] = (keys << shift) | (w - wlo)
-        i += len(keys)
-    packed.sort()
-    low = packed & ((1 << shift) - 1)
-    packed >>= shift
-    starts = np.flatnonzero(packed[1:] != packed[:-1]) + 1
-    starts = np.concatenate(([0], starts))
-    sums = np.add.reduceat(low, starts)
-    sums += wlo * np.diff(starts, append=n)
-    keep = sums != 0
-    return packed[starts][keep], sums[keep]
+        sums = counts[keys]
+    elif not n:
+        keys = sums = np.empty(0, dtype=np.int64)
+    else:
+        packed = np.empty(n, dtype=np.int64)
+        i = 0
+        for keys, w in chunks():
+            packed[i:i + len(keys)] = (keys << shift) | (w - wlo)
+            i += len(keys)
+        packed.sort()
+        low = packed & ((1 << shift) - 1)
+        packed >>= shift
+        starts = np.flatnonzero(packed[1:] != packed[:-1]) + 1
+        starts = np.concatenate(([0], starts))
+        sums = np.add.reduceat(low, starts)
+        sums += wlo * np.diff(starts, append=n)
+        keep = sums != 0
+        keys, sums = packed[starts][keep], sums[keep]
+    if sums.min(initial=0) < 0:
+        raise ArithmeticError(_NEGATIVE)
+    if div != 1:
+        bad = np.flatnonzero(sums % div)
+        if len(bad):
+            i = bad[0]
+            raise ArithmeticError(_NOT_WHOLE % (sums[i], keys[i], div))
+        sums //= div
+    prefix = np.zeros(len(sums) + 1, dtype=np.int64)
+    np.cumsum(sums, out=prefix[1:])
+    return keys, sums, prefix
 
 
 def _axis_rows(c0: int, c2: int, lo: int, step: int, full: bool, kmax: int,
@@ -203,7 +289,7 @@ def _plan_product(a: Fraction, b: Fraction, xset: str, yset: str):
             c0 = Ug * j * j
             rows += _axis_rows(c0, Vg, ylo, ystep, ytor,
                                isqrt((qcap - c0) // Vg), 2 if xtor and j else 1)
-        return _reduce(qcap, rows)
+        return _reduce(qcap, rows, (), 1)
 
     return unit, build
 
@@ -231,7 +317,7 @@ def _plan_mobius(a: Fraction, b: Fraction, parity: int, kmin):
             k0 = klo if (j + klo) % 2 == parity else klo + 1
             rows += _axis_rows(c0, Vg, k0, 2, torus_y,
                                isqrt((qcap - c0) // Vg), 2 if j else 1)
-        return _reduce(qcap, rows)
+        return _reduce(qcap, rows, (), 1)
 
     return unit, build
 
@@ -243,7 +329,7 @@ def _hex_norm_table(qcap: int):
         # q <= qcap  <=>  |2 n2 - n1| <= sqrt(4 qcap - 3 n1^2)
         s = isqrt(4 * qcap - 3 * n1 * n1)
         rows.append((n1 * n1, -n1, 1, range(-((s - n1) // 2), (n1 + s) // 2 + 1), 1))
-    return _reduce(qcap, rows)
+    return _reduce(qcap, rows, (), 1)
 
 
 def _hex_pair_table(qcap: int, lo: int, diag):
@@ -259,7 +345,7 @@ def _hex_pair_table(qcap: int, lo: int, diag):
         nmax = (isqrt(4 * qcap - 3 * m * m) - m) // 2
         rows.append((m * m, m, 1, range(n0, nmax + 1), 1))
         m += 1
-    return _reduce(qcap, rows)
+    return _reduce(qcap, rows, (), 1)
 
 
 def _plan_right_iso(a: Fraction, bc: str):
@@ -288,29 +374,29 @@ def _plan_right_iso(a: Fraction, bc: str):
                 break
             rows.append((m * m, 0, 1, range(n0, isqrt(qcap - m * m) + 1, step), 1))
             m += step
-        return _reduce(qcap, rows)
+        return _reduce(qcap, rows, (), 1)
 
     return unit, build
 
 
 def _fpp_table(qcap: int):
     """Flat projective plane: r2(q)/4 plus +1 at even and -1 at odd squares,
-    with r2 the square-lattice shell sizes (the unit square torus table)."""
-    keys, r2 = _table(catalog.flat_torus_rect(1, 1), qcap).upto(qcap)
-    if np.any(r2[keys > 0] % 4):
-        raise ArithmeticError("square-lattice shell size not in 4Z")
+    with r2 the square-lattice shell sizes (the unit square torus table).
+    Summed four times over: r2, +-4 on the squares and 3 more at key 0,
+    whose shell is the origin alone."""
     s = isqrt(qcap)
-    rows = [(0, 0, 4, range(s // 2 + 1), 1),  # (2i)^2
-            (1, 4, 4, range((s + 1) // 2), -1)]  # (2i+1)^2
-    return _reduce(qcap, rows, [(keys, r2 // 4)])
+    rows = [(0, 0, 0, range(1), 3),
+            (0, 0, 4, range(1, s // 2 + 1), 4),  # (2i)^2
+            (1, 4, 4, range((s + 1) // 2), -4)]  # (2i+1)^2
+    torus = _table(catalog.flat_torus_rect(1, 1)).upto(qcap)
+    return _reduce(qcap, rows, [(torus, 1, 1)], 4)
 
 
 def _tetra_table(qcap: int):
-    """Tetrahedron surface: half of each hexagonal shell, key 0 once."""
-    keys, r = _table(catalog.flat_torus_hex(), qcap).upto(qcap)
-    m = r // 2
-    m[0] = 1  # key 0, the constant mode
-    return keys, m
+    """Tetrahedron surface: half of each hexagonal shell, key 0 (the
+    constant mode, the origin's shell of one) once."""
+    hexes = _table(catalog.flat_torus_hex()).upto(qcap)
+    return _reduce(qcap, [(0, 0, 0, range(1), 1)], [(hexes, 1, 1)], 2)
 
 
 def _plan_half_tetra(bc: str):
@@ -322,11 +408,8 @@ def _plan_half_tetra(bc: str):
         rows = [(0, 0, 0, range(1), 1 + 2 * sign),
                 (0, 0, 1, range(1, isqrt(qcap) + 1), 2 * sign),
                 (0, 0, 3, range(1, isqrt(qcap // 3) + 1), 2 * sign)]
-        keys, tot = _reduce(qcap, rows,
-                            [_table(catalog.flat_torus_hex(), qcap).upto(qcap)])
-        if np.any(tot % 4):
-            raise ArithmeticError("symmetry average came out non-integral")
-        return keys, tot // 4
+        hexes = _table(catalog.flat_torus_hex()).upto(qcap)
+        return _reduce(qcap, rows, [(hexes, 1, 1)], 4)
 
     return Fraction(4, 3), build
 
@@ -348,18 +431,14 @@ def _plan_sector2(spec: SurfaceSpec):
     factors = [(u / common, s, sign) for u, (s, sign) in zip(units, parts)]
     if any(f.denominator != 1 for f, _, _ in factors):
         raise ArithmeticError("sector level grids do not align")
+    factors = [(int(f), s, sign) for f, s, sign in factors]
 
     def build(qcap):
-        arrays = []
-        for f, s, sign in factors:
-            keys, ms = _table(s, qcap // int(f)).upto(qcap // int(f))
-            arrays.append((keys * int(f), sign * ms))
-        keys, ms = _reduce(qcap, arrays=arrays)
-        if ms.min(initial=0) < 0:
-            raise ArithmeticError("sector tables exceed the base count")
-        if np.any(ms % 2):
-            raise ArithmeticError("2-dim isotypic count came out odd")
-        return keys, ms
+        signed = [(_table(s).upto(qcap // f), f, sign) for f, s, sign in factors]
+        # the 2-dim irrep's levels come in pairs: an odd or negative count
+        # is refused when the pairs are counted, then each pair is two levels
+        pairs = _reduce(qcap, (), signed, 2)
+        return _reduce(qcap, (), [(pairs, 1, 2)], 1)
 
     return common, build
 
@@ -406,5 +485,6 @@ def _plan_flat(spec):
         if spec.irrep == "2":
             return _plan_sector2(spec)
         domain, s = catalog.sector_domain(spec)
-        return _table(domain).unit * s, lambda qcap: _table(domain, qcap).upto(qcap)
+        tb = _table(domain)
+        return tb.unit * s, tb.upto
     raise ValueError("no flat table plan for %s" % (spec,))

@@ -5,10 +5,10 @@ each other.  The table route enumerates eigenvalues on an integer grid
 (every flat family has eigenvalues unit * q * pi^2 for integers q; every
 spherical family has eigenvalues N(N+1)) and answers counting questions by
 prefix sums.  Each surface has one cached table.  A round table is its
-list of window counts on Python integers; a flat table (`lattice`, the
-only numpy code on the exact route) holds the occupied integer keys in
-int64 arrays, so its memory follows the number of levels, not the size of
-the grid up to the cutoff.  The closed-form route evaluates the
+list of window counts on Python integers; a flat table (`lattice`) holds
+the occupied integer keys, in stdlib `array('q')` when it is small and in
+int64 numpy arrays when it is large, so its memory follows the number of
+levels, not the size of the grid up to the cutoff.  The closed-form route evaluates the
 floor-bracket identities for N(t), jump discontinuities included.  Each
 flat surface's identity is compiled once, on first use, into an integer
 linear form cached on its table: a common denominator, a constant, counts
@@ -22,7 +22,7 @@ window count itself.
 different enumeration.
 
 `level_columns` hands the CLI's writer the levels in chunks; a flat table
-writes chunks of lattice._CHUNK rows formatted from its int64 keys, so
+writes chunks of lattice._CHUNK rows formatted from its integer keys, so
 that a dump holds little beyond the table however many levels it writes.
 
 Cutoffs may be given as plain numbers (int, float, Fraction) or as an

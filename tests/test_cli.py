@@ -190,6 +190,29 @@ def test_heat_table_decreases(capsys):
     assert diffs[-1] > 0
 
 
+def test_heat_retries_only_a_short_cutoff(capsys, monkeypatch):
+    # heat doubles its cutoff only while the tail bound is too large; a
+    # refused table (keys beyond int64 at cutoff 64) or a violated count
+    # envelope ends the command at once with exit 1
+    rc, out, err = run_cli(capsys, "heat", "flat_torus_rect:a=10000000019/10000000000,b=1",
+                           "--at", "1")
+    assert (rc, out) == (1, "")
+    assert "do not fit int64" in err and "usage:" not in err
+    cutoffs = []
+    level_arrays = spectrum.level_arrays
+
+    def inflated(spec, cut):
+        cutoffs.append(cut)
+        vals, mults = level_arrays(spec, cut)
+        return vals, mults * 1000
+
+    monkeypatch.setattr(spectrum, "level_arrays", inflated)
+    rc, out, err = run_cli(capsys, "heat", "sphere", "--at", "0.1")
+    assert (rc, out) == (1, "")
+    assert "envelope violated" in err
+    assert cutoffs == [64.0]
+
+
 def test_list_covers_roster(capsys):
     rc, out, _ = run_cli(capsys, "list")
     assert rc == 0
@@ -560,8 +583,8 @@ def test_each_command_loads_only_what_it_calls():
     count = loaded_modules(["count", "rectangle:a=1,b=1,bc=N", "--at", "100,1e3"])
     assert count.isdisjoint({"oracle", "analysis", "average"})
     assert "asymptotics" in count  # the level budget
-    # flat tables are int64 arrays: the one place the exact route needs numpy
-    assert {"lattice", "numpy"} <= count
+    # a flat table this small is summed on Python integers
+    assert "lattice" in count and "numpy" not in count
     verify = loaded_modules(["verify", "lune:m=2,bc=N", "--max-t", "1e4"])
     assert verify.isdisjoint({"analysis", "average", "asymptotics"})
     assert "oracle" in verify
@@ -584,3 +607,18 @@ def test_round_roster_never_loads_numpy():
                       ["spectrum", label, "--max-t", "1e5", "--format", "json"]]
     assert len(argvs) == 3 * 36
     assert loaded_modules(*argvs).isdisjoint({"lattice", "numpy"})
+
+
+def test_flat_roster_never_loads_numpy():
+    # verify at 1e4 on every flat roster surface, and count and spectrum on
+    # a rational shape as the shapes benchmark draws them (a key span of
+    # about 1.6e7 at 7722), sum their tables in a dict
+    argvs = [["verify", spec.label(), "--max-t", "1e4"]
+             for spec in catalog.verification_roster() if not catalog.is_spherical(spec)]
+    assert len(argvs) == 59
+    shape = "rectangle:a=13/11,b=11/5,bc=ND"
+    argvs += [["count", shape, "--at", "7722,2000,400"],
+              ["spectrum", shape, "--max-t", "7722"]]
+    assert loaded_modules(*argvs).isdisjoint({"numpy", "numpy.ma"})
+    # a unit-shaped table at 1e7 is still numpy's
+    assert "numpy" in loaded_modules(["count", "rectangle:a=1,b=1,bc=N", "--at", "1e7"])

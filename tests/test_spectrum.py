@@ -2,6 +2,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -366,31 +367,71 @@ def test_table_keys_beyond_int64_raise():
         count(spec, 1e8)
 
 
+def test_few_levels_beyond_int64_raise(capsys, monkeypatch):
+    # key unit about 1e-20: qcap is about 1e19 at t = 1, yet the table has
+    # a handful of entries and goes to the dict engine, which must refuse
+    # the keys as the numpy one does rather than overflow array('q') or
+    # keep them as Python integers
+    from spectralab import cli, lattice
+
+    def numpy_engine(*args):
+        raise AssertionError("a table of a few entries went to numpy")
+
+    label = "flat_torus_rect:a=10000000019/10000000000,b=1"
+    monkeypatch.setattr(spectrum, "_TABLES", {})
+    monkeypatch.setattr(lattice, "_reduce_np", numpy_engine)
+    assert spectrum._table(cli.parse_surface(label)).qmax(1) > 2 ** 63
+    assert cli.main(["count", label, "--at", "1"]) == 1
+    assert "do not fit int64" in capsys.readouterr().err
+
+
 def test_negative_multiplicity_is_refused(monkeypatch):
     # a build or window count that makes the count fall is refused on both
-    # table kinds rather than read as a level
+    # table kinds, and by both flat engines, rather than read as a level
+    from spectralab import lattice
+
+    def falling(reduce):
+        # minus the squares: negative at every square key
+        return lambda qcap: reduce(qcap, [(0, 0, 1, range(isqrt(qcap) + 1), -1)], (), 1)
+
+    monkeypatch.setattr(spectrum, "_sph_cum", lambda spec, k: k * k if k < 5 else 0)
+    for reduce in (lattice._reduce_py, lattice._reduce_np):
+        monkeypatch.setattr(spectrum, "_TABLES", {})
+        monkeypatch.setattr(lattice, "_hex_norm_table", falling(reduce))
+        for spec in (catalog.flat_torus_hex(), catalog.sphere()):
+            with pytest.raises(ArithmeticError, match="negative multiplicity"):
+                count(spec, 100)
+
+
+def test_tetrahedron_shells_must_halve(monkeypatch):
+    # the tetrahedron surface halves each hexagonal shell; an odd shell
+    # is refused like the other symmetry averages, not rounded down
     from spectralab import lattice
 
     hex_table = lattice._hex_norm_table
 
-    def falling(qcap):
-        keys, mults = hex_table(qcap)
-        return keys, -mults
+    def odd_shell(qcap):
+        # one more point on the shell of key 3
+        return lattice._reduce(qcap, [(3, 0, 0, range(1), 1)],
+                               [(hex_table(qcap), 1, 1)], 1)
 
     monkeypatch.setattr(spectrum, "_TABLES", {})
-    monkeypatch.setattr(lattice, "_hex_norm_table", falling)
-    monkeypatch.setattr(spectrum, "_sph_cum", lambda spec, k: k * k if k < 5 else 0)
-    for spec in (catalog.flat_torus_hex(), catalog.sphere()):
-        with pytest.raises(ArithmeticError, match="negative multiplicity"):
-            count(spec, 100)
+    assert count(catalog.tetrahedron_surface(), 100) > 0
+    monkeypatch.setattr(spectrum, "_TABLES", {})
+    monkeypatch.setattr(lattice, "_hex_norm_table", odd_shell)
+    with pytest.raises(ArithmeticError, match="not a multiple of 2"):
+        count(catalog.tetrahedron_surface(), 100)
 
 
-GROWTH_SPECS = [
+GROWTH = [(spec, 40000.0) for spec in (
     catalog.rectangle(F(7, 5), F(11, 13), "NM"),
     catalog.mobius_band(F(5, 7), F(11, 5), "N"),
     catalog.symmetry_sector("square_n", "+-"),
     catalog.symmetry_sector("hex_torus", "2"),
-]
+)]
+# from the dict engine at t = 40 onto numpy at t = 4e6, for the table and
+# the hexagonal lattice under it
+GROWTH.append((catalog.tetrahedron_surface(), 4e6))
 
 
 def _answers(spec, T):
@@ -399,9 +440,9 @@ def _answers(spec, T):
             levels(spec, T), list(level_columns(spec, T)))
 
 
-@pytest.mark.parametrize("spec", GROWTH_SPECS, ids=lambda s: s.label())
-def test_table_growth_matches_fresh_tables(spec, monkeypatch):
-    small, large = 40.0, 40000.0
+@pytest.mark.parametrize("spec, large", [pytest.param(*g, id=g[0].label()) for g in GROWTH])
+def test_table_growth_matches_fresh_tables(spec, large, monkeypatch):
+    small = 40.0
     fresh = {}
     for T in (small, large):
         monkeypatch.setattr(spectrum, "_TABLES", {})
@@ -417,6 +458,95 @@ def test_table_growth_matches_fresh_tables(spec, monkeypatch):
     # answered from the grown table, without a rebuild
     assert spectrum._table(spec) is tb
     assert tb.keys is keys and tb.qcap == qcap
+
+
+# --- the two flat engines ---------------------------------------------------
+
+
+def _lists(table):
+    return [x.tolist() for x in table]
+
+
+def _both_engines(ns):
+    """A stand-in for lattice._reduce that runs both engines on every call
+    of up to twice the dict engine's limit, requires the same table
+    from each, records the call's entry count in ns and returns the table
+    of the engine _reduce would pick."""
+    from spectralab import lattice
+
+    def both(qcap, rows, parts, div):
+        n = sum(len(r[3]) for r in rows) + sum(len(p[0][0]) for p in parts)
+        ns.append(n)
+        npy = lattice._reduce_np(qcap, rows, parts, div)
+        assert type(npy[0]).__module__ == "numpy"
+        if n > 2 * lattice._PY_ENTRIES:
+            return npy
+        py = lattice._reduce_py(qcap, rows, parts, div)
+        assert _lists(py) == _lists(npy), (qcap, div)
+        return py if n <= lattice._PY_ENTRIES else npy
+
+    return both
+
+
+FLAT_TABLES = [s for s in catalog.verification_roster() if not catalog.is_spherical(s)]
+FLAT_TABLES += [("mobius_even", F(1), F(1)), ("mobius_even", F(5, 7), F(11, 5))]
+
+
+@pytest.mark.parametrize("spec", FLAT_TABLES, ids=lambda s: s.label()
+                         if isinstance(s, catalog.SurfaceSpec) else "%s:a=%s,b=%s" % s)
+def test_engines_agree_on_flat_tables(spec, monkeypatch):
+    # every flat table at qcap 256 and at a qcap past the dict engine's
+    # limit, estimated from the first and doubled until it is: both engines
+    # give the same table at every reduction on the way
+    from spectralab import lattice
+
+    ns = []
+    monkeypatch.setattr(spectrum, "_TABLES", {})
+    monkeypatch.setattr(lattice, "_reduce", _both_engines(ns))
+    tb = spectrum._table(spec)
+    tb.grow(256)
+    assert ns[-1] <= lattice._PY_ENTRIES
+    qcap = 256 * (3 * lattice._PY_ENTRIES // (2 * max(ns[-1], 1)) + 1)
+    while ns[-1] <= lattice._PY_ENTRIES:
+        tb.grow(qcap)
+        qcap *= 2
+    assert type(tb.keys).__module__ == "numpy"
+
+
+def test_engines_agree_on_reduce_inputs():
+    from array import array
+
+    from spectralab import lattice
+
+    small = spectrum._table(catalog.rectangle(1, 1, "N")).upto(60)
+    big = (np.array(small[0]), np.array(small[1]), np.array(small[2]))
+    cases = [
+        # negative weights that leave a nonnegative sum, and keys whose
+        # weights sum to zero, which are dropped
+        (100, [(0, 0, 1, range(11), 3), (0, 0, 1, range(1, 11), -2),
+               (5, 0, 0, range(1), 7), (5, 0, 0, range(1), -7)], (), 1),
+        # table slices of both types, scaled keys, signs and a divisor
+        (200, [(0, 0, 0, range(1), 2)], [(small, 2, 2), (big, 3, 0)], 2),
+        (60, (), [(small, 1, 1), (big, 1, -1)], 1),
+        (60, (), [(small, 1, 3), (big, 1, -1)], 2),
+        (50, (), (), 1),
+    ]
+    for qcap, rows, parts, div in cases:
+        py = lattice._reduce_py(qcap, rows, parts, div)
+        npy = lattice._reduce_np(qcap, rows, parts, div)
+        assert all(isinstance(x, array) for x in py)
+        assert _lists(py) == _lists(npy)
+    squares = [k * k for k in range(11)]
+    assert _lists(lattice._reduce_py(*cases[0])) == [squares, [3] + [1] * 10,
+                                                     [0] + list(range(3, 14))]
+    assert _lists(lattice._reduce_py(*cases[2])) == [[], [], [0]]
+    for reduce in (lattice._reduce_py, lattice._reduce_np):
+        with pytest.raises(ArithmeticError, match="negative multiplicity"):
+            reduce(60, [(1, 0, 0, range(1), -5)], [(small, 1, 1)], 1)
+        with pytest.raises(ArithmeticError, match="sum to 3 at key 0, not a multiple of 2"):
+            reduce(60, [(0, 0, 0, range(1), 2)], [(small, 1, 1)], 2)
+        with pytest.raises(ArithmeticError, match="do not fit int64 with 3 weight bits"):
+            reduce(2 ** 59, [(0, 0, 0, range(1), 1), (2 ** 59, 0, 0, range(1), -3)], (), 1)
 
 
 # --- compiled closed forms: the enclosure path and the cache ----------------
