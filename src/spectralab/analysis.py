@@ -1,9 +1,9 @@
 """Structural probes of the averaged-error profile g.
 
-Four claims are tested here: g has mean value zero, g is (almost)
-periodic, its trigonometric frequency content lines up with lengths of
-closed geodesics, and symmetry sectors of a base surface fill the
-spectrum in proportion d^2 / |G| with a definite sign on the sqrt term.
+Three claims are tested here: g has mean value zero, its trigonometric
+frequency content lines up with lengths of closed geodesics, and symmetry
+sectors of a base surface fill the spectrum in proportion d^2 / |G| with a
+definite sign on the sqrt term.
 
 Frequencies are reported on the x axis (the argument of g, x ~ sqrt(t)),
 where the observed peaks sit directly at the geodesic lengths.
@@ -46,14 +46,7 @@ class ProportionReport:
     b_hat: float
 
 
-@dataclass(frozen=True)
-class MatchReport:
-    matched: tuple
-    unmatched_freqs: tuple
-    unmatched_lengths: tuple
-
-
-def make_profile(spec: SurfaceSpec, x_lo, x_hi, n: int = 4001) -> APProfile:
+def make_profile(spec: SurfaceSpec, x_lo, x_hi, n: int) -> APProfile:
     """Sample the normalized profile on a uniform grid over [x_lo, x_hi]."""
     x_lo = float(x_lo)
     x_hi = float(x_hi)
@@ -166,8 +159,9 @@ def frequency_spectrum(profile: APProfile, omega_grid) -> APProfile:
     return replace(profile, frequencies=tuple(peaks))
 
 
-def match_geodesics(freqs, lengths, tol) -> MatchReport:
-    """Greedy nearest matching of observed frequencies to geodesic lengths."""
+def match_geodesics(freqs, lengths, tol) -> tuple:
+    """Greedy nearest matching of observed frequencies to geodesic lengths:
+    the (frequency, length) pairs, in the order of freqs."""
     freqs = [float(f) for f in freqs]
     lengths = [float(l) for l in lengths]
     if any(b < a for a, b in zip(freqs, freqs[1:])):
@@ -177,36 +171,16 @@ def match_geodesics(freqs, lengths, tol) -> MatchReport:
     tol = float(tol)
     free = list(range(len(lengths)))
     matched = []
-    unmatched_f = []
     for f in freqs:
         best = None
         for j in free:
             d = abs(lengths[j] - f)
             if d <= tol and (best is None or d < abs(lengths[best] - f)):
                 best = j
-        if best is None:
-            unmatched_f.append(f)
-        else:
+        if best is not None:
             matched.append((f, lengths[best]))
             free.remove(best)
-    return MatchReport(matched=tuple(matched),
-                       unmatched_freqs=tuple(unmatched_f),
-                       unmatched_lengths=tuple(lengths[j] for j in free))
-
-
-def almost_period_check(profile: APProfile, period) -> float:
-    """Sup of |g_est(x + period) - g_est(x)| over the overlap."""
-    period = float(period)
-    if period <= 0:
-        raise ValueError("period must be positive")
-    xs = profile.xs
-    gs = profile.gs
-    span = xs[-1] - xs[0]
-    if span < 3.0 * period:
-        raise ValueError("window must cover at least 3 periods")
-    keep = xs <= xs[-1] - period
-    shifted = np.interp(xs[keep] + period, xs, gs)
-    return float(np.max(np.abs(shifted - gs[keep])))
+    return tuple(matched)
 
 
 def _sector_b_hat(sector: SurfaceSpec, T: float) -> float:

@@ -775,9 +775,14 @@ def _flat_lengths_sq(spec: SurfaceSpec, cap: Fraction) -> set[Fraction]:
     if f == Family.CYLINDER:
         return _rect_lattice_sq(spec.a, 2 * spec.b, cap)
     if f == Family.MOBIUS_BAND:
-        # the core circle closes after odd multiples of a
-        a2 = spec.a * spec.a
-        return (_rect_lattice_sq(2 * spec.a, 2 * spec.b, cap)
+        # the cover translates by (ma, nb) with m = n mod 2: the even pairs
+        # and the odd ones; the core circle closes after odd multiples of a
+        a2, b2 = spec.a * spec.a, spec.b * spec.b
+        odd = {s for s in (a2 * j * j + b2 * k * k
+                           for j in range(1, math.isqrt(int(cap / a2)) + 2, 2)
+                           for k in range(1, math.isqrt(int(cap / b2)) + 2, 2))
+               if s <= cap}
+        return (_rect_lattice_sq(2 * spec.a, 2 * spec.b, cap) | odd
                 | (_multiples_sq(a2, cap) - _multiples_sq(4 * a2, cap)))
     if f == Family.FLAT_PROJECTIVE_PLANE:
         return (_rect_lattice_sq(Fraction(2), Fraction(2), cap)

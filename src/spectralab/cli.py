@@ -377,10 +377,10 @@ def cmd_conjecture(args) -> int:
     # only the largest few maxima carry structure worth reporting
     top = sorted(f for f, _, _ in prof.frequencies[:8])
     lengths = catalog.geodesic_lengths(spec, float(omega[-1]))
-    rep = analysis.match_geodesics(top, lengths, _FREQ_TOL)
+    matched = analysis.match_geodesics(top, lengths, _FREQ_TOL)
     out.append("freq top peaks: " + (" ".join("%.6g" % f for f in top) or "none"))
     out.append("geodesic lengths: " + " ".join("%.6g" % l for l in lengths))
-    out.append(f"freq matched {len(rep.matched)} of {len(top)} top peaks")
+    out.append(f"freq matched {len(matched)} of {len(top)} top peaks")
     targets = _ASSERTED_PEAKS.get(label)
     if targets is None:
         out.append("freq comparison: report only for this surface")

@@ -57,8 +57,8 @@ class ExactConst:
     """Sum of terms coeff * sqrt(root) * pi^power with Fraction coeffs.
 
     Terms with distinct (root, power) are linearly independent over Q, so
-    equality testing is exact coefficient comparison.  Numeric comparisons go
-    through interval bounds and raise instead of guessing when the interval
+    equality testing is exact coefficient comparison.  The sign goes through
+    interval bounds and raises instead of guessing when the interval
     straddles zero (which cannot happen for a nonzero element at the working
     precision unless coefficients reach ~1e95).
     """
@@ -91,20 +91,7 @@ class ExactConst:
     def rational(cls, q) -> "ExactConst":
         return cls.term(Fraction(q))
 
-    # --- predicates / extraction ---
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def is_rational(self) -> bool:
-        return all(key == (1, 0) for key in self._terms)
-
-    def as_fraction(self) -> Fraction:
-        if not self._terms:
-            return Fraction(0)
-        if not self.is_rational():
-            raise ValueError(f"not rational: {self}")
-        return self._terms[(1, 0)]
+    # --- extraction ---
 
     def as_pi_multiple(self) -> Fraction:
         """Return q with self == q*pi (angles are always rational multiples)."""
@@ -208,30 +195,6 @@ class ExactConst:
     def __float__(self) -> float:
         lo, hi = self.bounds()
         return float((lo + hi) / 2)
-
-    def __lt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() < 0
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() <= 0
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() > 0
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() >= 0
 
     # --- presentation ---
 

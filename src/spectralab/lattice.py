@@ -62,10 +62,10 @@ class _LevelTable:
             self.keys, self.mults, self.prefix = self.build(qcap)
             self.qcap = qcap
 
-    def qmax(self, t, ends=None) -> int:
+    def qmax(self, t) -> int:
         """Largest key whose eigenvalue is <= t, decided on t's `_rho_ends`."""
         un, ud = _pq(self.unit)
-        return _decided(t, ends or _rho_ends(t), lambda P, Q: P * ud // (Q * un))
+        return _decided(t, _rho_ends(t), lambda P, Q: P * ud // (Q * un))
 
     def index(self, q: int) -> int:
         """The number of levels with key <= q, growing the table to q."""

@@ -56,7 +56,8 @@ class ExactTime:
     rho: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "rho", Fraction(self.rho))
+        if not isinstance(self.rho, Fraction):
+            object.__setattr__(self, "rho", Fraction(self.rho))
         if self.rho < 0:
             raise ValueError("negative cutoff")
 
@@ -149,7 +150,7 @@ class _RoundTable:
                 raise ArithmeticError("negative multiplicity in level table")
             self.cums += new
 
-    def qmax(self, t, ends=None) -> int:
+    def qmax(self, t) -> int:
         """k - 1 for t's window k >= 1, k^2 - k <= t < k^2 + k: the largest
         degree N with N(N+1) <= t, decided exactly."""
         if isinstance(t, ExactTime):
@@ -188,8 +189,9 @@ class _RoundTable:
 _TABLES: dict = {}
 
 
-def _table(spec, qneed: int = -1):
-    """The cached table of spec, holding every level with key <= qneed.
+def _table(spec):
+    """The cached table of spec, made empty on first use; its readers grow
+    it to the keys they need.
 
     spec is a catalog surface (validated when its table is made) or an
     internal lattice key such as ("mobius_even", a, b).
@@ -197,7 +199,6 @@ def _table(spec, qneed: int = -1):
     tb = _TABLES.get(spec)
     if tb is None:
         tb = _TABLES[spec] = _new_table(spec)
-    tb.grow(qneed)
     return tb
 
 
@@ -493,11 +494,13 @@ def count(spec: SurfaceSpec, t) -> int:
 def closed_form_identity(spec: SurfaceSpec, t) -> CountReport:
     """Table count and closed-form count at t, side by side.
 
-    Both numbers are exact.  The cutoff is turned once into rho = t / pi^2,
-    exact or enclosed.  A flat surface's compiled form is evaluated on it
-    in integers and must land on an integer, else ArithmeticError.  A
-    round surface's closed form is the window count of t (`_RoundTable`).
+    Both numbers are exact.  The table count is `count(spec, t)`.  For the
+    closed form the cutoff is turned once into rho = t / pi^2, exact or
+    enclosed.  A flat surface's compiled form is evaluated on it in
+    integers and must land on an integer, else ArithmeticError.  A round
+    surface's closed form is the window count of t (`_RoundTable`).
     """
+    n = count(spec, t)
     tb = _table(spec)
     ends = _rho_ends(t)
     form = _form(spec, tb)
@@ -506,7 +509,7 @@ def closed_form_identity(spec: SurfaceSpec, t) -> CountReport:
         raise ArithmeticError(
             "closed form for %s at %r is non-integral: %s"
             % (spec, t, Fraction(v, form.den)))
-    return CountReport(_t_float(t), tb.count_upto(tb.qmax(t, ends)), v // form.den)
+    return CountReport(_t_float(t), n, v // form.den)
 
 
 def symmetry_counts(base: str, t) -> dict:

@@ -206,24 +206,19 @@ def test_frequency_grid_validation():
 
 
 def test_match_basic():
-    rep = analysis.match_geodesics([2.01, 2.83],
-                                   [2.0, 2.0 * math.sqrt(2.0), 4.0], 0.05)
-    assert len(rep.matched) == 2
-    assert rep.unmatched_freqs == ()
-    assert rep.unmatched_lengths == (4.0,)
+    matched = analysis.match_geodesics([2.01, 2.83],
+                                       [2.0, 2.0 * math.sqrt(2.0), 4.0], 0.05)
+    assert matched == ((2.01, 2.0), (2.83, 2.0 * math.sqrt(2.0)))
 
 
 def test_match_empty_freqs():
-    rep = analysis.match_geodesics([], [1.0, 2.0], 0.1)
-    assert rep.matched == ()
-    assert rep.unmatched_lengths == (1.0, 2.0)
+    assert analysis.match_geodesics([], [1.0, 2.0], 0.1) == ()
 
 
 def test_match_sphere_lengths():
     lengths = catalog.geodesic_lengths(spec("sphere"), 15.0)
-    rep = analysis.match_geodesics([6.28, 12.57], lengths, 0.05)
-    assert len(rep.matched) == 2
-    assert rep.unmatched_freqs == ()
+    matched = analysis.match_geodesics([6.28, 12.57], lengths, 0.05)
+    assert matched == ((6.28, 2 * math.pi), (12.57, 4 * math.pi))
 
 
 def test_match_requires_sorted():
@@ -234,33 +229,7 @@ def test_match_requires_sorted():
 
 
 def test_match_prefers_nearest():
-    rep = analysis.match_geodesics([2.1], [2.0, 2.15], 0.2)
-    assert rep.matched == ((2.1, 2.15),)
-
-
-# ---------------------------------------------------------------------------
-# almost_period_check
-
-
-def test_almost_period_sphere():
-    p = analysis.make_profile(spec("sphere"), 100.0, 200.0, n=40001)
-    assert analysis.almost_period_check(p, 1.0) <= 0.02
-    assert analysis.almost_period_check(p, 0.5) >= 0.2
-
-
-def test_almost_period_constant_signal():
-    xs = np.linspace(0.0, 50.0, 5001)
-    p = synthetic_profile(xs, np.full_like(xs, 1.25))
-    assert analysis.almost_period_check(p, 7.3) == 0.0
-
-
-def test_almost_period_window_guard():
-    xs = np.linspace(0.0, 5.0, 501)
-    p = synthetic_profile(xs, np.zeros_like(xs))
-    with pytest.raises(ValueError):
-        analysis.almost_period_check(p, 2.0)
-    with pytest.raises(ValueError):
-        analysis.almost_period_check(p, -1.0)
+    assert analysis.match_geodesics([2.1], [2.0, 2.15], 0.2) == ((2.1, 2.15),)
 
 
 # ---------------------------------------------------------------------------

@@ -87,16 +87,16 @@ def test_labels():
 def test_geometry_flat_tori():
     g = geometry(catalog.flat_torus_rect(1, 1))
     assert g.area == rat(4)
-    assert g.len_N.is_zero() and g.len_D.is_zero()
+    assert g.len_N == 0 and g.len_D == 0
     assert g.corners == () and g.cone_points == ()
-    assert g.K2_total.is_zero()
+    assert g.K2_total == 0
     g = geometry(catalog.flat_torus_hex())
     assert g.area == root(Fraction(3, 2), 3)
 
 
 def test_geometry_rectangle_variants():
     g = geometry(catalog.rectangle(1, 1, "N"))
-    assert g.len_N == rat(4) and g.len_D.is_zero()
+    assert g.len_N == rat(4) and g.len_D == 0
     assert len(g.corners) == 4
     assert all(c.kind == CornerKind.LIKE for c in g.corners)
     assert all(c.angle.as_pi_multiple() == Fraction(1, 2) for c in g.corners)
@@ -148,7 +148,7 @@ def test_geometry_cylinder_and_band():
     assert g.len_N == rat(2) and g.len_D == rat(2)
     g = geometry(catalog.mobius_band(2, 1, "D"))
     assert g.area == rat(2)
-    assert g.len_D == rat(4) and g.len_N.is_zero()
+    assert g.len_D == rat(4) and g.len_N == 0
 
 
 def test_geometry_round_families():
@@ -156,7 +156,7 @@ def test_geometry_round_families():
     assert g.area == pi_times(4) and g.K2_total == pi_times(4)
     g = geometry(catalog.hemisphere("D"))
     assert g.area == pi_times(2) and g.len_D == pi_times(2)
-    assert g.len_N.is_zero() and g.cone_points == ()
+    assert g.len_N == 0 and g.cone_points == ()
     g = geometry(catalog.projective_sphere())
     assert g.area == pi_times(2)
 
@@ -238,6 +238,13 @@ def test_geodesic_lengths_fixtures():
     ]:
         got = geodesic_lengths(catalog.symmetry_sector(base, irrep), L)
         assert got == [math.sqrt(float(q)) for q in want], (base, irrep)
+
+    # Moebius bands: the even and the odd cosets of the cover lattice
+    # {(ma, nb) : m = n mod 2} and the core circle's odd multiples of a
+    for b, L, want in [(1, 3.2, [F(1), F(2), F(4), F(8), F(9), F(10)]),
+                       (F(1, 2), 1.9, [F(1), F(5, 4), F(13, 4)])]:
+        got = geodesic_lengths(catalog.mobius_band(1, b, "D"), L)
+        assert got == [math.sqrt(float(q)) for q in want], b
 
 
 def test_geodesic_lengths_flat_unfoldings():

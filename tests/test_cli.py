@@ -91,7 +91,7 @@ def test_verify_example(capsys):
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
     def fake(spec, T, n_times=2000, seed=0):
-        return oracle.EquivalenceReport(spec.label(), float(T), 5, 1, False,
+        return oracle.EquivalenceReport(spec.label(), 5, 1, False,
                                         "level 3: enumerated (1, 2), spectrum (1, 1)")
     monkeypatch.setattr(oracle, "check_equivalence", fake)
     rc, out, _ = run_cli(capsys, "verify", "sphere", "--max-t", "10")
@@ -453,6 +453,23 @@ GOLDEN = {
         "+,0.20603015075376885,0.16666666666666666,1,0.2549670520499559\n"
         "-,0.1306532663316583,0.16666666666666666,-1,-0.22275706950954835\n"
         "2,0.66331658291457285,0.66666666666666663,-1,-0.031828624649677985\n",
+    # the Moebius cover translates by (ma, nb) with m = n mod 2: every top
+    # peak sits at a length of that lattice
+    ("conjecture", "mobius_band:a=1,b=1,bc=D"):
+        "label: mobius_band:a=1,b=1,bc=D\n"
+        "check mean [100,200]: -0.00509402 within 0.05 -> ok\n"
+        "check mean [200,400]: -0.000129233 within 0.025 -> ok\n"
+        "check mean [400,800]: +0.000109858 within 0.0125 -> ok\n"
+        "check decay: scaled sups per decade 0.828396 0.913107 0.925037 0.933658, "
+        "first/last ratio 1.12707 within 2 -> ok\n"
+        "check probes (seed 0): worst scaled residual 0.837799 within 1.40049 -> ok\n"
+        "freq top peaks: 1.41 2 2.83 3.16 4 4.47 5.1 5.83\n"
+        "geodesic lengths: 1 1.41421 2 2.82843 3 3.16228 4 4.24264 4.47214 5 5.09902 "
+        "5.65685 5.83095 6 6.32456 7 7.07107 7.2111 7.61577 8 8.24621 8.48528 8.60233 "
+        "8.94427 9 9.05539 9.48683 9.89949 10\n"
+        "freq matched 8 of 8 top peaks\n"
+        "freq comparison: report only for this surface\n"
+        "RESULT: PASS\n",
 }
 
 

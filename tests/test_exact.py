@@ -21,7 +21,7 @@ def test_term_normalization():
     assert ExactConst.term(1, root=8) == ExactConst.term(2, root=2)
     assert ExactConst.term(1, root=12) == ExactConst.term(2, root=3)
     assert ExactConst.term(Fraction(3, 2), root=9) == ExactConst.rational(Fraction(9, 2))
-    assert ExactConst.term(0, root=7).is_zero()
+    assert ExactConst.term(0, root=7) == 0
 
 
 def test_ring_products():
@@ -41,7 +41,7 @@ def test_add_sub_cancellation():
     x = ExactConst.term(Fraction(1, 3), root=5) + ExactConst.rational(2)
     y = x - ExactConst.term(Fraction(1, 3), root=5)
     assert y == ExactConst.rational(2)
-    assert (x - x).is_zero()
+    assert x - x == 0
     assert x + 0 == x
     assert 1 - ExactConst.rational(Fraction(1, 4)) == ExactConst.rational(Fraction(3, 4))
 
@@ -51,19 +51,14 @@ def test_float_and_comparisons():
     assert abs(float(r2) - math.sqrt(2)) < 1e-15
     pi = ExactConst.term(1, pi_pow=1)
     assert abs(float(pi) - math.pi) < 1e-15
-    assert r2 < pi
-    assert pi > 3
-    assert pi < Fraction(22, 7)
+    assert (pi - r2).sign() == 1
     # sign of an exact zero
     assert (r2 - r2).sign() == 0
 
 
 def test_as_fraction_and_pi_multiple():
-    assert ExactConst.rational(Fraction(5, 3)).as_fraction() == Fraction(5, 3)
     angle = ExactConst.term(Fraction(1, 6), pi_pow=1)
     assert angle.as_pi_multiple() == Fraction(1, 6)
-    with pytest.raises(ValueError):
-        ExactConst.term(1, root=2).as_fraction()
     with pytest.raises(ValueError):
         ExactConst.rational(1).as_pi_multiple()
     assert ExactConst().as_pi_multiple() == 0

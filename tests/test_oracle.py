@@ -181,18 +181,25 @@ def test_package_checks_survive_optimize():
     assert not found, found
 
 
-# module-level names that no package code reads, each kept on purpose
+# module-level names ("module", "name") and class members ("module",
+# "Class.member") that no package code reads, each kept on purpose
 _NO_PACKAGE_CALLER = {
     ("__init__", "__version__"): "package metadata for users and packaging",
-    ("analysis", "almost_period_check"): "library check of a profile's almost "
-                                         "period, tested on its own",
     ("asymptotics", "polygon_corner_limit"): "the polygon corner-weight limit "
                                              "that acceptance test_11 checks",
+    ("asymptotics", "RefinedAsymptotics.smooth_count"): "the reference the "
+                                                        "tests compare the "
+                                                        "tilde integral against",
     ("average", "sphere_avg_closed_form"): "the sphere's closed form that "
                                            "acceptance test_04 checks",
     ("average", "sphere_avg_decomposed"): "the reference route the tests "
                                           "compare the sphere average against",
 }
+
+
+def _package_trees():
+    return {path.stem: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(Path(oracle.__file__).parent.glob("*.py"))}
 
 
 def _module_names(tree):
@@ -215,8 +222,7 @@ def _names_without_caller():
     own module or in one that imports it by name, or as an attribute
     anywhere; a mention in a docstring or comment does not count.
     """
-    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
-             for path in sorted(Path(oracle.__file__).parent.glob("*.py"))}
+    trees = _package_trees()
     reads = {mod: set() for mod in trees}
     attrs = set()
     imports = {}
@@ -237,33 +243,77 @@ def _names_without_caller():
                            for other, local in imports.get((mod, name), ())))}
 
 
+def _members_without_reader():
+    """(module, "Class.member") of every class member no package code reads.
+
+    The members of a class are its methods and properties, dunders aside,
+    and its annotated class-level fields.  A member counts as read when
+    package code loads an attribute of that name, or holds a string
+    constant equal to it (the name lists the CLI passes to getattr).  The
+    rule goes by name, not by owner, so it misses a member whose name any
+    other attribute or string also carries: the CLI's metavar "T" would
+    hide an unread field named T.
+    """
+    trees = _package_trees()
+    reads = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                reads.add(node.value)
+    unread = set()
+    for mod, tree in trees.items():
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = node.name
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    name = node.target.id
+                else:
+                    continue
+                if not (name.startswith("__") and name.endswith("__")) and name not in reads:
+                    unread.add((mod, f"{cls.name}.{name}"))
+    return unread
+
+
 def test_every_module_name_has_a_caller():
     unread = sorted(f"{mod}.{name}" for mod, name in _names_without_caller()
                     if (mod, name) not in _NO_PACKAGE_CALLER)
     assert not unread, unread
 
 
+def test_every_class_member_has_a_reader():
+    unread = sorted(f"{mod}.{name}" for mod, name in _members_without_reader()
+                    if (mod, name) not in _NO_PACKAGE_CALLER)
+    assert not unread, unread
+
+
 def test_caller_allowlist_names_exist_without_callers():
     # an entry goes when its name is deleted or gains a package caller
-    stale = sorted(f"{mod}.{name}" for mod, name in
-                   set(_NO_PACKAGE_CALLER) - _names_without_caller())
+    stale = sorted(f"{mod}.{name}" for mod, name in set(_NO_PACKAGE_CALLER)
+                   - _names_without_caller() - _members_without_reader())
     assert not stale, stale
 
 
 def test_every_module_import_is_read():
-    # a name a module imports at top level is read in that module
-    unread = []
-    for path in sorted(Path(oracle.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        reads = {node.id for node in ast.walk(tree)
-                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-        for node in tree.body:
-            if (isinstance(node, (ast.Import, ast.ImportFrom))
-                    and getattr(node, "module", None) != "__future__"):
-                unread += [f"{path.stem}.{alias.asname or alias.name}"
-                           for alias in node.names
-                           if (alias.asname or alias.name).split(".")[0] not in reads]
-    assert not unread, unread
+    # a name imported at top level is read in its module, and a name
+    # imported inside a function is read in that function
+    unread = set()
+    for mod, tree in _package_trees().items():
+        scopes = [(mod, tree, tree.body)] + [
+            (f"{mod}.{node.name}", node, list(ast.walk(node))) for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for where, scope, nodes in scopes:
+            reads = {node.id for node in ast.walk(scope)
+                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            for node in nodes:
+                if (isinstance(node, (ast.Import, ast.ImportFrom))
+                        and getattr(node, "module", None) != "__future__"):
+                    unread |= {f"{where}:{alias.asname or alias.name}"
+                               for alias in node.names
+                               if (alias.asname or alias.name).split(".")[0] not in reads}
+    assert not unread, sorted(unread)
 
 
 # --- seeded sweeps over random rational shapes ------------------------------
