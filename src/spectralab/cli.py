@@ -267,6 +267,7 @@ def cmd_verify(args) -> int:
     from . import oracle
 
     spec = parse_surface(args.spec)
+    _budget(spec, args.max_t, "--max-t")
     start = time.perf_counter()
     rep = oracle.check_equivalence(spec, args.max_t, seed=args.seed)
     elapsed = time.perf_counter() - start

@@ -165,7 +165,7 @@ class _RoundTable:
         self.grow(q)
         return self.cums[q + 1]
 
-    def numerator(self, t, ends) -> int:
+    def numerator(self, t) -> int:
         return _sph_cum(self.spec, self.qmax(t) + 1)
 
     def levels(self, q: int) -> list:
@@ -189,24 +189,19 @@ class _RoundTable:
 _TABLES: dict = {}
 
 
-def _table(spec):
-    """The cached table of spec, made empty on first use; its readers grow
-    it to the keys they need.
-
-    spec is a catalog surface (validated when its table is made) or an
-    internal lattice key such as ("mobius_even", a, b).
-    """
+def _table(spec: SurfaceSpec):
+    """The cached table of a catalog surface, made empty (and the surface
+    validated) on first use; its readers grow it to the keys they need."""
     tb = _TABLES.get(spec)
     if tb is None:
         tb = _TABLES[spec] = _new_table(spec)
     return tb
 
 
-def _new_table(spec):
-    if not isinstance(spec, tuple):
-        catalog.validate(spec)
-        if catalog.is_spherical(spec):
-            return _RoundTable(spec)
+def _new_table(spec: SurfaceSpec):
+    catalog.validate(spec)
+    if catalog.is_spherical(spec):
+        return _RoundTable(spec)
     from . import lattice
 
     return lattice._LevelTable(*lattice._plan_flat(spec))
@@ -362,10 +357,16 @@ def _closed_terms(spec: SurfaceSpec, r: Fraction = Fraction(1)) -> list:
         return [(HALF, tor(a / 2, b)), (s, fl(a * a / 4)), (s * HALF, _ONE)]
 
     if f == Family.MOBIUS_BAND:
-        even = C(("mobius_even", a, b))
-        if bc == "N":
-            return [(HALF, even), (1, fl(a * a / 4)), (HALF, _ONE)]
-        return [(HALF, tor(a, b)), (-HALF, even), (-1, fl(a * a / 4, HALF))]
+        # E, the torus points with j + k even: all of them, less those with
+        # j even and those with k even, plus twice those with both even
+        even = [(1, tor(a, b)), (-1, tor(a / 2, b)), (-1, tor(a, b / 2)),
+                (2, tor(a / 2, b / 2))]
+        if bc == "N":  # E/2 + fl(a^2/4) + 1/2
+            return [(HALF * c, term) for c, term in even] + [
+                (1, fl(a * a / 4)), (HALF, _ONE)]
+        # T(a, b)/2 - E/2 - fl(a^2/4, 1/2)
+        return [(HALF, tor(a, b))] + [(-HALF * c, term) for c, term in even] + [
+            (-1, fl(a * a / 4, HALF))]
 
     if f == Family.FLAT_PROJECTIVE_PLANE:
         # C/4 + 1/4 + eps/2 with eps = (-1)^fl(1); as floor(floor(x)/2) =
@@ -428,8 +429,8 @@ class _Form:
                 (p, q), (s, r) = _pq(term[1]), _pq(term[2])
                 self.floors.append((c, r * r * p * q, q, s, r))
 
-    def numerator(self, t, ends) -> int:
-        """den * N(t), every term decided on the ends of rho."""
+    def numerator(self, t) -> int:
+        """den * N(t), every term decided on the ends of rho (`_rho_ends`)."""
         counts, floors = self.counts, self.floors
 
         def values(P, Q):
@@ -437,7 +438,7 @@ class _Form:
                     [(isqrt(m * P * Q) // (q * Q) + s) // r
                      for _, m, q, s, r in floors])
 
-        keys, brackets = _decided(t, ends, values)
+        keys, brackets = _decided(t, _rho_ends(t), values)
         total = self.const
         for (c, tb, _, _), q in zip(counts, keys):
             total += c * tb.count_upto(q)
@@ -501,10 +502,8 @@ def closed_form_identity(spec: SurfaceSpec, t) -> CountReport:
     surface's closed form is the window count of t (`_RoundTable`).
     """
     n = count(spec, t)
-    tb = _table(spec)
-    ends = _rho_ends(t)
-    form = _form(spec, tb)
-    v = form.numerator(t, ends)
+    form = _form(spec, _table(spec))
+    v = form.numerator(t)
     if v % form.den:
         raise ArithmeticError(
             "closed form for %s at %r is non-integral: %s"

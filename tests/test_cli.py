@@ -258,6 +258,19 @@ def test_conjecture_passes_for_asserted_families(capsys):
         "5897177204b641bdbd410e60f1811d973fc30ceb54532459a15744cd7ab725c6")
 
 
+def test_roster_passes_conjecture(capsys, monkeypatch):
+    # the science checks on every family; each surface's tables are
+    # dropped when it is done
+    roster = catalog.verification_roster()
+    assert len(roster) == 95
+    monkeypatch.setattr(spectrum, "_TABLES", {})
+    for spec in roster:
+        spectrum._TABLES.clear()
+        rc, out, _ = run_cli(capsys, "conjecture", spec.label(), "--seed", "3")
+        assert rc == 0, spec.label()
+        assert out.rstrip().endswith("RESULT: PASS"), spec.label()
+
+
 def test_flat_conjecture_builds_its_table_once(capsys, monkeypatch):
     from spectralab import lattice
 
@@ -326,10 +339,20 @@ def test_bad_grid_is_usage_error(capsys):
         assert "usage:" in err
 
 
-def test_level_budget_guard(capsys):
+def test_level_budget_guard(capsys, monkeypatch):
     rc, _, err = run_cli(capsys, "spectrum", "rect:a=40,b=40,bc=N",
                          "--max-t", "1e8")
     assert rc == 2
+    assert "--max-t" in err and "cap" in err
+
+    # verify is refused before it enumerates anything
+    def enumerate_anyway(*args, **kwargs):
+        raise AssertionError("verify enumerated an over-budget cutoff")
+
+    monkeypatch.setattr(oracle, "check_equivalence", enumerate_anyway)
+    rc, out, err = run_cli(capsys, "verify", "rectangle:a=1,b=1,bc=N", "--max-t", "1e9")
+    assert rc == 2
+    assert out == ""
     assert "--max-t" in err and "cap" in err
     # count checks the budget once, at its largest time, before counting
     rc, out, err = run_cli(capsys, "count", "rect:a=40,b=40,bc=N", "--at", "10,1e8")
@@ -603,8 +626,8 @@ def test_each_command_loads_only_what_it_calls():
     # a flat table this small is summed on Python integers
     assert "lattice" in count and "numpy" not in count
     verify = loaded_modules(["verify", "lune:m=2,bc=N", "--max-t", "1e4"])
-    assert verify.isdisjoint({"analysis", "average", "asymptotics"})
-    assert "oracle" in verify
+    assert verify.isdisjoint({"analysis", "average"})
+    assert {"oracle", "asymptotics"} <= verify  # the level budget
     # round surfaces are counted on Python integers
     assert verify.isdisjoint({"lattice", "numpy"})
     for argv in (["asymptotics", "sphere"], ["count", "sphere", "--at", "100,1e5"],

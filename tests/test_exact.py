@@ -87,7 +87,7 @@ def bracket(x, a, c=Fraction(0)):
     it at the exact cutoff x pi^2, i.e. at rho = x."""
     t = spectrum.ExactTime(x)
     form = spectrum._Form([(1, ("floor", a * a, c))])
-    return form.numerator(t, spectrum._rho_ends(t))
+    return form.numerator(t)
 
 
 def test_floor_affine_sqrt_exact_boundaries():

@@ -390,14 +390,15 @@ def test_negative_multiplicity_is_refused(monkeypatch):
     # table kinds, and by both flat engines, rather than read as a level
     from spectralab import lattice
 
-    def falling(reduce):
+    def falling(qcap):
         # minus the squares: negative at every square key
-        return lambda qcap: reduce(qcap, [(0, 0, 1, range(isqrt(qcap) + 1), -1)], (), 1)
+        return [(0, 0, 1, range(isqrt(qcap) + 1), -1)]
 
     monkeypatch.setattr(spectrum, "_sph_cum", lambda spec, k: k * k if k < 5 else 0)
+    monkeypatch.setattr(lattice, "_hex_norm_rows", falling)
     for reduce in (lattice._reduce_py, lattice._reduce_np):
         monkeypatch.setattr(spectrum, "_TABLES", {})
-        monkeypatch.setattr(lattice, "_hex_norm_table", falling(reduce))
+        monkeypatch.setattr(lattice, "_reduce", reduce)
         for spec in (catalog.flat_torus_hex(), catalog.sphere()):
             with pytest.raises(ArithmeticError, match="negative multiplicity"):
                 count(spec, 100)
@@ -408,19 +409,65 @@ def test_tetrahedron_shells_must_halve(monkeypatch):
     # is refused like the other symmetry averages, not rounded down
     from spectralab import lattice
 
-    hex_table = lattice._hex_norm_table
+    hex_rows = lattice._hex_norm_rows
 
     def odd_shell(qcap):
         # one more point on the shell of key 3
-        return lattice._reduce(qcap, [(3, 0, 0, range(1), 1)],
-                               [(hex_table(qcap), 1, 1)], 1)
+        return hex_rows(qcap) + [(3, 0, 0, range(1), 1)]
 
     monkeypatch.setattr(spectrum, "_TABLES", {})
     assert count(catalog.tetrahedron_surface(), 100) > 0
     monkeypatch.setattr(spectrum, "_TABLES", {})
-    monkeypatch.setattr(lattice, "_hex_norm_table", odd_shell)
+    monkeypatch.setattr(lattice, "_hex_norm_rows", odd_shell)
     with pytest.raises(ArithmeticError, match="not a multiple of 2"):
         count(catalog.tetrahedron_surface(), 100)
+
+
+def test_each_table_is_reduced_from_its_own_rows(monkeypatch):
+    # a table that counts on another surface's lattice adds rows to that
+    # lattice's rows; it reads no other table, so none is made
+    for spec in (catalog.tetrahedron_surface(), catalog.half_tetrahedron("D"),
+                 catalog.flat_projective_plane(),
+                 catalog.symmetry_sector("square_d", "+-"),
+                 catalog.symmetry_sector("hex_torus", "2")):
+        monkeypatch.setattr(spectrum, "_TABLES", {})
+        count(spec, 1e3)
+        assert list(spectrum._TABLES) == [spec]
+
+
+def test_every_table_belongs_to_a_catalog_surface(monkeypatch):
+    # the Moebius closed forms count on catalog tori
+    monkeypatch.setattr(spectrum, "_TABLES", {})
+    bands = [s for s in catalog.verification_roster()
+             if s.family is catalog.Family.MOBIUS_BAND]
+    assert bands
+    for spec in bands:
+        rep = closed_form_identity(spec, 1234.5)
+        assert rep.count == rep.closed_form
+    assert all(isinstance(key, catalog.SurfaceSpec) for key in spectrum._TABLES)
+
+
+def test_two_dim_sector_counts_must_pair(monkeypatch):
+    # the 2-dim irrep's levels come in pairs: a sector table one point
+    # short leaves an odd count, which is refused rather than halved
+    from spectralab import lattice
+
+    pair_rows = lattice._pair_rows
+
+    def one_short(qcap, c, *args):
+        rows = pair_rows(qcap, c, *args)
+        if c == 0:
+            c0, c1, c2, ks, w = rows[0]
+            rows[0] = (c0, c1, c2, ks[1:], w)
+        return rows
+
+    spec = catalog.symmetry_sector("square_n", "2")
+    monkeypatch.setattr(spectrum, "_TABLES", {})
+    assert count(spec, 100) > 0
+    monkeypatch.setattr(spectrum, "_TABLES", {})
+    monkeypatch.setattr(lattice, "_pair_rows", one_short)
+    with pytest.raises(ArithmeticError, match="not a multiple of 2"):
+        count(spec, 100)
 
 
 GROWTH = [(spec, 40000.0) for spec in (
@@ -474,14 +521,14 @@ def _both_engines(ns):
     of the engine _reduce would pick."""
     from spectralab import lattice
 
-    def both(qcap, rows, parts, div):
-        n = sum(len(r[3]) for r in rows) + sum(len(p[0][0]) for p in parts)
+    def both(qcap, rows, div):
+        n = sum(len(r[3]) for r in rows)
         ns.append(n)
-        npy = lattice._reduce_np(qcap, rows, parts, div)
+        npy = lattice._reduce_np(qcap, rows, div)
         assert type(npy[0]).__module__ == "numpy"
         if n > 2 * lattice._PY_ENTRIES:
             return npy
-        py = lattice._reduce_py(qcap, rows, parts, div)
+        py = lattice._reduce_py(qcap, rows, div)
         assert _lists(py) == _lists(npy), (qcap, div)
         return py if n <= lattice._PY_ENTRIES else npy
 
@@ -489,11 +536,9 @@ def _both_engines(ns):
 
 
 FLAT_TABLES = [s for s in catalog.verification_roster() if not catalog.is_spherical(s)]
-FLAT_TABLES += [("mobius_even", F(1), F(1)), ("mobius_even", F(5, 7), F(11, 5))]
 
 
-@pytest.mark.parametrize("spec", FLAT_TABLES, ids=lambda s: s.label()
-                         if isinstance(s, catalog.SurfaceSpec) else "%s:a=%s,b=%s" % s)
+@pytest.mark.parametrize("spec", FLAT_TABLES, ids=lambda s: s.label())
 def test_engines_agree_on_flat_tables(spec, monkeypatch):
     # every flat table at qcap 256 and at a qcap past the dict engine's
     # limit, estimated from the first and doubled until it is: both engines
@@ -518,35 +563,41 @@ def test_engines_agree_on_reduce_inputs():
 
     from spectralab import lattice
 
-    small = spectrum._table(catalog.rectangle(1, 1, "N")).upto(60)
-    big = (np.array(small[0]), np.array(small[1]), np.array(small[2]))
+    # m^2 + mn + n^2 <= 60 over m, n >= 0, whose rows use c0, c1 and c2
+    hexes = lattice._pair_rows(60, 1, 0, 1, None)
+
+    def scaled(f, w):
+        return [(f * c0, f * c1, f * c2, ks, w) for c0, c1, c2, ks, _ in hexes]
+
     cases = [
         # negative weights that leave a nonnegative sum, and keys whose
         # weights sum to zero, which are dropped
         (100, [(0, 0, 1, range(11), 3), (0, 0, 1, range(1, 11), -2),
-               (5, 0, 0, range(1), 7), (5, 0, 0, range(1), -7)], (), 1),
-        # table slices of both types, scaled keys, signs and a divisor
-        (200, [(0, 0, 0, range(1), 2)], [(small, 2, 2), (big, 3, 0)], 2),
-        (60, (), [(small, 1, 1), (big, 1, -1)], 1),
-        (60, (), [(small, 1, 3), (big, 1, -1)], 2),
-        (50, (), (), 1),
+               (5, 0, 0, range(1), 7), (5, 0, 0, range(1), -7)], 1),
+        # scaled keys, signs, a zero weight and a divisor
+        (200, [(0, 0, 0, range(1), 2)] + scaled(2, 2) + scaled(3, 0), 2),
+        (60, scaled(1, 1) + scaled(1, -1), 1),
+        (60, scaled(1, 3) + scaled(1, -1), 2),
+        (50, (), 1),
     ]
-    for qcap, rows, parts, div in cases:
-        py = lattice._reduce_py(qcap, rows, parts, div)
-        npy = lattice._reduce_np(qcap, rows, parts, div)
+    for qcap, rows, div in cases:
+        py = lattice._reduce_py(qcap, rows, div)
+        npy = lattice._reduce_np(qcap, rows, div)
         assert all(isinstance(x, array) for x in py)
         assert _lists(py) == _lists(npy)
     squares = [k * k for k in range(11)]
     assert _lists(lattice._reduce_py(*cases[0])) == [squares, [3] + [1] * 10,
                                                      [0] + list(range(3, 14))]
     assert _lists(lattice._reduce_py(*cases[2])) == [[], [], [0]]
+    assert _lists(lattice._reduce_py(*cases[3])) == _lists(
+        lattice._reduce_py(60, hexes, 1))
     for reduce in (lattice._reduce_py, lattice._reduce_np):
         with pytest.raises(ArithmeticError, match="negative multiplicity"):
-            reduce(60, [(1, 0, 0, range(1), -5)], [(small, 1, 1)], 1)
+            reduce(60, [(1, 0, 0, range(1), -5)] + hexes, 1)
         with pytest.raises(ArithmeticError, match="sum to 3 at key 0, not a multiple of 2"):
-            reduce(60, [(0, 0, 0, range(1), 2)], [(small, 1, 1)], 2)
+            reduce(60, [(0, 0, 0, range(1), 2)] + hexes, 2)
         with pytest.raises(ArithmeticError, match="do not fit int64 with 3 weight bits"):
-            reduce(2 ** 59, [(0, 0, 0, range(1), 1), (2 ** 59, 0, 0, range(1), -3)], (), 1)
+            reduce(2 ** 59, [(0, 0, 0, range(1), 1), (2 ** 59, 0, 0, range(1), -3)], 1)
 
 
 # --- compiled closed forms: the enclosure path and the cache ----------------
@@ -569,7 +620,7 @@ def test_cutoff_inside_the_pi_enclosure_raises(spec):
             closed_form_identity(spec, t)
         form = spectrum._form(spec, spectrum._table(spec))
         with pytest.raises(ArithmeticError):
-            form.numerator(t, spectrum._rho_ends(t))
+            form.numerator(t)
 
 
 @pytest.mark.parametrize("spec", ENCLOSURE_SPECS + [
