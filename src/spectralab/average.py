@@ -8,48 +8,67 @@ decomposition g(x) + g1(x) x/t + g2(x)/t with x = sqrt(t + 1/4); both are
 implemented, and the tests hold them equal in rational arithmetic and
 within 1e-12 in float64.
 
-Every averaged error comes from avg_error_grid, which sums the level
-table in float64 prefix sums: its rounding grows with t, and its
-docstring gives the measured bound.
+Every averaged error comes from float64 prefix sums of the level table,
+on one of two engines: avg_error_grid on numpy arrays, and
+avg_error_list on Python floats, for the CLI's `avg` on a short grid over
+a table on Python integers, where importing numpy would cost more than
+the sums.  Both run the same operations in the same order, and their
+powers t^{3/2} are t * sqrt(t), whose steps are correctly rounded in both
+(numpy's `power` is not libm's `pow`), so they agree bit for bit.  The
+rounding grows with t; avg_error_grid's docstring gives the measured
+bound.  numpy is imported by the functions that use it, so that the list
+engine runs without it.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from bisect import bisect_right
+from itertools import accumulate
+from operator import mul
 
 from . import asymptotics, catalog, spectrum
 from .catalog import Family, SurfaceSpec
 
 
-def _tilde_integral(rc: asymptotics.RefinedAsymptotics, t):
-    """Closed-form integral of the smooth estimate from 0 to t.
+def _tilde_integral(rc: asymptotics.RefinedAsymptotics, sqrt):
+    """The closed-form integral of the smooth estimate from 0 to t, as a
+    function of t: a float with sqrt = math.sqrt, a float64 array with
+    sqrt = np.sqrt.
 
-    The square-root term integrates to (2/3) s^{3/2}; in the shifted form
-    the antiderivative is (2/3)(s + 1/4)^{3/2} and the constant is fixed so
-    the integral vanishes at t = 0.  Works on scalars and arrays.
+    The square-root term integrates to (2/3) s^{3/2}, taken as s * sqrt(s);
+    in the shifted form the antiderivative is (2/3)(s + 1/4)^{3/2} and the
+    constant is fixed so the integral vanishes at t = 0.
     """
     A, B, C = float(rc.A), float(rc.B), float(rc.C)
-    if rc.sqrt_shift:
-        broot = (t + 0.25) ** 1.5 - 0.125
-    else:
-        broot = t ** 1.5
-    return 0.5 * A * t * t + (2.0 / 3.0) * B * broot + C * t
+    shift = rc.sqrt_shift
+
+    def integral(t):
+        if shift:
+            s = t + 0.25
+            broot = s * sqrt(s) - 0.125
+        else:
+            broot = t * sqrt(t)
+        return 0.5 * A * t * t + (2.0 / 3.0) * B * broot + C * t
+
+    return integral
 
 
 _BLOCK = 65536  # times per block of avg_error_grid's temporaries
 
 
-def avg_error_grid(spec: SurfaceSpec, ts) -> np.ndarray:
-    """Averaged error over an ascending grid, one spectrum fetch.
+def avg_error_grid(spec: SurfaceSpec, ts):
+    """Averaged error over an ascending grid, one spectrum fetch, on numpy.
 
-    The level prefix sums are made once; the times are then evaluated in
-    blocks of _BLOCK into one output array, so the temporaries stay
-    block-sized however long the grid is.  The sums are float64, and the
-    absolute error grows with t: below 1e-12 up to t = 3000, 4.3e-10 on
-    [1e5, 1e6] and 1.4e-8 at t = 1e7 (unit torus, against exact sums).
+    The level prefix sums are cumulated once, straight into their arrays;
+    the times are then evaluated in blocks of _BLOCK into one output
+    array, so the temporaries stay block-sized however long the grid is.
+    The sums are float64, and the absolute error grows with t: below 1e-12
+    up to t = 3000, 4.3e-10 on [1e5, 1e6] and 1.4e-8 at t = 1e7 (unit
+    torus, against exact sums).  avg_error_list gives the same floats.
     """
+    import numpy as np
+
     ts = np.asarray(ts, dtype=np.float64)
     if ts.size == 0:
         return ts.copy()
@@ -58,10 +77,12 @@ def avg_error_grid(spec: SurfaceSpec, ts) -> np.ndarray:
     if np.any(ts[1:] < ts[:-1]):
         raise ValueError("grid must be ascending")
     vals, mults = spectrum.level_arrays(spec, float(ts[-1]))
-    m = mults.astype(np.float64)
-    n_pref = np.concatenate(([0.0], np.cumsum(m)))
-    l_pref = np.concatenate(([0.0], np.cumsum(m * vals)))
-    rc = asymptotics.surface_constants(spec)
+    n_pref = np.zeros(vals.size + 1)
+    np.cumsum(mults, dtype=np.float64, out=n_pref[1:])
+    l_pref = np.zeros(vals.size + 1)
+    np.multiply(mults, vals, out=l_pref[1:])
+    np.cumsum(l_pref[1:], out=l_pref[1:])
+    tilde = _tilde_integral(asymptotics.surface_constants(spec), np.sqrt)
     out = np.empty_like(ts)
     for i in range(0, ts.size, _BLOCK):
         t = ts[i:i + _BLOCK]
@@ -69,17 +90,46 @@ def avg_error_grid(spec: SurfaceSpec, ts) -> np.ndarray:
         idx = np.searchsorted(vals, t, side="right")
         np.multiply(t, n_pref[idx], out=o)
         o -= l_pref[idx]
-        o -= _tilde_integral(rc, t)
+        o -= tilde(t)
         o /= t
     return out
 
 
-def residual(spec: SurfaceSpec, ts) -> np.ndarray:
+def avg_error_list(spec: SurfaceSpec, ts) -> list:
+    """avg_error_grid on Python floats, bit for bit, without numpy.
+
+    The levels are `spectrum.level_lists`, with the values of
+    `level_arrays`; the prefix sums are sequential, as numpy's cumsum is,
+    bisect_right stands for searchsorted(side="right") and each time runs
+    avg_error_grid's operations in its order.  About 1 us a time: worth it
+    on a short grid over a table on Python integers (`cli._PY_POINTS`).
+    """
+    ts = list(map(float, ts))
+    if not all(t > 0 for t in ts):
+        raise ValueError("averaged error needs t > 0")
+    if any(b < a for a, b in zip(ts, ts[1:])):
+        raise ValueError("grid must be ascending")
+    if not ts:
+        return []
+    vals, mults = spectrum.level_lists(spec, ts[-1])
+    n_pref = list(accumulate(map(float, mults), initial=0.0))
+    l_pref = list(accumulate(map(mul, mults, vals), initial=0.0))
+    tilde = _tilde_integral(asymptotics.surface_constants(spec), math.sqrt)
+    out = []
+    for t in ts:
+        i = bisect_right(vals, t)
+        out.append((t * n_pref[i] - l_pref[i] - tilde(t)) / t)
+    return out
+
+
+def residual(spec: SurfaceSpec, ts):
     """|avg_error_grid - leading_profile| over an ascending grid.
 
     The leading term is subtracted on round surfaces only; on flat ones
     it is zero and the residual is the averaged error itself.
     """
+    import numpy as np
+
     ts = np.asarray(ts, dtype=np.float64)
     avg = avg_error_grid(spec, ts)
     if catalog.is_spherical(spec):
@@ -90,6 +140,8 @@ def residual(spec: SurfaceSpec, ts) -> np.ndarray:
 
 def _window_index(t):
     """Index k of the sphere's multiplicity window [k^2-k, k^2+k)."""
+    import numpy as np
+
     return np.floor(np.sqrt(t + 0.25) + 0.5)
 
 
@@ -98,6 +150,8 @@ def sphere_avg_closed_form(t):
 
     Valid for t > 0; vectorizes over arrays.
     """
+    import numpy as np
+
     t = np.asarray(t, dtype=np.float64)
     if not np.all(t > 0):
         raise ValueError("closed form needs t > 0")
@@ -109,11 +163,15 @@ def sphere_avg_closed_form(t):
 
 def _offset(x):
     # signed distance to the nearest integer, in [-1/2, 1/2)
+    import numpy as np
+
     return x - np.floor(x + 0.5)
 
 
 def sphere_g(x):
     """Leading profile 1/6 - 2 r^2, r the offset of x from its nearest integer."""
+    import numpy as np
+
     r = _offset(np.asarray(x, dtype=np.float64))
     out = 1.0 / 6.0 - 2.0 * r * r
     return float(out) if out.ndim == 0 else out
@@ -121,6 +179,8 @@ def sphere_g(x):
 
 def sphere_g1(x):
     """First correction profile -r(1 - 4r^2)/2."""
+    import numpy as np
+
     r = _offset(np.asarray(x, dtype=np.float64))
     out = -r * (1.0 - 4.0 * r * r) / 2.0
     return float(out) if out.ndim == 0 else out
@@ -128,6 +188,8 @@ def sphere_g1(x):
 
 def sphere_g2(x):
     """Second correction profile (4r^2 + 3)(1 - 4r^2)/32."""
+    import numpy as np
+
     r = _offset(np.asarray(x, dtype=np.float64))
     r2 = r * r
     out = (4.0 * r2 + 3.0) * (1.0 - 4.0 * r2) / 32.0
@@ -161,6 +223,8 @@ def leading_profile(spec: SurfaceSpec, x):
     sawtooth described in _alternating_weight.  Zero for flat surfaces,
     whose averaged error already decays.
     """
+    import numpy as np
+
     x = np.asarray(x, dtype=np.float64)
     if not catalog.is_spherical(spec):
         out = np.zeros_like(x)
@@ -180,6 +244,8 @@ def sphere_avg_decomposed(t):
     Algebraically identical to sphere_avg_closed_form; kept as a separate
     route so the identity stays testable.
     """
+    import numpy as np
+
     t = np.asarray(t, dtype=np.float64)
     if not np.all(t > 0):
         raise ValueError("decomposition needs t > 0")
@@ -188,12 +254,14 @@ def sphere_avg_decomposed(t):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def g_samples(spec: SurfaceSpec, x_grid) -> np.ndarray:
+def g_samples(spec: SurfaceSpec, x_grid):
     """Conjecture-normalized profile g_est over an ascending grid, one per x.
 
     Flat surfaces: g_est = A(x^2) * sqrt(x).  Spherical surfaces:
     g_est = A(x^2 - 1/4).
     """
+    import numpy as np
+
     xs = np.asarray(x_grid, dtype=np.float64)
     if xs.size == 0:
         return np.empty(0)
@@ -208,7 +276,7 @@ def g_samples(spec: SurfaceSpec, x_grid) -> np.ndarray:
     return avg_error_grid(spec, xs * xs) * np.sqrt(xs)
 
 
-def window_samples(vals: np.ndarray, lo, hi, grid: np.ndarray) -> np.ndarray:
+def window_samples(vals, lo, hi, grid):
     """Sorted sample times for a sup or a fit over the window [lo, hi].
 
     N(t) jumps and the averaged error kinks only at levels, so the samples
@@ -216,6 +284,8 @@ def window_samples(vals: np.ndarray, lo, hi, grid: np.ndarray) -> np.ndarray:
     neighbouring ones and the caller's grid, made unique and clipped to
     [lo, hi].
     """
+    import numpy as np
+
     inside = vals[(vals > lo) & (vals < hi)]
     mids = 0.5 * (inside[1:] + inside[:-1])
     # sort and drop repeats: np.unique would load numpy.ma
@@ -234,6 +304,8 @@ def remainder_exponent(spec: SurfaceSpec, t_lo, t_hi) -> float:
     profile A * g(sqrt(t + 1/4)) for positively curved surfaces and zero
     for flat ones, whose averaged error already decays like t^{-1/4}.
     """
+    import numpy as np
+
     t_lo = float(t_lo)
     t_hi = float(t_hi)
     if not 0 < t_lo:

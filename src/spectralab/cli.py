@@ -36,6 +36,12 @@ _LEVEL_BUDGET = 2e7
 # most points a --grid or --omega may ask for; at this size the largest
 # command, `freq sphere --window 100:200`, peaks at about 520 MB
 _GRID_MAX = 10**6
+# Most points for which `avg` sums a table on Python integers in Python
+# floats (average.avg_error_list) instead of importing numpy: about 1 us a
+# point, 4.1-4.6 ms at 4001 points and 62-65 ms at 65536 (sphere and a
+# rational rectangle), against about 165 ms for the numpy import, so the
+# crossover lies past 10^5 points.
+_PY_POINTS = 1 << 16
 
 _FREQ_TOL = 0.05
 # peak sets asserted by the conjecture command; every other surface gets
@@ -100,6 +106,24 @@ def _parse_grid(text: str, what: str):
     if not 0 < lo < hi:
         raise ValueError(f"{what} must be positive and ascending, got {text!r}")
     return lo, hi, n
+
+
+def _grid(lo: float, hi: float, n: int, log: bool) -> list:
+    """n floats from lo to hi, as np.linspace(lo, hi, n) gives them, or
+    with log as np.geomspace does: 10 ** x over the linear grid of the
+    log10 of the ends, and the ends themselves.  The linear grid is
+    np.linspace's bit for bit; libm's log10 and pow may round differently
+    from numpy's, so a log grid's inner points may differ from
+    np.geomspace's in the last bits."""
+    a, b = (math.log10(lo), math.log10(hi)) if log else (lo, hi)
+    step = (b - a) / max(n - 1, 1)
+    xs = [i * step + a for i in range(n)]
+    if log:
+        xs = [10.0 ** x for x in xs]
+    xs[0] = lo
+    if n > 1:
+        xs[-1] = hi
+    return xs
 
 
 def _budget(spec, t_hi, param: str) -> None:
@@ -199,23 +223,25 @@ def cmd_asymptotics(args) -> int:
 
 
 def cmd_avg(args) -> int:
-    import numpy as np
-
     from . import average
 
     spec = parse_surface(args.spec)
     lo, hi, n = _parse_grid(args.grid, "--grid")
     _budget(spec, hi, "--grid")
-    ts = np.geomspace(lo, hi, n) if args.log else np.linspace(lo, hi, n)
-    avg = average.avg_error_grid(spec, ts)
+    ts = _grid(lo, hi, n, args.log)
+    # both engines give the same floats; numpy is imported only for a
+    # long grid or a table that is already on numpy
+    if n <= _PY_POINTS and spectrum.in_python(spec, ts[-1]):
+        avg = average.avg_error_list(spec, ts)
+    else:
+        avg = average.avg_error_grid(spec, ts).tolist()
     if catalog.is_spherical(spec):
-        gx = np.sqrt(ts + 0.25)
+        gx = [math.sqrt(t + 0.25) for t in ts]
         g_est = avg
     else:
-        gx = np.sqrt(ts)
-        g_est = avg * ts ** 0.25
-    emit([{"t": ts.tolist(), "avg": avg.tolist(), "gx": gx.tolist(),
-           "g_est": g_est.tolist()}], args.format)
+        gx = list(map(math.sqrt, ts))
+        g_est = [a * math.sqrt(x) for a, x in zip(avg, gx)]  # A(t) t^{1/4}
+    emit([{"t": ts, "avg": avg, "gx": gx, "g_est": g_est}], args.format)
     return 0
 
 

@@ -99,14 +99,30 @@ class _LevelTable:
                    "key": [str(Fraction(k * un, ud)) for k in qs],
                    "multiplicity": mults[lo:lo + _CHUNK].tolist()}
 
+    def value(self, k):
+        """The eigenvalue unit * k * pi^2 of a key k in float64, one float
+        or an array: k times the unit's numerator, over its denominator,
+        times pi^2, each step rounded."""
+        return k * self.unit.numerator / self.unit.denominator * (math.pi * math.pi)
+
     def arrays(self, q: int):
         """(values, multiplicities) arrays of the levels with key <= q."""
         import numpy as np
 
         i = self.index(q)
-        vals = (np.asarray(self.keys[:i]).astype(np.float64) * self.unit.numerator
-                / self.unit.denominator * (math.pi * math.pi))
-        return vals, np.array(self.mults[:i], dtype=np.int64)
+        return (self.value(np.asarray(self.keys[:i]).astype(np.float64)),
+                np.array(self.mults[:i], dtype=np.int64))
+
+    def lists(self, q: int):
+        """`arrays` as a list of floats and a list of ints."""
+        i = self.index(q)
+        return ([self.value(float(k)) for k in self.keys[:i].tolist()],
+                self.mults[:i].tolist())
+
+    def in_python(self, q: int) -> bool:
+        """Whether the levels with key <= q are in `array('q')`."""
+        self.grow(q)
+        return isinstance(self.keys, array)
 
 
 def _reduce(qcap: int, rows, div: int):

@@ -24,6 +24,8 @@ different enumeration.
 `level_columns` hands the CLI's writer the levels in chunks; a flat table
 writes chunks of lattice._CHUNK rows formatted from its integer keys, so
 that a dump holds little beyond the table however many levels it writes.
+`level_arrays` and `level_lists` give the levels as numpy arrays or as
+Python lists, with values from one formula per table (its `value`).
 
 Cutoffs may be given as plain numbers (int, float, Fraction) or as an
 `ExactTime`, which pins down cutoffs of the form rho * pi^2 that no float
@@ -179,11 +181,24 @@ class _RoundTable:
         yield {"value": [float(N * (N + 1)) for N, _ in pairs],
                "key": [N for N, _ in pairs], "multiplicity": [m for _, m in pairs]}
 
+    @staticmethod
+    def value(N):
+        """The eigenvalue N(N+1) in float64 of a degree N, an int or an
+        int64 array."""
+        return N * (N + 1.0)
+
     def arrays(self, q: int):
         import numpy as np
 
         pairs = np.array(self.levels(q), dtype=np.int64).reshape(-1, 2)
-        return pairs[:, 0] * (pairs[:, 0] + 1.0), pairs[:, 1].copy()
+        return self.value(pairs[:, 0]), pairs[:, 1].copy()
+
+    def lists(self, q: int):
+        pairs = self.levels(q)
+        return [self.value(N) for N, _ in pairs], [m for _, m in pairs]
+
+    def in_python(self, q: int) -> bool:
+        return True
 
 
 _TABLES: dict = {}
@@ -484,6 +499,20 @@ def level_arrays(spec: SurfaceSpec, T):
     """(values, multiplicities) as numpy arrays, for bulk numerics."""
     tb = _table(spec)
     return tb.arrays(tb.qmax(T))
+
+
+def level_lists(spec: SurfaceSpec, T):
+    """(values, multiplicities) as lists of floats and ints: the numbers
+    of `level_arrays`, from the same value formula."""
+    tb = _table(spec)
+    return tb.lists(tb.qmax(T))
+
+
+def in_python(spec: SurfaceSpec, T) -> bool:
+    """Whether the table holding the levels <= T is on Python integers:
+    every round table, and a flat one that `lattice._reduce_py` made."""
+    tb = _table(spec)
+    return tb.in_python(tb.qmax(T))
 
 
 def count(spec: SurfaceSpec, t) -> int:

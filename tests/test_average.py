@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spectralab import asymptotics, average, catalog, exact, oracle, spectrum
+from spectralab import asymptotics, average, catalog, cli, exact, oracle, spectrum
 
 
 def spec(label):
@@ -25,7 +25,7 @@ def test_integral_counting_sphere_small():
     # t = 2 (one level 0) and 6 at t = 3 (levels 0 and 3 x 2)
     ts = np.array([2.0, 3.0])
     rc = asymptotics.surface_constants(SPHERE)
-    step = average.avg_error_grid(SPHERE, ts) * ts + average._tilde_integral(rc, ts)
+    step = average.avg_error_grid(SPHERE, ts) * ts + average._tilde_integral(rc, np.sqrt)(ts)
     assert step == pytest.approx([2.0, 6.0], abs=1e-12)
 
 
@@ -47,11 +47,11 @@ def test_tilde_integral_vanishes_at_zero_and_differentiates_back():
                   "mobius_band:a=1,b=2,bc=N"]:
         sp = spec(label)
         rc = asymptotics.surface_constants(sp)
-        assert average._tilde_integral(rc, 0.0) == 0.0
+        tilde = average._tilde_integral(rc, math.sqrt)
+        assert tilde(0.0) == 0.0
         for t in [0.7, 13.0, 450.0]:
             h = 1e-5 * max(t, 1.0)
-            num = (average._tilde_integral(rc, t + h)
-                   - average._tilde_integral(rc, t - h)) / (2 * h)
+            num = (tilde(t + h) - tilde(t - h)) / (2 * h)
             assert num == pytest.approx(rc.smooth_count(t), rel=1e-7)
 
 
@@ -101,16 +101,17 @@ def _exact_avg(spec, levels, t: Fraction):
 @pytest.mark.parametrize("label", ["sphere", "flat_torus_rect:a=1,b=1",
                                    "lune:m=2,bc=N", "rectangle:a=1,b=1,bc=NM"])
 def test_avg_error_grid_matches_exact_reference(label):
-    # the float64 prefix sums stay within 1e-12 of exact sums for t <= 3000
+    # the float64 prefix sums of both engines stay within 1e-12 of exact
+    # sums for t <= 3000, their sqrt-built powers included
     sp = spec(label)
     rng = np.random.default_rng(11)
     ts = np.sort(rng.uniform(1.0, 3000.0, 60))
-    grid = average.avg_error_grid(sp, ts)
     levels = oracle.brute_levels(sp, Fraction(float(ts[-1])))
-    for t, g in zip(ts, grid):
-        lo, hi = _exact_avg(sp, levels, Fraction(float(t)))
-        assert hi - lo < Fraction(1, 10 ** 20)
-        assert lo - Fraction(1, 10 ** 12) <= Fraction(float(g)) <= hi + Fraction(1, 10 ** 12)
+    for grid in (average.avg_error_grid(sp, ts), average.avg_error_list(sp, ts)):
+        for t, g in zip(ts, grid):
+            lo, hi = _exact_avg(sp, levels, Fraction(float(t)))
+            assert hi - lo < Fraction(1, 10 ** 20)
+            assert lo - Fraction(1, 10 ** 12) <= Fraction(float(g)) <= hi + Fraction(1, 10 ** 12)
 
 
 def test_avg_error_grid_validates_input():
@@ -119,6 +120,34 @@ def test_avg_error_grid_validates_input():
     with pytest.raises(ValueError):
         average.avg_error_grid(SPHERE, [0.0, 1.0])
     assert average.avg_error_grid(SPHERE, []).size == 0
+
+
+@pytest.mark.parametrize("label", [
+    "sphere", "flat_torus_rect:a=2,b=3/2", "symmetry_sector:base=hex_torus,irrep=2",
+    "mobius_band:a=1,b=1,bc=D", "cylinder:a=13/11,b=11/5,bc=M"])
+def test_engines_agree_on_grids(label):
+    # seeded linear and log grids, a single time and times that land on
+    # levels: the list engine gives the numpy engine's floats exactly
+    sp = spec(label)
+    rng = np.random.default_rng(7)
+    top = 4000.0 / float(asymptotics.surface_constants(sp).A)
+    vals, _ = spectrum.level_arrays(sp, top)
+    grids = [[float(top)], [float(vals[1])], sorted(vals[1:40].tolist())]
+    for log in (False, True):
+        for n in (1, 2, 97, 1500):
+            lo = top * rng.uniform(1e-4, 0.3)
+            grids.append(cli._grid(lo, top, n, log))
+    grids.append(sorted(grids[-1] + vals[vals > grids[-1][0]].tolist()))
+    for ts in grids:
+        assert average.avg_error_list(sp, ts) == average.avg_error_grid(sp, ts).tolist()
+    for bad in ([0.0], [-3.0], [-1.0, 2.0], [2.0, 1.0], [1.0, 3.0, 2.0]):
+        errors = []
+        for engine in (average.avg_error_grid, average.avg_error_list):
+            with pytest.raises(ValueError) as err:
+                engine(sp, bad)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+    assert average.avg_error_list(sp, []) == []
 
 
 def test_independent_quadrature_rectangle():

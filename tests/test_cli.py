@@ -139,6 +139,21 @@ def test_avg_columns_and_normalization(capsys):
         assert row[3] == row[1]  # spherical g_est is the average itself
 
 
+def test_avg_grid_matches_numpy():
+    # the linear grid is np.linspace's bit for bit; the log grid keeps its
+    # ends, and its inner points differ from np.geomspace's only where libm
+    # and numpy round log10 and pow differently
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        lo = 10 ** rng.uniform(-2, 5)
+        hi = lo * 10 ** rng.uniform(0.01, 3)
+        n = int(rng.integers(1, 500))
+        assert cli._grid(lo, hi, n, False) == np.linspace(lo, hi, n).tolist()
+        ts = cli._grid(lo, hi, n, True)
+        assert ts[0] == lo and ts[-1] == (hi if n > 1 else lo)
+        assert np.allclose(ts, np.geomspace(lo, hi, n), rtol=1e-13, atol=0)
+
+
 def test_avg_flat_normalization(capsys):
     rc, out, _ = run_cli(capsys, "avg", "rect:a=1,b=1,bc=N", "--grid", "100:200:7")
     assert rc == 0
@@ -450,7 +465,23 @@ GOLDEN = {
         "t,avg,gx,g_est\n"
         "10,-0.53939119135469671,3.1622776601683795,-0.95918824954242177\n"
         "100,-0.23383981554255115,10,-0.73946642474810409\n"
-        "1000,-0.16168911821834628,31.622776601683793,-0.90924473007763851\n",
+        "1000,-0.16168911821834628,31.622776601683793,-0.90924473007763862\n",
+    # the list route (average.avg_error_list) on a rational shape and on a
+    # round surface with a log grid
+    ("avg", "rectangle:a=13/11,b=11/5,bc=ND", "--grid", "10:400:5"):
+        "t,avg,gx,g_est\n"
+        "10,-0.060076615361281505,3.1622776601683795,-0.10683300812179496\n"
+        "107.5,-0.026225918356251283,10.36822067666386,-0.084446726837019259\n"
+        "205,0.022511926391913531,14.317821063276353,0.085182645811070962\n"
+        "302.5,0.027928354982836297,17.392527130926087,0.11647338590410136\n"
+        "400,0.03249719029944572,20,0.14533185317461475\n",
+    ("avg", "lune:m=3,bc=D", "--grid", "2:2000:5", "--log"):
+        "t,avg,gx,g_est\n"
+        "2,0.09722222222222221,1.5,0.09722222222222221\n"
+        "11.246826503806982,-0.06336235612446213,3.3906970527912077,-0.06336235612446213\n"
+        "63.245553203367592,0.03839833531992505,7.9684097035335473,0.03839833531992505\n"
+        "355.65588200778461,0.01349568929093199,18.86546797743922,0.01349568929093199\n"
+        "2000,0.0054497445372981021,44.724154547626725,0.0054497445372981021\n",
     ("count", "lune:m=2,bc=N", "--at", "100,7/3,1e5"):
         "t,count,closed_form\n"
         "100,30,30\n"
@@ -635,6 +666,12 @@ def test_each_command_loads_only_what_it_calls():
         assert loaded_modules(argv).isdisjoint({"lattice", "numpy"}), argv
     # np.unique and np.median would load numpy.ma
     assert "numpy.ma" not in loaded_modules(["conjecture", "sphere"])
+    # `avg` sums a round table on a log grid in Python floats, but a short
+    # grid over a table already on numpy on numpy
+    avg = loaded_modules(["avg", "sphere", "--grid", "10:1e5:4001", "--log"])
+    assert avg.isdisjoint({"numpy", "numpy.ma", "lattice", "analysis"})
+    assert "numpy" in loaded_modules(
+        ["avg", "rectangle:a=1,b=1,bc=N", "--grid", "1e6:1e7:5"])
 
 
 def test_round_roster_never_loads_numpy():
@@ -658,7 +695,11 @@ def test_flat_roster_never_loads_numpy():
     assert len(argvs) == 59
     shape = "rectangle:a=13/11,b=11/5,bc=ND"
     argvs += [["count", shape, "--at", "7722,2000,400"],
-              ["spectrum", shape, "--max-t", "7722"]]
+              ["spectrum", shape, "--max-t", "7722"],
+              ["avg", shape, "--grid", "77.22:7722:4001"]]
     assert loaded_modules(*argvs).isdisjoint({"numpy", "numpy.ma"})
+    # a grid longer than _PY_POINTS is summed on numpy
+    assert "numpy" in loaded_modules(
+        ["avg", shape, "--grid", f"77.22:7722:{cli._PY_POINTS + 1}"])
     # a unit-shaped table at 1e7 is still numpy's
     assert "numpy" in loaded_modules(["count", "rectangle:a=1,b=1,bc=N", "--at", "1e7"])
