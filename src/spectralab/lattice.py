@@ -1,31 +1,30 @@
 """Flat level tables: keys q of eigenvalues unit * q * pi^2 and their
 multiplicities, sorted, with prefix sums.
 
-`spectrum` imports this module for the first flat table.  Every table is
-reduced from its own weighted lattice rows (`_plan_flat`): a table that
-counts on another surface's lattice (the flat projective plane, the
+`spectrum` imports this module for the first flat table: `_LevelTable`
+is the flat kind of `spectrum._Table`, which grows and reads it.  Every
+table is reduced from its own weighted lattice rows (`_plan_flat`): one
+that counts on another surface's lattice (the flat projective plane, the
 tetrahedra, the symmetry sectors) adds rows to that lattice's rows rather
-than reading its table.  `_reduce` makes every table on one of two
-engines, picked by the number of entries it must expand: a small table is summed in a dict and held in stdlib
-`array('q')`, a large one in int64 numpy arrays.  The table answers
-through what both types share (bisect, indexing, slicing, `tolist`), so
-numpy is imported only by the numpy engine and by `arrays`.
+than reading its table.  `_reduce` picks one of two engines by the number
+of entries it must expand: a small table is summed in a dict into stdlib
+`array('q')`, a large one on int64 numpy arrays.  `_Table` reads both
+types through what they share, so only the numpy engine and
+`_Table.arrays` import numpy.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, isqrt
 
 from . import catalog
 from .catalog import Family, SurfaceSpec
-from .spectrum import _decided, _pq, _rho_ends
+from .spectrum import _NEGATIVE, _Table, _decided, _pq, _rho_ends
 
-_CHUNK = 65536  # levels per chunk of _LevelTable.columns
 # Entries up to which _reduce sums in a dict, where importing numpy would
 # cost more than the table: every table of `verify` at t = 1e4 (at most
 # 4619 entries) and of `count` and `spectrum` in the shapes benchmark (5618
@@ -35,104 +34,47 @@ _CHUNK = 65536  # levels per chunk of _LevelTable.columns
 _PY_ENTRIES = 1 << 15
 
 
-class _LevelTable:
-    """The levels of one flat surface, grown by `grow`.
+class _LevelTable(_Table):
+    """The levels of one flat surface: key q is the eigenvalue
+    unit * q * pi^2, written as its Fraction rho, and a build reduces
+    rows(qcap) over div (`_plan_flat`)."""
 
-    keys are the sorted integer level keys of nonzero multiplicity: key q
-    is the eigenvalue unit * q * pi^2.  mults are the multiplicities and
-    prefix[i] is the sum of the first i of them, all three `array('q')` or
-    all three int64 numpy arrays, as `_reduce` made them.  Every level
-    with key <= qcap is present; a larger qcap reduces rows(qcap) over div.
-    form is the surface's compiled closed form, made on first use.
-    """
+    __slots__ = ("unit", "rows", "div")
 
-    __slots__ = ("unit", "rows", "div", "keys", "mults", "prefix", "qcap", "form")
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.unit, self.rows, self.div = _plan_flat(spec)
 
-    def __init__(self, unit, rows, div):
-        self.unit = unit
-        self.rows = rows
-        self.div = div
-        self.keys = self.mults = array("q")
-        self.prefix = array("q", [0])
-        self.qcap = -1
-        self.form = None
-
-    def grow(self, qneed: int) -> None:
-        """Hold every level with key <= qneed: a table that is too short is
-        rebuilt at twice its size or qneed, whichever is larger."""
-        if self.qcap < qneed:
-            qcap = max(qneed, 256, 2 * self.qcap)
-            self.keys, self.mults, self.prefix = _reduce(qcap, self.rows(qcap), self.div)
-            self.qcap = qcap
+    def build(self, qcap: int):
+        return _reduce(qcap, self.rows(qcap), self.div)
 
     def qmax(self, t) -> int:
         """Largest key whose eigenvalue is <= t, decided on t's `_rho_ends`."""
         un, ud = _pq(self.unit)
         return _decided(t, _rho_ends(t), lambda P, Q: P * ud // (Q * un))
 
-    def index(self, q: int) -> int:
-        """The number of levels with key <= q, growing the table to q."""
-        self.grow(q)
-        return bisect_right(self.keys, q)
-
-    def count_upto(self, q: int) -> int:
-        """The number of eigenvalues with key <= q."""
-        i = self.index(q)  # may replace self.prefix
-        return int(self.prefix[i])
-
-    def levels(self, q: int) -> list:
-        """The levels with key <= q as (rho, multiplicity) pairs."""
-        i = self.index(q)
-        return [(self.unit * k, m)
-                for k, m in zip(self.keys[:i].tolist(), self.mults[:i].tolist())]
-
-    def columns(self, q: int):
-        """`spectrum.level_columns` chunks: a key prints as its Fraction rho,
-        a value is unit * q rounded once to float64, then times pi^2."""
-        i = self.index(q)
-        keys, mults = self.keys[:i], self.mults[:i]
-        un, ud = _pq(self.unit)
-        pi2 = math.pi * math.pi
-        for lo in range(0, max(i, 1), _CHUNK):
-            qs = keys[lo:lo + _CHUNK].tolist()
-            yield {"value": [k * un / ud * pi2 for k in qs],
-                   "key": [str(Fraction(k * un, ud)) for k in qs],
-                   "multiplicity": mults[lo:lo + _CHUNK].tolist()}
-
     def value(self, k):
-        """The eigenvalue unit * k * pi^2 of a key k in float64, one float
+        """The eigenvalue unit * k * pi^2 of a key k in float64, one number
         or an array: k times the unit's numerator, over its denominator,
-        times pi^2, each step rounded."""
+        times pi^2, each step rounded (an int k: float(rho) * pi^2)."""
         return k * self.unit.numerator / self.unit.denominator * (math.pi * math.pi)
 
-    def arrays(self, q: int):
-        """(values, multiplicities) arrays of the levels with key <= q."""
-        import numpy as np
+    def key(self, k):
+        return self.unit * k
 
-        i = self.index(q)
-        return (self.value(np.asarray(self.keys[:i]).astype(np.float64)),
-                np.array(self.mults[:i], dtype=np.int64))
-
-    def lists(self, q: int):
-        """`arrays` as a list of floats and a list of ints."""
-        i = self.index(q)
-        return ([self.value(float(k)) for k in self.keys[:i].tolist()],
-                self.mults[:i].tolist())
-
-    def in_python(self, q: int) -> bool:
-        """Whether the levels with key <= q are in `array('q')`."""
-        self.grow(q)
-        return isinstance(self.keys, array)
+    def printed(self, k) -> str:
+        return str(Fraction(k * self.unit.numerator, self.unit.denominator))
 
 
 def _reduce(qcap: int, rows, div: int):
     """Sorted (keys, mults, prefix) of weighted integer keys in [0, qcap].
 
-    A row (c0, c1, c2, ks, w) puts the weight w on the key c0 + c1 k + c2 k^2
-    for each k in the range ks.  Each key's summed weight must be a
-    nonnegative multiple of div, and its multiplicity is that sum over div; keys whose weights sum to zero
-    are dropped.  Anything else is refused with ArithmeticError, as are
-    keys whose packing (`_reduce_np`) would not fit int64.
+    A row (c0, c1, c2, ks, w) puts the weight w on the key
+    c0 + c1 k + c2 k^2 for each k in the range ks.  Each key's summed
+    weight must be a nonnegative multiple of div, and its multiplicity is
+    that sum over div; keys whose weights sum to zero are dropped.
+    Anything else is refused with ArithmeticError, as are keys whose
+    packing (`_reduce_np`) would not fit int64.
 
     Up to _PY_ENTRIES row entries are summed on Python integers
     (`_reduce_py`), more on numpy (`_reduce_np`); both give the same table.
@@ -154,7 +96,6 @@ def _weight_shift(qcap: int, wts) -> tuple:
     return wlo, shift
 
 
-_NEGATIVE = "negative multiplicity in level table"
 _NOT_WHOLE = "level weights sum to %d at key %d, not a multiple of %d"
 
 

@@ -4,11 +4,12 @@ Two routes live here and are kept deliberately separate so they can check
 each other.  The table route enumerates eigenvalues on an integer grid
 (every flat family has eigenvalues unit * q * pi^2 for integers q; every
 spherical family has eigenvalues N(N+1)) and answers counting questions by
-prefix sums.  Each surface has one cached table.  A round table is its
-list of window counts on Python integers; a flat table (`lattice`) holds
-the occupied integer keys, in stdlib `array('q')` when it is small and in
-int64 numpy arrays when it is large, so its memory follows the number of
-levels, not the size of the grid up to the cutoff.  The closed-form route evaluates the
+prefix sums.  Each surface has one cached table (`_Table`), and both kinds
+hold keys, multiplicities and counts and are read one way: a round key is
+a degree N, a flat one (`lattice`) an integer q.  Only occupied keys are
+held, in stdlib `array('q')` or, for a large flat table, int64 numpy
+arrays, so memory follows the number of levels, not the size of the grid
+up to the cutoff.  The closed-form route evaluates the
 floor-bracket identities for N(t), jump discontinuities included.  Each
 flat surface's identity is compiled once, on first use, into an integer
 linear form cached on its table: a common denominator, a constant, counts
@@ -21,11 +22,10 @@ window count itself.
 `oracle.check_equivalence` compares them against a third, structurally
 different enumeration.
 
-`level_columns` hands the CLI's writer the levels in chunks; a flat table
-writes chunks of lattice._CHUNK rows formatted from its integer keys, so
-that a dump holds little beyond the table however many levels it writes.
-`level_arrays` and `level_lists` give the levels as numpy arrays or as
-Python lists, with values from one formula per table (its `value`).
+`level_columns` hands the CLI's writer the levels in chunks of _CHUNK
+rows formatted from the integer keys, so that a dump holds little beyond
+the table however many levels it writes.  It, `level_arrays` and
+`level_lists` take their values from one formula per kind (`value`).
 
 Cutoffs may be given as plain numbers (int, float, Fraction) or as an
 `ExactTime`, which pins down cutoffs of the form rho * pi^2 that no float
@@ -39,8 +39,11 @@ ArithmeticError rather than guessing.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import isqrt
 
 from . import catalog
@@ -130,27 +133,99 @@ def _decided(t, ends, value):
 # level tables (the table route)
 
 
-class _RoundTable:
-    """A round surface's levels: cums[k] = _sph_cum(spec, k) counts the
-    eigenvalues of degree N <= k - 1 (eigenvalue N(N+1)), and the levels
-    are its nonzero differences.  The window counts are also the round
-    closed form, so the table is its own `_form`: den 1 and numerator the
-    window count of t."""
+_CHUNK = 65536  # levels per chunk of _Table.columns
+_NEGATIVE = "negative multiplicity in level table"
 
-    __slots__ = ("spec", "cums", "form")
-    den = 1
+
+class _Table:
+    """The levels of one surface: sorted integer keys, their nonzero
+    multiplicities mults and prefix[i], the sum of the first i of them, all
+    `array('q')` or all int64 numpy arrays, with every key <= qcap present.
+    A kind supplies `build(qcap)` (the arrays), `qmax(t)` (the largest key
+    whose eigenvalue is <= t), `value(k)` (that eigenvalue in float64),
+    `key(k)` (the exact key) and `printed(k)` (the key as written)."""
+
+    __slots__ = ("spec", "keys", "mults", "prefix", "qcap", "form")
 
     def __init__(self, spec):
-        self.spec, self.cums, self.form = spec, [0], self
+        self.spec, self.qcap, self.form = spec, -1, None
+        self.keys, self.mults, self.prefix = array("q"), array("q"), array("q", [0])
 
     def grow(self, qneed: int) -> None:
-        """Hold every degree <= qneed, at least doubling a short list."""
-        n = len(self.cums)
-        if n < qneed + 2:
-            new = [_sph_cum(self.spec, k) for k in range(n, max(qneed + 2, 256, 2 * n))]
-            if any(b < a for a, b in zip(self.cums[-1:] + new, new)):
-                raise ArithmeticError("negative multiplicity in level table")
-            self.cums += new
+        """Hold every level with key <= qneed, rebuilt at twice the size or
+        qneed: the arrays are replaced, never resized, so views handed out
+        before stay as they were."""
+        if self.qcap < qneed:
+            qcap = max(qneed, 256, 2 * self.qcap)
+            self.keys, self.mults, self.prefix = self.build(qcap)
+            self.qcap = qcap
+
+    def index(self, q: int) -> int:
+        """The number of levels with key <= q, growing the table to q."""
+        self.grow(q)
+        return bisect_right(self.keys, q)
+
+    def count_upto(self, q: int) -> int:
+        """The number of eigenvalues with key <= q."""
+        i = self.index(q)  # may replace self.prefix
+        return int(self.prefix[i])
+
+    def levels(self, q: int) -> list:
+        """The levels with key <= q as (exact key, multiplicity) pairs."""
+        i = self.index(q)
+        return list(zip(map(self.key, self.keys[:i].tolist()), self.mults[:i].tolist()))
+
+    def columns(self, q: int):
+        """`level_columns` chunks of the levels with key <= q."""
+        i = self.index(q)
+        keys, mults = self.keys[:i], self.mults[:i]
+        value, printed = self.value, self.printed
+        for lo in range(0, max(i, 1), _CHUNK):
+            ks = keys[lo:lo + _CHUNK].tolist()
+            yield {"value": [value(k) for k in ks], "key": [printed(k) for k in ks],
+                   "multiplicity": mults[lo:lo + _CHUNK].tolist()}
+
+    def arrays(self, q: int):
+        """(values, multiplicities) arrays of the levels with key <= q; the
+        multiplicities are a read-only view of the table's."""
+        import numpy as np
+
+        i = self.index(q)
+        mults = np.asarray(self.mults)[:i]
+        mults.flags.writeable = False
+        return self.value(np.asarray(self.keys)[:i].astype(np.float64)), mults
+
+    def lists(self, q: int):
+        """`arrays` as a list of floats and a list of ints."""
+        i = self.index(q)
+        value = self.value
+        return [value(float(k)) for k in self.keys[:i].tolist()], self.mults[:i].tolist()
+
+    def in_python(self, q: int) -> bool:
+        """Whether the levels with key <= q are in `array('q')`."""
+        self.grow(q)
+        return isinstance(self.keys, array)
+
+
+class _RoundTable(_Table):
+    """A round surface's levels: key N, written as the integer, is the
+    degree of the eigenvalue N(N+1), and its multiplicity is the step of
+    the window counts `_sph_cum` from window N to N + 1.  These are also
+    the closed form, so the table is its own `_form`: den 1 and numerator
+    the window count of t."""
+
+    __slots__ = ()
+    den = 1
+
+    def build(self, qcap: int):
+        """(keys, mults, prefix) of the degrees <= qcap of nonzero
+        multiplicity, from the window counts up to window qcap + 1."""
+        cums = [_sph_cum(self.spec, k) for k in range(qcap + 2)]
+        keys = [N for N in range(qcap + 1) if cums[N + 1] != cums[N]]
+        mults = [cums[N + 1] - cums[N] for N in keys]
+        if min(mults, default=0) < 0:
+            raise ArithmeticError(_NEGATIVE)
+        return array("q", keys), array("q", mults), array("q", accumulate(mults, initial=0))
 
     def qmax(self, t) -> int:
         """k - 1 for t's window k >= 1, k^2 - k <= t < k^2 + k: the largest
@@ -163,42 +238,19 @@ class _RoundTable:
         # at t = P/Q: k = floor((sqrt((4P + Q) Q) + Q) / 2Q)
         return _decided(t, tends, lambda P, Q: (isqrt((4 * P + Q) * Q) + Q) // (2 * Q)) - 1
 
-    def count_upto(self, q: int) -> int:
-        self.grow(q)
-        return self.cums[q + 1]
-
     def numerator(self, t) -> int:
         return _sph_cum(self.spec, self.qmax(t) + 1)
 
-    def levels(self, q: int) -> list:
-        """(degree, multiplicity) pairs of the levels of degree <= q."""
-        self.grow(q)
-        c = self.cums
-        return [(N, c[N + 1] - c[N]) for N in range(q + 1) if c[N + 1] != c[N]]
-
-    def columns(self, q: int):
-        pairs = self.levels(q)
-        yield {"value": [float(N * (N + 1)) for N, _ in pairs],
-               "key": [N for N, _ in pairs], "multiplicity": [m for _, m in pairs]}
-
     @staticmethod
     def value(N):
-        """The eigenvalue N(N+1) in float64 of a degree N, an int or an
-        int64 array."""
+        """The eigenvalue N(N+1) in float64 of a number or array N."""
         return N * (N + 1.0)
 
-    def arrays(self, q: int):
-        import numpy as np
+    @staticmethod
+    def key(N):
+        return N
 
-        pairs = np.array(self.levels(q), dtype=np.int64).reshape(-1, 2)
-        return self.value(pairs[:, 0]), pairs[:, 1].copy()
-
-    def lists(self, q: int):
-        pairs = self.levels(q)
-        return [self.value(N) for N, _ in pairs], [m for _, m in pairs]
-
-    def in_python(self, q: int) -> bool:
-        return True
+    printed = key
 
 
 _TABLES: dict = {}
@@ -219,7 +271,7 @@ def _new_table(spec: SurfaceSpec):
         return _RoundTable(spec)
     from . import lattice
 
-    return lattice._LevelTable(*lattice._plan_flat(spec))
+    return lattice._LevelTable(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +518,7 @@ def _form(spec: SurfaceSpec, tb):
     """The compiled closed form of spec, cached on its table tb; a round
     table is its own."""
     if tb.form is None:
-        tb.form = _Form(_closed_terms(spec))
+        tb.form = tb if isinstance(tb, _RoundTable) else _Form(_closed_terms(spec))
     return tb.form
 
 
@@ -488,8 +540,8 @@ def levels(spec: SurfaceSpec, T) -> list[tuple]:
 def level_columns(spec: SurfaceSpec, T):
     """The levels <= T as chunks of value, key and multiplicity lists.
 
-    A round table gives one chunk, a flat one `lattice._CHUNK` levels a
-    chunk and one empty chunk when there are none.
+    Each chunk holds _CHUNK levels, the last one fewer, and there is one
+    empty chunk when there are none.
     """
     tb = _table(spec)
     return tb.columns(tb.qmax(T))

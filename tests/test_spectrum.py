@@ -132,9 +132,10 @@ def test_levels_sorted_and_positive():
 
 
 def test_level_arrays_agree_with_levels():
-    # the bulk values and the written ones are the same floats, bit for
-    # bit, and a written flat value is float(rho) * pi^2 (on the 3/7 x 5/7
-    # torus, unit 49/225, a second rounding moves a quarter of them)
+    # the bulk values, the listed ones and the written ones are the same
+    # floats, bit for bit, and a written flat value is float(rho) * pi^2
+    # (on the 3/7 x 5/7 torus, unit 49/225, a second rounding moves a
+    # quarter of them)
     pi2 = math.pi * math.pi
     for spec in [*catalog.verification_roster(),
                  catalog.flat_torus_rect(F(3, 7), F(5, 7))]:
@@ -146,9 +147,30 @@ def test_level_arrays_agree_with_levels():
             (c["multiplicity"] for c in chunks), [])
         written = sum((c["value"] for c in chunks), [])
         assert vals.tolist() == written
-        if not catalog.is_spherical(spec):
+        assert spectrum.level_lists(spec, T) == (vals.tolist(), ms.tolist())
+        keys = sum((c["key"] for c in chunks), [])
+        if catalog.is_spherical(spec):
+            assert all(type(k) is int for k in keys)
+            assert keys == [N for N, _ in lv]
+        else:
             assert written == [float(k) * pi2 for k, _ in lv]
-            assert sum((c["key"] for c in chunks), []) == [str(k) for k, _ in lv]
+            assert keys == [str(k) for k, _ in lv]
+
+
+def test_level_arrays_multiplicities_are_a_read_only_view(monkeypatch):
+    # the multiplicities are handed out, not copied: read-only on every
+    # table kind, and on a table held in numpy the table's own memory
+    monkeypatch.setattr(spectrum, "_TABLES", {})
+    for spec, T in ((catalog.sphere(), 1e4), (catalog.rectangle(1, 1, "N"), 100.0),
+                    (catalog.rectangle(1, 1, "N"), 1e6)):
+        _, mults = level_arrays(spec, T)
+        assert mults.size and not mults.flags.writeable
+        with pytest.raises(ValueError):
+            mults[0] = 7
+        tb = spectrum._table(spec)
+        if not spectrum.in_python(spec, T):
+            assert np.shares_memory(mults, tb.mults)
+    assert type(spectrum._table(catalog.rectangle(1, 1, "N")).mults).__module__ == "numpy"
 
 
 # --- spherical families ---------------------------------------------------
@@ -477,8 +499,14 @@ GROWTH = [(spec, 40000.0) for spec in (
     catalog.symmetry_sector("hex_torus", "2"),
 )]
 # from the dict engine at t = 40 onto numpy at t = 4e6, for the table and
-# the hexagonal lattice under it
-GROWTH.append((catalog.tetrahedron_surface(), 4e6))
+# the hexagonal lattice under it; round tables past their first 256
+# degrees, two of them with degrees of multiplicity zero
+GROWTH += [(spec, 4e6) for spec in (
+    catalog.tetrahedron_surface(),
+    catalog.sphere(),
+    catalog.hemisphere("D"),
+    catalog.half_lune(4, "D", "N"),
+)]
 
 
 def _answers(spec, T):
@@ -498,8 +526,12 @@ def test_table_growth_matches_fresh_tables(spec, large, monkeypatch):
     assert _answers(spec, small) == fresh[small]
     tb = spectrum._table(spec)
     first_cap = tb.qcap
+    # held through the growth: a table resized in place under them would
+    # change them or refuse to resize (BufferError on an array('q'))
+    kept = level_arrays(spec, small)
     assert _answers(spec, large) == fresh[large]
     assert tb.qcap > first_cap
+    assert tuple(x.tolist() for x in kept) == fresh[small][2:4]
     keys, qcap = tb.keys, tb.qcap
     assert _answers(spec, small) == fresh[small]
     # answered from the grown table, without a rebuild
