@@ -12,6 +12,7 @@ where the observed peaks sit directly at the geodesic lengths.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -181,6 +182,64 @@ def match_geodesics(freqs, lengths, tol) -> tuple:
             matched.append((f, lengths[best]))
             free.remove(best)
     return tuple(matched)
+
+
+def geodesic_lengths(spec: SurfaceSpec, L_max: float) -> list[float]:
+    """Sorted lengths up to L_max at which the counting remainder oscillates.
+
+    A round surface lists the multiples of its great-circle orbit.  A flat
+    surface's lines are read off the closed form of its counting function
+    (`spectrum._closed_terms`), which the oracle verifies, by Poisson
+    summation:
+    - c times the count of a torus sub at s times the cutoff has lines at
+      sqrt(s) times the periods of sub, weight c s area(sub) per period
+      vector; the squared periods are level keys reduced from a torus's
+      lattice rows (`lattice._reduce`), so no level table is built;
+    - c times the bracket floor(sqrt(c2 rho) + shift) has lines at
+      2 n sqrt(c2), weight c (-1)^(2 n shift) / n.
+    Weights are summed by exact squared length, the two kinds apart since
+    they decay at different orders, and a length whose weights cancel
+    carries no line.
+    """
+    catalog.validate(spec)
+    if L_max <= 0:
+        return []
+    if catalog.is_spherical(spec):
+        # the sphere and the hemisphere keep the default m = 1
+        step = 1 if spec.family is catalog.Family.PROJECTIVE_SPHERE else Fraction(2, spec.m)
+        out = []
+        j = 1
+        while float(step * j) * math.pi <= L_max + 1e-12:
+            out.append(float(step * j) * math.pi)
+            j += 1
+        return out
+    from . import lattice
+
+    cap = Fraction(L_max) ** 2
+    counts, floors = defaultdict(int), defaultdict(int)
+    for c, term in spectrum._closed_terms(spec):
+        if term[0] == "count":
+            _, sub, s = term
+            if sub.family is catalog.Family.FLAT_TORUS_HEX:  # norms 3q, keys 16q/9
+                torus, scale = sub, Fraction(27, 16)
+            else:  # periods 2a, 2b: the keys 4a^2 j^2 + 4b^2 k^2 of the dual
+                torus, scale = catalog.flat_torus_rect(1 / (2 * sub.a), 1 / (2 * sub.b)), 1
+            unit, rows, div = lattice._plan_flat(torus)
+            step = s * scale * unit  # squared length of key 1
+            qcap = cap // step
+            keys, mults, _ = lattice._reduce(qcap, rows(qcap), div)
+            w = catalog.geometry(sub).area * (c * s)
+            for q, n in zip(keys.tolist(), mults.tolist()):
+                if q:
+                    counts[step * q] += w * n
+        elif term[0] == "floor":
+            _, c2, shift = term
+            n = 1
+            while 4 * c2 * n * n <= cap:
+                floors[4 * c2 * n * n] += Fraction(c, n) * (-1) ** int(2 * n * shift)
+                n += 1
+    lines = {sq for weights in (counts, floors) for sq, w in weights.items() if w != 0}
+    return sorted(math.sqrt(float(sq)) for sq in lines)
 
 
 def _sector_b_hat(sector: SurfaceSpec, T: float) -> float:

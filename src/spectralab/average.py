@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
 from . import asymptotics, catalog, spectrum
-from .catalog import Family, SurfaceSpec
+from .catalog import SurfaceSpec
 
 
 def _tilde_integral(rc: asymptotics.RefinedAsymptotics, sqrt):
@@ -199,21 +200,30 @@ def sphere_g2(x):
 def _alternating_weight(spec: SurfaceSpec) -> float:
     """Amplitude of the alternating sawtooth in the leading profile.
 
-    On window k the exact count is a k^2 + beta(k) k + bounded, and when
-    beta deviates from its mean by c (-1)^{k+1} the running average of
+    On window k the exact count is W(k) = a k^2 + beta(k) k + gamma(k) with
+    beta and gamma periodic in k; a period P = 4m covers every family here.
+    When beta deviates from its mean by c (-1)^{k+1} the running average of
     that deviation integrates to c (-1)^{k+1} k (t - k^2 + 1) / t, an
     order-one sawtooth tending to 2c (-1)^{k+1} (x - k) instead of a
-    decaying term.  The projective sphere has c = 1/2 (only even degrees
-    survive); half-lunes with even m have c = 1/(4m), with the sign tied
-    to the equator condition.  Every other family here has beta constant
-    per residue class with mean-zero remainder, which does decay.
+    decaying term.  a and beta are read off the window counts
+    (`spectrum._sph_cum`) over one period from k = 4P, exactly:
+    a = (W(k + 2P) - 2 W(k + P) + W(k)) / 2P^2 and
+    beta(k) = (W(k + P) - W(k)) / P - a (2k + P).  On every family here
+    the deviation is alternating or zero; any other shape raises
+    ArithmeticError.
     """
-    if spec.family is Family.PROJECTIVE_SPHERE:
-        return 1.0
-    if spec.family is Family.HALF_LUNE and spec.m % 2 == 0:
-        sign = 1.0 if spec.bc_equator == "N" else -1.0
-        return sign / (2.0 * spec.m)
-    return 0.0
+    P = 4 * spec.m
+    k0 = 4 * P
+    W = [spectrum._sph_cum(spec, k) for k in range(k0, k0 + 2 * P + 1)]
+    a = Fraction(W[2 * P] - 2 * W[P] + W[0], 2 * P * P)
+    beta = [Fraction(W[i + P] - W[i], P) - a * (2 * (k0 + i) + P) for i in range(P)]
+    mean = sum(beta) / P
+    dev = [b - mean for b in beta]
+    if any(d != dev[0] * (-1) ** i for i, d in enumerate(dev)):
+        raise ArithmeticError(
+            "the window counts of %s deviate from their mean slope by more "
+            "than an alternating sign" % (spec,))
+    return float(-2 * dev[0])  # dev = c (-1)^{k+1} is -c at k = k0, even
 
 
 def leading_profile(spec: SurfaceSpec, x):

@@ -4,12 +4,11 @@ SurfaceSpec names one of the model surfaces: flat tori, flat polygons,
 cylinders and bands, round-sphere quotients, lunes, polyhedral surfaces, and
 symmetry sectors of the square/hexagonal families.  geometry() returns the
 exact data behind the two-term counting asymptotics (area, boundary length
-split by condition, corners, cone points, total curvature), and
-geodesic_lengths() lists closed-orbit lengths used to label oscillation
-frequencies.  Every cataloged boundary is a geodesic (a straight edge, an
-equator or a meridian), so no geodesic-curvature integral is recorded.  A
-one-dimensional symmetry sector owns no geometry of its own: its data and
-lengths are its domain triangle's, scaled (`sector_domain`).
+split by condition, corners, cone points, total curvature).  Every
+cataloged boundary is a geodesic (a straight edge, an equator or a
+meridian), so no geodesic-curvature integral is recorded.  A
+one-dimensional symmetry sector owns no geometry of its own: its data are
+its domain triangle's, scaled (`sector_domain`).
 
 All geometric quantities are ExactConst values (rational combinations of
 sqrt(s) and powers of pi), never floats.
@@ -19,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -712,125 +710,6 @@ def geometry(spec: SurfaceSpec) -> GeometryData:
     if f == Family.SYMMETRY_SECTOR:
         return _geom_sector(spec)
     raise ValueError(f"no geometry for {spec}")
-
-
-# --- geodesic lengths ---
-
-
-def _rect_lattice_sq(p: Fraction, q: Fraction, cap: Fraction) -> set[Fraction]:
-    """Squared lengths of p Z x q Z lattice vectors, 0 < |v|^2 <= cap."""
-    out: set[Fraction] = set()
-    jmax = int(math.isqrt(int(cap / (p * p)))) + 1
-    kmax = int(math.isqrt(int(cap / (q * q)))) + 1
-    for j in range(jmax + 1):
-        for k in range(kmax + 1):
-            if j == 0 and k == 0:
-                continue
-            s = p * p * j * j + q * q * k * k
-            if s <= cap:
-                out.add(s)
-    return out
-
-
-def _hex_qs(cap3: int) -> set[int]:
-    """Values of m^2 + m n + n^2 in (0, cap3]."""
-    out: set[int] = set()
-    mmax = int(2 * math.sqrt(max(cap3, 1))) + 2
-    for m in range(-mmax, mmax + 1):
-        for n in range(mmax + 1):
-            q = m * m + m * n + n * n
-            if 0 < q <= cap3:
-                out.add(q)
-    return out
-
-
-def _multiples_sq(step_sq: Fraction, cap: Fraction) -> set[Fraction]:
-    """Squared lengths of positive multiples of sqrt(step_sq)."""
-    out: set[Fraction] = set()
-    j = 1
-    while step_sq * j * j <= cap:
-        out.add(step_sq * j * j)
-        j += 1
-    return out
-
-
-def _pi_multiples(step: Fraction, L_max: float) -> list[float]:
-    out = []
-    j = 1
-    while True:
-        val = float(step * j) * math.pi
-        if val > L_max + 1e-12:
-            return out
-        out.append(val)
-        j += 1
-
-
-def _flat_lengths_sq(spec: SurfaceSpec, cap: Fraction) -> set[Fraction]:
-    """Squared closed-orbit lengths <= cap of a flat surface: the translation
-    lattice of its reflection/deck cover plus the bounce-orbit families
-    forced by the identifications."""
-    f = spec.family
-    if f in (Family.FLAT_TORUS_RECT, Family.RECTANGLE):
-        return _rect_lattice_sq(2 * spec.a, 2 * spec.b, cap)
-    if f == Family.CYLINDER:
-        return _rect_lattice_sq(spec.a, 2 * spec.b, cap)
-    if f == Family.MOBIUS_BAND:
-        # the cover translates by (ma, nb) with m = n mod 2: the even pairs
-        # and the odd ones; the core circle closes after odd multiples of a
-        a2, b2 = spec.a * spec.a, spec.b * spec.b
-        odd = {s for s in (a2 * j * j + b2 * k * k
-                           for j in range(1, math.isqrt(int(cap / a2)) + 2, 2)
-                           for k in range(1, math.isqrt(int(cap / b2)) + 2, 2))
-               if s <= cap}
-        return (_rect_lattice_sq(2 * spec.a, 2 * spec.b, cap) | odd
-                | (_multiples_sq(a2, cap) - _multiples_sq(4 * a2, cap)))
-    if f == Family.FLAT_PROJECTIVE_PLANE:
-        return (_rect_lattice_sq(Fraction(2), Fraction(2), cap)
-                | (_multiples_sq(Fraction(1), cap) - _multiples_sq(Fraction(4), cap)))
-    if f == Family.RIGHT_ISO_TRIANGLE:
-        # even sublattice of a Z^2: generated by a(1,1) and a(1,-1)
-        a2 = 2 * spec.a * spec.a
-        return {a2 * q for q in _rect_lattice_sq(1, 1, cap / a2)}
-    if f in (Family.FLAT_TORUS_HEX, Family.EQUILATERAL_TRIANGLE, Family.TRIANGLE_306090):
-        sqs = {Fraction(3 * q) for q in _hex_qs(int(cap / 3))}
-        if f != Family.FLAT_TORUS_HEX:
-            sqs |= _multiples_sq(Fraction(9, 4), cap)
-        if f == Family.TRIANGLE_306090:
-            sqs |= _multiples_sq(Fraction(3, 4), cap)
-        return sqs
-    if f in (Family.TETRAHEDRON_SURFACE, Family.HALF_TETRAHEDRON):
-        sqs = {Fraction(4 * q) for q in _hex_qs(int(cap / 4))}
-        if f == Family.HALF_TETRAHEDRON:
-            sqs |= _multiples_sq(Fraction(1), cap)
-            sqs |= _multiples_sq(Fraction(3), cap)
-        return sqs
-    if f == Family.SYMMETRY_SECTOR:
-        # every sector of a base unfolds on the same lattice, so the
-        # 2-dimensional one takes the lengths of its siblings' domain
-        irrep = spec.irrep if spec.irrep != "2" else sector_irreps(spec.base)[0]
-        domain, s = sector_domain(symmetry_sector(spec.base, irrep))
-        return {q / s for q in _flat_lengths_sq(domain, cap * s)}
-    raise ValueError(f"no geodesic table for {spec}")
-
-
-def geodesic_lengths(spec: SurfaceSpec, L_max: float) -> list[float]:
-    """Sorted lengths of closed geodesic/billiard orbit families up to L_max.
-
-    These are the lengths at which the counting remainder oscillates.  Flat
-    families take them from `_flat_lengths_sq`, on exact squares; spherical
-    families use great-circle orbit lengths.
-    """
-    validate(spec)
-    if L_max <= 0:
-        return []
-    f = spec.family
-    if f in (Family.SPHERE, Family.HEMISPHERE):
-        return _pi_multiples(Fraction(2), L_max)
-    if f == Family.PROJECTIVE_SPHERE:
-        return _pi_multiples(Fraction(1), L_max)
-    if f in (Family.LUNE, Family.HALF_LUNE, Family.GLUED_LUNE):
-        return _pi_multiples(Fraction(2, spec.m), L_max)
-    return sorted(math.sqrt(float(s)) for s in _flat_lengths_sq(spec, Fraction(L_max) ** 2))
 
 
 # --- roster ---

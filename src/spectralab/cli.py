@@ -403,7 +403,7 @@ def cmd_conjecture(args) -> int:
     # the rectangular window sprays sidelobes around each strong line, so
     # only the largest few maxima carry structure worth reporting
     top = sorted(f for f, _, _ in prof.frequencies[:8])
-    lengths = catalog.geodesic_lengths(spec, float(omega[-1]))
+    lengths = analysis.geodesic_lengths(spec, float(omega[-1]))
     matched = analysis.match_geodesics(top, lengths, _FREQ_TOL)
     out.append("freq top peaks: " + (" ".join("%.6g" % f for f in top) or "none"))
     out.append("geodesic lengths: " + " ".join("%.6g" % l for l in lengths))

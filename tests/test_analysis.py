@@ -216,7 +216,7 @@ def test_match_empty_freqs():
 
 
 def test_match_sphere_lengths():
-    lengths = catalog.geodesic_lengths(spec("sphere"), 15.0)
+    lengths = analysis.geodesic_lengths(spec("sphere"), 15.0)
     matched = analysis.match_geodesics([6.28, 12.57], lengths, 0.05)
     assert matched == ((6.28, 2 * math.pi), (12.57, 4 * math.pi))
 
@@ -230,6 +230,105 @@ def test_match_requires_sorted():
 
 def test_match_prefers_nearest():
     assert analysis.match_geodesics([2.1], [2.0, 2.15], 0.2) == ((2.1, 2.15),)
+
+
+# ---------------------------------------------------------------------------
+# geodesic_lengths
+
+
+def squares(spec, L):
+    """geodesic_lengths as exact squares, each checked to be a float sqrt."""
+    got = analysis.geodesic_lengths(spec, L)
+    sq = [Fraction(round(x * x, 9)).limit_denominator(64) for x in got]
+    assert got == [math.sqrt(float(q)) for q in sq]
+    return sq
+
+
+def test_geodesic_lengths_fixtures():
+    got = analysis.geodesic_lengths(catalog.flat_torus_rect(1, 1), 5.0)
+    want = [2.0, 2 * math.sqrt(2), 4.0, 2 * math.sqrt(5)]
+    assert len(got) == len(want)
+    assert all(abs(x - y) < 1e-12 for x, y in zip(got, want))
+
+    got = analysis.geodesic_lengths(catalog.sphere(), 15.0)
+    assert len(got) == 2
+    assert abs(got[0] - 2 * math.pi) < 1e-12
+    assert abs(got[1] - 4 * math.pi) < 1e-12
+
+    got = analysis.geodesic_lengths(catalog.projective_sphere(), 10.0)
+    assert [round(x / math.pi) for x in got] == [1, 2, 3]
+
+    got = analysis.geodesic_lengths(catalog.lune(2, "N"), 13.0)
+    assert [round(x / math.pi) for x in got] == [1, 2, 3, 4]
+
+    # symmetry sectors: the domain triangle's lengths over sqrt(s), with
+    # s = 3 for the equilateral bases; a 2-dimensional sector keeps the
+    # lines its siblings' closed forms do not cancel
+    F = Fraction
+    for (base, irrep), L, want in [
+        (("square_n", "++"), 2.0, [F(1, 2), F(1), F(2), F(4)]),
+        (("square_torus", "2"), 2.0, [F(1), F(2), F(4)]),
+        (("equilateral_n", "+"), 2.0, [F(1, 4), F(3, 4), F(1), F(9, 4), F(3), F(4)]),
+        (("equilateral_d", "2"), 2.0, [F(1, 4), F(1), F(9, 4), F(3), F(4)]),
+        (("hex_torus", "-"), 3.5, [F(9, 4), F(3), F(9), F(12)]),
+    ]:
+        assert squares(catalog.symmetry_sector(base, irrep), L) == want, (base, irrep)
+
+    # Moebius bands: the even and the odd cosets of the cover lattice
+    # {(ma, nb) : m = n mod 2} and the core circle's odd multiples of a
+    for b, L, want in [(1, 3.2, [F(1), F(2), F(4), F(8), F(9), F(10)]),
+                       (F(1, 2), 1.9, [F(1), F(5, 4), F(13, 4)])]:
+        assert squares(catalog.mobius_band(1, b, "D"), L) == want, b
+
+    # a length whose count weights sum to zero carries no line: the two
+    # tori of the M cylinder cancel at 4 and those of the NM rectangle at
+    # 20; the right isosceles triangle has no line at |a(3, 1)|^2 = 10,
+    # which no period of its unfolding lattice 2aZ^2 reaches
+    for label, L, want in [
+        ("cylinder:a=1,b=1,bc=M", 3.0, [1, 5, 8, 9]),
+        ("rectangle:a=1,b=1,bc=NM", 5.0, [4, 8, 16]),
+        ("right_iso_triangle:a=1,bc=N", 3.5, [2, 4, 8]),
+    ]:
+        assert squares(spec(label), L) == want, label
+
+
+def test_geodesic_lengths_flat_unfoldings():
+    # equilateral: hex lattice sqrt(3q) plus the closed bounce family 3j/2
+    got = analysis.geodesic_lengths(catalog.equilateral_triangle("N"), 3.2)
+    assert any(abs(x - 1.5) < 1e-12 for x in got)
+    assert any(abs(x - math.sqrt(3)) < 1e-12 for x in got)
+    assert any(abs(x - 3.0) < 1e-12 for x in got)
+    # right isosceles legs 1: shortest families sqrt2 and 2
+    got = analysis.geodesic_lengths(catalog.right_iso_triangle(1, "N"), 2.5)
+    assert abs(got[0] - math.sqrt(2)) < 1e-12
+    assert any(abs(x - 2.0) < 1e-12 for x in got)
+    # 30-60-90: includes the short altitude bounce sqrt3/2
+    got = analysis.geodesic_lengths(catalog.triangle_306090("N"), 2.0)
+    assert abs(got[0] - math.sqrt(3) / 2) < 1e-12
+    # cylinder circumference first
+    got = analysis.geodesic_lengths(catalog.cylinder(1, 1, "N"), 2.1)
+    assert abs(got[0] - 1.0) < 1e-12
+    # Mobius core circle of length a closes
+    got = analysis.geodesic_lengths(catalog.mobius_band(1, 1, "N"), 2.1)
+    assert abs(got[0] - 1.0) < 1e-12
+    # flat projective plane: odd glide lengths alongside the 2Z^2 lattice
+    got = analysis.geodesic_lengths(catalog.flat_projective_plane(), 3.0)
+    assert abs(got[0] - 1.0) < 1e-12
+    assert any(abs(x - 2.0) < 1e-12 for x in got)
+    assert any(abs(x - 3.0) < 1e-12 for x in got)
+
+
+def test_geodesic_lengths_monotone_and_bounded():
+    for s in (
+        catalog.flat_torus_hex(),
+        catalog.tetrahedron_surface(),
+        catalog.symmetry_sector("equilateral_d", "-"),
+        catalog.glued_lune(3),
+    ):
+        got = analysis.geodesic_lengths(s, 9.0)
+        assert got == sorted(got)
+        assert all(0 < x <= 9.0 + 1e-9 for x in got)
+        assert len(set(round(x, 9) for x in got)) == len(got)
 
 
 # ---------------------------------------------------------------------------

@@ -329,6 +329,30 @@ def test_half_lune_even_m_sawtooth_weight():
     assert average._alternating_weight(spec("glued_lune:m=2")) == 0.0
 
 
+def test_sawtooth_weight_over_the_roster():
+    # read off the window counts, the weight is nonzero exactly where an
+    # alternating slope survives: the projective sphere's even degrees and
+    # the half lunes of even m in the roster, signed by the equator
+    for s in catalog.verification_roster():
+        if not catalog.is_spherical(s):
+            continue
+        if s.label() == "projective_sphere":
+            want = 1.0
+        elif s.family is catalog.Family.HALF_LUNE and s.m in (2, 4):
+            want = (1.0 if s.bc_equator == "N" else -1.0) / (2 * s.m)
+        else:
+            want = 0.0
+        assert average._alternating_weight(s) == want, s.label()
+
+
+def test_sawtooth_weight_refuses_other_slopes(monkeypatch):
+    # a slope that wobbles with period 3 is no alternating sawtooth
+    cum = spectrum._sph_cum
+    monkeypatch.setattr(spectrum, "_sph_cum", lambda s, k: cum(s, k) + k * (k % 3))
+    with pytest.raises(ArithmeticError):
+        average._alternating_weight(SPHERE)
+
+
 SLOPE_LABELS = [
     "sphere",
     "projective_sphere",

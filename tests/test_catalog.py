@@ -1,5 +1,4 @@
 import dataclasses
-import math
 import pickle
 from fractions import Fraction
 
@@ -13,7 +12,6 @@ from spectralab.catalog import (
     Family,
     SECTOR_BASES,
     SurfaceSpec,
-    geodesic_lengths,
     geometry,
     is_spherical,
     sector_irreps,
@@ -205,85 +203,6 @@ def test_geometry_sectors():
     assert g.len_N == rat(Fraction(1, 2)) + root(Fraction(1, 2), 3)
     with pytest.raises(ValueError):
         geometry(catalog.symmetry_sector("square_torus", "2"))
-
-
-def test_geodesic_lengths_fixtures():
-    got = geodesic_lengths(catalog.flat_torus_rect(1, 1), 5.0)
-    want = [2.0, 2 * math.sqrt(2), 4.0, 2 * math.sqrt(5)]
-    assert len(got) == len(want)
-    assert all(abs(x - y) < 1e-12 for x, y in zip(got, want))
-
-    got = geodesic_lengths(catalog.sphere(), 15.0)
-    assert len(got) == 2
-    assert abs(got[0] - 2 * math.pi) < 1e-12
-    assert abs(got[1] - 4 * math.pi) < 1e-12
-
-    got = geodesic_lengths(catalog.projective_sphere(), 10.0)
-    assert [round(x / math.pi) for x in got] == [1, 2, 3]
-
-    got = geodesic_lengths(catalog.lune(2, "N"), 13.0)
-    assert [round(x / math.pi) for x in got] == [1, 2, 3, 4]
-
-    # symmetry sectors, as squared lengths: the domain triangle's lengths
-    # over sqrt(s), with s = 3 for the equilateral bases
-    F = Fraction
-    square = [F(1, 2), F(1), F(2), F(5, 2), F(4)]
-    equilateral = [F(1, 4), F(3, 4), F(1), F(9, 4), F(3), F(4)]
-    for (base, irrep), L, want in [
-        (("square_n", "++"), 2.0, square),
-        (("square_torus", "2"), 2.0, square),
-        (("equilateral_n", "+"), 2.0, equilateral),
-        (("equilateral_d", "2"), 2.0, equilateral),
-        (("hex_torus", "-"), 3.5, [F(9, 4), F(3), F(9), F(12)]),
-    ]:
-        got = geodesic_lengths(catalog.symmetry_sector(base, irrep), L)
-        assert got == [math.sqrt(float(q)) for q in want], (base, irrep)
-
-    # Moebius bands: the even and the odd cosets of the cover lattice
-    # {(ma, nb) : m = n mod 2} and the core circle's odd multiples of a
-    for b, L, want in [(1, 3.2, [F(1), F(2), F(4), F(8), F(9), F(10)]),
-                       (F(1, 2), 1.9, [F(1), F(5, 4), F(13, 4)])]:
-        got = geodesic_lengths(catalog.mobius_band(1, b, "D"), L)
-        assert got == [math.sqrt(float(q)) for q in want], b
-
-
-def test_geodesic_lengths_flat_unfoldings():
-    # equilateral: hex lattice sqrt(3q) plus the closed bounce family 3j/2
-    got = geodesic_lengths(catalog.equilateral_triangle("N"), 3.2)
-    assert any(abs(x - 1.5) < 1e-12 for x in got)
-    assert any(abs(x - math.sqrt(3)) < 1e-12 for x in got)
-    assert any(abs(x - 3.0) < 1e-12 for x in got)
-    # right isosceles legs 1: shortest families sqrt2 and 2
-    got = geodesic_lengths(catalog.right_iso_triangle(1, "N"), 2.5)
-    assert abs(got[0] - math.sqrt(2)) < 1e-12
-    assert any(abs(x - 2.0) < 1e-12 for x in got)
-    # 30-60-90: includes the short altitude bounce sqrt3/2
-    got = geodesic_lengths(catalog.triangle_306090("N"), 2.0)
-    assert abs(got[0] - math.sqrt(3) / 2) < 1e-12
-    # cylinder circumference first
-    got = geodesic_lengths(catalog.cylinder(1, 1, "N"), 2.1)
-    assert abs(got[0] - 1.0) < 1e-12
-    # Mobius core circle of length a closes
-    got = geodesic_lengths(catalog.mobius_band(1, 1, "N"), 2.1)
-    assert abs(got[0] - 1.0) < 1e-12
-    # flat projective plane: odd glide lengths alongside the 2Z^2 lattice
-    got = geodesic_lengths(catalog.flat_projective_plane(), 3.0)
-    assert abs(got[0] - 1.0) < 1e-12
-    assert any(abs(x - 2.0) < 1e-12 for x in got)
-    assert any(abs(x - 3.0) < 1e-12 for x in got)
-
-
-def test_geodesic_lengths_monotone_and_bounded():
-    for spec in (
-        catalog.flat_torus_hex(),
-        catalog.tetrahedron_surface(),
-        catalog.symmetry_sector("equilateral_d", "-"),
-        catalog.glued_lune(3),
-    ):
-        got = geodesic_lengths(spec, 9.0)
-        assert got == sorted(got)
-        assert all(0 < x <= 9.0 + 1e-9 for x in got)
-        assert len(set(round(x, 9) for x in got)) == len(got)
 
 
 def test_roster_covers_catalog():

@@ -524,6 +524,22 @@ GOLDEN = {
         "freq matched 8 of 8 top peaks\n"
         "freq comparison: report only for this surface\n"
         "RESULT: PASS\n",
+    # the lengths are the lines of the closed form: the unfolding lattice
+    # 2aZ^2 and the bouncing orbits, with no line at sqrt10
+    ("conjecture", "right_iso_triangle:a=1,bc=N", "--seed", "3"):
+        "label: right_iso_triangle:a=1,bc=N\n"
+        "check mean [100,200]: -0.000486859 within 0.05 -> ok\n"
+        "check mean [200,400]: -0.000247649 within 0.025 -> ok\n"
+        "check mean [400,800]: +8.9798e-05 within 0.0125 -> ok\n"
+        "check decay: scaled sups per decade 0.250735 0.211167 0.206621 0.207863, "
+        "first/last ratio 1.20625 within 2 -> ok\n"
+        "check probes (seed 3): worst scaled residual 0.161656 within 0.376103 -> ok\n"
+        "freq top peaks: 1.41 2 2.83 4 4.47 6 6.32 7.21\n"
+        "geodesic lengths: 1.41421 2 2.82843 4 4.24264 4.47214 5.65685 6 6.32456 "
+        "7.07107 7.2111 8 8.24621 8.48528 8.94427 9.89949 10\n"
+        "freq matched 8 of 8 top peaks\n"
+        "freq comparison: report only for this surface\n"
+        "RESULT: PASS\n",
 }
 
 
@@ -664,8 +680,9 @@ def test_each_command_loads_only_what_it_calls():
     for argv in (["asymptotics", "sphere"], ["count", "sphere", "--at", "100,1e5"],
                  ["spectrum", "hemisphere:bc=D", "--max-t", "1e4"]):
         assert loaded_modules(argv).isdisjoint({"lattice", "numpy"}), argv
-    # np.unique and np.median would load numpy.ma
-    assert "numpy.ma" not in loaded_modules(["conjecture", "sphere"])
+    # np.unique and np.median would load numpy.ma; a round surface's
+    # geodesic lengths need no lattice
+    assert loaded_modules(["conjecture", "sphere"]).isdisjoint({"numpy.ma", "lattice"})
     # `avg` sums a round table on a log grid in Python floats, but a short
     # grid over a table already on numpy on numpy
     avg = loaded_modules(["avg", "sphere", "--grid", "10:1e5:4001", "--log"])
