@@ -12,39 +12,42 @@ where the observed peaks sit directly at the geodesic lengths.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
-from dataclasses import dataclass, replace
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 
 import numpy as np
 
 from . import asymptotics, average, catalog, spectrum
-from .catalog import SurfaceSpec
+from .catalog import SurfaceSpec, _Frozen
 
 # |fitted sqrt coefficient| below this maps to sign 0; half the smallest
 # nonzero |B| among the sector tables, which is (2 - sqrt2)/(8 pi) ~ 0.0233
 B_SIGN_FLOOR = 0.011
 
 
-@dataclass(frozen=True, eq=False)  # array fields: compare by identity
-class APProfile:
-    """Samples g_est(x) on an ascending x grid.
+class APProfile(_Frozen):
+    """Samples g_est(x) on an ascending x grid: arrays xs and gs.
 
     `frequencies` holds (omega, amplitude, phase) peaks once
-    frequency_spectrum has filled them in.
+    frequency_spectrum has filled them in.  A profile is immutable and,
+    its fields being arrays, equals only itself.
     """
-    xs: np.ndarray
-    gs: np.ndarray
-    frequencies: tuple = ()
+
+    __slots__ = ("xs", "gs", "frequencies")
+
+    def __init__(self, xs: np.ndarray, gs: np.ndarray, frequencies: tuple = ()):
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "gs", gs)
+        object.__setattr__(self, "frequencies", frequencies)
 
 
-@dataclass(frozen=True)
-class ProportionReport:
-    irrep: str
-    measured: float
-    predicted: float
-    b_sign: int
-    b_hat: float
+class ProportionReport(namedtuple(
+        "ProportionReport", "irrep measured predicted b_sign b_hat")):
+    """One sector's share of the base spectrum: its irrep, the measured
+    and predicted proportions, the sign of its fitted sqrt coefficient and
+    that coefficient, b_hat."""
+
+    __slots__ = ()
 
 
 def make_profile(spec: SurfaceSpec, x_lo, x_hi, n: int) -> APProfile:
@@ -157,7 +160,7 @@ def frequency_spectrum(profile: APProfile, omega_grid) -> APProfile:
             peaks.append((float(omega[i]), float(amp[i]),
                           float(np.angle(coef[i]))))
     peaks.sort(key=lambda p: -p[1])
-    return replace(profile, frequencies=tuple(peaks))
+    return APProfile(profile.xs, profile.gs, tuple(peaks))
 
 
 def match_geodesics(freqs, lengths, tol) -> tuple:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import catalog, spectrum
@@ -63,17 +63,17 @@ def polygon_corner_limit(n) -> Fraction:
     return n * Fraction(1, 24) * (Fraction(1) / r - r)
 
 
-@dataclass(frozen=True)
-class RefinedAsymptotics:
-    """The three constants, with C broken into its geometric pieces."""
+class RefinedAsymptotics(namedtuple("RefinedAsymptotics",
+                                     "A B C C1 C2 C3 sqrt_shift")):
+    """The three constants, with C broken into its geometric pieces.
 
-    A: ExactConst
-    B: ExactConst
-    C: ExactConst
-    C1: ExactConst  # corners and cone points
-    C2: ExactConst  # boundary geodesic curvature
-    C3: ExactConst  # total Gauss curvature
-    sqrt_shift: bool  # B multiplies sqrt(t + 1/4) instead of sqrt(t)
+    A, B and C = C1 + C2 + C3 are ExactConst values: C1 from corners and
+    cone points, C2 from the boundary geodesic curvature, C3 from the total
+    Gauss curvature.  sqrt_shift (a bool) says that B multiplies
+    sqrt(t + 1/4) instead of sqrt(t).
+    """
+
+    __slots__ = ()
 
     def smooth_count(self, t):
         """Evaluate A*t + B*sqrt(.) + C; works on scalars and numpy arrays."""

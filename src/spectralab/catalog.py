@@ -16,9 +16,8 @@ sqrt(s) and powers of pi), never floats.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .exact import ExactConst
@@ -54,65 +53,102 @@ class CornerKind(enum.Enum):
     MIXED = "mixed"
 
 
-@dataclass(frozen=True)
-class CornerSpec:
-    angle: ExactConst
-    kind: CornerKind
+# The value classes of the package are namedtuples, or frozen __slots__
+# classes (`_Frozen`) where a tuple's equality would be wrong: classes
+# generated at import would cost every command about 15 ms of start-up.
 
 
-@dataclass(frozen=True)
-class ConePoint:
-    angle: ExactConst
+class _Frozen:
+    """Base of the frozen __slots__ classes: __init__ takes the fields in
+    __slots__ order and sets them with object.__setattr__, and any later
+    assignment raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # rebuilt through __init__, which alone may set the fields
+        return (type(self), tuple(getattr(self, name) for name in self.__slots__))
+
+
+class CornerSpec(namedtuple("CornerSpec", "angle kind")):
+    """A corner: its angle (an ExactConst) and its CornerKind."""
+
+    __slots__ = ()
+
+
+class ConePoint(namedtuple("ConePoint", "angle")):
+    """A cone point of the given total angle (an ExactConst)."""
+
+    __slots__ = ()
 
 
 _ZERO = ExactConst()
 
 
-@dataclass(frozen=True)
-class GeometryData:
+class GeometryData(namedtuple(
+        "GeometryData", "area len_N len_D corners cone_points K2_total",
+        defaults=(_ZERO, _ZERO, (), (), _ZERO))):
     """Exact geometric inputs to the refined counting constants.
 
-    len_N / len_D are the total boundary lengths carrying Neumann resp.
-    Dirichlet conditions.  K2_total is the integral of the Gauss curvature
-    over the surface.  A field left out is zero.  There is no field for the
+    area, len_N, len_D and K2_total are ExactConst values; corners is a
+    tuple of CornerSpec and cone_points one of ConePoint.  len_N / len_D
+    are the total boundary lengths carrying Neumann resp. Dirichlet
+    conditions.  K2_total is the integral of the Gauss curvature over the
+    surface.  A field left out is zero.  There is no field for the
     geodesic curvature of the boundary: every cataloged boundary is
     geodesic, so its integral would be zero on every surface.
     """
 
-    area: ExactConst
-    len_N: ExactConst = _ZERO
-    len_D: ExactConst = _ZERO
-    corners: tuple[CornerSpec, ...] = ()
-    cone_points: tuple[ConePoint, ...] = ()
-    K2_total: ExactConst = _ZERO
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SurfaceSpec:
+class SurfaceSpec(_Frozen):
     """A surface choice: family tag plus the parameters that family uses.
 
     Unused parameters keep their defaults and are ignored; build specs with
-    the factory functions below, which validate.
+    the factory functions below, which validate.  A spec is immutable and
+    equals only a spec of the same fields.
     """
 
-    family: Family
-    a: Fraction = Fraction(1)
-    b: Fraction = Fraction(1)
-    bc: str = ""
-    m: int = 1
-    bc_side: str = ""
-    bc_equator: str = ""
-    base: str = ""
-    irrep: str = ""
+    __slots__ = ("family", "a", "b", "bc", "m", "bc_side", "bc_equator",
+                 "base", "irrep", "_hash")
 
-    # Specs key the level tables and are hashed on every counting query;
-    # the generated hash goes through two Fraction hashes and Enum.__hash__
-    # each time, so it is taken once, from the same fields __eq__ compares.
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(self._fields()))
+    def __init__(self, family: Family, a: Fraction = Fraction(1),
+                 b: Fraction = Fraction(1), bc: str = "", m: int = 1,
+                 bc_side: str = "", bc_equator: str = "", base: str = "",
+                 irrep: str = ""):
+        put = object.__setattr__
+        put(self, "family", family)
+        put(self, "a", a)
+        put(self, "b", b)
+        put(self, "bc", bc)
+        put(self, "m", m)
+        put(self, "bc_side", bc_side)
+        put(self, "bc_equator", bc_equator)
+        put(self, "base", base)
+        put(self, "irrep", irrep)
+        # Specs key the level tables and are hashed on every counting
+        # query, so the hash is taken once, from the fields __eq__ compares.
+        put(self, "_hash", hash(self._fields()))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __repr__(self) -> str:
+        # field by field, with keywords: error messages print specs
+        fields = zip(self.__slots__, self._fields())
+        return "SurfaceSpec(" + ", ".join(f"{name}={value!r}" for name, value in fields) + ")"
 
     def __reduce__(self):
         # rebuilt through __init__: string hashes differ between processes
@@ -652,8 +688,8 @@ def _geom_sector(spec: SurfaceSpec) -> GeometryData:
     domain, s = sector_domain(spec)
     g = geometry(domain)
     shrink = _root(Fraction(1, s), s)
-    return dataclasses.replace(g, area=g.area / s, len_N=g.len_N * shrink,
-                               len_D=g.len_D * shrink)
+    return g._replace(area=g.area / s, len_N=g.len_N * shrink,
+                      len_D=g.len_D * shrink)
 
 
 def geometry(spec: SurfaceSpec) -> GeometryData:

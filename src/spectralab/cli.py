@@ -61,11 +61,17 @@ def parse_surface(text: str) -> catalog.SurfaceSpec:
 
 
 def _fraction(text: str) -> Fraction:
-    # a zero denominator is a malformed number, not an arithmetic failure
+    # a zero denominator is a malformed number, not an arithmetic failure,
+    # and a number beyond the float range is no cutoff or grid end
     try:
-        return Fraction(text.strip())
+        x = Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"expected a number, got {text!r}") from None
+    try:
+        float(x)
+    except OverflowError:
+        raise ValueError(f"expected a finite number, got {text!r}") from None
+    return x
 
 
 def _number(text: str) -> Fraction:

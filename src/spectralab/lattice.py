@@ -23,7 +23,7 @@ from math import gcd, isqrt
 
 from . import catalog
 from .catalog import Family, SurfaceSpec
-from .spectrum import _NEGATIVE, _Table, _decided, _pq, _rho_ends
+from .spectrum import _NEGATIVE, _Table, _pq, _rho_ends
 
 # Entries up to which _reduce sums in a dict, where importing numpy would
 # cost more than the table: every table of `verify` at t = 1e4 (at most
@@ -48,10 +48,11 @@ class _LevelTable(_Table):
     def build(self, qcap: int):
         return _reduce(qcap, self.rows(qcap), self.div)
 
-    def qmax(self, t) -> int:
-        """Largest key whose eigenvalue is <= t, decided on t's `_rho_ends`."""
-        un, ud = _pq(self.unit)
-        return _decided(t, _rho_ends(t), lambda P, Q: P * ud // (Q * un))
+    ends = staticmethod(_rho_ends)
+
+    def key_at(self, P: int, Q: int) -> int:
+        """The largest key q with unit * q <= rho = P / Q."""
+        return P * self.unit.denominator // (Q * self.unit.numerator)
 
     def value(self, k):
         """The eigenvalue unit * k * pi^2 of a key k in float64, one number

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
-from typing import Iterator
 
 from . import catalog
 from .catalog import Family, SurfaceSpec
@@ -579,15 +579,13 @@ _SQUARE_LATTICE_FAMILIES = (
 )
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """Outcome of one closed-form verification sweep."""
+class EquivalenceReport(namedtuple(
+        "EquivalenceReport", "label levels_checked times_checked ok detail")):
+    """Outcome of one closed-form verification sweep: the surface's label,
+    the levels and random times checked (ints), ok (a bool) and a
+    one-line detail."""
 
-    label: str
-    levels_checked: int
-    times_checked: int
-    ok: bool
-    detail: str
+    __slots__ = ()
 
 
 def check_equivalence(spec: SurfaceSpec, T, n_times: int = 2000, seed: int = 0) -> EquivalenceReport:

@@ -29,10 +29,13 @@ the table however many levels it writes.  It, `level_arrays` and
 
 Cutoffs may be given as plain numbers (int, float, Fraction) or as an
 `ExactTime`, which pins down cutoffs of the form rho * pi^2 that no float
-can represent.  A query turns its cutoff once into rho exactly, or into
-the enclosure T / PI_HI^2 < rho < T / PI_LO^2 with a 100-digit pi, and
-evaluates every count and bracket at both ends; a genuinely ambiguous
-cutoff (one within 1e-96 of a level) gives two different values and raises
+can represent.  A query decides its cutoff once: the table's `ends` turn
+it into exact integer pairs, for a flat table rho exactly or the enclosure
+T / PI_HI^2 < rho < T / PI_LO^2 with a 100-digit pi, for a round one t
+exactly or enclosed the same way for an ExactTime.  `closed_form_identity`
+reads the table's largest key and every count and bracket of the closed
+form off those same ends, at each of them; a genuinely ambiguous cutoff
+(one within 1e-96 of a level) gives two different values and raises
 ArithmeticError rather than guessing.
 """
 
@@ -41,7 +44,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
 from math import isqrt
@@ -54,30 +57,28 @@ HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
 
 
-@dataclass(frozen=True)
-class ExactTime:
-    """Exact spectral cutoff rho * pi^2."""
+class ExactTime(namedtuple("ExactTime", "rho")):
+    """Exact spectral cutoff rho * pi^2, rho a nonnegative Fraction."""
 
-    rho: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.rho, Fraction):
-            object.__setattr__(self, "rho", Fraction(self.rho))
-        if self.rho < 0:
+    def __new__(cls, rho):
+        if not isinstance(rho, Fraction):
+            rho = Fraction(rho)
+        if rho < 0:
             raise ValueError("negative cutoff")
+        return tuple.__new__(cls, (rho,))
 
     @property
     def value(self) -> float:
         return float(self.rho) * (math.pi * math.pi)
 
 
-@dataclass(frozen=True)
-class CountReport:
-    """Eigenvalue count at cutoff t by table and by closed-form identity."""
+class CountReport(namedtuple("CountReport", "t count closed_form")):
+    """Eigenvalue count at cutoff t (a float) by table and by closed-form
+    identity, both ints."""
 
-    t: float
-    count: int
-    closed_form: int
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +142,11 @@ class _Table:
     """The levels of one surface: sorted integer keys, their nonzero
     multiplicities mults and prefix[i], the sum of the first i of them, all
     `array('q')` or all int64 numpy arrays, with every key <= qcap present.
-    A kind supplies `build(qcap)` (the arrays), `qmax(t)` (the largest key
-    whose eigenvalue is <= t), `value(k)` (that eigenvalue in float64),
-    `key(k)` (the exact key) and `printed(k)` (the key as written)."""
+    A kind supplies `build(qcap)` (the arrays), `ends(t)` (t's cutoff as
+    exact integer pairs, `_decided`), `key_at(P, Q)` (the largest key whose
+    eigenvalue is <= the cutoff at one end), `value(k)` (that eigenvalue
+    in float64), `key(k)` (the exact key) and `printed(k)` (the key as
+    written)."""
 
     __slots__ = ("spec", "keys", "mults", "prefix", "qcap", "form")
 
@@ -159,6 +162,10 @@ class _Table:
             qcap = max(qneed, 256, 2 * self.qcap)
             self.keys, self.mults, self.prefix = self.build(qcap)
             self.qcap = qcap
+
+    def qmax(self, t) -> int:
+        """The largest key whose eigenvalue is <= t, the same at every end."""
+        return _decided(t, self.ends(t), self.key_at)
 
     def index(self, q: int) -> int:
         """The number of levels with key <= q, growing the table to q."""
@@ -210,12 +217,11 @@ class _Table:
 class _RoundTable(_Table):
     """A round surface's levels: key N, written as the integer, is the
     degree of the eigenvalue N(N+1), and its multiplicity is the step of
-    the window counts `_sph_cum` from window N to N + 1.  These are also
-    the closed form, so the table is its own `_form`: den 1 and numerator
-    the window count of t."""
+    the window counts `_sph_cum` from window N to N + 1, which are also
+    the closed form: window N + 1 counts the eigenvalues <= t for N the
+    largest degree with N(N+1) <= t."""
 
     __slots__ = ()
-    den = 1
 
     def build(self, qcap: int):
         """(keys, mults, prefix) of the degrees <= qcap of nonzero
@@ -227,19 +233,21 @@ class _RoundTable(_Table):
             raise ArithmeticError(_NEGATIVE)
         return array("q", keys), array("q", mults), array("q", accumulate(mults, initial=0))
 
-    def qmax(self, t) -> int:
-        """k - 1 for t's window k >= 1, k^2 - k <= t < k^2 + k: the largest
-        degree N with N(N+1) <= t, decided exactly."""
+    @staticmethod
+    def ends(t) -> tuple:
+        """t itself as exact integer pairs (P, Q), t = P / Q: one pair for
+        a number, the ends of the enclosure of rho * pi^2 for an ExactTime."""
         if isinstance(t, ExactTime):
             n, d = _pq(t.rho)
-            tends = (n * _LO2[0], d * _LO2[1]), (n * _HI2[0], d * _HI2[1])
-        else:
-            tends = (_pq(_rational_cutoff(t)),)
-        # at t = P/Q: k = floor((sqrt((4P + Q) Q) + Q) / 2Q)
-        return _decided(t, tends, lambda P, Q: (isqrt((4 * P + Q) * Q) + Q) // (2 * Q)) - 1
+            return (n * _LO2[0], d * _LO2[1]), (n * _HI2[0], d * _HI2[1])
+        return (_pq(_rational_cutoff(t)),)
 
-    def numerator(self, t) -> int:
-        return _sph_cum(self.spec, self.qmax(t) + 1)
+    @staticmethod
+    def key_at(P: int, Q: int) -> int:
+        """k - 1 for the window k >= 1 of t = P / Q, k^2 - k <= t < k^2 + k:
+        the largest degree N with N(N+1) <= t."""
+        # k = floor((sqrt((4P + Q) Q) + Q) / 2Q)
+        return (isqrt((4 * P + Q) * Q) + Q) // (2 * Q) - 1
 
     @staticmethod
     def value(N):
@@ -496,8 +504,9 @@ class _Form:
                 (p, q), (s, r) = _pq(term[1]), _pq(term[2])
                 self.floors.append((c, r * r * p * q, q, s, r))
 
-    def numerator(self, t) -> int:
-        """den * N(t), every term decided on the ends of rho (`_rho_ends`)."""
+    def numerator(self, t, ends=None) -> int:
+        """den * N(t), every term decided on the ends of rho, t's
+        `_rho_ends` unless the caller has them."""
         counts, floors = self.counts, self.floors
 
         def values(P, Q):
@@ -505,7 +514,9 @@ class _Form:
                     [(isqrt(m * P * Q) // (q * Q) + s) // r
                      for _, m, q, s, r in floors])
 
-        keys, brackets = _decided(t, _rho_ends(t), values)
+        if ends is None:
+            ends = _rho_ends(t)
+        keys, brackets = _decided(t, ends, values)
         total = self.const
         for (c, tb, _, _), q in zip(counts, keys):
             total += c * tb.count_upto(q)
@@ -515,10 +526,9 @@ class _Form:
 
 
 def _form(spec: SurfaceSpec, tb):
-    """The compiled closed form of spec, cached on its table tb; a round
-    table is its own."""
+    """The compiled closed form of a flat spec, cached on its table tb."""
     if tb.form is None:
-        tb.form = tb if isinstance(tb, _RoundTable) else _Form(_closed_terms(spec))
+        tb.form = _Form(_closed_terms(spec))
     return tb.form
 
 
@@ -567,24 +577,31 @@ def in_python(spec: SurfaceSpec, T) -> bool:
     return tb.in_python(tb.qmax(T))
 
 
-def count(spec: SurfaceSpec, t) -> int:
-    """Number of eigenvalues <= t, from the enumerated level table."""
+def count(spec: SurfaceSpec, t, q=None) -> int:
+    """Number of eigenvalues <= t, from the enumerated level table; q is
+    t's largest key (`_Table.qmax`) when the caller has decided it."""
     tb = _table(spec)
-    return tb.count_upto(tb.qmax(t))
+    return tb.count_upto(tb.qmax(t) if q is None else q)
 
 
 def closed_form_identity(spec: SurfaceSpec, t) -> CountReport:
     """Table count and closed-form count at t, side by side.
 
-    Both numbers are exact.  The table count is `count(spec, t)`.  For the
-    closed form the cutoff is turned once into rho = t / pi^2, exact or
-    enclosed.  A flat surface's compiled form is evaluated on it in
-    integers and must land on an integer, else ArithmeticError.  A round
-    surface's closed form is the window count of t (`_RoundTable`).
+    Both numbers are exact, and t is decided once: its ends (`_Table.ends`)
+    give the table's largest key q, and the table count is
+    `count(spec, t, q)`.  A flat surface's compiled form is evaluated on
+    the same ends of rho = t / pi^2 in integers and must land on an
+    integer, else ArithmeticError.  A round surface's closed form is the
+    window count of t, `_sph_cum` of window q + 1.
     """
-    n = count(spec, t)
-    form = _form(spec, _table(spec))
-    v = form.numerator(t)
+    tb = _table(spec)
+    ends = tb.ends(t)
+    q = _decided(t, ends, tb.key_at)
+    n = count(spec, t, q)
+    if isinstance(tb, _RoundTable):
+        return CountReport(_t_float(t), n, _sph_cum(spec, q + 1))
+    form = _form(spec, tb)
+    v = form.numerator(t, ends)
     if v % form.den:
         raise ArithmeticError(
             "closed form for %s at %r is non-integral: %s"

@@ -1,4 +1,3 @@
-import dataclasses
 import pickle
 from fractions import Fraction
 
@@ -64,7 +63,7 @@ def test_equal_specs_hash_equal():
     assert a == b and hash(a) == hash(b)
     assert {a: 1}[b] == 1
     assert catalog.rectangle(Fraction(3, 2), 1, "D") != a
-    c = dataclasses.replace(a, bc="D")
+    c = SurfaceSpec(Family.RECTANGLE, a=Fraction(3, 2), b=Fraction(1), bc="D")
     assert c == catalog.rectangle(Fraction(3, 2), 1, "D")
     assert hash(c) == hash(catalog.rectangle(Fraction(3, 2), 1, "D"))
     for spec in verification_roster():
@@ -235,3 +234,74 @@ def test_base_specs():
     assert catalog.base_spec("equilateral_d") == catalog.equilateral_triangle("D")
     with pytest.raises(ValueError):
         catalog.base_spec("octagon")
+
+
+# --- value classes ---
+
+
+def _value_objects():
+    """One object of every value class of the package."""
+    from spectralab import analysis, asymptotics, oracle, spectrum
+
+    geom = geometry(catalog.right_iso_triangle(1, "N"))
+    return [
+        catalog.rectangle(Fraction(3, 2), 1, "ND"),
+        geom,
+        geom.corners[0],
+        geometry(catalog.tetrahedron_surface()).cone_points[0],
+        spectrum.ExactTime(Fraction(7, 2)),
+        spectrum.closed_form_identity(catalog.sphere(), 100),
+        asymptotics.surface_constants(catalog.hemisphere("D")),
+        oracle.check_equivalence(catalog.sphere(), 100, n_times=5),
+        analysis.make_profile(catalog.sphere(), 10, 20, 3),
+        analysis.symmetry_proportions("square_torus", 1000)[0],
+    ]
+
+
+def _field_names(obj):
+    return obj._fields if isinstance(obj, tuple) else type(obj).__slots__
+
+
+def test_value_classes_are_frozen():
+    objs = _value_objects()
+    assert len({type(obj) for obj in objs}) == 10
+    for obj in objs:
+        for name in _field_names(obj) + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, _field_names(obj)[0])
+
+
+def test_value_classes_survive_pickling():
+    for obj in _value_objects():
+        again = pickle.loads(pickle.dumps(obj))
+        assert type(again) is type(obj)
+        if type(obj).__name__ == "APProfile":
+            assert again != obj  # arrays: a profile equals only itself
+            assert again.xs.tolist() == obj.xs.tolist()
+            assert again.gs.tolist() == obj.gs.tolist()
+        else:
+            assert again == obj and hash(again) == hash(obj)
+
+
+def test_surface_spec_repr_and_equality():
+    spec = catalog.rectangle(Fraction(3, 2), 1, "ND")
+    assert repr(spec) == (
+        "SurfaceSpec(family=<Family.RECTANGLE: 'rectangle'>, a=Fraction(3, 2), "
+        "b=Fraction(1, 1), bc='ND', m=1, bc_side='', bc_equator='', base='', irrep='')")
+    assert spec != spec._fields() and spec._fields() != spec
+    assert spec == SurfaceSpec(Family.RECTANGLE, Fraction(3, 2), Fraction(1), "ND")
+    assert spec != SurfaceSpec(Family.RECTANGLE, Fraction(3, 2), Fraction(1), "NN")
+
+
+def test_exact_time_and_count_report():
+    from spectralab.spectrum import CountReport, ExactTime
+
+    with pytest.raises(ValueError, match="negative cutoff"):
+        ExactTime(-1)
+    rho = ExactTime(2).rho
+    assert type(rho) is Fraction and rho == 2
+    assert ExactTime(0.5) == ExactTime(Fraction(1, 2))
+    assert CountReport(6.0, 9, 9) == CountReport(6.0, 9, 9)
+    assert CountReport(6.0, 9, 9) != CountReport(6.0, 9, 8)

@@ -354,6 +354,29 @@ def test_bad_grid_is_usage_error(capsys):
         assert "usage:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "sphere", "--max-t", "1e400"],
+    ["count", "sphere", "--at", "10,1e400"],
+    ["verify", "sphere", "--max-t", "1e400"],
+    ["avg", "sphere", "--grid", "1:1e400:3"],
+    ["gprofile", "sphere", "--grid", "1:1e400:3"],
+    ["freq", "sphere", "--window", "1:1e400", "--omega", "5:8:301"],
+    ["heat", "sphere", "--at", "1e400"],
+    ["proportions", "square_n", "--max-t", "1e400"],
+], ids=lambda argv: argv[0])
+def test_number_beyond_float_range_is_usage_error(capsys, argv):
+    # 1e400 is no float: a usage error, not a failed check
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exit:  # argparse refused the value itself
+        rc = exit.code
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "expected a finite number, got '1e400'" in captured.err
+    assert "usage:" in captured.err
+
+
 def test_level_budget_guard(capsys, monkeypatch):
     rc, _, err = run_cli(capsys, "spectrum", "rect:a=40,b=40,bc=N",
                          "--max-t", "1e8")
@@ -639,7 +662,9 @@ def test_spectrum_memory_stays_near_the_table():
 # --- what each command loads ---
 
 _LOADED = """
-import contextlib, io, json, sys
+import sys
+before = set(sys.modules)
+import contextlib, io, json
 import spectralab.cli
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), \\
@@ -647,14 +672,21 @@ for argv in json.loads(sys.argv[1]):
         code = spectralab.cli.main(argv)
     assert code == 0, (argv, code)
 print(json.dumps(sorted(m for m in sys.modules if m.startswith("spectralab.")
-                        or m in ("numpy", "numpy.ma"))))
+                        or m in ("numpy", "numpy.ma")
+                        or m in ("dataclasses", "inspect", "typing")
+                        and m not in before)))
 """
+
+# modules whose import costs a command milliseconds of start-up: the
+# package's value classes are namedtuples and frozen __slots__ classes
+_HEAVY = {"dataclasses", "inspect", "typing"}
 
 
 def loaded_modules(*argvs):
     """spectralab modules (named without the package), numpy and numpy.ma
     that a fresh interpreter holds after importing the CLI and running each
-    argv in turn (nothing more when there is none)."""
+    argv in turn (nothing more when there is none), and those of _HEAVY
+    that it did not hold at start-up."""
     package_root = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (package_root, os.environ.get("PYTHONPATH")))))
@@ -668,27 +700,28 @@ def test_each_command_loads_only_what_it_calls():
     assert loaded_modules() == {"catalog", "exact", "spectrum", "cli"}
     assert loaded_modules(["list"]) == {"catalog", "exact", "spectrum", "cli"}
     count = loaded_modules(["count", "rectangle:a=1,b=1,bc=N", "--at", "100,1e3"])
-    assert count.isdisjoint({"oracle", "analysis", "average"})
+    assert count.isdisjoint({"oracle", "analysis", "average"} | _HEAVY)
     assert "asymptotics" in count  # the level budget
     # a flat table this small is summed on Python integers
     assert "lattice" in count and "numpy" not in count
     verify = loaded_modules(["verify", "lune:m=2,bc=N", "--max-t", "1e4"])
-    assert verify.isdisjoint({"analysis", "average"})
+    assert verify.isdisjoint({"analysis", "average"} | _HEAVY)
     assert {"oracle", "asymptotics"} <= verify  # the level budget
     # round surfaces are counted on Python integers
     assert verify.isdisjoint({"lattice", "numpy"})
     for argv in (["asymptotics", "sphere"], ["count", "sphere", "--at", "100,1e5"],
                  ["spectrum", "hemisphere:bc=D", "--max-t", "1e4"]):
-        assert loaded_modules(argv).isdisjoint({"lattice", "numpy"}), argv
+        assert loaded_modules(argv).isdisjoint({"lattice", "numpy"} | _HEAVY), argv
     # np.unique and np.median would load numpy.ma; a round surface's
-    # geodesic lengths need no lattice
-    assert loaded_modules(["conjecture", "sphere"]).isdisjoint({"numpy.ma", "lattice"})
+    # geodesic lengths need no lattice; numpy itself loads inspect
+    assert loaded_modules(["conjecture", "sphere"]).isdisjoint(
+        {"numpy.ma", "lattice", "dataclasses", "typing"})
     # `avg` sums a round table on a log grid in Python floats, but a short
     # grid over a table already on numpy on numpy
     avg = loaded_modules(["avg", "sphere", "--grid", "10:1e5:4001", "--log"])
-    assert avg.isdisjoint({"numpy", "numpy.ma", "lattice", "analysis"})
-    assert "numpy" in loaded_modules(
-        ["avg", "rectangle:a=1,b=1,bc=N", "--grid", "1e6:1e7:5"])
+    assert avg.isdisjoint({"numpy", "numpy.ma", "lattice", "analysis"} | _HEAVY)
+    avg = loaded_modules(["avg", "rectangle:a=1,b=1,bc=N", "--grid", "1e6:1e7:5"])
+    assert "numpy" in avg and avg.isdisjoint({"dataclasses", "typing"})
 
 
 def test_round_roster_never_loads_numpy():

@@ -127,7 +127,7 @@ def test_check_equivalence_subset_of_roster():
 def test_injected_count_error_detected(monkeypatch):
     spec = catalog.rectangle(1, 1, "D")
     real = spectrum.count
-    monkeypatch.setattr(spectrum, "count", lambda s, t: real(s, t) + 1)
+    monkeypatch.setattr(spectrum, "count", lambda s, t, *q: real(s, t, *q) + 1)
     rep = oracle.check_equivalence(spec, 200.0, n_times=30, seed=0)
     assert not rep.ok
     assert "count" in rep.detail
