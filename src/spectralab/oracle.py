@@ -1,17 +1,32 @@
 """Brute-force spectra by direct mode enumeration.
 
-Every level table here is rebuilt from scratch out of explicit eigenbases:
-product modes on rectangles, symmetrized square modes on the isosceles
-triangle, lattice exponentials with finite-group character averaging for the
-quotient surfaces, and azimuthal-order counting for the spherical ones.  No
-counting identity from spectrum.py is ever called while enumerating, so the
-closed-form machinery has something genuinely independent to be wrong
-against.  check_equivalence() is the comparison driver.
+Every level table here is rebuilt from scratch out of explicit eigenbases,
+in one of three shapes:
+
+- axis products: one factor of cos, sin, half-integer or exponential
+  modes per side, for tori, rectangles and cylinders;
+- ordered index pairs: one mode per pair j, k >= lo, every ordered pair or
+  only j <= k (j < k when the diagonal is strict), for the right isosceles,
+  equilateral and 30-60-90 triangles;
+- character projections of lattice shells: the modes of each shell q of a
+  square or hex lattice torus that transform by a character chi of a
+  finite group G number
+
+      (chi(1) / |G|) * sum over g in G of chi(g) * sum over n with g(n) = n of phase_g(n)
+
+  (Serre 1977, sec. 2.6), summed exactly in the Eisenstein integers; this
+  serves the hex torus, the flat projective plane, the tetrahedron surface
+  and its half, and every symmetry sector.
+
+The Moebius band keeps the deck map's parity as a filter, and the
+spherical families count azimuthal orders.  No counting identity from
+spectrum.py is ever called while enumerating, so the closed-form machinery
+has something genuinely independent to be wrong against.
+check_equivalence() is the comparison driver.
 
 Flat eigenvalues are carried as rho = lambda / pi^2 (exact Fractions);
 spherical levels are carried by their degree N (eigenvalue N(N+1)).
 """
-
 from __future__ import annotations
 
 import math
@@ -77,15 +92,15 @@ def _sph_mult(spec: SurfaceSpec, N: int) -> int:
     if f == Family.GLUED_LUNE:
         return 2 * (N // spec.m) + 1
     if f == Family.HALF_LUNE:
+        # azimuthal orders mu = m l, lmin <= l <= N // m, with N + mu of
+        # the equator's parity: every l for even m, else l of one parity
         want = 0 if spec.bc_equator == "N" else 1
         lmin = 0 if spec.bc_side == "N" else 1
-        cnt = 0
-        mu = spec.m * lmin
-        while mu <= N:
-            if (N + mu) % 2 == want:
-                cnt += 1
-            mu += spec.m
-        return cnt
+        lmax = N // spec.m
+        if spec.m % 2 == 0:
+            return lmax - lmin + 1 if N % 2 == want else 0
+        r = (N + want) % 2
+        return (lmax - r) // 2 - (lmin - 1 - r) // 2
     raise ValueError(f"not spherical: {spec}")
 
 
@@ -151,81 +166,45 @@ def _brute_product(acc: _FlatAcc, xk: str, a: Fraction, yk: str, b: Fraction) ->
             acc.add(rx + ry, mx * my)
 
 
-# --- right isosceles triangle: symmetrized square modes ---
+# --- ordered index pairs ---
+
+
+def _index_pairs(acc: _FlatAcc, lo: int, ordered: bool, strict: bool, key) -> None:
+    """One mode per index pair j, k >= lo: every ordered pair, or only
+    j <= k, and j < k when the diagonal is strict.  key(j, k) is the mode's
+    rho and grows in both indices, so each row stops at the cutoff."""
+    hi = acc.hi
+    j = lo
+    while key(j, lo if ordered else j) <= hi:
+        k = lo if ordered else j + strict
+        while (rho := key(j, k)) <= hi:
+            acc.add(rho)
+            k += 1
+        j += 1
 
 
 def _brute_right_iso(acc: _FlatAcc, a: Fraction, bc: str) -> None:
-    """Modes of the a x a square (anti)symmetrized across the diagonal."""
+    """Modes of the a x a square (anti)symmetrized across the diagonal:
+    pairs j <= k, strict when the hypotenuse is Dirichlet."""
     a2 = a * a
-    cap = acc.hi
-    if bc in ("N", "D", "ND", "DN"):
-        lo = 0 if bc in ("N", "ND") else 1
-        strict = bc in ("D", "ND")  # hypotenuse Dirichlet: drop j == k
-        jmax = isqrt_frac_floor(cap * a2)
-        for j in range(lo, jmax + 1):
-            for k in range(j, jmax + 1):
-                if strict and k == j:
-                    continue
-                rho = Fraction(j * j + k * k) / a2
-                acc.add(rho, 1)
-    else:  # MN / MD: mixed legs, hypotenuse N keeps j == k, D drops it
-        strict = bc == "MD"
-        jmax = (isqrt_frac_floor(4 * cap * a2) - 1) // 2
-        for j in range(jmax + 1):
-            for k in range(j, jmax + 1):
-                if strict and k == j:
-                    continue
-                rho = Fraction((2 * j + 1) ** 2 + (2 * k + 1) ** 2, 4) / a2
-                acc.add(rho, 1)
-
-
-# --- hexagonal-lattice families ---
-
-
-def _hex_shells(qcap: int) -> dict[int, list[tuple[int, int]]]:
-    """q -> lattice modes (n1, n2) with n1^2 - n1 n2 + n2^2 = q <= qcap."""
-    out: dict[int, list[tuple[int, int]]] = {}
-    if qcap < 0:
-        return out
-    M = math.isqrt(max(4 * qcap, 0) // 3) + 1
-    for n1 in range(-M, M + 1):
-        for n2 in range(-M, M + 1):
-            q = n1 * n1 - n1 * n2 + n2 * n2
-            if q <= qcap:
-                out.setdefault(q, []).append((n1, n2))
-    return out
-
-
-def _brute_equilateral(acc: _FlatAcc, bc: str) -> None:
-    """Classical eigenbasis of the side-1 equilateral triangle: pairs
-    (m, n) with m, n >= 0 (Neumann) or >= 1 (Dirichlet), one eigenfunction
-    per ordered pair, eigenvalue (16 pi^2 / 9)(m^2 + mn + n^2)."""
-    lo = 0 if bc == "N" else 1
-    qcap = int(acc.hi * Fraction(9, 16)) + 1
-    M = math.isqrt(qcap) + 1
-    for m in range(lo, M + 1):
-        for n in range(lo, M + 1):
-            q = m * m + m * n + n * n
-            acc.add(Fraction(16 * q, 9))
-
-
-def _brute_306090(acc: _FlatAcc, bc: str) -> None:
-    """Equilateral modes split by the swap symmetry m <-> n (the bisecting
-    altitude).  Same-type N keeps symmetric Neumann combinations, etc."""
-    if bc == "N":
-        lo, keep_diag = 0, True
-    elif bc == "ND":
-        lo, keep_diag = 0, False
-    elif bc == "DN":
-        lo, keep_diag = 1, True
+    if bc in ("MN", "MD"):  # mixed legs: half-integer indices
+        _index_pairs(acc, 0, False, bc == "MD",
+                     lambda j, k: Fraction((2 * j + 1) ** 2 + (2 * k + 1) ** 2, 4) / a2)
     else:
-        lo, keep_diag = 1, False
-    qcap = int(acc.hi * Fraction(9, 16)) + 1
-    M = math.isqrt(qcap) + 1
-    for m in range(lo, M + 1):
-        for n in range(m if keep_diag else m + 1, M + 1):
-            q = m * m + m * n + n * n
-            acc.add(Fraction(16 * q, 9))
+        _index_pairs(acc, 0 if bc in ("N", "ND") else 1, False, bc in ("D", "ND"),
+                     lambda j, k: Fraction(j * j + k * k) / a2)
+
+
+def _eq_rho(m: int, n: int) -> Fraction:
+    """Side-1 equilateral triangle: eigenvalue (16 pi^2 / 9)(m^2 + mn + n^2)."""
+    return Fraction(16 * (m * m + m * n + n * n), 9)
+
+
+# The classical eigenbasis of the equilateral triangle has one mode per
+# ordered pair (m, n), m, n >= 0 (Neumann) or >= 1 (Dirichlet).  The
+# 30-60-90 triangle keeps the swap-symmetric (m <= n) or antisymmetric
+# (m < n) combinations across the bisecting altitude: bc -> (lo, strict).
+_306090_PAIRS = {"N": (0, False), "ND": (0, True), "DN": (1, False), "D": (1, True)}
 
 
 # --- deck-quotient families ---
@@ -250,80 +229,112 @@ def _brute_mobius(acc: _FlatAcc, a: Fraction, b: Fraction, bc: str) -> None:
                 acc.add(Fraction(j * j) / a2 + Fraction(k * k) / b2)
 
 
-def _brute_fpp(acc: _FlatAcc) -> None:
-    """2 x 2 torus modes averaged over the deck group of the flat projective
-    plane: S e(j,k) = (-1)^(j+k) e(j,-k), T e(j,k) = (-1)^(j+k) e(-j,k),
-    ST e(j,k) = e(-j,-k)."""
-    cap = acc.hi
+# --- character projections of lattice shells ---
+#
+# A torus mode e_n goes under g in G to phase_g(n) e_g(n), and the module
+# docstring's projection counts a shell.  A phase is a sign or a power of
+# omega = e^(2 pi i/3), so each sum is kept exactly as an Eisenstein integer
+# x + y omega, the pair (x, y), with omega^2 = -1 - omega.
+
+
+def _square_shells(cap: Fraction, lo=None) -> dict[int, list[tuple[int, int]]]:
+    """q -> modes (j, k) with j^2 + k^2 = q <= cap, over all of Z^2 when lo
+    is None, else with j, k >= lo."""
+    out: dict[int, list[tuple[int, int]]] = {}
     jmax = isqrt_frac_floor(cap)
-    shells: dict[int, list[tuple[int, int]]] = {}
-    for j in range(-jmax, jmax + 1):
+    for j in range(-jmax if lo is None else lo, jmax + 1):
         kmax = isqrt_frac_floor(cap - j * j)
-        for k in range(-kmax, kmax + 1):
-            shells.setdefault(j * j + k * k, []).append((j, k))
+        for k in range(-kmax if lo is None else lo, kmax + 1):
+            out.setdefault(j * j + k * k, []).append((j, k))
+    return out
+
+
+def _hex_shells(cap: Fraction) -> dict[int, list[tuple[int, int]]]:
+    """q -> lattice modes (n1, n2) with n1^2 - n1 n2 + n2^2 = q <= cap."""
+    out: dict[int, list[tuple[int, int]]] = {}
+    qcap = math.floor(cap)
+    M = math.isqrt(max(4 * qcap, 0) // 3) + 1
+    for n1 in range(-M, M + 1):
+        for n2 in range(-M, M + 1):
+            q = n1 * n1 - n1 * n2 + n2 * n2
+            if q <= qcap:
+                out.setdefault(q, []).append((n1, n2))
+    return out
+
+
+def _project(acc: _FlatAcc, unit: Fraction, shells, group) -> None:
+    """Adds each shell's projection count at rho = unit * q.
+
+    group lists (chi(g), g, phase_g) with the identity first, so that its
+    character is the dimension.  g is an integer matrix (a, b, c, d) acting
+    as n -> (a n1 + b n2, c n1 + d n2); phase_g maps a mode to an Eisenstein
+    pair, or is None for the phase 1.  A sum that is not a whole multiple
+    of |G| in Z is refused, not rounded.
+    """
+    order = len(group)
+    dim = group[0][0]
     for q, modes in shells.items():
-        tr = 0
-        for j, k in modes:
-            tr += 1  # identity
-            if k == -k:
-                tr += (-1) ** (j + k)  # S fixes k = 0
-            if j == -j:
-                tr += (-1) ** (j + k)  # T fixes j = 0
-            if j == -j and k == -k:
-                tr += 1  # ST fixes the origin only
-        if tr % 4 != 0:
-            raise ArithmeticError((q, tr))
-        acc.add(Fraction(q), tr // 4)
+        x = y = 0
+        for chi, g, phase in group:
+            if not chi:
+                continue
+            a, b, c, d = g
+            fixed = modes if g == _ID else [
+                (n1, n2) for n1, n2 in modes if a * n1 + b * n2 == n1 and c * n1 + d * n2 == n2]
+            if phase is None:
+                x += chi * len(fixed)
+            else:
+                for n in fixed:
+                    px, py = phase(n)
+                    x += chi * px
+                    y += chi * py
+        if y or x % order:
+            raise ArithmeticError((q, (x, y)))
+        acc.add(unit * q, dim * x // order)
 
 
-def _brute_tetrahedron(acc: _FlatAcc) -> None:
-    """Hex-lattice torus modes (unit 4 pi^2 / 3) paired by n -> -n."""
-    qcap = int(acc.hi * Fraction(3, 4)) + 1
-    for q, modes in _hex_shells(qcap).items():
-        fixed = sum(1 for n in modes if n == (-n[0], -n[1]))
-        tot = len(modes) + fixed
-        if tot % 2 != 0:
-            raise ArithmeticError((q, tot))
-        acc.add(Fraction(4 * q, 3), tot // 2)
+def _sign(c1: int, c2: int, c0: int = 0):
+    """The phase (-1)^(c1 n1 + c2 n2 + c0)."""
+    return lambda n: (1 - 2 * ((c1 * n[0] + c2 * n[1] + c0) & 1), 0)
 
 
-def _brute_half_tetrahedron(acc: _FlatAcc, bc: str) -> None:
-    """Group {+-1, +-swap} on the tetrahedron cover; Dirichlet takes the sign
-    character on the reflection coset."""
-    sgn = 1 if bc == "N" else -1
-    qcap = int(acc.hi * Fraction(3, 4)) + 1
-    for q, modes in _hex_shells(qcap).items():
-        tr = 0
-        for n1, n2 in modes:
-            tr += 1
-            if (n1, n2) == (-n1, -n2):
-                tr += 1
-            if (n1, n2) == (n2, n1):
-                tr += sgn
-            if (n1, n2) == (-n2, -n1):
-                tr += sgn
-        if tr % 4 != 0:
-            raise ArithmeticError((q, tr))
-        acc.add(Fraction(4 * q, 3), tr // 4)
+def _omega(c: int):
+    """The phase omega^(c (n1 + n2)), read from _OMEGA_POW when applied."""
+    return lambda n: _OMEGA_POW[c * (n[0] + n[1]) % 3]
 
 
-# --- symmetry sectors ---
+def _mul(g: tuple, h: tuple) -> tuple:
+    """The matrix of n -> g(h(n))."""
+    a, b, c, d = g
+    e, f, u, v = h
+    return (a * e + b * u, a * f + b * v, c * e + d * u, c * f + d * v)
 
-# Dual-index actions on the unit square torus (all eight linear).
-_D4_TORUS = {
-    "id": lambda j, k: (j, k),
-    "r90": lambda j, k: (-k, j),
-    "r180": lambda j, k: (-j, -k),
-    "r270": lambda j, k: (k, -j),
-    "sv": lambda j, k: (-j, k),
-    "sh": lambda j, k: (j, -k),
-    "diag": lambda j, k: (k, j),
-    "anti": lambda j, k: (-k, -j),
+
+_OMEGA_POW = [(1, 0), (0, 1), (-1, -1)]  # omega^0, omega^1, omega^2 as (x, y)
+_HEX_UNIT = Fraction(16, 9)  # rho of the hex torus's q = 1 shell
+
+_ID, _NEG = (1, 0, 0, 1), (-1, 0, 0, -1)
+_SWAP, _SWAPNEG = (0, 1, 1, 0), (0, -1, -1, 0)
+_FLIP_J, _FLIP_K = (-1, 0, 0, 1), (1, 0, 0, -1)
+
+# The flat projective plane's deck group on the 2 x 2 torus:
+# S e(j,k) = (-1)^(j+k) e(j,-k), T e(j,k) = (-1)^(j+k) e(-j,k), ST e(j,k) = e(-j,-k).
+_FPP = [(1, _ID, None), (1, _FLIP_K, _sign(1, 1)), (1, _FLIP_J, _sign(1, 1)), (1, _NEG, None)]
+
+# D4 by name: its linear action on the dual indices of the square torus,
+# and on the product indices (j, k) of the unit square with Neumann (s = 0)
+# or Dirichlet (s = 1) sides, a permutation with the sign
+# (-1)^(c1 j + c2 k + cs s), given as (c1, c2, cs).
+_D4 = {
+    "id": (_ID, _ID, (0, 0, 0)),
+    "r90": ((0, -1, 1, 0), _SWAP, (1, 0, 1)),
+    "r180": (_NEG, _ID, (1, 1, 0)),
+    "r270": ((0, 1, -1, 0), _SWAP, (0, 1, 1)),
+    "sv": (_FLIP_J, _ID, (1, 0, 1)),
+    "sh": (_FLIP_K, _ID, (0, 1, 1)),
+    "diag": (_SWAP, _SWAP, (0, 0, 0)),
+    "anti": (_SWAPNEG, _SWAP, (1, 1, 0)),
 }
-
-_D4_AXIS = ("sv", "sh")
-_D4_DIAG = ("diag", "anti")
-_D4_ROT = ("r90", "r270")
 
 
 def _d4_char(irrep: str) -> dict[str, int]:
@@ -331,132 +342,25 @@ def _d4_char(irrep: str) -> dict[str, int]:
         return {"id": 2, "r90": 0, "r270": 0, "r180": -2, "sv": 0, "sh": 0, "diag": 0, "anti": 0}
     ed = 1 if irrep[0] == "+" else -1
     ea = 1 if irrep[1] == "+" else -1
-    ch = {"id": 1, "r180": 1}
-    for g in _D4_DIAG:
-        ch[g] = ed
-    for g in _D4_AXIS:
-        ch[g] = ea
-    for g in _D4_ROT:
-        ch[g] = ed * ea
-    return ch
+    return {"id": 1, "r180": 1, "diag": ed, "anti": ed, "sv": ea, "sh": ea,
+            "r90": ed * ea, "r270": ed * ea}
 
 
-def _brute_sector_square_torus(acc: _FlatAcc, irrep: str) -> None:
-    cap = acc.hi / 4  # rho = 4 (j^2 + k^2)
-    jmax = isqrt_frac_floor(cap)
-    shells: dict[int, list[tuple[int, int]]] = {}
-    for j in range(-jmax, jmax + 1):
-        kmax = isqrt_frac_floor(cap - j * j)
-        for k in range(-kmax, kmax + 1):
-            shells.setdefault(j * j + k * k, []).append((j, k))
-    ch = _d4_char(irrep)
-    dim = 2 if irrep == "2" else 1
-    for q, modes in shells.items():
-        tot = 0
-        for g, act in _D4_TORUS.items():
-            tr = sum(1 for jk in modes if act(*jk) == jk)
-            tot += ch[g] * tr
-        if tot % 8 != 0:
-            raise ArithmeticError((q, tot))
-        acc.add(Fraction(4 * q), dim * (tot // 8))
+# D3 on the hex torus's dual indices, q = n1^2 - n1 n2 + n2^2: the
+# rotations n -> (-n2, n1 - n2) and its square, then the reflections.
+_ROT = (0, -1, 1, -1)
+_ROT2 = _mul(_ROT, _ROT)
+_D3 = [_ID, _ROT, _ROT2, (-1, 0, -1, 1), (1, -1, 0, -1), _SWAP]
 
-
-def _brute_sector_square_bc(acc: _FlatAcc, bc: str, irrep: str) -> None:
-    """Unit square with Neumann (bc='N') or Dirichlet modes; D4 about the
-    center acts on product cos/sin indices with signs."""
-    s = 0 if bc == "N" else 1
-    lo = 0 if bc == "N" else 1
-    cap = acc.hi
-    jmax = isqrt_frac_floor(cap)
-    shells: dict[int, list[tuple[int, int]]] = {}
-    for j in range(lo, jmax + 1):
-        kmax = isqrt_frac_floor(cap - j * j)
-        for k in range(lo, kmax + 1):
-            shells.setdefault(j * j + k * k, []).append((j, k))
-    ch = _d4_char(irrep)
-    dim = 2 if irrep == "2" else 1
-    for q, modes in shells.items():
-        diag = [(j, k) for j, k in modes if j == k]
-        tr = {
-            "id": len(modes),
-            "sv": sum((-1) ** (j + s) for j, _ in modes),
-            "sh": sum((-1) ** (k + s) for _, k in modes),
-            "r180": sum((-1) ** (j + k) for j, k in modes),
-            "diag": len(diag),
-            "anti": len(diag),
-            "r90": sum((-1) ** (j + s) for j, _ in diag),
-            "r270": sum((-1) ** (j + s) for j, _ in diag),
-        }
-        tot = sum(ch[g] * tr[g] for g in tr)
-        if tot % 8 != 0:
-            raise ArithmeticError((q, tot))
-        acc.add(Fraction(q), dim * (tot // 8))
-
-
-# Hex-torus D3 (linear) in dual lattice coordinates, q = n1^2 - n1 n2 + n2^2.
-def _hex_rot(n):
-    return (-n[1], n[0] - n[1])
-
-
-def _hex_refls(n):
-    yield (-n[0], n[1] - n[0])
-    yield (n[0] - n[1], -n[1])
-    yield (n[1], n[0])
-
-
-def _brute_sector_hex_torus(acc: _FlatAcc, irrep: str) -> None:
-    qcap = int(acc.hi * Fraction(9, 16)) + 1
-    for q, modes in _hex_shells(qcap).items():
-        n_id = len(modes)
-        n_rot = sum(1 for n in modes if _hex_rot(n) == n) + sum(
-            1 for n in modes if _hex_rot(_hex_rot(n)) == n
-        )
-        n_ref = sum(1 for n in modes for img in _hex_refls(n) if img == n)
-        if irrep == "+":
-            tot, dim = n_id + n_rot + n_ref, 1
-        elif irrep == "-":
-            tot, dim = n_id + n_rot - n_ref, 1
-        else:
-            tot, dim = 2 * n_id - n_rot, 2
-        if tot % 6 != 0:
-            raise ArithmeticError((q, tot))
-        acc.add(Fraction(16 * q, 9), dim * (tot // 6))
-
-
-# Equilateral-triangle sectors: double character average.  The base group
-# G_b (reflections cutting the triangle out of the hex torus) is linear; the
-# triangle's own D3 about its centroid picks up cube-root-of-unity phases
-# omega^(n1+n2) on the rotations.  Sums are exact in the Eisenstein integers,
-# x + y omega kept as the pair (x, y), with omega^2 = -1 - omega.
-_GB_MATS = [
-    lambda n: n,
-    _hex_rot,
-    lambda n: _hex_rot(_hex_rot(n)),
-    lambda n: (-n[0], n[1] - n[0]),
-    lambda n: (n[0] - n[1], -n[1]),
-    lambda n: (n[1], n[0]),
-]
-_GB_SIGNS = [1, 1, 1, -1, -1, -1]
-
-_OMEGA_POW = [(1, 0), (0, 1), (-1, -1)]  # omega^0, omega^1, omega^2 as (x, y)
-
-
-def _swapneg(n):
-    return (-n[1], -n[0])
-
-
-# (index map, phase exponent coefficients (c1, c2) meaning omega^(c1 n1 + c2 n2))
-_GC_ELEMS = [
-    (lambda n: n, (0, 0)),
-    (lambda n: _hex_rot(n), (1, 1)),
-    (lambda n: _hex_rot(_hex_rot(n)), (2, 2)),
-    (_swapneg, (0, 0)),
-    (lambda n: _hex_rot(_swapneg(n)), (2, 2)),
-    (lambda n: _hex_rot(_hex_rot(_swapneg(n))), (1, 1)),
+# The equilateral triangle's own D3 about its centroid on the hex torus
+# modes: (matrix, c) with the phase omega^(c (n1 + n2)) on the rotations.
+_D3_CENTROID = [
+    (_ID, 0), (_ROT, 1), (_ROT2, 2),
+    (_SWAPNEG, 0), (_mul(_ROT, _SWAPNEG), 2), (_mul(_ROT2, _SWAPNEG), 1),
 ]
 
 
-def _gc_char(irrep: str) -> list[int]:
+def _d3_char(irrep: str) -> list[int]:
     if irrep == "+":
         return [1, 1, 1, 1, 1, 1]
     if irrep == "-":
@@ -464,43 +368,44 @@ def _gc_char(irrep: str) -> list[int]:
     return [2, -1, -1, 0, 0, 0]
 
 
-def _brute_sector_equilateral(acc: _FlatAcc, bc: str, irrep: str) -> None:
-    chi_b = [1] * 6 if bc == "N" else _GB_SIGNS
-    chi_c = _gc_char(irrep)
-    dim = 2 if irrep == "2" else 1
-    qcap = int(acc.hi * Fraction(9, 16)) + 1
-    for q, modes in _hex_shells(qcap).items():
-        x = y = 0  # the sum x + y omega
-        for gi, g in enumerate(_GB_MATS):
-            for hi, (h, (c1, c2)) in enumerate(_GC_ELEMS):
-                w = chi_b[gi] * chi_c[hi]
-                if w == 0:
-                    continue
-                for n in modes:
-                    if g(h(n)) == n:
-                        px, py = _OMEGA_POW[(c1 * n[0] + c2 * n[1]) % 3]
-                        x += w * px
-                        y += w * py
-        if y != 0 or (x * dim) % 36 != 0:
-            raise ArithmeticError((q, (x, y)))
-        acc.add(Fraction(16 * q, 9), x * dim // 36)
-
-
-def _brute_sector(acc: _FlatAcc, base: str, irrep: str) -> None:
+def _group_table(spec: SurfaceSpec, hi: Fraction) -> tuple:
+    """(unit, shells below rho = hi, group) of a family counted by _project."""
+    f = spec.family
+    if f == Family.FLAT_TORUS_HEX:
+        return _HEX_UNIT, _hex_shells(hi / _HEX_UNIT), [(1, _ID, None)]
+    if f == Family.FLAT_PROJECTIVE_PLANE:
+        return Fraction(1), _square_shells(hi), _FPP
+    if f in (Family.TETRAHEDRON_SURFACE, Family.HALF_TETRAHEDRON):
+        # hex-lattice torus modes of unit 4 pi^2 / 3 under {+-1}, and for
+        # the half under {+-1, +-swap} with the sign character on Dirichlet
+        group = [(1, _ID, None), (1, _NEG, None)]
+        if f == Family.HALF_TETRAHEDRON:
+            sgn = 1 if spec.bc == "N" else -1
+            group += [(sgn, _SWAP, None), (sgn, _SWAPNEG, None)]
+        return Fraction(4, 3), _hex_shells(hi * Fraction(3, 4)), group
+    if f != Family.SYMMETRY_SECTOR:
+        raise ValueError(f"no brute enumeration for {spec}")
+    base, irrep = spec.base, spec.irrep
     if base == "square_torus":
-        _brute_sector_square_torus(acc, irrep)
-    elif base == "square_n":
-        _brute_sector_square_bc(acc, "N", irrep)
-    elif base == "square_d":
-        _brute_sector_square_bc(acc, "D", irrep)
-    elif base == "hex_torus":
-        _brute_sector_hex_torus(acc, irrep)
-    elif base == "equilateral_n":
-        _brute_sector_equilateral(acc, "N", irrep)
-    elif base == "equilateral_d":
-        _brute_sector_equilateral(acc, "D", irrep)
-    else:
-        raise ValueError(base)
+        ch = _d4_char(irrep)
+        return Fraction(4), _square_shells(hi / 4), [
+            (ch[g], torus, None) for g, (torus, _, _) in _D4.items()]
+    if base in ("square_n", "square_d"):
+        s = int(base == "square_d")
+        ch = _d4_char(irrep)
+        return Fraction(1), _square_shells(hi, s), [
+            (ch[g], perm, _sign(c1, c2, cs * s) if c1 or c2 or cs * s else None)
+            for g, (_, perm, (c1, c2, cs)) in _D4.items()]
+    shells = _hex_shells(hi / _HEX_UNIT)
+    if base == "hex_torus":
+        return _HEX_UNIT, shells, [(ch, g, None) for ch, g in zip(_d3_char(irrep), _D3)]
+    # the equilateral sectors: the base group cutting the triangle out of
+    # the hex torus (its sign character on Dirichlet) times the centroid D3
+    chi_b = _d3_char("+" if base == "equilateral_n" else "-")
+    return _HEX_UNIT, shells, [
+        (cb * cc, _mul(g, h), _omega(c))
+        for cb, g in zip(chi_b, _D3)
+        for cc, (h, c) in zip(_d3_char(irrep), _D3_CENTROID)]
 
 
 # --- entry points ---
@@ -520,34 +425,23 @@ def brute_levels(spec: SurfaceSpec, T) -> list[tuple]:
     f = spec.family
     if f == Family.FLAT_TORUS_RECT:
         _brute_product(acc, "torus", spec.a, "torus", spec.b)
-    elif f == Family.FLAT_TORUS_HEX:
-        qcap = int(acc.hi * Fraction(9, 16)) + 1
-        for q, modes in _hex_shells(qcap).items():
-            acc.add(Fraction(16 * q, 9), len(modes))
     elif f == Family.RECTANGLE:
         xk, yk = _RECT_AXIS_KINDS[spec.bc]
         _brute_product(acc, xk, spec.a, yk, spec.b)
     elif f == Family.RIGHT_ISO_TRIANGLE:
         _brute_right_iso(acc, spec.a, spec.bc)
     elif f == Family.EQUILATERAL_TRIANGLE:
-        _brute_equilateral(acc, spec.bc)
+        _index_pairs(acc, 0 if spec.bc == "N" else 1, True, False, _eq_rho)
     elif f == Family.TRIANGLE_306090:
-        _brute_306090(acc, spec.bc)
+        lo, strict = _306090_PAIRS[spec.bc]
+        _index_pairs(acc, lo, False, strict, _eq_rho)
     elif f == Family.CYLINDER:
         yk = {"N": "cos", "D": "sin", "M": "mix"}[spec.bc]
         _brute_product(acc, "circ", spec.a, yk, spec.b)
     elif f == Family.MOBIUS_BAND:
         _brute_mobius(acc, spec.a, spec.b, spec.bc)
-    elif f == Family.FLAT_PROJECTIVE_PLANE:
-        _brute_fpp(acc)
-    elif f == Family.TETRAHEDRON_SURFACE:
-        _brute_tetrahedron(acc)
-    elif f == Family.HALF_TETRAHEDRON:
-        _brute_half_tetrahedron(acc, spec.bc)
-    elif f == Family.SYMMETRY_SECTOR:
-        _brute_sector(acc, spec.base, spec.irrep)
     else:
-        raise ValueError(f"no brute enumeration for {spec}")
+        _project(acc, *_group_table(spec, acc.hi))
     return acc.levels()
 
 

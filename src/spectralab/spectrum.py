@@ -103,7 +103,7 @@ def _t_float(t) -> float:
 
 
 def _rational_cutoff(t) -> Fraction:
-    tv = Fraction(t)
+    tv = t if isinstance(t, Fraction) else Fraction(t)
     if tv < 0:
         raise ValueError("negative cutoff")
     return tv

@@ -396,3 +396,122 @@ def test_equilateral_sector_sums_stay_exact(powers, monkeypatch):
     monkeypatch.setattr(oracle, "_OMEGA_POW", powers)
     with pytest.raises(ArithmeticError):
         oracle.brute_levels(spec, 400)
+
+
+# --- the half-lune count and the projection's exactness ----------------------
+
+
+def _half_lune_by_steps(spec, N):
+    """Reference count: step the azimuthal order mu = m l up to N."""
+    want = 0 if spec.bc_equator == "N" else 1
+    cnt = 0
+    mu = spec.m * (0 if spec.bc_side == "N" else 1)
+    while mu <= N:
+        if (N + mu) % 2 == want:
+            cnt += 1
+        mu += spec.m
+    return cnt
+
+
+def test_half_lune_count_matches_stepping():
+    for m in range(1, 9):
+        for side in "ND":
+            for equator in "ND":
+                spec = catalog.half_lune(m, side, equator)
+                for N in range(400):
+                    assert oracle._sph_mult(spec, N) == _half_lune_by_steps(spec, N), (
+                        spec.label(), N)
+
+
+def test_oracle_reads_spectrum_only_to_compare():
+    # the enumeration must stay independent of the closed-form machinery:
+    # spectrum and lattice are imported and read in check_equivalence only
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    kept = {"spectrum", "lattice"}
+    compare = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "check_equivalence")
+    inside = {id(node) for node in ast.walk(compare)}
+
+    def touches(node):
+        if isinstance(node, ast.Import):
+            return any(set(alias.name.split(".")) & kept for alias in node.names)
+        if isinstance(node, ast.ImportFrom):
+            return (set((node.module or "").split(".")) & kept
+                    or any(alias.name in kept for alias in node.names))
+        if isinstance(node, ast.Name):
+            return node.id in kept
+        return isinstance(node, ast.Attribute) and node.attr in kept
+
+    outside = [node.lineno for node in ast.walk(tree) if touches(node) and id(node) not in inside]
+    assert not outside, outside
+    assert any(touches(node) for node in ast.walk(compare))  # the guard sees the comparison
+
+
+# A fault in a group table must not go unseen: it is refused as a sum that
+# is not a whole multiple of |G|, or the enumerated levels stop agreeing.
+
+
+def _caught(spec):
+    try:
+        rep = oracle.check_equivalence(spec, 1000, n_times=20)
+    except ArithmeticError:
+        return True
+    return not rep.ok
+
+
+def _with_table_fault(monkeypatch, fault):
+    real = oracle._project
+    monkeypatch.setattr(oracle, "_project",
+                        lambda acc, unit, shells, group: real(acc, unit, shells, fault(group)))
+
+
+def _group_of(spec):
+    return oracle._group_table(spec, F(1))[2]
+
+
+@pytest.mark.parametrize("base", ["square_torus", "square_n", "square_d"])
+def test_flipped_square_sector_character_is_caught(base, monkeypatch):
+    for irrep in catalog.sector_irreps(base):
+        spec = catalog.symmetry_sector(base, irrep)
+        assert not _caught(spec)
+        for i, (chi, _, _) in enumerate(_group_of(spec)):
+            if not chi:
+                continue
+            with monkeypatch.context() as m:
+                _with_table_fault(m, lambda group: [
+                    (-c if j == i else c, g, p) for j, (c, g, p) in enumerate(group)])
+                assert _caught(spec), (irrep, i)
+
+
+def test_dropped_group_element_is_caught(monkeypatch):
+    specs = [catalog.flat_projective_plane(), catalog.tetrahedron_surface(),
+             catalog.half_tetrahedron("N"), catalog.half_tetrahedron("D"),
+             catalog.symmetry_sector("square_d", "2"), catalog.symmetry_sector("hex_torus", "-")]
+    for spec in specs:
+        for i in range(1, len(_group_of(spec))):
+            with monkeypatch.context() as m:
+                _with_table_fault(m, lambda group: group[:i] + group[i + 1:])
+                assert _caught(spec), (spec.label(), i)
+    # the projective plane without ST, by name
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_FPP", oracle._FPP[:3])
+        assert _caught(catalog.flat_projective_plane())
+
+
+def test_wrong_sign_phase_is_caught(monkeypatch):
+    specs = [catalog.flat_projective_plane()] + [
+        catalog.symmetry_sector(base, irrep) for base in ("square_n", "square_d")
+        for irrep in catalog.sector_irreps(base)]
+    for spec in specs:
+        _, shells, group = oracle._group_table(spec, F(100))
+        modes = [n for shell in shells.values() for n in shell]
+        # a sign that is +1 on every mode its element fixes is no fault
+        signed = [i for i, (chi, (a, b, c, d), phase) in enumerate(group)
+                  if chi and phase and any(phase(n) != (1, 0) for n in modes
+                                           if (a * n[0] + b * n[1], c * n[0] + d * n[1]) == n)]
+        assert signed, spec.label()
+        for i in signed:
+            with monkeypatch.context() as m:  # the sign read as +1
+                _with_table_fault(m, lambda group: [
+                    (c, g, None if j == i else p) for j, (c, g, p) in enumerate(group)])
+                assert _caught(spec), (spec.label(), i)
