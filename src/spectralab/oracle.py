@@ -24,8 +24,9 @@ spectrum.py is ever called while enumerating, so the closed-form machinery
 has something genuinely independent to be wrong against.
 check_equivalence() is the comparison driver.
 
-Flat eigenvalues are carried as rho = lambda / pi^2 (exact Fractions);
-spherical levels are carried by their degree N (eigenvalue N(N+1)).
+Flat eigenvalues are carried as rho = lambda / pi^2 = n / den, the integer
+n over one den per surface, and made a Fraction once per level; spherical
+levels are carried by their degree N (eigenvalue N(N+1)).
 """
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ import random
 from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
+from itertools import accumulate
 
 from . import catalog
 from .catalog import Family, SurfaceSpec
@@ -43,22 +45,34 @@ from .exact import flat_rho_bounds, isqrt_frac_floor
 
 
 class _FlatAcc:
-    """Collects flat modes by exact rho; refuses times that sit on the
-    pi-enclosure boundary (cannot happen for the rational caps used here)."""
+    """Collects flat modes by the integer n of rho = n / den; refuses times
+    that sit on the pi-enclosure boundary (cannot happen for the rational
+    caps used here).  n / den <= lo exactly when n <= floor(lo den), so
+    both ends of the enclosure are held as such integers."""
 
-    def __init__(self, T: Fraction):
-        self.lo, self.hi = flat_rho_bounds(T)
-        self._d: dict[Fraction, int] = {}
+    def __init__(self, T: Fraction, den: int):
+        self.den = den
+        self.lo, self.hi = (math.floor(x * den) for x in flat_rho_bounds(T))
+        self._d: dict[int, int] = {}
 
-    def add(self, rho: Fraction, mult: int = 1) -> None:
-        if rho > self.hi or mult == 0:
+    def over(self, unit: Fraction) -> int:
+        """The integer n of rho = unit, which den must be a multiple of."""
+        n, r = divmod(unit.numerator * self.den, unit.denominator)
+        if r:
+            raise ValueError(f"rho {unit} is not a multiple of 1/{self.den}")
+        return n
+
+    def add(self, n: int, mult: int = 1) -> None:
+        if n > self.hi or mult == 0:
             return
-        if rho > self.lo:
-            raise ArithmeticError(f"cutoff indistinguishable from level at rho={rho}")
-        self._d[rho] = self._d.get(rho, 0) + mult
+        if n > self.lo:
+            raise ArithmeticError(
+                f"cutoff indistinguishable from level at rho={Fraction(n, self.den)}")
+        self._d[n] = self._d.get(n, 0) + mult
 
     def levels(self) -> list[tuple[Fraction, int]]:
-        return sorted((k, v) for k, v in self._d.items() if v)
+        den = self.den
+        return [(Fraction(n, den), v) for n, v in sorted(self._d.items()) if v]
 
 
 def _sph_degree_cap(T: Fraction) -> int:
@@ -116,33 +130,28 @@ def _brute_spherical(spec: SurfaceSpec, T: Fraction) -> list[tuple[int, int]]:
 # --- flat product families ---
 
 
-def _axis_indices(kind: str, a: Fraction, cap: Fraction) -> Iterator[tuple[Fraction, int]]:
-    """1-d factor levels (rho_x, multiplicity).
+def _axis_indices(kind: str, e: int, cap: int) -> Iterator[tuple[int, int]]:
+    """1-d factor levels (n, multiplicity) with n <= cap, where e is the n
+    of rho = 1 / (2a)^2.
 
     kind: 'torus' exp(pi i j x / a) j in Z; 'cos' j>=0; 'sin' j>=1;
     'mix' cos(pi (j+1/2) x / a) j>=0; 'circ' exp(2 pi i j x / a) j in Z.
     """
-    a2 = a * a
     if kind == "torus":
-        jmax = isqrt_frac_floor(cap * a2)
-        for j in range(jmax + 1):
-            yield Fraction(j * j) / a2, (1 if j == 0 else 2)
+        for j in range(math.isqrt(cap // (4 * e)) + 1):
+            yield 4 * e * j * j, (1 if j == 0 else 2)
     elif kind == "cos":
-        jmax = isqrt_frac_floor(cap * a2)
-        for j in range(jmax + 1):
-            yield Fraction(j * j) / a2, 1
+        for j in range(math.isqrt(cap // (4 * e)) + 1):
+            yield 4 * e * j * j, 1
     elif kind == "sin":
-        jmax = isqrt_frac_floor(cap * a2)
-        for j in range(1, jmax + 1):
-            yield Fraction(j * j) / a2, 1
+        for j in range(1, math.isqrt(cap // (4 * e)) + 1):
+            yield 4 * e * j * j, 1
     elif kind == "mix":
-        jmax = (isqrt_frac_floor(4 * cap * a2) - 1) // 2
-        for j in range(jmax + 1):
-            yield Fraction((2 * j + 1) ** 2, 4) / a2, 1
+        for j in range((math.isqrt(cap // e) + 1) // 2):
+            yield e * (2 * j + 1) ** 2, 1
     elif kind == "circ":
-        jmax = isqrt_frac_floor(cap * a2 / 4)
-        for j in range(jmax + 1):
-            yield Fraction(4 * j * j) / a2, (1 if j == 0 else 2)
+        for j in range(math.isqrt(cap // (16 * e)) + 1):
+            yield 16 * e * j * j, (1 if j == 0 else 2)
     else:
         raise ValueError(kind)
 
@@ -161,9 +170,10 @@ _RECT_AXIS_KINDS = {
 
 def _brute_product(acc: _FlatAcc, xk: str, a: Fraction, yk: str, b: Fraction) -> None:
     cap = acc.hi
-    for rx, mx in _axis_indices(xk, a, cap):
-        for ry, my in _axis_indices(yk, b, cap - rx):
-            acc.add(rx + ry, mx * my)
+    ex, ey = acc.over(1 / (4 * a * a)), acc.over(1 / (4 * b * b))
+    for nx, mx in _axis_indices(xk, ex, cap):
+        for ny, my in _axis_indices(yk, ey, cap - nx):
+            acc.add(nx + ny, mx * my)
 
 
 # --- ordered index pairs ---
@@ -171,8 +181,9 @@ def _brute_product(acc: _FlatAcc, xk: str, a: Fraction, yk: str, b: Fraction) ->
 
 def _index_pairs(acc: _FlatAcc, lo: int, ordered: bool, strict: bool, key) -> None:
     """One mode per index pair j, k >= lo: every ordered pair, or only
-    j <= k, and j < k when the diagonal is strict.  key(j, k) is the mode's
-    rho and grows in both indices, so each row stops at the cutoff."""
+    j <= k, and j < k when the diagonal is strict.  key(j, k) is the n of
+    the mode's rho and grows in both indices, so each row stops at the
+    cutoff."""
     hi = acc.hi
     j = lo
     while key(j, lo if ordered else j) <= hi:
@@ -186,18 +197,20 @@ def _index_pairs(acc: _FlatAcc, lo: int, ordered: bool, strict: bool, key) -> No
 def _brute_right_iso(acc: _FlatAcc, a: Fraction, bc: str) -> None:
     """Modes of the a x a square (anti)symmetrized across the diagonal:
     pairs j <= k, strict when the hypotenuse is Dirichlet."""
-    a2 = a * a
+    e = acc.over(1 / (4 * a * a))
     if bc in ("MN", "MD"):  # mixed legs: half-integer indices
         _index_pairs(acc, 0, False, bc == "MD",
-                     lambda j, k: Fraction((2 * j + 1) ** 2 + (2 * k + 1) ** 2, 4) / a2)
+                     lambda j, k: e * ((2 * j + 1) ** 2 + (2 * k + 1) ** 2))
     else:
         _index_pairs(acc, 0 if bc in ("N", "ND") else 1, False, bc in ("D", "ND"),
-                     lambda j, k: Fraction(j * j + k * k) / a2)
+                     lambda j, k: 4 * e * (j * j + k * k))
 
 
-def _eq_rho(m: int, n: int) -> Fraction:
-    """Side-1 equilateral triangle: eigenvalue (16 pi^2 / 9)(m^2 + mn + n^2)."""
-    return Fraction(16 * (m * m + m * n + n * n), 9)
+def _eq_key(acc: _FlatAcc):
+    """Side-1 equilateral triangle: eigenvalue (16 pi^2 / 9)(m^2 + mn + n^2),
+    as the key of pairs (m, n)."""
+    e = acc.over(Fraction(16, 9))
+    return lambda m, n: e * (m * m + m * n + n * n)
 
 
 # The classical eigenbasis of the equilateral triangle has one mode per
@@ -215,18 +228,15 @@ def _brute_mobius(acc: _FlatAcc, a: Fraction, b: Fraction, bc: str) -> None:
     (x, y) -> (x + a, b - y) scales exp(pi i j x / a) cos/sin(pi k y / b)
     by (-1)^(j+k) resp. (-1)^(j+k+1)."""
     cap = acc.hi
-    a2, b2 = a * a, b * b
+    ea, eb = acc.over(1 / (a * a)), acc.over(1 / (b * b))
     want = 0 if bc == "N" else 1
     kmin = 0 if bc == "N" else 1
-    jmax = isqrt_frac_floor(cap * a2)
+    jmax = math.isqrt(cap // ea)
     for j in range(-jmax, jmax + 1):
-        rem = cap - Fraction(j * j) / a2
-        if rem < 0:
-            continue
-        kmax = isqrt_frac_floor(rem * b2)
-        for k in range(kmin, kmax + 1):
+        nj = ea * j * j
+        for k in range(kmin, math.isqrt((cap - nj) // eb) + 1):
             if (j + k) % 2 == want:
-                acc.add(Fraction(j * j) / a2 + Fraction(k * k) / b2)
+                acc.add(nj + eb * k * k)
 
 
 # --- character projections of lattice shells ---
@@ -253,12 +263,12 @@ def _hex_shells(cap: Fraction) -> dict[int, list[tuple[int, int]]]:
     """q -> lattice modes (n1, n2) with n1^2 - n1 n2 + n2^2 = q <= cap."""
     out: dict[int, list[tuple[int, int]]] = {}
     qcap = math.floor(cap)
-    M = math.isqrt(max(4 * qcap, 0) // 3) + 1
+    M = math.isqrt(4 * qcap // 3)
     for n1 in range(-M, M + 1):
-        for n2 in range(-M, M + 1):
-            q = n1 * n1 - n1 * n2 + n2 * n2
-            if q <= qcap:
-                out.setdefault(q, []).append((n1, n2))
+        # q <= qcap  <=>  (2 n2 - n1)^2 <= 4 qcap - 3 n1^2 = s^2
+        s = math.isqrt(4 * qcap - 3 * n1 * n1)
+        for n2 in range((n1 - s + 1) // 2, (n1 + s) // 2 + 1):
+            out.setdefault(n1 * n1 - n1 * n2 + n2 * n2, []).append((n1, n2))
     return out
 
 
@@ -273,6 +283,7 @@ def _project(acc: _FlatAcc, unit: Fraction, shells, group) -> None:
     """
     order = len(group)
     dim = group[0][0]
+    e = acc.over(unit)
     for q, modes in shells.items():
         x = y = 0
         for chi, g, phase in group:
@@ -290,7 +301,7 @@ def _project(acc: _FlatAcc, unit: Fraction, shells, group) -> None:
                     y += chi * py
         if y or x % order:
             raise ArithmeticError((q, (x, y)))
-        acc.add(unit * q, dim * x // order)
+        acc.add(e * q, dim * x // order)
 
 
 def _sign(c1: int, c2: int, c0: int = 0):
@@ -421,7 +432,9 @@ def brute_levels(spec: SurfaceSpec, T) -> list[tuple]:
     T = Fraction(T)
     if catalog.is_spherical(spec):
         return _brute_spherical(spec, T)
-    acc = _FlatAcc(T)
+    # den, a multiple of every rho's denominator: 4 p^2 for a side p / q,
+    # 9 for the hex lattice's 16/9, 3 for the tetrahedra's 4/3
+    acc = _FlatAcc(T, 36 * math.lcm(spec.a.numerator, spec.b.numerator) ** 2)
     f = spec.family
     if f == Family.FLAT_TORUS_RECT:
         _brute_product(acc, "torus", spec.a, "torus", spec.b)
@@ -431,17 +444,17 @@ def brute_levels(spec: SurfaceSpec, T) -> list[tuple]:
     elif f == Family.RIGHT_ISO_TRIANGLE:
         _brute_right_iso(acc, spec.a, spec.bc)
     elif f == Family.EQUILATERAL_TRIANGLE:
-        _index_pairs(acc, 0 if spec.bc == "N" else 1, True, False, _eq_rho)
+        _index_pairs(acc, 0 if spec.bc == "N" else 1, True, False, _eq_key(acc))
     elif f == Family.TRIANGLE_306090:
         lo, strict = _306090_PAIRS[spec.bc]
-        _index_pairs(acc, lo, False, strict, _eq_rho)
+        _index_pairs(acc, lo, False, strict, _eq_key(acc))
     elif f == Family.CYLINDER:
         yk = {"N": "cos", "D": "sin", "M": "mix"}[spec.bc]
         _brute_product(acc, "circ", spec.a, yk, spec.b)
     elif f == Family.MOBIUS_BAND:
         _brute_mobius(acc, spec.a, spec.b, spec.bc)
     else:
-        _project(acc, *_group_table(spec, acc.hi))
+        _project(acc, *_group_table(spec, Fraction(acc.hi, acc.den)))
     return acc.levels()
 
 
@@ -507,39 +520,27 @@ def check_equivalence(spec: SurfaceSpec, T, n_times: int = 2000, seed: int = 0) 
     if not brute:
         return report(True, 0, "pass (no levels below cutoff)")
 
-    prefix = []
-    run = 0
-    for _, m in brute:
-        run += m
-        prefix.append(run)
-
+    # each time is an integer over one denominator: the eigenvalue N(N+1)
+    # of a round level over 1, the rho of a flat one over the keys' lcm
     spherical = catalog.is_spherical(spec)
-
-    def exact_time(key) -> object:
-        if spherical:
-            return Fraction(key * (key + 1))
-        return spectrum.ExactTime(key)
-
-    def mid_time(k1, k2) -> object:
-        if spherical:
-            return Fraction(k1 * (k1 + 1) + k2 * (k2 + 1), 2)
-        return spectrum.ExactTime(Fraction(k1 + k2, 2))
-
+    if spherical:
+        den, nums = 1, [N * (N + 1) for N, _ in brute]
+    else:
+        den = math.lcm(*(k.denominator for k, _ in brute))
+        nums = [k.numerator * (den // k.denominator) for k, _ in brute]
+    prefix = list(accumulate(m for _, m in brute))
+    exact = spectrum.ExactTime
+    identity = spectrum.closed_form_identity
+    last = len(brute) - 1
     rng = random.Random(seed)
     for n in range(n_times):
         i = rng.randrange(len(brute))
+        jump = rng.random() < 0.5 or i == last
+        t = Fraction(nums[i], den) if jump else Fraction(nums[i] + nums[i + 1], 2 * den)
+        rep = identity(spec, t if spherical else exact(t))
         expected = prefix[i]
-        if rng.random() < 0.5 or i + 1 == len(brute):
-            t = exact_time(brute[i][0])
-            where = f"jump {i}"
-        else:
-            t = mid_time(brute[i][0], brute[i + 1][0])
-            where = f"midpoint {i}"
-        rep = spectrum.closed_form_identity(spec, t)
-        if rep.count != expected:
-            return report(False, n, f"count at {where}: enumerated {expected}, spectrum {rep.count}")
-        if rep.closed_form != expected:
-            return report(
-                False, n, f"closed form at {where}: enumerated {expected}, formula {rep.closed_form}"
-            )
+        if rep.count != expected or rep.closed_form != expected:
+            where = f"{'jump' if jump else 'midpoint'} {i}: enumerated {expected}"
+            return report(False, n, f"count at {where}, spectrum {rep.count}" if rep.count != expected
+                          else f"closed form at {where}, formula {rep.closed_form}")
     return report(True, n_times, "pass")

@@ -65,13 +65,13 @@ class ExactTime(namedtuple("ExactTime", "rho")):
     def __new__(cls, rho):
         if not isinstance(rho, Fraction):
             rho = Fraction(rho)
-        if rho < 0:
+        if rho.numerator < 0:
             raise ValueError("negative cutoff")
         return tuple.__new__(cls, (rho,))
 
     @property
     def value(self) -> float:
-        return float(self.rho) * (math.pi * math.pi)
+        return _t_float(self.rho) * (math.pi * math.pi)
 
 
 class CountReport(namedtuple("CountReport", "t count closed_form")):
@@ -99,12 +99,14 @@ _HI2 = _pq(PI_HI * PI_HI)
 def _t_float(t) -> float:
     if isinstance(t, ExactTime):
         return t.value
+    if isinstance(t, Fraction):  # float(t), without the generic Rational route
+        return t.numerator / t.denominator
     return float(t)
 
 
 def _rational_cutoff(t) -> Fraction:
     tv = t if isinstance(t, Fraction) else Fraction(t)
-    if tv < 0:
+    if tv.numerator < 0:
         raise ValueError("negative cutoff")
     return tv
 
@@ -174,8 +176,8 @@ class _Table:
 
     def count_upto(self, q: int) -> int:
         """The number of eigenvalues with key <= q."""
-        i = self.index(q)  # may replace self.prefix
-        return int(self.prefix[i])
+        self.grow(q)  # may replace the arrays: read them after
+        return int(self.prefix[bisect_right(self.keys, q)])
 
     def levels(self, q: int) -> list:
         """The levels with key <= q as (exact key, multiplicity) pairs."""
@@ -474,61 +476,55 @@ def _closed_terms(spec: SurfaceSpec, r: Fraction = Fraction(1)) -> list:
 class _Form:
     """A flat surface's closed form, compiled once into an integer linear form.
 
-    den * N(t) = const + sum c * (eigenvalues of tb with key <= rho num / dnm)
+    den * N(t) = const + sum c * (eigenvalues of sub with key <= rho a / b)
                        + sum c * floor(sqrt(p rho / q) + s / r)
-    with rho = t / pi^2.  A bracket is kept as (c, m, q, s, r), m = r^2 p q:
-    at rho = P/Q it is (isqrt(m P Q) // (q Q) + s) // r, since
-    floor(sqrt(x) + s/r) = floor((floor(r sqrt(x)) + s) / r).
+    with rho = t / pi^2.  Each term is a tuple of ints in `terms`, beside
+    its (c, sub) in `weights`: a count term is (a, b, None, None), and a
+    bracket (m, q, s, r) with sub None, m = r^2 p q, since at rho = P/Q it is
+    (isqrt(m P Q) // (q Q) + s) // r, as
+    floor(sqrt(x) + s/r) = floor((floor(r sqrt(x)) + s) / r).  `key` is the
+    (a, b) of the form's own table, of level spacing unit.  Tables are held,
+    not their arrays, which growth replaces.
     """
 
-    __slots__ = ("den", "const", "counts", "floors")
+    __slots__ = ("den", "const", "key", "terms", "weights")
 
-    def __init__(self, terms):
+    def __init__(self, terms, unit):
         coef: dict = {}
         for c, term in terms:
             coef[term] = coef.get(term, 0) + Fraction(c)
         coef = {term: c for term, c in coef.items() if c}
         self.den = math.lcm(*(c.denominator for c in coef.values()))
         self.const = 0
-        self.counts = []
-        self.floors = []
+        self.key = unit.denominator, unit.numerator
+        self.terms, self.weights = [], []
         for term, c in coef.items():
             c = int(c * self.den)
             if term == _ONE:
                 self.const = c
-            elif term[0] == "count":
-                tb = _table(term[1])
-                num, dnm = _pq(term[2] / tb.unit)
-                self.counts.append((c, tb, num, dnm))
+                continue
+            if term[0] == "count":
+                sub = _table(term[1])
+                self.terms.append((*_pq(term[2] / sub.unit), None, None))
             else:
+                sub = None
                 (p, q), (s, r) = _pq(term[1]), _pq(term[2])
-                self.floors.append((c, r * r * p * q, q, s, r))
+                self.terms.append((r * r * p * q, q, s, r))
+            self.weights.append((c, sub))
 
-    def numerator(self, t, ends=None) -> int:
-        """den * N(t), every term decided on the ends of rho, t's
-        `_rho_ends` unless the caller has them."""
-        counts, floors = self.counts, self.floors
-
-        def values(P, Q):
-            return ([P * num // (Q * dnm) for _, _, num, dnm in counts],
-                    [(isqrt(m * P * Q) // (q * Q) + s) // r
-                     for _, m, q, s, r in floors])
-
-        if ends is None:
-            ends = _rho_ends(t)
-        keys, brackets = _decided(t, ends, values)
-        total = self.const
-        for (c, tb, _, _), q in zip(counts, keys):
-            total += c * tb.count_upto(q)
-        for (c, *_), v in zip(floors, brackets):
-            total += c * v
-        return total
+    def ints(self, P: int, Q: int) -> tuple:
+        """At rho = P / Q: the largest key of the form's own table, and the
+        list of every term's integer, a table key or a bracket."""
+        ka, kb = self.key
+        return P * ka // (Q * kb), [
+            P * a // (Q * b) if s is None else (isqrt(a * P * Q) // (b * Q) + s) // r
+            for a, b, s, r in self.terms]
 
 
 def _form(spec: SurfaceSpec, tb):
     """The compiled closed form of a flat spec, cached on its table tb."""
     if tb.form is None:
-        tb.form = _Form(_closed_terms(spec))
+        tb.form = _Form(_closed_terms(spec), tb.unit)
     return tb.form
 
 
@@ -589,19 +585,22 @@ def closed_form_identity(spec: SurfaceSpec, t) -> CountReport:
 
     Both numbers are exact, and t is decided once: its ends (`_Table.ends`)
     give the table's largest key q, and the table count is
-    `count(spec, t, q)`.  A flat surface's compiled form is evaluated on
-    the same ends of rho = t / pi^2 in integers and must land on an
-    integer, else ArithmeticError.  A round surface's closed form is the
-    window count of t, `_sph_cum` of window q + 1.
+    `count(spec, t, q)`.  A flat surface's compiled form reads q and every
+    term's integer off the same ends of rho = t / pi^2 (`_Form.ints`), and
+    must land on an integer, else ArithmeticError.  A round surface's
+    closed form is the window count of t, `_sph_cum` of window q + 1.
     """
     tb = _table(spec)
     ends = tb.ends(t)
-    q = _decided(t, ends, tb.key_at)
-    n = count(spec, t, q)
     if isinstance(tb, _RoundTable):
-        return CountReport(_t_float(t), n, _sph_cum(spec, q + 1))
+        q = _decided(t, ends, _RoundTable.key_at)
+        return CountReport(_t_float(t), count(spec, t, q), _sph_cum(spec, q + 1))
     form = _form(spec, tb)
-    v = form.numerator(t, ends)
+    q, ks = _decided(t, ends, form.ints)
+    n = count(spec, t, q)
+    v = form.const
+    for (c, sub), k in zip(form.weights, ks):
+        v += c * (k if sub is None else sub.count_upto(k))
     if v % form.den:
         raise ArithmeticError(
             "closed form for %s at %r is non-integral: %s"

@@ -85,9 +85,10 @@ def test_isqrt_frac_floor():
 def bracket(x, a, c=Fraction(0)):
     """floor(a sqrt(x) + c) as a closed form's one floor bracket evaluates
     it at the exact cutoff x pi^2, i.e. at rho = x."""
-    t = spectrum.ExactTime(x)
-    form = spectrum._Form([(1, ("floor", a * a, c))])
-    return form.numerator(t)
+    rho = spectrum.ExactTime(x).rho
+    form = spectrum._Form([(1, ("floor", a * a, c))], Fraction(1))
+    _, (value,) = form.ints(rho.numerator, rho.denominator)
+    return value
 
 
 def test_floor_affine_sqrt_exact_boundaries():

@@ -1,4 +1,5 @@
 import ast
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -515,3 +516,22 @@ def test_wrong_sign_phase_is_caught(monkeypatch):
                 _with_table_fault(m, lambda group: [
                     (c, g, None if j == i else p) for j, (c, g, p) in enumerate(group)])
                 assert _caught(spec), (spec.label(), i)
+
+
+def _hex_shells_by_square_scan(cap):
+    """Reference: every index pair of the square that holds the ellipse."""
+    out = {}
+    qcap = math.floor(cap)
+    M = math.isqrt(max(4 * qcap, 0) // 3) + 1
+    for n1 in range(-M, M + 1):
+        for n2 in range(-M, M + 1):
+            q = n1 * n1 - n1 * n2 + n2 * n2
+            if q <= qcap:
+                out.setdefault(q, []).append((n1, n2))
+    return out
+
+
+def test_hex_shells_match_square_scan():
+    for cap in [*range(301), F(7, 2), F(301, 3)]:
+        # the same shells, each with its modes in the same order
+        assert oracle._hex_shells(cap) == _hex_shells_by_square_scan(cap), cap

@@ -650,9 +650,11 @@ def test_cutoff_inside_the_pi_enclosure_raises(spec):
         t = key * PI_LO * PI_HI
         with pytest.raises(ArithmeticError):
             closed_form_identity(spec, t)
+        # the compiled form's own terms, without the table's key, are
+        # undecided there too
         form = spectrum._form(spec, spectrum._table(spec))
         with pytest.raises(ArithmeticError):
-            form.numerator(t)
+            spectrum._decided(t, spectrum._rho_ends(t), lambda P, Q: form.ints(P, Q)[1])
 
 
 @pytest.mark.parametrize("spec", ENCLOSURE_SPECS + [
@@ -697,3 +699,41 @@ def test_closed_form_is_compiled_once_per_table(monkeypatch):
     monkeypatch.setattr(spectrum, "_TABLES", {})
     assert closed_form_identity(spec, ET(F(41, 2))) == first
     assert built and spectrum._table(spec).form is not form
+
+
+@pytest.mark.parametrize("label", ["mobius_band:a=1,b=1,bc=D", "flat_projective_plane", "sphere"])
+def test_closed_forms_survive_table_growth(label, monkeypatch):
+    # a small cutoff, a large one that rebuilds the table and every table
+    # its closed form counts on, and the small one again: the form holds
+    # the tables, not their arrays, so each answer is the enumerated prefix
+    spec = catalog.parse_spec(label)
+    spherical = catalog.is_spherical(spec)
+    brute = oracle.brute_levels(spec, 3e5 if spherical else 3e4)
+    monkeypatch.setattr(spectrum, "_TABLES", {})
+    small, large = brute[8], brute[-3]
+    caps = []
+    for key, _ in (small, large, small):
+        t = key * (key + 1) if spherical else ET(key)
+        rep = closed_form_identity(spec, t)
+        want = sum(m for k, m in brute if k <= key)
+        assert rep.count == rep.closed_form == want, (key, t)
+        tables = [spectrum._table(spec)]
+        if not spherical:
+            tables += [sub for _, sub in spectrum._table(spec).form.weights if sub is not None]
+        caps.append([tb.qcap for tb in tables])
+    assert spherical or len(caps[0]) > 1  # a flat form counts on other tables
+    # the large cutoff grew every table, and the small one after it none
+    assert all(c0 < c1 for c0, c1 in zip(caps[0], caps[1])) and caps[1] == caps[2]
+
+
+def test_closed_form_refusals_keep_their_messages(monkeypatch):
+    spec = catalog.rectangle(1, 1, "N")
+    monkeypatch.setattr(spectrum, "_TABLES", {})
+    with pytest.raises(ArithmeticError, match="too close to a level"):
+        closed_form_identity(spec, PI_LO * PI_LO)
+    form = spectrum._form(spec, spectrum._table(spec))
+    assert form.den > 1
+    monkeypatch.setattr(form, "const", form.const + 1)
+    with pytest.raises(ArithmeticError, match=r"at ExactTime\(rho=Fraction\(5, 1\)\) is "
+                                              r"non-integral: \d+/4$"):
+        closed_form_identity(spec, ET(5))
