@@ -204,7 +204,6 @@ def geodesic_lengths(spec: SurfaceSpec, L_max: float) -> list[float]:
     they decay at different orders, and a length whose weights cancel
     carries no line.
     """
-    catalog.validate(spec)
     if L_max <= 0:
         return []
     if catalog.is_spherical(spec):

@@ -2,11 +2,12 @@
 
 SurfaceSpec names one of the model surfaces: flat tori, flat polygons,
 cylinders and bands, round-sphere quotients, lunes, polyhedral surfaces, and
-symmetry sectors of the square/hexagonal families.  geometry() returns the
-exact data behind the two-term counting asymptotics (area, boundary length
-split by condition, corners, cone points, total curvature).  Every
-cataloged boundary is a geodesic (a straight edge, an equator or a
-meridian), so no geodesic-curvature integral is recorded.  A
+symmetry sectors of the square/hexagonal families.  A spec is valid by
+construction, so the modules that take one never check it again.
+geometry() returns the exact data behind the two-term counting asymptotics
+(area, boundary length split by condition, corners, cone points, total
+curvature).  Every cataloged boundary is a geodesic (a straight edge, an
+equator or a meridian), so no geodesic-curvature integral is recorded.  A
 one-dimensional symmetry sector owns no geometry of its own: its data are
 its domain triangle's, scaled (`sector_domain`).
 
@@ -111,8 +112,9 @@ class GeometryData(namedtuple(
 class SurfaceSpec(_Frozen):
     """A surface choice: family tag plus the parameters that family uses.
 
-    Unused parameters keep their defaults and are ignored; build specs with
-    the factory functions below, which validate.  A spec is immutable and
+    A spec is valid by construction: __init__ applies the field rule
+    (`_field`) to each parameter the family uses and refuses any other off
+    its default, whichever way the spec is made.  A spec is immutable and
     equals only a spec of the same fields.
     """
 
@@ -123,16 +125,16 @@ class SurfaceSpec(_Frozen):
                  b: Fraction = Fraction(1), bc: str = "", m: int = 1,
                  bc_side: str = "", bc_equator: str = "", base: str = "",
                  irrep: str = ""):
+        used = _FIELDS[family]
         put = object.__setattr__
         put(self, "family", family)
-        put(self, "a", a)
-        put(self, "b", b)
-        put(self, "bc", bc)
-        put(self, "m", m)
-        put(self, "bc_side", bc_side)
-        put(self, "bc_equator", bc_equator)
-        put(self, "base", base)
-        put(self, "irrep", irrep)
+        values = (a, b, bc, m, bc_side, bc_equator, base, irrep)
+        for name, value, default in zip(_PARAMS, values, _DEFAULTS):
+            if name in used:
+                value = _field(self, name, value)
+            elif value != default:
+                raise ValueError(f"{family.value} takes no {name}, got {name}={value!r}")
+            put(self, name, value)
         # Specs key the level tables and are hashed on every counting
         # query, so the hash is taken once, from the fields __eq__ compares.
         put(self, "_hash", hash(self._fields()))
@@ -167,6 +169,10 @@ class SurfaceSpec(_Frozen):
             return self.family.value + ":" + ",".join(parts)
         return self.family.value
 
+
+# the parameters after family, in __init__ order, and their defaults
+_PARAMS = SurfaceSpec.__slots__[1:-1]
+_DEFAULTS = SurfaceSpec.__init__.__defaults__
 
 # Parameters that are meaningful for each family, in canonical label order.
 _FIELDS: dict[Family, tuple[str, ...]] = {
@@ -291,14 +297,29 @@ def _frac(v, name: str) -> Fraction:
         raise ValueError(f"{name} must be rational, got {v!r}") from exc
     if f <= 0:
         raise ValueError(f"{name} must be positive, got {v!r}")
+    try:  # the level budget reads the area as a float
+        float(f)
+    except OverflowError:
+        raise ValueError(f"{name} must be within the float range, got {v!r}") from None
     return f
 
 
-def _check_bc(family: Family, bc: str) -> str:
-    allowed = BC_CHOICES[family]
-    if bc not in allowed:
-        raise ValueError(f"{family.value} boundary condition must be one of {allowed}, got {bc!r}")
-    return bc
+def _field(spec: SurfaceSpec, name: str, value):
+    """The field rule: a used parameter's value, checked (a side made a
+    Fraction).  spec holds its family and the parameters before name."""
+    if name in ("a", "b"):
+        return _frac(value, name)
+    if name == "m":
+        if isinstance(value, int) and value >= 1:
+            return value
+        raise ValueError(f"m must be a positive integer, got {value!r}")
+    # the last choices are a half lune's bc_side and bc_equator
+    allowed = (BC_CHOICES[spec.family] if name == "bc" else
+               sector_irreps(spec.base) if name == "irrep" else
+               SECTOR_BASES if name == "base" else ("N", "D"))
+    if value not in allowed:
+        raise ValueError(f"{spec.family.value} {name} must be one of {allowed}, got {value!r}")
+    return value
 
 
 # --- factories ---
@@ -306,7 +327,7 @@ def _check_bc(family: Family, bc: str) -> str:
 
 def flat_torus_rect(a=1, b=1) -> SurfaceSpec:
     """Flat torus with periods 2a and 2b."""
-    return SurfaceSpec(Family.FLAT_TORUS_RECT, a=_frac(a, "a"), b=_frac(b, "b"))
+    return SurfaceSpec(Family.FLAT_TORUS_RECT, a, b)
 
 
 def flat_torus_hex() -> SurfaceSpec:
@@ -321,9 +342,7 @@ def rectangle(a=1, b=1, bc: str = "N") -> SurfaceSpec:
     vertical edges, Neumann bottom and Dirichlet top), MM (Neumann on left
     and bottom, Dirichlet on right and top).
     """
-    return SurfaceSpec(
-        Family.RECTANGLE, a=_frac(a, "a"), b=_frac(b, "b"), bc=_check_bc(Family.RECTANGLE, bc)
-    )
+    return SurfaceSpec(Family.RECTANGLE, a, b, bc)
 
 
 def right_iso_triangle(a=1, bc: str = "N") -> SurfaceSpec:
@@ -332,16 +351,12 @@ def right_iso_triangle(a=1, bc: str = "N") -> SurfaceSpec:
     bc: N, D, ND (Neumann legs, Dirichlet hypotenuse), DN (the reverse),
     MN / MD (one Neumann and one Dirichlet leg, hypotenuse N resp. D).
     """
-    return SurfaceSpec(
-        Family.RIGHT_ISO_TRIANGLE, a=_frac(a, "a"), bc=_check_bc(Family.RIGHT_ISO_TRIANGLE, bc)
-    )
+    return SurfaceSpec(Family.RIGHT_ISO_TRIANGLE, a, bc=bc)
 
 
 def equilateral_triangle(bc: str = "N") -> SurfaceSpec:
     """Equilateral triangle of side 1."""
-    return SurfaceSpec(
-        Family.EQUILATERAL_TRIANGLE, bc=_check_bc(Family.EQUILATERAL_TRIANGLE, bc)
-    )
+    return SurfaceSpec(Family.EQUILATERAL_TRIANGLE, bc=bc)
 
 
 def triangle_306090(bc: str = "N") -> SurfaceSpec:
@@ -350,7 +365,7 @@ def triangle_306090(bc: str = "N") -> SurfaceSpec:
     bc: N, D, ND (Neumann on hypotenuse and shortest side, Dirichlet on the
     bisecting side), DN (the reverse).
     """
-    return SurfaceSpec(Family.TRIANGLE_306090, bc=_check_bc(Family.TRIANGLE_306090, bc))
+    return SurfaceSpec(Family.TRIANGLE_306090, bc=bc)
 
 
 def cylinder(a=1, b=1, bc: str = "N") -> SurfaceSpec:
@@ -358,16 +373,12 @@ def cylinder(a=1, b=1, bc: str = "N") -> SurfaceSpec:
 
     bc: N, D, or M (Neumann on one circle, Dirichlet on the other).
     """
-    return SurfaceSpec(
-        Family.CYLINDER, a=_frac(a, "a"), b=_frac(b, "b"), bc=_check_bc(Family.CYLINDER, bc)
-    )
+    return SurfaceSpec(Family.CYLINDER, a, b, bc)
 
 
 def mobius_band(a=1, b=1, bc: str = "N") -> SurfaceSpec:
     """Flat Mobius band of area a*b whose single boundary circle has length 2a."""
-    return SurfaceSpec(
-        Family.MOBIUS_BAND, a=_frac(a, "a"), b=_frac(b, "b"), bc=_check_bc(Family.MOBIUS_BAND, bc)
-    )
+    return SurfaceSpec(Family.MOBIUS_BAND, a, b, bc)
 
 
 def sphere() -> SurfaceSpec:
@@ -377,7 +388,7 @@ def sphere() -> SurfaceSpec:
 
 def hemisphere(bc: str = "N") -> SurfaceSpec:
     """Unit hemisphere, boundary condition on the equator."""
-    return SurfaceSpec(Family.HEMISPHERE, bc=_check_bc(Family.HEMISPHERE, bc))
+    return SurfaceSpec(Family.HEMISPHERE, bc=bc)
 
 
 def projective_sphere() -> SurfaceSpec:
@@ -387,7 +398,7 @@ def projective_sphere() -> SurfaceSpec:
 
 def lune(m: int, bc: str = "N") -> SurfaceSpec:
     """Spherical lune of dihedral angle pi/m between two meridians."""
-    return SurfaceSpec(Family.LUNE, m=_order(m), bc=_check_bc(Family.LUNE, bc))
+    return SurfaceSpec(Family.LUNE, m=m, bc=bc)
 
 
 def half_lune(m: int, bc_side: str = "N", bc_equator: str = "N") -> SurfaceSpec:
@@ -395,17 +406,13 @@ def half_lune(m: int, bc_side: str = "N", bc_equator: str = "N") -> SurfaceSpec:
 
     bc_side applies to the two meridian edges, bc_equator to the equator edge.
     """
-    if bc_side not in ("N", "D"):
-        raise ValueError(f"bc_side must be N or D, got {bc_side!r}")
-    if bc_equator not in ("N", "D"):
-        raise ValueError(f"bc_equator must be N or D, got {bc_equator!r}")
-    return SurfaceSpec(Family.HALF_LUNE, m=_order(m), bc_side=bc_side, bc_equator=bc_equator)
+    return SurfaceSpec(Family.HALF_LUNE, m=m, bc_side=bc_side, bc_equator=bc_equator)
 
 
 def glued_lune(m: int) -> SurfaceSpec:
     """Closed surface from gluing two angle-pi/m lunes: a sphere with two
     cone points of angle 2 pi / m.  m=1 is the sphere itself."""
-    return SurfaceSpec(Family.GLUED_LUNE, m=_order(m))
+    return SurfaceSpec(Family.GLUED_LUNE, m=m)
 
 
 def flat_projective_plane() -> SurfaceSpec:
@@ -420,7 +427,7 @@ def tetrahedron_surface() -> SurfaceSpec:
 
 def half_tetrahedron(bc: str = "N") -> SurfaceSpec:
     """Half of the tetrahedron surface cut along a mirror line."""
-    return SurfaceSpec(Family.HALF_TETRAHEDRON, bc=_check_bc(Family.HALF_TETRAHEDRON, bc))
+    return SurfaceSpec(Family.HALF_TETRAHEDRON, bc=bc)
 
 
 def symmetry_sector(base: str, irrep: str) -> SurfaceSpec:
@@ -430,55 +437,14 @@ def symmetry_sector(base: str, irrep: str) -> SurfaceSpec:
     or hex_torus, equilateral_n, equilateral_d (order 6).  irrep: '++', '+-',
     '-+', '--', '2' for the square bases, '+', '-', '2' for the others.
     """
-    if base not in SECTOR_BASES:
-        raise ValueError(f"unknown sector base {base!r}")
-    if irrep not in sector_irreps(base):
-        raise ValueError(f"base {base!r} has irreps {sector_irreps(base)}, got {irrep!r}")
     return SurfaceSpec(Family.SYMMETRY_SECTOR, base=base, irrep=irrep)
-
-
-def _order(m: int) -> int:
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
-    return m
-
-
-_FACTORIES = {
-    Family.FLAT_TORUS_RECT: flat_torus_rect,
-    Family.FLAT_TORUS_HEX: flat_torus_hex,
-    Family.RECTANGLE: rectangle,
-    Family.RIGHT_ISO_TRIANGLE: right_iso_triangle,
-    Family.EQUILATERAL_TRIANGLE: equilateral_triangle,
-    Family.TRIANGLE_306090: triangle_306090,
-    Family.CYLINDER: cylinder,
-    Family.MOBIUS_BAND: mobius_band,
-    Family.SPHERE: sphere,
-    Family.HEMISPHERE: hemisphere,
-    Family.PROJECTIVE_SPHERE: projective_sphere,
-    Family.LUNE: lune,
-    Family.HALF_LUNE: half_lune,
-    Family.GLUED_LUNE: glued_lune,
-    Family.FLAT_PROJECTIVE_PLANE: flat_projective_plane,
-    Family.TETRAHEDRON_SURFACE: tetrahedron_surface,
-    Family.HALF_TETRAHEDRON: half_tetrahedron,
-    Family.SYMMETRY_SECTOR: symmetry_sector,
-}
-
-
-def validate(spec: SurfaceSpec) -> SurfaceSpec:
-    """Re-run factory validation on a spec built by hand; returns it."""
-    kwargs = {name: getattr(spec, name) for name in _FIELDS[spec.family]}
-    rebuilt = _FACTORIES[spec.family](**kwargs)
-    if rebuilt != spec:
-        raise ValueError(f"spec fields outside {_FIELDS[spec.family]} were set on {spec}")
-    return spec
 
 
 def parse_spec(text: str) -> SurfaceSpec:
     """Inverse of SurfaceSpec.label(): 'family:k=v,...' back to a spec.
 
     Raises ValueError on unknown families, unknown or missing parameters,
-    and anything the factory itself rejects.
+    and anything the field rule refuses.
     """
     head, _, tail = text.strip().partition(":")
     try:
@@ -499,15 +465,12 @@ def parse_spec(text: str) -> SurfaceSpec:
     if set(kwargs) != set(names):
         missing = sorted(set(names) - set(kwargs))
         raise ValueError(f"{head} needs parameters {missing}")
-    for key in ("a", "b"):
-        if key in kwargs:
-            kwargs[key] = _frac(kwargs[key], key)
     if "m" in kwargs:
         try:
             kwargs["m"] = int(kwargs["m"])
         except ValueError:
             raise ValueError(f"m must be an integer, got {kwargs['m']!r}") from None
-    return _FACTORIES[family](**kwargs)
+    return SurfaceSpec(family, **kwargs)
 
 
 def is_spherical(spec: SurfaceSpec) -> bool:
@@ -694,7 +657,6 @@ def _geom_sector(spec: SurfaceSpec) -> GeometryData:
 
 def geometry(spec: SurfaceSpec) -> GeometryData:
     """Exact geometric data for a surface."""
-    validate(spec)
     f = spec.family
     if f == Family.FLAT_TORUS_RECT:
         return _closed_flat(_rat(4 * spec.a * spec.b), [])

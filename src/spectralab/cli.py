@@ -24,6 +24,7 @@ from fractions import Fraction
 # modules, and numpy, are imported by the commands that call them, so that
 # a command compiles and runs only the code it uses
 from . import catalog, spectrum
+from .exact import ExactConst
 
 _FAMILY_ALIASES = {
     "rect": "rectangle",
@@ -31,8 +32,9 @@ _FAMILY_ALIASES = {
 }
 
 # refuse grids that would enumerate absurd level tables; the estimate is
-# the leading coefficient times the cutoff
+# the leading term of the counting function, area / 4 pi times the cutoff
 _LEVEL_BUDGET = 2e7
+_INV_4PI = ExactConst.term(Fraction(1, 4), pi_pow=-1)
 # most points a --grid or --omega may ask for; at this size the largest
 # command, `freq sphere --window 100:200`, peaks at about 520 MB
 _GRID_MAX = 10**6
@@ -133,9 +135,15 @@ def _grid(lo: float, hi: float, n: int, log: bool) -> list:
 
 
 def _budget(spec, t_hi, param: str) -> None:
-    from . import asymptotics
-
-    est = float(asymptotics.surface_constants(spec).A) * float(t_hi)
+    # the 2-dimensional sector's area is the signed sum of its parts
+    parts = [(spec, 1)]
+    if spec.family is catalog.Family.SYMMETRY_SECTOR and spec.irrep == "2":
+        parts = catalog.sector_parts(spec.base)
+    area = sum(sign * catalog.geometry(part).area for part, sign in parts)
+    try:
+        est = float(area * _INV_4PI) * float(t_hi)
+    except OverflowError:  # an area beyond the float range
+        est = math.inf
     if est > _LEVEL_BUDGET:
         raise ValueError(
             f"{param}: about {est:.3g} eigenvalues below {float(t_hi):g} "

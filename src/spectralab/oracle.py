@@ -428,7 +428,6 @@ def brute_levels(spec: SurfaceSpec, T) -> list[tuple]:
     Keys are rho = lambda/pi^2 (Fraction) for flat surfaces and the degree N
     (eigenvalue N(N+1)) for spherical ones.
     """
-    catalog.validate(spec)
     T = Fraction(T)
     if catalog.is_spherical(spec):
         return _brute_spherical(spec, T)

@@ -267,8 +267,8 @@ _TABLES: dict = {}
 
 
 def _table(spec: SurfaceSpec):
-    """The cached table of a catalog surface, made empty (and the surface
-    validated) on first use; its readers grow it to the keys they need."""
+    """The cached table of a catalog surface, made empty on first use; its
+    readers grow it to the keys they need."""
     tb = _TABLES.get(spec)
     if tb is None:
         tb = _TABLES[spec] = _new_table(spec)
@@ -276,7 +276,6 @@ def _table(spec: SurfaceSpec):
 
 
 def _new_table(spec: SurfaceSpec):
-    catalog.validate(spec)
     if catalog.is_spherical(spec):
         return _RoundTable(spec)
     from . import lattice

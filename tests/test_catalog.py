@@ -14,7 +14,6 @@ from spectralab.catalog import (
     geometry,
     is_spherical,
     sector_irreps,
-    validate,
     verification_roster,
 )
 from spectralab.exact import ExactConst
@@ -50,10 +49,9 @@ def test_factory_validation_errors():
 
 
 def test_validate_rejects_stray_fields():
-    spec = SurfaceSpec(Family.SPHERE, bc="D")
     with pytest.raises(ValueError):
-        validate(spec)
-    validate(SurfaceSpec(Family.SPHERE))
+        SurfaceSpec(Family.SPHERE, bc="D")
+    assert SurfaceSpec(Family.SPHERE) == catalog.sphere()
 
 
 def test_equal_specs_hash_equal():
@@ -211,7 +209,6 @@ def test_roster_covers_catalog():
     fams = {s.family for s in roster}
     assert fams == set(Family)
     for spec in roster:
-        validate(spec)
         if spec.family != Family.SYMMETRY_SECTOR or spec.irrep != "2":
             geometry(spec)
     # every boundary-condition variant appears
@@ -292,7 +289,7 @@ def test_surface_spec_repr_and_equality():
         "b=Fraction(1, 1), bc='ND', m=1, bc_side='', bc_equator='', base='', irrep='')")
     assert spec != spec._fields() and spec._fields() != spec
     assert spec == SurfaceSpec(Family.RECTANGLE, Fraction(3, 2), Fraction(1), "ND")
-    assert spec != SurfaceSpec(Family.RECTANGLE, Fraction(3, 2), Fraction(1), "NN")
+    assert spec != SurfaceSpec(Family.RECTANGLE, Fraction(3, 2), Fraction(1), "NM")
 
 
 def test_exact_time_and_count_report():
@@ -305,3 +302,50 @@ def test_exact_time_and_count_report():
     assert ExactTime(0.5) == ExactTime(Fraction(1, 2))
     assert CountReport(6.0, 9, 9) == CountReport(6.0, 9, 9)
     assert CountReport(6.0, 9, 9) != CountReport(6.0, 9, 8)
+
+
+# one refused value per parameter: used by the family, it breaks the field
+# rule; unused, it differs from the default
+_PARAMS = ("a", "b", "bc", "m", "bc_side", "bc_equator", "base", "irrep")
+_INVALID = {"a": "1e400", "b": 0, "bc": "X", "m": 0, "bc_side": "M",
+            "bc_equator": "Q", "base": "cube", "irrep": "3"}
+_STRAY = {"a": 2, "b": Fraction(1, 2), "bc": "N", "m": 2, "bc_side": "N",
+          "bc_equator": "D", "base": "hex_torus", "irrep": "+"}
+
+
+class _Reduced:
+    """Pickles as the given __reduce__ tuple."""
+
+    def __init__(self, reduced):
+        self.reduced = reduced
+
+    def __reduce__(self):
+        return self.reduced
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_every_construction_path_refuses_a_bad_field(family):
+    valid = next(s for s in verification_roster() if s.family is family)
+    used = catalog._FIELDS[family]
+    factory = getattr(catalog, family.value)
+    for name in _PARAMS:
+        value = _INVALID[name] if name in used else _STRAY[name]
+        fields = {n: getattr(valid, n) for n in used}
+        fields[name] = value
+        # a factory takes only the parameters its family uses
+        with pytest.raises(ValueError if name in used else TypeError):
+            factory(**fields)
+        with pytest.raises(ValueError):
+            SurfaceSpec(family, **fields)
+        label = family.value + ":" + ",".join(f"{n}={v}" for n, v in fields.items())
+        with pytest.raises(ValueError):
+            catalog.parse_spec(label)
+        cls, args = valid.__reduce__()
+        args = list(args)
+        args[1 + _PARAMS.index(name)] = value
+        data = pickle.dumps(_Reduced((cls, tuple(args))))
+        with pytest.raises(ValueError):
+            pickle.loads(data)
+    # and the valid spec itself passes every path
+    assert factory(**{n: getattr(valid, n) for n in used}) == valid
+    assert pickle.loads(pickle.dumps(valid)) == valid

@@ -377,6 +377,20 @@ def test_number_beyond_float_range_is_usage_error(capsys, argv):
     assert "usage:" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "rectangle:a=1e400,b=1,bc=N", "--at", "1"],
+    ["verify", "cylinder:a=1e400,b=1,bc=N", "--max-t", "10"],
+    ["avg", "flat_torus_rect:a=1e400,b=1", "--grid", "1:10:3"],
+    ["spectrum", "mobius_band:a=1,b=1e400,bc=N", "--max-t", "10"],
+], ids=lambda argv: argv[0])
+def test_side_beyond_float_range_is_usage_error(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert "must be within the float range, got '1e400'" in err
+    assert "usage:" in err
+
+
 def test_level_budget_guard(capsys, monkeypatch):
     rc, _, err = run_cli(capsys, "spectrum", "rect:a=40,b=40,bc=N",
                          "--max-t", "1e8")
@@ -403,6 +417,23 @@ def test_level_budget_guard(capsys, monkeypatch):
     assert rc == 2
     assert out == ""
     assert "--max-t" in err and "cap" in err and "usage:" in err
+    # an area beyond the float range is over any budget
+    rc, out, err = run_cli(capsys, "count", "rectangle:a=1e200,b=1e200,bc=N", "--at", "1")
+    assert rc == 2
+    assert out == ""
+    assert "about inf eigenvalues" in err and "usage:" in err
+
+
+def test_level_budget_reads_the_leading_constant():
+    # area / 4 pi is the leading constant A, the 2-dimensional sector's by
+    # its signed parts too, so the budget refuses from the same cutoff
+    from spectralab import asymptotics
+
+    for spec in catalog.verification_roster():
+        edge = cli._LEVEL_BUDGET / float(asymptotics.surface_constants(spec).A)
+        cli._budget(spec, edge * (1 - 1e-9), "t")
+        with pytest.raises(ValueError, match="cap"):
+            cli._budget(spec, edge * (1 + 1e-9), "t")
 
 
 def test_unknown_base_usage_error(capsys):
@@ -701,14 +732,16 @@ def test_each_command_loads_only_what_it_calls():
     assert loaded_modules(["list"]) == {"catalog", "exact", "spectrum", "cli"}
     count = loaded_modules(["count", "rectangle:a=1,b=1,bc=N", "--at", "100,1e3"])
     assert count.isdisjoint({"oracle", "analysis", "average"} | _HEAVY)
-    assert "asymptotics" in count  # the level budget
+    assert "asymptotics" not in count  # the level budget reads the area
     # a flat table this small is summed on Python integers
     assert "lattice" in count and "numpy" not in count
     verify = loaded_modules(["verify", "lune:m=2,bc=N", "--max-t", "1e4"])
     assert verify.isdisjoint({"analysis", "average"} | _HEAVY)
-    assert {"oracle", "asymptotics"} <= verify  # the level budget
+    assert "oracle" in verify and "asymptotics" not in verify
     # round surfaces are counted on Python integers
     assert verify.isdisjoint({"lattice", "numpy"})
+    sector = ["spectrum", "symmetry_sector:base=hex_torus,irrep=2", "--max-t", "100"]
+    assert "asymptotics" not in loaded_modules(sector)
     for argv in (["asymptotics", "sphere"], ["count", "sphere", "--at", "100,1e5"],
                  ["spectrum", "hemisphere:bc=D", "--max-t", "1e4"]):
         assert loaded_modules(argv).isdisjoint({"lattice", "numpy"} | _HEAVY), argv
