@@ -4,10 +4,12 @@ A is the area term, B the signed boundary-length term, and C collects three
 geometric pieces: corner and cone-point angles (C1), geodesic curvature of
 the boundary (C2, zero here: every cataloged boundary is geodesic), and
 total Gauss curvature (C3).  `refined_constants` derives the triple from a
-GeometryData alone; `surface_constants` looks the same surface up in an
-independently transcribed per-family table and raises if the two disagree,
-so a slip in either the geometry data or the table is a hard error instead
-of a silent drift.
+GeometryData alone; `surface_constants` checks it against the counting
+formula and raises if the two disagree, so a slip in either the geometry
+data or the counting is a hard error instead of a silent drift.  On a flat
+surface the other side is read off the closed form of N(t) that the oracle
+verifies (`spectrum._closed_terms`); on a round one it is its family's
+formulas in the lune order m, which cost the same at every m.
 
 Positively curved families take the square root at t + 1/4 rather than t
 (the `sqrt_shift` flag); the two differ only at order t^{-1/2} but the
@@ -20,7 +22,6 @@ counts as 2*psi(alpha/2), consistent with doubling across a corner.
 from __future__ import annotations
 
 import math
-import operator
 from collections import namedtuple
 from fractions import Fraction
 
@@ -50,19 +51,6 @@ def psi(theta: ExactConst) -> Fraction:
     return Fraction(1, 24) * (Fraction(1) / r - r)
 
 
-def polygon_corner_limit(n) -> Fraction:
-    """Total corner weight n*psi((n-2)pi/n) of the regular n-gon.
-
-    Converges to 1/6 as n grows, which is the constant a smooth convex
-    boundary contributes; the remainder is O(1/n).
-    """
-    n = operator.index(n)
-    if n < 3:
-        raise ValueError("a polygon needs at least 3 corners")
-    r = Fraction(n - 2, n)
-    return n * Fraction(1, 24) * (Fraction(1) / r - r)
-
-
 class RefinedAsymptotics(namedtuple("RefinedAsymptotics",
                                      "A B C C1 C2 C3 sqrt_shift")):
     """The three constants, with C broken into its geometric pieces.
@@ -74,11 +62,6 @@ class RefinedAsymptotics(namedtuple("RefinedAsymptotics",
     """
 
     __slots__ = ()
-
-    def smooth_count(self, t):
-        """Evaluate A*t + B*sqrt(.) + C; works on scalars and numpy arrays."""
-        arg = t + 0.25 if self.sqrt_shift else t
-        return float(self.A) * t + float(self.B) * arg ** 0.5 + float(self.C)
 
 
 def refined_constants(geom: GeometryData) -> RefinedAsymptotics:
@@ -112,12 +95,15 @@ _CONSTANTS: dict = {}
 def surface_constants(spec: SurfaceSpec) -> RefinedAsymptotics:
     """Verified constants for a catalog surface, cached per spec.
 
-    The geometric computation and the stored per-family row must agree
-    exactly; a mismatch raises rather than picking a side.  The
-    two-dimensional symmetry sector has no single fundamental domain, so
-    its constants are obtained by subtracting the one-dimensional sectors
-    from the base surface (its whole C is reported as C1: the split into
-    geometric pieces has no meaning for a difference of domains).
+    The geometric computation and the counting formula must agree
+    exactly; a mismatch raises ArithmeticError rather than picking a side.
+    A flat surface's counting formula is `_counted_constants`, a round
+    one's `_round_row`.  The two-dimensional symmetry sector has no single
+    fundamental domain, so its geometric constants are obtained by
+    subtracting the one-dimensional sectors from the base surface (its
+    whole C is reported as C1: the split into geometric pieces has no
+    meaning for a difference of domains); its closed form needs no such
+    step.
     """
     rc = _CONSTANTS.get(spec)
     if rc is not None:
@@ -131,19 +117,15 @@ def surface_constants(spec: SurfaceSpec) -> RefinedAsymptotics:
                                 sqrt_shift=False)
     else:
         rc = refined_constants(catalog.geometry(spec))
-    want = _stored_row(spec)
+    want = (_round_row(spec) if catalog.is_spherical(spec)
+            else _counted_constants(spec))
     if (rc.A, rc.B, rc.C) != want:
         raise ArithmeticError(
-            "constants for %s disagree with the stored row: "
-            "computed (%s; %s; %s), stored (%s; %s; %s)"
+            "constants for %s: the geometry gives (%s; %s; %s), "
+            "the counting formula (%s; %s; %s)"
             % (spec.label(), rc.A, rc.B, rc.C, want[0], want[1], want[2]))
     _CONSTANTS[spec] = rc
     return rc
-
-
-def _row(q, root=1):
-    # q * sqrt(root) / pi
-    return ExactConst.term(Fraction(q), root, pi_pow=-1)
 
 
 def _rat(q):
@@ -152,92 +134,42 @@ def _rat(q):
 
 _ZERO = _rat(0)
 
-# Transcribed (A, B, C) rows for the symmetry sectors of the three square
-# bases and the three hexagonal ones.  One-dimensional rows coincide with
-# the matching triangle rows at the sector domain's size; the "2" rows are
-# forced by the partition of the base surface, and for the square bases
-# with boundary that partition contradicts a printed source (see the
-# project notes); the rows here are the self-consistent values.
-_SQ = Fraction(1, 32)
-_SECTOR_ROWS = {
-    ("square_torus", "++"): (_row(_SQ), _row(Fraction(1, 4)) + _row(Fraction(1, 8), 2), _rat(Fraction(3, 8))),
-    ("square_torus", "+-"): (_row(_SQ), _row(Fraction(1, 8), 2) - _row(Fraction(1, 4)), _rat(Fraction(-1, 8))),
-    ("square_torus", "-+"): (_row(_SQ), _row(Fraction(1, 4)) - _row(Fraction(1, 8), 2), _rat(Fraction(-1, 8))),
-    ("square_torus", "--"): (_row(_SQ), -_row(Fraction(1, 4)) - _row(Fraction(1, 8), 2), _rat(Fraction(3, 8))),
-    ("square_torus", "2"): (_row(Fraction(1, 8)), _ZERO, _rat(Fraction(-1, 2))),
-    ("square_n", "++"): (_row(_SQ), _row(Fraction(1, 4)) + _row(Fraction(1, 8), 2), _rat(Fraction(3, 8))),
-    ("square_n", "+-"): (_row(_SQ), _row(Fraction(1, 8), 2), _ZERO),
-    ("square_n", "-+"): (_row(_SQ), _row(Fraction(1, 4)) - _row(Fraction(1, 8), 2), _rat(Fraction(-1, 8))),
-    ("square_n", "--"): (_row(_SQ), -_row(Fraction(1, 8), 2), _ZERO),
-    ("square_n", "2"): (_row(Fraction(1, 8)), _row(Fraction(1, 2)), _ZERO),
-    ("square_d", "++"): (_row(_SQ), _row(Fraction(1, 8), 2), _ZERO),
-    ("square_d", "+-"): (_row(_SQ), _row(Fraction(1, 8), 2) - _row(Fraction(1, 4)), _rat(Fraction(-1, 8))),
-    ("square_d", "-+"): (_row(_SQ), -_row(Fraction(1, 8), 2), _ZERO),
-    ("square_d", "--"): (_row(_SQ), -_row(Fraction(1, 4)) - _row(Fraction(1, 8), 2), _rat(Fraction(3, 8))),
-    ("square_d", "2"): (_row(Fraction(1, 8)), -_row(Fraction(1, 2)), _ZERO),
-    ("hex_torus", "+"): (_row(Fraction(1, 16), 3), _row(Fraction(3, 4)), _rat(Fraction(1, 3))),
-    ("hex_torus", "-"): (_row(Fraction(1, 16), 3), -_row(Fraction(3, 4)), _rat(Fraction(1, 3))),
-    ("hex_torus", "2"): (_row(Fraction(1, 4), 3), _ZERO, _rat(Fraction(-2, 3))),
-    ("equilateral_n", "+"): (_row(Fraction(1, 96), 3), _row(Fraction(1, 8)) + _row(Fraction(1, 8), 3), _rat(Fraction(5, 12))),
-    ("equilateral_n", "-"): (_row(Fraction(1, 96), 3), _row(Fraction(1, 8)) - _row(Fraction(1, 8), 3), _rat(Fraction(-1, 12))),
-    ("equilateral_n", "2"): (_row(Fraction(1, 24), 3), _row(Fraction(1, 2)), _ZERO),
-    ("equilateral_d", "+"): (_row(Fraction(1, 96), 3), _row(Fraction(1, 8), 3) - _row(Fraction(1, 8)), _rat(Fraction(-1, 12))),
-    ("equilateral_d", "-"): (_row(Fraction(1, 96), 3), -_row(Fraction(1, 8), 3) - _row(Fraction(1, 8)), _rat(Fraction(5, 12))),
-    ("equilateral_d", "2"): (_row(Fraction(1, 24), 3), -_row(Fraction(1, 2)), _ZERO),
-}
+
+def _root_over_pi(x: Fraction) -> ExactConst:
+    """sqrt(x) / pi for a rational x > 0.  Every catalog bracket has x a
+    rational square times 1, 2 or 3, read off with one integer square root
+    however large the square; ExactConst splits any other x."""
+    n, d = x.numerator * x.denominator, x.denominator
+    for m in (1, 2, 3):
+        k = math.isqrt(n // m)
+        if m * k * k == n:
+            return ExactConst.term(Fraction(k, d), m, pi_pow=-1)
+    return ExactConst.term(Fraction(1, d), n, pi_pow=-1)
 
 
-def _stored_row(spec: SurfaceSpec):
-    """Independently transcribed (A, B, C) for every catalog family."""
+def _counted_constants(spec: SurfaceSpec) -> tuple:
+    """(A, B, C) of a flat surface, read off the closed form of N(t) that
+    the oracle verifies.  Counting eigenvalues <= s t on a torus of area
+    |T| grows as s |T| t / 4 pi, with no sqrt(t) or constant term, and the
+    bracket floor(sqrt(c2 t) / pi + sigma) as sqrt(c2 t) / pi + sigma - 1/2
+    on average."""
+    A = B = C = _ZERO
+    for c, term in spectrum._closed_terms(spec):
+        if term == spectrum._ONE:
+            C += c
+        elif term[0] == "count":
+            _, sub, s = term
+            A += catalog.geometry(sub).area * (c * s) * _INV_4PI
+        else:
+            _, c2, sigma = term
+            B += _root_over_pi(c2) * c
+            C += c * (sigma - Fraction(1, 2))
+    return A, B, C
+
+
+def _round_row(spec: SurfaceSpec) -> tuple:
+    """(A, B, C) of a round surface, from its family's formulas in m."""
     f = spec.family
-    if f is Family.RECTANGLE:
-        a, b = spec.a, spec.b
-        numer = {"N": 2 * a + 2 * b, "D": -2 * a - 2 * b, "ND": 2 * a - 2 * b,
-                 "NM": 2 * b, "DM": -2 * b, "MM": Fraction(0)}[spec.bc]
-        cval = {"N": Fraction(1, 4), "D": Fraction(1, 4), "ND": Fraction(-1, 4),
-                "NM": 0, "DM": 0, "MM": 0}[spec.bc]
-        return (_row(a * b / 4), _row(numer / 4), _rat(cval))
-    if f is Family.FLAT_TORUS_RECT:
-        # periods are 2a x 2b, hence area 4ab
-        return (_row(spec.a * spec.b), _ZERO, _ZERO)
-    if f is Family.FLAT_TORUS_HEX:
-        return (_row(Fraction(3, 8), 3), _ZERO, _ZERO)
-    if f is Family.CYLINDER:
-        a = spec.a
-        sign = {"N": 1, "D": -1, "M": 0}[spec.bc]
-        return (_row(spec.a * spec.b / 4), _row(sign * a / 2), _ZERO)
-    if f is Family.MOBIUS_BAND:
-        sign = 1 if spec.bc == "N" else -1
-        return (_row(spec.a * spec.b / 4), _row(sign * spec.a / 2), _ZERO)
-    if f is Family.RIGHT_ISO_TRIANGLE:
-        a = spec.a
-        legs = _row(a / 2)
-        hyp = _row(a / 4, 2)
-        B = {"N": legs + hyp, "D": -legs - hyp, "ND": legs - hyp,
-             "DN": hyp - legs, "MN": hyp, "MD": -hyp}[spec.bc]
-        cval = {"N": Fraction(3, 8), "D": Fraction(3, 8),
-                "ND": Fraction(-1, 8), "DN": Fraction(-1, 8),
-                "MN": 0, "MD": 0}[spec.bc]
-        return (_row(a * a / 8), B, _rat(cval))
-    if f is Family.EQUILATERAL_TRIANGLE:
-        sign = 1 if spec.bc == "N" else -1
-        return (_row(Fraction(1, 16), 3), _row(Fraction(sign * 3, 4)),
-                _rat(Fraction(1, 3)))
-    if f is Family.TRIANGLE_306090:
-        short = _row(Fraction(3, 8))
-        med = _row(Fraction(1, 8), 3)
-        B = {"N": short + med, "D": -short - med,
-             "ND": short - med, "DN": med - short}[spec.bc]
-        cval = Fraction(5, 12) if spec.bc in ("N", "D") else Fraction(-1, 12)
-        return (_row(Fraction(1, 32), 3), B, _rat(cval))
-    if f is Family.FLAT_PROJECTIVE_PLANE:
-        return (_row(Fraction(1, 4)), _ZERO, _rat(Fraction(1, 4)))
-    if f is Family.TETRAHEDRON_SURFACE:
-        return (_row(Fraction(1, 4), 3), _ZERO, _rat(Fraction(1, 2)))
-    if f is Family.HALF_TETRAHEDRON:
-        sign = 1 if spec.bc == "N" else -1
-        B = _row(Fraction(sign, 4), 3) + _row(Fraction(sign, 4))
-        return (_row(Fraction(1, 8), 3), B, _rat(Fraction(1, 4)))
     if f is Family.SPHERE:
         return (_rat(1), _ZERO, _rat(Fraction(1, 3)))
     if f is Family.PROJECTIVE_SPHERE:
@@ -246,26 +178,20 @@ def _stored_row(spec: SurfaceSpec):
         sign = 1 if spec.bc == "N" else -1
         return (_rat(Fraction(1, 2)), _rat(Fraction(sign, 2)),
                 _rat(Fraction(1, 6)))
+    m = spec.m
     if f is Family.LUNE:
-        m = spec.m
         sign = 1 if spec.bc == "N" else -1
         cval = Fraction(1, 12) * (m - Fraction(1, m)) + Fraction(1, 6 * m)
         return (_rat(Fraction(1, 2 * m)), _rat(Fraction(sign, 2)), _rat(cval))
     if f is Family.HALF_LUNE:
-        m = spec.m
         side = Fraction(1, 4) if spec.bc_side == "N" else Fraction(-1, 4)
         eq = Fraction(1, 4 * m) if spec.bc_equator == "N" else Fraction(-1, 4 * m)
         corner = Fraction(1, 8) if spec.bc_side == spec.bc_equator else Fraction(-1, 8)
         cval = (Fraction(1, 24) * (m - Fraction(1, m)) + Fraction(1, 12 * m)
                 + corner)
         return (_rat(Fraction(1, 4 * m)), _rat(side + eq), _rat(cval))
-    if f is Family.GLUED_LUNE:
-        m = spec.m
-        cval = Fraction(1, 6) * (m - Fraction(1, m)) + Fraction(1, 3 * m)
-        return (_rat(Fraction(1, m)), _ZERO, _rat(cval))
-    if f is Family.SYMMETRY_SECTOR:
-        return _SECTOR_ROWS[(spec.base, spec.irrep)]
-    raise KeyError(f"no stored constants for {spec.label()}")
+    cval = Fraction(1, 6) * (m - Fraction(1, m)) + Fraction(1, 3 * m)
+    return (_rat(Fraction(1, m)), _ZERO, _rat(cval))  # the glued lune
 
 
 def smooth_heat_trace(spec: SurfaceSpec, t: float) -> float:

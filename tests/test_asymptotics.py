@@ -1,19 +1,21 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from spectralab import asymptotics, catalog
+from spectralab import asymptotics, catalog, spectrum
 from spectralab.asymptotics import (
     heat_trace,
-    polygon_corner_limit,
     psi,
     refined_constants,
     smooth_heat_trace,
     surface_constants,
 )
 from spectralab.exact import ExactConst
+
+from reference_formulas import polygon_corner_limit, smooth_count
 
 
 def rat(q):
@@ -87,11 +89,80 @@ def test_polygon_corner_limit_converges_like_one_over_n():
     assert polygon_corner_limit(10) > polygon_corner_limit(11) > sixth
 
 
-def test_every_roster_surface_passes_the_stored_row_check():
+def test_every_roster_surface_matches_its_counting_formula():
     for spec in catalog.verification_roster():
         rc = surface_constants(spec)
         assert rc.C == rc.C1 + rc.C2 + rc.C3
         assert rc.sqrt_shift == catalog.is_spherical(spec)
+
+
+def test_random_rational_shapes_match_their_closed_forms():
+    # the constants read off the closed form against the geometry's, over
+    # seeded rational sides and every boundary condition
+    F = catalog.Family
+    rng = random.Random(17)
+
+    def side():
+        return Fraction(rng.randint(1, 60), rng.randint(1, 60))
+
+    makers = [
+        (F.RECTANGLE, lambda bc: catalog.rectangle(side(), side(), bc)),
+        (F.CYLINDER, lambda bc: catalog.cylinder(side(), side(), bc)),
+        (F.MOBIUS_BAND, lambda bc: catalog.mobius_band(side(), side(), bc)),
+        (F.RIGHT_ISO_TRIANGLE, lambda bc: catalog.right_iso_triangle(side(), bc)),
+    ]
+    checked = 0
+    for family, make in makers:
+        for bc in catalog.BC_CHOICES[family]:
+            for _ in range(6):
+                spec = make(bc)
+                rc = refined_constants(catalog.geometry(spec))
+                assert asymptotics._counted_constants(spec) == (rc.A, rc.B, rc.C), spec
+                checked += 1
+    assert checked == 6 * 17
+
+
+def test_far_sides_read_their_brackets_at_once():
+    # a bracket's sqrt(c2) is a rational times sqrt 1, 2 or 3 however large
+    # c2's square part, far past what splitting by trial division can reach
+    for spec in (catalog.right_iso_triangle(Fraction(1, 10**200), "MD"),
+                 catalog.right_iso_triangle(Fraction(10**150, 7), "ND"),
+                 catalog.rectangle(Fraction(1, 10**150), Fraction(10**150, 3), "N")):
+        start = time.perf_counter()
+        rc = refined_constants(catalog.geometry(spec))
+        assert asymptotics._counted_constants(spec) == (rc.A, rc.B, rc.C), spec
+        assert time.perf_counter() - start < 0.1, spec
+
+
+def _window_fit(spec):
+    """(A, B, C) of a round surface from its window counts alone: with
+    W(k) = a k^2 + beta(k) k + gamma(k), beta and gamma of period 4m, and
+    N(t) = W(floor(u)) for u^2 - u = t, A = a, B = mean beta and
+    C = a/3 + mean gamma."""
+    P = 4 * spec.m
+
+    def W(k):
+        return spectrum._sph_cum(spec, k)
+
+    leading, betas, gammas = set(), [], []
+    for r in range(1, P + 1):
+        k0, k1, k2, k3 = (r + j * P for j in range(4))
+        a = Fraction(W(k2) - 2 * W(k1) + W(k0), 2 * P * P)
+        beta = Fraction(W(k1) - W(k0), P) - a * (k0 + k1)
+        gamma = W(k0) - a * k0 * k0 - beta * k0
+        assert W(k3) == a * k3 * k3 + beta * k3 + gamma  # period 4m
+        leading.add(a)
+        betas.append(beta)
+        gammas.append(gamma)
+    (a,) = leading
+    return a, sum(betas) / P, a / 3 + sum(gammas) / P
+
+
+def test_round_rows_match_the_window_counts():
+    for spec in catalog.verification_roster():
+        if catalog.is_spherical(spec):
+            rc = surface_constants(spec)
+            assert (rc.A, rc.B, rc.C) == tuple(map(rat, _window_fit(spec))), spec
 
 
 def test_constants_spot_values():
@@ -148,13 +219,59 @@ def test_weyl_term_matches_geometry_for_every_surface():
         assert rc.B * 4 * ExactConst.term(1, pi_pow=1) == geom.len_N - geom.len_D
 
 
-def test_stored_row_mismatch_is_a_hard_error(monkeypatch):
+def _wrong_corner(geom):
+    first, *rest = geom.corners
+    return geom._replace(corners=(first._replace(angle=first.angle * 2), *rest))
+
+
+def _lengths_swapped(geom):
+    return geom._replace(len_N=geom.len_D, len_D=geom.len_N)
+
+
+def _cone_dropped(geom):
+    return geom._replace(cone_points=geom.cone_points[1:])
+
+
+def _bracket_flipped(terms):
+    return [(-c if term[0] == "floor" else c, term) for c, term in terms]
+
+
+# each mutation is applied to the top-level call for its surface alone: a
+# sector's closed form recurses into its domain's, which must stay intact
+GEOMETRY_MUTATIONS = [
+    ("right_iso_triangle:a=1,bc=N", catalog, "geometry", _wrong_corner),
+    ("rectangle:a=1,b=1,bc=N", catalog, "geometry", _lengths_swapped),
+    ("tetrahedron_surface", catalog, "geometry", _cone_dropped),
+    ("equilateral_triangle:bc=N", spectrum, "_closed_terms", _bracket_flipped),
+]
+
+
+@pytest.mark.parametrize("label,module,name,mutate", GEOMETRY_MUTATIONS,
+                         ids=[f"{m[3].__name__[1:]}-{m[0]}" for m in GEOMETRY_MUTATIONS])
+def test_mutated_geometry_or_closed_form_is_a_hard_error(monkeypatch, label,
+                                                         module, name, mutate):
+    spec = catalog.parse_spec(label)
     monkeypatch.setattr(asymptotics, "_CONSTANTS", {})
-    key = ("hex_torus", "+")
-    a, b, c = asymptotics._SECTOR_ROWS[key]
-    monkeypatch.setitem(asymptotics._SECTOR_ROWS, key, (a, b, c + 1))
-    with pytest.raises(ArithmeticError):
-        surface_constants(catalog.symmetry_sector("hex_torus", "+"))
+    surface_constants(spec)  # the unmutated pair agrees
+    original = getattr(module, name)
+
+    def mutated(arg, *rest):
+        out = original(arg, *rest)
+        return mutate(out) if arg == spec else out
+
+    monkeypatch.setattr(asymptotics, "_CONSTANTS", {})
+    monkeypatch.setattr(module, name, mutated)
+    with pytest.raises(ArithmeticError, match="the counting formula"):
+        surface_constants(spec)
+
+
+def test_round_constants_cost_the_same_at_every_order(monkeypatch):
+    monkeypatch.setattr(asymptotics, "_CONSTANTS", {})
+    for spec in (catalog.lune(10**6, "N"), catalog.half_lune(10**6, "N", "D"),
+                 catalog.glued_lune(10**6)):
+        start = time.perf_counter()
+        surface_constants(spec)
+        assert time.perf_counter() - start < 0.1, spec
 
 
 def test_constants_are_derived_once_per_surface(monkeypatch):
@@ -180,10 +297,9 @@ def test_smooth_count_tracks_the_count():
     for spec in (catalog.rectangle(1, 1, "N"), catalog.sphere(),
                  catalog.lune(3, "D")):
         rc = surface_constants(spec)
-        from spectralab import spectrum
         for t in (500.0, 2000.0, 9000.0):
             n = spectrum.count(spec, t)
-            assert abs(n - rc.smooth_count(t)) < 4.0 * t ** 0.5
+            assert abs(n - smooth_count(rc, t)) < 4.0 * t ** 0.5
 
 
 def test_heat_trace_sphere_value():
@@ -231,7 +347,6 @@ def test_heat_trace_difference_decreases_in_high_precision():
     old = mp.dps
     mp.dps = 60
     try:
-        from spectralab import spectrum
         for spec in (catalog.rectangle(1, 1, "N"), catalog.sphere()):
             rc = surface_constants(spec)
             vals, mults = spectrum.level_arrays(spec, 40000.0)

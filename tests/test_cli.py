@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 
@@ -241,6 +242,23 @@ def test_list_covers_roster(capsys):
 
 
 # --- determinism ---
+
+
+def _readme_usage_lines():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        blocks = fh.read().split("```")[1::2]
+    usage = [b for b in blocks if "\nspectralab list\n" in b]
+    assert len(usage) == 1
+    return [line for line in usage[0].splitlines() if line.startswith("spectralab ")]
+
+
+def test_readme_usage_lines_run(capsys):
+    lines = _readme_usage_lines()
+    assert len(lines) >= 11
+    for line in lines:
+        rc, _, err = run_cli(capsys, *shlex.split(line)[1:])
+        assert rc == 0, (line, err)
 
 
 def test_identical_config_identical_bytes(capsys):

@@ -186,11 +186,6 @@ def test_package_checks_survive_optimize():
 # "Class.member") that no package code reads, each kept on purpose
 _NO_PACKAGE_CALLER = {
     ("__init__", "__version__"): "package metadata for users and packaging",
-    ("asymptotics", "polygon_corner_limit"): "the polygon corner-weight limit "
-                                             "that acceptance test_11 checks",
-    ("asymptotics", "RefinedAsymptotics.smooth_count"): "the reference the "
-                                                        "tests compare the "
-                                                        "tilde integral against",
     ("average", "sphere_avg_closed_form"): "the sphere's closed form that "
                                            "acceptance test_04 checks",
     ("average", "sphere_avg_decomposed"): "the reference route the tests "
