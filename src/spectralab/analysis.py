@@ -196,8 +196,8 @@ def geodesic_lengths(spec: SurfaceSpec, L_max: float) -> list[float]:
     summation:
     - c times the count of a torus sub at s times the cutoff has lines at
       sqrt(s) times the periods of sub, weight c s area(sub) per period
-      vector; the squared periods are level keys reduced from a torus's
-      lattice rows (`lattice._reduce`), so no level table is built;
+      vector; the squared periods are the level keys of the dual torus,
+      read off its cached table (`spectrum._table`);
     - c times the bracket floor(sqrt(c2 rho) + shift) has lines at
       2 n sqrt(c2), weight c (-1)^(2 n shift) / n.
     Weights are summed by exact squared length, the two kinds apart since
@@ -215,8 +215,6 @@ def geodesic_lengths(spec: SurfaceSpec, L_max: float) -> list[float]:
             out.append(float(step * j) * math.pi)
             j += 1
         return out
-    from . import lattice
-
     cap = Fraction(L_max) ** 2
     counts, floors = defaultdict(int), defaultdict(int)
     for c, term in spectrum._closed_terms(spec):
@@ -226,14 +224,11 @@ def geodesic_lengths(spec: SurfaceSpec, L_max: float) -> list[float]:
                 torus, scale = sub, Fraction(27, 16)
             else:  # periods 2a, 2b: the keys 4a^2 j^2 + 4b^2 k^2 of the dual
                 torus, scale = catalog.flat_torus_rect(1 / (2 * sub.a), 1 / (2 * sub.b)), 1
-            unit, rows, div = lattice._plan_flat(torus)
-            step = s * scale * unit  # squared length of key 1
-            qcap = cap // step
-            keys, mults, _ = lattice._reduce(qcap, rows(qcap), div)
+            tb = spectrum._table(torus)
             w = catalog.geometry(sub).area * (c * s)
-            for q, n in zip(keys.tolist(), mults.tolist()):
-                if q:
-                    counts[step * q] += w * n
+            for key, n in tb.levels(cap // (s * scale * tb.unit)):
+                if key:
+                    counts[s * scale * key] += w * n
         elif term[0] == "floor":
             _, c2, shift = term
             n = 1

@@ -4,9 +4,9 @@ The step-function integral of N is the sum of mult * (t - level) over
 levels below t, the smooth part integrates in closed form, and their
 scaled difference is the averaged error.  For the sphere the averaged
 error also has a piecewise-algebraic closed form and an exact three-term
-decomposition g(x) + g1(x) x/t + g2(x)/t with x = sqrt(t + 1/4); both are
-implemented, and the tests hold them equal in rational arithmetic and
-within 1e-12 in float64.
+decomposition g(x) + g1(x) x/t + g2(x)/t with x = sqrt(t + 1/4), whose
+leading profile g is `sphere_g`; the tests hold both against
+avg_error_grid and each other (tests/reference_formulas.py).
 
 Every averaged error comes from float64 prefix sums of the level table,
 on one of two engines: avg_error_grid on numpy arrays, and
@@ -139,29 +139,6 @@ def residual(spec: SurfaceSpec, ts):
     return avg
 
 
-def _window_index(t):
-    """Index k of the sphere's multiplicity window [k^2-k, k^2+k)."""
-    import numpy as np
-
-    return np.floor(np.sqrt(t + 0.25) + 0.5)
-
-
-def sphere_avg_closed_form(t):
-    """Piecewise-algebraic averaged error of the round sphere.
-
-    Valid for t > 0; vectorizes over arrays.
-    """
-    import numpy as np
-
-    t = np.asarray(t, dtype=np.float64)
-    if not np.all(t > 0):
-        raise ValueError("closed form needs t > 0")
-    k = _window_index(t)
-    k2 = k * k
-    out = (k2 - (k2 - t) ** 2) / (2.0 * t) - 1.0 / 3.0
-    return float(out) if out.ndim == 0 else out
-
-
 def _offset(x):
     # signed distance to the nearest integer, in [-1/2, 1/2)
     import numpy as np
@@ -175,25 +152,6 @@ def sphere_g(x):
 
     r = _offset(np.asarray(x, dtype=np.float64))
     out = 1.0 / 6.0 - 2.0 * r * r
-    return float(out) if out.ndim == 0 else out
-
-
-def sphere_g1(x):
-    """First correction profile -r(1 - 4r^2)/2."""
-    import numpy as np
-
-    r = _offset(np.asarray(x, dtype=np.float64))
-    out = -r * (1.0 - 4.0 * r * r) / 2.0
-    return float(out) if out.ndim == 0 else out
-
-
-def sphere_g2(x):
-    """Second correction profile (4r^2 + 3)(1 - 4r^2)/32."""
-    import numpy as np
-
-    r = _offset(np.asarray(x, dtype=np.float64))
-    r2 = r * r
-    out = (4.0 * r2 + 3.0) * (1.0 - 4.0 * r2) / 32.0
     return float(out) if out.ndim == 0 else out
 
 
@@ -246,22 +204,6 @@ def leading_profile(spec: SurfaceSpec, x):
         sign = np.where(np.mod(k, 2.0) == 1.0, 1.0, -1.0)
         out = out + w * sign * (x - k)
     return float(out) if out.ndim == 0 else out
-
-
-def sphere_avg_decomposed(t):
-    """g(x) + g1(x) x/t + g2(x)/t at x = sqrt(t + 1/4).
-
-    Algebraically identical to sphere_avg_closed_form; kept as a separate
-    route so the identity stays testable.
-    """
-    import numpy as np
-
-    t = np.asarray(t, dtype=np.float64)
-    if not np.all(t > 0):
-        raise ValueError("decomposition needs t > 0")
-    x = np.sqrt(t + 0.25)
-    out = sphere_g(x) + sphere_g1(x) * x / t + sphere_g2(x) / t
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def g_samples(spec: SurfaceSpec, x_grid):

@@ -297,7 +297,7 @@ def _frac(v, name: str) -> Fraction:
         raise ValueError(f"{name} must be rational, got {v!r}") from exc
     if f <= 0:
         raise ValueError(f"{name} must be positive, got {v!r}")
-    try:  # the level budget reads the area as a float
+    try:  # the decimals of the refined constants read the sides as floats
         float(f)
     except OverflowError:
         raise ValueError(f"{name} must be within the float range, got {v!r}") from None
@@ -308,7 +308,16 @@ def _field(spec: SurfaceSpec, name: str, value):
     """The field rule: a used parameter's value, checked (a side made a
     Fraction).  spec holds its family and the parameters before name."""
     if name in ("a", "b"):
-        return _frac(value, name)
+        side = _frac(value, name)
+        if name == "b" and spec.family is not Family.FLAT_TORUS_RECT:
+            # the closed forms (`spectrum._closed_terms`) count on tori of
+            # side ratio up to 4 b / a or 4 a / b, each a spec of its own
+            try:
+                float(4 * max(spec.a, side) / min(spec.a, side))
+            except OverflowError:
+                raise ValueError(f"a={float(spec.a):g} and b={value} are too far apart: "
+                                 "4 times their ratio must be within the float range") from None
+        return side
     if name == "m":
         if isinstance(value, int) and value >= 1:
             return value

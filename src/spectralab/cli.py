@@ -24,17 +24,12 @@ from fractions import Fraction
 # modules, and numpy, are imported by the commands that call them, so that
 # a command compiles and runs only the code it uses
 from . import catalog, spectrum
-from .exact import ExactConst
 
 _FAMILY_ALIASES = {
     "rect": "rectangle",
     "tri306090": "triangle_306090",
 }
 
-# refuse grids that would enumerate absurd level tables; the estimate is
-# the leading term of the counting function, area / 4 pi times the cutoff
-_LEVEL_BUDGET = 2e7
-_INV_4PI = ExactConst.term(Fraction(1, 4), pi_pow=-1)
 # most points a --grid or --omega may ask for; at this size the largest
 # command, `freq sphere --window 100:200`, peaks at about 520 MB
 _GRID_MAX = 10**6
@@ -134,22 +129,6 @@ def _grid(lo: float, hi: float, n: int, log: bool) -> list:
     return xs
 
 
-def _budget(spec, t_hi, param: str) -> None:
-    # the 2-dimensional sector's area is the signed sum of its parts
-    parts = [(spec, 1)]
-    if spec.family is catalog.Family.SYMMETRY_SECTOR and spec.irrep == "2":
-        parts = catalog.sector_parts(spec.base)
-    area = sum(sign * catalog.geometry(part).area for part, sign in parts)
-    try:
-        est = float(area * _INV_4PI) * float(t_hi)
-    except OverflowError:  # an area beyond the float range
-        est = math.inf
-    if est > _LEVEL_BUDGET:
-        raise ValueError(
-            f"{param}: about {est:.3g} eigenvalues below {float(t_hi):g} "
-            f"for {spec.label()}; the cap is {_LEVEL_BUDGET:g}")
-
-
 # --- output ---
 
 
@@ -210,14 +189,12 @@ def cmd_list(args) -> int:
 
 def cmd_spectrum(args) -> int:
     spec = parse_surface(args.spec)
-    _budget(spec, args.max_t, "--max-t")
     emit(spectrum.level_columns(spec, args.max_t), args.format)
     return 0
 
 
 def cmd_count(args) -> int:
     spec = parse_surface(args.spec)
-    _budget(spec, max(args.at), "--at")
     reps = [spectrum.closed_form_identity(spec, t) for t in args.at]
     emit([{"t": [rep.t for rep in reps], "count": [rep.count for rep in reps],
            "closed_form": [rep.closed_form for rep in reps]}], args.format)
@@ -241,7 +218,6 @@ def cmd_avg(args) -> int:
 
     spec = parse_surface(args.spec)
     lo, hi, n = _parse_grid(args.grid, "--grid")
-    _budget(spec, hi, "--grid")
     ts = _grid(lo, hi, n, args.log)
     # both engines give the same floats; numpy is imported only for a
     # long grid or a table that is already on numpy
@@ -264,7 +240,6 @@ def cmd_gprofile(args) -> int:
 
     spec = parse_surface(args.spec)
     lo, hi, n = _parse_grid(args.grid, "--grid")
-    _budget(spec, hi * hi, "--grid")
     profile = analysis.make_profile(spec, lo, hi, n=n)
     emit([{"x": profile.xs.tolist(), "g_est": profile.gs.tolist()}], args.format)
     return 0
@@ -278,7 +253,6 @@ def cmd_freq(args) -> int:
     spec = parse_surface(args.spec)
     x_lo, x_hi = _parse_pair(args.window, "--window")
     w_lo, w_hi, n_w = _parse_grid(args.omega, "--omega")
-    _budget(spec, x_hi * x_hi, "--window")
     span = x_hi - x_lo
     n_samp = max(4001, int(span * w_hi * 8.0 / (2.0 * math.pi)) + 1)
     if n_samp > 2_000_000:
@@ -294,8 +268,6 @@ def cmd_freq(args) -> int:
 def cmd_proportions(args) -> int:
     from . import analysis
 
-    # the base surface holds the levels of every sector
-    _budget(catalog.base_spec(args.base), args.max_t, "--max-t")
     reports = analysis.symmetry_proportions(args.base, float(args.max_t))
     emit([{name: [getattr(r, name) for r in reports]
            for name in ("irrep", "measured", "predicted", "b_sign", "b_hat")}],
@@ -307,7 +279,6 @@ def cmd_verify(args) -> int:
     from . import oracle
 
     spec = parse_surface(args.spec)
-    _budget(spec, args.max_t, "--max-t")
     start = time.perf_counter()
     rep = oracle.check_equivalence(spec, args.max_t, seed=args.seed)
     elapsed = time.perf_counter() - start
@@ -329,7 +300,6 @@ def cmd_heat(args) -> int:
     for tf in ts:
         cutoff = 64.0
         while True:
-            _budget(spec, cutoff, "--at")
             try:
                 heats.append(asymptotics.heat_trace(spec, tf, cutoff))
                 break
@@ -365,7 +335,6 @@ def cmd_conjecture(args) -> int:
     label = spec.label()
     spherical = catalog.is_spherical(spec)
     t_top = 1e6 if spherical else 1e7
-    _budget(spec, t_top, "surface")
     spectrum.count(spec, t_top)  # build the table once, at its largest cutoff
     out = [f"label: {label}"]
     ok_all = True

@@ -23,7 +23,7 @@ from math import gcd, isqrt
 
 from . import catalog
 from .catalog import Family, SurfaceSpec
-from .spectrum import _NEGATIVE, _Table, _pq, _rho_ends
+from .spectrum import _NEGATIVE, _Table, _form, _pq, _rho_ends
 
 # Entries up to which _reduce sums in a dict, where importing numpy would
 # cost more than the table: every table of `verify` at t = 1e4 (at most
@@ -46,7 +46,30 @@ class _LevelTable(_Table):
         self.unit, self.rows, self.div = _plan_flat(spec)
 
     def build(self, qcap: int):
-        return _reduce(qcap, self.rows(qcap), self.div)
+        # a 2-dim sector's levels come in pairs: an odd count is refused
+        return _reduce(qcap, self.rows(qcap), self.div, 2 if self.spec.irrep == "2" else 1)
+
+    def bound(self, q: int) -> int:
+        """An integer no smaller than the number of eigenvalues with key
+        <= q, at rho = unit * q.  A torus counts at most the lattice points
+        of a box: |j| <= a sqrt(rho) and |k| <= b sqrt(rho) on the periods
+        2a, 2b, and on the hexagonal lattice |n1|, |n2| <= sqrt(4q/3).  Any
+        other table reads its closed form (`spectrum._form`) at rho: the
+        absolute values of the constant and of each term's coefficient
+        times its bracket or its torus's box, over the common denominator."""
+        spec = self.spec
+        if spec.family is Family.FLAT_TORUS_HEX:
+            return (2 * isqrt(4 * q // 3) + 1) ** 2
+        P, Q = _pq(self.unit * q)
+        if spec.family is Family.FLAT_TORUS_RECT:
+            ja, jb = (isqrt(P * s.numerator ** 2 // (Q * s.denominator ** 2))
+                      for s in (spec.a, spec.b))
+            return (2 * ja + 1) * (2 * jb + 1)
+        form = _form(spec, self)
+        _, ks = form.ints(P, Q)
+        return (abs(form.const) + sum(
+            abs(c) * (k if sub is None else sub.bound(k))
+            for (c, sub), k in zip(form.weights, ks))) // form.den
 
     ends = staticmethod(_rho_ends)
 
@@ -67,22 +90,23 @@ class _LevelTable(_Table):
         return str(Fraction(k * self.unit.numerator, self.unit.denominator))
 
 
-def _reduce(qcap: int, rows, div: int):
+def _reduce(qcap: int, rows, div: int, pair: int = 1):
     """Sorted (keys, mults, prefix) of weighted integer keys in [0, qcap].
 
     A row (c0, c1, c2, ks, w) puts the weight w on the key
     c0 + c1 k + c2 k^2 for each k in the range ks.  Each key's summed
-    weight must be a nonnegative multiple of div, and its multiplicity is
-    that sum over div; keys whose weights sum to zero are dropped.
-    Anything else is refused with ArithmeticError, as are keys whose
-    packing (`_reduce_np`) would not fit int64.
+    weight must be a nonnegative multiple of pair * div (pair 2 for levels
+    that come in pairs), and its multiplicity is that sum over div; keys
+    whose weights sum to zero are dropped.  Anything else is refused with
+    ArithmeticError, as are keys whose packing (`_reduce_np`) would not
+    fit int64.
 
     Up to _PY_ENTRIES row entries are summed on Python integers
     (`_reduce_py`), more on numpy (`_reduce_np`); both give the same table.
     """
     n = sum(len(r[3]) for r in rows)
     engine = _reduce_py if n <= _PY_ENTRIES else _reduce_np
-    return engine(qcap, rows, div)
+    return engine(qcap, rows, div, pair)
 
 
 def _weight_shift(qcap: int, wts) -> tuple:
@@ -100,7 +124,7 @@ def _weight_shift(qcap: int, wts) -> tuple:
 _NOT_WHOLE = "level weights sum to %d at key %d, not a multiple of %d"
 
 
-def _reduce_py(qcap: int, rows, div: int):
+def _reduce_py(qcap: int, rows, div: int, pair: int = 1):
     """`_reduce` summed in a dict and returned as `array('q')`."""
     rows = [r for r in rows if len(r[3])]
     _weight_shift(qcap, [r[4] for r in rows])
@@ -114,15 +138,16 @@ def _reduce_py(qcap: int, rows, div: int):
     sums = [acc[q] for q in keys]
     if min(sums, default=0) < 0:
         raise ArithmeticError(_NEGATIVE)
+    whole = pair * div
     for q, v in zip(keys, sums):
-        if v % div:
-            raise ArithmeticError(_NOT_WHOLE % (v, q, div))
+        if v % whole:
+            raise ArithmeticError(_NOT_WHOLE % (v, q, whole))
     mults = [v // div for v in sums]
     return (array("q", keys), array("q", mults),
             array("q", accumulate(mults, initial=0)))
 
 
-def _reduce_np(qcap: int, rows, div: int):
+def _reduce_np(qcap: int, rows, div: int, pair: int = 1):
     """`_reduce` on int64 numpy arrays.
 
     When the key span qcap + 1 is no larger than the number of lattice
@@ -170,11 +195,13 @@ def _reduce_np(qcap: int, rows, div: int):
         keys, sums = packed[starts][keep], sums[keep]
     if sums.min(initial=0) < 0:
         raise ArithmeticError(_NEGATIVE)
-    if div != 1:
-        bad = np.flatnonzero(sums % div)
+    whole = pair * div
+    if whole != 1:
+        bad = np.flatnonzero(sums % whole)
         if len(bad):
             i = bad[0]
-            raise ArithmeticError(_NOT_WHOLE % (sums[i], keys[i], div))
+            raise ArithmeticError(_NOT_WHOLE % (sums[i], keys[i], whole))
+    if div != 1:
         sums //= div
     prefix = np.zeros(len(sums) + 1, dtype=np.int64)
     np.cumsum(sums, out=prefix[1:])
@@ -342,12 +369,8 @@ def _plan_sector2(spec: SurfaceSpec):
     factors = [(int(f), rows, sign) for f, rows, sign in factors]
 
     def rows(qcap):
-        rows = [(f * c0, f * c1, f * c2, ks, sign * w) for f, part, sign in factors
+        return [(f * c0, f * c1, f * c2, ks, sign * w) for f, part, sign in factors
                 for c0, c1, c2, ks, w in part(qcap // f)]
-        # the 2-dim irrep's levels come in pairs: an odd or negative count
-        # is refused here, before the table counts each level
-        _reduce(qcap, rows, 2)
-        return rows
 
     return common, rows, 1
 

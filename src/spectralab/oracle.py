@@ -497,10 +497,13 @@ class EquivalenceReport(namedtuple(
 def check_equivalence(spec: SurfaceSpec, T, n_times: int = 2000, seed: int = 0) -> EquivalenceReport:
     """Compare the brute-force level table against spectrum.levels, then the
     table count and the closed form of spectrum.closed_form_identity at
-    random jump and midpoint times.  Stops at the first mismatch."""
+    random jump and midpoint times.  Stops at the first mismatch.  The
+    table is built first, so a cutoff over its level cap is refused with
+    ValueError before anything is enumerated."""
     from . import spectrum
 
     T = Fraction(T)
+    spectrum.count(spec, T)
     brute = brute_levels(spec, T)
 
     def report(ok: bool, times: int, detail: str) -> EquivalenceReport:

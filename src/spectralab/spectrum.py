@@ -9,7 +9,9 @@ hold keys, multiplicities and counts and are read one way: a round key is
 a degree N, a flat one (`lattice`) an integer q.  Only occupied keys are
 held, in stdlib `array('q')` or, for a large flat table, int64 numpy
 arrays, so memory follows the number of levels, not the size of the grid
-up to the cutoff.  The closed-form route evaluates the
+up to the cutoff.  Every table grows in `_Table.grow`, which refuses one
+whose integer `bound` on the count is over _LEVEL_CAP before building
+it.  The closed-form route evaluates the
 floor-bracket identities for N(t), jump discontinuities included.  Each
 flat surface's identity is compiled once, on first use, into an integer
 linear form cached on its table: a common denominator, a constant, counts
@@ -138,17 +140,23 @@ def _decided(t, ends, value):
 
 _CHUNK = 65536  # levels per chunk of _Table.columns
 _NEGATIVE = "negative multiplicity in level table"
+# Most eigenvalues a table may be built to hold, by its `bound`: the
+# largest roster table that `conjecture` builds, flat_torus_rect:a=2,b=3/2
+# at t = 1e7, is bounded by 1.216e7, and `spectrum
+# flat_torus_rect:a=101/100,b=1 --max-t 6e7` by 2.456e7.
+_LEVEL_CAP = 25_000_000
 
 
 class _Table:
     """The levels of one surface: sorted integer keys, their nonzero
     multiplicities mults and prefix[i], the sum of the first i of them, all
     `array('q')` or all int64 numpy arrays, with every key <= qcap present.
-    A kind supplies `build(qcap)` (the arrays), `ends(t)` (t's cutoff as
-    exact integer pairs, `_decided`), `key_at(P, Q)` (the largest key whose
-    eigenvalue is <= the cutoff at one end), `value(k)` (that eigenvalue
-    in float64), `key(k)` (the exact key) and `printed(k)` (the key as
-    written)."""
+    A kind supplies `build(qcap)` (the arrays), `bound(q)` (an integer no
+    smaller than the number of eigenvalues with key <= q), `ends(t)` (t's
+    cutoff as exact integer pairs, `_decided`), `key_at(P, Q)` (the
+    largest key whose eigenvalue is <= the cutoff at one end), `value(k)`
+    (that eigenvalue in float64), `key(k)` (the exact key) and
+    `printed(k)` (the key as written)."""
 
     __slots__ = ("spec", "keys", "mults", "prefix", "qcap", "form")
 
@@ -159,15 +167,36 @@ class _Table:
     def grow(self, qneed: int) -> None:
         """Hold every level with key <= qneed, rebuilt at twice the size or
         qneed: the arrays are replaced, never resized, so views handed out
-        before stay as they were."""
+        before stay as they were.  No table is built whose `bound` is over
+        _LEVEL_CAP: the doubled size falls back to qneed, and a qneed over
+        the cap is refused with ValueError before anything is built."""
         if self.qcap < qneed:
             qcap = max(qneed, 256, 2 * self.qcap)
+            bound = self.bound(qcap)
+            if bound > _LEVEL_CAP and qcap > qneed:
+                qcap, bound = qneed, self.bound(qneed)
+            if bound > _LEVEL_CAP:
+                raise ValueError(
+                    f"{self.spec.label()} may have up to {bound} eigenvalues "
+                    f"below {self.value(qcap):g}, over the cap of {_LEVEL_CAP:g}")
             self.keys, self.mults, self.prefix = self.build(qcap)
             self.qcap = qcap
 
+    def decided(self, t, value):
+        """value(P, Q) at every end of t's cutoff (`_decided`).  When the
+        ends disagree, the table is first grown to the key at the first
+        end, so that a cutoff past the cap is refused as such (`grow`)
+        rather than as too close to a level."""
+        ends = self.ends(t)
+        try:
+            return _decided(t, ends, value)
+        except ArithmeticError:
+            self.grow(self.key_at(*ends[0]))
+            raise
+
     def qmax(self, t) -> int:
         """The largest key whose eigenvalue is <= t, the same at every end."""
-        return _decided(t, self.ends(t), self.key_at)
+        return self.decided(t, self.key_at)
 
     def index(self, q: int) -> int:
         """The number of levels with key <= q, growing the table to q."""
@@ -234,6 +263,10 @@ class _RoundTable(_Table):
         if min(mults, default=0) < 0:
             raise ArithmeticError(_NEGATIVE)
         return array("q", keys), array("q", mults), array("q", accumulate(mults, initial=0))
+
+    def bound(self, q: int) -> int:
+        """The number of eigenvalues of degree <= q, exactly: window q + 1."""
+        return _sph_cum(self.spec, q + 1)
 
     @staticmethod
     def ends(t) -> tuple:
@@ -590,12 +623,11 @@ def closed_form_identity(spec: SurfaceSpec, t) -> CountReport:
     closed form is the window count of t, `_sph_cum` of window q + 1.
     """
     tb = _table(spec)
-    ends = tb.ends(t)
     if isinstance(tb, _RoundTable):
-        q = _decided(t, ends, _RoundTable.key_at)
+        q = tb.qmax(t)
         return CountReport(_t_float(t), count(spec, t, q), _sph_cum(spec, q + 1))
     form = _form(spec, tb)
-    q, ks = _decided(t, ends, form.ints)
+    q, ks = tb.decided(t, form.ints)
     n = count(spec, t, q)
     v = form.const
     for (c, sub), k in zip(form.weights, ks):

@@ -4,6 +4,10 @@ reads them."""
 import operator
 from fractions import Fraction
 
+import numpy as np
+
+from spectralab.average import sphere_g
+
 
 def polygon_corner_limit(n) -> Fraction:
     """Total corner weight n*psi((n-2)pi/n) of the regular n-gon.
@@ -23,3 +27,53 @@ def smooth_count(rc, t):
     numpy arrays."""
     arg = t + 0.25 if rc.sqrt_shift else t
     return float(rc.A) * t + float(rc.B) * arg ** 0.5 + float(rc.C)
+
+
+def _offset(x):
+    # signed distance to the nearest integer, in [-1/2, 1/2)
+    return x - np.floor(x + 0.5)
+
+
+def sphere_avg_closed_form(t):
+    """Piecewise-algebraic averaged error of the round sphere.
+
+    Valid for t > 0; vectorizes over arrays.  On the multiplicity window
+    [k^2-k, k^2+k), k = floor(sqrt(t + 1/4) + 1/2).
+    """
+    t = np.asarray(t, dtype=np.float64)
+    if not np.all(t > 0):
+        raise ValueError("closed form needs t > 0")
+    k = np.floor(np.sqrt(t + 0.25) + 0.5)
+    k2 = k * k
+    out = (k2 - (k2 - t) ** 2) / (2.0 * t) - 1.0 / 3.0
+    return float(out) if out.ndim == 0 else out
+
+
+def sphere_g1(x):
+    """First correction profile -r(1 - 4r^2)/2."""
+    r = _offset(np.asarray(x, dtype=np.float64))
+    out = -r * (1.0 - 4.0 * r * r) / 2.0
+    return float(out) if out.ndim == 0 else out
+
+
+def sphere_g2(x):
+    """Second correction profile (4r^2 + 3)(1 - 4r^2)/32."""
+    r = _offset(np.asarray(x, dtype=np.float64))
+    r2 = r * r
+    out = (4.0 * r2 + 3.0) * (1.0 - 4.0 * r2) / 32.0
+    return float(out) if out.ndim == 0 else out
+
+
+def sphere_avg_decomposed(t):
+    """g(x) + g1(x) x/t + g2(x)/t at x = sqrt(t + 1/4), g the package's
+    `average.sphere_g`.
+
+    Algebraically identical to sphere_avg_closed_form; kept as a separate
+    route so the identity stays testable.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    if not np.all(t > 0):
+        raise ValueError("decomposition needs t > 0")
+    x = np.sqrt(t + 0.25)
+    out = sphere_g(x) + sphere_g1(x) * x / t + sphere_g2(x) / t
+    return float(out) if np.ndim(out) == 0 else out

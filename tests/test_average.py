@@ -8,7 +8,7 @@ import pytest
 
 from spectralab import asymptotics, average, catalog, cli, exact, oracle, spectrum
 
-from reference_formulas import smooth_count
+from reference_formulas import smooth_count, sphere_avg_closed_form, sphere_avg_decomposed
 
 
 def spec(label):
@@ -185,23 +185,23 @@ def test_sphere_closed_form_matches_avg_error():
     rng = np.random.default_rng(2026)
     ts = np.sort(rng.uniform(1.0, 1e6, 2000))
     worst = np.max(np.abs(average.avg_error_grid(SPHERE, ts)
-                          - average.sphere_avg_closed_form(ts)))
+                          - sphere_avg_closed_form(ts)))
     assert worst <= 1e-9
 
 
 def test_sphere_closed_form_window_endpoints():
     for k in [1, 2, 5, 30]:
         t = float(k * k + k)
-        left = average.sphere_avg_closed_form(t - 1e-9)
-        right = average.sphere_avg_closed_form(t + 1e-9)
+        left = sphere_avg_closed_form(t - 1e-9)
+        right = sphere_avg_closed_form(t + 1e-9)
         assert left == pytest.approx(right, abs=1e-7)
 
 
 def test_decomposition_identity_float():
     rng = np.random.default_rng(5)
     ts = np.sort(rng.uniform(0.5, 1e6, 4000))
-    closed = average.sphere_avg_closed_form(ts)
-    dec = average.sphere_avg_decomposed(ts)
+    closed = sphere_avg_closed_form(ts)
+    dec = sphere_avg_decomposed(ts)
     assert np.max(np.abs(closed - dec)) <= 1e-12
 
 
@@ -242,15 +242,15 @@ def test_g_profile_values_and_mean():
 def test_sphere_window_means_shrink():
     for window in [100.0, 200.0, 400.0]:
         ts = np.linspace(window, 2 * window, 20001)
-        mean = float(np.mean(average.sphere_avg_closed_form(ts)))
+        mean = float(np.mean(sphere_avg_closed_form(ts)))
         assert abs(mean) <= 5.0 / window
 
 
 def test_closed_form_rejects_nonpositive():
     with pytest.raises(ValueError):
-        average.sphere_avg_closed_form(0.0)
+        sphere_avg_closed_form(0.0)
     with pytest.raises(ValueError):
-        average.sphere_avg_decomposed(-2.0)
+        sphere_avg_decomposed(-2.0)
 
 
 # ---------------------------------------------------------------------------

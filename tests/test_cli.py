@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -314,13 +315,15 @@ def test_flat_conjecture_builds_its_table_once(capsys, monkeypatch):
         before = self.qcap
         grow(self, qneed)
         if self.qcap != before:
-            builds.append(self.qcap)
+            builds.append(self.spec)
 
     monkeypatch.setattr(lattice._LevelTable, "grow", counting_grow)
     monkeypatch.setattr(spectrum, "_TABLES", {})
     rc, _, _ = run_cli(capsys, "conjecture", "flat_torus_rect:a=1,b=1")
     assert rc == 0
-    assert len(builds) == 1, builds
+    # the surface's own table, and the dual torus the geodesic lengths
+    # read, each built once
+    assert builds == [catalog.flat_torus_rect(1, 1), catalog.flat_torus_rect(0.5, 0.5)]
 
 
 def test_conjecture_report_only_for_others(capsys):
@@ -410,48 +413,74 @@ def test_side_beyond_float_range_is_usage_error(capsys, argv):
 
 
 def test_level_budget_guard(capsys, monkeypatch):
+    # every table is held to the cap by its bound where it grows, and the
+    # refusal names the surface, the cutoff, the bound and the cap
     rc, _, err = run_cli(capsys, "spectrum", "rect:a=40,b=40,bc=N",
                          "--max-t", "1e8")
     assert rc == 2
-    assert "--max-t" in err and "cap" in err
+    assert ("rectangle:a=40,b=40,bc=N may have up to 16211400976 eigenvalues "
+            "below 1e+08, over the cap of 2.5e+07") in err
 
     # verify is refused before it enumerates anything
     def enumerate_anyway(*args, **kwargs):
         raise AssertionError("verify enumerated an over-budget cutoff")
 
-    monkeypatch.setattr(oracle, "check_equivalence", enumerate_anyway)
+    monkeypatch.setattr(oracle, "brute_levels", enumerate_anyway)
     rc, out, err = run_cli(capsys, "verify", "rectangle:a=1,b=1,bc=N", "--max-t", "1e9")
     assert rc == 2
     assert out == ""
-    assert "--max-t" in err and "cap" in err
-    # count checks the budget once, at its largest time, before counting
+    assert "rectangle:a=1,b=1,bc=N may have up to" in err and "over the cap" in err
+    # count is refused at its largest time, before it prints anything
     rc, out, err = run_cli(capsys, "count", "rect:a=40,b=40,bc=N", "--at", "10,1e8")
     assert rc == 2
     assert out == ""
-    assert "--at" in err and "cap" in err
-    # proportions holds the base surface, which has every sector's levels,
-    # to the cap
+    assert "below 1e+08, over the cap" in err
+    # proportions is refused at its first sector table past the cap
     rc, out, err = run_cli(capsys, "proportions", "square_n", "--max-t", "1e10")
     assert rc == 2
     assert out == ""
-    assert "--max-t" in err and "cap" in err and "usage:" in err
-    # an area beyond the float range is over any budget
+    assert "symmetry_sector:base=square_n" in err and "over the cap" in err
+    assert "usage:" in err
+    # an area beyond the float range is over any cap
     rc, out, err = run_cli(capsys, "count", "rectangle:a=1e200,b=1e200,bc=N", "--at", "1")
     assert rc == 2
     assert out == ""
-    assert "about inf eigenvalues" in err and "usage:" in err
+    assert "over the cap" in err and "usage:" in err
 
 
-def test_level_budget_reads_the_leading_constant():
-    # area / 4 pi is the leading constant A, the 2-dimensional sector's by
-    # its signed parts too, so the budget refuses from the same cutoff
-    from spectralab import asymptotics
+THIN = "rectangle:a=1/1000000,b=1000000,bc=N"
 
-    for spec in catalog.verification_roster():
-        edge = cli._LEVEL_BUDGET / float(asymptotics.surface_constants(spec).A)
-        cli._budget(spec, edge * (1 - 1e-9), "t")
-        with pytest.raises(ValueError, match="cap"):
-            cli._budget(spec, edge * (1 + 1e-9), "t")
+
+@pytest.mark.parametrize("argv", [
+    ["count", THIN, "--at", "30000"],
+    ["spectrum", THIN, "--max-t", "30000"],
+    ["avg", THIN, "--grid", "1:30000:11"],
+    ["verify", THIN, "--max-t", "30000"],
+], ids=lambda argv: argv[0])
+def test_thin_surface_is_refused_at_once(capsys, argv):
+    # the boundary term b sqrt(t) / pi outweighs the area term a hundredfold
+    # here: the bound counts it, and 55132890 levels are never built
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    assert out == ""
+    assert f"{THIN} may have up to 55132890 eigenvalues" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "rectangle:a=1e-200,b=1e200,bc=N", "--at", "1"],
+    ["spectrum", "rectangle:a=1e-200,b=1e200,bc=N", "--max-t", "1"],
+    ["asymptotics", "rectangle:a=1e-200,b=1e200,bc=N"],
+], ids=lambda argv: argv[0])
+def test_side_ratio_beyond_float_range_is_usage_error(capsys, argv):
+    # the closed form counts on a torus of side ratio 1e400: the sides are
+    # refused as given, not that torus
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert "a=1e-200 and b=1e200 are too far apart" in err
+    assert "usage:" in err
 
 
 def test_unknown_base_usage_error(capsys):
@@ -750,7 +779,7 @@ def test_each_command_loads_only_what_it_calls():
     assert loaded_modules(["list"]) == {"catalog", "exact", "spectrum", "cli"}
     count = loaded_modules(["count", "rectangle:a=1,b=1,bc=N", "--at", "100,1e3"])
     assert count.isdisjoint({"oracle", "analysis", "average"} | _HEAVY)
-    assert "asymptotics" not in count  # the level budget reads the area
+    assert "asymptotics" not in count  # the level bound reads no constants
     # a flat table this small is summed on Python integers
     assert "lattice" in count and "numpy" not in count
     verify = loaded_modules(["verify", "lune:m=2,bc=N", "--max-t", "1e4"])

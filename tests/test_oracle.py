@@ -186,10 +186,6 @@ def test_package_checks_survive_optimize():
 # "Class.member") that no package code reads, each kept on purpose
 _NO_PACKAGE_CALLER = {
     ("__init__", "__version__"): "package metadata for users and packaging",
-    ("average", "sphere_avg_closed_form"): "the sphere's closed form that "
-                                           "acceptance test_04 checks",
-    ("average", "sphere_avg_decomposed"): "the reference route the tests "
-                                          "compare the sphere average against",
 }
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from math import isqrt
@@ -382,11 +383,11 @@ def test_tori_of_one_shape_share_a_table(monkeypatch):
 
 
 def test_table_keys_beyond_int64_raise():
-    # keys of this torus reach about 1e19 at t = 1e8: refused before any
-    # array is made
+    # keys of this torus reach about 5e18 at t = 5e7, where its box bound
+    # (2.03e7) is under the level cap: refused before any array is made
     spec = catalog.flat_torus_rect(F(1000003, 1000000), 1)
     with pytest.raises(ArithmeticError):
-        count(spec, 1e8)
+        count(spec, 5e7)
 
 
 def test_few_levels_beyond_int64_raise(capsys, monkeypatch):
@@ -405,6 +406,86 @@ def test_few_levels_beyond_int64_raise(capsys, monkeypatch):
     assert spectrum._table(cli.parse_surface(label)).qmax(1) > 2 ** 63
     assert cli.main(["count", label, "--at", "1"]) == 1
     assert "do not fit int64" in capsys.readouterr().err
+
+
+# --- the level bound every table is held to where it grows -----------------
+
+
+def _thin_shape(rng):
+    """A seeded rational torus, rectangle, cylinder or Moebius band of side
+    ratio up to 1e6."""
+    a = F(rng.randint(1, 12), rng.randint(1, 7))
+    b = F(rng.randint(1, 10 ** rng.randint(0, 6)), rng.randint(1, 7)) * a
+    if rng.random() < 0.5:
+        a, b = b, a
+    family = rng.choice(("flat_torus_rect", "rectangle", "cylinder", "mobius_band"))
+    if family == "flat_torus_rect":
+        return catalog.flat_torus_rect(a, b)
+    if family == "rectangle":
+        return catalog.rectangle(a, b, rng.choice(("N", "D", "ND", "NM", "DM", "MM")))
+    if family == "cylinder":
+        return catalog.cylinder(a, b, rng.choice("NDM"))
+    return catalog.mobius_band(a, b, rng.choice("ND"))
+
+
+def test_level_bound_holds_every_table_count():
+    # the bound that _Table.grow holds to the cap is no smaller than the
+    # count: on every flat roster surface, and on thin shapes whose
+    # boundary term outweighs their area term; on a round surface it is
+    # the count itself
+    for spec in catalog.verification_roster():
+        tb = spectrum._table(spec)
+        for t in (1e2, 1e4, 1e5):
+            q = tb.qmax(t)
+            n = count(spec, t, q)
+            if catalog.is_spherical(spec):
+                assert tb.bound(q) == n, (spec, t)
+            else:
+                assert tb.bound(q) >= n, (spec, t)
+    rng = random.Random(22)
+    ratios = []
+    for _ in range(48):
+        spec = _thin_shape(rng)
+        ratios.append(max(spec.a / spec.b, spec.b / spec.a))
+        tb = spectrum._table(spec)
+        t = 10 ** rng.uniform(1, 5)
+        while tb.bound(tb.qmax(t)) > 50000:  # a table of at most 5e4 levels
+            t /= 4
+        q = tb.qmax(t)
+        assert tb.bound(q) >= count(spec, t, q), (spec, t)
+    assert max(ratios) > 1e5
+
+
+@pytest.mark.parametrize("read", [count, level_arrays], ids=lambda f: f.__name__)
+def test_thin_surface_is_refused_by_the_library(read, monkeypatch):
+    # 55132890 levels, almost all of them the boundary term's: refused by
+    # the bound before anything is built
+    monkeypatch.setattr(spectrum, "_TABLES", {})
+    spec = catalog.rectangle(F(1, 10 ** 6), 10 ** 6, "N")
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="may have up to 55132890 eigenvalues "
+                                         "below 30000, over the cap of 2.5e"):
+        read(spec, 30000)
+    assert time.perf_counter() - start < 1.0
+    assert all(tb.qcap < 0 for tb in spectrum._TABLES.values())
+
+
+def test_growth_stops_at_the_requested_key_below_the_cap(monkeypatch):
+    # the unit torus's box (2 isqrt(q) + 1)^2 first passes 5000 at key
+    # 35^2 = 1225: doubling stops at the requested key below it, and the
+    # key above is refused with the table kept as it was
+    monkeypatch.setattr(spectrum, "_TABLES", {})
+    monkeypatch.setattr(spectrum, "_LEVEL_CAP", 5000)
+    tb = spectrum._table(catalog.flat_torus_rect(1, 1))
+    assert tb.bound(1224) == 69 ** 2 and tb.bound(1225) == 71 ** 2
+    tb.grow(613)
+    assert tb.qcap == 613
+    tb.grow(1224)
+    assert tb.qcap == 1224
+    keys = tb.keys
+    with pytest.raises(ValueError, match="up to 5041 eigenvalues below .*cap of 5000"):
+        tb.grow(1225)
+    assert tb.qcap == 1224 and tb.keys is keys
 
 
 def test_negative_multiplicity_is_refused(monkeypatch):
@@ -447,14 +528,15 @@ def test_tetrahedron_shells_must_halve(monkeypatch):
 
 def test_each_table_is_reduced_from_its_own_rows(monkeypatch):
     # a table that counts on another surface's lattice adds rows to that
-    # lattice's rows; it reads no other table, so none is made
+    # lattice's rows; it reads no other table, so none is built (the tori
+    # of its closed form, which its bound reads, stay empty)
     for spec in (catalog.tetrahedron_surface(), catalog.half_tetrahedron("D"),
                  catalog.flat_projective_plane(),
                  catalog.symmetry_sector("square_d", "+-"),
                  catalog.symmetry_sector("hex_torus", "2")):
         monkeypatch.setattr(spectrum, "_TABLES", {})
         count(spec, 1e3)
-        assert list(spectrum._TABLES) == [spec]
+        assert [s for s, tb in spectrum._TABLES.items() if tb.qcap >= 0] == [spec]
 
 
 def test_every_table_belongs_to_a_catalog_surface(monkeypatch):
@@ -553,14 +635,14 @@ def _both_engines(ns):
     of the engine _reduce would pick."""
     from spectralab import lattice
 
-    def both(qcap, rows, div):
+    def both(qcap, rows, div, pair=1):
         n = sum(len(r[3]) for r in rows)
         ns.append(n)
-        npy = lattice._reduce_np(qcap, rows, div)
+        npy = lattice._reduce_np(qcap, rows, div, pair)
         assert type(npy[0]).__module__ == "numpy"
         if n > 2 * lattice._PY_ENTRIES:
             return npy
-        py = lattice._reduce_py(qcap, rows, div)
+        py = lattice._reduce_py(qcap, rows, div, pair)
         assert _lists(py) == _lists(npy), (qcap, div)
         return py if n <= lattice._PY_ENTRIES else npy
 
