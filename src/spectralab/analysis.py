@@ -126,17 +126,36 @@ def fourier_coefficients(profile: APProfile, omega_grid) -> np.ndarray:
     n, m = xs.size, omega.size
     x0, w0 = float(xs[0]), float(omega[0])
     half = 0.5 * dw * dx
-    j = np.arange(n, dtype=np.float64)
-    k = np.arange(m, dtype=np.float64)
-    lag = np.arange(-(n - 1), m, dtype=np.float64)  # k - j
     size = 1 << (n + m - 2).bit_length()  # a power of two >= n + m - 1
-    chirp = np.exp(1j * half * lag * lag)
+    # two FFT-sized buffers, each transformed in place: the chirp
+    # e^{i half lag^2} at lags k - j = 0 .. m-1 and -(n-1) .. -1, wrapped
+    # around the first
     kernel = np.zeros(size, dtype=np.complex128)
-    kernel[:m] = chirp[n - 1:]
-    kernel[size - (n - 1):] = chirp[:n - 1]
-    pre = gs * w * np.exp(-1j * (w0 * dx * j + half * j * j))
-    conv = np.fft.ifft(np.fft.fft(pre, size) * np.fft.fft(kernel))[:m]
-    return conv * np.exp(-1j * (w0 * x0 + x0 * dw * k + half * k * k)) * (2.0 / L)
+    for lag, part in ((np.arange(m, dtype=np.float64), kernel[:m]),
+                      (np.arange(-(n - 1), 0, dtype=np.float64), kernel[size - (n - 1):])):
+        np.multiply(1j * half, lag, out=part)
+        part *= lag
+        np.exp(part, out=part)
+    np.fft.fft(kernel, out=kernel)
+    # the weighted, pre-chirped samples, in place in the front of the
+    # second buffer, in the float order of
+    # gs * w * np.exp(-1j * (w0 * dx * j + half * j * j))
+    conv = np.zeros(size, dtype=np.complex128)
+    pre = conv[:n]
+    j = np.arange(n, dtype=np.float64)
+    arg = half * j
+    arg *= j
+    arg += w0 * dx * j
+    np.multiply(-1j, arg, out=pre)
+    del j, arg
+    np.exp(pre, out=pre)
+    pre *= gs * w
+    np.fft.fft(conv, out=conv)
+    conv *= kernel
+    del kernel
+    np.fft.ifft(conv, out=conv)
+    k = np.arange(m, dtype=np.float64)
+    return conv[:m] * np.exp(-1j * (w0 * x0 + x0 * dw * k + half * k * k)) * (2.0 / L)
 
 
 def frequency_spectrum(profile: APProfile, omega_grid) -> APProfile:

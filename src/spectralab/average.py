@@ -16,8 +16,12 @@ the sums.  Both run the same operations in the same order, and their
 powers t^{3/2} are t * sqrt(t), whose steps are correctly rounded in both
 (numpy's `power` is not libm's `pow`), so they agree bit for bit.  The
 rounding grows with t; avg_error_grid's docstring gives the measured
-bound.  numpy is imported by the functions that use it, so that the list
-engine runs without it.
+bound.  The numpy engine streams its sums from the table's integer keys a
+block of levels at a time (`_prefix_blocks`), carrying the running sums
+from block to block, and so does window_sup, the largest scaled residual
+over a window's samples: beside the table, both hold a few blocks and
+their grid, never an array as long as the table.  numpy is imported by
+the functions that use it, so that the list engine runs without it.
 """
 
 from __future__ import annotations
@@ -55,18 +59,69 @@ def _tilde_integral(rc: asymptotics.RefinedAsymptotics, sqrt):
     return integral
 
 
-_BLOCK = 65536  # times per block of avg_error_grid's temporaries
+_BLOCK = 65536  # times per block of the averaged error's temporaries
+_LEVELS = 1 << 15  # levels per block of `_prefix_blocks`
+
+
+def _prefix_blocks(spec: SurfaceSpec, T: float):
+    """The float64 prefix sums of the levels <= T, one block of _LEVELS
+    levels at a time, straight from the table's integer keys.
+
+    Yields ((vals, n_pref, l_pref), edge) per block: the block's level
+    values, and the sums of mult and of mult * value over every level
+    before the block's k-th one, k = 0 .. len(vals).  The running sums are
+    the first element of each block's arrays before np.cumsum, which adds
+    sequentially, so every sum is bit for bit the one a cumsum over the
+    whole table gives.  A time t takes its sums from the first block whose
+    edge is above it: edge is the block's last value, or infinity on the
+    last block, so that np.searchsorted(vals, t, side="right") indexes
+    the block's sums.
+    """
+    import numpy as np
+
+    tb = spectrum._table(spec)
+    i = tb.index(tb.qmax(T))
+    keys, mults = np.asarray(tb.keys), np.asarray(tb.mults)
+    n_run = l_run = 0.0
+    for lo in range(0, max(i, 1), _LEVELS):
+        hi = min(lo + _LEVELS, i)
+        vals = tb.value(keys[lo:hi].astype(np.float64))
+        n_pref = np.empty(hi - lo + 1)
+        n_pref[0] = n_run
+        n_pref[1:] = mults[lo:hi]
+        np.cumsum(n_pref, out=n_pref)
+        l_pref = np.empty(hi - lo + 1)
+        l_pref[0] = l_run
+        np.multiply(mults[lo:hi], vals, out=l_pref[1:])
+        np.cumsum(l_pref, out=l_pref)
+        n_run, l_run = n_pref[-1], l_pref[-1]
+        yield (vals, n_pref, l_pref), vals[-1] if hi < i else np.inf
+
+
+def _avg_block(t, block, tilde, out) -> None:
+    """The averaged error at the times t, none of them at or above the
+    block's edge, into out: t N(t) less the level sum, less the smooth
+    integral, over t."""
+    import numpy as np
+
+    vals, n_pref, l_pref = block
+    idx = np.searchsorted(vals, t, side="right")
+    np.multiply(t, n_pref[idx], out=out)
+    out -= l_pref[idx]
+    out -= tilde(t)
+    out /= t
 
 
 def avg_error_grid(spec: SurfaceSpec, ts):
     """Averaged error over an ascending grid, one spectrum fetch, on numpy.
 
-    The level prefix sums are cumulated once, straight into their arrays;
-    the times are then evaluated in blocks of _BLOCK into one output
-    array, so the temporaries stay block-sized however long the grid is.
-    The sums are float64, and the absolute error grows with t: below 1e-12
-    up to t = 3000, 4.3e-10 on [1e5, 1e6] and 1.4e-8 at t = 1e7 (unit
-    torus, against exact sums).  avg_error_list gives the same floats.
+    The level prefix sums are streamed a block of levels at a time
+    (`_prefix_blocks`), and each block's times are evaluated in blocks of
+    at most _BLOCK into one output array, so the temporaries stay
+    block-sized however long the table and the grid are.  The sums are
+    float64, and the absolute error grows with t: below 1e-12 up to
+    t = 3000, 4.3e-10 on [1e5, 1e6] and 1.4e-8 at t = 1e7 (unit torus,
+    against exact sums).  avg_error_list gives the same floats.
     """
     import numpy as np
 
@@ -77,22 +132,15 @@ def avg_error_grid(spec: SurfaceSpec, ts):
         raise ValueError("averaged error needs t > 0")
     if np.any(ts[1:] < ts[:-1]):
         raise ValueError("grid must be ascending")
-    vals, mults = spectrum.level_arrays(spec, float(ts[-1]))
-    n_pref = np.zeros(vals.size + 1)
-    np.cumsum(mults, dtype=np.float64, out=n_pref[1:])
-    l_pref = np.zeros(vals.size + 1)
-    np.multiply(mults, vals, out=l_pref[1:])
-    np.cumsum(l_pref[1:], out=l_pref[1:])
     tilde = _tilde_integral(asymptotics.surface_constants(spec), np.sqrt)
     out = np.empty_like(ts)
-    for i in range(0, ts.size, _BLOCK):
-        t = ts[i:i + _BLOCK]
-        o = out[i:i + _BLOCK]
-        idx = np.searchsorted(vals, t, side="right")
-        np.multiply(t, n_pref[idx], out=o)
-        o -= l_pref[idx]
-        o -= tilde(t)
-        o /= t
+    j = 0
+    for block, edge in _prefix_blocks(spec, float(ts[-1])):
+        k = int(np.searchsorted(ts, edge))
+        for i in range(j, k, _BLOCK):
+            e = min(i + _BLOCK, k)
+            _avg_block(ts[i:e], block, tilde, out[i:e])
+        j = k
     return out
 
 
@@ -244,6 +292,49 @@ def window_samples(vals, lo, hi, grid):
     ts = np.sort(np.concatenate((inside, mids, grid)))
     ts = ts[np.concatenate(([True], ts[1:] != ts[:-1]))]
     return ts[(ts >= lo) & (ts <= hi)]
+
+
+def window_sup(spec: SurfaceSpec, lo: float, hi: float, grid) -> float:
+    """The largest `residual` times t^{1/4} over the `window_samples` of
+    [lo, hi] with the caller's grid, generated a block of levels at a time.
+
+    Each block of `_prefix_blocks` gives its levels inside the window and
+    the midpoints between them and the last one before, and the grid
+    points below its edge; samples at or above the edge wait for the next
+    block.  A time that comes twice, a grid point on a level or a midpoint,
+    gives the same value twice, and the max over a multiset is the max
+    over its set, so the samples are never sorted or made unique.
+    """
+    import numpy as np
+
+    lo, hi = float(lo), float(hi)
+    grid = np.sort(np.asarray(grid, dtype=np.float64))
+    grid = grid[(grid >= lo) & (grid <= hi)]
+    tilde = _tilde_integral(asymptotics.surface_constants(spec), np.sqrt)
+    spherical = catalog.is_spherical(spec)
+    best = -np.inf
+    last = np.empty(0)  # the last level inside the window so far
+    wait = np.empty(0)
+    j = 0
+    for block, edge in _prefix_blocks(spec, hi):
+        vals = block[0]
+        inside = vals[(vals > lo) & (vals < hi)]
+        ends = np.concatenate((last, inside))
+        mids = 0.5 * (ends[1:] + ends[:-1])
+        last = ends[-1:]
+        k = int(np.searchsorted(grid, edge))
+        ts = np.concatenate((wait, inside, mids, grid[j:k]))
+        j = k
+        now = ts < edge
+        wait, ts = ts[~now], ts[now]
+        if ts.size:
+            r = np.empty_like(ts)
+            _avg_block(ts, block, tilde, r)
+            if spherical:
+                r -= leading_profile(spec, np.sqrt(ts + 0.25))
+            np.abs(r, out=r)
+            best = max(best, float(np.max(r * ts ** 0.25)))
+    return best
 
 
 def remainder_exponent(spec: SurfaceSpec, t_lo, t_hi) -> float:

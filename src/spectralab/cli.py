@@ -31,7 +31,8 @@ _FAMILY_ALIASES = {
 }
 
 # most points a --grid or --omega may ask for; at this size the largest
-# command, `freq sphere --window 100:200`, peaks at about 520 MB
+# command, `freq sphere --window 100:200 --omega 1:15707:1000000`, peaks
+# at 386 MB
 _GRID_MAX = 10**6
 # Most points for which `avg` sums a table on Python integers in Python
 # floats (average.avg_error_list) instead of importing numpy: about 1 us a
@@ -319,9 +320,7 @@ def _decade_sup(spec, t_lo: float, t_hi: float) -> float:
 
     from . import average
 
-    vals, _ = spectrum.level_arrays(spec, t_hi)
-    ts = average.window_samples(vals, t_lo, t_hi, np.geomspace(t_lo, t_hi, 1200))
-    return float(np.max(average.residual(spec, ts) * ts ** 0.25))
+    return average.window_sup(spec, t_lo, t_hi, np.geomspace(t_lo, t_hi, 1200))
 
 
 def cmd_conjecture(args) -> int:

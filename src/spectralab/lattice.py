@@ -33,6 +33,12 @@ from .spectrum import _NEGATIVE, _Table, _form, _pq, _rho_ends
 # rectangle:a=1,b=1,bc=N at t = 1e7 numpy takes 0.04 s, a dict 0.55 s.
 _PY_ENTRIES = 1 << 15
 
+# Most rows a torus counts its points in for a table's `bound`, about 35 ms
+# of isqrt: a torus of more rows holds over 2e9 levels, a disk of radius
+# 2^15 in its index plane, so its looser box can only refuse what the
+# exact count would.
+_BOUND_ROWS = 1 << 16
+
 
 class _LevelTable(_Table):
     """The levels of one flat surface: key q is the eigenvalue
@@ -50,26 +56,47 @@ class _LevelTable(_Table):
         return _reduce(qcap, self.rows(qcap), self.div, 2 if self.spec.irrep == "2" else 1)
 
     def bound(self, q: int) -> int:
-        """An integer no smaller than the number of eigenvalues with key
-        <= q, at rho = unit * q.  A torus counts at most the lattice points
-        of a box: |j| <= a sqrt(rho) and |k| <= b sqrt(rho) on the periods
-        2a, 2b, and on the hexagonal lattice |n1|, |n2| <= sqrt(4q/3).  Any
-        other table reads its closed form (`spectrum._form`) at rho: the
-        absolute values of the constant and of each term's coefficient
-        times its bracket or its torus's box, over the common denominator."""
-        spec = self.spec
-        if spec.family is Family.FLAT_TORUS_HEX:
-            return (2 * isqrt(4 * q // 3) + 1) ** 2
+        """The number of eigenvalues with key <= q, at rho = unit * q.  A
+        torus counts its lattice points by rows (`_points`); any other
+        table evaluates its closed form (`spectrum._form`) at rho, a signed
+        sum of brackets and torus counts that is the count itself.  Where a
+        torus gives its box instead, the form sums the absolute values of
+        the constant and of each term's coefficient times its bracket or
+        its torus's box or count, over the common denominator: no smaller
+        than the count."""
+        if self.spec.family in (Family.FLAT_TORUS_RECT, Family.FLAT_TORUS_HEX):
+            return self._points(q)[0]
+        form = _form(self.spec, self)
+        _, ks = form.ints(*_pq(self.unit * q))
+        terms = [(c, (k, True) if sub is None else sub._points(k))
+                 for (c, sub), k in zip(form.weights, ks)]
+        if all(exact for _, (_, exact) in terms):
+            return (form.const + sum(c * n for c, (n, _) in terms)) // form.den
+        return (abs(form.const) + sum(abs(c) * n for c, (n, _) in terms)) // form.den
+
+    def _points(self, q: int) -> tuple:
+        """(n, exact) for a torus's lattice points with key <= q: their
+        number, counted row by row, or with more than _BOUND_ROWS rows the
+        box that holds them, |j| <= a sqrt(rho) and |k| <= b sqrt(rho) on
+        the periods 2a, 2b, |n1|, |n2| <= sqrt(4q/3) on the hexagonal
+        lattice."""
+        if self.spec.family is Family.FLAT_TORUS_HEX:
+            rows = 2 * isqrt(4 * q // 3) + 1
+            if rows > _BOUND_ROWS:
+                return rows * rows, False
+            return sum(len(r[3]) for r in _hex_norm_rows(q)), True
+        # j^2 / s^2 + k^2 / u^2 <= rho = P / Q, by rows j along the
+        # shorter side s: |k| <= floor(sqrt((rho - j^2 / s^2) u^2))
         P, Q = _pq(self.unit * q)
-        if spec.family is Family.FLAT_TORUS_RECT:
-            ja, jb = (isqrt(P * s.numerator ** 2 // (Q * s.denominator ** 2))
-                      for s in (spec.a, spec.b))
-            return (2 * ja + 1) * (2 * jb + 1)
-        form = _form(spec, self)
-        _, ks = form.ints(P, Q)
-        return (abs(form.const) + sum(
-            abs(c) * (k if sub is None else sub.bound(k))
-            for (c, sub), k in zip(form.weights, ks))) // form.den
+        s, u = sorted((self.spec.a, self.spec.b))
+        A, B = P * s.numerator ** 2, Q * s.denominator ** 2
+        J = isqrt(A // B)
+        if 2 * J + 1 > _BOUND_ROWS:
+            K = isqrt(P * u.numerator ** 2 // (Q * u.denominator ** 2))
+            return (2 * J + 1) * (2 * K + 1), False
+        Y = Q * s.numerator ** 2 * u.denominator ** 2
+        C = Y * u.numerator ** 2
+        return sum(2 * (isqrt((A - B * j * j) * C) // Y) + 1 for j in range(-J, J + 1)), True
 
     ends = staticmethod(_rho_ends)
 
@@ -153,10 +180,16 @@ def _reduce_np(qcap: int, rows, div: int, pair: int = 1):
     When the key span qcap + 1 is no larger than the number of lattice
     points (the summed absolute weights), the weights are counted into a
     span-sized array, the cheapest route for unit-shaped tables.  Otherwise
-    each weight is packed into the low bits of its key, the packed keys are
-    sorted in place and runs of equal keys are summed, so that memory
-    follows the number of points and not the span.  Rows are expanded one
-    at a time on both routes.
+    each weight is packed into the low bits of its key and the packed keys
+    are sorted in place, so that memory follows the number of points and
+    not the span.  The runs of equal keys are then summed a block of
+    _RUN_BLOCK entries at a time (`_runs`) in two passes: the first checks
+    the sums and counts the keys kept, which sizes the multiplicities and
+    prefix sums exactly; the second writes the keys into the front of the
+    packed array, which is then shrunk in place to hold them.  The packed
+    array is the only one sized by the number of entries, and a build
+    holds little beyond it and the table.  Rows are expanded one at a time
+    on both routes.
     """
     import numpy as np
 
@@ -170,14 +203,15 @@ def _reduce_np(qcap: int, rows, div: int, pair: int = 1):
                 k = np.arange(ks.start, ks.stop, ks.step, dtype=np.int64)
                 yield c0 + k * (c1 + c2 * k), w
 
+    whole = pair * div
     if qcap + 1 <= points:
         counts = np.zeros(qcap + 1, dtype=np.int64)
         for keys, w in chunks():
             np.add.at(counts, keys, w)
         keys = np.flatnonzero(counts)
         sums = counts[keys]
-    elif not n:
-        keys = sums = np.empty(0, dtype=np.int64)
+        del counts
+        _check_sums([(keys, sums)], whole)
     else:
         packed = np.empty(n, dtype=np.int64)
         i = 0
@@ -185,27 +219,73 @@ def _reduce_np(qcap: int, rows, div: int, pair: int = 1):
             packed[i:i + len(keys)] = (keys << shift) | (w - wlo)
             i += len(keys)
         packed.sort()
-        low = packed & ((1 << shift) - 1)
-        packed >>= shift
-        starts = np.flatnonzero(packed[1:] != packed[:-1]) + 1
-        starts = np.concatenate(([0], starts))
-        sums = np.add.reduceat(low, starts)
-        sums += wlo * np.diff(starts, append=n)
-        keep = sums != 0
-        keys, sums = packed[starts][keep], sums[keep]
-    if sums.min(initial=0) < 0:
-        raise ArithmeticError(_NEGATIVE)
-    whole = pair * div
-    if whole != 1:
-        bad = np.flatnonzero(sums % whole)
-        if len(bad):
-            i = bad[0]
-            raise ArithmeticError(_NOT_WHOLE % (sums[i], keys[i], whole))
+        m = _check_sums(_runs(packed, shift, wlo), whole)
+        sums = np.empty(m, dtype=np.int64)
+        i = 0
+        for ks, ss in _runs(packed, shift, wlo):
+            # the block's keys are already copied out of packed, and every
+            # kept run ends inside it: the writes stay behind the reads
+            packed[i:i + len(ks)] = ks
+            sums[i:i + len(ss)] = ss
+            i += len(ks)
+        packed.resize(m)
+        keys = packed
     if div != 1:
         sums //= div
     prefix = np.zeros(len(sums) + 1, dtype=np.int64)
     np.cumsum(sums, out=prefix[1:])
     return keys, sums, prefix
+
+
+_RUN_BLOCK = 1 << 16  # packed entries per block of _runs
+
+
+def _runs(packed, shift: int, wlo: int):
+    """(keys, sums) of the runs of equal keys in the sorted packed array,
+    in key order, one block of _RUN_BLOCK entries at a time, the runs whose
+    sum is zero dropped.  A block's last run may go on in the next block,
+    so it is carried there rather than given out."""
+    import numpy as np
+
+    mask = (1 << shift) - 1
+    ckey = csum = None
+    for lo in range(0, len(packed), _RUN_BLOCK):
+        block = packed[lo:lo + _RUN_BLOCK]
+        keys = block >> shift
+        starts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+        starts = np.concatenate(([0], starts))
+        sums = np.add.reduceat(block & mask, starts)
+        sums += wlo * np.diff(starts, append=len(block))
+        keys = keys[starts]
+        if ckey == keys[0]:
+            sums[0] += csum
+        elif ckey is not None:
+            keys = np.concatenate(([ckey], keys))
+            sums = np.concatenate(([csum], sums))
+        ckey, csum = keys[-1], sums[-1]
+        keep = sums[:-1] != 0
+        yield keys[:-1][keep], sums[:-1][keep]
+    if csum:
+        yield np.array([ckey]), np.array([csum])
+
+
+def _check_sums(blocks, whole: int) -> int:
+    """The number of keys in the (keys, sums) blocks, whose sums must all be
+    nonnegative multiples of whole: a negative sum anywhere is refused
+    first, then the first key whose sum is not a multiple."""
+    m, negative, bad = 0, False, None
+    for keys, sums in blocks:
+        m += len(sums)
+        negative = negative or sums.min(initial=0) < 0
+        if bad is None and whole != 1:
+            i = (sums % whole).nonzero()[0]
+            if len(i):
+                bad = sums[i[0]], keys[i[0]]
+    if negative:
+        raise ArithmeticError(_NEGATIVE)
+    if bad is not None:
+        raise ArithmeticError(_NOT_WHOLE % (bad[0], bad[1], whole))
+    return m
 
 
 def _axis_rows(c0: int, c2: int, lo: int, step: int, full: bool, kmax: int,

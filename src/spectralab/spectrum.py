@@ -142,8 +142,8 @@ _CHUNK = 65536  # levels per chunk of _Table.columns
 _NEGATIVE = "negative multiplicity in level table"
 # Most eigenvalues a table may be built to hold, by its `bound`: the
 # largest roster table that `conjecture` builds, flat_torus_rect:a=2,b=3/2
-# at t = 1e7, is bounded by 1.216e7, and `spectrum
-# flat_torus_rect:a=101/100,b=1 --max-t 6e7` by 2.456e7.
+# at t = 1e7, holds 9549313, and `spectrum flat_torus_rect:a=101/100,b=1
+# --max-t 6e7` 19289699.
 _LEVEL_CAP = 25_000_000
 
 

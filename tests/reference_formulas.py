@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from spectralab import asymptotics, average, catalog, spectrum
 from spectralab.average import sphere_g
 
 
@@ -77,3 +78,34 @@ def sphere_avg_decomposed(t):
     x = np.sqrt(t + 0.25)
     out = sphere_g(x) + sphere_g1(x) * x / t + sphere_g2(x) / t
     return float(out) if np.ndim(out) == 0 else out
+
+
+def avg_error_grid_whole(spec, ts):
+    """The averaged error over an ascending grid from prefix sums cumulated
+    over the whole table at once, as `average.avg_error_grid` computed it
+    before it streamed them a block of levels at a time."""
+    ts = np.asarray(ts, dtype=np.float64)
+    vals, mults = spectrum.level_arrays(spec, float(ts[-1]))
+    n_pref = np.zeros(vals.size + 1)
+    np.cumsum(mults, dtype=np.float64, out=n_pref[1:])
+    l_pref = np.zeros(vals.size + 1)
+    np.multiply(mults, vals, out=l_pref[1:])
+    np.cumsum(l_pref[1:], out=l_pref[1:])
+    tilde = average._tilde_integral(asymptotics.surface_constants(spec), np.sqrt)
+    idx = np.searchsorted(vals, ts, side="right")
+    out = ts * n_pref[idx]
+    out -= l_pref[idx]
+    out -= tilde(ts)
+    out /= ts
+    return out
+
+
+def window_sup_whole(spec, lo, hi, grid):
+    """`average.window_sup` over the sorted, unique samples of
+    `average.window_samples`, all held at once."""
+    vals, _ = spectrum.level_arrays(spec, hi)
+    ts = average.window_samples(vals, lo, hi, grid)
+    avg = avg_error_grid_whole(spec, ts)
+    if catalog.is_spherical(spec):
+        avg -= average.leading_profile(spec, np.sqrt(ts + 0.25))
+    return float(np.max(np.abs(avg) * ts ** 0.25))

@@ -1,6 +1,7 @@
 """Averaged-error module: the grid route, closed forms, profiles, decay."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 
 from spectralab import asymptotics, average, catalog, cli, exact, oracle, spectrum
 
-from reference_formulas import smooth_count, sphere_avg_closed_form, sphere_avg_decomposed
+from reference_formulas import (avg_error_grid_whole, smooth_count, sphere_avg_closed_form,
+                                sphere_avg_decomposed, window_sup_whole)
 
 
 def spec(label):
@@ -150,6 +152,59 @@ def test_engines_agree_on_grids(label):
             errors.append(str(err.value))
         assert errors[0] == errors[1]
     assert average.avg_error_list(sp, []) == []
+
+
+ROSTER = catalog.verification_roster()
+
+
+def test_streamed_sums_match_the_whole_table_bit_for_bit(monkeypatch):
+    # with blocks of 3 levels and 4 times, the streamed averaged error and
+    # window sup equal the whole-table computation exactly on every roster
+    # surface: at levels, at block edges, next to levels, and below the
+    # first positive level
+    monkeypatch.setattr(average, "_LEVELS", 3)
+    monkeypatch.setattr(average, "_BLOCK", 4)
+    for sp in ROSTER:
+        top = 1000.0 / float(asymptotics.surface_constants(sp).A)
+        vals, _ = spectrum.level_arrays(sp, top)
+        first = vals[vals > 0][0]
+        ts = np.concatenate((
+            np.linspace(first / 4, first, 3, endpoint=False), vals[::5],
+            vals[2::3], vals[3::3], np.nextafter(vals[1::7], np.inf),
+            np.nextafter(vals[2::7], 0), np.geomspace(top / 1000, top, 50)))
+        ts = np.sort(ts[ts > 0])
+        assert np.array_equal(average.avg_error_grid(sp, ts),
+                              avg_error_grid_whole(sp, ts)), sp
+        lo = top / 20
+        grid = np.concatenate((np.geomspace(lo, top, 40), vals[(vals > lo)][::4]))
+        assert average.window_sup(sp, lo, top, grid) == window_sup_whole(
+            sp, lo, top, grid), sp
+
+
+def _traced_peak(fn, *args):
+    """tracemalloc's peak while fn(*args) runs, above what was held before."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_sums_hold_blocks_not_tables(monkeypatch):
+    # the averaged error and the window sup over a table of 24k levels
+    # allocate a few blocks and the grid, not arrays as long as the table
+    monkeypatch.setattr(average, "_LEVELS", 1024)
+    monkeypatch.setattr(average, "_BLOCK", 1024)
+    sp = spec("rectangle:a=1,b=1,bc=N")
+    tb = spectrum._table(sp)
+    assert tb.index(tb.qmax(1e6)) > 20000  # built here: the table is not measured
+    ts = np.geomspace(1.0, 1e6, 2000)
+    grid = np.geomspace(1e5, 1e6, 1200)
+    blocks = 32 * 8 * 1024
+    assert _traced_peak(average.avg_error_grid, sp, ts) < blocks + 8 * 8 * ts.size
+    assert _traced_peak(average.window_sup, sp, 1e5, 1e6, grid) < blocks + 8 * 8 * grid.size
 
 
 def test_independent_quadrature_rectangle():

@@ -414,7 +414,9 @@ def test_side_beyond_float_range_is_usage_error(capsys, argv):
 
 def test_level_budget_guard(capsys, monkeypatch):
     # every table is held to the cap by its bound where it grows, and the
-    # refusal names the surface, the cutoff, the bound and the cap
+    # refusal names the surface, the cutoff, the bound and the cap; the
+    # 80 x 80 torus behind this rectangle has over 2^16 rows at 1e8, so
+    # the bound sums its box and brackets in absolute value
     rc, _, err = run_cli(capsys, "spectrum", "rect:a=40,b=40,bc=N",
                          "--max-t", "1e8")
     assert rc == 2

@@ -429,19 +429,14 @@ def _thin_shape(rng):
 
 
 def test_level_bound_holds_every_table_count():
-    # the bound that _Table.grow holds to the cap is no smaller than the
-    # count: on every flat roster surface, and on thin shapes whose
-    # boundary term outweighs their area term; on a round surface it is
-    # the count itself
+    # the bound that _Table.grow holds to the cap is the count itself: on
+    # every roster surface, and on thin shapes whose boundary term
+    # outweighs their area term
     for spec in catalog.verification_roster():
         tb = spectrum._table(spec)
         for t in (1e2, 1e4, 1e5):
             q = tb.qmax(t)
-            n = count(spec, t, q)
-            if catalog.is_spherical(spec):
-                assert tb.bound(q) == n, (spec, t)
-            else:
-                assert tb.bound(q) >= n, (spec, t)
+            assert tb.bound(q) == count(spec, t, q), (spec, t)
     rng = random.Random(22)
     ratios = []
     for _ in range(48):
@@ -452,8 +447,34 @@ def test_level_bound_holds_every_table_count():
         while tb.bound(tb.qmax(t)) > 50000:  # a table of at most 5e4 levels
             t /= 4
         q = tb.qmax(t)
-        assert tb.bound(q) >= count(spec, t, q), (spec, t)
+        assert tb.bound(q) == count(spec, t, q), (spec, t)
     assert max(ratios) > 1e5
+
+
+def test_exact_bound_admits_what_the_box_refused(monkeypatch):
+    # the MM rectangle at t = 1e8 has 7957761 eigenvalues, under the cap;
+    # its four tori's boxes summed in absolute value gave 91202500, and the
+    # table was refused.  Its torus read at 4e8 holds 127324109.
+    from array import array
+
+    from spectralab import lattice
+
+    built = []
+
+    def build(self, qcap):
+        built.append((self.spec, qcap))
+        return array("q"), array("q"), array("q", [0])
+
+    monkeypatch.setattr(spectrum, "_TABLES", {})
+    monkeypatch.setattr(lattice._LevelTable, "build", build)
+    mm = catalog.rectangle(1, 1, "MM")
+    tb = spectrum._table(mm)
+    assert tb.bound(tb.qmax(1e8)) == 7957761
+    count(mm, 1e8)
+    assert built == [(mm, tb.qmax(1e8))]
+    torus = spectrum._table(catalog.flat_torus_rect(1, 1))
+    with pytest.raises(ValueError, match="up to 127324109 eigenvalues below 4e"):
+        torus.grow(torus.qmax(4e8))
 
 
 @pytest.mark.parametrize("read", [count, level_arrays], ids=lambda f: f.__name__)
@@ -471,21 +492,21 @@ def test_thin_surface_is_refused_by_the_library(read, monkeypatch):
 
 
 def test_growth_stops_at_the_requested_key_below_the_cap(monkeypatch):
-    # the unit torus's box (2 isqrt(q) + 1)^2 first passes 5000 at key
-    # 35^2 = 1225: doubling stops at the requested key below it, and the
+    # the unit torus's count of j^2 + k^2 <= q first passes 5000 at key
+    # 1594 = 2 * 797: doubling stops at the requested key below it, and the
     # key above is refused with the table kept as it was
     monkeypatch.setattr(spectrum, "_TABLES", {})
     monkeypatch.setattr(spectrum, "_LEVEL_CAP", 5000)
     tb = spectrum._table(catalog.flat_torus_rect(1, 1))
-    assert tb.bound(1224) == 69 ** 2 and tb.bound(1225) == 71 ** 2
-    tb.grow(613)
-    assert tb.qcap == 613
-    tb.grow(1224)
-    assert tb.qcap == 1224
+    assert tb.bound(1593) == 4997 and tb.bound(1594) == 5005
+    tb.grow(797)
+    assert tb.qcap == 797
+    tb.grow(1593)
+    assert tb.qcap == 1593
     keys = tb.keys
-    with pytest.raises(ValueError, match="up to 5041 eigenvalues below .*cap of 5000"):
-        tb.grow(1225)
-    assert tb.qcap == 1224 and tb.keys is keys
+    with pytest.raises(ValueError, match="up to 5005 eigenvalues below .*cap of 5000"):
+        tb.grow(1594)
+    assert tb.qcap == 1593 and tb.keys is keys
 
 
 def test_negative_multiplicity_is_refused(monkeypatch):
@@ -670,6 +691,87 @@ def test_engines_agree_on_flat_tables(spec, monkeypatch):
         tb.grow(qcap)
         qcap *= 2
     assert type(tb.keys).__module__ == "numpy"
+
+
+def _random_reduce_rows(rng, whole):
+    """Seeded rows over keys below 60 whose sums come out nonnegative
+    multiples of whole, many of them zero: random rows, runs of one key
+    repeated up to a dozen times, and one correcting entry per key, of
+    either sign."""
+    rows = []
+    for _ in range(rng.randint(1, 6)):
+        k0 = rng.randrange(4)
+        ks = range(k0, k0 + rng.randint(0, 5), rng.choice((1, 2)))
+        rows.append((rng.randrange(10), rng.choice((0, 1, 3)), rng.choice((0, 1)), ks,
+                     rng.choice((-3, -1, 1, 2, 5))))
+    for _ in range(rng.randint(1, 4)):
+        rows.append((rng.randrange(60), 0, 0, range(rng.randint(2, 12)), rng.choice((-2, 1, 3))))
+    sums: dict = {}
+    for c0, c1, c2, ks, w in rows:
+        for k in ks:
+            q = c0 + k * (c1 + c2 * k)
+            sums[q] = sums.get(q, 0) + w
+    for q, v in sums.items():
+        rows.append((q, 0, 0, range(1), whole * rng.choice((0, 0, 1, 4)) - v))
+    rng.shuffle(rows)
+    return rows
+
+
+def _reduced(reduce, *args):
+    try:
+        return _lists(reduce(*args))
+    except ArithmeticError as err:
+        return str(err)
+
+
+def test_blocked_reduce_carries_runs_across_block_edges(monkeypatch):
+    # with blocks of 1, 2 and 3 packed entries, runs of one key span many
+    # blocks and weights cancel across their edges: the numpy engine's
+    # packed route gives the dict engine's table, and the same refusal,
+    # naming the same key, when a sum is made negative or not whole
+    from spectralab import lattice
+
+    rng = random.Random(24)
+    qcap = 10 ** 6  # far above the points: the packed route
+    refusals = set()
+    for block in (1, 2, 3):
+        monkeypatch.setattr(lattice, "_RUN_BLOCK", block)
+        for _ in range(40):
+            div, pair = rng.choice(((1, 1), (1, 2), (2, 1), (4, 2)))
+            rows = _random_reduce_rows(rng, div * pair)
+            py = _reduced(lattice._reduce_py, qcap, rows, div, pair)
+            assert isinstance(py, list)
+            assert _reduced(lattice._reduce_np, qcap, rows, div, pair) == py
+            q = rng.randrange(60)
+            for w in (-1, 1, -3 * div * pair):
+                bad = rows + [(q, 0, 0, range(1), w)]
+                py = _reduced(lattice._reduce_py, qcap, bad, div, pair)
+                assert _reduced(lattice._reduce_np, qcap, bad, div, pair) == py
+                if isinstance(py, str):
+                    refusals.add(py.split(" at key")[0].split(" sum to")[0])
+    assert refusals == {"negative multiplicity in level table", "level weights"}
+
+
+def test_packed_build_holds_the_entries_and_the_table(monkeypatch):
+    # the packed route's traced peak is one int64 per entry, the table it
+    # returns and a few blocks: on rectangle:a=1,b=1,bc=N at t = 1e6, 79.6k
+    # entries reduced to 22k levels
+    from spectralab import lattice
+
+    monkeypatch.setattr(lattice, "_RUN_BLOCK", 2048)
+    tb = lattice._LevelTable(catalog.rectangle(1, 1, "N"))
+    qcap = tb.qmax(1e6)
+    rows = tb.rows(qcap)
+    n = sum(len(r[3]) for r in rows)
+    assert n > 20 * 2048
+    tracemalloc.start()
+    try:
+        table = lattice._reduce_np(qcap, rows, tb.div)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table[0]) > 20000
+    assert peak <= 8 * n + sum(a.nbytes for a in table) + 16 * 8 * 2048
 
 
 def test_engines_agree_on_reduce_inputs():
