@@ -259,15 +259,16 @@ def geodesic_lengths(spec: SurfaceSpec, L_max: float) -> list[float]:
 
 
 def _sector_b_hat(sector: SurfaceSpec, T: float) -> float:
-    """Constant least-squares fit of (N_j(t) - A_j t)/sqrt(t) on [T/10, T]."""
+    """Constant least-squares fit of (N_j(t) - A_j t)/sqrt(t) on [T/10, T] at
+    the `average.window_blocks` samples, each batch counted from its block."""
     a_j = float(asymptotics.surface_constants(sector).A)
-    vals, mults = spectrum.level_arrays(sector, T)
-    prefix = np.concatenate(([0.0], np.cumsum(mults.astype(np.float64))))
     lo = T / 10.0
-    ts = average.window_samples(vals, lo, T, np.linspace(lo, T, 2001))
-    counts = prefix[np.searchsorted(vals, ts, side="right")]
-    y = (counts - a_j * ts) / np.sqrt(ts)
-    return float(np.mean(y))
+    ys = []
+    for ts, (vals, n_pref, _) in average.window_blocks(
+            sector, lo, T, np.linspace(lo, T, 2001)):
+        counts = n_pref[np.searchsorted(vals, ts, side="right")]
+        ys.append((counts - a_j * ts) / np.sqrt(ts))
+    return float(np.mean(np.concatenate(ys)))  # one pairwise sum over every sample
 
 
 def symmetry_proportions(base: str, T) -> list[ProportionReport]:

@@ -18,10 +18,11 @@ powers t^{3/2} are t * sqrt(t), whose steps are correctly rounded in both
 rounding grows with t; avg_error_grid's docstring gives the measured
 bound.  The numpy engine streams its sums from the table's integer keys a
 block of levels at a time (`_prefix_blocks`), carrying the running sums
-from block to block, and so does window_sup, the largest scaled residual
-over a window's samples: beside the table, both hold a few blocks and
-their grid, never an array as long as the table.  numpy is imported by
-the functions that use it, so that the list engine runs without it.
+from block to block, and so do the decade sups, the decay fit and the
+sector fit, which take their window samples from window_blocks: beside
+the table, each holds a few blocks and its grid, never an array as long
+as the table.  numpy is imported by the functions that use it, so that
+the list engine runs without it.
 """
 
 from __future__ import annotations
@@ -171,20 +172,14 @@ def avg_error_list(spec: SurfaceSpec, ts) -> list:
     return out
 
 
-def residual(spec: SurfaceSpec, ts):
-    """|avg_error_grid - leading_profile| over an ascending grid.
-
-    The leading term is subtracted on round surfaces only; on flat ones
-    it is zero and the residual is the averaged error itself.
-    """
+def residual(spec: SurfaceSpec, ts, avg):
+    """|avg - leading_profile| at the times ts, avg the averaged error
+    there, written into avg; on flat surfaces the leading term is zero."""
     import numpy as np
 
-    ts = np.asarray(ts, dtype=np.float64)
-    avg = avg_error_grid(spec, ts)
     if catalog.is_spherical(spec):
         avg -= leading_profile(spec, np.sqrt(ts + 0.25))
-    np.abs(avg, out=avg)
-    return avg
+    return np.abs(avg, out=avg)
 
 
 def _offset(x):
@@ -276,73 +271,64 @@ def g_samples(spec: SurfaceSpec, x_grid):
     return avg_error_grid(spec, xs * xs) * np.sqrt(xs)
 
 
-def window_samples(vals, lo, hi, grid):
-    """Sorted sample times for a sup or a fit over the window [lo, hi].
+def window_blocks(spec: SurfaceSpec, lo: float, hi: float, grid):
+    """The samples of a sup or a fit over the window [lo, hi], a block of
+    levels at a time: N(t) jumps and the averaged error kinks only at
+    levels, so they are the levels strictly inside (lo, hi), the midpoints
+    between neighbouring ones and the grid points in [lo, hi].
 
-    N(t) jumps and the averaged error kinks only at levels, so the samples
-    are the levels vals strictly inside (lo, hi), the midpoints between
-    neighbouring ones and the caller's grid, made unique and clipped to
-    [lo, hi].
-    """
-    import numpy as np
-
-    inside = vals[(vals > lo) & (vals < hi)]
-    mids = 0.5 * (inside[1:] + inside[:-1])
-    # sort and drop repeats: np.unique would load numpy.ma
-    ts = np.sort(np.concatenate((inside, mids, grid)))
-    ts = ts[np.concatenate(([True], ts[1:] != ts[:-1]))]
-    return ts[(ts >= lo) & (ts <= hi)]
-
-
-def window_sup(spec: SurfaceSpec, lo: float, hi: float, grid) -> float:
-    """The largest `residual` times t^{1/4} over the `window_samples` of
-    [lo, hi] with the caller's grid, generated a block of levels at a time.
-
-    Each block of `_prefix_blocks` gives its levels inside the window and
-    the midpoints between them and the last one before, and the grid
-    points below its edge; samples at or above the edge wait for the next
-    block.  A time that comes twice, a grid point on a level or a midpoint,
-    gives the same value twice, and the max over a multiset is the max
-    over its set, so the samples are never sorted or made unique.
+    Yields (ts, block) for each block of `_prefix_blocks` with samples
+    below its edge, ts sorted and unique.  A sample at or above the edge
+    waits for the next block, so a time that comes twice comes in one
+    batch, and the batches joined are the window's samples made unique.
     """
     import numpy as np
 
     lo, hi = float(lo), float(hi)
-    grid = np.sort(np.asarray(grid, dtype=np.float64))
-    grid = grid[(grid >= lo) & (grid <= hi)]
-    tilde = _tilde_integral(asymptotics.surface_constants(spec), np.sqrt)
-    spherical = catalog.is_spherical(spec)
-    best = -np.inf
+    wait = np.asarray(grid, dtype=np.float64)
+    wait = wait[(wait >= lo) & (wait <= hi)]
     last = np.empty(0)  # the last level inside the window so far
-    wait = np.empty(0)
-    j = 0
     for block, edge in _prefix_blocks(spec, hi):
         vals = block[0]
         inside = vals[(vals > lo) & (vals < hi)]
         ends = np.concatenate((last, inside))
         mids = 0.5 * (ends[1:] + ends[:-1])
         last = ends[-1:]
-        k = int(np.searchsorted(grid, edge))
-        ts = np.concatenate((wait, inside, mids, grid[j:k]))
-        j = k
-        now = ts < edge
-        wait, ts = ts[~now], ts[now]
-        if ts.size:
-            r = np.empty_like(ts)
-            _avg_block(ts, block, tilde, r)
-            if spherical:
-                r -= leading_profile(spec, np.sqrt(ts + 0.25))
-            np.abs(r, out=r)
-            best = max(best, float(np.max(r * ts ** 0.25)))
+        ts = np.sort(np.concatenate((wait, inside, mids)))
+        now = int(np.searchsorted(ts, edge))
+        wait, ts = ts[now:].copy(), ts[:now]
+        if ts.size:  # drop repeats: np.unique would load numpy.ma
+            ts = ts[np.concatenate(([True], ts[1:] != ts[:-1]))]
+            yield ts, block  # the sorted array above is not held meanwhile
+
+
+def _window_residuals(spec: SurfaceSpec, lo: float, hi: float, grid):
+    """(ts, `residual` at ts) for each batch of `window_blocks`."""
+    import numpy as np
+
+    tilde = _tilde_integral(asymptotics.surface_constants(spec), np.sqrt)
+    for ts, block in window_blocks(spec, lo, hi, grid):
+        avg = np.empty_like(ts)
+        _avg_block(ts, block, tilde, avg)
+        yield ts, residual(spec, ts, avg)
+
+
+def window_sup(spec: SurfaceSpec, lo: float, hi: float, grid) -> float:
+    """The largest `residual` times t^{1/4} over the `window_blocks`
+    samples of [lo, hi] with the caller's grid."""
+    best = -math.inf
+    for ts, r in _window_residuals(spec, lo, hi, grid):
+        best = max(best, float((r * ts ** 0.25).max()))
+        del ts, r  # else held while the next batch is made
     return best
 
 
 def remainder_exponent(spec: SurfaceSpec, t_lo, t_hi) -> float:
     """Fitted decay slope of the residual averaged error.
 
-    Splits [t_lo, t_hi] into full dyadic windows, takes the max of
-    `residual` over each (sampled at every level, at midpoints
-    between levels, and on a log grid), and least-squares fits log(max)
+    Splits [t_lo, t_hi] into full dyadic windows [edges[i], edges[i+1]),
+    takes the max of `residual` over each (at the `window_blocks` samples
+    with a log grid, a batch at a time), and least-squares fits log(max)
     against log(window center).  The leading term is the scaled sphere
     profile A * g(sqrt(t + 1/4)) for positively curved surfaces and zero
     for flat ones, whose averaged error already decays like t^{-1/4}.
@@ -360,17 +346,11 @@ def remainder_exponent(spec: SurfaceSpec, t_lo, t_hi) -> float:
         raise ValueError(
             f"only {n_win} full dyadic windows in [{t_lo:g}, {t_hi:g}]; need 3")
     edges = t_lo * 2.0 ** np.arange(n_win + 1)
-    vals, _ = spectrum.level_arrays(spec, float(edges[-1]))
-    ts = window_samples(vals, t_lo, edges[-1],
-                        np.geomspace(t_lo, edges[-1], 160 * n_win))
-    resid = residual(spec, ts)
-    xs = []
-    ys = []
-    bounds = np.searchsorted(ts, edges)
-    for i in range(n_win):
-        chunk = resid[bounds[i]:bounds[i + 1]]
-        peak = float(chunk.max()) if chunk.size else 0.0
-        xs.append(0.5 * (math.log(edges[i]) + math.log(edges[i + 1])))
-        ys.append(math.log(max(peak, 1e-300)))
+    peaks = np.zeros(n_win + 1)  # the last takes the samples at edges[-1]
+    grid = np.geomspace(t_lo, edges[-1], 160 * n_win)
+    for ts, r in _window_residuals(spec, t_lo, edges[-1], grid):
+        np.maximum.at(peaks, np.searchsorted(edges, ts, side="right") - 1, r)
+    xs = [0.5 * (math.log(edges[i]) + math.log(edges[i + 1])) for i in range(n_win)]
+    ys = [math.log(max(float(peak), 1e-300)) for peak in peaks[:-1]]
     slope = np.polyfit(np.array(xs), np.array(ys), 1)[0]
     return float(slope)

@@ -315,14 +315,6 @@ def cmd_heat(args) -> int:
 # --- the conjecture pipeline ---
 
 
-def _decade_sup(spec, t_lo: float, t_hi: float) -> float:
-    import numpy as np
-
-    from . import average
-
-    return average.window_sup(spec, t_lo, t_hi, np.geomspace(t_lo, t_hi, 1200))
-
-
 def cmd_conjecture(args) -> int:
     import random
 
@@ -333,7 +325,8 @@ def cmd_conjecture(args) -> int:
     spec = parse_surface(args.spec)
     label = spec.label()
     spherical = catalog.is_spherical(spec)
-    t_top = 1e6 if spherical else 1e7
+    decades = [10.0 ** d for d in range(3, 7 if spherical else 8)]
+    t_top = decades[-1]
     spectrum.count(spec, t_top)  # build the table once, at its largest cutoff
     out = [f"label: {label}"]
     ok_all = True
@@ -353,13 +346,13 @@ def cmd_conjecture(args) -> int:
               abs(mean) <= bound)
 
     # decay of the residual
+    sups = [average.window_sup(spec, lo, hi, np.geomspace(lo, hi, 1200))
+            for lo, hi in zip(decades, decades[1:])]
     if spherical:
         slope = average.remainder_exponent(spec, 1e3, 1e6)
         check(f"decay: exponent {slope:+.6g} in [-0.65,-0.35]",
               -0.65 <= slope <= -0.35)
-        sups = [_decade_sup(spec, 10.0 ** d, 10.0 ** (d + 1)) for d in (3, 4, 5)]
     else:
-        sups = [_decade_sup(spec, 10.0 ** d, 10.0 ** (d + 1)) for d in (3, 4, 5, 6)]
         lo, hi = sorted((sups[0], sups[-1]))
         ratio = hi / lo if lo > 0 else math.inf
         check(f"decay: scaled sups per decade {' '.join('%.6g' % s for s in sups)}, "
@@ -369,7 +362,8 @@ def cmd_conjecture(args) -> int:
     rng = random.Random(args.seed)
     probes = np.array(sorted({1e3 * (t_top / 1e3) ** rng.random()
                               for _ in range(64)}))
-    worst = float(np.max(average.residual(spec, probes) * probes ** 0.25))
+    resid = average.residual(spec, probes, average.avg_error_grid(spec, probes))
+    worst = float(np.max(resid * probes ** 0.25))
     allowed = 1.5 * max(sups)
     check(f"probes (seed {args.seed}): worst scaled residual {worst:.6g} "
           f"within {allowed:.6g}", worst <= allowed)

@@ -167,20 +167,25 @@ class _Table:
     def grow(self, qneed: int) -> None:
         """Hold every level with key <= qneed, rebuilt at twice the size or
         qneed: the arrays are replaced, never resized, so views handed out
-        before stay as they were.  No table is built whose `bound` is over
-        _LEVEL_CAP: the doubled size falls back to qneed, and a qneed over
-        the cap is refused with ValueError before anything is built."""
+        before stay as they were.  A doubled size whose `bound` is over
+        _LEVEL_CAP falls back to qneed, which `check_cap` passes or refuses."""
         if self.qcap < qneed:
             qcap = max(qneed, 256, 2 * self.qcap)
-            bound = self.bound(qcap)
-            if bound > _LEVEL_CAP and qcap > qneed:
-                qcap, bound = qneed, self.bound(qneed)
+            if qcap == qneed or self.bound(qcap) > _LEVEL_CAP:
+                qcap = qneed
+                self.check_cap(qneed)
+            self.keys, self.mults, self.prefix = self.build(qcap)
+            self.qcap = qcap
+
+    def check_cap(self, q: int) -> None:
+        """Refuse with ValueError a growth to key q whose `bound` is over
+        _LEVEL_CAP, naming the surface, the cutoff, the bound and the cap."""
+        if self.qcap < q:
+            bound = self.bound(q)
             if bound > _LEVEL_CAP:
                 raise ValueError(
                     f"{self.spec.label()} may have up to {bound} eigenvalues "
-                    f"below {self.value(qcap):g}, over the cap of {_LEVEL_CAP:g}")
-            self.keys, self.mults, self.prefix = self.build(qcap)
-            self.qcap = qcap
+                    f"below {self.value(q):g}, over the cap of {_LEVEL_CAP:g}")
 
     def decided(self, t, value):
         """value(P, Q) at every end of t's cutoff (`_decided`).  When the
@@ -619,8 +624,9 @@ def closed_form_identity(spec: SurfaceSpec, t) -> CountReport:
     give the table's largest key q, and the table count is
     `count(spec, t, q)`.  A flat surface's compiled form reads q and every
     term's integer off the same ends of rho = t / pi^2 (`_Form.ints`), and
-    must land on an integer, else ArithmeticError.  A round surface's
-    closed form is the window count of t, `_sph_cum` of window q + 1.
+    must land on an integer, else ArithmeticError; no table grows before
+    all it reads pass `_Table.check_cap`.  A round surface's closed form is
+    the window count of t, `_sph_cum` of window q + 1.
     """
     tb = _table(spec)
     if isinstance(tb, _RoundTable):
@@ -628,6 +634,10 @@ def closed_form_identity(spec: SurfaceSpec, t) -> CountReport:
         return CountReport(_t_float(t), count(spec, t, q), _sph_cum(spec, q + 1))
     form = _form(spec, tb)
     q, ks = tb.decided(t, form.ints)
+    tb.check_cap(q)
+    for (_, sub), k in zip(form.weights, ks):
+        if sub is not None:
+            sub.check_cap(k)
     n = count(spec, t, q)
     v = form.const
     for (c, sub), k in zip(form.weights, ks):

@@ -1,6 +1,7 @@
 """Reference formulas the tests check the package against; no package code
 reads them."""
 
+import math
 import operator
 from fractions import Fraction
 
@@ -100,12 +101,56 @@ def avg_error_grid_whole(spec, ts):
     return out
 
 
-def window_sup_whole(spec, lo, hi, grid):
-    """`average.window_sup` over the sorted, unique samples of
-    `average.window_samples`, all held at once."""
-    vals, _ = spectrum.level_arrays(spec, hi)
-    ts = average.window_samples(vals, lo, hi, grid)
+def window_samples(vals, lo, hi, grid):
+    """Sorted sample times for a sup or a fit over the window [lo, hi],
+    all at once: the levels vals strictly inside (lo, hi), the midpoints
+    between neighbouring ones and the grid, made unique and clipped to
+    [lo, hi], as `average.window_blocks` yields them a block at a time."""
+    inside = vals[(vals > lo) & (vals < hi)]
+    mids = 0.5 * (inside[1:] + inside[:-1])
+    ts = np.unique(np.concatenate((inside, mids, grid)))
+    return ts[(ts >= lo) & (ts <= hi)]
+
+
+def _residual_whole(spec, ts):
     avg = avg_error_grid_whole(spec, ts)
     if catalog.is_spherical(spec):
         avg -= average.leading_profile(spec, np.sqrt(ts + 0.25))
-    return float(np.max(np.abs(avg) * ts ** 0.25))
+    return np.abs(avg)
+
+
+def window_sup_whole(spec, lo, hi, grid):
+    """`average.window_sup` over the sorted, unique `window_samples`, all
+    held at once."""
+    vals, _ = spectrum.level_arrays(spec, hi)
+    ts = window_samples(vals, lo, hi, grid)
+    return float(np.max(_residual_whole(spec, ts) * ts ** 0.25))
+
+
+def remainder_exponent_whole(spec, t_lo, t_hi):
+    """`average.remainder_exponent` on the whole window's samples at once,
+    each dyadic window's max over its slice of the sorted samples."""
+    n_win = int(math.floor(math.log(t_hi / t_lo, 2) + 1e-9))
+    edges = t_lo * 2.0 ** np.arange(n_win + 1)
+    vals, _ = spectrum.level_arrays(spec, float(edges[-1]))
+    ts = window_samples(vals, t_lo, edges[-1],
+                        np.geomspace(t_lo, edges[-1], 160 * n_win))
+    resid = _residual_whole(spec, ts)
+    bounds = np.searchsorted(ts, edges)
+    xs, ys = [], []
+    for i in range(n_win):
+        chunk = resid[bounds[i]:bounds[i + 1]]
+        xs.append(0.5 * (math.log(edges[i]) + math.log(edges[i + 1])))
+        ys.append(math.log(max(float(chunk.max()) if chunk.size else 0.0, 1e-300)))
+    return float(np.polyfit(np.array(xs), np.array(ys), 1)[0])
+
+
+def sector_b_hat_whole(sector, T):
+    """`analysis._sector_b_hat` from the whole table's counts at once."""
+    a_j = float(asymptotics.surface_constants(sector).A)
+    vals, mults = spectrum.level_arrays(sector, T)
+    prefix = np.concatenate(([0.0], np.cumsum(mults.astype(np.float64))))
+    lo = T / 10.0
+    ts = window_samples(vals, lo, T, np.linspace(lo, T, 2001))
+    counts = prefix[np.searchsorted(vals, ts, side="right")]
+    return float(np.mean((counts - a_j * ts) / np.sqrt(ts)))

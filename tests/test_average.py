@@ -7,10 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spectralab import asymptotics, average, catalog, cli, exact, oracle, spectrum
+from spectralab import analysis, asymptotics, average, catalog, cli, exact, oracle, spectrum
 
-from reference_formulas import (avg_error_grid_whole, smooth_count, sphere_avg_closed_form,
-                                sphere_avg_decomposed, window_sup_whole)
+from reference_formulas import (avg_error_grid_whole, remainder_exponent_whole,
+                                sector_b_hat_whole, smooth_count, sphere_avg_closed_form,
+                                sphere_avg_decomposed, window_samples, window_sup_whole)
 
 
 def spec(label):
@@ -181,6 +182,46 @@ def test_streamed_sums_match_the_whole_table_bit_for_bit(monkeypatch):
             sp, lo, top, grid), sp
 
 
+@pytest.mark.parametrize("levels", [1, 2, 3])
+def test_window_blocks_join_to_the_whole_window_samples(monkeypatch, levels):
+    # with blocks of 1, 2 and 3 levels, the batches of window_blocks joined
+    # are the sorted, unique samples of the whole window on every roster
+    # surface, with grid points on levels, on midpoints, next to both, on
+    # block edges and on the window's ends
+    monkeypatch.setattr(average, "_LEVELS", levels)
+    for sp in ROSTER:
+        top = 200.0 / float(asymptotics.surface_constants(sp).A)
+        vals, _ = spectrum.level_arrays(sp, top)
+        lo = top / 20
+        mids = 0.5 * (vals[1:] + vals[:-1])
+        grid = np.concatenate((
+            np.geomspace(lo, top, 30), vals[::3], mids[1::4], vals[levels - 1::levels],
+            np.nextafter(vals[::5], np.inf), np.nextafter(vals[1::5], 0),
+            np.nextafter(mids[::6], np.inf), np.nextafter(mids[2::6], 0), [lo, top]))
+        ts = np.concatenate([ts for ts, _ in average.window_blocks(sp, lo, top, grid)])
+        assert np.array_equal(ts, window_samples(vals, lo, top, grid)), sp
+
+
+def test_window_fits_match_the_whole_window_bit_for_bit(monkeypatch):
+    # the decay fit over blocks of 64 levels (a round table at 1e6 has
+    # about a thousand) and the sector fit over blocks of 2 give the floats
+    # of their whole-table computations
+    monkeypatch.setattr(average, "_LEVELS", 64)
+    rounds = [sp for sp in ROSTER if catalog.is_spherical(sp)]
+    assert len(rounds) == 36
+    for sp in rounds:
+        assert average.remainder_exponent(sp, 1e3, 1e6) == remainder_exponent_whole(
+            sp, 1e3, 1e6), sp
+    sp = spec("rectangle:a=1,b=1,bc=N")
+    assert average.remainder_exponent(sp, 100.0, 1e4) == remainder_exponent_whole(
+        sp, 100.0, 1e4)
+    monkeypatch.setattr(average, "_LEVELS", 2)
+    sectors = [sp for sp in ROSTER if sp.family is catalog.Family.SYMMETRY_SECTOR]
+    assert len(sectors) == 24
+    for sp in sectors:
+        assert analysis._sector_b_hat(sp, 1e3) == sector_b_hat_whole(sp, 1e3), sp
+
+
 def _traced_peak(fn, *args):
     """tracemalloc's peak while fn(*args) runs, above what was held before."""
     tracemalloc.start()
@@ -193,8 +234,9 @@ def _traced_peak(fn, *args):
 
 
 def test_streamed_sums_hold_blocks_not_tables(monkeypatch):
-    # the averaged error and the window sup over a table of 24k levels
-    # allocate a few blocks and the grid, not arrays as long as the table
+    # the averaged error, the window sup and the decay fit over a table of
+    # 24k levels allocate a few blocks and the grid, not arrays as long as
+    # the table
     monkeypatch.setattr(average, "_LEVELS", 1024)
     monkeypatch.setattr(average, "_BLOCK", 1024)
     sp = spec("rectangle:a=1,b=1,bc=N")
@@ -205,6 +247,8 @@ def test_streamed_sums_hold_blocks_not_tables(monkeypatch):
     blocks = 32 * 8 * 1024
     assert _traced_peak(average.avg_error_grid, sp, ts) < blocks + 8 * 8 * ts.size
     assert _traced_peak(average.window_sup, sp, 1e5, 1e6, grid) < blocks + 8 * 8 * grid.size
+    fit_grid = 160 * 6  # the decay fit's log grid over six dyadic windows
+    assert _traced_peak(average.remainder_exponent, sp, 1e4, 1e6) < blocks + 8 * 8 * fit_grid
 
 
 def test_independent_quadrature_rectangle():
@@ -433,7 +477,7 @@ def test_sphere_unsubtracted_error_is_flatline():
     # does not decay: its sup is about 1/3 on an early and a late window
     for lo, hi in [(1e3, 2e3), (5e5, 1e6)]:
         vals, _ = spectrum.level_arrays(SPHERE, hi)
-        ts = average.window_samples(vals, lo, hi, np.geomspace(lo, hi, 1000))
+        ts = window_samples(vals, lo, hi, np.geomspace(lo, hi, 1000))
         assert 0.3 <= np.max(np.abs(average.avg_error_grid(SPHERE, ts))) <= 0.4
 
 

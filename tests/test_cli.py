@@ -276,7 +276,7 @@ def test_identical_config_identical_bytes(capsys):
 
 def test_conjecture_passes_for_asserted_families(capsys):
     # length and sha256 of the whole report, captured before the three
-    # level-window samplers became average.window_samples
+    # level-window samplers became one (now average.window_blocks)
     rc, out, _ = run_cli(capsys, "conjecture", "sphere")
     assert rc == 0
     assert out.rstrip().endswith("RESULT: PASS")
@@ -450,6 +450,22 @@ def test_level_budget_guard(capsys, monkeypatch):
     assert "over the cap" in err and "usage:" in err
 
 
+def test_over_cap_closed_form_term_is_refused_before_any_table(capsys, monkeypatch):
+    # the MM rectangle's own table holds 7957761 eigenvalues at 1e8, under
+    # the cap, but its closed form counts the unit torus at 4e8: the count
+    # is refused at the torus before the rectangle's table is built
+    mm = "rectangle:a=1,b=1,bc=MM"
+    monkeypatch.setattr(spectrum, "_TABLES", {})
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "count", mm, "--at", "1e8")
+    assert time.perf_counter() - start < 0.5
+    assert rc == 2
+    assert out == ""
+    assert ("flat_torus_rect:a=1,b=1 may have up to 127324109 eigenvalues "
+            "below 4e+08, over the cap") in err
+    assert spectrum._table(catalog.parse_spec(mm)).qcap == -1
+
+
 THIN = "rectangle:a=1/1000000,b=1000000,bc=N"
 
 
@@ -522,9 +538,11 @@ def test_chunks_write_one_table(capsys):
 
 # --- golden bytes: stdout captured from the commit before the CSV writer
 # formatted whole rows at once (proportions hex_torus: from the commit
-# before the level-window samplers became average.window_samples; count
-# lune and spectrum sphere: from the commit before round tables became
-# window-count lists) ---
+# before the level-window samplers became one, now average.window_blocks;
+# count lune and spectrum sphere: from the commit before round tables
+# became window-count lists; the half lunes and proportions square_n at
+# 1e5: from the commit before the decay fit and the sector fit read
+# window_blocks) ---
 
 GOLDEN = {
     ("count", "rectangle:a=3/2,b=1,bc=NM", "--at", "100,7/3,1e3"):
@@ -643,6 +661,42 @@ GOLDEN = {
         "freq matched 8 of 8 top peaks\n"
         "freq comparison: report only for this surface\n"
         "RESULT: PASS\n",
+    # the decay line is remainder_exponent's fit, without a sawtooth on
+    # m = 3 and with one of weight -1/4 on m = 2 (`_alternating_weight`)
+    ("conjecture", "half_lune:m=3,bc_side=N,bc_equator=D", "--seed", "3"):
+        "label: half_lune:m=3,bc_side=N,bc_equator=D\n"
+        "check mean [100,200]: -1.0577e-05 within 0.05 -> ok\n"
+        "check mean [200,400]: -1.37646e-05 within 0.025 -> ok\n"
+        "check mean [400,800]: -6.99527e-05 within 0.0125 -> ok\n"
+        "check decay: exponent -0.474157 in [-0.65,-0.35] -> ok\n"
+        "check probes (seed 3): worst scaled residual 0.044187 within 0.0914598 -> ok\n"
+        "freq top peaks: 6.12 6.2 6.28 6.38 6.44 6.5 12.56 18.86\n"
+        "geodesic lengths: 2.0944 4.18879 6.28319 8.37758 10.472 12.5664 14.6608 "
+        "16.7552 18.8496 20.944 23.0383 25.1327 27.2271 29.3215\n"
+        "freq matched 3 of 8 top peaks\n"
+        "freq comparison: report only for this surface\n"
+        "RESULT: PASS\n",
+    ("conjecture", "half_lune:m=2,bc_side=N,bc_equator=D", "--seed", "3"):
+        "label: half_lune:m=2,bc_side=N,bc_equator=D\n"
+        "check mean [100,200]: -6.46203e-06 within 0.05 -> ok\n"
+        "check mean [200,400]: -2.60698e-05 within 0.025 -> ok\n"
+        "check mean [400,800]: -0.000104253 within 0.0125 -> ok\n"
+        "check decay: exponent -0.505395 in [-0.65,-0.35] -> ok\n"
+        "check probes (seed 3): worst scaled residual 0.0184569 within 0.0289542 -> ok\n"
+        "freq top peaks: 2.92 2.98 3.06 3.14 3.24 3.3 6.28 9.42\n"
+        "geodesic lengths: 3.14159 6.28319 9.42478 12.5664 15.708 18.8496 21.9911 "
+        "25.1327 28.2743\n"
+        "freq matched 3 of 8 top peaks\n"
+        "freq comparison: report only for this surface\n"
+        "RESULT: PASS\n",
+    # the sector fit over the windows of a 1e5 table
+    ("proportions", "square_n", "--max-t", "1e5"):
+        "irrep,measured,predicted,b_sign,b_hat\n"
+        "++,0.12912428677747456,0.125,1,0.13827921765327264\n"
+        "+-,0.12552716447531631,0.125,1,0.056976832509072907\n"
+        "-+,0.12465889357479534,0.125,1,0.023321624589394914\n"
+        "--,0.12106177127263706,0.125,-1,-0.055567768419358197\n"
+        "2,0.49962788389977675,0.5,1,0.16121653976572739\n",
 }
 
 
