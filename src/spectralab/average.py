@@ -194,8 +194,10 @@ def sphere_g(x):
     import numpy as np
 
     r = _offset(np.asarray(x, dtype=np.float64))
-    out = 1.0 / 6.0 - 2.0 * r * r
-    return float(out) if out.ndim == 0 else out
+    return 1.0 / 6.0 - 2.0 * r * r
+
+
+_WEIGHTS: dict = {}
 
 
 def _alternating_weight(spec: SurfaceSpec) -> float:
@@ -211,8 +213,11 @@ def _alternating_weight(spec: SurfaceSpec) -> float:
     a = (W(k + 2P) - 2 W(k + P) + W(k)) / 2P^2 and
     beta(k) = (W(k + P) - W(k)) / P - a (2k + P).  On every family here
     the deviation is alternating or zero; any other shape raises
-    ArithmeticError.
+    ArithmeticError.  A constant of the surface, cached per spec.
     """
+    w = _WEIGHTS.get(spec)
+    if w is not None:
+        return w
     P = 4 * spec.m
     k0 = 4 * P
     W = [spectrum._sph_cum(spec, k) for k in range(k0, k0 + 2 * P + 1)]
@@ -224,7 +229,9 @@ def _alternating_weight(spec: SurfaceSpec) -> float:
         raise ArithmeticError(
             "the window counts of %s deviate from their mean slope by more "
             "than an alternating sign" % (spec,))
-    return float(-2 * dev[0])  # dev = c (-1)^{k+1} is -c at k = k0, even
+    # dev = c (-1)^{k+1} is -c at k = k0, even
+    w = _WEIGHTS[spec] = float(-2 * dev[0])
+    return w
 
 
 def leading_profile(spec: SurfaceSpec, x):
@@ -232,21 +239,21 @@ def leading_profile(spec: SurfaceSpec, x):
 
     A_weyl * g(x) plus, where the window counts force one, the alternating
     sawtooth described in _alternating_weight.  Zero for flat surfaces,
-    whose averaged error already decays.
+    whose averaged error already decays.  numpy values: a float64 array
+    shaped as x, 0-dim or a numpy float64 for a number.
     """
     import numpy as np
 
     x = np.asarray(x, dtype=np.float64)
     if not catalog.is_spherical(spec):
-        out = np.zeros_like(x)
-        return float(out) if out.ndim == 0 else out
+        return np.zeros_like(x)
     out = float(asymptotics.surface_constants(spec).A) * sphere_g(x)
     w = _alternating_weight(spec)
     if w:
         k = np.floor(x + 0.5)
         sign = np.where(np.mod(k, 2.0) == 1.0, 1.0, -1.0)
         out = out + w * sign * (x - k)
-    return float(out) if out.ndim == 0 else out
+    return out
 
 
 def g_samples(spec: SurfaceSpec, x_grid):

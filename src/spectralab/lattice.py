@@ -58,21 +58,14 @@ class _LevelTable(_Table):
     def bound(self, q: int) -> int:
         """The number of eigenvalues with key <= q, at rho = unit * q.  A
         torus counts its lattice points by rows (`_points`); any other
-        table evaluates its closed form (`spectrum._form`) at rho, a signed
-        sum of brackets and torus counts that is the count itself.  Where a
-        torus gives its box instead, the form sums the absolute values of
-        the constant and of each term's coefficient times its bracket or
-        its torus's box or count, over the common denominator: no smaller
-        than the count."""
+        table evaluates its closed form at rho without growing a table
+        (`spectrum._Form.total`): the count itself, or, where a torus gives
+        its box, a sum of absolute values no smaller than the count."""
         if self.spec.family in (Family.FLAT_TORUS_RECT, Family.FLAT_TORUS_HEX):
             return self._points(q)[0]
         form = _form(self.spec, self)
         _, ks = form.ints(*_pq(self.unit * q))
-        terms = [(c, (k, True) if sub is None else sub._points(k))
-                 for (c, sub), k in zip(form.weights, ks)]
-        if all(exact for _, (_, exact) in terms):
-            return (form.const + sum(c * n for c, (n, _) in terms)) // form.den
-        return (abs(form.const) + sum(abs(c) * n for c, (n, _) in terms)) // form.den
+        return form.total(ks, False) // form.den
 
     def _points(self, q: int) -> tuple:
         """(n, exact) for a torus's lattice points with key <= q: their

@@ -18,8 +18,9 @@ linear form cached on its table: a common denominator, a constant, counts
 of tables (tori, the hexagonal lattice) at fixed rational rescalings of
 the cutoff, and brackets floor(sqrt(c2 rho) + shift),
 rho = t / pi^2, with c2 and shift held as integer pairs.  A query is then
-integer isqrt and floor division only.  A round closed form is the
-window count itself.
+integer isqrt and floor division only, and one method sums the form
+(`_Form.total`), for `closed_form_identity` and for a flat table's
+`bound` alike.  A round closed form is the window count itself.
 `closed_form_identity` reports both numbers side by side;
 `oracle.check_equivalence` compares them against a third, structurally
 different enumeration.
@@ -168,24 +169,20 @@ class _Table:
         """Hold every level with key <= qneed, rebuilt at twice the size or
         qneed: the arrays are replaced, never resized, so views handed out
         before stay as they were.  A doubled size whose `bound` is over
-        _LEVEL_CAP falls back to qneed, which `check_cap` passes or refuses."""
+        _LEVEL_CAP falls back to qneed, and qneed itself, when its bound is
+        over the cap, is refused with ValueError naming the surface, the
+        cutoff, the bound and the cap."""
         if self.qcap < qneed:
             qcap = max(qneed, 256, 2 * self.qcap)
             if qcap == qneed or self.bound(qcap) > _LEVEL_CAP:
                 qcap = qneed
-                self.check_cap(qneed)
+                bound = self.bound(qneed)
+                if bound > _LEVEL_CAP:
+                    raise ValueError(
+                        f"{self.spec.label()} may have up to {bound} eigenvalues "
+                        f"below {self.value(qneed):g}, over the cap of {_LEVEL_CAP:g}")
             self.keys, self.mults, self.prefix = self.build(qcap)
             self.qcap = qcap
-
-    def check_cap(self, q: int) -> None:
-        """Refuse with ValueError a growth to key q whose `bound` is over
-        _LEVEL_CAP, naming the surface, the cutoff, the bound and the cap."""
-        if self.qcap < q:
-            bound = self.bound(q)
-            if bound > _LEVEL_CAP:
-                raise ValueError(
-                    f"{self.spec.label()} may have up to {bound} eigenvalues "
-                    f"below {self.value(q):g}, over the cap of {_LEVEL_CAP:g}")
 
     def decided(self, t, value):
         """value(P, Q) at every end of t's cutoff (`_decided`).  When the
@@ -549,6 +546,30 @@ class _Form:
                 self.terms.append((r * r * p * q, q, s, r))
             self.weights.append((c, sub))
 
+    def total(self, ks, grow: bool) -> int:
+        """den * N at the term integers ks of `ints`: the constant plus each
+        term's coefficient times its bracket or its torus's count at its
+        key k.  A torus reads its table where the table holds k, or, with
+        grow, where the table can grow to k within _LEVEL_CAP; else it
+        counts its lattice points by rows (`lattice._LevelTable._points`).
+        A torus past `lattice._BOUND_ROWS` rows gives only its box there:
+        with grow its table then refuses it (`_Table.grow`), and without
+        grow the sum is of the absolute values of the constant and of every
+        term instead, no smaller than den * N."""
+        v, w, exact = self.const, abs(self.const), True
+        for (c, sub), k in zip(self.weights, ks):
+            if sub is not None:
+                if sub.qcap < k:
+                    n, whole = sub._points(k)
+                    if grow and not (whole and n > _LEVEL_CAP):
+                        n = sub.count_upto(k)
+                    k, exact = n, exact and whole
+                else:
+                    k = sub.count_upto(k)
+            v += c * k
+            w += abs(c) * k
+        return v if exact else w
+
     def ints(self, P: int, Q: int) -> tuple:
         """At rho = P / Q: the largest key of the form's own table, and the
         list of every term's integer, a table key or a bracket."""
@@ -624,9 +645,11 @@ def closed_form_identity(spec: SurfaceSpec, t) -> CountReport:
     give the table's largest key q, and the table count is
     `count(spec, t, q)`.  A flat surface's compiled form reads q and every
     term's integer off the same ends of rho = t / pi^2 (`_Form.ints`), and
-    must land on an integer, else ArithmeticError; no table grows before
-    all it reads pass `_Table.check_cap`.  A round surface's closed form is
-    the window count of t, `_sph_cum` of window q + 1.
+    must land on an integer, else ArithmeticError.  Only the surface's own
+    table is held to the cap, by the table count, before `_Form.total`
+    reads a term: a torus over the cap is counted by rows.  A round
+    surface's closed form is the window count of t, `_sph_cum` of window
+    q + 1.
     """
     tb = _table(spec)
     if isinstance(tb, _RoundTable):
@@ -634,14 +657,8 @@ def closed_form_identity(spec: SurfaceSpec, t) -> CountReport:
         return CountReport(_t_float(t), count(spec, t, q), _sph_cum(spec, q + 1))
     form = _form(spec, tb)
     q, ks = tb.decided(t, form.ints)
-    tb.check_cap(q)
-    for (_, sub), k in zip(form.weights, ks):
-        if sub is not None:
-            sub.check_cap(k)
     n = count(spec, t, q)
-    v = form.const
-    for (c, sub), k in zip(form.weights, ks):
-        v += c * (k if sub is None else sub.count_upto(k))
+    v = form.total(ks, True)
     if v % form.den:
         raise ArithmeticError(
             "closed form for %s at %r is non-integral: %s"

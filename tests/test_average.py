@@ -409,6 +409,16 @@ def test_leading_profile_projective_sawtooth():
     assert np.allclose(average.leading_profile(ps, x), want, atol=1e-12)
 
 
+@pytest.mark.parametrize("label", ["sphere", "projective_sphere", "mobius_band:a=1,b=1,bc=D"])
+def test_leading_profile_of_a_number_is_that_of_an_array(label):
+    # a scalar x gives the value a one-element array gives, on the sphere,
+    # on the projective sphere's sawtooth and on a flat surface
+    for x in (300.0, 300.3, 17.7):
+        one = average.leading_profile(spec(label), x)
+        assert np.ndim(one) == 0
+        assert float(one) == average.leading_profile(spec(label), np.array([x]))[0], x
+
+
 def test_projective_profile_tracks_measured_average():
     ps = spec("projective_sphere")
     ts = np.linspace(900.0, 1100.0, 2000)
@@ -449,9 +459,25 @@ def test_sawtooth_weight_over_the_roster():
 def test_sawtooth_weight_refuses_other_slopes(monkeypatch):
     # a slope that wobbles with period 3 is no alternating sawtooth
     cum = spectrum._sph_cum
+    monkeypatch.setattr(average, "_WEIGHTS", {})
     monkeypatch.setattr(spectrum, "_sph_cum", lambda s, k: cum(s, k) + k * (k % 3))
     with pytest.raises(ArithmeticError):
         average._alternating_weight(SPHERE)
+
+
+def test_sawtooth_weight_is_read_once_per_surface(monkeypatch):
+    # the weight is a constant of the surface: a decay fit over 5-level
+    # blocks, a batch of samples each, reads its 2P + 1 window counts once
+    hemi = spec("hemisphere:bc=N")
+    spectrum.count(hemi, 1e6)
+    asymptotics.surface_constants(hemi)
+    calls = []
+    cum = spectrum._sph_cum
+    monkeypatch.setattr(average, "_WEIGHTS", {})
+    monkeypatch.setattr(average, "_LEVELS", 5)
+    monkeypatch.setattr(spectrum, "_sph_cum", lambda s, k: calls.append(k) or cum(s, k))
+    average.remainder_exponent(hemi, 1e3, 1e6)
+    assert 0 < len(calls) <= 2 * 4 * hemi.m + 1
 
 
 SLOPE_LABELS = [

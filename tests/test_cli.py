@@ -1,9 +1,11 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -450,20 +452,41 @@ def test_level_budget_guard(capsys, monkeypatch):
     assert "over the cap" in err and "usage:" in err
 
 
-def test_over_cap_closed_form_term_is_refused_before_any_table(capsys, monkeypatch):
-    # the MM rectangle's own table holds 7957761 eigenvalues at 1e8, under
-    # the cap, but its closed form counts the unit torus at 4e8: the count
-    # is refused at the torus before the rectangle's table is built
-    mm = "rectangle:a=1,b=1,bc=MM"
+ROWS_CAP = 3000  # eigenvalues: each surface below fits, a torus it reads does not
+
+
+@pytest.mark.parametrize("label", [
+    "rectangle:a=1,b=1,bc=MM", "right_iso_triangle:a=1,bc=MD",
+    "mobius_band:a=1,b=1,bc=N", "symmetry_sector:base=square_n,irrep=2",
+])
+def test_over_cap_closed_form_term_is_counted_by_rows(label, capsys, monkeypatch):
+    # with the cap lowered, the surface's own table (at most 1613
+    # eigenvalues below 2e4) fits it, but its closed form reads tori of up
+    # to 25477 there: a torus term over the cap is counted by rows rather
+    # than refused, its table stays under the cap, and both columns are
+    # the enumerated prefix
     monkeypatch.setattr(spectrum, "_TABLES", {})
-    start = time.perf_counter()
-    rc, out, err = run_cli(capsys, "count", mm, "--at", "1e8")
-    assert time.perf_counter() - start < 0.5
-    assert rc == 2
-    assert out == ""
-    assert ("flat_torus_rect:a=1,b=1 may have up to 127324109 eigenvalues "
-            "below 4e+08, over the cap") in err
-    assert spectrum._table(catalog.parse_spec(mm)).qcap == -1
+    monkeypatch.setattr(spectrum, "_LEVEL_CAP", ROWS_CAP)
+    spec = catalog.parse_spec(label)
+    brute = oracle.brute_levels(spec, 20000)
+    prefix = list(itertools.accumulate(m for _, m in brute))
+    rng = random.Random(26)
+    over = 0
+    for _ in range(40):
+        i = rng.randrange(len(brute) // 2, len(brute) - 1)
+        jump = rng.random() < 0.5
+        rho = brute[i][0] if jump else (brute[i][0] + brute[i + 1][0]) / 2
+        rep = spectrum.closed_form_identity(spec, spectrum.ExactTime(rho))
+        assert rep.count == rep.closed_form == prefix[i], (rho, rep)
+        form = spectrum._table(spec).form
+        _, ks = form.ints(rho.numerator, rho.denominator)
+        over += any(sub is not None and sub.qcap < k for (_, sub), k in zip(form.weights, ks))
+    assert over
+    assert all(int(tb.prefix[-1]) <= ROWS_CAP for tb in spectrum._TABLES.values())
+    # the CLI answers too, where it refused a torus over the cap before
+    rc, out, err = run_cli(capsys, "count", label, "--at", "2e4")
+    assert rc == 0 and err == ""
+    assert out == f"t,count,closed_form\n20000,{prefix[-1]},{prefix[-1]}\n"
 
 
 THIN = "rectangle:a=1/1000000,b=1000000,bc=N"

@@ -560,6 +560,47 @@ def test_each_table_is_reduced_from_its_own_rows(monkeypatch):
         assert [s for s, tb in spectrum._TABLES.items() if tb.qcap >= 0] == [spec]
 
 
+def _torus_terms(spec):
+    form = spectrum._form(spec, spectrum._table(spec))
+    return [sub for _, sub in form.weights if sub not in (None, spectrum._table(spec))]
+
+
+def test_torus_term_by_rows_equals_its_table(monkeypatch):
+    # every flat roster surface whose closed form reads a torus, at seeded
+    # jump and midpoint cutoffs below 1e4 as `oracle.check_equivalence`
+    # draws them: with the cap lowered to the surface's own count, a torus
+    # term over it is counted by rows (`_Form.total`), and the reports are
+    # those of its table at the default cap.  There, the closed form at a
+    # level is the table's `bound` at its key, the same sum without growth.
+    specs = [s for s in catalog.verification_roster()
+             if not catalog.is_spherical(s) and _torus_terms(s)]
+    assert len(specs) > 40
+    for spec in specs:
+        levels_ = [k for k, _ in oracle.brute_levels(spec, 10 ** 4)]
+        rng = random.Random(spec.label())
+        cutoffs = []
+        for _ in range(24):
+            i = rng.randrange(len(levels_) - 1)
+            jump = rng.random() < 0.5
+            cutoffs.append(ET(levels_[i] if jump else (levels_[i] + levels_[i + 1]) / 2))
+        cutoffs.append(ET(levels_[-1]))
+        reports, by_rows = [], []
+        for cap in (count(spec, 10 ** 4), spectrum._LEVEL_CAP):
+            monkeypatch.setattr(spectrum, "_TABLES", {})
+            monkeypatch.setattr(spectrum, "_LEVEL_CAP", cap)
+            reports.append([closed_form_identity(spec, t) for t in cutoffs])
+            tb = spectrum._table(spec)
+            _, ks = tb.form.ints(*spectrum._pq(cutoffs[-1].rho))
+            by_rows.append(any(sub is not None and sub.qcap < k
+                               for (_, sub), k in zip(tb.form.weights, ks)))
+            assert all(int(sub.prefix[-1]) <= cap for sub in _torus_terms(spec)), spec
+        assert reports[0] == reports[1], spec
+        assert by_rows == [True, False], spec
+        for t, rep in zip(cutoffs, reports[1]):
+            if t.rho in levels_:
+                assert rep.closed_form == tb.bound(tb.qmax(t)), (spec, t)
+
+
 def test_every_table_belongs_to_a_catalog_surface(monkeypatch):
     # the Moebius closed forms count on catalog tori
     monkeypatch.setattr(spectrum, "_TABLES", {})
