@@ -6,11 +6,13 @@ is the flat kind of `spectrum._Table`, which grows and reads it.  Every
 table is reduced from its own weighted lattice rows (`_plan_flat`): one
 that counts on another surface's lattice (the flat projective plane, the
 tetrahedra, the symmetry sectors) adds rows to that lattice's rows rather
-than reading its table.  `_reduce` picks one of two engines by the number
-of entries it must expand: a small table is summed in a dict into stdlib
-`array('q')`, a large one on int64 numpy arrays.  `_Table` reads both
-types through what they share, so only the numpy engine and
-`_Table.arrays` import numpy.
+than reading its table.  A plan yields its rows lazily, along the side
+with fewer indices, and the same rows both bound a table (`bound`, their
+weights summed unexpanded, what the cap is held to) and build it.
+`_reduce` picks one of two engines by the number of entries it must
+expand: a small table is summed in a dict into stdlib `array('q')`, a
+large one on int64 numpy arrays.  `_Table` reads both types through what
+they share, so only the numpy engine and `_Table.arrays` import numpy.
 """
 
 from __future__ import annotations
@@ -18,12 +20,12 @@ from __future__ import annotations
 import math
 from array import array
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import gcd, isqrt
 
 from . import catalog
 from .catalog import Family, SurfaceSpec
-from .spectrum import _NEGATIVE, _Table, _form, _pq, _rho_ends
+from .spectrum import _NEGATIVE, _Table, _pq, _rho_ends
 
 # Entries up to which _reduce sums in a dict, where importing numpy would
 # cost more than the table: every table of `verify` at t = 1e4 (at most
@@ -33,10 +35,10 @@ from .spectrum import _NEGATIVE, _Table, _form, _pq, _rho_ends
 # rectangle:a=1,b=1,bc=N at t = 1e7 numpy takes 0.04 s, a dict 0.55 s.
 _PY_ENTRIES = 1 << 15
 
-# Most rows a torus counts its points in for a table's `bound`, about 35 ms
-# of isqrt: a torus of more rows holds over 2e9 levels, a disk of radius
-# 2^15 in its index plane, so its looser box can only refuse what the
-# exact count would.
+# Most rows a table's `bound` sums before it refuses the table.  Rows run
+# along the side with fewer indices, so a plan of r rows holds at least
+# 0.043 r^2 eigenvalues on every flat roster surface and thin shape tried,
+# and refusing past 2^16 rows needs only r^2 * _LEVEL_CAP / 2^32, 0.0058 r^2.
 _BOUND_ROWS = 1 << 16
 
 
@@ -55,41 +57,17 @@ class _LevelTable(_Table):
         # a 2-dim sector's levels come in pairs: an odd count is refused
         return _reduce(qcap, self.rows(qcap), self.div, 2 if self.spec.irrep == "2" else 1)
 
-    def bound(self, q: int) -> int:
-        """The number of eigenvalues with key <= q, at rho = unit * q.  A
-        torus counts its lattice points by rows (`_points`); any other
-        table evaluates its closed form at rho without growing a table
-        (`spectrum._Form.total`): the count itself, or, where a torus gives
-        its box, a sum of absolute values no smaller than the count."""
-        if self.spec.family in (Family.FLAT_TORUS_RECT, Family.FLAT_TORUS_HEX):
-            return self._points(q)[0]
-        form = _form(self.spec, self)
-        _, ks = form.ints(*_pq(self.unit * q))
-        return form.total(ks, False) // form.den
-
-    def _points(self, q: int) -> tuple:
-        """(n, exact) for a torus's lattice points with key <= q: their
-        number, counted row by row, or with more than _BOUND_ROWS rows the
-        box that holds them, |j| <= a sqrt(rho) and |k| <= b sqrt(rho) on
-        the periods 2a, 2b, |n1|, |n2| <= sqrt(4q/3) on the hexagonal
-        lattice."""
-        if self.spec.family is Family.FLAT_TORUS_HEX:
-            rows = 2 * isqrt(4 * q // 3) + 1
-            if rows > _BOUND_ROWS:
-                return rows * rows, False
-            return sum(len(r[3]) for r in _hex_norm_rows(q)), True
-        # j^2 / s^2 + k^2 / u^2 <= rho = P / Q, by rows j along the
-        # shorter side s: |k| <= floor(sqrt((rho - j^2 / s^2) u^2))
-        P, Q = _pq(self.unit * q)
-        s, u = sorted((self.spec.a, self.spec.b))
-        A, B = P * s.numerator ** 2, Q * s.denominator ** 2
-        J = isqrt(A // B)
-        if 2 * J + 1 > _BOUND_ROWS:
-            K = isqrt(P * u.numerator ** 2 // (Q * u.denominator ** 2))
-            return (2 * J + 1) * (2 * K + 1), False
-        Y = Q * s.numerator ** 2 * u.denominator ** 2
-        C = Y * u.numerator ** 2
-        return sum(2 * (isqrt((A - B * j * j) * C) // Y) + 1 for j in range(-J, J + 1)), True
+    def bound(self, q: int):
+        """The number of eigenvalues with key <= q, exactly what build(q)
+        would hold: the weights of rows(q) summed over their entries, over
+        div.  None past _BOUND_ROWS rows, which hold more than the cap."""
+        n = 0
+        for i, (_, _, _, ks, w) in enumerate(self.rows(q)):
+            if i == _BOUND_ROWS:
+                return None
+            # len() of a row past sys.maxsize entries would overflow
+            n += w * max(0, -((ks.start - ks.stop) // ks.step))
+        return n // self.div
 
     ends = staticmethod(_rho_ends)
 
@@ -124,6 +102,7 @@ def _reduce(qcap: int, rows, div: int, pair: int = 1):
     Up to _PY_ENTRIES row entries are summed on Python integers
     (`_reduce_py`), more on numpy (`_reduce_np`); both give the same table.
     """
+    rows = list(rows)
     n = sum(len(r[3]) for r in rows)
     engine = _reduce_py if n <= _PY_ENTRIES else _reduce_np
     return engine(qcap, rows, div, pair)
@@ -320,15 +299,18 @@ def _plan_product(a: Fraction, b: Fraction, xset: str, yset: str):
     V = (yscale * qb * pa) ** 2
     g = gcd(U, V)
     unit = Fraction(g, 4 * pa * pa * pb * pb)
-    Ug, Vg = U // g, V // g
+    x, y = (U // g, xlo, xstep, xtor), (V // g, ylo, ystep, ytor)
+    # the keys U j^2 + V k^2 are symmetric in the axes: rows run along the
+    # one with fewer indices j <= sqrt(qcap / U) in steps of step
+    if x[0] * x[2] ** 2 < y[0] * y[2] ** 2:
+        x, y = y, x
+    (Ug, xlo, xstep, xtor), (Vg, ylo, ystep, ytor) = x, y
 
     def rows(qcap):
-        rows = []
         for j in range(xlo, isqrt(qcap // Ug) + 1, xstep):
             c0 = Ug * j * j
-            rows += _axis_rows(c0, Vg, ylo, ystep, ytor,
-                               isqrt((qcap - c0) // Vg), 2 if xtor and j else 1)
-        return rows
+            yield from _axis_rows(c0, Vg, ylo, ystep, ytor,
+                                  isqrt((qcap - c0) // Vg), 2 if xtor and j else 1)
 
     return unit, rows, 1
 
@@ -345,37 +327,39 @@ def _plan_mobius(a: Fraction, b: Fraction, klo: int):
     Ug, Vg = U // g, V // g
 
     def rows(qcap):
-        rows = []
-        for j in range(isqrt(qcap // Ug) + 1):
-            c0 = Ug * j * j
-            ks = range(klo + j % 2, isqrt((qcap - c0) // Vg) + 1, 2)
-            rows.append((c0, 0, Vg, ks, 2 if j else 1))
-        return rows
+        # along the axis with fewer indices, j <= sqrt(qcap / Ug) or
+        # k <= sqrt(qcap / Vg)
+        if Ug >= Vg:
+            for j in range(isqrt(qcap // Ug) + 1):
+                c0 = Ug * j * j
+                ks = range(klo + j % 2, isqrt((qcap - c0) // Vg) + 1, 2)
+                yield c0, 0, Vg, ks, 2 if j else 1
+        else:  # j = k - klo mod 2, over +-j
+            for k in range(klo, isqrt(qcap // Vg) + 1):
+                c0 = Vg * k * k
+                yield from _axis_rows(c0, Ug, (k - klo) % 2, 2, True,
+                                      isqrt((qcap - c0) // Ug), 1)
 
     return unit, rows, 1
 
 
-def _hex_norm_rows(qcap: int) -> list:
+def _hex_norm_rows(qcap: int):
     """Rows of n1^2 - n1 n2 + n2^2 <= qcap over (n1, n2) in Z^2."""
-    rows = []
     for n1 in range(-isqrt(4 * qcap // 3), isqrt(4 * qcap // 3) + 1):
         # q <= qcap  <=>  |2 n2 - n1| <= sqrt(4 qcap - 3 n1^2)
         s = isqrt(4 * qcap - 3 * n1 * n1)
-        rows.append((n1 * n1, -n1, 1, range(-((s - n1) // 2), (n1 + s) // 2 + 1), 1))
-    return rows
+        yield n1 * n1, -n1, 1, range(-((s - n1) // 2), (n1 + s) // 2 + 1), 1
 
 
-def _pair_rows(qcap: int, c: int, lo: int, step: int, diag) -> list:
+def _pair_rows(qcap: int, c: int, lo: int, step: int, diag):
     """Rows of m^2 + c mn + n^2 <= qcap over m = lo, lo+step, ... and n from
     lo (diag None) or from m + diag, in steps of step."""
-    rows = []
     for m in range(lo, isqrt(qcap) + 1, step):
         # m^2 + c mn + n^2 <= qcap  <=>
         # n <= (sqrt(4 qcap - (4 - c^2) m^2) - c m) / 2
         nmax = (isqrt(4 * qcap - (4 - c * c) * m * m) - c * m) // 2
         n0 = lo if diag is None else m + diag
-        rows.append((m * m, c * m, 1, range(n0, nmax + 1, step), 1))
-    return rows
+        yield m * m, c * m, 1, range(n0, nmax + 1, step), 1
 
 
 def _plan_right_iso(a: Fraction, bc: str):
@@ -397,15 +381,15 @@ def _plan_right_iso(a: Fraction, bc: str):
             lambda qcap: _pair_rows(qcap, 0, lo, 2, diag), 1)
 
 
-def _fpp_rows(qcap: int) -> list:
+def _fpp_rows(qcap: int):
     """Flat projective plane, four times over: the unit square torus's
     shells r2(q), +-4 on the even and odd squares and 3 more at key 0,
     whose shell is the origin alone."""
     s = isqrt(qcap)
-    return _plan_flat(catalog.flat_torus_rect(1, 1))[1](qcap) + [
+    return chain(_plan_flat(catalog.flat_torus_rect(1, 1))[1](qcap), [
         (0, 0, 0, range(1), 3),
         (0, 0, 4, range(1, s // 2 + 1), 4),  # (2i)^2
-        (1, 4, 4, range((s + 1) // 2), -4)]  # (2i+1)^2
+        (1, 4, 4, range((s + 1) // 2), -4)])  # (2i+1)^2
 
 
 def _plan_half_tetra(bc: str):
@@ -414,10 +398,10 @@ def _plan_half_tetra(bc: str):
     def rows(qcap):
         # four times the count: r(q), plus 1 at q = 0, plus sign * 2 on the
         # squares and three times the squares (sign * 1 each at q = 0)
-        return _hex_norm_rows(qcap) + [
+        return chain(_hex_norm_rows(qcap), [
             (0, 0, 0, range(1), 1 + 2 * sign),
             (0, 0, 1, range(1, isqrt(qcap) + 1), 2 * sign),
-            (0, 0, 3, range(1, isqrt(qcap // 3) + 1), 2 * sign)]
+            (0, 0, 3, range(1, isqrt(qcap // 3) + 1), 2 * sign)])
 
     return Fraction(4, 3), rows, 4
 
@@ -442,8 +426,8 @@ def _plan_sector2(spec: SurfaceSpec):
     factors = [(int(f), rows, sign) for f, rows, sign in factors]
 
     def rows(qcap):
-        return [(f * c0, f * c1, f * c2, ks, sign * w) for f, part, sign in factors
-                for c0, c1, c2, ks, w in part(qcap // f)]
+        return ((f * c0, f * c1, f * c2, ks, sign * w) for f, part, sign in factors
+                for c0, c1, c2, ks, w in part(qcap // f))
 
     return common, rows, 1
 
@@ -483,7 +467,7 @@ def _plan_flat(spec: SurfaceSpec):
         # half of each hexagonal shell, key 0 (the constant mode, the
         # origin's shell of one) once
         return (Fraction(4, 3),
-                lambda qcap: _hex_norm_rows(qcap) + [(0, 0, 0, range(1), 1)], 2)
+                lambda qcap: chain(_hex_norm_rows(qcap), [(0, 0, 0, range(1), 1)]), 2)
     if f == Family.HALF_TETRAHEDRON:
         return _plan_half_tetra(spec.bc)
     if f == Family.SYMMETRY_SECTOR:

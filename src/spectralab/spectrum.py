@@ -10,17 +10,18 @@ a degree N, a flat one (`lattice`) an integer q.  Only occupied keys are
 held, in stdlib `array('q')` or, for a large flat table, int64 numpy
 arrays, so memory follows the number of levels, not the size of the grid
 up to the cutoff.  Every table grows in `_Table.grow`, which refuses one
-whose integer `bound` on the count is over _LEVEL_CAP before building
-it.  The closed-form route evaluates the
-floor-bracket identities for N(t), jump discontinuities included.  Each
-flat surface's identity is compiled once, on first use, into an integer
-linear form cached on its table: a common denominator, a constant, counts
-of tables (tori, the hexagonal lattice) at fixed rational rescalings of
-the cutoff, and brackets floor(sqrt(c2 rho) + shift),
-rho = t / pi^2, with c2 and shift held as integer pairs.  A query is then
-integer isqrt and floor division only, and one method sums the form
-(`_Form.total`), for `closed_form_identity` and for a flat table's
-`bound` alike.  A round closed form is the window count itself.
+whose `bound`, the count it would hold, is over _LEVEL_CAP before
+building it: a round table's window count, or the weights of a flat
+table's own lattice rows summed without expanding them.  The closed-form
+route evaluates the floor-bracket identities for N(t), jump
+discontinuities included.  Each flat surface's identity is compiled once,
+on first use, into an integer linear form cached on its table: a common
+denominator, a constant, counts of tables (tori, the hexagonal lattice)
+at fixed rational rescalings of the cutoff, and brackets
+floor(sqrt(c2 rho) + shift), rho = t / pi^2, with c2 and shift held as
+integer pairs.  A query is then integer isqrt and floor division only,
+and one method sums the form (`_Form.total`).  A round closed form is the
+window count itself.
 `closed_form_identity` reports both numbers side by side;
 `oracle.check_equivalence` compares them against a third, structurally
 different enumeration.
@@ -152,12 +153,12 @@ class _Table:
     """The levels of one surface: sorted integer keys, their nonzero
     multiplicities mults and prefix[i], the sum of the first i of them, all
     `array('q')` or all int64 numpy arrays, with every key <= qcap present.
-    A kind supplies `build(qcap)` (the arrays), `bound(q)` (an integer no
-    smaller than the number of eigenvalues with key <= q), `ends(t)` (t's
-    cutoff as exact integer pairs, `_decided`), `key_at(P, Q)` (the
-    largest key whose eigenvalue is <= the cutoff at one end), `value(k)`
-    (that eigenvalue in float64), `key(k)` (the exact key) and
-    `printed(k)` (the key as written)."""
+    A kind supplies `build(qcap)` (the arrays), `bound(q)` (the number of
+    eigenvalues with key <= q, or None where a flat table has too many rows
+    to sum), `ends(t)` (t's cutoff as exact integer pairs, `_decided`),
+    `key_at(P, Q)` (the largest key whose eigenvalue is <= the cutoff at
+    one end), `value(k)` (that eigenvalue in float64), `key(k)` (the exact
+    key) and `printed(k)` (the key as written)."""
 
     __slots__ = ("spec", "keys", "mults", "prefix", "qcap", "form")
 
@@ -169,18 +170,25 @@ class _Table:
         """Hold every level with key <= qneed, rebuilt at twice the size or
         qneed: the arrays are replaced, never resized, so views handed out
         before stay as they were.  A doubled size whose `bound` is over
-        _LEVEL_CAP falls back to qneed, and qneed itself, when its bound is
-        over the cap, is refused with ValueError naming the surface, the
-        cutoff, the bound and the cap."""
+        _LEVEL_CAP (or None: too many rows to sum) falls back to qneed, and
+        qneed itself, when its bound is as well, is refused with ValueError
+        naming the surface, the cutoff, the bound or the row limit, and the
+        cap."""
         if self.qcap < qneed:
             qcap = max(qneed, 256, 2 * self.qcap)
-            if qcap == qneed or self.bound(qcap) > _LEVEL_CAP:
-                qcap = qneed
-                bound = self.bound(qneed)
-                if bound > _LEVEL_CAP:
-                    raise ValueError(
-                        f"{self.spec.label()} may have up to {bound} eigenvalues "
-                        f"below {self.value(qneed):g}, over the cap of {_LEVEL_CAP:g}")
+            bound = self.bound(qcap)
+            if qcap > qneed and (bound is None or bound > _LEVEL_CAP):
+                qcap, bound = qneed, self.bound(qneed)
+            if bound is None or bound > _LEVEL_CAP:
+                if bound is None:
+                    from .lattice import _BOUND_ROWS
+
+                    size = f"has over {_BOUND_ROWS} rows of levels"
+                else:
+                    size = f"may have up to {bound} eigenvalues"
+                raise ValueError(
+                    f"{self.spec.label()} {size} below {self.value(qneed):g}, "
+                    f"over the cap of {_LEVEL_CAP:g}")
             self.keys, self.mults, self.prefix = self.build(qcap)
             self.qcap = qcap
 
@@ -546,29 +554,20 @@ class _Form:
                 self.terms.append((r * r * p * q, q, s, r))
             self.weights.append((c, sub))
 
-    def total(self, ks, grow: bool) -> int:
+    def total(self, ks) -> int:
         """den * N at the term integers ks of `ints`: the constant plus each
         term's coefficient times its bracket or its torus's count at its
-        key k.  A torus reads its table where the table holds k, or, with
-        grow, where the table can grow to k within _LEVEL_CAP; else it
-        counts its lattice points by rows (`lattice._LevelTable._points`).
-        A torus past `lattice._BOUND_ROWS` rows gives only its box there:
-        with grow its table then refuses it (`_Table.grow`), and without
-        grow the sum is of the absolute values of the constant and of every
-        term instead, no smaller than den * N."""
-        v, w, exact = self.const, abs(self.const), True
+        key k.  A torus reads its table where the table holds k or can grow
+        to k within _LEVEL_CAP, and its `bound` at k, the same count summed
+        over its rows, where the table would pass the cap; a torus whose
+        rows are too many to sum is refused by its table (`_Table.grow`)."""
+        v = self.const
         for (c, sub), k in zip(self.weights, ks):
             if sub is not None:
-                if sub.qcap < k:
-                    n, whole = sub._points(k)
-                    if grow and not (whole and n > _LEVEL_CAP):
-                        n = sub.count_upto(k)
-                    k, exact = n, exact and whole
-                else:
-                    k = sub.count_upto(k)
+                n = sub.bound(k) if sub.qcap < k else 0
+                k = sub.count_upto(k) if n is None or n <= _LEVEL_CAP else n
             v += c * k
-            w += abs(c) * k
-        return v if exact else w
+        return v
 
     def ints(self, P: int, Q: int) -> tuple:
         """At rho = P / Q: the largest key of the form's own table, and the
@@ -647,9 +646,9 @@ def closed_form_identity(spec: SurfaceSpec, t) -> CountReport:
     term's integer off the same ends of rho = t / pi^2 (`_Form.ints`), and
     must land on an integer, else ArithmeticError.  Only the surface's own
     table is held to the cap, by the table count, before `_Form.total`
-    reads a term: a torus over the cap is counted by rows.  A round
-    surface's closed form is the window count of t, `_sph_cum` of window
-    q + 1.
+    reads a term: a torus over the cap is read by its `bound`, the sum of
+    its rows.  A round surface's closed form is the window count of t,
+    `_sph_cum` of window q + 1.
     """
     tb = _table(spec)
     if isinstance(tb, _RoundTable):
@@ -658,7 +657,7 @@ def closed_form_identity(spec: SurfaceSpec, t) -> CountReport:
     form = _form(spec, tb)
     q, ks = tb.decided(t, form.ints)
     n = count(spec, t, q)
-    v = form.total(ks, True)
+    v = form.total(ks)
     if v % form.den:
         raise ArithmeticError(
             "closed form for %s at %r is non-integral: %s"

@@ -416,13 +416,12 @@ def test_side_beyond_float_range_is_usage_error(capsys, argv):
 
 def test_level_budget_guard(capsys, monkeypatch):
     # every table is held to the cap by its bound where it grows, and the
-    # refusal names the surface, the cutoff, the bound and the cap; the
-    # 80 x 80 torus behind this rectangle has over 2^16 rows at 1e8, so
-    # the bound sums its box and brackets in absolute value
+    # refusal names the surface, the cutoff, the bound and the cap; this
+    # rectangle has over 2^16 rows at 1e8, which are refused unsummed
     rc, _, err = run_cli(capsys, "spectrum", "rect:a=40,b=40,bc=N",
                          "--max-t", "1e8")
     assert rc == 2
-    assert ("rectangle:a=40,b=40,bc=N may have up to 16211400976 eigenvalues "
+    assert ("rectangle:a=40,b=40,bc=N has over 65536 rows of levels "
             "below 1e+08, over the cap of 2.5e+07") in err
 
     # verify is refused before it enumerates anything
@@ -450,6 +449,35 @@ def test_level_budget_guard(capsys, monkeypatch):
     assert rc == 2
     assert out == ""
     assert "over the cap" in err and "usage:" in err
+
+
+@pytest.mark.parametrize("label", [
+    "rectangle:a=100000,b=1/100000,bc=N", "rectangle:a=1/100000,b=100000,bc=N",
+])
+def test_thin_rectangle_answers_in_either_orientation(label, capsys, monkeypatch):
+    # 2013169 eigenvalues below 4000, all of them modes along the long
+    # side: its table lays its rows along the short side, whichever it is
+    monkeypatch.setattr(spectrum, "_TABLES", {})
+    rc, out, err = run_cli(capsys, "count", label, "--at", "4000")
+    assert (rc, err) == (0, "")
+    assert out == "t,count,closed_form\n4000,2013169,2013169\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["rectangle:a=1e200,b=1e200,bc=N", "--at", "1"],
+    ["right_iso_triangle:a=1e200,bc=N", "--at", "1"],
+    ["symmetry_sector:base=square_n,irrep=2", "--at", "1e40"],
+    ["flat_torus_hex", "--at", "1e30"],
+], ids=lambda argv: argv[0].split(":")[0])
+def test_astronomically_long_rows_are_refused(argv, capsys, monkeypatch):
+    # rows of more entries than sys.maxsize, more rows than the bound
+    # sums: refused at the cap at once, with no row expanded
+    monkeypatch.setattr(spectrum, "_TABLES", {})
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "count", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (rc, out) == (2, "")
+    assert "has over 65536 rows of levels below" in err and "over the cap" in err
 
 
 ROWS_CAP = 3000  # eigenvalues: each surface below fits, a torus it reads does not

@@ -451,6 +451,44 @@ def test_level_bound_holds_every_table_count():
     assert max(ratios) > 1e5
 
 
+def test_row_guard_is_sound():
+    # a flat table's bound refuses it past _BOUND_ROWS rows unsummed, which
+    # holds when r rows carry at least r^2 * _LEVEL_CAP / _BOUND_ROWS^2
+    # eigenvalues: rows run along the side with fewer indices, so a thin
+    # shape has a few long rows and not many short ones.  The bound is the
+    # count the table would hold (test above).
+    from spectralab import lattice
+
+    need = spectrum._LEVEL_CAP / lattice._BOUND_ROWS ** 2
+    specs = [s for s in catalog.verification_roster() if not catalog.is_spherical(s)]
+    rng = random.Random(22)
+    specs += [_thin_shape(rng) for _ in range(60)]
+    for spec in specs:
+        tb = lattice._LevelTable(spec)
+        q = 1
+        while sum(1 for _ in tb.rows(q)) < 200:
+            q *= 4
+        for q in (q, 16 * q):
+            rows = sum(1 for _ in tb.rows(q))
+            assert tb.bound(q) >= rows * rows * need, (spec, q, rows)
+
+
+@pytest.mark.parametrize("spec", [
+    catalog.cylinder(10 ** 5, F(1, 10 ** 5), "N"),
+    catalog.mobius_band(10 ** 5, F(1, 10 ** 5), "N"),
+], ids=lambda spec: spec.family.value)
+def test_surface_long_in_a_is_laid_along_b(spec, monkeypatch):
+    # at t = 4000 its 2013169 eigenvalues are the modes along a with none
+    # across b: one row on the short side b; laid along a, they would be a
+    # million one-entry rows with a key coefficient beyond int64
+    monkeypatch.setattr(spectrum, "_TABLES", {})
+    tb = spectrum._table(spec)
+    q = tb.qmax(4000)
+    assert sum(1 for _ in tb.rows(q)) <= 2
+    rep = closed_form_identity(spec, 4000)
+    assert rep.count == rep.closed_form == tb.bound(q) == 2013169
+
+
 def test_exact_bound_admits_what_the_box_refused(monkeypatch):
     # the MM rectangle at t = 1e8 has 7957761 eigenvalues, under the cap;
     # its four tori's boxes summed in absolute value gave 91202500, and the
@@ -537,7 +575,7 @@ def test_tetrahedron_shells_must_halve(monkeypatch):
 
     def odd_shell(qcap):
         # one more point on the shell of key 3
-        return hex_rows(qcap) + [(3, 0, 0, range(1), 1)]
+        return list(hex_rows(qcap)) + [(3, 0, 0, range(1), 1)]
 
     monkeypatch.setattr(spectrum, "_TABLES", {})
     assert count(catalog.tetrahedron_surface(), 100) > 0
@@ -621,7 +659,7 @@ def test_two_dim_sector_counts_must_pair(monkeypatch):
     pair_rows = lattice._pair_rows
 
     def one_short(qcap, c, *args):
-        rows = pair_rows(qcap, c, *args)
+        rows = list(pair_rows(qcap, c, *args))
         if c == 0:
             c0, c1, c2, ks, w = rows[0]
             rows[0] = (c0, c1, c2, ks[1:], w)
@@ -802,7 +840,7 @@ def test_packed_build_holds_the_entries_and_the_table(monkeypatch):
     monkeypatch.setattr(lattice, "_RUN_BLOCK", 2048)
     tb = lattice._LevelTable(catalog.rectangle(1, 1, "N"))
     qcap = tb.qmax(1e6)
-    rows = tb.rows(qcap)
+    rows = list(tb.rows(qcap))
     n = sum(len(r[3]) for r in rows)
     assert n > 20 * 2048
     tracemalloc.start()
@@ -821,7 +859,7 @@ def test_engines_agree_on_reduce_inputs():
     from spectralab import lattice
 
     # m^2 + mn + n^2 <= 60 over m, n >= 0, whose rows use c0, c1 and c2
-    hexes = lattice._pair_rows(60, 1, 0, 1, None)
+    hexes = list(lattice._pair_rows(60, 1, 0, 1, None))
 
     def scaled(f, w):
         return [(f * c0, f * c1, f * c2, ks, w) for c0, c1, c2, ks, _ in hexes]
