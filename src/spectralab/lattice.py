@@ -85,7 +85,10 @@ class _LevelTable(_Table):
         return self.unit * k
 
     def printed(self, k) -> str:
-        return str(Fraction(k * self.unit.numerator, self.unit.denominator))
+        # str(Fraction(k * unit)), without building the Fraction
+        num, den = k * self.unit.numerator, self.unit.denominator
+        g = gcd(num, den)
+        return str(num // g) if den == g else f"{num // g}/{den // g}"
 
 
 def _reduce(qcap: int, rows, div: int, pair: int = 1):
@@ -200,7 +203,10 @@ def _reduce_np(qcap: int, rows, div: int, pair: int = 1):
             packed[i:i + len(ks)] = ks
             sums[i:i + len(ss)] = ss
             i += len(ks)
-        packed.resize(m)
+        # no view of packed outlives the loop (its blocks are consumed, the
+        # keys given out are copies), so the refcheck, which a profiler's
+        # own reference to the array trips, is not needed
+        packed.resize(m, refcheck=False)
         keys = packed
     if div != 1:
         sums //= div

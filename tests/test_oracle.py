@@ -2,6 +2,7 @@ import ast
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -120,6 +121,98 @@ def test_check_equivalence_subset_of_roster():
         T = 150.0 if not catalog.is_spherical(spec) else 350.0
         rep = oracle.check_equivalence(spec, T, n_times=40, seed=7)
         assert rep.ok, (spec, rep.detail)
+
+
+# --- the sweep: one query per distinct sampled cutoff ------------------------
+
+
+def _sweep_cutoffs(spec, T, n_times, seed):
+    """The enumerated levels and, draw by draw, the (level, jump) drawn,
+    its cutoff as closed_form_identity takes it and the enumerated count
+    there: the jump at a level's key, the midpoint halfway to the next."""
+    brute = oracle.brute_levels(spec, F(T))
+    spherical = catalog.is_spherical(spec)
+    rhos = [F(key * (key + 1)) if spherical else key for key, _ in brute]
+    prefix = list(accumulate(m for _, m in brute))
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(n_times):
+        i = rng.randrange(len(brute))
+        jump = rng.random() < 0.5 or i == len(brute) - 1
+        t = rhos[i] if jump else (rhos[i] + rhos[i + 1]) / 2
+        draws.append(((i, jump), t if spherical else spectrum.ExactTime(t), prefix[i]))
+    return brute, draws
+
+
+def _draw_by_draw(spec, T, n_times, seed):
+    """check_equivalence as a query at every draw, repeats included."""
+    brute, draws = _sweep_cutoffs(spec, T, n_times, seed)
+    assert spectrum.levels(spec, F(T)) == brute
+    for n, ((i, jump), t, want) in enumerate(draws):
+        rep = spectrum.closed_form_identity(spec, t)
+        if rep.count != want or rep.closed_form != want:
+            where = f"{'jump' if jump else 'midpoint'} {i}: enumerated {want}"
+            detail = (f"count at {where}, spectrum {rep.count}" if rep.count != want
+                      else f"closed form at {where}, formula {rep.closed_form}")
+            return oracle.EquivalenceReport(spec.label(), len(brute), n, False, detail)
+    return oracle.EquivalenceReport(spec.label(), len(brute), n_times, True, "pass")
+
+
+def _sweep_surfaces():
+    roster = catalog.verification_roster()
+    picked = random.Random(28).sample(roster, 10)
+    picked.append(next(s for s in roster if catalog.is_spherical(s)))
+    picked.append(next(s for s in roster if s.family == catalog.Family.SYMMETRY_SECTOR
+                       and catalog.sector_dims(s.base)[s.irrep] == 2))
+    return picked
+
+
+def _sweep_cutoff_t(spec):
+    return 1e5 if catalog.is_spherical(spec) else 1500
+
+
+@pytest.mark.parametrize("spec", _sweep_surfaces(), ids=lambda s: s.label())
+def test_sweep_reports_what_a_query_per_draw_reports(spec):
+    T = _sweep_cutoff_t(spec)
+    _, draws = _sweep_cutoffs(spec, T, 2000, 3)
+    assert len({d[0] for d in draws}) < 2000  # the draws repeat cutoffs
+    assert oracle.check_equivalence(spec, T, n_times=2000, seed=3) == _draw_by_draw(spec, T, 2000, 3)
+
+
+@pytest.mark.parametrize("spec", _sweep_surfaces()[-2:], ids=lambda s: s.label())
+def test_sweep_fails_at_the_draw_a_query_per_draw_fails_at(spec, monkeypatch):
+    # the closed form is made off by one at the first new cutoff drawn
+    # after a repeat, so skipping the repeat must not shift the draw index
+    T = _sweep_cutoff_t(spec)
+    _, draws = _sweep_cutoffs(spec, T, 2000, 3)
+    seen = set()
+    for n, (cut, t, _) in enumerate(draws):
+        if cut not in seen and len(seen) < n:
+            break
+        seen.add(cut)
+    assert cut not in seen and len(seen) < n
+    real = spectrum.closed_form_identity
+
+    def tampered(s, at):
+        rep = real(s, at)
+        return rep._replace(closed_form=rep.closed_form - 1) if at == t else rep
+
+    monkeypatch.setattr(spectrum, "closed_form_identity", tampered)
+    want = _draw_by_draw(spec, T, 2000, 3)
+    assert not want.ok and want.times_checked == n and want.detail.startswith("closed form")
+    assert oracle.check_equivalence(spec, T, n_times=2000, seed=3) == want
+
+
+@pytest.mark.parametrize("spec", _sweep_surfaces()[-2:], ids=lambda s: s.label())
+def test_sweep_queries_each_distinct_cutoff_once(spec, monkeypatch):
+    T = _sweep_cutoff_t(spec)
+    _, draws = _sweep_cutoffs(spec, T, 2000, 3)
+    real = spectrum.closed_form_identity
+    calls = []
+    monkeypatch.setattr(spectrum, "closed_form_identity",
+                        lambda s, at: calls.append(at) or real(s, at))
+    assert oracle.check_equivalence(spec, T, n_times=2000, seed=3).times_checked == 2000
+    assert calls == list(dict.fromkeys(t for _, t, _ in draws))
 
 
 # --- fault injection: a wrong formula must actually be caught --------------

@@ -853,6 +853,47 @@ def test_packed_build_holds_the_entries_and_the_table(monkeypatch):
     assert peak <= 8 * n + sum(a.nbytes for a in table) + 16 * 8 * 2048
 
 
+def test_packed_build_survives_a_profiler():
+    # a profiler that hooks C calls holds a reference to the packed array
+    # while it is shrunk in place: the build must give the same table
+    import cProfile
+
+    from spectralab import lattice
+
+    tb = lattice._LevelTable(catalog.cylinder(1, 1, "N"))
+    qcap = 10 ** 6
+    rows = list(tb.rows(qcap))
+    assert qcap + 1 > sum(len(r[3]) * abs(r[4]) for r in rows)  # the packed route
+    plain = _lists(lattice._reduce_np(qcap, rows, tb.div))
+    prof = cProfile.Profile()
+    prof.enable()
+    try:
+        profiled = _lists(lattice._reduce_np(qcap, rows, tb.div))
+    finally:
+        prof.disable()
+    assert profiled == plain
+
+
+def test_printed_keys_are_their_fractions_written_out():
+    # printed(k) writes the key's rho without building it: the same text as
+    # str(Fraction) on the keys of flat roster tables and rational shapes
+    from spectralab import lattice
+
+    rng = random.Random(87)
+    specs = FLAT_TABLES[::4] + [_thin_shape(rng) for _ in range(16)]
+    checked = 0
+    for spec in specs:
+        tb = lattice._LevelTable(spec)
+        t = 1e4
+        while tb.bound(tb.qmax(t)) > 20000:
+            t /= 4
+        keys = tb.build(tb.qmax(t))[0].tolist()
+        checked += len(keys)
+        for k in [0] + keys:
+            assert tb.printed(k) == str(F(k * tb.unit.numerator, tb.unit.denominator)), (spec, k)
+    assert checked > 20000
+
+
 def test_engines_agree_on_reduce_inputs():
     from array import array
 
