@@ -9,25 +9,27 @@ leading profile g is `sphere_g`; the tests hold both against
 avg_error_grid and each other (tests/reference_formulas.py).
 
 Every averaged error comes from float64 prefix sums of the level table,
-on one of two engines: avg_error_grid on numpy arrays, and
-avg_error_list on Python floats, for the CLI's `avg` on a short grid over
-a table on Python integers, where importing numpy would cost more than
-the sums.  Both run the same operations in the same order, and their
-powers t^{3/2} are t * sqrt(t), whose steps are correctly rounded in both
-(numpy's `power` is not libm's `pow`), so they agree bit for bit.  The
-rounding grows with t; avg_error_grid's docstring gives the measured
-bound.  The numpy engine streams its sums from the table's integer keys a
-block of levels at a time (`_prefix_blocks`), carrying the running sums
-from block to block, and so do the decade sups, the decay fit and the
-sector fit, which take their window samples from window_blocks: beside
-the table, each holds a few blocks and its grid, never an array as long
-as the table.  numpy is imported by the functions that use it, so that
-the list engine runs without it.
+on one of two engines: avg_error_grid on numpy arrays, and Python floats.
+avg_error_list picks the engine: Python floats for a grid of at most
+_PY_POINTS times over a table held in `array('q')`, where importing numpy
+would cost more than the sums, else avg_error_grid.  Both run the same
+operations in the same order, and their powers t^{3/2} are t * sqrt(t),
+whose steps are correctly rounded in both (numpy's `power` is not libm's
+`pow`), so they agree bit for bit.  The rounding grows with t;
+avg_error_grid's docstring gives the measured bound.  The numpy engine
+streams its sums from the table's integer keys a block of levels at a
+time (`_prefix_blocks`), carrying the running sums from block to block,
+and so do the decade sups, the decay fit and the sector fit, which take
+their window samples from window_blocks: beside the table, each holds a
+few blocks and its grid, never an array as long as the table.  numpy is
+imported by the functions that use it, so that the Python engine runs
+without it.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
@@ -62,6 +64,11 @@ def _tilde_integral(rc: asymptotics.RefinedAsymptotics, sqrt):
 
 _BLOCK = 65536  # times per block of the averaged error's temporaries
 _LEVELS = 1 << 15  # levels per block of `_prefix_blocks`
+# Most times that avg_error_list sums in Python floats: about 1 us a time,
+# 4.1-4.6 ms at 4001 times and 62-65 ms at 65536 (sphere and a rational
+# rectangle), against about 165 ms for the numpy import, so the crossover
+# lies past 10^5 times.
+_PY_POINTS = 1 << 16
 
 
 def _prefix_blocks(spec: SurfaceSpec, T: float):
@@ -146,13 +153,15 @@ def avg_error_grid(spec: SurfaceSpec, ts):
 
 
 def avg_error_list(spec: SurfaceSpec, ts) -> list:
-    """avg_error_grid on Python floats, bit for bit, without numpy.
+    """avg_error_grid as a list of floats, bit for bit, without numpy
+    where it can: a grid of at most _PY_POINTS times over a table held in
+    `array('q')` is summed in Python floats, anything else by
+    avg_error_grid.
 
-    The levels are `spectrum.level_lists`, with the values of
-    `level_arrays`; the prefix sums are sequential, as numpy's cumsum is,
+    The values are the table's `value` of each key, as `_prefix_blocks`
+    takes them; the prefix sums are sequential, as numpy's cumsum is,
     bisect_right stands for searchsorted(side="right") and each time runs
-    avg_error_grid's operations in its order.  About 1 us a time: worth it
-    on a short grid over a table on Python integers (`cli._PY_POINTS`).
+    avg_error_grid's operations in its order.
     """
     ts = list(map(float, ts))
     if not all(t > 0 for t in ts):
@@ -161,14 +170,19 @@ def avg_error_list(spec: SurfaceSpec, ts) -> list:
         raise ValueError("grid must be ascending")
     if not ts:
         return []
-    vals, mults = spectrum.level_lists(spec, ts[-1])
+    tb = spectrum._table(spec)
+    i = tb.index(tb.qmax(ts[-1]))
+    if len(ts) > _PY_POINTS or not isinstance(tb.keys, array):
+        return avg_error_grid(spec, ts).tolist()
+    value, mults = tb.value, tb.mults[:i]
+    vals = [value(float(k)) for k in tb.keys[:i]]
     n_pref = list(accumulate(map(float, mults), initial=0.0))
     l_pref = list(accumulate(map(mul, mults, vals), initial=0.0))
     tilde = _tilde_integral(asymptotics.surface_constants(spec), math.sqrt)
     out = []
     for t in ts:
-        i = bisect_right(vals, t)
-        out.append((t * n_pref[i] - l_pref[i] - tilde(t)) / t)
+        j = bisect_right(vals, t)
+        out.append((t * n_pref[j] - l_pref[j] - tilde(t)) / t)
     return out
 
 
@@ -348,7 +362,9 @@ def remainder_exponent(spec: SurfaceSpec, t_lo, t_hi) -> float:
         raise ValueError("need t_lo > 0")
     if t_hi < 4.0 * t_lo:
         raise ValueError("need t_hi >= 4 * t_lo")
-    n_win = int(math.floor(math.log(t_hi / t_lo, 2) + 1e-9))
+    n_win = 0  # the largest n with t_lo * 2^n <= t_hi: doubling is exact
+    while t_lo * 2.0 ** (n_win + 1) <= t_hi:
+        n_win += 1
     if n_win < 3:
         raise ValueError(
             f"only {n_win} full dyadic windows in [{t_lo:g}, {t_hi:g}]; need 3")

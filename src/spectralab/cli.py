@@ -34,12 +34,6 @@ _FAMILY_ALIASES = {
 # command, `freq sphere --window 100:200 --omega 1:15707:1000000`, peaks
 # at 386 MB
 _GRID_MAX = 10**6
-# Most points for which `avg` sums a table on Python integers in Python
-# floats (average.avg_error_list) instead of importing numpy: about 1 us a
-# point, 4.1-4.6 ms at 4001 points and 62-65 ms at 65536 (sphere and a
-# rational rectangle), against about 165 ms for the numpy import, so the
-# crossover lies past 10^5 points.
-_PY_POINTS = 1 << 16
 
 _FREQ_TOL = 0.05
 # peak sets asserted by the conjecture command; every other surface gets
@@ -220,12 +214,7 @@ def cmd_avg(args) -> int:
     spec = parse_surface(args.spec)
     lo, hi, n = _parse_grid(args.grid, "--grid")
     ts = _grid(lo, hi, n, args.log)
-    # both engines give the same floats; numpy is imported only for a
-    # long grid or a table that is already on numpy
-    if n <= _PY_POINTS and spectrum.in_python(spec, ts[-1]):
-        avg = average.avg_error_list(spec, ts)
-    else:
-        avg = average.avg_error_grid(spec, ts).tolist()
+    avg = average.avg_error_list(spec, ts)
     if catalog.is_spherical(spec):
         gx = [math.sqrt(t + 0.25) for t in ts]
         g_est = avg

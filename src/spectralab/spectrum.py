@@ -28,8 +28,8 @@ different enumeration.
 
 `level_columns` hands the CLI's writer the levels in chunks of _CHUNK
 rows formatted from the integer keys, so that a dump holds little beyond
-the table however many levels it writes.  It, `level_arrays` and
-`level_lists` take their values from one formula per kind (`value`).
+the table however many levels it writes.  It and `level_arrays` take
+their values from one formula per kind (`value`).
 
 Cutoffs may be given as plain numbers (int, float, Fraction) or as an
 `ExactTime`, which pins down cutoffs of the form rho * pi^2 that no float
@@ -242,17 +242,6 @@ class _Table:
         mults = np.asarray(self.mults)[:i]
         mults.flags.writeable = False
         return self.value(np.asarray(self.keys)[:i].astype(np.float64)), mults
-
-    def lists(self, q: int):
-        """`arrays` as a list of floats and a list of ints."""
-        i = self.index(q)
-        value = self.value
-        return [value(float(k)) for k in self.keys[:i].tolist()], self.mults[:i].tolist()
-
-    def in_python(self, q: int) -> bool:
-        """Whether the levels with key <= q are in `array('q')`."""
-        self.grow(q)
-        return isinstance(self.keys, array)
 
 
 class _RoundTable(_Table):
@@ -614,20 +603,6 @@ def level_arrays(spec: SurfaceSpec, T):
     """(values, multiplicities) as numpy arrays, for bulk numerics."""
     tb = _table(spec)
     return tb.arrays(tb.qmax(T))
-
-
-def level_lists(spec: SurfaceSpec, T):
-    """(values, multiplicities) as lists of floats and ints: the numbers
-    of `level_arrays`, from the same value formula."""
-    tb = _table(spec)
-    return tb.lists(tb.qmax(T))
-
-
-def in_python(spec: SurfaceSpec, T) -> bool:
-    """Whether the table holding the levels <= T is on Python integers:
-    every round table, and a flat one that `lattice._reduce_py` made."""
-    tb = _table(spec)
-    return tb.in_python(tb.qmax(T))
 
 
 def count(spec: SurfaceSpec, t, q=None) -> int:

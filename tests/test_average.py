@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -130,13 +131,16 @@ def test_avg_error_grid_validates_input():
 @pytest.mark.parametrize("label", [
     "sphere", "flat_torus_rect:a=2,b=3/2", "symmetry_sector:base=hex_torus,irrep=2",
     "mobius_band:a=1,b=1,bc=D", "cylinder:a=13/11,b=11/5,bc=M"])
-def test_engines_agree_on_grids(label):
+def test_engines_agree_on_grids(monkeypatch, label):
     # seeded linear and log grids, a single time and times that land on
-    # levels: the list engine gives the numpy engine's floats exactly
+    # levels: the list engine gives the numpy engine's floats exactly, on
+    # a table held in array('q'), which avg_error_list sums in Python
+    monkeypatch.setattr(spectrum, "_TABLES", {})
     sp = spec(label)
     rng = np.random.default_rng(7)
     top = 4000.0 / float(asymptotics.surface_constants(sp).A)
     vals, _ = spectrum.level_arrays(sp, top)
+    assert isinstance(spectrum._table(sp).keys, array)
     grids = [[float(top)], [float(vals[1])], sorted(vals[1:40].tolist())]
     for log in (False, True):
         for n in (1, 2, 97, 1500):
@@ -153,6 +157,34 @@ def test_engines_agree_on_grids(label):
             errors.append(str(err.value))
         assert errors[0] == errors[1]
     assert average.avg_error_list(sp, []) == []
+
+
+def test_avg_error_list_picks_its_engine(monkeypatch):
+    # a short grid over a table in array('q') is summed in Python floats;
+    # a grid longer than _PY_POINTS, or a table held on numpy, goes to
+    # avg_error_grid, whose floats come back as they are
+    monkeypatch.setattr(spectrum, "_TABLES", {})
+    calls = []
+    grid_engine = average.avg_error_grid
+
+    def counting(sp, ts):
+        calls.append(len(ts))
+        return grid_engine(sp, ts)
+
+    monkeypatch.setattr(average, "avg_error_grid", counting)
+    shape = "rectangle:a=13/11,b=11/5,bc=ND"
+    for label, ts in ((shape, cli._grid(77.22, 7722.0, 4001, False)),
+                      ("sphere", cli._grid(10.0, 1e5, 4001, True))):
+        average.avg_error_list(spec(label), ts)
+        assert isinstance(spectrum._table(spec(label)).keys, array)
+    assert calls == []
+    for label, ts in ((shape, cli._grid(77.22, 7722.0, average._PY_POINTS + 1, False)),
+                      ("rectangle:a=1,b=1,bc=N", cli._grid(1e5, 1e6, 5, False))):
+        calls.clear()
+        avg = average.avg_error_list(spec(label), ts)
+        assert calls == [len(ts)]
+        assert avg == grid_engine(spec(label), ts).tolist()
+    assert type(spectrum._table(spec("rectangle:a=1,b=1,bc=N")).keys).__module__ == "numpy"
 
 
 ROSTER = catalog.verification_roster()
@@ -511,6 +543,24 @@ def test_remainder_exponent_flat_envelope():
     slope = average.remainder_exponent(spec("rectangle:a=1,b=1,bc=N"),
                                        1e3, 1e6)
     assert -0.4 <= slope <= -0.1
+
+
+def test_remainder_exponent_counts_whole_windows(monkeypatch):
+    # the dyadic windows are counted exactly: a hair under 2^10 times t_lo
+    # holds nine, none sampled past t_hi, and 2^10 times t_lo holds ten
+    top = []
+    residuals = average._window_residuals
+
+    def recording(sp, lo, hi, grid):
+        for ts, r in residuals(sp, lo, hi, grid):
+            top.append(float(ts.max()))
+            yield ts, r
+
+    monkeypatch.setattr(average, "_window_residuals", recording)
+    for t_hi, n_win in ((1000 * 1024 * (1 - 1e-12), 9), (1000.0 * 1024, 10)):
+        top.clear()
+        average.remainder_exponent(SPHERE, 1000.0, t_hi)
+        assert max(top) == 1000.0 * 2 ** n_win <= t_hi
 
 
 def test_remainder_exponent_validation():

@@ -937,6 +937,6 @@ def test_flat_roster_never_loads_numpy():
     assert loaded_modules(*argvs).isdisjoint({"numpy", "numpy.ma"})
     # a grid longer than _PY_POINTS is summed on numpy
     assert "numpy" in loaded_modules(
-        ["avg", shape, "--grid", f"77.22:7722:{cli._PY_POINTS + 1}"])
+        ["avg", shape, "--grid", f"77.22:7722:{average._PY_POINTS + 1}"])
     # a unit-shaped table at 1e7 is still numpy's
     assert "numpy" in loaded_modules(["count", "rectangle:a=1,b=1,bc=N", "--at", "1e7"])

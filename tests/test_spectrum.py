@@ -148,7 +148,6 @@ def test_level_arrays_agree_with_levels():
             (c["multiplicity"] for c in chunks), [])
         written = sum((c["value"] for c in chunks), [])
         assert vals.tolist() == written
-        assert spectrum.level_lists(spec, T) == (vals.tolist(), ms.tolist())
         keys = sum((c["key"] for c in chunks), [])
         if catalog.is_spherical(spec):
             assert all(type(k) is int for k in keys)
@@ -169,7 +168,7 @@ def test_level_arrays_multiplicities_are_a_read_only_view(monkeypatch):
         with pytest.raises(ValueError):
             mults[0] = 7
         tb = spectrum._table(spec)
-        if not spectrum.in_python(spec, T):
+        if type(tb.mults).__module__ == "numpy":
             assert np.shares_memory(mults, tb.mults)
     assert type(spectrum._table(catalog.rectangle(1, 1, "N")).mults).__module__ == "numpy"
 
