@@ -2,28 +2,25 @@
 
 Three claims are tested here: g has mean value zero, its trigonometric
 frequency content lines up with lengths of closed geodesics, and symmetry
-sectors of a base surface fill the spectrum in proportion d^2 / |G| with a
-definite sign on the sqrt term.
+sectors of a base surface fill the spectrum in proportion d^2 / |G|.
 
 Frequencies are reported on the x axis (the argument of g, x ~ sqrt(t)),
-where the observed peaks sit directly at the geodesic lengths.
+where the observed peaks sit directly at the geodesic lengths
+(`asymptotics.geodesic_lengths`).  A sector's sqrt-term sign is that of
+its verified B (`asymptotics.surface_constants`); the fitted coefficient
+beside it is a measurement.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
 
 from . import asymptotics, average, catalog, spectrum
 from .catalog import SurfaceSpec, _Frozen
-
-# |fitted sqrt coefficient| below this maps to sign 0; half the smallest
-# nonzero |B| among the sector tables, which is (2 - sqrt2)/(8 pi) ~ 0.0233
-B_SIGN_FLOOR = 0.011
-
 
 class APProfile(_Frozen):
     """Samples g_est(x) on an ascending x grid: arrays xs and gs.
@@ -44,8 +41,8 @@ class APProfile(_Frozen):
 class ProportionReport(namedtuple(
         "ProportionReport", "irrep measured predicted b_sign b_hat")):
     """One sector's share of the base spectrum: its irrep, the measured
-    and predicted proportions, the sign of its fitted sqrt coefficient and
-    that coefficient, b_hat."""
+    and predicted proportions, b_sign, the sign of its exact sqrt
+    coefficient B, and b_hat, that coefficient fitted to its counts."""
 
     __slots__ = ()
 
@@ -206,58 +203,6 @@ def match_geodesics(freqs, lengths, tol) -> tuple:
     return tuple(matched)
 
 
-def geodesic_lengths(spec: SurfaceSpec, L_max: float) -> list[float]:
-    """Sorted lengths up to L_max at which the counting remainder oscillates.
-
-    A round surface lists the multiples of its great-circle orbit.  A flat
-    surface's lines are read off the closed form of its counting function
-    (`spectrum._closed_terms`), which the oracle verifies, by Poisson
-    summation:
-    - c times the count of a torus sub at s times the cutoff has lines at
-      sqrt(s) times the periods of sub, weight c s area(sub) per period
-      vector; the squared periods are the level keys of the dual torus,
-      read off its cached table (`spectrum._table`);
-    - c times the bracket floor(sqrt(c2 rho) + shift) has lines at
-      2 n sqrt(c2), weight c (-1)^(2 n shift) / n.
-    Weights are summed by exact squared length, the two kinds apart since
-    they decay at different orders, and a length whose weights cancel
-    carries no line.
-    """
-    if L_max <= 0:
-        return []
-    if catalog.is_spherical(spec):
-        # the sphere and the hemisphere keep the default m = 1
-        step = 1 if spec.family is catalog.Family.PROJECTIVE_SPHERE else Fraction(2, spec.m)
-        out = []
-        j = 1
-        while float(step * j) * math.pi <= L_max + 1e-12:
-            out.append(float(step * j) * math.pi)
-            j += 1
-        return out
-    cap = Fraction(L_max) ** 2
-    counts, floors = defaultdict(int), defaultdict(int)
-    for c, term in spectrum._closed_terms(spec):
-        if term[0] == "count":
-            _, sub, s = term
-            if sub.family is catalog.Family.FLAT_TORUS_HEX:  # norms 3q, keys 16q/9
-                torus, scale = sub, Fraction(27, 16)
-            else:  # periods 2a, 2b: the keys 4a^2 j^2 + 4b^2 k^2 of the dual
-                torus, scale = catalog.flat_torus_rect(1 / (2 * sub.a), 1 / (2 * sub.b)), 1
-            tb = spectrum._table(torus)
-            w = catalog.geometry(sub).area * (c * s)
-            for key, n in tb.levels(cap // (s * scale * tb.unit)):
-                if key:
-                    counts[s * scale * key] += w * n
-        elif term[0] == "floor":
-            _, c2, shift = term
-            n = 1
-            while 4 * c2 * n * n <= cap:
-                floors[4 * c2 * n * n] += Fraction(c, n) * (-1) ** int(2 * n * shift)
-                n += 1
-    lines = {sq for weights in (counts, floors) for sq, w in weights.items() if w != 0}
-    return sorted(math.sqrt(float(sq)) for sq in lines)
-
-
 def _sector_b_hat(sector: SurfaceSpec, T: float) -> float:
     """Constant least-squares fit of (N_j(t) - A_j t)/sqrt(t) on [T/10, T] at
     the `average.window_blocks` samples, each batch counted from its block."""
@@ -272,7 +217,8 @@ def _sector_b_hat(sector: SurfaceSpec, T: float) -> float:
 
 
 def symmetry_proportions(base: str, T) -> list[ProportionReport]:
-    """Sector shares of the spectrum and signs of their sqrt terms."""
+    """Sector shares of the spectrum, the signs of their exact sqrt terms
+    and the fitted ones."""
     T = float(T)
     if T < 1e3:
         raise ValueError("need T >= 1e3 for stable proportions")
@@ -286,15 +232,11 @@ def symmetry_proportions(base: str, T) -> list[ProportionReport]:
             "sector counts for %r do not partition the base spectrum" % base)
     out = []
     for ir in irreps:
-        b_hat = _sector_b_hat(catalog.symmetry_sector(base, ir), T)
-        if abs(b_hat) < B_SIGN_FLOOR:
-            sign = 0
-        else:
-            sign = 1 if b_hat > 0 else -1
+        sector = catalog.symmetry_sector(base, ir)
         out.append(ProportionReport(
             irrep=ir,
             measured=counts[ir] / total,
             predicted=float(Fraction(dims[ir] ** 2, order)),
-            b_sign=sign,
-            b_hat=b_hat))
+            b_sign=asymptotics.surface_constants(sector).B.sign(),
+            b_hat=_sector_b_hat(sector, T)))
     return out

@@ -11,6 +11,11 @@ surface the other side is read off the closed form of N(t) that the oracle
 verifies (`spectrum._closed_terms`); on a round one it is its family's
 formulas in the lune order m, which cost the same at every m.
 
+The same closed form, Poisson-summed, gives the lengths at which N(t) -
+(A t + B sqrt(t) + C) oscillates: `geodesic_lengths` reads them in the
+pass that reads the constants (`_read_closed_form`).  Outside `spectrum`,
+which evaluates the closed form, no other module reads its terms.
+
 Positively curved families take the square root at t + 1/4 rather than t
 (the `sqrt_shift` flag); the two differ only at order t^{-1/2} but the
 constants below are exact only for the shifted form.
@@ -22,7 +27,7 @@ counts as 2*psi(alpha/2), consistent with doubling across a corner.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 
 from . import catalog, spectrum
@@ -97,7 +102,7 @@ def surface_constants(spec: SurfaceSpec) -> RefinedAsymptotics:
 
     The geometric computation and the counting formula must agree
     exactly; a mismatch raises ArithmeticError rather than picking a side.
-    A flat surface's counting formula is `_counted_constants`, a round
+    A flat surface's counting formula is read by `_read_closed_form`, a round
     one's `_round_row`.  The two-dimensional symmetry sector has no single
     fundamental domain, so its geometric constants are obtained by
     subtracting the one-dimensional sectors from the base surface (its
@@ -118,7 +123,7 @@ def surface_constants(spec: SurfaceSpec) -> RefinedAsymptotics:
     else:
         rc = refined_constants(catalog.geometry(spec))
     want = (_round_row(spec) if catalog.is_spherical(spec)
-            else _counted_constants(spec))
+            else _read_closed_form(spec)[0])
     if (rc.A, rc.B, rc.C) != want:
         raise ArithmeticError(
             "constants for %s: the geometry gives (%s; %s; %s), "
@@ -147,24 +152,74 @@ def _root_over_pi(x: Fraction) -> ExactConst:
     return ExactConst.term(Fraction(1, d), n, pi_pow=-1)
 
 
-def _counted_constants(spec: SurfaceSpec) -> tuple:
-    """(A, B, C) of a flat surface, read off the closed form of N(t) that
-    the oracle verifies.  Counting eigenvalues <= s t on a torus of area
-    |T| grows as s |T| t / 4 pi, with no sqrt(t) or constant term, and the
-    bracket floor(sqrt(c2 t) / pi + sigma) as sqrt(c2 t) / pi + sigma - 1/2
-    on average."""
+def _read_closed_form(spec: SurfaceSpec, L_max=0) -> tuple:
+    """((A, B, C), lines) of a flat surface, read in one pass off the
+    closed form of N(t) that the oracle verifies (`spectrum._closed_terms`);
+    lines are the sorted lengths up to L_max at which N(t) - (A t + B
+    sqrt(t) + C) oscillates, none when L_max is 0, which reads no table.
+
+    Each term is Poisson-summed:
+    - c times the count of a torus sub at s times the cutoff grows as
+      c s |sub| t / 4 pi, with no sqrt(t) or constant term, and has lines
+      at sqrt(s) times the periods of sub, weight c s |sub| per period
+      vector; the squared periods are the level keys of the dual torus;
+    - c times the bracket floor(sqrt(c2 t) / pi + sigma) grows as
+      c (sqrt(c2 t) / pi + sigma - 1/2) and has lines at 2 n sqrt(c2),
+      weight c (-1)^(2 n sigma) / n;
+    - c times one is c.
+    Line weights are summed by exact squared length, the two kinds apart
+    since they decay at different orders, and a length whose weights
+    cancel carries no line.
+    """
     A = B = C = _ZERO
+    cap = Fraction(L_max) ** 2
+    counts, floors = defaultdict(int), defaultdict(int)
     for c, term in spectrum._closed_terms(spec):
         if term == spectrum._ONE:
             C += c
         elif term[0] == "count":
             _, sub, s = term
-            A += catalog.geometry(sub).area * (c * s) * _INV_4PI
+            w = catalog.geometry(sub).area * (c * s)
+            A += w * _INV_4PI
+            if not cap:
+                continue
+            if sub.family is Family.FLAT_TORUS_HEX:  # norms 3q, keys 16q/9
+                torus, scale = sub, Fraction(27, 16)
+            else:  # periods 2a, 2b: the keys 4a^2 j^2 + 4b^2 k^2 of the dual
+                torus, scale = catalog.flat_torus_rect(1 / (2 * sub.a), 1 / (2 * sub.b)), 1
+            for key, n in spectrum.levels(torus, spectrum.ExactTime(cap / (s * scale))):
+                if key:
+                    counts[s * scale * key] += w * n
         else:
             _, c2, sigma = term
             B += _root_over_pi(c2) * c
             C += c * (sigma - Fraction(1, 2))
-    return A, B, C
+            n = 1
+            while 4 * c2 * n * n <= cap:
+                floors[4 * c2 * n * n] += Fraction(c, n) * (-1) ** int(2 * n * sigma)
+                n += 1
+    lines = {sq for weights in (counts, floors) for sq, wt in weights.items() if wt != 0}
+    return (A, B, C), sorted(math.sqrt(float(sq)) for sq in lines)
+
+
+def geodesic_lengths(spec: SurfaceSpec, L_max: float) -> list[float]:
+    """Sorted lengths up to L_max at which the counting remainder oscillates.
+
+    A round surface lists the multiples of its great-circle orbit; a flat
+    one the lines of its closed form (`_read_closed_form`).
+    """
+    if L_max <= 0:
+        return []
+    if not catalog.is_spherical(spec):
+        return _read_closed_form(spec, L_max)[1]
+    # the sphere and the hemisphere keep the default m = 1
+    step = 1 if spec.family is Family.PROJECTIVE_SPHERE else Fraction(2, spec.m)
+    out = []
+    j = 1
+    while float(step * j) * math.pi <= L_max + 1e-12:
+        out.append(float(step * j) * math.pi)
+        j += 1
+    return out
 
 
 def _round_row(spec: SurfaceSpec) -> tuple:

@@ -309,7 +309,7 @@ def cmd_conjecture(args) -> int:
 
     import numpy as np
 
-    from . import analysis, average
+    from . import analysis, asymptotics, average
 
     spec = parse_surface(args.spec)
     label = spec.label()
@@ -368,7 +368,7 @@ def cmd_conjecture(args) -> int:
     # the rectangular window sprays sidelobes around each strong line, so
     # only the largest few maxima carry structure worth reporting
     top = sorted(f for f, _, _ in prof.frequencies[:8])
-    lengths = analysis.geodesic_lengths(spec, float(omega[-1]))
+    lengths = asymptotics.geodesic_lengths(spec, float(omega[-1]))
     matched = analysis.match_geodesics(top, lengths, _FREQ_TOL)
     out.append("freq top peaks: " + (" ".join("%.6g" % f for f in top) or "none"))
     out.append("geodesic lengths: " + " ".join("%.6g" % l for l in lengths))

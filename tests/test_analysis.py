@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spectralab import analysis, average, catalog
+from spectralab import analysis, asymptotics, average, catalog
 from spectralab.analysis import APProfile
 
 
@@ -216,7 +216,7 @@ def test_match_empty_freqs():
 
 
 def test_match_sphere_lengths():
-    lengths = analysis.geodesic_lengths(spec("sphere"), 15.0)
+    lengths = asymptotics.geodesic_lengths(spec("sphere"), 15.0)
     matched = analysis.match_geodesics([6.28, 12.57], lengths, 0.05)
     assert matched == ((6.28, 2 * math.pi), (12.57, 4 * math.pi))
 
@@ -238,27 +238,27 @@ def test_match_prefers_nearest():
 
 def squares(spec, L):
     """geodesic_lengths as exact squares, each checked to be a float sqrt."""
-    got = analysis.geodesic_lengths(spec, L)
+    got = asymptotics.geodesic_lengths(spec, L)
     sq = [Fraction(round(x * x, 9)).limit_denominator(64) for x in got]
     assert got == [math.sqrt(float(q)) for q in sq]
     return sq
 
 
 def test_geodesic_lengths_fixtures():
-    got = analysis.geodesic_lengths(catalog.flat_torus_rect(1, 1), 5.0)
+    got = asymptotics.geodesic_lengths(catalog.flat_torus_rect(1, 1), 5.0)
     want = [2.0, 2 * math.sqrt(2), 4.0, 2 * math.sqrt(5)]
     assert len(got) == len(want)
     assert all(abs(x - y) < 1e-12 for x, y in zip(got, want))
 
-    got = analysis.geodesic_lengths(catalog.sphere(), 15.0)
+    got = asymptotics.geodesic_lengths(catalog.sphere(), 15.0)
     assert len(got) == 2
     assert abs(got[0] - 2 * math.pi) < 1e-12
     assert abs(got[1] - 4 * math.pi) < 1e-12
 
-    got = analysis.geodesic_lengths(catalog.projective_sphere(), 10.0)
+    got = asymptotics.geodesic_lengths(catalog.projective_sphere(), 10.0)
     assert [round(x / math.pi) for x in got] == [1, 2, 3]
 
-    got = analysis.geodesic_lengths(catalog.lune(2, "N"), 13.0)
+    got = asymptotics.geodesic_lengths(catalog.lune(2, "N"), 13.0)
     assert [round(x / math.pi) for x in got] == [1, 2, 3, 4]
 
     # symmetry sectors: the domain triangle's lengths over sqrt(s), with
@@ -294,25 +294,25 @@ def test_geodesic_lengths_fixtures():
 
 def test_geodesic_lengths_flat_unfoldings():
     # equilateral: hex lattice sqrt(3q) plus the closed bounce family 3j/2
-    got = analysis.geodesic_lengths(catalog.equilateral_triangle("N"), 3.2)
+    got = asymptotics.geodesic_lengths(catalog.equilateral_triangle("N"), 3.2)
     assert any(abs(x - 1.5) < 1e-12 for x in got)
     assert any(abs(x - math.sqrt(3)) < 1e-12 for x in got)
     assert any(abs(x - 3.0) < 1e-12 for x in got)
     # right isosceles legs 1: shortest families sqrt2 and 2
-    got = analysis.geodesic_lengths(catalog.right_iso_triangle(1, "N"), 2.5)
+    got = asymptotics.geodesic_lengths(catalog.right_iso_triangle(1, "N"), 2.5)
     assert abs(got[0] - math.sqrt(2)) < 1e-12
     assert any(abs(x - 2.0) < 1e-12 for x in got)
     # 30-60-90: includes the short altitude bounce sqrt3/2
-    got = analysis.geodesic_lengths(catalog.triangle_306090("N"), 2.0)
+    got = asymptotics.geodesic_lengths(catalog.triangle_306090("N"), 2.0)
     assert abs(got[0] - math.sqrt(3) / 2) < 1e-12
     # cylinder circumference first
-    got = analysis.geodesic_lengths(catalog.cylinder(1, 1, "N"), 2.1)
+    got = asymptotics.geodesic_lengths(catalog.cylinder(1, 1, "N"), 2.1)
     assert abs(got[0] - 1.0) < 1e-12
     # Mobius core circle of length a closes
-    got = analysis.geodesic_lengths(catalog.mobius_band(1, 1, "N"), 2.1)
+    got = asymptotics.geodesic_lengths(catalog.mobius_band(1, 1, "N"), 2.1)
     assert abs(got[0] - 1.0) < 1e-12
     # flat projective plane: odd glide lengths alongside the 2Z^2 lattice
-    got = analysis.geodesic_lengths(catalog.flat_projective_plane(), 3.0)
+    got = asymptotics.geodesic_lengths(catalog.flat_projective_plane(), 3.0)
     assert abs(got[0] - 1.0) < 1e-12
     assert any(abs(x - 2.0) < 1e-12 for x in got)
     assert any(abs(x - 3.0) < 1e-12 for x in got)
@@ -325,7 +325,7 @@ def test_geodesic_lengths_monotone_and_bounded():
         catalog.symmetry_sector("equilateral_d", "-"),
         catalog.glued_lune(3),
     ):
-        got = analysis.geodesic_lengths(s, 9.0)
+        got = asymptotics.geodesic_lengths(s, 9.0)
         assert got == sorted(got)
         assert all(0 < x <= 9.0 + 1e-9 for x in got)
         assert len(set(round(x, 9) for x in got)) == len(got)
@@ -353,6 +353,14 @@ def test_symmetry_proportions(base):
     for r in reps:
         assert abs(r.measured - r.predicted) <= 0.02
         assert r.b_sign == EXPECTED_SIGNS[base][r.irrep], r.irrep
+
+
+@pytest.mark.parametrize("base", sorted(EXPECTED_SIGNS))
+def test_b_sign_is_exact_below_the_share_bound(base):
+    # the sign is the verified B's at any T, also where the fitted b_hat
+    # sits near zero and the share bound above does not hold yet
+    reps = analysis.symmetry_proportions(base, 1e3)
+    assert {r.irrep: r.b_sign for r in reps} == EXPECTED_SIGNS[base]
 
 
 def test_proportions_sum_exactly():

@@ -96,6 +96,16 @@ def test_every_roster_surface_matches_its_counting_formula():
         assert rc.sqrt_shift == catalog.is_spherical(spec)
 
 
+def test_flat_constants_build_no_table(monkeypatch):
+    # the closed form is read for its lines only when asked for some
+    monkeypatch.setattr(asymptotics, "_CONSTANTS", {})
+    monkeypatch.setattr(spectrum, "_TABLES", {})
+    for spec in catalog.verification_roster():
+        if not catalog.is_spherical(spec):
+            surface_constants(spec)
+    assert spectrum._TABLES == {}
+
+
 def test_random_rational_shapes_match_their_closed_forms():
     # the constants read off the closed form against the geometry's, over
     # seeded rational sides and every boundary condition
@@ -117,7 +127,7 @@ def test_random_rational_shapes_match_their_closed_forms():
             for _ in range(6):
                 spec = make(bc)
                 rc = refined_constants(catalog.geometry(spec))
-                assert asymptotics._counted_constants(spec) == (rc.A, rc.B, rc.C), spec
+                assert asymptotics._read_closed_form(spec)[0] == (rc.A, rc.B, rc.C), spec
                 checked += 1
     assert checked == 6 * 17
 
@@ -130,7 +140,7 @@ def test_far_sides_read_their_brackets_at_once():
                  catalog.rectangle(Fraction(1, 10**150), Fraction(10**150, 3), "N")):
         start = time.perf_counter()
         rc = refined_constants(catalog.geometry(spec))
-        assert asymptotics._counted_constants(spec) == (rc.A, rc.B, rc.C), spec
+        assert asymptotics._read_closed_form(spec)[0] == (rc.A, rc.B, rc.C), spec
         assert time.perf_counter() - start < 0.1, spec
 
 

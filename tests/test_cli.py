@@ -673,12 +673,12 @@ GOLDEN = {
         "+-,0.1111111111111111,0.125,-1,-0.029600875599398703\n"
         "-+,0.13580246913580246,0.125,1,0.014222293446043199\n"
         "--,0.07407407407407407,0.125,-1,-0.11950932570264421\n"
-        "2,0.49382716049382713,0.5,-1,-0.03083941445832717\n",
+        "2,0.49382716049382713,0.5,0,-0.03083941445832717\n",
     ("proportions", "hex_torus", "--max-t", "1e3"):
         "irrep,measured,predicted,b_sign,b_hat\n"
         "+,0.20603015075376885,0.16666666666666666,1,0.2549670520499559\n"
         "-,0.1306532663316583,0.16666666666666666,-1,-0.22275706950954835\n"
-        "2,0.66331658291457285,0.66666666666666663,-1,-0.031828624649677985\n",
+        "2,0.66331658291457285,0.66666666666666663,0,-0.031828624649677985\n",
     # the Moebius cover translates by (ma, nb) with m = n mod 2: every top
     # peak sits at a length of that lattice
     ("conjecture", "mobius_band:a=1,b=1,bc=D"):
@@ -896,7 +896,8 @@ def test_each_command_loads_only_what_it_calls():
     assert verify.isdisjoint({"lattice", "numpy"})
     sector = ["spectrum", "symmetry_sector:base=hex_torus,irrep=2", "--max-t", "100"]
     assert "asymptotics" not in loaded_modules(sector)
-    for argv in (["asymptotics", "sphere"], ["count", "sphere", "--at", "100,1e5"],
+    for argv in (["asymptotics", "sphere"], ["asymptotics", "rectangle:a=1,b=1,bc=MM"],
+                 ["count", "sphere", "--at", "100,1e5"],
                  ["spectrum", "hemisphere:bc=D", "--max-t", "1e4"]):
         assert loaded_modules(argv).isdisjoint({"lattice", "numpy"} | _HEAVY), argv
     # np.unique and np.median would load numpy.ma; a round surface's

@@ -362,6 +362,42 @@ def _members_without_reader():
     return unread
 
 
+# (reader, owner): the owner's private names that the reader reads.  Each
+# pair is a format two modules must both know; a new one is a design change
+_PRIVATE_READS = {
+    ("analysis", "catalog"): {"_Frozen"},
+    ("asymptotics", "spectrum"): {"_ONE", "_closed_terms"},
+    ("average", "spectrum"): {"_sph_cum", "_table"},
+    ("lattice", "spectrum"): {"_NEGATIVE", "_Table", "_pq", "_rho_ends"},
+    ("spectrum", "lattice"): {"_BOUND_ROWS", "_LevelTable"},
+}
+
+
+def _private_reads():
+    """{(reader, owner): names} of every private name of one package module
+    that another reads, as `owner._name` or `from .owner import _name`."""
+    trees = _package_trees()
+    found = {}
+    for mod, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and isinstance(node.value, ast.Name) and node.value.id in trees):
+                owner, names = node.value.id, [node.attr]
+            elif (isinstance(node, ast.ImportFrom) and node.level == 1
+                    and node.module in trees):
+                owner, names = node.module, [alias.name for alias in node.names]
+            else:
+                continue
+            for name in names:
+                if owner != mod and name.startswith("_") and not name.startswith("__"):
+                    found.setdefault((mod, owner), set()).add(name)
+    return found
+
+
+def test_private_names_are_read_by_the_known_modules_only():
+    assert _private_reads() == _PRIVATE_READS
+
+
 def test_every_module_name_has_a_caller():
     unread = sorted(f"{mod}.{name}" for mod, name in _names_without_caller()
                     if (mod, name) not in _NO_PACKAGE_CALLER)
