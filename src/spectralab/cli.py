@@ -15,6 +15,7 @@ for `rectangle` and `triangle_306090`.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 import time
@@ -226,12 +227,25 @@ def cmd_avg(args) -> int:
 
 
 def cmd_gprofile(args) -> int:
-    from . import analysis
+    # analysis.make_profile's values and refusals, summed without numpy
+    # where average.avg_error_list needs none
+    from . import average
 
     spec = parse_surface(args.spec)
     lo, hi, n = _parse_grid(args.grid, "--grid")
-    profile = analysis.make_profile(spec, lo, hi, n=n)
-    emit([{"x": profile.xs.tolist(), "g_est": profile.gs.tolist()}], args.format)
+    if n < 2:
+        raise ValueError("need at least two samples")
+    xs = _grid(lo, hi, n, False)
+    if any(b <= a for a, b in zip(xs, xs[1:])):
+        raise ValueError("grid must be strictly ascending")
+    if catalog.is_spherical(spec):
+        if xs[0] <= 0.5:
+            raise ValueError("spherical grid values must exceed 1/2")
+        g_est = average.avg_error_list(spec, [x * x - 0.25 for x in xs])
+    else:
+        avg = average.avg_error_list(spec, [x * x for x in xs])
+        g_est = [a * math.sqrt(x) for a, x in zip(avg, xs)]
+    emit([{"x": xs, "g_est": g_est}], args.format)
     return 0
 
 
@@ -483,5 +497,19 @@ def main(argv=None) -> int:
         return 1
 
 
+def run(argv=None) -> int:
+    """The process entry point, of `python -m spectralab.cli` and of the
+    `spectralab` script: main(argv), then gc.freeze().  Freezing moves
+    every object still alive into the permanent generation, which the
+    interpreter's collections at exit skip; exit still flushes the
+    streams, runs atexit handlers and frees what reference counting
+    frees, and the OS reclaims the rest.  main() itself leaves the
+    collector alone, as it also runs inside other processes."""
+    try:
+        return main(argv)
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

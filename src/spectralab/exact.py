@@ -194,7 +194,11 @@ class ExactConst:
 
     def __float__(self) -> float:
         lo, hi = self.bounds()
-        return float((lo + hi) / 2)
+        try:
+            return float((lo + hi) / 2)
+        except OverflowError:
+            # a bad input, such as a surface area of 1e400, not a failed run
+            raise ValueError("constant beyond the float range") from None
 
     # --- presentation ---
 

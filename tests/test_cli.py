@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import io
 import itertools
@@ -61,17 +62,34 @@ def test_count_example(capsys):
     assert out == "t,count,closed_form\n6,9,9\n"
 
 
-def test_count_example_subprocess():
-    # once through the real interpreter entry point, importing the same
-    # package as this process whether it is installed or on pytest's path
+def package_env():
+    """os.environ with PYTHONPATH led by the root of the package this
+    process imported, so that a child interpreter imports the same one
+    whether it is installed or on pytest's path."""
     package_root = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (package_root, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "spectralab.cli", "count", "sphere", "--at", "6"],
-        capture_output=True, text=True, env=env)
-    assert proc.returncode == 0
-    assert proc.stdout.splitlines()[1] == "6,9,9"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["count", "sphere", "--at", "6"], 0),
+    (["conjecture", "flat_torus_rect:a=1,b=1/20", "--seed", "3"], 1),
+    (["gprofile", "sphere", "--grid", "1/4:2:11"], 2),
+    (["avg", "sphere", "--grid", "1:1e5:100000"], 0),  # 100001 lines
+], ids=["count", "conjecture-fail", "usage", "dump"])
+def test_count_example_subprocess(capsys, argv, code):
+    # the process entry point freezes the heap before exit: every byte of
+    # stdout still reaches the pipe, with the status main() returns, and
+    # main() called in-process leaves the collector as it found it
+    proc = subprocess.run([sys.executable, "-m", "spectralab.cli", *argv],
+                          capture_output=True, text=True, env=package_env())
+    frozen = gc.get_freeze_count()
+    rc, out, _ = run_cli(capsys, *argv)
+    assert gc.get_freeze_count() == frozen
+    assert (proc.returncode, proc.stdout) == (rc, out)
+    assert rc == code
+    if argv[0] == "count":
+        assert out == "t,count,closed_form\n6,9,9\n"
 
 
 def test_asymptotics_c_fixture(capsys):
@@ -412,6 +430,23 @@ def test_side_beyond_float_range_is_usage_error(capsys, argv):
     assert out == ""
     assert "must be within the float range, got '1e400'" in err
     assert "usage:" in err
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["asymptotics"], "constant beyond the float range"),
+    (["heat", "--at", "1"], "constant beyond the float range"),
+    (["freq", "--window", "100:200", "--omega", "5:8:301"],
+     "constant beyond the float range"),
+    (["gprofile", "--grid", "100:200:11"], "over the cap"),
+], ids=["asymptotics", "heat", "freq", "gprofile"])
+def test_constant_beyond_float_range_is_usage_error(capsys, argv, err):
+    # an area of 1e400 has no float constants: a usage error, not a
+    # failed run
+    rc, out, captured = run_cli(capsys, argv[0], "rectangle:a=1e200,b=1e200,bc=N",
+                                *argv[1:])
+    assert rc == 2
+    assert out == ""
+    assert err in captured and "usage:" in captured
 
 
 def test_level_budget_guard(capsys, monkeypatch):
@@ -822,12 +857,9 @@ def peak_rss_mb(*argv):
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    package_root = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (package_root, os.environ.get("PYTHONPATH")))))
     with subprocess.Popen([sys.executable, "-m", "spectralab.cli", *argv],
                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-                          env=env, preexec_fn=limit) as proc:
+                          env=package_env(), preexec_fn=limit) as proc:
         err = proc.stderr.read()
         _, status, usage = os.wait4(proc.pid, 0)
         proc.returncode = os.waitstatus_to_exitcode(status)
@@ -872,11 +904,8 @@ def loaded_modules(*argvs):
     that a fresh interpreter holds after importing the CLI and running each
     argv in turn (nothing more when there is none), and those of _HEAVY
     that it did not hold at start-up."""
-    package_root = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (package_root, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run([sys.executable, "-c", _LOADED, json.dumps(argvs)],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=package_env())
     assert proc.returncode == 0, proc.stderr
     return {m.removeprefix("spectralab.") for m in json.loads(proc.stdout)}
 
@@ -898,7 +927,8 @@ def test_each_command_loads_only_what_it_calls():
     assert "asymptotics" not in loaded_modules(sector)
     for argv in (["asymptotics", "sphere"], ["asymptotics", "rectangle:a=1,b=1,bc=MM"],
                  ["count", "sphere", "--at", "100,1e5"],
-                 ["spectrum", "hemisphere:bc=D", "--max-t", "1e4"]):
+                 ["spectrum", "hemisphere:bc=D", "--max-t", "1e4"],
+                 ["gprofile", "sphere", "--grid", "100:200:8001"]):
         assert loaded_modules(argv).isdisjoint({"lattice", "numpy"} | _HEAVY), argv
     # np.unique and np.median would load numpy.ma; a round surface's
     # geodesic lengths need no lattice; numpy itself loads inspect
@@ -941,3 +971,28 @@ def test_flat_roster_never_loads_numpy():
         ["avg", shape, "--grid", f"77.22:7722:{average._PY_POINTS + 1}"])
     # a unit-shaped table at 1e7 is still numpy's
     assert "numpy" in loaded_modules(["count", "rectangle:a=1,b=1,bc=N", "--at", "1e7"])
+
+
+_TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "perfbench", "tracer.py")
+
+
+@pytest.mark.parametrize("argv, counter, amount", [
+    (["conjecture", "sphere", "--seed", "1"], "analysis.fourier_coefficients.terms", None),
+    (["verify", "sphere", "--max-t", "1e4", "--seed", "1"], "oracle.times_checked", 2000),
+    (["freq", "sphere", "--window", "100:200", "--omega", "5:8:301"],
+     "analysis.fourier_coefficients.terms", None),
+], ids=["conjecture", "verify", "freq"])
+def test_benchmark_tracer_reads_its_hooks(tmp_path, argv, counter, amount):
+    # the benchmark's traced runs call cli.main in-process and read the
+    # arguments and results of the functions they wrap: a signature those
+    # hooks no longer fit fails every traced job
+    out = tmp_path / "trace.json"
+    proc = subprocess.run([sys.executable, _TRACER, str(out), *argv],
+                          capture_output=True, text=True, env=package_env())
+    assert proc.returncode == 0, proc.stderr
+    counters = json.loads(out.read_text())["counters"]
+    if amount is None:
+        assert counters[counter] > 0
+    else:
+        assert counters[counter] == amount

@@ -56,6 +56,15 @@ def test_float_and_comparisons():
     assert (r2 - r2).sign() == 0
 
 
+def test_float_beyond_range_is_a_value_error():
+    # the message is short, not the 400-digit coefficient
+    huge = ExactConst.term(10**400, pi_pow=-1)
+    with pytest.raises(ValueError, match="^constant beyond the float range$"):
+        float(huge)
+    with pytest.raises(ValueError):
+        float(-huge)
+
+
 def test_as_fraction_and_pi_multiple():
     angle = ExactConst.term(Fraction(1, 6), pi_pow=1)
     assert angle.as_pi_multiple() == Fraction(1, 6)
