@@ -77,10 +77,10 @@ def _prefix_blocks(spec: SurfaceSpec, T: float):
 
     Yields ((vals, n_pref, l_pref), edge) per block: the block's level
     values, and the sums of mult and of mult * value over every level
-    before the block's k-th one, k = 0 .. len(vals).  The running sums are
-    the first element of each block's arrays before np.cumsum, which adds
-    sequentially, so every sum is bit for bit the one a cumsum over the
-    whole table gives.  A time t takes its sums from the first block whose
+    before the block's k-th one, k = 0 .. len(vals).  The first are the
+    table's prefix, exact in float64; the second start from the previous
+    block's total and add sequentially, as np.cumsum over the whole table
+    does, bit for bit.  A time t takes its sums from the first block whose
     edge is above it: edge is the block's last value, or infinity on the
     last block, so that np.searchsorted(vals, t, side="right") indexes
     the block's sums.
@@ -89,20 +89,17 @@ def _prefix_blocks(spec: SurfaceSpec, T: float):
 
     tb = spectrum._table(spec)
     i = tb.index(tb.qmax(T))
-    keys, mults = np.asarray(tb.keys), np.asarray(tb.mults)
-    n_run = l_run = 0.0
+    keys, mults, prefix = map(np.asarray, (tb.keys, tb.mults, tb.prefix))
+    l_run = 0.0
     for lo in range(0, max(i, 1), _LEVELS):
         hi = min(lo + _LEVELS, i)
         vals = tb.value(keys[lo:hi].astype(np.float64))
-        n_pref = np.empty(hi - lo + 1)
-        n_pref[0] = n_run
-        n_pref[1:] = mults[lo:hi]
-        np.cumsum(n_pref, out=n_pref)
+        n_pref = prefix[lo:hi + 1].astype(np.float64)
         l_pref = np.empty(hi - lo + 1)
         l_pref[0] = l_run
         np.multiply(mults[lo:hi], vals, out=l_pref[1:])
         np.cumsum(l_pref, out=l_pref)
-        n_run, l_run = n_pref[-1], l_pref[-1]
+        l_run = l_pref[-1]
         yield (vals, n_pref, l_pref), vals[-1] if hi < i else np.inf
 
 
@@ -158,8 +155,8 @@ def avg_error_list(spec: SurfaceSpec, ts) -> list:
     `array('q')` is summed in Python floats, anything else by
     avg_error_grid.
 
-    The values are the table's `value` of each key, as `_prefix_blocks`
-    takes them; the prefix sums are sequential, as numpy's cumsum is,
+    The values and counts are the table's, as `_prefix_blocks` takes them;
+    the sums of mult * value are sequential, as numpy's cumsum is,
     bisect_right stands for searchsorted(side="right") and each time runs
     avg_error_grid's operations in its order.
     """
@@ -176,7 +173,7 @@ def avg_error_list(spec: SurfaceSpec, ts) -> list:
         return avg_error_grid(spec, ts).tolist()
     value, mults = tb.value, tb.mults[:i]
     vals = [value(float(k)) for k in tb.keys[:i]]
-    n_pref = list(accumulate(map(float, mults), initial=0.0))
+    n_pref = list(map(float, tb.prefix[:i + 1]))
     l_pref = list(accumulate(map(mul, mults, vals), initial=0.0))
     tilde = _tilde_integral(asymptotics.surface_constants(spec), math.sqrt)
     out = []

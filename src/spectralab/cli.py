@@ -5,7 +5,9 @@ reals print with 17 significant digits, so rerunning the same command
 line gives byte-identical output.  Anything inherently unstable across
 runs (wall-clock timing) goes to stderr.  Exit status: 0 for a clean run
 or PASS, 1 when a check fails or a numeric guard trips mid-run, 2 for
-usage errors.
+usage errors; `main` returns it for every outcome.  Every argument is an
+argparse type, checked before a command runs: a bad one is refused with
+its command's usage and a message naming it.
 
 Surface grammar is `family:key=val,...` exactly as printed by the
 catalog labels; `rect` and `tri306090` are accepted as input shorthands
@@ -50,7 +52,17 @@ def parse_surface(text: str) -> catalog.SurfaceSpec:
     return catalog.parse_spec(_FAMILY_ALIASES.get(head, head) + sep + tail)
 
 
-# --- argument parsing helpers ---
+# --- argument types ---
+
+
+def _arg(parse):
+    """parse as an argparse type: its ValueError becomes the parser's error."""
+    def typed(text: str):
+        try:
+            return parse(text)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+    return typed
 
 
 def _fraction(text: str) -> Fraction:
@@ -67,43 +79,36 @@ def _fraction(text: str) -> Fraction:
     return x
 
 
-def _number(text: str) -> Fraction:
-    try:
-        return _fraction(text)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
-
-
 def _times(text: str) -> list:
     items = [s.strip() for s in text.split(",") if s.strip()]
     if not items:
-        raise argparse.ArgumentTypeError("expected a comma-separated list of times")
-    return [_number(s) for s in items]
+        raise ValueError("expected a comma-separated list of times")
+    return [_fraction(s) for s in items]
 
 
-def _parse_pair(text: str, what: str):
+def _parse_pair(text: str):
     parts = text.split(":")
     if len(parts) != 2:
-        raise ValueError(f"{what} must be lo:hi, got {text!r}")
+        raise ValueError(f"must be lo:hi, got {text!r}")
     lo, hi = (float(_fraction(p)) for p in parts)
     if not 0 < lo < hi:
-        raise ValueError(f"{what} must be positive and ascending, got {text!r}")
+        raise ValueError(f"must be positive and ascending, got {text!r}")
     return lo, hi
 
 
-def _parse_grid(text: str, what: str):
+def _parse_grid(text: str):
     parts = text.split(":")
     if len(parts) != 3:
-        raise ValueError(f"{what} must be lo:hi:n, got {text!r}")
+        raise ValueError(f"must be lo:hi:n, got {text!r}")
     lo, hi = (float(_fraction(p)) for p in parts[:2])
     try:
         n = int(parts[2])
     except ValueError:
-        raise ValueError(f"{what}: n must be an integer, got {parts[2]!r}") from None
+        raise ValueError(f"n must be an integer, got {parts[2]!r}") from None
     if not 1 <= n <= _GRID_MAX:
-        raise ValueError(f"{what}: need 1 <= n <= {_GRID_MAX}, got {n}")
+        raise ValueError(f"need 1 <= n <= {_GRID_MAX}, got {n}")
     if not 0 < lo < hi:
-        raise ValueError(f"{what} must be positive and ascending, got {text!r}")
+        raise ValueError(f"must be positive and ascending, got {text!r}")
     return lo, hi, n
 
 
@@ -184,14 +189,12 @@ def cmd_list(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    spec = parse_surface(args.spec)
-    emit(spectrum.level_columns(spec, args.max_t), args.format)
+    emit(spectrum.level_columns(args.spec, args.max_t), args.format)
     return 0
 
 
 def cmd_count(args) -> int:
-    spec = parse_surface(args.spec)
-    reps = [spectrum.closed_form_identity(spec, t) for t in args.at]
+    reps = [spectrum.closed_form_identity(args.spec, t) for t in args.at]
     emit([{"t": [rep.t for rep in reps], "count": [rep.count for rep in reps],
            "closed_form": [rep.closed_form for rep in reps]}], args.format)
     return 0
@@ -200,8 +203,7 @@ def cmd_count(args) -> int:
 def cmd_asymptotics(args) -> int:
     from . import asymptotics
 
-    spec = parse_surface(args.spec)
-    rc = asymptotics.surface_constants(spec)
+    rc = asymptotics.surface_constants(args.spec)
     names = ["A", "B", "C1", "C2", "C3", "C"]
     vals = [getattr(rc, name) for name in names]
     emit([{"constant": names, "symbolic": list(map(str, vals)),
@@ -212,11 +214,9 @@ def cmd_asymptotics(args) -> int:
 def cmd_avg(args) -> int:
     from . import average
 
-    spec = parse_surface(args.spec)
-    lo, hi, n = _parse_grid(args.grid, "--grid")
-    ts = _grid(lo, hi, n, args.log)
-    avg = average.avg_error_list(spec, ts)
-    if catalog.is_spherical(spec):
+    ts = _grid(*args.grid, args.log)
+    avg = average.avg_error_list(args.spec, ts)
+    if catalog.is_spherical(args.spec):
         gx = [math.sqrt(t + 0.25) for t in ts]
         g_est = avg
     else:
@@ -231,19 +231,17 @@ def cmd_gprofile(args) -> int:
     # where average.avg_error_list needs none
     from . import average
 
-    spec = parse_surface(args.spec)
-    lo, hi, n = _parse_grid(args.grid, "--grid")
-    if n < 2:
+    xs = _grid(*args.grid, False)
+    if len(xs) < 2:
         raise ValueError("need at least two samples")
-    xs = _grid(lo, hi, n, False)
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise ValueError("grid must be strictly ascending")
-    if catalog.is_spherical(spec):
+    if catalog.is_spherical(args.spec):
         if xs[0] <= 0.5:
             raise ValueError("spherical grid values must exceed 1/2")
-        g_est = average.avg_error_list(spec, [x * x - 0.25 for x in xs])
+        g_est = average.avg_error_list(args.spec, [x * x - 0.25 for x in xs])
     else:
-        avg = average.avg_error_list(spec, [x * x for x in xs])
+        avg = average.avg_error_list(args.spec, [x * x for x in xs])
         g_est = [a * math.sqrt(x) for a, x in zip(avg, xs)]
     emit([{"x": xs, "g_est": g_est}], args.format)
     return 0
@@ -254,15 +252,13 @@ def cmd_freq(args) -> int:
 
     from . import analysis
 
-    spec = parse_surface(args.spec)
-    x_lo, x_hi = _parse_pair(args.window, "--window")
-    w_lo, w_hi, n_w = _parse_grid(args.omega, "--omega")
+    (x_lo, x_hi), (w_lo, w_hi, n_w) = args.window, args.omega
     span = x_hi - x_lo
     n_samp = max(4001, int(span * w_hi * 8.0 / (2.0 * math.pi)) + 1)
     if n_samp > 2_000_000:
         raise ValueError("--omega: largest frequency needs more than 2e6 "
                          "samples over this window; shrink one of them")
-    profile = analysis.make_profile(spec, x_lo, x_hi, n=n_samp)
+    profile = analysis.make_profile(args.spec, x_lo, x_hi, n=n_samp)
     omega = np.linspace(w_lo, w_hi, n_w)
     amp = np.abs(analysis.fourier_coefficients(profile, omega))
     emit([{"omega": omega.tolist(), "amplitude": amp.tolist()}], args.format)
@@ -282,9 +278,8 @@ def cmd_proportions(args) -> int:
 def cmd_verify(args) -> int:
     from . import oracle
 
-    spec = parse_surface(args.spec)
     start = time.perf_counter()
-    rep = oracle.check_equivalence(spec, args.max_t, seed=args.seed)
+    rep = oracle.check_equivalence(args.spec, args.max_t, seed=args.seed)
     elapsed = time.perf_counter() - start
     print(f"# {rep.label}: {rep.levels_checked} levels, "
           f"{rep.times_checked} random times, {elapsed:.2f}s", file=sys.stderr)
@@ -298,18 +293,17 @@ def cmd_verify(args) -> int:
 def cmd_heat(args) -> int:
     from . import asymptotics
 
-    spec = parse_surface(args.spec)
     ts = [float(t) for t in args.at]
     heats = []
     for tf in ts:
         cutoff = 64.0
         while True:
             try:
-                heats.append(asymptotics.heat_trace(spec, tf, cutoff))
+                heats.append(asymptotics.heat_trace(args.spec, tf, cutoff))
                 break
             except asymptotics.TailBoundError:
                 cutoff *= 2.0
-    smooth = [asymptotics.smooth_heat_trace(spec, tf) for tf in ts]
+    smooth = [asymptotics.smooth_heat_trace(args.spec, tf) for tf in ts]
     emit([{"t": ts, "heat": heats, "smooth": smooth,
            "abs_diff": [abs(h - s) for h, s in zip(heats, smooth)]}], args.format)
     return 0
@@ -325,12 +319,11 @@ def cmd_conjecture(args) -> int:
 
     from . import analysis, asymptotics, average
 
-    spec = parse_surface(args.spec)
-    label = spec.label()
-    spherical = catalog.is_spherical(spec)
+    label = args.spec.label()
+    spherical = catalog.is_spherical(args.spec)
     decades = [10.0 ** d for d in range(3, 7 if spherical else 8)]
     t_top = decades[-1]
-    spectrum.count(spec, t_top)  # build the table once, at its largest cutoff
+    spectrum.count(args.spec, t_top)  # build the table once, at its largest cutoff
     out = [f"label: {label}"]
     ok_all = True
 
@@ -340,7 +333,7 @@ def cmd_conjecture(args) -> int:
         out.append(f"check {line} -> {'ok' if ok else 'FAIL'}")
 
     # window means of the normalized profile
-    profiles = {X: analysis.make_profile(spec, X, 2 * X, n=8001)
+    profiles = {X: analysis.make_profile(args.spec, X, 2 * X, n=8001)
                 for X in (100, 200, 400)}
     for X, prof in profiles.items():
         mean = analysis.window_mean(prof)
@@ -349,10 +342,10 @@ def cmd_conjecture(args) -> int:
               abs(mean) <= bound)
 
     # decay of the residual
-    sups = [average.window_sup(spec, lo, hi, np.geomspace(lo, hi, 1200))
+    sups = [average.window_sup(args.spec, lo, hi, np.geomspace(lo, hi, 1200))
             for lo, hi in zip(decades, decades[1:])]
     if spherical:
-        slope = average.remainder_exponent(spec, 1e3, 1e6)
+        slope = average.remainder_exponent(args.spec, 1e3, 1e6)
         check(f"decay: exponent {slope:+.6g} in [-0.65,-0.35]",
               -0.65 <= slope <= -0.35)
     else:
@@ -365,7 +358,8 @@ def cmd_conjecture(args) -> int:
     rng = random.Random(args.seed)
     probes = np.array(sorted({1e3 * (t_top / 1e3) ** rng.random()
                               for _ in range(64)}))
-    resid = average.residual(spec, probes, average.avg_error_grid(spec, probes))
+    avg = average.avg_error_grid(args.spec, probes)
+    resid = average.residual(args.spec, probes, avg)
     worst = float(np.max(resid * probes ** 0.25))
     allowed = 1.5 * max(sups)
     check(f"probes (seed {args.seed}): worst scaled residual {worst:.6g} "
@@ -376,13 +370,13 @@ def cmd_conjecture(args) -> int:
         prof = profiles[100]
         omega = np.linspace(1.0, 30.0, 1451)
     else:
-        prof = analysis.make_profile(spec, 200, 800, n=60001)
+        prof = analysis.make_profile(args.spec, 200, 800, n=60001)
         omega = np.linspace(1.0, 10.0, 901)
     prof = analysis.frequency_spectrum(prof, omega)
     # the rectangular window sprays sidelobes around each strong line, so
     # only the largest few maxima carry structure worth reporting
     top = sorted(f for f, _, _ in prof.frequencies[:8])
-    lengths = asymptotics.geodesic_lengths(spec, float(omega[-1]))
+    lengths = asymptotics.geodesic_lengths(args.spec, float(omega[-1]))
     matched = analysis.match_geodesics(top, lengths, _FREQ_TOL)
     out.append("freq top peaks: " + (" ".join("%.6g" % f for f in top) or "none"))
     out.append("geodesic lengths: " + " ".join("%.6g" % l for l in lengths))
@@ -413,70 +407,63 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("csv", "json"), default="csv",
                      help="output encoding (default csv)")
+    surface = argparse.ArgumentParser(add_help=False)
+    surface.add_argument("spec", type=_arg(parse_surface))
 
     p = sub.add_parser("list", parents=[fmt],
                        help="every catalog surface swept by verification")
     p.set_defaults(func=cmd_list)
 
-    p = sub.add_parser("spectrum", parents=[fmt],
+    p = sub.add_parser("spectrum", parents=[fmt, surface],
                        help="dump eigenvalues value,key,multiplicity")
-    p.add_argument("spec")
-    p.add_argument("--max-t", type=_number, required=True, metavar="T")
+    p.add_argument("--max-t", type=_arg(_fraction), required=True, metavar="T")
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("count", parents=[fmt],
+    p = sub.add_parser("count", parents=[fmt, surface],
                        help="counting function and closed form at given times")
-    p.add_argument("spec")
-    p.add_argument("--at", type=_times, required=True, metavar="T1,T2,...")
+    p.add_argument("--at", type=_arg(_times), required=True, metavar="T1,T2,...")
     p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("asymptotics", parents=[fmt],
+    p = sub.add_parser("asymptotics", parents=[fmt, surface],
                        help="refined constants, symbolic and decimal")
-    p.add_argument("spec")
     p.set_defaults(func=cmd_asymptotics)
 
-    p = sub.add_parser("avg", parents=[fmt],
+    p = sub.add_parser("avg", parents=[fmt, surface],
                        help="averaged counting error on a t grid")
-    p.add_argument("spec")
-    p.add_argument("--grid", required=True, metavar="T0:T1:N")
+    p.add_argument("--grid", type=_arg(_parse_grid), required=True, metavar="T0:T1:N")
     p.add_argument("--log", action="store_true", help="log-spaced grid")
     p.set_defaults(func=cmd_avg)
 
-    p = sub.add_parser("gprofile", parents=[fmt],
+    p = sub.add_parser("gprofile", parents=[fmt, surface],
                        help="normalized profile g on an x grid")
-    p.add_argument("spec")
-    p.add_argument("--grid", required=True, metavar="X0:X1:N")
+    p.add_argument("--grid", type=_arg(_parse_grid), required=True, metavar="X0:X1:N")
     p.set_defaults(func=cmd_gprofile)
 
-    p = sub.add_parser("freq", parents=[fmt],
+    p = sub.add_parser("freq", parents=[fmt, surface],
                        help="trigonometric amplitude scan of the profile")
-    p.add_argument("spec")
-    p.add_argument("--window", required=True, metavar="X0:X1")
-    p.add_argument("--omega", required=True, metavar="W0:W1:N")
+    p.add_argument("--window", type=_arg(_parse_pair), required=True, metavar="X0:X1")
+    p.add_argument("--omega", type=_arg(_parse_grid), required=True, metavar="W0:W1:N")
     p.set_defaults(func=cmd_freq)
 
     p = sub.add_parser("proportions", parents=[fmt],
                        help="symmetry sector shares of a base spectrum")
     p.add_argument("base")
-    p.add_argument("--max-t", type=_number, required=True, metavar="T")
+    p.add_argument("--max-t", type=_arg(_fraction), required=True, metavar="T")
     p.set_defaults(func=cmd_proportions)
 
-    p = sub.add_parser("verify",
+    p = sub.add_parser("verify", parents=[surface],
                        help="brute-force equivalence check of the level tables")
-    p.add_argument("spec")
-    p.add_argument("--max-t", type=_number, required=True, metavar="T")
+    p.add_argument("--max-t", type=_arg(_fraction), required=True, metavar="T")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("heat", parents=[fmt],
+    p = sub.add_parser("heat", parents=[fmt, surface],
                        help="heat trace against its short-time expansion")
-    p.add_argument("spec")
-    p.add_argument("--at", type=_times, required=True, metavar="T1,T2,...")
+    p.add_argument("--at", type=_arg(_times), required=True, metavar="T1,T2,...")
     p.set_defaults(func=cmd_heat)
 
-    p = sub.add_parser("conjecture",
+    p = sub.add_parser("conjecture", parents=[surface],
                        help="full pipeline: means, decay, probes, frequencies")
-    p.add_argument("spec")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_conjecture)
 
@@ -485,7 +472,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exit:  # -h, or an argument error argparse printed
+        return exit.code
     try:
         return args.func(args)
     except ValueError as err:

@@ -47,11 +47,15 @@ class _LevelTable(_Table):
     unit * q * pi^2, written as its Fraction rho, and a build reduces
     rows(qcap) over div (`_plan_flat`)."""
 
-    __slots__ = ("unit", "rows", "div")
+    __slots__ = ("unit", "rows", "div", "terms")
 
     def __init__(self, spec):
         super().__init__(spec)
         self.unit, self.rows, self.div = _plan_flat(spec)
+        n, d = self.unit.numerator, self.unit.denominator
+        if max(n, d) >= 2**1024 - 2**970:  # past float(): the unit as one float
+            n, d = (n / d if n < d << 1023 else 2.0**1023), 1
+        self.terms = n, d
 
     def build(self, qcap: int):
         # a 2-dim sector's levels come in pairs: an odd count is refused
@@ -78,8 +82,11 @@ class _LevelTable(_Table):
     def value(self, k):
         """The eigenvalue unit * k * pi^2 of a key k in float64, one number
         or an array: k times the unit's numerator, over its denominator,
-        times pi^2, each step rounded (an int k: float(rho) * pi^2)."""
-        return k * self.unit.numerator / self.unit.denominator * (math.pi * math.pi)
+        times pi^2, each step rounded (an int k: float(rho) * pi^2); a unit
+        whose terms float() refuses is rounded to one float, 2^1023 at most,
+        past which only key 0 lies below a float cutoff."""
+        n, d = self.terms
+        return k * n / d * (math.pi * math.pi)
 
     def key(self, k):
         return self.unit * k

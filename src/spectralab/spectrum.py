@@ -186,8 +186,12 @@ class _Table:
                     size = f"has over {_BOUND_ROWS} rows of levels"
                 else:
                     size = f"may have up to {bound} eigenvalues"
+                try:
+                    cutoff = self.value(qneed)
+                except OverflowError:  # a key past the float range
+                    cutoff = math.inf
                 raise ValueError(
-                    f"{self.spec.label()} {size} below {self.value(qneed):g}, "
+                    f"{self.spec.label()} {size} below {cutoff:g}, "
                     f"over the cap of {_LEVEL_CAP:g}")
             self.keys, self.mults, self.prefix = self.build(qcap)
             self.qcap = qcap

@@ -407,15 +407,43 @@ def test_bad_grid_is_usage_error(capsys):
 ], ids=lambda argv: argv[0])
 def test_number_beyond_float_range_is_usage_error(capsys, argv):
     # 1e400 is no float: a usage error, not a failed check
-    try:
-        rc = cli.main(argv)
-    except SystemExit as exit:  # argparse refused the value itself
-        rc = exit.code
-    captured = capsys.readouterr()
+    rc, out, err = run_cli(capsys, *argv)
     assert rc == 2
-    assert captured.out == ""
-    assert "expected a finite number, got '1e400'" in captured.err
-    assert "usage:" in captured.err
+    assert out == ""
+    assert "expected a finite number, got '1e400'" in err
+    assert "usage:" in err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["count", "pentagon", "--at", "6"], "argument spec: unknown surface family"),
+    (["spectrum", "sphere", "--max-t", "1e400"],
+     "argument --max-t: expected a finite number, got '1e400'"),
+    (["count", "sphere", "--at", "6,x"], "argument --at: expected a number, got 'x'"),
+    (["avg", "sphere", "--grid", "100:1:5"],
+     "argument --grid: must be positive and ascending, got '100:1:5'"),
+    (["freq", "sphere", "--window", "1:2:3", "--omega", "5:8:301"],
+     "argument --window: must be lo:hi, got '1:2:3'"),
+    (["freq", "sphere", "--window", "100:200", "--omega", "5:8:x"],
+     "argument --omega: n must be an integer, got 'x'"),
+    (["avg", "sphere"], "the following arguments are required: --grid"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+], ids=["surface", "max-t", "at", "grid", "window", "omega", "missing", "command"])
+def test_argument_error_is_returned_with_its_usage(capsys, argv, named):
+    # the parser refuses every bad argument before a command runs, and
+    # main returns its status rather than raising SystemExit
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert named in err
+    assert "usage: spectralab " + ("" if argv[0] == "bogus" else argv[0]) in err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["count", "-h"]], ids=["top", "count"])
+def test_help_is_returned_as_success(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 0
+    assert out.startswith("usage: spectralab ")
+    assert err == ""
 
 
 @pytest.mark.parametrize("argv", [
@@ -447,6 +475,37 @@ def test_constant_beyond_float_range_is_usage_error(capsys, argv, err):
     assert rc == 2
     assert out == ""
     assert err in captured and "usage:" in captured
+
+
+@pytest.mark.parametrize("label", [
+    "rectangle:a=1e-300,b=1e-300,bc=N",
+    "flat_torus_rect:a=1e-300,b=1e-300",
+    "mobius_band:a=1e-300,b=1e-300,bc=N",
+    "cylinder:a=1e-300,b=1e-300,bc=N",
+    "right_iso_triangle:a=1e-300,bc=N",
+    "rectangle:a=1e-200,b=1e-200,bc=N",
+])
+def test_key_unit_beyond_float_range_answers(capsys, label):
+    # tiny sides give a key unit past the float range, so key 0 is the
+    # only level below a float cutoff: the commands answer from it, and
+    # conjecture is refused at the cap by the dual torus its geodesic
+    # lengths read; none ends in an internal error
+    for argv in (["avg", "--grid", "1:2:3"], ["gprofile", "--grid", "100:200:11"],
+                 ["heat", "--at", "1"],
+                 ["freq", "--window", "100:200", "--omega", "5:8:301"]):
+        rc, out, err = run_cli(capsys, argv[0], label, *argv[1:])
+        assert (rc, err) == (0, "")
+        assert "nan" not in out and "inf" not in out
+        if argv[0] == "avg" and label.startswith("rectangle:a=1e-200"):
+            assert out.splitlines()[1] == "1,0.75,1,0.75"
+    rc, out, err = run_cli(capsys, "conjecture", label)
+    assert rc == 2
+    assert out == ""
+    assert "over the cap" in err and "usage:" in err
+    # both averaged-error engines read the same level values
+    spec = cli.parse_surface(label)
+    ts = [1.0, 1.5, 2.0, 1e6]
+    assert average.avg_error_list(spec, ts) == average.avg_error_grid(spec, ts).tolist()
 
 
 def test_level_budget_guard(capsys, monkeypatch):
