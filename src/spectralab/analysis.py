@@ -6,9 +6,9 @@ sectors of a base surface fill the spectrum in proportion d^2 / |G|.
 
 Frequencies are reported on the x axis (the argument of g, x ~ sqrt(t)),
 where the observed peaks sit directly at the geodesic lengths
-(`asymptotics.geodesic_lengths`).  A sector's sqrt-term sign is that of
-its verified B (`asymptotics.surface_constants`); the fitted coefficient
-beside it is a measurement.
+(`asymptotics.geodesic_lengths`).  A sector's two-term share and its
+sqrt-term sign come from its verified constants and the base's
+(`asymptotics.surface_constants`); nothing is fitted.
 """
 
 from __future__ import annotations
@@ -25,24 +25,25 @@ from .catalog import SurfaceSpec, _Frozen
 class APProfile(_Frozen):
     """Samples g_est(x) on an ascending x grid: arrays xs and gs.
 
-    `frequencies` holds (omega, amplitude, phase) peaks once
-    frequency_spectrum has filled them in.  A profile is immutable and,
-    its fields being arrays, equals only itself.
+    `frequencies` is an (n, 3) float64 array of (omega, amplitude, phase)
+    peaks once frequency_spectrum has filled them in, empty before.  A
+    profile is immutable and, its fields being arrays, equals only itself.
     """
 
     __slots__ = ("xs", "gs", "frequencies")
 
-    def __init__(self, xs: np.ndarray, gs: np.ndarray, frequencies: tuple = ()):
+    def __init__(self, xs: np.ndarray, gs: np.ndarray, frequencies=None):
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "gs", gs)
-        object.__setattr__(self, "frequencies", frequencies)
+        object.__setattr__(self, "frequencies",
+                           np.empty((0, 3)) if frequencies is None else frequencies)
 
 
 class ProportionReport(namedtuple(
-        "ProportionReport", "irrep measured predicted b_sign b_hat")):
+        "ProportionReport", "irrep measured predicted two_term b_sign")):
     """One sector's share of the base spectrum: its irrep, the measured
-    and predicted proportions, b_sign, the sign of its exact sqrt
-    coefficient B, and b_hat, that coefficient fitted to its counts."""
+    share, d^2 / |G|, the two-term share from the exact constants of the
+    sector and the base, and b_sign, the sign of the sector's B."""
 
     __slots__ = ()
 
@@ -159,7 +160,9 @@ def frequency_spectrum(profile: APProfile, omega_grid) -> APProfile:
     """Fill in the trigonometric frequency content of a profile.
 
     Local maxima of |fourier_coefficients| above three times the median
-    amplitude are reported as frequencies, sorted by amplitude descending.
+    amplitude (strictly above the left neighbour, at least the right one)
+    are reported as frequencies, sorted by amplitude descending, ties in
+    omega order.
     """
     omega = np.asarray(omega_grid, dtype=np.float64)
     coef = fourier_coefficients(profile, omega)
@@ -170,13 +173,11 @@ def frequency_spectrum(profile: APProfile, omega_grid) -> APProfile:
     # the relative term keeps pure rounding noise out when the background
     # is exactly zero (synthetic on-bin tones)
     floor = max(3.0 * float(median), 1e-9 * float(srt[-1]))
-    peaks = []
-    for i in range(1, amp.size - 1):
-        if amp[i] > amp[i - 1] and amp[i] >= amp[i + 1] and amp[i] > floor:
-            peaks.append((float(omega[i]), float(amp[i]),
-                          float(np.angle(coef[i]))))
-    peaks.sort(key=lambda p: -p[1])
-    return APProfile(profile.xs, profile.gs, tuple(peaks))
+    mid = amp[1:-1]
+    i = np.flatnonzero((mid > amp[:-2]) & (mid >= amp[2:]) & (mid > floor)) + 1
+    i = i[np.argsort(-amp[i], kind="stable")]
+    return APProfile(profile.xs, profile.gs,
+                     np.column_stack((omega[i], amp[i], np.angle(coef[i]))))
 
 
 def match_geodesics(freqs, lengths, tol) -> tuple:
@@ -203,22 +204,9 @@ def match_geodesics(freqs, lengths, tol) -> tuple:
     return tuple(matched)
 
 
-def _sector_b_hat(sector: SurfaceSpec, T: float) -> float:
-    """Constant least-squares fit of (N_j(t) - A_j t)/sqrt(t) on [T/10, T] at
-    the `average.window_blocks` samples, each batch counted from its block."""
-    a_j = float(asymptotics.surface_constants(sector).A)
-    lo = T / 10.0
-    ys = []
-    for ts, (vals, n_pref, _) in average.window_blocks(
-            sector, lo, T, np.linspace(lo, T, 2001)):
-        counts = n_pref[np.searchsorted(vals, ts, side="right")]
-        ys.append((counts - a_j * ts) / np.sqrt(ts))
-    return float(np.mean(np.concatenate(ys)))  # one pairwise sum over every sample
-
-
 def symmetry_proportions(base: str, T) -> list[ProportionReport]:
-    """Sector shares of the spectrum, the signs of their exact sqrt terms
-    and the fitted ones."""
+    """Sector shares of the spectrum, their one- and two-term predictions
+    and the signs of their exact sqrt terms."""
     T = float(T)
     if T < 1e3:
         raise ValueError("need T >= 1e3 for stable proportions")
@@ -230,13 +218,18 @@ def symmetry_proportions(base: str, T) -> list[ProportionReport]:
     if sum(counts.values()) != total:
         raise ArithmeticError(
             "sector counts for %r do not partition the base spectrum" % base)
+
+    def smooth(rc):  # the two-term count A T + B sqrt(T) + C
+        return float(rc.A) * T + float(rc.B) * math.sqrt(T) + float(rc.C)
+
+    whole = smooth(asymptotics.surface_constants(catalog.base_spec(base)))
     out = []
     for ir in irreps:
-        sector = catalog.symmetry_sector(base, ir)
+        rc = asymptotics.surface_constants(catalog.symmetry_sector(base, ir))
         out.append(ProportionReport(
             irrep=ir,
             measured=counts[ir] / total,
             predicted=float(Fraction(dims[ir] ** 2, order)),
-            b_sign=asymptotics.surface_constants(sector).B.sign(),
-            b_hat=_sector_b_hat(sector, T)))
+            two_term=smooth(rc) / whole,
+            b_sign=rc.B.sign()))
     return out

@@ -19,9 +19,9 @@ whose steps are correctly rounded in both (numpy's `power` is not libm's
 avg_error_grid's docstring gives the measured bound.  The numpy engine
 streams its sums from the table's integer keys a block of levels at a
 time (`_prefix_blocks`), carrying the running sums from block to block,
-and so do the decade sups, the decay fit and the sector fit, which take
-their window samples from window_blocks: beside the table, each holds a
-few blocks and its grid, never an array as long as the table.  numpy is
+and so do the decade sups and the decay fit, which take their window
+samples from `_window_residuals`: beside the table, each holds a few
+blocks and its grid, never an array as long as the table.  numpy is
 imported by the functions that use it, so that the Python engine runs
 without it.
 """
@@ -60,6 +60,17 @@ def _tilde_integral(rc: asymptotics.RefinedAsymptotics, sqrt):
         return 0.5 * A * t * t + (2.0 / 3.0) * B * broot + C * t
 
     return integral
+
+
+def _smooth(spec: SurfaceSpec, sqrt, top: float):
+    """`_tilde_integral` of the surface's constants, refused with
+    ValueError where it is not finite at the largest time top: every one
+    of its terms grows with t, so one that overflows below top overflows
+    at top.  The check runs in Python floats, whose steps numpy's match."""
+    rc = asymptotics.surface_constants(spec)
+    if not math.isfinite(_tilde_integral(rc, math.sqrt)(top)):
+        raise ValueError(f"the smooth integral overflows the float range at t = {top:g}")
+    return _tilde_integral(rc, sqrt)
 
 
 _BLOCK = 65536  # times per block of the averaged error's temporaries
@@ -137,7 +148,7 @@ def avg_error_grid(spec: SurfaceSpec, ts):
         raise ValueError("averaged error needs t > 0")
     if np.any(ts[1:] < ts[:-1]):
         raise ValueError("grid must be ascending")
-    tilde = _tilde_integral(asymptotics.surface_constants(spec), np.sqrt)
+    tilde = _smooth(spec, np.sqrt, float(ts[-1]))
     out = np.empty_like(ts)
     j = 0
     for block, edge in _prefix_blocks(spec, float(ts[-1])):
@@ -175,7 +186,7 @@ def avg_error_list(spec: SurfaceSpec, ts) -> list:
     vals = [value(float(k)) for k in tb.keys[:i]]
     n_pref = list(map(float, tb.prefix[:i + 1]))
     l_pref = list(accumulate(map(mul, mults, vals), initial=0.0))
-    tilde = _tilde_integral(asymptotics.surface_constants(spec), math.sqrt)
+    tilde = _smooth(spec, math.sqrt, ts[-1])
     out = []
     for t in ts:
         j = bisect_right(vals, t)
@@ -289,20 +300,20 @@ def g_samples(spec: SurfaceSpec, x_grid):
     return avg_error_grid(spec, xs * xs) * np.sqrt(xs)
 
 
-def window_blocks(spec: SurfaceSpec, lo: float, hi: float, grid):
-    """The samples of a sup or a fit over the window [lo, hi], a block of
-    levels at a time: N(t) jumps and the averaged error kinks only at
-    levels, so they are the levels strictly inside (lo, hi), the midpoints
-    between neighbouring ones and the grid points in [lo, hi].
-
-    Yields (ts, block) for each block of `_prefix_blocks` with samples
-    below its edge, ts sorted and unique.  A sample at or above the edge
-    waits for the next block, so a time that comes twice comes in one
-    batch, and the batches joined are the window's samples made unique.
+def _window_residuals(spec: SurfaceSpec, lo: float, hi: float, grid):
+    """(ts, `residual` at ts) over the window [lo, hi], a block of levels
+    at a time.  N(t) jumps and the averaged error kinks only at levels, so
+    the samples ts are the levels strictly inside (lo, hi), the midpoints
+    between neighbouring ones and the grid points in [lo, hi], sorted and
+    unique in each batch.  A batch comes for each block of `_prefix_blocks`
+    with samples below its edge; a sample at or above the edge waits for
+    the next block, so the batches joined are the window's samples made
+    unique.
     """
     import numpy as np
 
     lo, hi = float(lo), float(hi)
+    tilde = _smooth(spec, np.sqrt, hi)
     wait = np.asarray(grid, dtype=np.float64)
     wait = wait[(wait >= lo) & (wait <= hi)]
     last = np.empty(0)  # the last level inside the window so far
@@ -317,22 +328,13 @@ def window_blocks(spec: SurfaceSpec, lo: float, hi: float, grid):
         wait, ts = ts[now:].copy(), ts[:now]
         if ts.size:  # drop repeats: np.unique would load numpy.ma
             ts = ts[np.concatenate(([True], ts[1:] != ts[:-1]))]
-            yield ts, block  # the sorted array above is not held meanwhile
-
-
-def _window_residuals(spec: SurfaceSpec, lo: float, hi: float, grid):
-    """(ts, `residual` at ts) for each batch of `window_blocks`."""
-    import numpy as np
-
-    tilde = _tilde_integral(asymptotics.surface_constants(spec), np.sqrt)
-    for ts, block in window_blocks(spec, lo, hi, grid):
-        avg = np.empty_like(ts)
-        _avg_block(ts, block, tilde, avg)
-        yield ts, residual(spec, ts, avg)
+            avg = np.empty_like(ts)
+            _avg_block(ts, block, tilde, avg)
+            yield ts, residual(spec, ts, avg)  # the sorted array above is not held
 
 
 def window_sup(spec: SurfaceSpec, lo: float, hi: float, grid) -> float:
-    """The largest `residual` times t^{1/4} over the `window_blocks`
+    """The largest `residual` times t^{1/4} over the `_window_residuals`
     samples of [lo, hi] with the caller's grid."""
     best = -math.inf
     for ts, r in _window_residuals(spec, lo, hi, grid):
@@ -345,9 +347,9 @@ def remainder_exponent(spec: SurfaceSpec, t_lo, t_hi) -> float:
     """Fitted decay slope of the residual averaged error.
 
     Splits [t_lo, t_hi] into full dyadic windows [edges[i], edges[i+1]),
-    takes the max of `residual` over each (at the `window_blocks` samples
-    with a log grid, a batch at a time), and least-squares fits log(max)
-    against log(window center).  The leading term is the scaled sphere
+    takes the max of `residual` over each (at the `_window_residuals`
+    samples with a log grid, a batch at a time), and least-squares fits
+    log(max) against log(window center).  The leading term is the scaled sphere
     profile A * g(sqrt(t + 1/4)) for positively curved surfaces and zero
     for flat ones, whose averaged error already decays like t^{-1/4}.
     """

@@ -270,7 +270,7 @@ def cmd_proportions(args) -> int:
 
     reports = analysis.symmetry_proportions(args.base, float(args.max_t))
     emit([{name: [getattr(r, name) for r in reports]
-           for name in ("irrep", "measured", "predicted", "b_sign", "b_hat")}],
+           for name in ("irrep", "measured", "predicted", "two_term", "b_sign")}],
          args.format)
     return 0
 
@@ -375,7 +375,7 @@ def cmd_conjecture(args) -> int:
     prof = analysis.frequency_spectrum(prof, omega)
     # the rectangular window sprays sidelobes around each strong line, so
     # only the largest few maxima carry structure worth reporting
-    top = sorted(f for f, _, _ in prof.frequencies[:8])
+    top = sorted(prof.frequencies[:8, 0].tolist())
     lengths = asymptotics.geodesic_lengths(args.spec, float(omega[-1]))
     matched = analysis.match_geodesics(top, lengths, _FREQ_TOL)
     out.append("freq top peaks: " + (" ".join("%.6g" % f for f in top) or "none"))

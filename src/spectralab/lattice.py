@@ -73,6 +73,15 @@ class _LevelTable(_Table):
             n += w * max(0, -((ks.start - ks.stop) // ks.step))
         return n // self.div
 
+    def fits(self, q: int) -> bool:
+        """Whether build(q) can pack the keys <= q into int64 beside the
+        weights of its nonempty rows, as `_weight_shift` asks."""
+        try:
+            _weight_shift(q, [w for _, _, _, ks, w in self.rows(q) if ks])
+        except ArithmeticError:
+            return False
+        return True
+
     ends = staticmethod(_rho_ends)
 
     def key_at(self, P: int, Q: int) -> int:
@@ -120,7 +129,9 @@ def _reduce(qcap: int, rows, div: int, pair: int = 1):
 
 def _weight_shift(qcap: int, wts) -> tuple:
     """(lowest weight, bits of the weight span) for the packed route,
-    refusing keys up to qcap that would not fit int64 beside them."""
+    refusing keys up to qcap that would not fit int64 beside them; a
+    table asks first (`_LevelTable.fits`), so that `_Table.grow` refuses
+    such keys as it refuses a table over the cap."""
     wlo = min(wts, default=0)
     shift = (max(wts, default=0) - wlo).bit_length()
     if qcap >> (62 - shift):

@@ -10,18 +10,18 @@ a degree N, a flat one (`lattice`) an integer q.  Only occupied keys are
 held, in stdlib `array('q')` or, for a large flat table, int64 numpy
 arrays, so memory follows the number of levels, not the size of the grid
 up to the cutoff.  Every table grows in `_Table.grow`, which refuses one
-whose `bound`, the count it would hold, is over _LEVEL_CAP before
-building it: a round table's window count, or the weights of a flat
-table's own lattice rows summed without expanding them.  The closed-form
-route evaluates the floor-bracket identities for N(t), jump
-discontinuities included.  Each flat surface's identity is compiled once,
-on first use, into an integer linear form cached on its table: a common
-denominator, a constant, counts of tables (tori, the hexagonal lattice)
-at fixed rational rescalings of the cutoff, and brackets
-floor(sqrt(c2 rho) + shift), rho = t / pi^2, with c2 and shift held as
-integer pairs.  A query is then integer isqrt and floor division only,
-and one method sums the form (`_Form.total`).  A round closed form is the
-window count itself.
+whose `bound`, the count it would hold, is over _LEVEL_CAP, or whose keys
+do not fit int64, before building it: the bound is a round table's window
+count, or the weights of a flat table's own lattice rows summed without
+expanding them.  The closed-form route evaluates the floor-bracket
+identities for N(t), jump discontinuities included.  Each flat surface's
+identity is compiled once, on first use, into an integer linear form
+cached on its table: a common denominator, a constant, counts of tables
+(tori, the hexagonal lattice) at fixed rational rescalings of the cutoff,
+and brackets floor(sqrt(c2 rho) + shift), rho = t / pi^2, with c2 and
+shift held as integer pairs.  A query is then integer isqrt and floor
+division only, and one method sums the form (`_Form.total`).  A round
+closed form is the window count itself.
 `closed_form_identity` reports both numbers side by side;
 `oracle.check_equivalence` compares them against a third, structurally
 different enumeration.
@@ -155,10 +155,11 @@ class _Table:
     `array('q')` or all int64 numpy arrays, with every key <= qcap present.
     A kind supplies `build(qcap)` (the arrays), `bound(q)` (the number of
     eigenvalues with key <= q, or None where a flat table has too many rows
-    to sum), `ends(t)` (t's cutoff as exact integer pairs, `_decided`),
-    `key_at(P, Q)` (the largest key whose eigenvalue is <= the cutoff at
-    one end), `value(k)` (that eigenvalue in float64), `key(k)` (the exact
-    key) and `printed(k)` (the key as written)."""
+    to sum), `fits(q)` (whether the keys <= q fit int64), `ends(t)` (t's
+    cutoff as exact integer pairs, `_decided`), `key_at(P, Q)` (the
+    largest key whose eigenvalue is <= the cutoff at one end), `value(k)`
+    (that eigenvalue in float64), `key(k)` (the exact key) and
+    `printed(k)` (the key as written)."""
 
     __slots__ = ("spec", "keys", "mults", "prefix", "qcap", "form")
 
@@ -169,32 +170,39 @@ class _Table:
     def grow(self, qneed: int) -> None:
         """Hold every level with key <= qneed, rebuilt at twice the size or
         qneed: the arrays are replaced, never resized, so views handed out
-        before stay as they were.  A doubled size whose `bound` is over
-        _LEVEL_CAP (or None: too many rows to sum) falls back to qneed, and
-        qneed itself, when its bound is as well, is refused with ValueError
-        naming the surface, the cutoff, the bound or the row limit, and the
-        cap."""
+        before stay as they were.  A doubled size that cannot be built
+        (`_refusal`) falls back to qneed, and qneed itself, when it cannot
+        be built either, is refused with ValueError naming the surface, the
+        cutoff and what is past its limit."""
         if self.qcap < qneed:
             qcap = max(qneed, 256, 2 * self.qcap)
-            bound = self.bound(qcap)
-            if qcap > qneed and (bound is None or bound > _LEVEL_CAP):
-                qcap, bound = qneed, self.bound(qneed)
-            if bound is None or bound > _LEVEL_CAP:
-                if bound is None:
-                    from .lattice import _BOUND_ROWS
-
-                    size = f"has over {_BOUND_ROWS} rows of levels"
-                else:
-                    size = f"may have up to {bound} eigenvalues"
+            why = self._refusal(qcap)
+            if why and qcap > qneed:
+                qcap = qneed
+                why = self._refusal(qcap)
+            if why:
                 try:
                     cutoff = self.value(qneed)
                 except OverflowError:  # a key past the float range
                     cutoff = math.inf
-                raise ValueError(
-                    f"{self.spec.label()} {size} below {cutoff:g}, "
-                    f"over the cap of {_LEVEL_CAP:g}")
+                raise ValueError(f"{self.spec.label()} {why[0]} below {cutoff:g}, {why[1]}")
             self.keys, self.mults, self.prefix = self.build(qcap)
             self.qcap = qcap
+
+    def _refusal(self, q: int):
+        """None when build(q) can be made, else what is past its limit and
+        the limit: a `bound` over _LEVEL_CAP (or None: too many rows to
+        sum), or keys that do not fit int64 (`fits`)."""
+        bound = self.bound(q)
+        if bound is None:
+            from .lattice import _BOUND_ROWS
+
+            return f"has over {_BOUND_ROWS} rows of levels", f"over the cap of {_LEVEL_CAP:g}"
+        if bound > _LEVEL_CAP:
+            return f"may have up to {bound} eigenvalues", f"over the cap of {_LEVEL_CAP:g}"
+        if not self.fits(q):
+            return f"has level keys up to {q}", "which do not fit int64 beside their weights"
+        return None
 
     def decided(self, t, value):
         """value(P, Q) at every end of t's cutoff (`_decided`).  When the
@@ -270,6 +278,11 @@ class _RoundTable(_Table):
     def bound(self, q: int) -> int:
         """The number of eigenvalues of degree <= q, exactly: window q + 1."""
         return _sph_cum(self.spec, q + 1)
+
+    @staticmethod
+    def fits(q: int) -> bool:
+        """True: a degree whose bound is under the cap is far below 2^63."""
+        return True
 
     @staticmethod
     def ends(t) -> tuple:

@@ -105,7 +105,7 @@ def window_samples(vals, lo, hi, grid):
     """Sorted sample times for a sup or a fit over the window [lo, hi],
     all at once: the levels vals strictly inside (lo, hi), the midpoints
     between neighbouring ones and the grid, made unique and clipped to
-    [lo, hi], as `average.window_blocks` yields them a block at a time."""
+    [lo, hi], as `average._window_residuals` yields them a block at a time."""
     inside = vals[(vals > lo) & (vals < hi)]
     mids = 0.5 * (inside[1:] + inside[:-1])
     ts = np.unique(np.concatenate((inside, mids, grid)))
@@ -145,12 +145,19 @@ def remainder_exponent_whole(spec, t_lo, t_hi):
     return float(np.polyfit(np.array(xs), np.array(ys), 1)[0])
 
 
-def sector_b_hat_whole(sector, T):
-    """`analysis._sector_b_hat` from the whole table's counts at once."""
-    a_j = float(asymptotics.surface_constants(sector).A)
-    vals, mults = spectrum.level_arrays(sector, T)
-    prefix = np.concatenate(([0.0], np.cumsum(mults.astype(np.float64))))
-    lo = T / 10.0
-    ts = window_samples(vals, lo, T, np.linspace(lo, T, 2001))
-    counts = prefix[np.searchsorted(vals, ts, side="right")]
-    return float(np.mean((counts - a_j * ts) / np.sqrt(ts)))
+def frequency_peaks_loop(coef, omega):
+    """`analysis.frequency_spectrum`'s peaks, one index at a time: the
+    (omega, amplitude, phase) of each amplitude strictly above its left
+    neighbour, at least its right one and above the floor (three times
+    the median, at least 1e-9 times the largest), in a stable sort by
+    amplitude descending."""
+    amp = np.abs(coef)
+    srt = np.sort(amp)
+    median = 0.5 * (srt[(srt.size - 1) // 2] + srt[srt.size // 2])
+    floor = max(3.0 * float(median), 1e-9 * float(srt[-1]))
+    peaks = []
+    for i in range(1, amp.size - 1):
+        if amp[i] > amp[i - 1] and amp[i] >= amp[i + 1] and amp[i] > floor:
+            peaks.append((float(omega[i]), float(amp[i]), float(np.angle(coef[i]))))
+    peaks.sort(key=lambda p: -p[1])
+    return peaks

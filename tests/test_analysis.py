@@ -9,6 +9,8 @@ import pytest
 from spectralab import analysis, asymptotics, average, catalog
 from spectralab.analysis import APProfile
 
+from reference_formulas import frequency_peaks_loop
+
 
 def spec(label):
     return catalog.parse_spec(label)
@@ -162,6 +164,41 @@ def test_trig_sum_recovery():
             hits = [f for f in out.frequencies if abs(f[0] - w) <= dw]
             assert hits, f"tone at {w} not recovered"
             assert abs(hits[0][1] - a) <= 0.05 * a + 1e-9
+
+
+def test_frequency_peaks_follow_the_neighbour_rule(monkeypatch):
+    # a peak is strictly above its left neighbour, at least its right one
+    # and above the floor (3 times the median, 0.3 here); the first of a
+    # plateau counts, the grid's ends do not, and equal amplitudes keep
+    # their omega order.  The peaks are an (n, 3) float64 array, an empty
+    # profile's a (0, 3) one.
+    amp = np.full(40, 0.1)
+    amp[[0, 5, 6, 10, 20, 30, 39]] = [4.0, 2.0, 2.0, 3.0, 3.0, 0.2, 4.0]
+    coef = amp * np.array([1, 1j, -1, -1j])[np.arange(40) % 4]  # |coef| is amp
+    monkeypatch.setattr(analysis, "fourier_coefficients", lambda p, omega: coef)
+    xs = np.linspace(0.0, 1.0, 5)
+    empty = synthetic_profile(xs, xs)
+    assert empty.frequencies.shape == (0, 3)
+    omega = np.linspace(1.0, 4.9, 40)
+    peaks = analysis.frequency_spectrum(empty, omega).frequencies
+    assert peaks.dtype == np.float64
+    i = [10, 20, 5]
+    assert np.array_equal(peaks, np.column_stack((omega[i], amp[i], np.angle(coef[i]))))
+
+
+@pytest.mark.parametrize("label, window, omega", [
+    ("sphere", (100.0, 200.0, 8001), np.arange(1.0, 30.0, 0.02)),
+    ("flat_torus_rect:a=1,b=1", (200.0, 800.0, 60001), np.linspace(1.0, 10.0, 901)),
+])
+def test_frequency_peaks_match_the_loop(label, window, omega):
+    # the array comparisons pick the loop's peaks in its order; omega and
+    # amplitude are the same floats, the phase to the rounding of arctan2
+    p = analysis.make_profile(spec(label), *window)
+    ref = np.array(frequency_peaks_loop(analysis.fourier_coefficients(p, omega), omega))
+    got = analysis.frequency_spectrum(p, omega).frequencies
+    assert got.shape == ref.shape and len(ref) >= 2
+    assert np.array_equal(got[:, :2], ref[:, :2])
+    assert np.allclose(got[:, 2], ref[:, 2], rtol=0, atol=1e-15)
 
 
 def test_frequencies_sorted_by_amplitude():
@@ -357,8 +394,8 @@ def test_symmetry_proportions(base):
 
 @pytest.mark.parametrize("base", sorted(EXPECTED_SIGNS))
 def test_b_sign_is_exact_below_the_share_bound(base):
-    # the sign is the verified B's at any T, also where the fitted b_hat
-    # sits near zero and the share bound above does not hold yet
+    # the sign is the verified B's at any T, also where the share bound
+    # above does not hold yet
     reps = analysis.symmetry_proportions(base, 1e3)
     assert {r.irrep: r.b_sign for r in reps} == EXPECTED_SIGNS[base]
 
@@ -372,17 +409,29 @@ def test_proportions_sum_exactly():
         assert sum(counts.values()) == total
 
 
-def test_b_hat_tracks_true_coefficient():
-    reps = analysis.symmetry_proportions("square_torus", 1e5)
-    true_b = {
-        "++": (2 + math.sqrt(2)) / (8 * math.pi),
-        "+-": (math.sqrt(2) - 2) / (8 * math.pi),
-        "-+": (2 - math.sqrt(2)) / (8 * math.pi),
-        "--": -(2 + math.sqrt(2)) / (8 * math.pi),
-        "2": 0.0,
-    }
-    for r in reps:
-        assert abs(r.b_hat - true_b[r.irrep]) <= 0.01, r.irrep
+def test_two_term_share_tracks_measured_share():
+    # at T = 1e5 the share (A_j T + B_j sqrt(T) + C_j) / (A T + B sqrt(T) + C)
+    # of the exact constants is within 2e-5 of the measured share on every
+    # sector (1.4e-5 at most); with the sector's B flipped it misses each
+    # 1-dim sector by more than 1e-3 (1.9e-3 to 1.1e-2), so the sqrt term
+    # is what it measures
+    T = 1e5
+    for base in ("square_torus", "hex_torus"):
+        whole = asymptotics.surface_constants(catalog.base_spec(base))
+        n = float(whole.A) * T + float(whole.B) * math.sqrt(T) + float(whole.C)
+        for r in analysis.symmetry_proportions(base, T):
+            assert abs(r.measured - r.two_term) <= 2e-5, (base, r)
+            rc = asymptotics.surface_constants(catalog.symmetry_sector(base, r.irrep))
+            flipped = (float(rc.A) * T - float(rc.B) * math.sqrt(T) + float(rc.C)) / n
+            if r.irrep != "2":
+                assert abs(r.measured - flipped) > 1e-3, (base, r)
+
+
+@pytest.mark.parametrize("base", sorted(EXPECTED_SIGNS))
+def test_two_term_shares_sum_to_one(base):
+    # the sectors' constants add up to the base's, so their shares do
+    reps = analysis.symmetry_proportions(base, 1e3)
+    assert abs(sum(r.two_term for r in reps) - 1.0) <= 1e-12
 
 
 def test_proportions_validation():

@@ -213,7 +213,7 @@ def test_proportions_table(capsys):
     rc, out, _ = run_cli(capsys, "proportions", "square_torus", "--max-t", "5000")
     assert rc == 0
     header, body = parse_csv(out)
-    assert header == ["irrep", "measured", "predicted", "b_sign", "b_hat"]
+    assert header == ["irrep", "measured", "predicted", "two_term", "b_sign"]
     assert [r[0] for r in body] == ["++", "+-", "-+", "--", "2"]
     assert sum(float(r[2]) for r in body) == pytest.approx(1.0)
 
@@ -229,12 +229,12 @@ def test_heat_table_decreases(capsys):
 
 def test_heat_retries_only_a_short_cutoff(capsys, monkeypatch):
     # heat doubles its cutoff only while the tail bound is too large; a
-    # refused table (keys beyond int64 at cutoff 64) or a violated count
-    # envelope ends the command at once with exit 1
+    # refused table (keys beyond int64 at cutoff 64, exit 2) or a violated
+    # count envelope (exit 1) ends the command at once
     rc, out, err = run_cli(capsys, "heat", "flat_torus_rect:a=10000000019/10000000000,b=1",
                            "--at", "1")
-    assert (rc, out) == (1, "")
-    assert "do not fit int64" in err and "usage:" not in err
+    assert (rc, out) == (2, "")
+    assert "do not fit int64" in err and "below 64," in err
     cutoffs = []
     level_arrays = spectrum.level_arrays
 
@@ -296,7 +296,7 @@ def test_identical_config_identical_bytes(capsys):
 
 def test_conjecture_passes_for_asserted_families(capsys):
     # length and sha256 of the whole report, captured before the three
-    # level-window samplers became one (now average.window_blocks)
+    # level-window samplers became one (now average._window_residuals)
     rc, out, _ = run_cli(capsys, "conjecture", "sphere")
     assert rc == 0
     assert out.rstrip().endswith("RESULT: PASS")
@@ -508,6 +508,71 @@ def test_key_unit_beyond_float_range_answers(capsys, label):
     assert average.avg_error_list(spec, ts) == average.avg_error_grid(spec, ts).tolist()
 
 
+# sides whose level keys do not fit int64 beside their weights
+INT64_SURFACES = ["rectangle:a=1.000000000000000000001,b=1,bc=N",
+                  "flat_torus_rect:a=10000000019/10000000000,b=1"]
+
+
+@pytest.mark.parametrize("label", INT64_SURFACES)
+def test_keys_past_int64_are_refused_as_usage(capsys, label):
+    # keys past int64 are refused where the table grows, as the cap
+    # refuses a table: exit 2, naming the surface
+    rc, out, err = run_cli(capsys, "spectrum", label, "--max-t", "1")
+    assert (rc, out) == (2, "")
+    assert f"{cli.parse_surface(label).label()} has level keys up to " in err
+    assert "below 1, which do not fit int64" in err and "usage:" in err
+
+
+def test_doubled_table_past_int64_falls_back_to_the_cutoff(capsys, monkeypatch):
+    # after t = 0.3 the table's doubled size has keys past int64, while
+    # those up to t = 0.45 fit: the table grows to t = 0.45 alone
+    monkeypatch.setattr(spectrum, "_TABLES", {})
+    rc, out, err = run_cli(capsys, "count", INT64_SURFACES[1], "--at", "0.3,0.45")
+    assert (rc, err) == (0, "")
+    assert out == "t,count,closed_form\n0.29999999999999999,1,1\n0.45000000000000001,1,1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["avg", "--grid", "1e250:1e300:3"],
+    ["avg", "--grid", "1e250:1e300:70000", "--log"],  # past the Python engine
+    ["gprofile", "--grid", "1e125:1e150:3"],
+])
+def test_smooth_integral_past_the_float_range_is_refused(capsys, argv):
+    # on sides of 1e-300 the smooth integral overflows past t of about
+    # 3e205: refused at the grid's largest t, not printed as -inf
+    rc, out, err = run_cli(capsys, argv[0], "rectangle:a=1e-300,b=1e-300,bc=N", *argv[1:])
+    assert (rc, out) == (2, "")
+    assert "error: the smooth integral overflows the float range at t = 1e+300" in err
+
+
+# every command but list and proportions on each surface, with the options
+# it needs there: sides past int64 keys, and sides of 1e-300, whose smooth
+# integral overflows on the grids past 1e206
+_GATE_ARGS = {
+    "spectrum": ["--max-t", "1"],
+    "count": ["--at", "0.3,0.45,100"],
+    "asymptotics": [],
+    "avg": ["--grid", "1:2:3"],
+    "gprofile": ["--grid", "100:200:11"],
+    "freq": ["--window", "100:200", "--omega", "5:8:301"],
+    "verify": ["--max-t", "1"],
+    "heat": ["--at", "1"],
+    "conjecture": [],
+}
+_GATE_TINY = {"avg": ["--grid", "1e200:1e210:5"], "gprofile": ["--grid", "1e100:1e104:11"]}
+
+
+@pytest.mark.parametrize("label", INT64_SURFACES + ["rectangle:a=1e-300,b=1e-300,bc=N"])
+def test_no_command_ends_in_an_internal_error(capsys, label):
+    # exit 1 is a failed check or a bug; none of these inputs has a check
+    # to fail, so each command answers (0) or refuses the input (2)
+    tiny = label.startswith("rectangle:a=1e-300")
+    for command, extra in _GATE_ARGS.items():
+        extra = _GATE_TINY.get(command, extra) if tiny else extra
+        rc, _, err = run_cli(capsys, command, label, *extra)
+        assert rc in (0, 2), (command, err)
+
+
 def test_level_budget_guard(capsys, monkeypatch):
     # every table is held to the cap by its bound where it grows, and the
     # refusal names the surface, the cutoff, the bound and the cap; this
@@ -682,12 +747,11 @@ def test_chunks_write_one_table(capsys):
 
 
 # --- golden bytes: stdout captured from the commit before the CSV writer
-# formatted whole rows at once (proportions hex_torus: from the commit
-# before the level-window samplers became one, now average.window_blocks;
-# count lune and spectrum sphere: from the commit before round tables
-# became window-count lists; the half lunes and proportions square_n at
-# 1e5: from the commit before the decay fit and the sector fit read
-# window_blocks) ---
+# formatted whole rows at once (count lune and spectrum sphere: from the
+# commit before round tables became window-count lists; the half lunes:
+# from the commit before the decay fit read its window samples a block at
+# a time; the three proportions tables: from the commit that replaced the
+# fitted sqrt coefficient with the two-term share) ---
 
 GOLDEN = {
     ("count", "rectangle:a=3/2,b=1,bc=NM", "--at", "100,7/3,1e3"):
@@ -762,17 +826,17 @@ GOLDEN = {
         "20,4,9\n"
         "30,5,11\n",
     ("proportions", "square_torus", "--max-t", "1e3"):
-        "irrep,measured,predicted,b_sign,b_hat\n"
-        "++,0.18518518518518517,0.125,1,0.15218324652383114\n"
-        "+-,0.1111111111111111,0.125,-1,-0.029600875599398703\n"
-        "-+,0.13580246913580246,0.125,1,0.014222293446043199\n"
-        "--,0.07407407407407407,0.125,-1,-0.11950932570264421\n"
-        "2,0.49382716049382713,0.5,0,-0.03083941445832717\n",
+        "irrep,measured,predicted,two_term,b_sign\n"
+        "++,0.18518518518518517,0.125,0.1836958453570664,1\n"
+        "+-,0.1111111111111111,0.125,0.11416710684651922,-1\n"
+        "-+,0.13580246913580246,0.125,0.132691300499891,1\n"
+        "--,0.07407407407407407,0.125,0.075728932603703003,-1\n"
+        "2,0.49382716049382713,0.5,0.49371681469282042,0\n",
     ("proportions", "hex_torus", "--max-t", "1e3"):
-        "irrep,measured,predicted,b_sign,b_hat\n"
-        "+,0.20603015075376885,0.16666666666666666,1,0.2549670520499559\n"
-        "-,0.1306532663316583,0.16666666666666666,-1,-0.22275706950954835\n"
-        "2,0.66331658291457285,0.66666666666666663,0,-0.031828624649677985\n",
+        "irrep,measured,predicted,two_term,b_sign\n"
+        "+,0.20603015075376885,0.16666666666666666,0.20479376993521933,1\n"
+        "-,0.1306532663316583,0.16666666666666666,0.13176409560119715,-1\n"
+        "2,0.66331658291457285,0.66666666666666663,0.6634421344635838,0\n",
     # the Moebius cover translates by (ma, nb) with m = n mod 2: every top
     # peak sits at a length of that lattice
     ("conjecture", "mobius_band:a=1,b=1,bc=D"):
@@ -834,14 +898,14 @@ GOLDEN = {
         "freq matched 3 of 8 top peaks\n"
         "freq comparison: report only for this surface\n"
         "RESULT: PASS\n",
-    # the sector fit over the windows of a 1e5 table
+    # the two-term shares of a 1e5 table
     ("proportions", "square_n", "--max-t", "1e5"):
-        "irrep,measured,predicted,b_sign,b_hat\n"
-        "++,0.12912428677747456,0.125,1,0.13827921765327264\n"
-        "+-,0.12552716447531631,0.125,1,0.056976832509072907\n"
-        "-+,0.12465889357479534,0.125,1,0.023321624589394914\n"
-        "--,0.12106177127263706,0.125,-1,-0.055567768419358197\n"
-        "2,0.49962788389977675,0.5,1,0.16121653976572739\n",
+        "irrep,measured,predicted,two_term,b_sign\n"
+        "++,0.12912428677747456,0.125,0.12881206471863033,1\n"
+        "+-,0.12552716447531631,0.125,0.12564285047408325,1\n"
+        "-+,0.12465889357479534,0.125,0.12433388261766307,1\n"
+        "--,0.12106177127263706,0.125,0.12122671346179248,-1\n"
+        "2,0.49962788389977675,0.5,0.49998448872783086,1\n",
 }
 
 

@@ -382,18 +382,21 @@ def test_tori_of_one_shape_share_a_table(monkeypatch):
 
 
 def test_table_keys_beyond_int64_raise():
-    # keys of this torus reach about 5e18 at t = 5e7, where its box bound
-    # (2.03e7) is under the level cap: refused before any array is made
+    # keys of this torus reach about 5e18 at t = 5e7, where its bound
+    # (2.03e7) is under the level cap: refused as the cap refuses, with
+    # ValueError naming the surface, before any array is made
     spec = catalog.flat_torus_rect(F(1000003, 1000000), 1)
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ValueError, match=r"flat_torus_rect:a=1000003/1000000,b=1 has "
+                       r"level keys up to \d+ below 5e\+07, which do not fit int64"):
         count(spec, 5e7)
+    assert spectrum._table(spec).qcap == -1
 
 
 def test_few_levels_beyond_int64_raise(capsys, monkeypatch):
     # key unit about 1e-20: qcap is about 1e19 at t = 1, yet the table has
-    # a handful of entries and goes to the dict engine, which must refuse
-    # the keys as the numpy one does rather than overflow array('q') or
-    # keep them as Python integers
+    # a handful of entries; its keys are refused where it grows (exit 2),
+    # before the dict engine could overflow array('q') or keep them as
+    # Python integers, and without the numpy engine
     from spectralab import cli, lattice
 
     def numpy_engine(*args):
@@ -403,7 +406,7 @@ def test_few_levels_beyond_int64_raise(capsys, monkeypatch):
     monkeypatch.setattr(spectrum, "_TABLES", {})
     monkeypatch.setattr(lattice, "_reduce_np", numpy_engine)
     assert spectrum._table(cli.parse_surface(label)).qmax(1) > 2 ** 63
-    assert cli.main(["count", label, "--at", "1"]) == 1
+    assert cli.main(["count", label, "--at", "1"]) == 2
     assert "do not fit int64" in capsys.readouterr().err
 
 
