@@ -61,12 +61,9 @@ def make_profile(spec: SurfaceSpec, x_lo, x_hi, n: int) -> APProfile:
 
 
 def window_mean(profile: APProfile) -> float:
-    """Trapezoidal mean of g_est over the profile's window."""
-    if profile.xs.size < 100:
-        raise ValueError("need at least 100 samples for a stable mean")
-    xs = profile.xs
-    gs = profile.gs
-    return float(np.trapezoid(gs, xs) / (xs[-1] - xs[0]))
+    """Trapezoidal mean of g_est over the profile's window
+    (`average.window_mean`)."""
+    return average.window_mean(profile.xs, profile.gs)
 
 
 def _uniform_step(grid: np.ndarray, other_max: float, name: str) -> float:

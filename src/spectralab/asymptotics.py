@@ -212,14 +212,20 @@ def geodesic_lengths(spec: SurfaceSpec, L_max: float) -> list[float]:
         return []
     if not catalog.is_spherical(spec):
         return _read_closed_form(spec, L_max)[1]
-    # the sphere and the hemisphere keep the default m = 1
-    step = 1 if spec.family is Family.PROJECTIVE_SPHERE else Fraction(2, spec.m)
+    step = orbit_step(spec)
     out = []
     j = 1
     while float(step * j) * math.pi <= L_max + 1e-12:
         out.append(float(step * j) * math.pi)
         j += 1
     return out
+
+
+def orbit_step(spec: SurfaceSpec) -> Fraction:
+    """The lengths of a round surface's closed geodesics are the multiples
+    of this rational times pi: its great-circle orbit."""
+    # the sphere and the hemisphere keep the default m = 1
+    return Fraction(1) if spec.family is Family.PROJECTIVE_SPHERE else Fraction(2, spec.m)
 
 
 def _round_row(spec: SurfaceSpec) -> tuple:

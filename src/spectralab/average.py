@@ -10,11 +10,12 @@ avg_error_grid and each other (tests/reference_formulas.py).
 
 Every averaged error comes from float64 prefix sums of the level table,
 on one of two engines: avg_error_grid on numpy arrays, and Python floats.
-avg_error_list picks the engine: Python floats for a grid of at most
-_PY_POINTS times over a table held in `array('q')`, where importing numpy
-would cost more than the sums, else avg_error_grid.  Both run the same
-operations in the same order, and their powers t^{3/2} are t * sqrt(t),
-whose steps are correctly rounded in both (numpy's `power` is not libm's
+One rule picks the engine for every sampler here (`_lists`): Python
+floats for at most _PY_POINTS times over a table held in `array('q')`,
+where importing numpy would cost more than the sums, else numpy.  Both
+run the same operations in the same order, and their powers are products
+of square roots (t^{3/2} is t * sqrt(t), t^{1/4} is sqrt(sqrt(t))), whose
+steps are correctly rounded in both (numpy's `power` is not libm's
 `pow`), so they agree bit for bit.  The rounding grows with t;
 avg_error_grid's docstring gives the measured bound.  The numpy engine
 streams its sums from the table's integer keys a block of levels at a
@@ -24,19 +25,42 @@ samples from `_window_residuals`: beside the table, each holds a few
 blocks and its grid, never an array as long as the table.  numpy is
 imported by the functions that use it, so that the Python engine runs
 without it.
+
+On a round surface the averaged error tends to `leading_profile`, whose
+Fourier lines are closed-form (`profile_lines`); `line_check` measures a
+sampled profile's coefficient at each of them.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import accumulate
-from operator import mul
+from functools import partial, reduce
+from itertools import accumulate, chain, islice, repeat
+from operator import add, le, lt, mul, sub
 
 from . import asymptotics, catalog, spectrum
 from .catalog import SurfaceSpec
+
+
+def grid(lo: float, hi: float, n: int, log: bool) -> list:
+    """n floats from lo to hi, as np.linspace(lo, hi, n) gives them, or
+    with log as np.geomspace does: 10 ** x over the linear grid of the
+    log10 of the ends, and the ends themselves.  The linear grid is
+    np.linspace's bit for bit; libm's log10 and pow may round differently
+    from numpy's, so a log grid's inner points may differ from
+    np.geomspace's in the last bits."""
+    a, b = (math.log10(lo), math.log10(hi)) if log else (lo, hi)
+    step = (b - a) / max(n - 1, 1)
+    xs = [i * step + a for i in range(n)]
+    if log:
+        xs = [10.0 ** x for x in xs]
+    xs[0] = lo
+    if n > 1:
+        xs[-1] = hi
+    return xs
 
 
 def _tilde_integral(rc: asymptotics.RefinedAsymptotics, sqrt):
@@ -75,10 +99,10 @@ def _smooth(spec: SurfaceSpec, sqrt, top: float):
 
 _BLOCK = 65536  # times per block of the averaged error's temporaries
 _LEVELS = 1 << 15  # levels per block of `_prefix_blocks`
-# Most times that avg_error_list sums in Python floats: about 1 us a time,
-# 4.1-4.6 ms at 4001 times and 62-65 ms at 65536 (sphere and a rational
-# rectangle), against about 165 ms for the numpy import, so the crossover
-# lies past 10^5 times.
+# Most times that the Python engine sums: about 0.5 us a time, 2.3-4.1 ms
+# at 4001 times and 29-30 ms at 65536 (sphere and a rational rectangle),
+# against about 165 ms for the numpy import, so the crossover lies past
+# 10^5 times.
 _PY_POINTS = 1 << 16
 
 
@@ -99,7 +123,7 @@ def _prefix_blocks(spec: SurfaceSpec, T: float):
     import numpy as np
 
     tb = spectrum._table(spec)
-    i = tb.index(tb.qmax(T))
+    i = tb.index(tb.qmax(T), T)
     keys, mults, prefix = map(np.asarray, (tb.keys, tb.mults, tb.prefix))
     l_run = 0.0
     for lo in range(0, max(i, 1), _LEVELS):
@@ -112,6 +136,53 @@ def _prefix_blocks(spec: SurfaceSpec, T: float):
         np.cumsum(l_pref, out=l_pref)
         l_run = l_pref[-1]
         yield (vals, n_pref, l_pref), vals[-1] if hi < i else np.inf
+
+
+def _lists(spec: SurfaceSpec, T: float, n: int):
+    """The engine rule: n times up to T over a table held in `array('q')`
+    run on Python floats, with n at most _PY_POINTS.  Then the table's
+    (vals, n_pref, l_pref) lists of the levels <= T, the values and sums
+    of `_prefix_blocks` in one block, with the sums of mult * value added
+    sequentially as numpy's cumsum adds them; None sends the times to
+    numpy."""
+    if n > _PY_POINTS:
+        return None
+    tb = spectrum._table(spec)
+    i = tb.index(tb.qmax(T), T)
+    if not isinstance(tb.keys, array):
+        return None
+    value = tb.value
+    vals = [value(float(k)) for k in tb.keys[:i]]
+    return (vals, list(map(float, tb.prefix[:i + 1])),
+            list(accumulate(map(mul, tb.mults[:i], vals), initial=0.0)))
+
+
+def _indices(vals: list, ts: list):
+    """bisect_right(vals, t) for each of the ascending ts, from a bisection
+    of ts at each level between the first and the last t: one run of equal
+    indices per level, not a bisection per t."""
+    lo, hi = bisect_right(vals, ts[0]), bisect_right(vals, ts[-1])
+    cuts = [0, *map(partial(bisect_left, ts), vals[lo:hi]), len(ts)]
+    return chain.from_iterable(map(repeat, range(lo, hi + 1), map(sub, cuts[1:], cuts)))
+
+
+def _avg_lists(spec: SurfaceSpec, ts: list, sums) -> list:
+    """The averaged error at the ascending times ts from `_lists` sums, in
+    `_avg_block`'s operations and order: bisect_right stands for
+    searchsorted(side="right") (`_indices`), and `_tilde_integral` is
+    written out, 0.5 * A * t * t being (0.5 * A) * t * t."""
+    vals, n_pref, l_pref = sums
+    _smooth(spec, math.sqrt, ts[-1])  # the refusal only: its terms follow
+    rc = asymptotics.surface_constants(spec)
+    hA, tB, C = 0.5 * float(rc.A), (2.0 / 3.0) * float(rc.B), float(rc.C)
+    sqrt = math.sqrt
+    js = _indices(vals, ts)
+    if rc.sqrt_shift:
+        return [(t * n_pref[j] - l_pref[j]
+                 - (hA * t * t + tB * ((s := t + 0.25) * sqrt(s) - 0.125) + C * t)) / t
+                for t, j in zip(ts, js)]
+    return [(t * n_pref[j] - l_pref[j] - (hA * t * t + tB * (t * sqrt(t)) + C * t)) / t
+            for t, j in zip(ts, js)]
 
 
 def _avg_block(t, block, tilde, out) -> None:
@@ -161,42 +232,49 @@ def avg_error_grid(spec: SurfaceSpec, ts):
 
 
 def avg_error_list(spec: SurfaceSpec, ts) -> list:
-    """avg_error_grid as a list of floats, bit for bit, without numpy
-    where it can: a grid of at most _PY_POINTS times over a table held in
-    `array('q')` is summed in Python floats, anything else by
-    avg_error_grid.
-
-    The values and counts are the table's, as `_prefix_blocks` takes them;
-    the sums of mult * value are sequential, as numpy's cumsum is,
-    bisect_right stands for searchsorted(side="right") and each time runs
-    avg_error_grid's operations in its order.
-    """
+    """avg_error_grid as a list of floats, bit for bit, on the engine
+    `_lists` picks: Python floats where it can, else avg_error_grid."""
     ts = list(map(float, ts))
-    if not all(t > 0 for t in ts):
+    if ts and not min(ts) > 0:  # a NaN fails here or in the order below
         raise ValueError("averaged error needs t > 0")
-    if any(b < a for a, b in zip(ts, ts[1:])):
+    if not all(map(le, ts, islice(ts, 1, None))):
         raise ValueError("grid must be ascending")
     if not ts:
         return []
-    tb = spectrum._table(spec)
-    i = tb.index(tb.qmax(ts[-1]))
-    if len(ts) > _PY_POINTS or not isinstance(tb.keys, array):
+    sums = _lists(spec, ts[-1], len(ts))
+    if sums is None:
         return avg_error_grid(spec, ts).tolist()
-    value, mults = tb.value, tb.mults[:i]
-    vals = [value(float(k)) for k in tb.keys[:i]]
-    n_pref = list(map(float, tb.prefix[:i + 1]))
-    l_pref = list(accumulate(map(mul, mults, vals), initial=0.0))
-    tilde = _smooth(spec, math.sqrt, ts[-1])
-    out = []
-    for t in ts:
-        j = bisect_right(vals, t)
-        out.append((t * n_pref[j] - l_pref[j] - tilde(t)) / t)
-    return out
+    return _avg_lists(spec, ts, sums)
+
+
+def _lead(spec: SurfaceSpec):
+    """`leading_profile` as a function of one Python float x, in the
+    numpy route's operations and order."""
+    if not catalog.is_spherical(spec):
+        return lambda x: 0.0
+    A = float(asymptotics.surface_constants(spec).A)
+    w = _alternating_weight(spec)
+    floor = math.floor
+
+    def lead(x):
+        r = x - floor(x + 0.5)
+        return A * (1.0 / 6.0 - 2.0 * r * r)
+
+    def lead_sawtooth(x):  # the sign of the sawtooth is + on odd k
+        k = floor(x + 0.5)
+        r = x - k
+        return A * (1.0 / 6.0 - 2.0 * r * r) + (w if k & 1 else -w) * r
+
+    return lead_sawtooth if w else lead
 
 
 def residual(spec: SurfaceSpec, ts, avg):
     """|avg - leading_profile| at the times ts, avg the averaged error
-    there, written into avg; on flat surfaces the leading term is zero."""
+    there: a list for lists, else written into the array avg.  On flat
+    surfaces the leading term is zero."""
+    if isinstance(avg, list):
+        lead, sqrt = _lead(spec), math.sqrt
+        return [abs(a - lead(sqrt(t + 0.25))) for t, a in zip(ts, avg)]
     import numpy as np
 
     if catalog.is_spherical(spec):
@@ -261,9 +339,11 @@ def leading_profile(spec: SurfaceSpec, x):
 
     A_weyl * g(x) plus, where the window counts force one, the alternating
     sawtooth described in _alternating_weight.  Zero for flat surfaces,
-    whose averaged error already decays.  numpy values: a float64 array
-    shaped as x, 0-dim or a numpy float64 for a number.
+    whose averaged error already decays.  A Python float for a number, a
+    float64 array shaped as x for an array, the same values.
     """
+    if isinstance(x, (int, float)):
+        return _lead(spec)(float(x))
     import numpy as np
 
     x = np.asarray(x, dtype=np.float64)
@@ -276,6 +356,86 @@ def leading_profile(spec: SurfaceSpec, x):
         sign = np.where(np.mod(k, 2.0) == 1.0, 1.0, -1.0)
         out = out + w * sign * (x - k)
     return out
+
+
+def profile_lines(spec: SurfaceSpec, omega_max: float) -> list:
+    """The Fourier lines of `leading_profile` up to omega_max, as
+    (m, coefficient, quadrature): the term coefficient * cos(m pi x) for
+    quadrature 1, coefficient * sin(m pi x) for quadrature -1j, m an
+    integer, in ascending m.
+
+    A g(x) = sum over n of 2 A (-1)^{n+1} / (pi^2 n^2) cos(2 pi n x), from
+    r^2 = 1/12 + sum (-1)^n cos(2 pi n r) / (pi^2 n^2) on [-1/2, 1/2].  The
+    sawtooth w (-1)^{k+1} (x - k) is -w times the triangle wave of period
+    2 and peak 1/2, whose sine series has 4 (-1)^j / (pi^2 m^2) at the odd
+    m = 2j + 1.  None on a flat surface.
+    """
+    if not catalog.is_spherical(spec):
+        return []
+    A = float(asymptotics.surface_constants(spec).A)
+    w = _alternating_weight(spec)
+    out = []
+    for m in range(1, int(omega_max / math.pi) + 1):
+        if m % 2 == 0:
+            n = m // 2
+            out.append((m, 2.0 * A * (-1) ** (n + 1) / (math.pi ** 2 * n * n), 1))
+        elif w:
+            out.append((m, -4.0 * w * (-1) ** (m // 2) / (math.pi ** 2 * m * m), -1j))
+    return out
+
+
+def line_check(spec: SurfaceSpec, xs: list, gs: list, omega_max: float):
+    """The profile gs sampled at xs against the lines of `profile_lines`.
+
+    xs must be a uniform grid over a whole number of periods 2 with a
+    whole number of samples per unit length, P per period.  At every
+    multiple m pi up to omega_max the measured coefficient is
+    c = (2/L) sum_j w_j g_j e^{-i m pi x_j}, the trapezoid rule over the
+    window of length L, which should be the lines' closed-form coefficient
+    times its quadrature there, zero where there is no line.  The profile
+    is the leading profile plus e = g - lead: e adds at most 2 max|e_j| to
+    c, and the sampled leading profile adds its lines at m' = +-m (mod P),
+    m' != m, the aliases, which share m's parity, P being even.  Each
+    parity's lines are K / m'^2 in size (`profile_lines`), so the aliases
+    add at most K (pi^2 / (P^2 sin^2(pi m / P)) - 1 / m^2).  The two sum to
+    the tolerance at m.
+
+    Returns the rows (m, coefficient, measured) of the lines, the measured
+    one the real part of c over the quadrature, and the deviation
+    |c - closed form| and tolerance of the multiple of pi with the least
+    room between them.
+    """
+    import cmath
+
+    lo, hi, n = xs[0], xs[-1], len(xs)
+    L = Fraction(hi) - Fraction(lo)
+    per_unit = (n - 1) / L
+    if L.denominator != 1 or L % 2 or per_unit.denominator != 1:
+        raise ValueError("line_check needs a whole number of periods 2 and "
+                         "of samples per unit length")
+    P = 2 * int(per_unit)  # samples per period 2
+    err = max(map(abs, map(sub, gs, map(_lead(spec), xs))))
+    # the samples over the trapezoid weights' dx, folded by their phase in
+    # a period: e^{-i m pi x_j} = e^{-i m pi lo} e^{-2 pi i m j / P}
+    fold = [math.fsum(gs[p::P]) for p in range(P)]
+    fold[0] -= 0.5 * gs[0]
+    fold[(n - 1) % P] -= 0.5 * gs[-1]
+    lines = profile_lines(spec, omega_max)
+    want, K = {}, [0.0, 0.0]
+    for m, coef, quad in lines:
+        want[m] = want.get(m, 0.0) + coef * quad
+        K[m % 2] = max(K[m % 2], abs(coef) * m * m)
+    got, worst = {}, (-math.inf, 0.0, 0.0)
+    for m in sorted(want.keys() | set(range(1, int(omega_max / math.pi) + 1))):
+        c = sum(f * cmath.exp(-2j * math.pi * (m * p % P) / P) for p, f in enumerate(fold))
+        c *= cmath.exp(-1j * math.pi * float(m * Fraction(lo) % 2)) * (2.0 / (n - 1))
+        alias = K[m % 2] * (math.pi ** 2 / (P * math.sin(math.pi * m / P)) ** 2 - 1.0 / m ** 2)
+        dev, tol = abs(c - want.get(m, 0.0)), 2.0 * err + alias
+        got[m] = c
+        if dev - tol > worst[0]:
+            worst = (dev - tol, dev, tol)
+    rows = [(m, coef, (got[m] / quad).real) for m, coef, quad in lines]
+    return rows, worst[1], worst[2]
 
 
 def g_samples(spec: SurfaceSpec, x_grid):
@@ -300,15 +460,77 @@ def g_samples(spec: SurfaceSpec, x_grid):
     return avg_error_grid(spec, xs * xs) * np.sqrt(xs)
 
 
+def profile(spec: SurfaceSpec, lo: float, hi: float, n: int):
+    """(xs, g_est) at n points from lo to hi, as np.linspace and g_samples
+    give them, on the engine `_lists` picks: lists on Python floats, else
+    float64 arrays, whose floats numpy holds outside the interpreter's
+    own memory."""
+    lo, hi = float(lo), float(hi)
+    xs = grid(lo, hi, n, False)
+    if _lists(spec, hi * hi - 0.25 if catalog.is_spherical(spec) else hi * hi, n) is None:
+        import numpy as np
+
+        xs = np.array(xs)
+        return xs, g_samples(spec, xs)
+    return xs, g_list(spec, xs)
+
+
+def g_list(spec: SurfaceSpec, xs: list) -> list:
+    """g_samples as a list of floats, bit for bit, with its refusals, on
+    the engine avg_error_list picks."""
+    if xs and not min(xs) > 0:
+        raise ValueError("grid values must be positive")
+    if not all(map(lt, xs, islice(xs, 1, None))):
+        raise ValueError("grid must be strictly ascending")
+    if catalog.is_spherical(spec):
+        if xs and xs[0] <= 0.5:
+            raise ValueError("spherical grid values must exceed 1/2")
+        return avg_error_list(spec, [x * x - 0.25 for x in xs])
+    return list(map(mul, avg_error_list(spec, [x * x for x in xs]), map(math.sqrt, xs)))
+
+
+def _pairwise_sum(a: list, lo: int, n: int) -> float:
+    """The sum of a[lo:lo + n] in numpy's order for a contiguous float64
+    array (its pairwise summation): halves down to blocks of at most 128,
+    whose first multiple of 8 terms are summed in 8 interleaved running
+    sums, combined as a tree, and the rest added in turn; under 8 terms,
+    added in turn from 0.  Sums run through reduce, which adds in turn in
+    every Python version."""
+    if n < 8:
+        return reduce(add, a[lo:lo + n], 0.0)
+    if n <= 128:
+        m = n - n % 8
+        r = [reduce(add, a[lo + i:lo + m:8]) for i in range(8)]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, a[lo + m:lo + n], res)
+    n2 = n // 2
+    n2 -= n2 % 8
+    return _pairwise_sum(a, lo, n2) + _pairwise_sum(a, lo + n2, n - n2)
+
+
+def window_mean(xs, gs) -> float:
+    """Trapezoidal mean of the samples gs over the ascending xs, the float
+    of np.trapezoid(gs, xs) / (xs[-1] - xs[0]): summed in Python floats
+    for lists, by numpy for arrays."""
+    if len(xs) < 100:
+        raise ValueError("need at least 100 samples for a stable mean")
+    if not isinstance(gs, list):
+        import numpy as np
+
+        return float(np.trapezoid(gs, xs) / (xs[-1] - xs[0]))
+    terms = [(b - a) * (h + g) / 2.0 for a, b, g, h in zip(xs, xs[1:], gs, gs[1:])]
+    return _pairwise_sum(terms, 0, len(terms)) / (xs[-1] - xs[0])
+
+
 def _window_residuals(spec: SurfaceSpec, lo: float, hi: float, grid):
     """(ts, `residual` at ts) over the window [lo, hi], a block of levels
-    at a time.  N(t) jumps and the averaged error kinks only at levels, so
-    the samples ts are the levels strictly inside (lo, hi), the midpoints
-    between neighbouring ones and the grid points in [lo, hi], sorted and
-    unique in each batch.  A batch comes for each block of `_prefix_blocks`
-    with samples below its edge; a sample at or above the edge waits for
-    the next block, so the batches joined are the window's samples made
-    unique.
+    at a time, on numpy.  N(t) jumps and the averaged error kinks only at
+    levels, so the samples ts are the levels strictly inside (lo, hi), the
+    midpoints between neighbouring ones and the grid points in [lo, hi],
+    sorted and unique in each batch.  A batch comes for each block of
+    `_prefix_blocks` with samples below its edge; a sample at or above the
+    edge waits for the next block, so the batches joined are the window's
+    samples made unique.
     """
     import numpy as np
 
@@ -333,28 +555,57 @@ def _window_residuals(spec: SurfaceSpec, lo: float, hi: float, grid):
             yield ts, residual(spec, ts, avg)  # the sorted array above is not held
 
 
+def _window_lists(spec: SurfaceSpec, lo: float, hi: float, grid, sums):
+    """`_window_residuals` on Python floats from `_lists` sums: the
+    window's samples, sorted and unique, and their residuals, as lists."""
+    vals = sums[0]
+    inside = vals[bisect_right(vals, lo):bisect_left(vals, hi)]
+    ts = sorted({*(float(t) for t in grid if lo <= t <= hi), *inside,
+                 *(0.5 * (b + a) for a, b in zip(inside, inside[1:]))})
+    if not ts:
+        return [], []
+    return ts, residual(spec, ts, _avg_lists(spec, ts, sums))
+
+
+def _root4(t: float) -> float:
+    return math.sqrt(math.sqrt(t))
+
+
 def window_sup(spec: SurfaceSpec, lo: float, hi: float, grid) -> float:
-    """The largest `residual` times t^{1/4} over the `_window_residuals`
-    samples of [lo, hi] with the caller's grid."""
+    """The largest `residual` times t^{1/4} over the window samples of
+    [lo, hi] with the caller's grid, on the engine `_lists` picks."""
+    lo, hi = float(lo), float(hi)
+    sums = _lists(spec, hi, len(grid))
+    if sums is not None:
+        ts, r = _window_lists(spec, lo, hi, grid, sums)
+        return max(map(mul, r, map(_root4, ts)), default=-math.inf)
+    import numpy as np
+
     best = -math.inf
     for ts, r in _window_residuals(spec, lo, hi, grid):
-        best = max(best, float((r * ts ** 0.25).max()))
+        best = max(best, float((r * np.sqrt(np.sqrt(ts))).max()))
         del ts, r  # else held while the next batch is made
     return best
+
+
+def _slope(xs: list, ys: list) -> float:
+    """The least-squares slope of ys against xs, its sums correctly rounded."""
+    n = len(xs)
+    mx, my = math.fsum(xs) / n, math.fsum(ys) / n
+    return (math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
+            / math.fsum((x - mx) * (x - mx) for x in xs))
 
 
 def remainder_exponent(spec: SurfaceSpec, t_lo, t_hi) -> float:
     """Fitted decay slope of the residual averaged error.
 
     Splits [t_lo, t_hi] into full dyadic windows [edges[i], edges[i+1]),
-    takes the max of `residual` over each (at the `_window_residuals`
-    samples with a log grid, a batch at a time), and least-squares fits
-    log(max) against log(window center).  The leading term is the scaled sphere
-    profile A * g(sqrt(t + 1/4)) for positively curved surfaces and zero
-    for flat ones, whose averaged error already decays like t^{-1/4}.
+    takes the max of `residual` over each (at the window samples with a
+    log grid, on the engine `_lists` picks), and least-squares fits
+    log(max) against log(window center).  The leading term is the scaled
+    sphere profile A * g(sqrt(t + 1/4)) for positively curved surfaces and
+    zero for flat ones, whose averaged error already decays like t^{-1/4}.
     """
-    import numpy as np
-
     t_lo = float(t_lo)
     t_hi = float(t_hi)
     if not 0 < t_lo:
@@ -367,12 +618,21 @@ def remainder_exponent(spec: SurfaceSpec, t_lo, t_hi) -> float:
     if n_win < 3:
         raise ValueError(
             f"only {n_win} full dyadic windows in [{t_lo:g}, {t_hi:g}]; need 3")
-    edges = t_lo * 2.0 ** np.arange(n_win + 1)
-    peaks = np.zeros(n_win + 1)  # the last takes the samples at edges[-1]
-    grid = np.geomspace(t_lo, edges[-1], 160 * n_win)
-    for ts, r in _window_residuals(spec, t_lo, edges[-1], grid):
-        np.maximum.at(peaks, np.searchsorted(edges, ts, side="right") - 1, r)
+    edges = [t_lo * 2.0 ** i for i in range(n_win + 1)]
+    fit_grid = grid(t_lo, edges[-1], 160 * n_win, True)
+    sums = _lists(spec, edges[-1], len(fit_grid))
+    if sums is not None:
+        peaks = [0.0] * (n_win + 1)  # the last takes the samples at edges[-1]
+        for t, r in zip(*_window_lists(spec, t_lo, edges[-1], fit_grid, sums)):
+            i = bisect_right(edges, t) - 1
+            peaks[i] = max(peaks[i], r)
+    else:
+        import numpy as np
+
+        peaks = np.zeros(n_win + 1)
+        for ts, r in _window_residuals(spec, t_lo, edges[-1], fit_grid):
+            np.maximum.at(peaks, np.searchsorted(edges, ts, side="right") - 1, r)
+        peaks = peaks.tolist()
     xs = [0.5 * (math.log(edges[i]) + math.log(edges[i + 1])) for i in range(n_win)]
-    ys = [math.log(max(float(peak), 1e-300)) for peak in peaks[:-1]]
-    slope = np.polyfit(np.array(xs), np.array(ys), 1)[0]
-    return float(slope)
+    ys = [math.log(max(peak, 1e-300)) for peak in peaks[:-1]]
+    return _slope(xs, ys)

@@ -39,10 +39,9 @@ _FAMILY_ALIASES = {
 _GRID_MAX = 10**6
 
 _FREQ_TOL = 0.05
-# peak sets asserted by the conjecture command; every other surface gets
-# a report-only geodesic comparison
+# peak sets asserted by the conjecture command on flat surfaces; every
+# other flat surface gets a report-only geodesic comparison
 _ASSERTED_PEAKS = {
-    "sphere": (2.0 * math.pi, 4.0 * math.pi),
     "flat_torus_rect:a=1,b=1": (2.0, 2.0 * math.sqrt(2.0), 4.0),
 }
 
@@ -110,24 +109,6 @@ def _parse_grid(text: str):
     if not 0 < lo < hi:
         raise ValueError(f"must be positive and ascending, got {text!r}")
     return lo, hi, n
-
-
-def _grid(lo: float, hi: float, n: int, log: bool) -> list:
-    """n floats from lo to hi, as np.linspace(lo, hi, n) gives them, or
-    with log as np.geomspace does: 10 ** x over the linear grid of the
-    log10 of the ends, and the ends themselves.  The linear grid is
-    np.linspace's bit for bit; libm's log10 and pow may round differently
-    from numpy's, so a log grid's inner points may differ from
-    np.geomspace's in the last bits."""
-    a, b = (math.log10(lo), math.log10(hi)) if log else (lo, hi)
-    step = (b - a) / max(n - 1, 1)
-    xs = [i * step + a for i in range(n)]
-    if log:
-        xs = [10.0 ** x for x in xs]
-    xs[0] = lo
-    if n > 1:
-        xs[-1] = hi
-    return xs
 
 
 # --- output ---
@@ -214,7 +195,7 @@ def cmd_asymptotics(args) -> int:
 def cmd_avg(args) -> int:
     from . import average
 
-    ts = _grid(*args.grid, args.log)
+    ts = average.grid(*args.grid, args.log)
     avg = average.avg_error_list(args.spec, ts)
     if catalog.is_spherical(args.spec):
         gx = [math.sqrt(t + 0.25) for t in ts]
@@ -231,19 +212,10 @@ def cmd_gprofile(args) -> int:
     # where average.avg_error_list needs none
     from . import average
 
-    xs = _grid(*args.grid, False)
+    xs = average.grid(*args.grid, False)
     if len(xs) < 2:
         raise ValueError("need at least two samples")
-    if any(b <= a for a, b in zip(xs, xs[1:])):
-        raise ValueError("grid must be strictly ascending")
-    if catalog.is_spherical(args.spec):
-        if xs[0] <= 0.5:
-            raise ValueError("spherical grid values must exceed 1/2")
-        g_est = average.avg_error_list(args.spec, [x * x - 0.25 for x in xs])
-    else:
-        avg = average.avg_error_list(args.spec, [x * x for x in xs])
-        g_est = [a * math.sqrt(x) for a, x in zip(avg, xs)]
-    emit([{"x": xs, "g_est": g_est}], args.format)
+    emit([{"x": xs, "g_est": average.g_list(args.spec, xs)}], args.format)
     return 0
 
 
@@ -315,9 +287,7 @@ def cmd_heat(args) -> int:
 def cmd_conjecture(args) -> int:
     import random
 
-    import numpy as np
-
-    from . import analysis, asymptotics, average
+    from . import asymptotics, average
 
     label = args.spec.label()
     spherical = catalog.is_spherical(args.spec)
@@ -333,16 +303,15 @@ def cmd_conjecture(args) -> int:
         out.append(f"check {line} -> {'ok' if ok else 'FAIL'}")
 
     # window means of the normalized profile
-    profiles = {X: analysis.make_profile(args.spec, X, 2 * X, n=8001)
-                for X in (100, 200, 400)}
+    profiles = {X: average.profile(args.spec, X, 2 * X, 8001) for X in (100, 200, 400)}
     for X, prof in profiles.items():
-        mean = analysis.window_mean(prof)
+        mean = average.window_mean(*prof)
         bound = 5.0 / X
         check(f"mean [{X},{2 * X}]: {mean:+.6g} within {bound:g}",
               abs(mean) <= bound)
 
     # decay of the residual
-    sups = [average.window_sup(args.spec, lo, hi, np.geomspace(lo, hi, 1200))
+    sups = [average.window_sup(args.spec, lo, hi, average.grid(lo, hi, 1200, True))
             for lo, hi in zip(decades, decades[1:])]
     if spherical:
         slope = average.remainder_exponent(args.spec, 1e3, 1e6)
@@ -356,38 +325,51 @@ def cmd_conjecture(args) -> int:
 
     # seeded residual probes at unsampled times
     rng = random.Random(args.seed)
-    probes = np.array(sorted({1e3 * (t_top / 1e3) ** rng.random()
-                              for _ in range(64)}))
-    avg = average.avg_error_grid(args.spec, probes)
-    resid = average.residual(args.spec, probes, avg)
-    worst = float(np.max(resid * probes ** 0.25))
+    probes = sorted({1e3 * (t_top / 1e3) ** rng.random() for _ in range(64)})
+    resid = average.residual(args.spec, probes, average.avg_error_list(args.spec, probes))
+    worst = max(r * math.sqrt(math.sqrt(t)) for t, r in zip(probes, resid))
     allowed = 1.5 * max(sups)
     check(f"probes (seed {args.seed}): worst scaled residual {worst:.6g} "
           f"within {allowed:.6g}", worst <= allowed)
 
     # frequency content against geodesic lengths
     if spherical:
-        prof = profiles[100]
-        omega = np.linspace(1.0, 30.0, 1451)
+        # the [100, 200] profile's coefficients at the multiples of pi up to
+        # 30 against the leading profile's closed-form lines, each at a
+        # geodesic length
+        out.append("geodesic lengths: " + " ".join(
+            "%.6g" % l for l in asymptotics.geodesic_lengths(args.spec, 30.0)))
+        rows, dev, tol = average.line_check(args.spec, *profiles[100], 30.0)
+        out += [f"freq line {m * math.pi:.6g}: closed form {coef:+.6g}, measured {got:+.6g}"
+                for m, coef, got in rows]
+        step = asymptotics.orbit_step(args.spec)
+        on = all(m % step == 0 for m, _, _ in rows)
+        check(f"freq: {len(rows)} lines {'at' if on else 'not all at'} geodesic lengths; "
+              f"the worst multiple of pi up to 30 deviates {dev:.6g} within {tol:.6g}",
+              on and dev <= tol)
     else:
+        import numpy as np
+
+        from . import analysis
+
         prof = analysis.make_profile(args.spec, 200, 800, n=60001)
         omega = np.linspace(1.0, 10.0, 901)
-    prof = analysis.frequency_spectrum(prof, omega)
-    # the rectangular window sprays sidelobes around each strong line, so
-    # only the largest few maxima carry structure worth reporting
-    top = sorted(prof.frequencies[:8, 0].tolist())
-    lengths = asymptotics.geodesic_lengths(args.spec, float(omega[-1]))
-    matched = analysis.match_geodesics(top, lengths, _FREQ_TOL)
-    out.append("freq top peaks: " + (" ".join("%.6g" % f for f in top) or "none"))
-    out.append("geodesic lengths: " + " ".join("%.6g" % l for l in lengths))
-    out.append(f"freq matched {len(matched)} of {len(top)} top peaks")
-    targets = _ASSERTED_PEAKS.get(label)
-    if targets is None:
-        out.append("freq comparison: report only for this surface")
-    else:
-        hit = all(any(abs(f - t) <= _FREQ_TOL for f in top) for t in targets)
-        check("freq: geodesic lengths " + " ".join("%.6g" % t for t in targets)
-              + f" each seen within {_FREQ_TOL:g}", hit)
+        prof = analysis.frequency_spectrum(prof, omega)
+        # the rectangular window sprays sidelobes around each strong line, so
+        # only the largest few maxima carry structure worth reporting
+        top = sorted(prof.frequencies[:8, 0].tolist())
+        lengths = asymptotics.geodesic_lengths(args.spec, float(omega[-1]))
+        matched = analysis.match_geodesics(top, lengths, _FREQ_TOL)
+        out.append("freq top peaks: " + (" ".join("%.6g" % f for f in top) or "none"))
+        out.append("geodesic lengths: " + " ".join("%.6g" % l for l in lengths))
+        out.append(f"freq matched {len(matched)} of {len(top)} top peaks")
+        targets = _ASSERTED_PEAKS.get(label)
+        if targets is None:
+            out.append("freq comparison: report only for this surface")
+        else:
+            hit = all(any(abs(f - t) <= _FREQ_TOL for f in top) for t in targets)
+            check("freq: geodesic lengths " + " ".join("%.6g" % t for t in targets)
+                  + f" each seen within {_FREQ_TOL:g}", hit)
 
     out.append("RESULT: " + ("PASS" if ok_all else "FAIL"))
     sys.stdout.write("\n".join(out) + "\n")

@@ -182,6 +182,11 @@ class ExactConst:
                 hi += coeff * slo * plo
         return lo, hi
 
+    def __bool__(self) -> bool:
+        """sign() != 0: terms with distinct (root, power) are independent,
+        so a constant is zero exactly when it has none."""
+        return bool(self._terms)
+
     def sign(self) -> int:
         if not self._terms:
             return 0

@@ -47,11 +47,12 @@ class _LevelTable(_Table):
     unit * q * pi^2, written as its Fraction rho, and a build reduces
     rows(qcap) over div (`_plan_flat`)."""
 
-    __slots__ = ("unit", "rows", "div", "terms")
+    __slots__ = ("unit", "rows", "div", "terms", "signed")
 
     def __init__(self, spec):
         super().__init__(spec)
         self.unit, self.rows, self.div = _plan_flat(spec)
+        self.signed = _signed(spec)
         n, d = self.unit.numerator, self.unit.denominator
         if max(n, d) >= 2**1024 - 2**970:  # past float(): the unit as one float
             n, d = (n / d if n < d << 1023 else 2.0**1023), 1
@@ -61,13 +62,16 @@ class _LevelTable(_Table):
         # a 2-dim sector's levels come in pairs: an odd count is refused
         return _reduce(qcap, self.rows(qcap), self.div, 2 if self.spec.irrep == "2" else 1)
 
-    def bound(self, q: int):
+    def bound(self, q: int, stop=None):
         """The number of eigenvalues with key <= q, exactly what build(q)
         would hold: the weights of rows(q) summed over their entries, over
-        div.  None past _BOUND_ROWS rows, which hold more than the cap."""
+        div.  None past _BOUND_ROWS rows, which hold more than the cap, and,
+        given stop, where a plan with no negative weight has passed stop
+        and has rows left: its count can only grow."""
         n = 0
         for i, (_, _, _, ks, w) in enumerate(self.rows(q)):
-            if i == _BOUND_ROWS:
+            if i == _BOUND_ROWS or (stop is not None and not self.signed
+                                    and n // self.div > stop):
                 return None
             # len() of a row past sys.maxsize entries would overflow
             n += w * max(0, -((ks.start - ks.stop) // ks.step))
@@ -454,6 +458,15 @@ def _plan_sector2(spec: SurfaceSpec):
                 for c0, c1, c2, ks, w in part(qcap // f))
 
     return common, rows, 1
+
+
+def _signed(spec: SurfaceSpec) -> bool:
+    """Whether a flat surface's plan (`_plan_flat`) has rows of negative
+    weight: the 2-dim sectors' subtracted parts and the corrections of the
+    flat projective plane and the half tetrahedron."""
+    if spec.family == Family.SYMMETRY_SECTOR:
+        return spec.irrep == "2" or _signed(catalog.sector_domain(spec)[0])
+    return spec.family in (Family.FLAT_PROJECTIVE_PLANE, Family.HALF_TETRAHEDRON)
 
 
 def _plan_flat(spec: SurfaceSpec):

@@ -153,9 +153,10 @@ class _Table:
     """The levels of one surface: sorted integer keys, their nonzero
     multiplicities mults and prefix[i], the sum of the first i of them, all
     `array('q')` or all int64 numpy arrays, with every key <= qcap present.
-    A kind supplies `build(qcap)` (the arrays), `bound(q)` (the number of
-    eigenvalues with key <= q, or None where a flat table has too many rows
-    to sum), `fits(q)` (whether the keys <= q fit int64), `ends(t)` (t's
+    A kind supplies `build(qcap)` (the arrays), `bound(q, stop)` (the
+    number of eigenvalues with key <= q, or None where a flat table has
+    too many rows to sum or passes stop before its last row), `fits(q)`
+    (whether the keys <= q fit int64), `ends(t)` (t's
     cutoff as exact integer pairs, `_decided`), `key_at(P, Q)` (the
     largest key whose eigenvalue is <= the cutoff at one end), `value(k)`
     (that eigenvalue in float64), `key(k)` (the exact key) and
@@ -167,13 +168,14 @@ class _Table:
         self.spec, self.qcap, self.form = spec, -1, None
         self.keys, self.mults, self.prefix = array("q"), array("q"), array("q", [0])
 
-    def grow(self, qneed: int) -> None:
+    def grow(self, qneed: int, t=None) -> None:
         """Hold every level with key <= qneed, rebuilt at twice the size or
         qneed: the arrays are replaced, never resized, so views handed out
         before stay as they were.  A doubled size that cannot be built
         (`_refusal`) falls back to qneed, and qneed itself, when it cannot
         be built either, is refused with ValueError naming the surface, the
-        cutoff and what is past its limit."""
+        cutoff t asked for (else qneed's eigenvalue) and what is past its
+        limit."""
         if self.qcap < qneed:
             qcap = max(qneed, 256, 2 * self.qcap)
             why = self._refusal(qcap)
@@ -182,22 +184,21 @@ class _Table:
                 why = self._refusal(qcap)
             if why:
                 try:
-                    cutoff = self.value(qneed)
-                except OverflowError:  # a key past the float range
-                    cutoff = math.inf
-                raise ValueError(f"{self.spec.label()} {why[0]} below {cutoff:g}, {why[1]}")
+                    cutoff = "%g" % (self.value(qneed) if t is None else _t_float(t))
+                except OverflowError:  # past the float range
+                    cutoff = "inf" if t is None else str(t)
+                raise ValueError(f"{self.spec.label()} {why[0]} below {cutoff}, {why[1]}")
             self.keys, self.mults, self.prefix = self.build(qcap)
             self.qcap = qcap
 
     def _refusal(self, q: int):
         """None when build(q) can be made, else what is past its limit and
         the limit: a `bound` over _LEVEL_CAP (or None: too many rows to
-        sum), or keys that do not fit int64 (`fits`)."""
-        bound = self.bound(q)
+        sum, or over the cap before the last), or keys that do not fit
+        int64 (`fits`)."""
+        bound = self.bound(q, _LEVEL_CAP)
         if bound is None:
-            from .lattice import _BOUND_ROWS
-
-            return f"has over {_BOUND_ROWS} rows of levels", f"over the cap of {_LEVEL_CAP:g}"
+            return "has too many levels to count", f"over the cap of {_LEVEL_CAP:g}"
         if bound > _LEVEL_CAP:
             return f"may have up to {bound} eigenvalues", f"over the cap of {_LEVEL_CAP:g}"
         if not self.fits(q):
@@ -213,31 +214,32 @@ class _Table:
         try:
             return _decided(t, ends, value)
         except ArithmeticError:
-            self.grow(self.key_at(*ends[0]))
+            self.grow(self.key_at(*ends[0]), t)
             raise
 
     def qmax(self, t) -> int:
         """The largest key whose eigenvalue is <= t, the same at every end."""
         return self.decided(t, self.key_at)
 
-    def index(self, q: int) -> int:
-        """The number of levels with key <= q, growing the table to q."""
-        self.grow(q)
+    def index(self, q: int, t=None) -> int:
+        """The number of levels with key <= q, growing the table to q; t,
+        the cutoff q was decided from, names a refusal."""
+        self.grow(q, t)
         return bisect_right(self.keys, q)
 
-    def count_upto(self, q: int) -> int:
-        """The number of eigenvalues with key <= q."""
-        self.grow(q)  # may replace the arrays: read them after
+    def count_upto(self, q: int, t=None) -> int:
+        """The number of eigenvalues with key <= q (t as for `index`)."""
+        self.grow(q, t)  # may replace the arrays: read them after
         return int(self.prefix[bisect_right(self.keys, q)])
 
-    def levels(self, q: int) -> list:
-        """The levels with key <= q as (exact key, multiplicity) pairs."""
-        i = self.index(q)
+    def levels(self, t) -> list:
+        """The levels <= t as (exact key, multiplicity) pairs."""
+        i = self.index(self.qmax(t), t)
         return list(zip(map(self.key, self.keys[:i].tolist()), self.mults[:i].tolist()))
 
-    def columns(self, q: int):
-        """`level_columns` chunks of the levels with key <= q."""
-        i = self.index(q)
+    def columns(self, t):
+        """`level_columns` chunks of the levels <= t."""
+        i = self.index(self.qmax(t), t)
         keys, mults = self.keys[:i], self.mults[:i]
         value, printed = self.value, self.printed
         for lo in range(0, max(i, 1), _CHUNK):
@@ -245,12 +247,12 @@ class _Table:
             yield {"value": [value(k) for k in ks], "key": [printed(k) for k in ks],
                    "multiplicity": mults[lo:lo + _CHUNK].tolist()}
 
-    def arrays(self, q: int):
-        """(values, multiplicities) arrays of the levels with key <= q; the
+    def arrays(self, t):
+        """(values, multiplicities) arrays of the levels <= t; the
         multiplicities are a read-only view of the table's."""
         import numpy as np
 
-        i = self.index(q)
+        i = self.index(self.qmax(t), t)
         mults = np.asarray(self.mults)[:i]
         mults.flags.writeable = False
         return self.value(np.asarray(self.keys)[:i].astype(np.float64)), mults
@@ -275,7 +277,7 @@ class _RoundTable(_Table):
             raise ArithmeticError(_NEGATIVE)
         return array("q", keys), array("q", mults), array("q", accumulate(mults, initial=0))
 
-    def bound(self, q: int) -> int:
+    def bound(self, q: int, stop=None) -> int:
         """The number of eigenvalues of degree <= q, exactly: window q + 1."""
         return _sph_cum(self.spec, q + 1)
 
@@ -602,8 +604,7 @@ def levels(spec: SurfaceSpec, T) -> list[tuple]:
     grid: a Fraction rho (eigenvalue rho * pi^2) for flat families, an
     integer degree N (eigenvalue N(N+1)) for spherical ones.
     """
-    tb = _table(spec)
-    return tb.levels(tb.qmax(T))
+    return _table(spec).levels(T)
 
 
 def level_columns(spec: SurfaceSpec, T):
@@ -612,21 +613,19 @@ def level_columns(spec: SurfaceSpec, T):
     Each chunk holds _CHUNK levels, the last one fewer, and there is one
     empty chunk when there are none.
     """
-    tb = _table(spec)
-    return tb.columns(tb.qmax(T))
+    return _table(spec).columns(T)
 
 
 def level_arrays(spec: SurfaceSpec, T):
     """(values, multiplicities) as numpy arrays, for bulk numerics."""
-    tb = _table(spec)
-    return tb.arrays(tb.qmax(T))
+    return _table(spec).arrays(T)
 
 
 def count(spec: SurfaceSpec, t, q=None) -> int:
     """Number of eigenvalues <= t, from the enumerated level table; q is
     t's largest key (`_Table.qmax`) when the caller has decided it."""
     tb = _table(spec)
-    return tb.count_upto(tb.qmax(t) if q is None else q)
+    return tb.count_upto(tb.qmax(t) if q is None else q, t)
 
 
 def closed_form_identity(spec: SurfaceSpec, t) -> CountReport:

@@ -124,17 +124,19 @@ def window_sup_whole(spec, lo, hi, grid):
     held at once."""
     vals, _ = spectrum.level_arrays(spec, hi)
     ts = window_samples(vals, lo, hi, grid)
-    return float(np.max(_residual_whole(spec, ts) * ts ** 0.25))
+    return float(np.max(_residual_whole(spec, ts) * np.sqrt(np.sqrt(ts))))
 
 
 def remainder_exponent_whole(spec, t_lo, t_hi):
     """`average.remainder_exponent` on the whole window's samples at once,
-    each dyadic window's max over its slice of the sorted samples."""
+    each dyadic window's max over its slice of the sorted samples, with
+    its log grid and its least-squares slope (`average._slope`, held
+    against np.polyfit in tests/test_average.py)."""
     n_win = int(math.floor(math.log(t_hi / t_lo, 2) + 1e-9))
     edges = t_lo * 2.0 ** np.arange(n_win + 1)
     vals, _ = spectrum.level_arrays(spec, float(edges[-1]))
     ts = window_samples(vals, t_lo, edges[-1],
-                        np.geomspace(t_lo, edges[-1], 160 * n_win))
+                        average.grid(t_lo, float(edges[-1]), 160 * n_win, True))
     resid = _residual_whole(spec, ts)
     bounds = np.searchsorted(ts, edges)
     xs, ys = [], []
@@ -142,7 +144,7 @@ def remainder_exponent_whole(spec, t_lo, t_hi):
         chunk = resid[bounds[i]:bounds[i + 1]]
         xs.append(0.5 * (math.log(edges[i]) + math.log(edges[i + 1])))
         ys.append(math.log(max(float(chunk.max()) if chunk.size else 0.0, 1e-300)))
-    return float(np.polyfit(np.array(xs), np.array(ys), 1)[0])
+    return average._slope(xs, ys)
 
 
 def frequency_peaks_loop(coef, omega):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spectralab import asymptotics, average, catalog, cli, exact, oracle, spectrum
+from spectralab import asymptotics, average, catalog, exact, oracle, spectrum
 
 from reference_formulas import (avg_error_grid_whole, remainder_exponent_whole,
                                 smooth_count, sphere_avg_closed_form, sphere_avg_decomposed,
@@ -156,7 +156,7 @@ def test_engines_agree_on_grids(monkeypatch, label):
     for log in (False, True):
         for n in (1, 2, 97, 1500):
             lo = top * rng.uniform(1e-4, 0.3)
-            grids.append(cli._grid(lo, top, n, log))
+            grids.append(average.grid(lo, top, n, log))
     grids.append(sorted(grids[-1] + vals[vals > grids[-1][0]].tolist()))
     for ts in grids:
         assert average.avg_error_list(sp, ts) == average.avg_error_grid(sp, ts).tolist()
@@ -184,13 +184,13 @@ def test_avg_error_list_picks_its_engine(monkeypatch):
 
     monkeypatch.setattr(average, "avg_error_grid", counting)
     shape = "rectangle:a=13/11,b=11/5,bc=ND"
-    for label, ts in ((shape, cli._grid(77.22, 7722.0, 4001, False)),
-                      ("sphere", cli._grid(10.0, 1e5, 4001, True))):
+    for label, ts in ((shape, average.grid(77.22, 7722.0, 4001, False)),
+                      ("sphere", average.grid(10.0, 1e5, 4001, True))):
         average.avg_error_list(spec(label), ts)
         assert isinstance(spectrum._table(spec(label)).keys, array)
     assert calls == []
-    for label, ts in ((shape, cli._grid(77.22, 7722.0, average._PY_POINTS + 1, False)),
-                      ("rectangle:a=1,b=1,bc=N", cli._grid(1e5, 1e6, 5, False))):
+    for label, ts in ((shape, average.grid(77.22, 7722.0, average._PY_POINTS + 1, False)),
+                      ("rectangle:a=1,b=1,bc=N", average.grid(1e5, 1e6, 5, False))):
         calls.clear()
         avg = average.avg_error_list(spec(label), ts)
         assert calls == [len(ts)]
@@ -208,6 +208,7 @@ def test_streamed_sums_match_the_whole_table_bit_for_bit(monkeypatch):
     # first positive level
     monkeypatch.setattr(average, "_LEVELS", 3)
     monkeypatch.setattr(average, "_BLOCK", 4)
+    monkeypatch.setattr(average, "_PY_POINTS", 0)  # the streamed engine
     for sp in ROSTER:
         top = 1000.0 / float(asymptotics.surface_constants(sp).A)
         vals, _ = spectrum.level_arrays(sp, top)
@@ -249,6 +250,7 @@ def test_window_fits_match_the_whole_window_bit_for_bit(monkeypatch):
     # the decay fit over blocks of 64 levels (a round table at 1e6 has
     # about a thousand) gives the floats of its whole-table computation
     monkeypatch.setattr(average, "_LEVELS", 64)
+    monkeypatch.setattr(average, "_PY_POINTS", 0)  # the streamed engine
     rounds = [sp for sp in ROSTER if catalog.is_spherical(sp)]
     assert len(rounds) == 36
     for sp in rounds:
@@ -552,20 +554,29 @@ def test_remainder_exponent_flat_envelope():
 
 def test_remainder_exponent_counts_whole_windows(monkeypatch):
     # the dyadic windows are counted exactly: a hair under 2^10 times t_lo
-    # holds nine, none sampled past t_hi, and 2^10 times t_lo holds ten
+    # holds nine, none sampled past t_hi, and 2^10 times t_lo holds ten, on
+    # the Python engine's samples and on the streamed ones
     top = []
-    residuals = average._window_residuals
+    residuals, lists = average._window_residuals, average._window_lists
 
     def recording(sp, lo, hi, grid):
         for ts, r in residuals(sp, lo, hi, grid):
             top.append(float(ts.max()))
             yield ts, r
 
+    def recording_lists(sp, lo, hi, grid, sums):
+        ts, r = lists(sp, lo, hi, grid, sums)
+        top.append(max(ts))
+        return ts, r
+
     monkeypatch.setattr(average, "_window_residuals", recording)
-    for t_hi, n_win in ((1000 * 1024 * (1 - 1e-12), 9), (1000.0 * 1024, 10)):
-        top.clear()
-        average.remainder_exponent(SPHERE, 1000.0, t_hi)
-        assert max(top) == 1000.0 * 2 ** n_win <= t_hi
+    monkeypatch.setattr(average, "_window_lists", recording_lists)
+    for py_points in (average._PY_POINTS, 0):
+        monkeypatch.setattr(average, "_PY_POINTS", py_points)
+        for t_hi, n_win in ((1000 * 1024 * (1 - 1e-12), 9), (1000.0 * 1024, 10)):
+            top.clear()
+            average.remainder_exponent(SPHERE, 1000.0, t_hi)
+            assert max(top) == 1000.0 * 2 ** n_win <= t_hi
 
 
 def test_remainder_exponent_validation():
@@ -614,3 +625,84 @@ def test_spherical_error_bounded():
     # sphere averaged error lives in [-1/3, 1/6] up to O(1/t)
     assert sup_scaled("sphere", 1e3, 1e6, 0.0) <= 0.68
     assert sup_scaled("hemisphere:bc=N", 1e3, 1e6, 0.0) <= 0.35
+
+
+# ---------------------------------------------------------------------------
+# the Python engine beside numpy, and the lines of the leading profile
+
+ROUND = [sp for sp in ROSTER if catalog.is_spherical(sp)]
+
+
+def test_window_samplers_agree_across_engines(monkeypatch):
+    # the decade sup and the decay fit give the same floats on Python
+    # floats and on numpy on every round roster surface, given one grid:
+    # their steps are correctly rounded in both, t^{1/4} as sqrt(sqrt(t))
+    assert len(ROUND) == 36
+    grid = np.geomspace(1e4, 1e5, 1200).tolist()
+    for sp in ROUND:
+        monkeypatch.setattr(average, "_PY_POINTS", 1 << 16)
+        assert average._lists(sp, 1e6, len(grid)) is not None  # the Python engine
+        py = [average.window_sup(sp, 1e4, 1e5, grid), average.remainder_exponent(sp, 1e3, 1e6)]
+        monkeypatch.setattr(average, "_PY_POINTS", 0)
+        assert [average.window_sup(sp, 1e4, 1e5, grid),
+                average.remainder_exponent(sp, 1e3, 1e6)] == py, sp
+
+
+def test_profile_lists_match_numpy():
+    # g_list is g_samples on lists and window_mean np.trapezoid, bit for
+    # bit, on Python and on numpy sums; numpy's pairwise summation order
+    # holds at every length
+    xs = average.grid(100.0, 200.0, 8001, False)
+    for label in ("sphere", "projective_sphere", "rectangle:a=1,b=1,bc=N",
+                  "mobius_band:a=1,b=1,bc=D"):
+        gs = average.g_list(spec(label), xs)
+        assert gs == average.g_samples(spec(label), xs).tolist(), label
+        assert average.window_mean(xs, gs) == float(
+            np.trapezoid(gs, xs) / (xs[-1] - xs[0])), label
+    rng = np.random.default_rng(5)
+    for n in [*range(0, 300), 1000, 8000, 8001, 100001]:
+        a = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-5, 5, n)
+        assert average._pairwise_sum(a.tolist(), 0, n) == float(np.add.reduce(a)), n
+
+
+def test_slope_is_a_least_squares_fit():
+    # the decay fit's slope against np.polyfit on seeded data
+    rng = np.random.default_rng(9)
+    for n in (2, 3, 9, 40):
+        xs = np.sort(rng.uniform(5.0, 15.0, n))
+        ys = -0.5 * xs + rng.normal(0.0, 0.3, n)
+        want = float(np.polyfit(xs, ys, 1)[0])
+        assert average._slope(xs.tolist(), ys.tolist()) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("label", ["sphere", "projective_sphere",
+                                   "half_lune:m=2,bc_side=N,bc_equator=D", "lune:m=3,bc=D"])
+def test_profile_lines_are_the_leading_profile_series(label):
+    # sampled from the leading profile itself, the profile's coefficients
+    # at the multiples of pi up to 30 are the closed-form lines up to the
+    # aliases: the line check's tolerance with no residual term
+    sp = spec(label)
+    xs = average.grid(100.0, 200.0, 8001, False)
+    gs = [average.leading_profile(sp, x) for x in xs]
+    rows, dev, tol = average.line_check(sp, xs, gs, 30.0)
+    assert dev <= tol + 1e-12
+    assert [m for m, _, _ in rows] == (list(range(2, 10, 2)) if not average._alternating_weight(sp)
+                                       else list(range(1, 10)))
+
+
+def test_round_lines_hold_on_the_roster():
+    # every line of every round roster surface sits at a geodesic length,
+    # decided on exact multiples of pi, and the measured coefficients stay
+    # within half their tolerance
+    xs = average.grid(100.0, 200.0, 8001, False)
+    for sp in ROUND:
+        rows, dev, tol = average.line_check(sp, xs, average.g_list(sp, xs), 30.0)
+        step = asymptotics.orbit_step(sp)
+        assert all(Fraction(m) % step == 0 for m, _, _ in rows), sp
+        assert dev <= 0.5 * tol, sp
+
+
+def test_line_check_needs_whole_periods():
+    for xs in (average.grid(100.0, 201.0, 8081, False), average.grid(100.0, 200.0, 8000, False)):
+        with pytest.raises(ValueError, match="whole number"):
+            average.line_check(SPHERE, xs, [0.0] * len(xs), 30.0)

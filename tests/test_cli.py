@@ -170,8 +170,8 @@ def test_avg_grid_matches_numpy():
         lo = 10 ** rng.uniform(-2, 5)
         hi = lo * 10 ** rng.uniform(0.01, 3)
         n = int(rng.integers(1, 500))
-        assert cli._grid(lo, hi, n, False) == np.linspace(lo, hi, n).tolist()
-        ts = cli._grid(lo, hi, n, True)
+        assert average.grid(lo, hi, n, False) == np.linspace(lo, hi, n).tolist()
+        ts = average.grid(lo, hi, n, True)
         assert ts[0] == lo and ts[-1] == (hi if n > 1 else lo)
         assert np.allclose(ts, np.geomspace(lo, hi, n), rtol=1e-13, atol=0)
 
@@ -295,15 +295,16 @@ def test_identical_config_identical_bytes(capsys):
 
 
 def test_conjecture_passes_for_asserted_families(capsys):
-    # length and sha256 of the whole report, captured before the three
-    # level-window samplers became one (now average._window_residuals)
+    # length and sha256 of the whole report: the sphere's captured when its
+    # frequency block became the closed-form line check, the torus's
+    # before the three level-window samplers became one
     rc, out, _ = run_cli(capsys, "conjecture", "sphere")
     assert rc == 0
     assert out.rstrip().endswith("RESULT: PASS")
     assert "check freq" in out
-    assert len(out.encode()) == 531
+    assert len(out.encode()) == 741
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "d69f1a6279954e8ac004b703b4dd311447cbdb7dc98d26cbfb0a89ebeb633385")
+        "5f58e0a7b767ad4b02ab7badfffd08fc0ebfd4bc7f69e38a5f76e57875b32e50")
     rc, out, _ = run_cli(capsys, "conjecture", "flat_torus_rect:a=1,b=1")
     assert rc == 0
     assert out.rstrip().endswith("RESULT: PASS")
@@ -331,9 +332,9 @@ def test_flat_conjecture_builds_its_table_once(capsys, monkeypatch):
     builds = []
     grow = lattice._LevelTable.grow
 
-    def counting_grow(self, qneed):
+    def counting_grow(self, qneed, t=None):
         before = self.qcap
-        grow(self, qneed)
+        grow(self, qneed, t)
         if self.qcap != before:
             builds.append(self.spec)
 
@@ -347,9 +348,36 @@ def test_flat_conjecture_builds_its_table_once(capsys, monkeypatch):
 
 
 def test_conjecture_report_only_for_others(capsys):
-    rc, out, _ = run_cli(capsys, "conjecture", "hemisphere:bc=N")
+    # a flat surface without asserted peaks is reported; every round one,
+    # the hemisphere too, gets the line check
+    rc, out, _ = run_cli(capsys, "conjecture", "rectangle:a=1,b=1,bc=N")
     assert rc == 0
     assert "report only" in out
+    rc, out, _ = run_cli(capsys, "conjecture", "hemisphere:bc=N")
+    assert rc == 0
+    assert "report only" not in out
+    assert "check freq: 4 lines at geodesic lengths" in out
+
+
+@pytest.mark.parametrize("label, mutate", [
+    ("sphere", lambda lines: [(m, -c if q == 1 else c, q) for m, c, q in lines]),
+    ("sphere", lambda lines: [(m, c / 2 if q == 1 else c, q) for m, c, q in lines]),
+    ("projective_sphere", lambda lines: [line for line in lines if line[2] == 1]),
+    ("half_lune:m=2,bc_side=D,bc_equator=D",
+     lambda lines: [(m + (q != 1), c, q) for m, c, q in lines]),
+    ("sphere", lambda lines: lines + [(3, 1e-12, -1j)]),
+], ids=["flipped-2pi-n", "A-halved", "triangle-dropped", "triangle-even", "off-geodesic"])
+def test_round_line_check_fails_a_wrong_series(capsys, monkeypatch, label, mutate):
+    # a sign flipped in the 2 pi n series, A halved in it, the triangle
+    # wave dropped where its weight is nonzero, its lines moved to even
+    # multiples of pi, and a line off the geodesic lengths each fail
+    lines = average.profile_lines
+    monkeypatch.setattr(average, "profile_lines", lambda spec, w: mutate(lines(spec, w)))
+    rc, out, _ = run_cli(capsys, "conjecture", label)
+    assert rc == 1
+    checks = [line for line in out.splitlines() if line.startswith("check")]
+    assert [line for line in checks if line.endswith("FAIL")] == checks[-1:]
+    assert checks[-1].startswith("check freq")
 
 
 # --- error handling ---
@@ -580,7 +608,7 @@ def test_level_budget_guard(capsys, monkeypatch):
     rc, _, err = run_cli(capsys, "spectrum", "rect:a=40,b=40,bc=N",
                          "--max-t", "1e8")
     assert rc == 2
-    assert ("rectangle:a=40,b=40,bc=N has over 65536 rows of levels "
+    assert ("rectangle:a=40,b=40,bc=N has too many levels to count "
             "below 1e+08, over the cap of 2.5e+07") in err
 
     # verify is refused before it enumerates anything
@@ -591,7 +619,8 @@ def test_level_budget_guard(capsys, monkeypatch):
     rc, out, err = run_cli(capsys, "verify", "rectangle:a=1,b=1,bc=N", "--max-t", "1e9")
     assert rc == 2
     assert out == ""
-    assert "rectangle:a=1,b=1,bc=N may have up to" in err and "over the cap" in err
+    assert ("rectangle:a=1,b=1,bc=N has too many levels to count below 1e+09, "
+            "over the cap") in err
     # count is refused at its largest time, before it prints anything
     rc, out, err = run_cli(capsys, "count", "rect:a=40,b=40,bc=N", "--at", "10,1e8")
     assert rc == 2
@@ -630,13 +659,14 @@ def test_thin_rectangle_answers_in_either_orientation(label, capsys, monkeypatch
 ], ids=lambda argv: argv[0].split(":")[0])
 def test_astronomically_long_rows_are_refused(argv, capsys, monkeypatch):
     # rows of more entries than sys.maxsize, more rows than the bound
-    # sums: refused at the cap at once, with no row expanded
+    # sums: refused at the cap at once, with no row expanded, naming the
+    # cutoff asked for
     monkeypatch.setattr(spectrum, "_TABLES", {})
     start = time.perf_counter()
     rc, out, err = run_cli(capsys, "count", *argv)
     assert time.perf_counter() - start < 1.0
     assert (rc, out) == (2, "")
-    assert "has over 65536 rows of levels below" in err and "over the cap" in err
+    assert f"has too many levels to count below {float(argv[-1]):g}, over the cap" in err
 
 
 ROWS_CAP = 3000  # eigenvalues: each surface below fits, a torus it reads does not
@@ -750,8 +780,10 @@ def test_chunks_write_one_table(capsys):
 # formatted whole rows at once (count lune and spectrum sphere: from the
 # commit before round tables became window-count lists; the half lunes:
 # from the commit before the decay fit read its window samples a block at
-# a time; the three proportions tables: from the commit that replaced the
-# fitted sqrt coefficient with the two-term share) ---
+# a time, their frequency blocks and the sphere and projective sphere from
+# the commit that checked the round lines in closed form; the three
+# proportions tables: from the commit that replaced the fitted sqrt
+# coefficient with the two-term share) ---
 
 GOLDEN = {
     ("count", "rectangle:a=3/2,b=1,bc=NM", "--at", "100,7/3,1e3"):
@@ -879,11 +911,14 @@ GOLDEN = {
         "check mean [400,800]: -6.99527e-05 within 0.0125 -> ok\n"
         "check decay: exponent -0.474157 in [-0.65,-0.35] -> ok\n"
         "check probes (seed 3): worst scaled residual 0.044187 within 0.0914598 -> ok\n"
-        "freq top peaks: 6.12 6.2 6.28 6.38 6.44 6.5 12.56 18.86\n"
-        "geodesic lengths: 2.0944 4.18879 6.28319 8.37758 10.472 12.5664 14.6608 "
-        "16.7552 18.8496 20.944 23.0383 25.1327 27.2271 29.3215\n"
-        "freq matched 3 of 8 top peaks\n"
-        "freq comparison: report only for this surface\n"
+        "geodesic lengths: 2.0944 4.18879 6.28319 8.37758 10.472 12.5664 14.6608 16.7552 "
+        "18.8496 20.944 23.0383 25.1327 27.2271 29.3215\n"
+        "freq line 6.28319: closed form +0.0168869, measured +0.017016\n"
+        "freq line 12.5664: closed form -0.00422172, measured -0.00425974\n"
+        "freq line 18.8496: closed form +0.00187632, measured +0.00189848\n"
+        "freq line 25.1327: closed form -0.00105543, measured -0.00107154\n"
+        "check freq: 4 lines at geodesic lengths; the worst multiple of pi up to 30 "
+        "deviates 0.000681547 within 0.00723488 -> ok\n"
         "RESULT: PASS\n",
     ("conjecture", "half_lune:m=2,bc_side=N,bc_equator=D", "--seed", "3"):
         "label: half_lune:m=2,bc_side=N,bc_equator=D\n"
@@ -892,11 +927,58 @@ GOLDEN = {
         "check mean [400,800]: -0.000104253 within 0.0125 -> ok\n"
         "check decay: exponent -0.505395 in [-0.65,-0.35] -> ok\n"
         "check probes (seed 3): worst scaled residual 0.0184569 within 0.0289542 -> ok\n"
-        "freq top peaks: 2.92 2.98 3.06 3.14 3.24 3.3 6.28 9.42\n"
         "geodesic lengths: 3.14159 6.28319 9.42478 12.5664 15.708 18.8496 21.9911 "
         "25.1327 28.2743\n"
-        "freq matched 3 of 8 top peaks\n"
-        "freq comparison: report only for this surface\n"
+        "freq line 3.14159: closed form +0.101321, measured +0.101686\n"
+        "freq line 6.28319: closed form +0.0253303, measured +0.0254307\n"
+        "freq line 9.42478: closed form -0.0112579, measured -0.0113087\n"
+        "freq line 12.5664: closed form -0.00633257, measured -0.00636761\n"
+        "freq line 15.708: closed form +0.00405285, measured +0.00408066\n"
+        "freq line 18.8496: closed form +0.00281448, measured +0.00283731\n"
+        "freq line 21.9911: closed form -0.00206778, measured -0.00208758\n"
+        "freq line 25.1327: closed form -0.00158314, measured -0.00160177\n"
+        "freq line 28.2743: closed form +0.00125088, measured +0.00126873\n"
+        "check freq: 9 lines at geodesic lengths; the worst multiple of pi up to 30 "
+        "deviates 0.000764157 within 0.00220521 -> ok\n"
+        "RESULT: PASS\n",
+    # the lines of the leading profile up to omega = 30 against the
+    # profile's coefficients there: the 2 pi n series on the sphere, and the
+    # triangle wave's odd multiples of pi beside it on the projective sphere
+    ("conjecture", "sphere", "--seed", "3"):
+        "label: sphere\n"
+        "check mean [100,200]: -4.94795e-05 within 0.05 -> ok\n"
+        "check mean [200,400]: -0.000207683 within 0.025 -> ok\n"
+        "check mean [400,800]: -0.000833171 within 0.0125 -> ok\n"
+        "check decay: exponent -0.506553 in [-0.65,-0.35] -> ok\n"
+        "check probes (seed 3): worst scaled residual 0.0146734 within 0.0262072 -> ok\n"
+        "geodesic lengths: 6.28319 12.5664 18.8496 25.1327\n"
+        "freq line 6.28319: closed form +0.202642, measured +0.202748\n"
+        "freq line 12.5664: closed form -0.0506606, measured -0.050765\n"
+        "freq line 18.8496: closed form +0.0225158, measured +0.0226207\n"
+        "freq line 25.1327: closed form -0.0126651, measured -0.0127699\n"
+        "check freq: 4 lines at geodesic lengths; the worst multiple of pi up to 30 "
+        "deviates 0.000678918 within 0.00202882 -> ok\n"
+        "RESULT: PASS\n",
+    ("conjecture", "projective_sphere", "--seed", "3"):
+        "label: projective_sphere\n"
+        "check mean [100,200]: -2.47632e-05 within 0.05 -> ok\n"
+        "check mean [200,400]: -0.000103844 within 0.025 -> ok\n"
+        "check mean [400,800]: -0.000416586 within 0.0125 -> ok\n"
+        "check decay: exponent -0.504209 in [-0.65,-0.35] -> ok\n"
+        "check probes (seed 3): worst scaled residual 0.0587727 within 0.10145 -> ok\n"
+        "geodesic lengths: 3.14159 6.28319 9.42478 12.5664 15.708 18.8496 21.9911 "
+        "25.1327 28.2743\n"
+        "freq line 3.14159: closed form -0.405285, measured -0.405339\n"
+        "freq line 6.28319: closed form +0.101321, measured +0.101374\n"
+        "freq line 9.42478: closed form +0.0450316, measured +0.0450797\n"
+        "freq line 12.5664: closed form -0.0253303, measured -0.0253825\n"
+        "freq line 15.708: closed form -0.0162114, measured -0.0162662\n"
+        "freq line 18.8496: closed form +0.0112579, measured +0.0113103\n"
+        "freq line 21.9911: closed form +0.00827112, measured +0.00832177\n"
+        "freq line 25.1327: closed form -0.00633257, measured -0.00638495\n"
+        "freq line 28.2743: closed form -0.00500352, measured -0.00505731\n"
+        "check freq: 9 lines at geodesic lengths; the worst multiple of pi up to 30 "
+        "deviates 0.00268417 within 0.00773327 -> ok\n"
         "RESULT: PASS\n",
     # the two-term shares of a 1e5 table
     ("proportions", "square_n", "--max-t", "1e5"):
@@ -1066,15 +1148,17 @@ def test_each_command_loads_only_what_it_calls():
 
 
 def test_round_roster_never_loads_numpy():
+    # nor `analysis`: a round conjecture checks its lines in closed form
     argvs = []
     for spec in catalog.verification_roster():
         if catalog.is_spherical(spec):
             label = spec.label()
             argvs += [["verify", label, "--max-t", "1e4"],
                       ["count", label, "--at", "7/3,1e5"],
-                      ["spectrum", label, "--max-t", "1e5", "--format", "json"]]
-    assert len(argvs) == 3 * 36
-    assert loaded_modules(*argvs).isdisjoint({"lattice", "numpy"})
+                      ["spectrum", label, "--max-t", "1e5", "--format", "json"],
+                      ["conjecture", label, "--seed", "3"]]
+    assert len(argvs) == 4 * 36
+    assert loaded_modules(*argvs).isdisjoint({"lattice", "numpy", "analysis"})
 
 
 def test_flat_roster_never_loads_numpy():
@@ -1101,7 +1185,8 @@ _TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 
 
 @pytest.mark.parametrize("argv, counter, amount", [
-    (["conjecture", "sphere", "--seed", "1"], "analysis.fourier_coefficients.terms", None),
+    (["conjecture", "flat_torus_rect:a=1,b=1", "--seed", "1"],
+     "analysis.fourier_coefficients.terms", None),
     (["verify", "sphere", "--max-t", "1e4", "--seed", "1"], "oracle.times_checked", 2000),
     (["freq", "sphere", "--window", "100:200", "--omega", "5:8:301"],
      "analysis.fourier_coefficients.terms", None),

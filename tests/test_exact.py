@@ -56,6 +56,19 @@ def test_float_and_comparisons():
     assert (r2 - r2).sign() == 0
 
 
+def test_truth_is_a_nonzero_sign():
+    # a constant is false exactly where its sign is 0: the exact B of the
+    # square torus's 2-dim sector, and a difference that cancels
+    from spectralab import asymptotics
+
+    zero = asymptotics.surface_constants(catalog.symmetry_sector("square_torus", "2")).B
+    r2 = ExactConst.term(1, root=2)
+    for c in (zero, r2 - r2, ExactConst.rational(0), r2, r2 - ExactConst.term(1, pi_pow=1),
+              ExactConst.term(Fraction(1, 10 ** 90), root=3, pi_pow=-2)):
+        assert bool(c) is (c.sign() != 0)
+    assert not zero and zero.sign() == 0
+
+
 def test_float_beyond_range_is_a_value_error():
     # the message is short, not the 400-digit coefficient
     huge = ExactConst.term(10**400, pi_pow=-1)

@@ -369,7 +369,7 @@ _PRIVATE_READS = {
     ("asymptotics", "spectrum"): {"_ONE", "_closed_terms"},
     ("average", "spectrum"): {"_sph_cum", "_table"},
     ("lattice", "spectrum"): {"_NEGATIVE", "_Table", "_pq", "_rho_ends"},
-    ("spectrum", "lattice"): {"_BOUND_ROWS", "_LevelTable"},
+    ("spectrum", "lattice"): {"_LevelTable"},
 }
 
 

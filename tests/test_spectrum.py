@@ -513,8 +513,65 @@ def test_exact_bound_admits_what_the_box_refused(monkeypatch):
     count(mm, 1e8)
     assert built == [(mm, tb.qmax(1e8))]
     torus = spectrum._table(catalog.flat_torus_rect(1, 1))
-    with pytest.raises(ValueError, match="up to 127324109 eigenvalues below 4e"):
+    assert torus.bound(torus.qmax(4e8)) == 127324109
+    with pytest.raises(ValueError, match="has too many levels to count below 4e"):
         torus.grow(torus.qmax(4e8))
+
+
+def _rows_read(tb):
+    """A list that grows by one for each row tb's plan yields from now on."""
+    read, rows = [], tb.rows
+
+    def counted(q):
+        for row in rows(q):
+            read.append(q)
+            yield row
+
+    tb.rows = counted
+    return read
+
+
+def test_bound_stops_at_the_cap():
+    # a plan with no negative weight stops summing once its partial sum
+    # passes the cap with rows left: two rows of the 1e200 square, whose
+    # 65536 rows of 1300-bit square roots each hold more than the cap, and
+    # 1975 of the unit torus's 12734 at 4e8; without a stop, the count is
+    # exact
+    from spectralab import lattice
+
+    cap = spectrum._LEVEL_CAP
+    big = lattice._LevelTable(catalog.rectangle(10 ** 200, 10 ** 200, "N"))
+    read = _rows_read(big)
+    assert big.bound(big.key_at(*big.ends(1)[0]), cap) is None
+    assert len(read) == 2
+    torus = lattice._LevelTable(catalog.flat_torus_rect(1, 1))
+    q = torus.qmax(4e8)
+    read = _rows_read(torus)
+    assert torus.bound(q, cap) is None
+    assert len(read) == 1975
+    read.clear()
+    assert torus.bound(q) == 127324109 and len(read) == 12734
+    # a plan with negative weights sums every row: the flat projective
+    # plane's last rows subtract
+    fpp = lattice._LevelTable(catalog.flat_projective_plane())
+    q = fpp.qmax(4e8)
+    read = _rows_read(fpp)
+    assert fpp.bound(q, cap) == fpp.bound(q) > cap
+    assert len(read) == 2 * sum(1 for _ in lattice._LevelTable(fpp.spec).rows(q))
+
+
+def test_signed_plans_are_the_ones_with_negative_weights():
+    # only a plan marked signed may subtract: the stop at the cap is sound
+    # on every other flat roster surface
+    from spectralab import lattice
+
+    for spec in catalog.verification_roster():
+        if catalog.is_spherical(spec):
+            continue
+        tb = lattice._LevelTable(spec)
+        negative = any(w < 0 for _, _, _, _, w in tb.rows(tb.qmax(2000)))
+        assert tb.signed or not negative, spec.label()
+        assert negative or spec.family is catalog.Family.HALF_TETRAHEDRON or not tb.signed
 
 
 @pytest.mark.parametrize("read", [count, level_arrays], ids=lambda f: f.__name__)
