@@ -282,18 +282,12 @@ def residual(spec: SurfaceSpec, ts, avg):
     return np.abs(avg, out=avg)
 
 
-def _offset(x):
-    # signed distance to the nearest integer, in [-1/2, 1/2)
-    import numpy as np
-
-    return x - np.floor(x + 0.5)
-
-
 def sphere_g(x):
     """Leading profile 1/6 - 2 r^2, r the offset of x from its nearest integer."""
     import numpy as np
 
-    r = _offset(np.asarray(x, dtype=np.float64))
+    x = np.asarray(x, dtype=np.float64)
+    r = x - np.floor(x + 0.5)
     return 1.0 / 6.0 - 2.0 * r * r
 
 
@@ -457,6 +451,8 @@ def g_samples(spec: SurfaceSpec, x_grid):
         if xs[0] <= 0.5:
             raise ValueError("spherical grid values must exceed 1/2")
         return avg_error_grid(spec, xs * xs - 0.25)
+    if not xs[0] * xs[0] > 0:  # a flat profile's time x^2
+        raise ValueError(f"grid value {xs[0]:g} is too small: its square underflows to 0")
     return avg_error_grid(spec, xs * xs) * np.sqrt(xs)
 
 
@@ -486,6 +482,8 @@ def g_list(spec: SurfaceSpec, xs: list) -> list:
         if xs and xs[0] <= 0.5:
             raise ValueError("spherical grid values must exceed 1/2")
         return avg_error_list(spec, [x * x - 0.25 for x in xs])
+    if xs and not xs[0] * xs[0] > 0:
+        raise ValueError(f"grid value {xs[0]:g} is too small: its square underflows to 0")
     return list(map(mul, avg_error_list(spec, [x * x for x in xs]), map(math.sqrt, xs)))
 
 
@@ -567,10 +565,6 @@ def _window_lists(spec: SurfaceSpec, lo: float, hi: float, grid, sums):
     return ts, residual(spec, ts, _avg_lists(spec, ts, sums))
 
 
-def _root4(t: float) -> float:
-    return math.sqrt(math.sqrt(t))
-
-
 def window_sup(spec: SurfaceSpec, lo: float, hi: float, grid) -> float:
     """The largest `residual` times t^{1/4} over the window samples of
     [lo, hi] with the caller's grid, on the engine `_lists` picks."""
@@ -578,7 +572,7 @@ def window_sup(spec: SurfaceSpec, lo: float, hi: float, grid) -> float:
     sums = _lists(spec, hi, len(grid))
     if sums is not None:
         ts, r = _window_lists(spec, lo, hi, grid, sums)
-        return max(map(mul, r, map(_root4, ts)), default=-math.inf)
+        return max((x * math.sqrt(math.sqrt(t)) for x, t in zip(r, ts)), default=-math.inf)
     import numpy as np
 
     best = -math.inf
@@ -636,3 +630,103 @@ def remainder_exponent(spec: SurfaceSpec, t_lo, t_hi) -> float:
     xs = [0.5 * (math.log(edges[i]) + math.log(edges[i + 1])) for i in range(n_win)]
     ys = [math.log(max(peak, 1e-300)) for peak in peaks[:-1]]
     return _slope(xs, ys)
+
+
+# --- the conjecture's checks ---
+
+_FREQ_TOL = 0.05
+# the peak sets asserted on flat surfaces; the others only report theirs
+_ASSERTED_PEAKS = {
+    "flat_torus_rect:a=1,b=1": (2.0, 2.0 * math.sqrt(2.0), 4.0),
+}
+
+
+def conjecture_checks(spec: SurfaceSpec, seed: int):
+    """The conjecture's checks on spec: (lines, checks), the report's lines
+    and one record (name, value, bound, ok) per check, in report order.
+    ok is lo <= value <= hi for a bound (lo, hi), else |value| <= bound,
+    and the check's line `check <name>...` ends in `-> ok` or `-> FAIL` by
+    it.  `mean [X,2X]` is the profile's window mean, `decay` the residual's
+    fitted exponent (round) or its first/last decade sups' ratio (flat),
+    `probes` the largest scaled residual at 64 seeded times, and `freq`
+    `line_check`'s worst deviation, infinite where a line is off the
+    geodesic lengths (round), or the largest distance from an asserted
+    length to the nearest top peak (flat surfaces of _ASSERTED_PEAKS)."""
+    import random
+
+    label = spec.label()
+    spherical = catalog.is_spherical(spec)
+    decades = [10.0 ** d for d in range(3, 7 if spherical else 8)]
+    spectrum.count(spec, decades[-1])  # build the table once, at its largest cutoff
+    lines, checks = [f"label: {label}"], []
+
+    def check(name: str, text: str, value: float, bound) -> None:
+        ok = bound[0] <= value <= bound[1] if isinstance(bound, tuple) else abs(value) <= bound
+        checks.append((name, value, bound, ok))
+        lines.append(f"check {name}{text} -> {'ok' if ok else 'FAIL'}")
+
+    # window means of the normalized profile
+    profiles = {X: profile(spec, X, 2 * X, 8001) for X in (100, 200, 400)}
+    for X, prof in profiles.items():
+        mean = window_mean(*prof)
+        check(f"mean [{X},{2 * X}]", f": {mean:+.6g} within {5.0 / X:g}", mean, 5.0 / X)
+
+    # decay of the residual
+    sups = [window_sup(spec, lo, hi, grid(lo, hi, 1200, True))
+            for lo, hi in zip(decades, decades[1:])]
+    if spherical:
+        slope = remainder_exponent(spec, 1e3, 1e6)
+        check("decay", f": exponent {slope:+.6g} in [-0.65,-0.35]", slope, (-0.65, -0.35))
+    else:
+        lo, hi = sorted((sups[0], sups[-1]))
+        ratio = hi / lo if lo > 0 else math.inf
+        check("decay", f": scaled sups per decade {' '.join('%.6g' % s for s in sups)}, "
+              f"first/last ratio {ratio:.6g} within 2", ratio, 2.0)
+
+    # seeded residual probes at unsampled times
+    rng = random.Random(seed)
+    probes = sorted({1e3 * (decades[-1] / 1e3) ** rng.random() for _ in range(64)})
+    resid = residual(spec, probes, avg_error_list(spec, probes))
+    worst = max(r * math.sqrt(math.sqrt(t)) for t, r in zip(probes, resid))
+    allowed = 1.5 * max(sups)
+    check("probes", f" (seed {seed}): worst scaled residual {worst:.6g} "
+          f"within {allowed:.6g}", worst, allowed)
+
+    # frequency content against geodesic lengths
+    if spherical:
+        # the [100, 200] profile's coefficients at the multiples of pi up to
+        # 30 against the leading profile's closed-form lines, each at a
+        # geodesic length
+        lines.append("geodesic lengths: " + " ".join(
+            "%.6g" % l for l in asymptotics.geodesic_lengths(spec, 30.0)))
+        rows, dev, tol = line_check(spec, *profiles[100], 30.0)
+        lines += [f"freq line {m * math.pi:.6g}: closed form {coef:+.6g}, measured {got:+.6g}"
+                  for m, coef, got in rows]
+        step = asymptotics.orbit_step(spec)
+        on = all(m % step == 0 for m, _, _ in rows)
+        check("freq", f": {len(rows)} lines {'at' if on else 'not all at'} geodesic "
+              f"lengths; the worst multiple of pi up to 30 deviates {dev:.6g} within "
+              f"{tol:.6g}", dev if on else math.inf, tol)
+    else:
+        import numpy as np
+
+        from . import analysis
+
+        omega = np.linspace(1.0, 10.0, 901)
+        prof = analysis.frequency_spectrum(analysis.make_profile(spec, 200, 800, n=60001), omega)
+        # the rectangular window sprays sidelobes around each strong line, so
+        # only the largest few maxima carry structure worth reporting
+        top = sorted(prof.frequencies[:8, 0].tolist())
+        lengths = asymptotics.geodesic_lengths(spec, float(omega[-1]))
+        matched = analysis.match_geodesics(top, lengths, _FREQ_TOL)
+        lines.append("freq top peaks: " + (" ".join("%.6g" % f for f in top) or "none"))
+        lines.append("geodesic lengths: " + " ".join("%.6g" % l for l in lengths))
+        lines.append(f"freq matched {len(matched)} of {len(top)} top peaks")
+        targets = _ASSERTED_PEAKS.get(label)
+        if targets is None:
+            lines.append("freq comparison: report only for this surface")
+        else:
+            miss = max(min((abs(f - t) for f in top), default=math.inf) for t in targets)
+            check("freq", ": geodesic lengths " + " ".join("%.6g" % t for t in targets)
+                  + f" each seen within {_FREQ_TOL:g}", miss, _FREQ_TOL)
+    return lines, checks

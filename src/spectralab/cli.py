@@ -38,14 +38,6 @@ _FAMILY_ALIASES = {
 # at 386 MB
 _GRID_MAX = 10**6
 
-_FREQ_TOL = 0.05
-# peak sets asserted by the conjecture command on flat surfaces; every
-# other flat surface gets a report-only geodesic comparison
-_ASSERTED_PEAKS = {
-    "flat_torus_rect:a=1,b=1": (2.0, 2.0 * math.sqrt(2.0), 4.0),
-}
-
-
 def parse_surface(text: str) -> catalog.SurfaceSpec:
     head, sep, tail = text.strip().partition(":")
     return catalog.parse_spec(_FAMILY_ALIASES.get(head, head) + sep + tail)
@@ -281,99 +273,13 @@ def cmd_heat(args) -> int:
     return 0
 
 
-# --- the conjecture pipeline ---
-
-
 def cmd_conjecture(args) -> int:
-    import random
+    from . import average
 
-    from . import asymptotics, average
-
-    label = args.spec.label()
-    spherical = catalog.is_spherical(args.spec)
-    decades = [10.0 ** d for d in range(3, 7 if spherical else 8)]
-    t_top = decades[-1]
-    spectrum.count(args.spec, t_top)  # build the table once, at its largest cutoff
-    out = [f"label: {label}"]
-    ok_all = True
-
-    def check(line: str, ok: bool) -> None:
-        nonlocal ok_all
-        ok_all = ok_all and ok
-        out.append(f"check {line} -> {'ok' if ok else 'FAIL'}")
-
-    # window means of the normalized profile
-    profiles = {X: average.profile(args.spec, X, 2 * X, 8001) for X in (100, 200, 400)}
-    for X, prof in profiles.items():
-        mean = average.window_mean(*prof)
-        bound = 5.0 / X
-        check(f"mean [{X},{2 * X}]: {mean:+.6g} within {bound:g}",
-              abs(mean) <= bound)
-
-    # decay of the residual
-    sups = [average.window_sup(args.spec, lo, hi, average.grid(lo, hi, 1200, True))
-            for lo, hi in zip(decades, decades[1:])]
-    if spherical:
-        slope = average.remainder_exponent(args.spec, 1e3, 1e6)
-        check(f"decay: exponent {slope:+.6g} in [-0.65,-0.35]",
-              -0.65 <= slope <= -0.35)
-    else:
-        lo, hi = sorted((sups[0], sups[-1]))
-        ratio = hi / lo if lo > 0 else math.inf
-        check(f"decay: scaled sups per decade {' '.join('%.6g' % s for s in sups)}, "
-              f"first/last ratio {ratio:.6g} within 2", hi <= 2.0 * lo)
-
-    # seeded residual probes at unsampled times
-    rng = random.Random(args.seed)
-    probes = sorted({1e3 * (t_top / 1e3) ** rng.random() for _ in range(64)})
-    resid = average.residual(args.spec, probes, average.avg_error_list(args.spec, probes))
-    worst = max(r * math.sqrt(math.sqrt(t)) for t, r in zip(probes, resid))
-    allowed = 1.5 * max(sups)
-    check(f"probes (seed {args.seed}): worst scaled residual {worst:.6g} "
-          f"within {allowed:.6g}", worst <= allowed)
-
-    # frequency content against geodesic lengths
-    if spherical:
-        # the [100, 200] profile's coefficients at the multiples of pi up to
-        # 30 against the leading profile's closed-form lines, each at a
-        # geodesic length
-        out.append("geodesic lengths: " + " ".join(
-            "%.6g" % l for l in asymptotics.geodesic_lengths(args.spec, 30.0)))
-        rows, dev, tol = average.line_check(args.spec, *profiles[100], 30.0)
-        out += [f"freq line {m * math.pi:.6g}: closed form {coef:+.6g}, measured {got:+.6g}"
-                for m, coef, got in rows]
-        step = asymptotics.orbit_step(args.spec)
-        on = all(m % step == 0 for m, _, _ in rows)
-        check(f"freq: {len(rows)} lines {'at' if on else 'not all at'} geodesic lengths; "
-              f"the worst multiple of pi up to 30 deviates {dev:.6g} within {tol:.6g}",
-              on and dev <= tol)
-    else:
-        import numpy as np
-
-        from . import analysis
-
-        prof = analysis.make_profile(args.spec, 200, 800, n=60001)
-        omega = np.linspace(1.0, 10.0, 901)
-        prof = analysis.frequency_spectrum(prof, omega)
-        # the rectangular window sprays sidelobes around each strong line, so
-        # only the largest few maxima carry structure worth reporting
-        top = sorted(prof.frequencies[:8, 0].tolist())
-        lengths = asymptotics.geodesic_lengths(args.spec, float(omega[-1]))
-        matched = analysis.match_geodesics(top, lengths, _FREQ_TOL)
-        out.append("freq top peaks: " + (" ".join("%.6g" % f for f in top) or "none"))
-        out.append("geodesic lengths: " + " ".join("%.6g" % l for l in lengths))
-        out.append(f"freq matched {len(matched)} of {len(top)} top peaks")
-        targets = _ASSERTED_PEAKS.get(label)
-        if targets is None:
-            out.append("freq comparison: report only for this surface")
-        else:
-            hit = all(any(abs(f - t) <= _FREQ_TOL for f in top) for t in targets)
-            check("freq: geodesic lengths " + " ".join("%.6g" % t for t in targets)
-                  + f" each seen within {_FREQ_TOL:g}", hit)
-
-    out.append("RESULT: " + ("PASS" if ok_all else "FAIL"))
-    sys.stdout.write("\n".join(out) + "\n")
-    return 0 if ok_all else 1
+    lines, checks = average.conjecture_checks(args.spec, args.seed)
+    passed = all(ok for _, _, _, ok in checks)
+    sys.stdout.write("\n".join(lines) + "\nRESULT: " + ("PASS" if passed else "FAIL") + "\n")
+    return 0 if passed else 1
 
 
 # --- wiring ---

@@ -313,17 +313,44 @@ def test_conjecture_passes_for_asserted_families(capsys):
         "5897177204b641bdbd410e60f1811d973fc30ceb54532459a15744cd7ab725c6")
 
 
-def test_roster_passes_conjecture(capsys, monkeypatch):
-    # the science checks on every family; each surface's tables are
-    # dropped when it is done
+@pytest.fixture(scope="module")
+def roster_checks():
+    """{label: (lines, checks)} of `average.conjecture_checks` with seed 3
+    on every roster surface; each surface's tables are dropped when it is
+    done."""
     roster = catalog.verification_roster()
     assert len(roster) == 95
-    monkeypatch.setattr(spectrum, "_TABLES", {})
-    for spec in roster:
-        spectrum._TABLES.clear()
-        rc, out, _ = run_cli(capsys, "conjecture", spec.label(), "--seed", "3")
-        assert rc == 0, spec.label()
-        assert out.rstrip().endswith("RESULT: PASS"), spec.label()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectrum, "_TABLES", {})
+        found = {}
+        for spec in roster:
+            spectrum._TABLES.clear()
+            found[spec.label()] = average.conjecture_checks(spec, 3)
+    return found
+
+
+def test_roster_passes_conjecture(roster_checks):
+    # the science checks on every family
+    failed = {label: [name for name, _, _, ok in checks if not ok]
+              for label, (_, checks) in roster_checks.items()}
+    assert not {label: names for label, names in failed.items() if names}
+
+
+def test_records_agree_with_their_verdicts(roster_checks):
+    # each record's ok is its value held against its bound, and the
+    # report's check lines, in order, are its records' with that verdict
+    for label, (lines, checks) in roster_checks.items():
+        assert len({name for name, _, _, _ in checks}) == len(checks), label
+        for name, value, bound, ok in checks:
+            if isinstance(bound, tuple):
+                assert ok == (bound[0] <= value <= bound[1]), (label, name)
+            else:
+                assert ok == (abs(value) <= bound), (label, name)
+        shown = [line for line in lines if line.startswith("check ")]
+        assert len(shown) == len(checks), label
+        for line, (name, _, _, ok) in zip(shown, checks):
+            assert line.startswith(f"check {name}"), (label, line)
+            assert line.endswith(" -> ok" if ok else " -> FAIL"), (label, line)
 
 
 def test_flat_conjecture_builds_its_table_once(capsys, monkeypatch):
@@ -347,16 +374,16 @@ def test_flat_conjecture_builds_its_table_once(capsys, monkeypatch):
     assert builds == [catalog.flat_torus_rect(1, 1), catalog.flat_torus_rect(0.5, 0.5)]
 
 
-def test_conjecture_report_only_for_others(capsys):
-    # a flat surface without asserted peaks is reported; every round one,
-    # the hemisphere too, gets the line check
-    rc, out, _ = run_cli(capsys, "conjecture", "rectangle:a=1,b=1,bc=N")
-    assert rc == 0
-    assert "report only" in out
-    rc, out, _ = run_cli(capsys, "conjecture", "hemisphere:bc=N")
-    assert rc == 0
-    assert "report only" not in out
-    assert "check freq: 4 lines at geodesic lengths" in out
+def test_conjecture_report_only_for_others():
+    # a flat surface without asserted peaks has no frequency record; every
+    # round one, the hemisphere too, gets the line check
+    means = ["mean [100,200]", "mean [200,400]", "mean [400,800]"]
+    for label, freq in [("rectangle:a=1,b=1,bc=N", []), ("flat_torus_rect:a=1,b=1", ["freq"]),
+                        ("hemisphere:bc=N", ["freq"])]:
+        lines, checks = average.conjecture_checks(cli.parse_surface(label), 0)
+        assert [name for name, _, _, _ in checks] == means + ["decay", "probes"] + freq
+        assert all(ok for _, _, _, ok in checks), label
+        assert ("freq comparison: report only for this surface" in lines) == (not freq)
 
 
 @pytest.mark.parametrize("label, mutate", [
@@ -366,18 +393,24 @@ def test_conjecture_report_only_for_others(capsys):
     ("half_lune:m=2,bc_side=D,bc_equator=D",
      lambda lines: [(m + (q != 1), c, q) for m, c, q in lines]),
     ("sphere", lambda lines: lines + [(3, 1e-12, -1j)]),
-], ids=["flipped-2pi-n", "A-halved", "triangle-dropped", "triangle-even", "off-geodesic"])
-def test_round_line_check_fails_a_wrong_series(capsys, monkeypatch, label, mutate):
+    pytest.param(
+        "half_lune:m=5,bc_side=N,bc_equator=N",
+        lambda lines: [(m, c / 2 if q == 1 else c, q) for m, c, q in lines],
+        marks=pytest.mark.xfail(strict=True, reason=(
+            "the line check is weak where A is small: with A halved the worst "
+            "deviation is 0.00529 within a tolerance of 0.01139, against 0.00072 "
+            "unmutated; the tolerance is dominated by 2 max|g - lead|"))),
+], ids=["flipped-2pi-n", "A-halved", "triangle-dropped", "triangle-even", "off-geodesic",
+        "A-halved-small-A"])
+def test_round_line_check_fails_a_wrong_series(monkeypatch, label, mutate):
     # a sign flipped in the 2 pi n series, A halved in it, the triangle
     # wave dropped where its weight is nonzero, its lines moved to even
-    # multiples of pi, and a line off the geodesic lengths each fail
+    # multiples of pi, and a line off the geodesic lengths each fail the
+    # frequency record alone
     lines = average.profile_lines
     monkeypatch.setattr(average, "profile_lines", lambda spec, w: mutate(lines(spec, w)))
-    rc, out, _ = run_cli(capsys, "conjecture", label)
-    assert rc == 1
-    checks = [line for line in out.splitlines() if line.startswith("check")]
-    assert [line for line in checks if line.endswith("FAIL")] == checks[-1:]
-    assert checks[-1].startswith("check freq")
+    _, checks = average.conjecture_checks(cli.parse_surface(label), 0)
+    assert [name for name, _, _, ok in checks if not ok] == ["freq"]
 
 
 # --- error handling ---
@@ -488,18 +521,25 @@ def test_side_beyond_float_range_is_usage_error(capsys, argv):
     assert "usage:" in err
 
 
+BIG = "rectangle:a=1e200,b=1e200,bc=N"
+UNIT = "rectangle:a=1,b=1,bc=N"
+
+
 @pytest.mark.parametrize("argv, err", [
-    (["asymptotics"], "constant beyond the float range"),
-    (["heat", "--at", "1"], "constant beyond the float range"),
-    (["freq", "--window", "100:200", "--omega", "5:8:301"],
+    (["asymptotics", BIG], "constant beyond the float range"),
+    (["heat", BIG, "--at", "1"], "constant beyond the float range"),
+    (["freq", BIG, "--window", "100:200", "--omega", "5:8:301"],
      "constant beyond the float range"),
-    (["gprofile", "--grid", "100:200:11"], "over the cap"),
-], ids=["asymptotics", "heat", "freq", "gprofile"])
+    (["gprofile", BIG, "--grid", "100:200:11"], "over the cap"),
+    (["gprofile", UNIT, "--grid", "1e-300:1:3"],
+     "grid value 1e-300 is too small: its square underflows to 0"),
+    (["freq", UNIT, "--window", "1e-300:1", "--omega", "100:101:3"],
+     "grid value 1e-300 is too small: its square underflows to 0"),
+], ids=["asymptotics", "heat", "freq", "gprofile", "gprofile-underflow", "freq-underflow"])
 def test_constant_beyond_float_range_is_usage_error(capsys, argv, err):
-    # an area of 1e400 has no float constants: a usage error, not a
-    # failed run
-    rc, out, captured = run_cli(capsys, argv[0], "rectangle:a=1e200,b=1e200,bc=N",
-                                *argv[1:])
+    # an area of 1e400 has no float constants, and an x of 1e-300 no float
+    # time x^2: a usage error naming it, not a failed run
+    rc, out, captured = run_cli(capsys, *argv)
     assert rc == 2
     assert out == ""
     assert err in captured and "usage:" in captured
