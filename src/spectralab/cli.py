@@ -267,6 +267,9 @@ def cmd_heat(args) -> int:
                 break
             except asymptotics.TailBoundError:
                 cutoff *= 2.0
+            except ValueError as err:
+                # the cutoff a refusal names is one this loop chose: name t
+                raise ValueError(f"heat trace at t={tf:g}: {err}") from None
     smooth = [asymptotics.smooth_heat_trace(args.spec, tf) for tf in ts]
     emit([{"t": ts, "heat": heats, "smooth": smooth,
            "abs_diff": [abs(h - s) for h, s in zip(heats, smooth)]}], args.format)

@@ -11,8 +11,10 @@ with fewer indices, and the same rows both bound a table (`bound`, their
 weights summed unexpanded, what the cap is held to) and build it.
 `_reduce` picks one of two engines by the number of entries it must
 expand: a small table is summed in a dict into stdlib `array('q')`, a
-large one on int64 numpy arrays.  `_Table` reads both types through what
-they share, so only the numpy engine and `_Table.arrays` import numpy.
+large one on numpy into arrays of the narrowest integers that hold them,
+int32 keys and counts wherever they fit.  `_Table` reads both types
+through what they share, so only the numpy engine and `_Table.arrays`
+import numpy.
 """
 
 from __future__ import annotations
@@ -30,9 +32,10 @@ from .spectrum import _NEGATIVE, _Table, _pq, _rho_ends
 # Entries up to which _reduce sums in a dict, where importing numpy would
 # cost more than the table: every table of `verify` at t = 1e4 (at most
 # 4619 entries) and of `count` and `spectrum` in the shapes benchmark (5618
-# over seeds 1-20).  A dict sums 31608 entries in 12 ms, the numpy engine
-# in 31 ms after a 150 ms import; on the 796782 entries of
-# rectangle:a=1,b=1,bc=N at t = 1e7 numpy takes 0.04 s, a dict 0.55 s.
+# over seeds 1-20).  On rectangle:a=1,b=1,bc=N in a fresh interpreter, a
+# dict sums its 32039 entries at t = 4e5 in 8 ms, the numpy engine in 3 ms
+# after a 55-76 ms import; at t = 1e7, 796782 entries, numpy takes 0.036 s
+# and a dict 0.41 s (2-vCPU VM, medians of 5 to 7 runs).
 _PY_ENTRIES = 1 << 15
 
 # Most rows a table's `bound` sums before it refuses the table.  Rows run
@@ -172,27 +175,34 @@ def _reduce_py(qcap: int, rows, div: int, pair: int = 1):
 
 
 def _reduce_np(qcap: int, rows, div: int, pair: int = 1):
-    """`_reduce` on int64 numpy arrays.
+    """`_reduce` on numpy arrays of the narrowest integers that hold them:
+    keys in int32 when qcap < 2^31, else int64, and multiplicities and
+    prefix sums in int32 when the table's count is below 2^31, as it is
+    under _LEVEL_CAP, else int64.
 
-    When the key span qcap + 1 is no larger than the number of lattice
-    points (the summed absolute weights), the weights are counted into a
-    span-sized array, the cheapest route for unit-shaped tables.  Otherwise
-    each weight is packed into the low bits of its key and the packed keys
-    are sorted in place, so that memory follows the number of points and
-    not the span.  The runs of equal keys are then summed a block of
-    _RUN_BLOCK entries at a time (`_runs`) in two passes: the first checks
-    the sums and counts the keys kept, which sizes the multiplicities and
-    prefix sums exactly; the second writes the keys into the front of the
-    packed array, which is then shrunk in place to hold them.  The packed
-    array is the only one sized by the number of entries, and a build
-    holds little beyond it and the table.  Rows are expanded one at a time
-    on both routes.
+    Each of the n row entries is packed with its weight in the low bits,
+    in int32 when (qcap << shift) | mask < 2^31, else int64.  The route
+    is picked by bytes.  When a span-sized int64 count array, 8 (qcap + 1)
+    bytes, is no larger than the packed array, the weights are counted
+    into it, the cheapest route for a table dense in its span; it stays
+    int64, as np.add.at into int32 is several times slower.  Otherwise
+    the packed keys are sorted in place, so that memory follows the
+    number of entries and not the span.  The runs of equal keys are then
+    summed a block of _RUN_BLOCK entries at a time (`_runs`) in two
+    passes: the first checks the sums and counts the keys kept and the
+    eigenvalues, which sizes the multiplicities and prefix sums exactly
+    and picks their type; the second writes the keys into the front of
+    the packed array, which is then shrunk in place to hold them.  The
+    packed array is the only one sized by the number of entries, and a
+    build holds little beyond it and the table.  Rows are expanded one at
+    a time on both routes.
     """
     import numpy as np
 
     n = sum(len(r[3]) for r in rows)
-    points = sum(len(r[3]) * abs(r[4]) for r in rows)
     wlo, shift = _weight_shift(qcap, [r[4] for r in rows if len(r[3])])
+    key_type = np.int32 if qcap < 1 << 31 else np.int64
+    packed_type = np.int32 if (qcap + 1) << shift <= 1 << 31 else np.int64
 
     def chunks():
         for c0, c1, c2, ks, w in rows:
@@ -201,40 +211,48 @@ def _reduce_np(qcap: int, rows, div: int, pair: int = 1):
                 yield c0 + k * (c1 + c2 * k), w
 
     whole = pair * div
-    if qcap + 1 <= points:
+    if 8 * (qcap + 1) <= np.dtype(packed_type).itemsize * n:
         counts = np.zeros(qcap + 1, dtype=np.int64)
         for keys, w in chunks():
             np.add.at(counts, keys, w)
         keys = np.flatnonzero(counts)
         sums = counts[keys]
         del counts
-        _check_sums([(keys, sums)], whole)
+        total = _check_sums([(keys, sums)], whole)[1]
+        keys = keys.astype(key_type)
+        sums = (sums // div).astype(_count_type(total // div))
     else:
-        packed = np.empty(n, dtype=np.int64)
+        packed = np.empty(n, dtype=packed_type)
         i = 0
         for keys, w in chunks():
             packed[i:i + len(keys)] = (keys << shift) | (w - wlo)
             i += len(keys)
         packed.sort()
-        m = _check_sums(_runs(packed, shift, wlo), whole)
-        sums = np.empty(m, dtype=np.int64)
+        m, total = _check_sums(_runs(packed, shift, wlo), whole)
+        sums = np.empty(m, dtype=_count_type(total // div))
         i = 0
         for ks, ss in _runs(packed, shift, wlo):
             # the block's keys are already copied out of packed, and every
             # kept run ends inside it: the writes stay behind the reads
             packed[i:i + len(ks)] = ks
-            sums[i:i + len(ss)] = ss
+            sums[i:i + len(ss)] = ss // div
             i += len(ks)
         # no view of packed outlives the loop (its blocks are consumed, the
         # keys given out are copies), so the refcheck, which a profiler's
         # own reference to the array trips, is not needed
         packed.resize(m, refcheck=False)
-        keys = packed
-    if div != 1:
-        sums //= div
-    prefix = np.zeros(len(sums) + 1, dtype=np.int64)
-    np.cumsum(sums, out=prefix[1:])
+        keys = packed.astype(key_type, copy=False)
+    prefix = np.zeros(len(sums) + 1, dtype=sums.dtype)
+    np.cumsum(sums, dtype=sums.dtype, out=prefix[1:])
     return keys, sums, prefix
+
+
+def _count_type(total: int):
+    """int32 for multiplicities and prefix sums up to total, where it
+    holds them, else int64."""
+    import numpy as np
+
+    return np.int32 if total < 1 << 31 else np.int64
 
 
 _RUN_BLOCK = 1 << 16  # packed entries per block of _runs
@@ -243,8 +261,10 @@ _RUN_BLOCK = 1 << 16  # packed entries per block of _runs
 def _runs(packed, shift: int, wlo: int):
     """(keys, sums) of the runs of equal keys in the sorted packed array,
     in key order, one block of _RUN_BLOCK entries at a time, the runs whose
-    sum is zero dropped.  A block's last run may go on in the next block,
-    so it is carried there rather than given out."""
+    sum is zero dropped.  Keys keep the packed array's type and sums are
+    int64, which a run of int32 entries may need.  A block's last run may
+    go on in the next block, so it is carried there rather than given
+    out."""
     import numpy as np
 
     mask = (1 << shift) - 1
@@ -254,7 +274,7 @@ def _runs(packed, shift: int, wlo: int):
         keys = block >> shift
         starts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
         starts = np.concatenate(([0], starts))
-        sums = np.add.reduceat(block & mask, starts)
+        sums = np.add.reduceat(block & mask, starts, dtype=np.int64)
         sums += wlo * np.diff(starts, append=len(block))
         keys = keys[starts]
         if ckey == keys[0]:
@@ -269,13 +289,15 @@ def _runs(packed, shift: int, wlo: int):
         yield np.array([ckey]), np.array([csum])
 
 
-def _check_sums(blocks, whole: int) -> int:
-    """The number of keys in the (keys, sums) blocks, whose sums must all be
-    nonnegative multiples of whole: a negative sum anywhere is refused
-    first, then the first key whose sum is not a multiple."""
-    m, negative, bad = 0, False, None
+def _check_sums(blocks, whole: int) -> tuple:
+    """(number of keys, summed weight) of the (keys, sums) blocks, whose
+    sums must all be nonnegative multiples of whole: a negative sum
+    anywhere is refused first, then the first key whose sum is not a
+    multiple."""
+    m, total, negative, bad = 0, 0, False, None
     for keys, sums in blocks:
         m += len(sums)
+        total += int(sums.sum())
         negative = negative or sums.min(initial=0) < 0
         if bad is None and whole != 1:
             i = (sums % whole).nonzero()[0]
@@ -285,7 +307,7 @@ def _check_sums(blocks, whole: int) -> int:
         raise ArithmeticError(_NEGATIVE)
     if bad is not None:
         raise ArithmeticError(_NOT_WHOLE % (bad[0], bad[1], whole))
-    return m
+    return m, total
 
 
 def _axis_rows(c0: int, c2: int, lo: int, step: int, full: bool, kmax: int,

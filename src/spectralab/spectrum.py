@@ -7,13 +7,14 @@ spherical family has eigenvalues N(N+1)) and answers counting questions by
 prefix sums.  Each surface has one cached table (`_Table`), and both kinds
 hold keys, multiplicities and counts and are read one way: a round key is
 a degree N, a flat one (`lattice`) an integer q.  Only occupied keys are
-held, in stdlib `array('q')` or, for a large flat table, int64 numpy
-arrays, so memory follows the number of levels, not the size of the grid
-up to the cutoff.  Every table grows in `_Table.grow`, which refuses one
-whose `bound`, the count it would hold, is over _LEVEL_CAP, or whose keys
-do not fit int64, before building it: the bound is a round table's window
-count, or the weights of a flat table's own lattice rows summed without
-expanding them.  The closed-form route evaluates the floor-bracket
+held, in stdlib `array('q')` or, for a large flat table, numpy arrays of
+int32 keys and counts (int64 keys where a key passes 2^31), so memory
+follows the number of levels, 12 bytes each on numpy, not the size of the
+grid up to the cutoff.  Every table grows in `_Table.grow`, which refuses
+one whose `bound`, the count it would hold, is over _LEVEL_CAP, or whose
+keys do not fit int64, before building it: the bound is a round table's
+window count, or the weights of a flat table's own lattice rows summed
+without expanding them.  The closed-form route evaluates the floor-bracket
 identities for N(t), jump discontinuities included.  Each flat surface's
 identity is compiled once, on first use, into an integer linear form
 cached on its table: a common denominator, a constant, counts of tables
@@ -140,7 +141,9 @@ def _decided(t, ends, value):
 # level tables (the table route)
 
 
-_CHUNK = 65536  # levels per chunk of _Table.columns
+# Levels per chunk of _Table.columns: a chunk's lists and the CSV writer's
+# rows take about 300 B a level, 5 MB at this size (20 MB at 65536).
+_CHUNK = 16384
 _NEGATIVE = "negative multiplicity in level table"
 # Most eigenvalues a table may be built to hold, by its `bound`: the
 # largest roster table that `conjecture` builds, flat_torus_rect:a=2,b=3/2
@@ -152,7 +155,10 @@ _LEVEL_CAP = 25_000_000
 class _Table:
     """The levels of one surface: sorted integer keys, their nonzero
     multiplicities mults and prefix[i], the sum of the first i of them, all
-    `array('q')` or all int64 numpy arrays, with every key <= qcap present.
+    `array('q')` or all numpy arrays, with every key <= qcap present.  A
+    numpy table holds each array in int32 where its values fit (counts
+    always under _LEVEL_CAP, keys below 2^31), else int64, so its readers
+    cast keys to float64 or hand them out through `tolist()`.
     A kind supplies `build(qcap)` (the arrays), `bound(q, stop)` (the
     number of eigenvalues with key <= q, or None where a flat table has
     too many rows to sum or passes stop before its last row), `fits(q)`

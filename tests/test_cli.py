@@ -250,6 +250,18 @@ def test_heat_retries_only_a_short_cutoff(capsys, monkeypatch):
     assert cutoffs == [64.0]
 
 
+def test_heat_refusal_names_the_time_given(capsys, monkeypatch):
+    # heat doubles its cutoff until the table refuses it: the refusal
+    # names the time t the user gave before the cutoff the loop chose
+    monkeypatch.setattr(spectrum, "_TABLES", {})
+    monkeypatch.setattr(spectrum, "_LEVEL_CAP", 100000)
+    rc, out, err = run_cli(capsys, "heat", UNIT, "--at", "1,1e-7")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: heat trace at t=1e-07: rectangle:a=1,b=1,bc=N "
+                          "has too many levels to count below ")
+    assert ", over the cap of 100000\nusage:" in err
+
+
 def test_list_covers_roster(capsys):
     rc, out, _ = run_cli(capsys, "list")
     assert rc == 0
@@ -1094,22 +1106,37 @@ def test_round_spectrum_matches_golden_bytes(capsys, fmt):
     assert (len(data), hashlib.sha256(data).hexdigest()) == ROUND_1E6[fmt]
 
 
+# Starts the command in argv under a 1 GiB address-space limit, stdout
+# discarded, and prints its exit status and peak RSS in KB.
+_LAUNCHER = """
+import os, resource, subprocess, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+with subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL) as proc:
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, usage.ru_maxrss)
+"""
+
+
 def peak_rss_mb(*argv):
     """Peak RSS in MB of a fresh CLI run under a 1 GiB address-space limit,
-    stdout discarded; the run must exit 0."""
-    import resource
+    stdout discarded; the run must exit 0.  A small launcher interpreter
+    starts the run: a child forked from this process would count this
+    process's own resident pages, 98 MB late in the suite, in its peak."""
+    run = subprocess.run([sys.executable, "-c", _LAUNCHER,
+                          sys.executable, "-m", "spectralab.cli", *argv],
+                         capture_output=True, text=True, env=package_env())
+    code, peak_kb = map(int, run.stdout.split())
+    assert code == 0, run.stderr
+    return peak_kb / 1024
 
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    with subprocess.Popen([sys.executable, "-m", "spectralab.cli", *argv],
-                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-                          env=package_env(), preexec_fn=limit) as proc:
-        err = proc.stderr.read()
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0, err
-    return usage.ru_maxrss / 1024
+def test_closed_form_tori_fit_in_narrow_types():
+    # the MM rectangle's closed form grows the 1 x 2 torus to 1.2e6 levels
+    # (12.7e6 eigenvalues) beside the rectangle's and the unit torus's:
+    # packed in int32 and held in 32-bit keys and counts, at 58 MB, where
+    # int64 tables, counted into a span-sized array, peaked at 120 MB
+    assert peak_rss_mb("count", "rectangle:a=1,b=1,bc=MM", "--at", "2e7") <= 80
 
 
 def test_spectrum_memory_stays_near_the_table():

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import time
@@ -795,6 +796,7 @@ def _both_engines(ns):
     from spectralab import lattice
 
     def both(qcap, rows, div, pair=1):
+        rows = list(rows)  # a plan's rows may come as a generator
         n = sum(len(r[3]) for r in rows)
         ns.append(n)
         npy = lattice._reduce_np(qcap, rows, div, pair)
@@ -829,6 +831,18 @@ def test_engines_agree_on_flat_tables(spec, monkeypatch):
         tb.grow(qcap)
         qcap *= 2
     assert type(tb.keys).__module__ == "numpy"
+
+
+def _route(qcap, rows):
+    """The route `lattice._reduce_np` takes on rows, by bytes, and the item
+    size of its packed entries: the span-sized int64 counts when they take
+    no more bytes than the packed entries would, else the packed entries."""
+    from spectralab import lattice
+
+    n = sum(len(r[3]) for r in rows)
+    _, shift = lattice._weight_shift(qcap, [r[4] for r in rows if len(r[3])])
+    size = 4 if (qcap << shift) | ((1 << shift) - 1) < 2 ** 31 else 8
+    return "count" if 8 * (qcap + 1) <= size * n else "packed", size
 
 
 def _random_reduce_rows(rng, whole):
@@ -891,7 +905,7 @@ def test_blocked_reduce_carries_runs_across_block_edges(monkeypatch):
 
 
 def test_packed_build_holds_the_entries_and_the_table(monkeypatch):
-    # the packed route's traced peak is one int64 per entry, the table it
+    # the packed route's traced peak is one int32 per entry, the table it
     # returns and a few blocks: on rectangle:a=1,b=1,bc=N at t = 1e6, 79.6k
     # entries reduced to 22k levels
     from spectralab import lattice
@@ -902,6 +916,7 @@ def test_packed_build_holds_the_entries_and_the_table(monkeypatch):
     rows = list(tb.rows(qcap))
     n = sum(len(r[3]) for r in rows)
     assert n > 20 * 2048
+    assert _route(qcap, rows) == ("packed", 4)
     tracemalloc.start()
     try:
         table = lattice._reduce_np(qcap, rows, tb.div)
@@ -909,7 +924,7 @@ def test_packed_build_holds_the_entries_and_the_table(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(table[0]) > 20000
-    assert peak <= 8 * n + sum(a.nbytes for a in table) + 16 * 8 * 2048
+    assert peak <= 4 * n + sum(a.nbytes for a in table) + 16 * 8 * 2048
 
 
 def test_packed_build_survives_a_profiler():
@@ -922,7 +937,7 @@ def test_packed_build_survives_a_profiler():
     tb = lattice._LevelTable(catalog.cylinder(1, 1, "N"))
     qcap = 10 ** 6
     rows = list(tb.rows(qcap))
-    assert qcap + 1 > sum(len(r[3]) * abs(r[4]) for r in rows)  # the packed route
+    assert _route(qcap, rows)[0] == "packed"
     plain = _lists(lattice._reduce_np(qcap, rows, tb.div))
     prof = cProfile.Profile()
     prof.enable()
@@ -993,6 +1008,107 @@ def test_engines_agree_on_reduce_inputs():
             reduce(60, [(0, 0, 0, range(1), 2)] + hexes, 2)
         with pytest.raises(ArithmeticError, match="do not fit int64 with 3 weight bits"):
             reduce(2 ** 59, [(0, 0, 0, range(1), 1), (2 ** 59, 0, 0, range(1), -3)], 1)
+
+
+# --- the narrow types of numpy tables --------------------------------------
+
+SIGNED_PLANS = [s for s in FLAT_TABLES
+                if s.family in (catalog.Family.FLAT_PROJECTIVE_PLANE,
+                                catalog.Family.HALF_TETRAHEDRON)
+                or (s.family is catalog.Family.SYMMETRY_SECTOR and s.irrep == "2")]
+
+
+@pytest.mark.parametrize("spec", SIGNED_PLANS, ids=lambda s: s.label())
+def test_signed_plans_agree_on_both_routes(spec):
+    # the plans with negative weights, reduced on numpy by the counting
+    # route (each row given r times, over r times the divisor) and by the
+    # packed route (a wider span, holding the same keys): both give the
+    # dict engine's table, in int32
+    from spectralab import lattice
+
+    tb = lattice._LevelTable(spec)
+    pair = 2 if spec.irrep == "2" else 1
+    q = 256
+    while sum(len(r[3]) for r in tb.rows(q)) < 4000:
+        q *= 4
+    rows = list(tb.rows(q))
+    n = sum(len(r[3]) for r in rows)
+    py = _lists(lattice._reduce_py(q, rows, tb.div, pair))
+    r = -(-2 * (q + 1) // n)
+    for qcap, rows_, div in ((q, rows * r, tb.div * r), (max(q, n), rows, tb.div)):
+        npy = lattice._reduce_np(qcap, rows_, div, pair)
+        assert [x.dtype for x in npy] == [np.int32] * 3
+        assert _lists(npy) == py, (spec, _route(qcap, rows_))
+    assert [_route(q, rows * r)[0], _route(max(q, n), rows)[0]] == ["count", "packed"]
+
+
+def test_keys_past_int32_are_held_in_int64(monkeypatch):
+    # a torus of side 1000003/1000000 has keys of about 5e16 at t = 5e5,
+    # where its 40022 entries go to numpy: the keys are int64, the counts
+    # int32, and both engines give the same table
+    from spectralab import lattice
+
+    ns = []
+    monkeypatch.setattr(spectrum, "_TABLES", {})
+    monkeypatch.setattr(lattice, "_reduce", _both_engines(ns))
+    spec = catalog.flat_torus_rect(F(1000003, 1000000), 1)
+    rep = closed_form_identity(spec, 5e5)
+    tb = spectrum._table(spec)
+    assert lattice._PY_ENTRIES < ns[-1] <= 2 * lattice._PY_ENTRIES
+    assert int(tb.keys[-1]) > 2 ** 31
+    assert [x.dtype for x in (tb.keys, tb.mults, tb.prefix)] == [np.int64, np.int32, np.int32]
+    assert rep.count == rep.closed_form == int(tb.prefix[-1])
+
+
+def test_narrow_types_at_their_edges(monkeypatch):
+    # on the packed route, cut by a block edge or not: keys below 2^31
+    # whose packing with 2 weight bits passes 2^31 (int32 keys, int64
+    # packing); a key whose run of 2040 int32 packed entries sums past
+    # 2^31 before its weights cancel down to 40 (2^20 - 1); and one whose
+    # run sums to 2039 (2^21 - 1) + 1, past 2^31, held in int64 counts
+    from spectralab import lattice
+
+    big = 2039 * (2 ** 21 - 1) + 1
+    cases = [
+        (2 ** 30, [(0, 0, 0, range(1), 1), (2 ** 30, 0, 0, range(1), 3),
+                   (5, 0, 1, range(10), 2)], np.int32),
+        (1023, [(5, 0, 0, range(1040), 2 ** 20 - 1),
+                (5, 0, 0, range(1000), 1 - 2 ** 20)], np.int32),
+        (1023, [(5, 0, 0, range(2039), 2 ** 21 - 1), (5, 0, 0, range(1), 1)], np.int64),
+    ]
+    assert [_route(qcap, rows) for qcap, rows, _ in cases] == [
+        ("packed", 8), ("packed", 4), ("packed", 4)]
+    for block in (2039, 1 << 16):
+        monkeypatch.setattr(lattice, "_RUN_BLOCK", block)
+        tables = [lattice._reduce_np(qcap, rows, 1) for qcap, rows, _ in cases]
+        for (qcap, rows, counts), table in zip(cases, tables):
+            assert _lists(table) == _lists(lattice._reduce_py(qcap, rows, 1))
+            assert [x.dtype for x in table] == [np.int32, counts, counts]
+        w = 40 * (2 ** 20 - 1)
+        assert [_lists(t) for t in tables[1:]] == [[[5], [w], [0, w]], [[5], [big], [0, big]]]
+
+
+@pytest.mark.parametrize("spec, t", [
+    (catalog.rectangle(1, 1, "N"), 1e6),  # a numpy table
+    (catalog.rectangle(1, 1, "N"), 1e3),
+    (catalog.sphere(), 1e4),
+], ids=["numpy", "array", "round"])
+def test_level_readers_hand_out_python_ints(spec, t, monkeypatch):
+    # counts, multiplicities and keys leave the table as Python numbers,
+    # whatever it is held in: a numpy scalar would break --format json
+    monkeypatch.setattr(spectrum, "_TABLES", {})
+    rep = closed_form_identity(spec, t)
+    pairs = levels(spec, t)
+    chunks = list(level_columns(spec, t))
+    kind = type(spectrum._table(spec).keys).__module__
+    assert kind == ("numpy" if t == 1e6 else "array")
+    assert {type(rep.count), type(rep.closed_form)} == {int}
+    assert {type(m) for _, m in pairs} == {int}
+    assert {type(k) for k, _ in pairs} == ({int} if catalog.is_spherical(spec) else {F})
+    assert {type(k.numerator) for k, _ in pairs if isinstance(k, F)} <= {int}
+    assert {type(m) for c in chunks for m in c["multiplicity"]} == {int}
+    assert {type(v) for c in chunks for v in c["value"]} == {float}
+    json.dumps([list(rep), chunks])
 
 
 # --- compiled closed forms: the enclosure path and the cache ----------------
