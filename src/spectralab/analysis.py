@@ -8,7 +8,9 @@ Frequencies are reported on the x axis (the argument of g, x ~ sqrt(t)),
 where the observed peaks sit directly at the geodesic lengths
 (`asymptotics.geodesic_lengths`).  A sector's two-term share and its
 sqrt-term sign come from its verified constants and the base's
-(`asymptotics.surface_constants`); nothing is fitted.
+(`asymptotics.surface_constants`); nothing is fitted.  A profile holds
+`average.profile`'s samples in arrays; numpy and `average` are imported
+where they are used, so the proportions load neither.
 """
 
 from __future__ import annotations
@@ -17,9 +19,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-import numpy as np
-
-from . import asymptotics, average, catalog, spectrum
+from . import asymptotics, catalog, spectrum
 from .catalog import SurfaceSpec, _Frozen
 
 class APProfile(_Frozen):
@@ -33,6 +33,8 @@ class APProfile(_Frozen):
     __slots__ = ("xs", "gs", "frequencies")
 
     def __init__(self, xs: np.ndarray, gs: np.ndarray, frequencies=None):
+        import numpy as np
+
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "gs", gs)
         object.__setattr__(self, "frequencies",
@@ -49,20 +51,19 @@ class ProportionReport(namedtuple(
 
 
 def make_profile(spec: SurfaceSpec, x_lo, x_hi, n: int) -> APProfile:
-    """Sample the normalized profile on a uniform grid over [x_lo, x_hi]."""
-    x_lo = float(x_lo)
-    x_hi = float(x_hi)
-    if not 0 < x_lo < x_hi:
-        raise ValueError("window must be positive and ascending")
-    if n < 2:
-        raise ValueError("need at least two samples")
-    xs = np.linspace(x_lo, x_hi, int(n))
-    return APProfile(xs=xs, gs=average.g_samples(spec, xs))
+    """`average.profile` over [x_lo, x_hi], with its refusals, in arrays."""
+    import numpy as np
+
+    from . import average
+
+    return APProfile(*map(np.asarray, average.profile(spec, x_lo, x_hi, n)))
 
 
 def window_mean(profile: APProfile) -> float:
     """Trapezoidal mean of g_est over the profile's window
     (`average.window_mean`)."""
+    from . import average
+
     return average.window_mean(profile.xs, profile.gs)
 
 
@@ -73,6 +74,8 @@ def _uniform_step(grid: np.ndarray, other_max: float, name: str) -> float:
     grid[0] + j * step, times the largest magnitude on the other grid,
     stays within 1e-9 rad of phase.
     """
+    import numpy as np
+
     step = (grid[-1] - grid[0]) / (grid.size - 1)
     dev = float(np.max(np.abs(grid - (grid[0] + step * np.arange(grid.size)))))
     if dev * other_max > 1e-9:
@@ -98,6 +101,8 @@ def fourier_coefficients(profile: APProfile, omega_grid) -> np.ndarray:
     window resolution 2*pi/L, the window at least 10 periods of the
     smallest candidate frequency, and both grids uniform to 1e-9 rad.
     """
+    import numpy as np
+
     omega = np.asarray(omega_grid, dtype=np.float64)
     if omega.size < 3 or np.any(np.diff(omega) <= 0):
         raise ValueError("omega grid must be ascending with >= 3 points")
@@ -161,6 +166,8 @@ def frequency_spectrum(profile: APProfile, omega_grid) -> APProfile:
     are reported as frequencies, sorted by amplitude descending, ties in
     omega order.
     """
+    import numpy as np
+
     omega = np.asarray(omega_grid, dtype=np.float64)
     coef = fourier_coefficients(profile, omega)
     amp = np.abs(coef)

@@ -5,8 +5,11 @@ levels below t, the smooth part integrates in closed form, and their
 scaled difference is the averaged error.  For the sphere the averaged
 error also has a piecewise-algebraic closed form and an exact three-term
 decomposition g(x) + g1(x) x/t + g2(x)/t with x = sqrt(t + 1/4), whose
-leading profile g is `sphere_g`; the tests hold both against
-avg_error_grid and each other (tests/reference_formulas.py).
+leading profile is g = 1/6 - 2 r^2, r the offset of x from its nearest
+integer; the tests hold both against avg_error_grid and each other
+(tests/reference_formulas.py).  `profile` samples the conjecture's
+normalized profile g_est, A(x^2 - 1/4) on a round surface and
+A(x^2) sqrt(x) on a flat one, for every caller.
 
 Every averaged error comes from float64 prefix sums of the level table,
 on one of two engines: avg_error_grid on numpy arrays, and Python floats.
@@ -144,7 +147,8 @@ def _lists(spec: SurfaceSpec, T: float, n: int):
     (vals, n_pref, l_pref) lists of the levels <= T, the values and sums
     of `_prefix_blocks` in one block, with the sums of mult * value added
     sequentially as numpy's cumsum adds them; None sends the times to
-    numpy."""
+    numpy.  `_smooth`'s refusal at T comes first, before any table read."""
+    _smooth(spec, math.sqrt, T)
     if n > _PY_POINTS:
         return None
     tb = spectrum._table(spec)
@@ -172,7 +176,6 @@ def _avg_lists(spec: SurfaceSpec, ts: list, sums) -> list:
     searchsorted(side="right") (`_indices`), and `_tilde_integral` is
     written out, 0.5 * A * t * t being (0.5 * A) * t * t."""
     vals, n_pref, l_pref = sums
-    _smooth(spec, math.sqrt, ts[-1])  # the refusal only: its terms follow
     rc = asymptotics.surface_constants(spec)
     hA, tB, C = 0.5 * float(rc.A), (2.0 / 3.0) * float(rc.B), float(rc.C)
     sqrt = math.sqrt
@@ -248,8 +251,8 @@ def avg_error_list(spec: SurfaceSpec, ts) -> list:
 
 
 def _lead(spec: SurfaceSpec):
-    """`leading_profile` as a function of one Python float x, in the
-    numpy route's operations and order."""
+    """`leading_profile` at one Python float x: A g(x) plus the sawtooth,
+    + on odd k, of weight w; w = 0 adds +-0.0, which changes no float."""
     if not catalog.is_spherical(spec):
         return lambda x: 0.0
     A = float(asymptotics.surface_constants(spec).A)
@@ -257,15 +260,11 @@ def _lead(spec: SurfaceSpec):
     floor = math.floor
 
     def lead(x):
-        r = x - floor(x + 0.5)
-        return A * (1.0 / 6.0 - 2.0 * r * r)
-
-    def lead_sawtooth(x):  # the sign of the sawtooth is + on odd k
         k = floor(x + 0.5)
         r = x - k
         return A * (1.0 / 6.0 - 2.0 * r * r) + (w if k & 1 else -w) * r
 
-    return lead_sawtooth if w else lead
+    return lead
 
 
 def residual(spec: SurfaceSpec, ts, avg):
@@ -280,15 +279,6 @@ def residual(spec: SurfaceSpec, ts, avg):
     if catalog.is_spherical(spec):
         avg -= leading_profile(spec, np.sqrt(ts + 0.25))
     return np.abs(avg, out=avg)
-
-
-def sphere_g(x):
-    """Leading profile 1/6 - 2 r^2, r the offset of x from its nearest integer."""
-    import numpy as np
-
-    x = np.asarray(x, dtype=np.float64)
-    r = x - np.floor(x + 0.5)
-    return 1.0 / 6.0 - 2.0 * r * r
 
 
 _WEIGHTS: dict = {}
@@ -334,22 +324,13 @@ def leading_profile(spec: SurfaceSpec, x):
     A_weyl * g(x) plus, where the window counts force one, the alternating
     sawtooth described in _alternating_weight.  Zero for flat surfaces,
     whose averaged error already decays.  A Python float for a number, a
-    float64 array shaped as x for an array, the same values.
+    float64 array shaped as x for an array: `_lead` at each x.
     """
     if isinstance(x, (int, float)):
         return _lead(spec)(float(x))
     import numpy as np
 
-    x = np.asarray(x, dtype=np.float64)
-    if not catalog.is_spherical(spec):
-        return np.zeros_like(x)
-    out = float(asymptotics.surface_constants(spec).A) * sphere_g(x)
-    w = _alternating_weight(spec)
-    if w:
-        k = np.floor(x + 0.5)
-        sign = np.where(np.mod(k, 2.0) == 1.0, 1.0, -1.0)
-        out = out + w * sign * (x - k)
-    return out
+    return np.vectorize(_lead(spec), otypes=[np.float64])(x)
 
 
 def profile_lines(spec: SurfaceSpec, omega_max: float) -> list:
@@ -432,59 +413,40 @@ def line_check(spec: SurfaceSpec, xs: list, gs: list, omega_max: float):
     return rows, worst[1], worst[2]
 
 
-def g_samples(spec: SurfaceSpec, x_grid):
-    """Conjecture-normalized profile g_est over an ascending grid, one per x.
-
-    Flat surfaces: g_est = A(x^2) * sqrt(x).  Spherical surfaces:
-    g_est = A(x^2 - 1/4).
-    """
-    import numpy as np
-
-    xs = np.asarray(x_grid, dtype=np.float64)
-    if xs.size == 0:
-        return np.empty(0)
-    if not np.all(xs > 0):
-        raise ValueError("grid values must be positive")
-    if np.any(np.diff(xs) <= 0):
-        raise ValueError("grid must be strictly ascending")
-    if catalog.is_spherical(spec):
-        if xs[0] <= 0.5:
-            raise ValueError("spherical grid values must exceed 1/2")
-        return avg_error_grid(spec, xs * xs - 0.25)
-    if not xs[0] * xs[0] > 0:  # a flat profile's time x^2
-        raise ValueError(f"grid value {xs[0]:g} is too small: its square underflows to 0")
-    return avg_error_grid(spec, xs * xs) * np.sqrt(xs)
-
-
 def profile(spec: SurfaceSpec, lo: float, hi: float, n: int):
-    """(xs, g_est) at n points from lo to hi, as np.linspace and g_samples
-    give them, on the engine `_lists` picks: lists on Python floats, else
-    float64 arrays, whose floats numpy holds outside the interpreter's
-    own memory."""
+    """(xs, g_est) at the n points of np.linspace(lo, hi, n), on the engine
+    `_lists` picks: lists of `grid` on Python floats, else np.linspace's
+    float64 arrays, which hold no Python float.  Refused before any table
+    is read: a window not positive and ascending, n < 2, x <= 1/2 on a
+    round surface, an x^2 that underflows or overflows, and a smooth
+    integral that does (`_smooth`); after, xs not strictly ascending."""
     lo, hi = float(lo), float(hi)
-    xs = grid(lo, hi, n, False)
-    if _lists(spec, hi * hi - 0.25 if catalog.is_spherical(spec) else hi * hi, n) is None:
+    if not 0 < lo < hi:
+        raise ValueError("window must be positive and ascending")
+    if n < 2:
+        raise ValueError("need at least two samples")
+    spherical = catalog.is_spherical(spec)
+    if spherical and lo <= 0.5:
+        raise ValueError("spherical grid values must exceed 1/2")
+    if not lo * lo > 0:
+        raise ValueError(f"grid value {lo:g} is too small: its square underflows to 0")
+    if not math.isfinite(hi * hi):
+        raise ValueError(f"grid value {hi:g} is too large: its square overflows the float range")
+    shift = 0.25 if spherical else 0.0  # x * x - 0.0 is x * x
+    sums = _lists(spec, hi * hi - shift, n)
+    if sums is None:
         import numpy as np
 
-        xs = np.array(xs)
-        return xs, g_samples(spec, xs)
-    return xs, g_list(spec, xs)
-
-
-def g_list(spec: SurfaceSpec, xs: list) -> list:
-    """g_samples as a list of floats, bit for bit, with its refusals, on
-    the engine avg_error_list picks."""
-    if xs and not min(xs) > 0:
-        raise ValueError("grid values must be positive")
+        xs = np.linspace(lo, hi, n)
+        if not np.all(xs[:-1] < xs[1:]):
+            raise ValueError("grid must be strictly ascending")
+        gs = avg_error_grid(spec, xs * xs - shift)
+        return xs, gs if spherical else gs * np.sqrt(xs)
+    xs = grid(lo, hi, n, False)
     if not all(map(lt, xs, islice(xs, 1, None))):
         raise ValueError("grid must be strictly ascending")
-    if catalog.is_spherical(spec):
-        if xs and xs[0] <= 0.5:
-            raise ValueError("spherical grid values must exceed 1/2")
-        return avg_error_list(spec, [x * x - 0.25 for x in xs])
-    if xs and not xs[0] * xs[0] > 0:
-        raise ValueError(f"grid value {xs[0]:g} is too small: its square underflows to 0")
-    return list(map(mul, avg_error_list(spec, [x * x for x in xs]), map(math.sqrt, xs)))
+    gs = _avg_lists(spec, [x * x - shift for x in xs], sums)
+    return xs, gs if spherical else list(map(mul, gs, map(math.sqrt, xs)))
 
 
 def _pairwise_sum(a: list, lo: int, n: int) -> float:

@@ -200,14 +200,10 @@ def cmd_avg(args) -> int:
 
 
 def cmd_gprofile(args) -> int:
-    # analysis.make_profile's values and refusals, summed without numpy
-    # where average.avg_error_list needs none
     from . import average
 
-    xs = average.grid(*args.grid, False)
-    if len(xs) < 2:
-        raise ValueError("need at least two samples")
-    emit([{"x": xs, "g_est": average.g_list(args.spec, xs)}], args.format)
+    xs, gs = average.profile(args.spec, *args.grid)
+    emit([{"x": xs, "g_est": gs}], args.format)
     return 0
 
 

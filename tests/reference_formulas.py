@@ -8,7 +8,6 @@ from fractions import Fraction
 import numpy as np
 
 from spectralab import asymptotics, average, catalog, spectrum
-from spectralab.average import sphere_g
 
 
 def polygon_corner_limit(n) -> Fraction:
@@ -51,6 +50,13 @@ def sphere_avg_closed_form(t):
     return float(out) if out.ndim == 0 else out
 
 
+def sphere_g(x):
+    """Leading profile 1/6 - 2r^2, r the offset of x from its nearest integer."""
+    r = _offset(np.asarray(x, dtype=np.float64))
+    out = 1.0 / 6.0 - 2.0 * r * r
+    return float(out) if out.ndim == 0 else out
+
+
 def sphere_g1(x):
     """First correction profile -r(1 - 4r^2)/2."""
     r = _offset(np.asarray(x, dtype=np.float64))
@@ -67,8 +73,7 @@ def sphere_g2(x):
 
 
 def sphere_avg_decomposed(t):
-    """g(x) + g1(x) x/t + g2(x)/t at x = sqrt(t + 1/4), g the package's
-    `average.sphere_g`.
+    """g(x) + g1(x) x/t + g2(x)/t at x = sqrt(t + 1/4).
 
     Algebraically identical to sphere_avg_closed_form; kept as a separate
     route so the identity stays testable.

@@ -9,7 +9,7 @@ import pytest
 from spectralab import analysis, asymptotics, average, catalog
 from spectralab.analysis import APProfile
 
-from reference_formulas import frequency_peaks_loop
+from reference_formulas import frequency_peaks_loop, sphere_g
 
 
 def spec(label):
@@ -42,7 +42,7 @@ def test_window_mean_single_period_of_profile():
     # one full period of the sphere profile integrates to zero; sample the
     # two smooth halves so the trapezoid rule sees no kink
     xs = np.linspace(3.0, 4.0, 4001)
-    p = synthetic_profile(xs, average.sphere_g(xs))
+    p = synthetic_profile(xs, sphere_g(xs))
     assert abs(analysis.window_mean(p)) < 1e-7
 
 

@@ -12,7 +12,7 @@ from spectralab import asymptotics, average, catalog, exact, oracle, spectrum
 
 from reference_formulas import (avg_error_grid_whole, remainder_exponent_whole,
                                 smooth_count, sphere_avg_closed_form, sphere_avg_decomposed,
-                                window_samples, window_sup_whole)
+                                sphere_g, window_samples, window_sup_whole)
 
 
 def spec(label):
@@ -361,8 +361,9 @@ def test_decomposition_identity_exact():
 
 
 def test_g_profile_values_and_mean():
-    assert average.sphere_g(7.0) == pytest.approx(1.0 / 6.0, abs=1e-15)
-    assert average.sphere_g(7.5) == pytest.approx(-1.0 / 3.0, abs=1e-15)
+    assert sphere_g(7.0) == pytest.approx(1.0 / 6.0, abs=1e-15)
+    assert sphere_g(7.5) == pytest.approx(-1.0 / 3.0, abs=1e-15)
+    assert average.leading_profile(SPHERE, 7.5) == pytest.approx(-1.0 / 3.0, abs=1e-15)
     # exact mean over one period: 1/6 - 2 * (integral of r^2) = 1/6 - 2/12
     assert Fraction(1, 6) - 2 * Fraction(1, 12) == 0
     # numerical check: Simpson over each smooth half of [k, k+1]
@@ -370,7 +371,7 @@ def test_g_profile_values_and_mean():
         total = 0.0
         for lo, hi in [(k, k + 0.5), (k + 0.5, k + 1.0)]:
             xs = np.linspace(lo, hi, 2001)
-            fs = average.sphere_g(xs)
+            fs = sphere_g(xs)
             h = xs[1] - xs[0]
             total += h / 3.0 * (fs[0] + fs[-1] + 4 * fs[1:-1:2].sum()
                                 + 2 * fs[2:-2:2].sum())
@@ -396,30 +397,46 @@ def test_closed_form_rejects_nonpositive():
 
 
 def test_g_samples_sphere_near_profile():
-    xs = np.array([10.0, 10.5])
-    out = average.g_samples(SPHERE, xs)
+    xs, out = average.profile(SPHERE, 10.0, 10.5, 2)
+    assert xs == [10.0, 10.5]
     assert abs(out[0] - 1.0 / 6.0) <= 1.5 / 10.0
     assert abs(out[1] + 1.0 / 3.0) <= 1.5 / 10.0
     # on the sphere g_est is the averaged error itself, bit for bit
-    assert np.array_equal(out, average.avg_error_grid(SPHERE, xs * xs - 0.25))
+    xs = np.array(xs)
+    assert out == average.avg_error_grid(SPHERE, xs * xs - 0.25).tolist()
 
 
 def test_g_samples_flat_torus_bound():
     # regression bound: measured sup was 1.423 on this grid
     ftr = spec("flat_torus_rect:a=1,b=1")
-    xs = np.linspace(100.0, 200.0, 4001)
-    out = average.g_samples(ftr, xs)
+    xs, out = average.profile(ftr, 100.0, 200.0, 4001)
+    assert np.array_equal(xs, np.linspace(100.0, 200.0, 4001))
     assert np.max(np.abs(out)) <= 2.9
+    # on a flat surface g_est is A(x^2) sqrt(x), bit for bit
+    xs = np.asarray(xs)
+    assert np.array_equal(out, average.avg_error_grid(ftr, xs * xs) * np.sqrt(xs))
 
 
-def test_g_samples_validation():
-    assert average.g_samples(SPHERE, []).size == 0
-    with pytest.raises(ValueError):
-        average.g_samples(SPHERE, [2.0, 2.0])
-    with pytest.raises(ValueError):
-        average.g_samples(SPHERE, [-1.0, 2.0])
-    with pytest.raises(ValueError):
-        average.g_samples(SPHERE, [0.4, 0.45])
+def test_g_samples_validation(monkeypatch):
+    # a grid that does not strictly ascend is refused on either engine
+    for py_points in (1 << 16, 0):
+        monkeypatch.setattr(average, "_PY_POINTS", py_points)
+        with pytest.raises(ValueError, match="strictly ascending"):
+            average.profile(SPHERE, 1.0, 1.0000000000000002, 5)
+    # the other refusals come before the table is read
+    monkeypatch.setattr(spectrum, "_table", None)
+    for lo, hi, n, match in [
+        (2.0, 2.0, 5, "positive and ascending"),
+        (-1.0, 2.0, 5, "positive and ascending"),
+        (math.nan, 2.0, 5, "positive and ascending"),
+        (2.0, 3.0, 1, "at least two samples"),
+        (0.4, 0.45, 5, "must exceed 1/2"),
+        (1.0, 1e200, 5, r"grid value 1e\+200 is too large: its square overflows"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            average.profile(SPHERE, lo, hi, n)
+    with pytest.raises(ValueError, match="its square underflows to 0"):
+        average.profile(spec("rectangle:a=1,b=1,bc=N"), 1e-300, 1.0, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +461,7 @@ def test_leading_profile_projective_sawtooth():
     # the even-degree count injects (-1)^{k+1}(x - k) on top of g/2
     ps = spec("projective_sphere")
     x = np.array([7.2, 8.2])
-    want = 0.5 * average.sphere_g(x) + np.array([1.0, -1.0]) * 0.2
+    want = 0.5 * sphere_g(x) + np.array([1.0, -1.0]) * 0.2
     assert np.allclose(average.leading_profile(ps, x), want, atol=1e-12)
 
 
@@ -648,15 +665,19 @@ def test_window_samplers_agree_across_engines(monkeypatch):
                 average.remainder_exponent(sp, 1e3, 1e6)] == py, sp
 
 
-def test_profile_lists_match_numpy():
-    # g_list is g_samples on lists and window_mean np.trapezoid, bit for
-    # bit, on Python and on numpy sums; numpy's pairwise summation order
-    # holds at every length
-    xs = average.grid(100.0, 200.0, 8001, False)
+def test_profile_lists_match_numpy(monkeypatch):
+    # the profile on Python floats is the profile on numpy, and
+    # window_mean np.trapezoid, bit for bit, on Python and on numpy sums;
+    # numpy's pairwise summation order holds at every length
+    monkeypatch.setattr(spectrum, "_TABLES", {})  # tables in array('q')
     for label in ("sphere", "projective_sphere", "rectangle:a=1,b=1,bc=N",
                   "mobius_band:a=1,b=1,bc=D"):
-        gs = average.g_list(spec(label), xs)
-        assert gs == average.g_samples(spec(label), xs).tolist(), label
+        monkeypatch.setattr(average, "_PY_POINTS", 1 << 16)
+        xs, gs = average.profile(spec(label), 100.0, 200.0, 8001)
+        assert isinstance(gs, list), label  # the Python engine
+        monkeypatch.setattr(average, "_PY_POINTS", 0)
+        np_xs, np_gs = average.profile(spec(label), 100.0, 200.0, 8001)
+        assert (np_xs.tolist(), np_gs.tolist()) == (xs, gs), label
         assert average.window_mean(xs, gs) == float(
             np.trapezoid(gs, xs) / (xs[-1] - xs[0])), label
     rng = np.random.default_rng(5)
@@ -694,9 +715,8 @@ def test_round_lines_hold_on_the_roster():
     # every line of every round roster surface sits at a geodesic length,
     # decided on exact multiples of pi, and the measured coefficients stay
     # within half their tolerance
-    xs = average.grid(100.0, 200.0, 8001, False)
     for sp in ROUND:
-        rows, dev, tol = average.line_check(sp, xs, average.g_list(sp, xs), 30.0)
+        rows, dev, tol = average.line_check(sp, *average.profile(sp, 100.0, 200.0, 8001), 30.0)
         step = asymptotics.orbit_step(sp)
         assert all(Fraction(m) % step == 0 for m, _, _ in rows), sp
         assert dev <= 0.5 * tol, sp

@@ -186,16 +186,16 @@ def test_avg_flat_normalization(capsys):
         assert g == pytest.approx(a * t ** 0.25, rel=1e-12)
 
 
-def test_gprofile_matches_g_samples(capsys):
-    rc, out, _ = run_cli(capsys, "gprofile", "sphere", "--grid", "50:60:21")
-    assert rc == 0
-    _, body = parse_csv(out)
-    xs = np.linspace(50, 60, 21)
-    want = average.g_samples(catalog.sphere(), xs)
-    assert len(body) == 21
-    for row, x, g in zip(body, xs, want):
-        assert float(row[0]) == pytest.approx(x)
-        assert float(row[1]) == pytest.approx(g, rel=1e-12, abs=1e-15)
+def test_gprofile_matches_g_samples(capsys, monkeypatch):
+    # the command prints average.profile, on either engine, to the bit
+    monkeypatch.setattr(spectrum, "_TABLES", {})  # tables in array('q')
+    for label, n in (("sphere", 21), ("rectangle:a=1,b=1,bc=N", 70001)):
+        rc, out, _ = run_cli(capsys, "gprofile", label, "--grid", f"50:60:{n}")
+        assert rc == 0
+        _, body = parse_csv(out)
+        xs, want = average.profile(catalog.parse_spec(label), 50.0, 60.0, n)
+        assert isinstance(want, list) == (n <= average._PY_POINTS)
+        assert [[float(v) for v in row] for row in body] == [*map(list, zip(xs, want))]
 
 
 def test_freq_scan_peaks_near_great_circle(capsys):
@@ -542,15 +542,25 @@ UNIT = "rectangle:a=1,b=1,bc=N"
     (["heat", BIG, "--at", "1"], "constant beyond the float range"),
     (["freq", BIG, "--window", "100:200", "--omega", "5:8:301"],
      "constant beyond the float range"),
-    (["gprofile", BIG, "--grid", "100:200:11"], "over the cap"),
+    (["gprofile", BIG, "--grid", "100:200:11"], "constant beyond the float range"),
+    (["avg", BIG, "--grid", "100:200:11"], "constant beyond the float range"),
     (["gprofile", UNIT, "--grid", "1e-300:1:3"],
      "grid value 1e-300 is too small: its square underflows to 0"),
     (["freq", UNIT, "--window", "1e-300:1", "--omega", "100:101:3"],
      "grid value 1e-300 is too small: its square underflows to 0"),
-], ids=["asymptotics", "heat", "freq", "gprofile", "gprofile-underflow", "freq-underflow"])
+    (["gprofile", "sphere", "--grid", "1:1e200:5"],
+     "grid value 1e+200 is too large: its square overflows the float range"),
+    (["gprofile", "flat_torus_rect:a=1,b=1", "--grid", "1e150:1e160:3"],
+     "grid value 1e+160 is too large: its square overflows the float range"),
+    (["freq", "sphere", "--window", "1e200:2e200", "--omega", "1e-300:2e-300:3"],
+     "grid value 2e+200 is too large: its square overflows the float range"),
+], ids=["asymptotics", "heat", "freq", "gprofile", "avg", "gprofile-underflow",
+        "freq-underflow", "gprofile-overflow", "gprofile-flat-overflow", "freq-overflow"])
 def test_constant_beyond_float_range_is_usage_error(capsys, argv, err):
-    # an area of 1e400 has no float constants, and an x of 1e-300 no float
-    # time x^2: a usage error naming it, not a failed run
+    # an area of 1e400 has no float constants, and an x of 1e-300 or
+    # 1e200 no float time x^2: a usage error naming it, not a failed run;
+    # every sampler of the averaged error refuses the constants before it
+    # reads a table, whatever its grid's size
     rc, out, captured = run_cli(capsys, *argv)
     assert rc == 2
     assert out == ""
@@ -1212,6 +1222,9 @@ def test_each_command_loads_only_what_it_calls():
     assert avg.isdisjoint({"numpy", "numpy.ma", "lattice", "analysis"} | _HEAVY)
     avg = loaded_modules(["avg", "rectangle:a=1,b=1,bc=N", "--grid", "1e6:1e7:5"])
     assert "numpy" in avg and avg.isdisjoint({"dataclasses", "typing"})
+    # the sector shares read no profile
+    proportions = loaded_modules(["proportions", "square_torus", "--max-t", "1e4"])
+    assert "analysis" in proportions and proportions.isdisjoint({"numpy", "average"})
 
 
 def test_round_roster_never_loads_numpy():
