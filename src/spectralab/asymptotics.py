@@ -211,7 +211,11 @@ def geodesic_lengths(spec: SurfaceSpec, L_max: float) -> list[float]:
     if L_max <= 0:
         return []
     if not catalog.is_spherical(spec):
-        return _read_closed_form(spec, L_max)[1]
+        try:
+            return _read_closed_form(spec, L_max)[1]
+        except ValueError:  # name the caller's surface and L_max, not a dual torus's
+            raise ValueError(f"{spec.label()}: its geodesic lengths up to {L_max:g} need "
+                             "a level table over the cap or past int64 keys") from None
     step = orbit_step(spec)
     out = []
     j = 1

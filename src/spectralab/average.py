@@ -2,32 +2,28 @@
 
 The step-function integral of N is the sum of mult * (t - level) over
 levels below t, the smooth part integrates in closed form, and their
-scaled difference is the averaged error.  For the sphere the averaged
-error also has a piecewise-algebraic closed form and an exact three-term
-decomposition g(x) + g1(x) x/t + g2(x)/t with x = sqrt(t + 1/4), whose
-leading profile is g = 1/6 - 2 r^2, r the offset of x from its nearest
-integer; the tests hold both against avg_error_grid and each other
-(tests/reference_formulas.py).  `profile` samples the conjecture's
-normalized profile g_est, A(x^2 - 1/4) on a round surface and
-A(x^2) sqrt(x) on a flat one, for every caller.
+scaled difference is the averaged error; on the sphere the tests hold it
+against its piecewise-algebraic closed form and its three-term
+decomposition (tests/reference_formulas.py).  One normalizer (`_g_est`)
+turns it into the conjecture's profile g_est, A(x^2 - 1/4) on a round
+surface and A(x^2) sqrt(x) on a flat one, on `profile`'s x grid and on
+`avg_columns`' t grid.
 
 Every averaged error comes from float64 prefix sums of the level table,
-on one of two engines: avg_error_grid on numpy arrays, and Python floats.
-One rule picks the engine for every sampler here (`_lists`): Python
-floats for at most _PY_POINTS times over a table held in `array('q')`,
-where importing numpy would cost more than the sums, else numpy.  Both
-run the same operations in the same order, and their powers are products
-of square roots (t^{3/2} is t * sqrt(t), t^{1/4} is sqrt(sqrt(t))), whose
-steps are correctly rounded in both (numpy's `power` is not libm's
-`pow`), so they agree bit for bit.  The rounding grows with t;
-avg_error_grid's docstring gives the measured bound.  The numpy engine
-streams its sums from the table's integer keys a block of levels at a
-time (`_prefix_blocks`), carrying the running sums from block to block,
-and so do the decade sups and the decay fit, which take their window
-samples from `_window_residuals`: beside the table, each holds a few
-blocks and its grid, never an array as long as the table.  numpy is
-imported by the functions that use it, so that the Python engine runs
-without it.
+on numpy arrays (avg_error_grid) or on Python floats.  One rule picks the
+engine for every sampler here (`_lists`): Python floats for at most
+_PY_POINTS times over a table held in `array('q')`, where importing numpy
+would cost more than the sums, else numpy.  Both run the same correctly
+rounded steps in the same order (t^{3/2} is t * sqrt(t), t^{1/4} is
+sqrt(sqrt(t)): numpy's `power` is not libm's `pow`), so they agree bit
+for bit; avg_error_grid's docstring bounds the rounding.  Each reduction
+has one body for both: the decade sups and the decay fit take their
+peaks from `_window_peaks`, and `window_mean` sums its terms correctly
+rounded.  The numpy engine streams the sums and the window samples
+(`_window_residuals`) a block of levels at a time (`_prefix_blocks`):
+beside the table it holds a few blocks and its grid, never an array as
+long as the table.  numpy is imported where it is used, so that the
+Python engine runs without it.
 
 On a round surface the averaged error tends to `leading_profile`, whose
 Fourier lines are closed-form (`profile_lines`); `line_check` measures a
@@ -40,9 +36,9 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from functools import partial, reduce
+from functools import partial
 from itertools import accumulate, chain, islice, repeat
-from operator import add, le, lt, mul, sub
+from operator import le, lt, mul, sub
 
 from . import asymptotics, catalog, spectrum
 from .catalog import SurfaceSpec
@@ -69,22 +65,16 @@ def grid(lo: float, hi: float, n: int, log: bool) -> list:
 def _tilde_integral(rc: asymptotics.RefinedAsymptotics, sqrt):
     """The closed-form integral of the smooth estimate from 0 to t, as a
     function of t: a float with sqrt = math.sqrt, a float64 array with
-    sqrt = np.sqrt.
-
-    The square-root term integrates to (2/3) s^{3/2}, taken as s * sqrt(s);
-    in the shifted form the antiderivative is (2/3)(s + 1/4)^{3/2} and the
-    constant is fixed so the integral vanishes at t = 0.
-    """
+    sqrt = np.sqrt.  Its square-root term integrates to (2/3)(s^{3/2} - c)
+    with s = t + shift, taken as s * sqrt(s) - c: (shift, c) is (1/4, 1/8)
+    in the shifted form, so that it vanishes at t = 0, else (0, 0): adding
+    and subtracting 0.0 change no float."""
     A, B, C = float(rc.A), float(rc.B), float(rc.C)
-    shift = rc.sqrt_shift
+    shift, c = (0.25, 0.125) if rc.sqrt_shift else (0.0, 0.0)
 
     def integral(t):
-        if shift:
-            s = t + 0.25
-            broot = s * sqrt(s) - 0.125
-        else:
-            broot = t * sqrt(t)
-        return 0.5 * A * t * t + (2.0 / 3.0) * B * broot + C * t
+        s = t + shift
+        return 0.5 * A * t * t + (2.0 / 3.0) * B * (s * sqrt(s) - c) + C * t
 
     return integral
 
@@ -173,19 +163,10 @@ def _indices(vals: list, ts: list):
 def _avg_lists(spec: SurfaceSpec, ts: list, sums) -> list:
     """The averaged error at the ascending times ts from `_lists` sums, in
     `_avg_block`'s operations and order: bisect_right stands for
-    searchsorted(side="right") (`_indices`), and `_tilde_integral` is
-    written out, 0.5 * A * t * t being (0.5 * A) * t * t."""
+    searchsorted(side="right") (`_indices`)."""
     vals, n_pref, l_pref = sums
-    rc = asymptotics.surface_constants(spec)
-    hA, tB, C = 0.5 * float(rc.A), (2.0 / 3.0) * float(rc.B), float(rc.C)
-    sqrt = math.sqrt
-    js = _indices(vals, ts)
-    if rc.sqrt_shift:
-        return [(t * n_pref[j] - l_pref[j]
-                 - (hA * t * t + tB * ((s := t + 0.25) * sqrt(s) - 0.125) + C * t)) / t
-                for t, j in zip(ts, js)]
-    return [(t * n_pref[j] - l_pref[j] - (hA * t * t + tB * (t * sqrt(t)) + C * t)) / t
-            for t, j in zip(ts, js)]
+    tilde = _tilde_integral(asymptotics.surface_constants(spec), math.sqrt)
+    return [(t * n_pref[j] - l_pref[j] - tilde(t)) / t for t, j in zip(ts, _indices(vals, ts))]
 
 
 def _avg_block(t, block, tilde, out) -> None:
@@ -441,60 +422,72 @@ def profile(spec: SurfaceSpec, lo: float, hi: float, n: int):
         if not np.all(xs[:-1] < xs[1:]):
             raise ValueError("grid must be strictly ascending")
         gs = avg_error_grid(spec, xs * xs - shift)
-        return xs, gs if spherical else gs * np.sqrt(xs)
-    xs = grid(lo, hi, n, False)
-    if not all(map(lt, xs, islice(xs, 1, None))):
-        raise ValueError("grid must be strictly ascending")
-    gs = _avg_lists(spec, [x * x - shift for x in xs], sums)
-    return xs, gs if spherical else list(map(mul, gs, map(math.sqrt, xs)))
+    else:
+        xs = grid(lo, hi, n, False)
+        if not all(map(lt, xs, islice(xs, 1, None))):
+            raise ValueError("grid must be strictly ascending")
+        gs = _avg_lists(spec, [x * x - shift for x in xs], sums)
+    return xs, _g_est(spherical, xs, gs)
 
 
-def _pairwise_sum(a: list, lo: int, n: int) -> float:
-    """The sum of a[lo:lo + n] in numpy's order for a contiguous float64
-    array (its pairwise summation): halves down to blocks of at most 128,
-    whose first multiple of 8 terms are summed in 8 interleaved running
-    sums, combined as a tree, and the rest added in turn; under 8 terms,
-    added in turn from 0.  Sums run through reduce, which adds in turn in
-    every Python version."""
-    if n < 8:
-        return reduce(add, a[lo:lo + n], 0.0)
-    if n <= 128:
-        m = n - n % 8
-        r = [reduce(add, a[lo + i:lo + m:8]) for i in range(8)]
-        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        return reduce(add, a[lo + m:lo + n], res)
-    n2 = n // 2
-    n2 -= n2 % 8
-    return _pairwise_sum(a, lo, n2) + _pairwise_sum(a, lo + n2, n - n2)
+def _g_est(spherical: bool, xs, avg):
+    """g_est at xs from the averaged error avg: avg itself on a round surface
+    (t = x^2 - 1/4), avg sqrt(x) = A(t) t^{1/4} on a flat one (t = x^2)."""
+    if spherical:
+        return avg
+    if isinstance(avg, list):
+        return list(map(mul, avg, map(math.sqrt, xs)))
+    import numpy as np
+
+    return avg * np.sqrt(xs)
+
+
+def avg_columns(spec: SurfaceSpec, ts) -> tuple:
+    """(avg, xs, g_est) at the ascending times ts, as lists: the averaged
+    error (`avg_error_list`), x = sqrt(t + 1/4) on a round surface and
+    sqrt(t) on a flat one, and g_est at x (`_g_est`)."""
+    avg, spherical = avg_error_list(spec, ts), catalog.is_spherical(spec)
+    xs = [math.sqrt(t + (0.25 if spherical else 0.0)) for t in ts]  # + 0.0 is exact
+    return avg, xs, _g_est(spherical, xs, avg)
 
 
 def window_mean(xs, gs) -> float:
-    """Trapezoidal mean of the samples gs over the ascending xs, the float
-    of np.trapezoid(gs, xs) / (xs[-1] - xs[0]): summed in Python floats
-    for lists, by numpy for arrays."""
+    """Trapezoidal mean of the samples gs over the ascending xs: the terms
+    of np.trapezoid(gs, xs), (b - a)(h + g) / 2, built in Python floats for
+    lists and by numpy for arrays, summed correctly rounded (`math.fsum`)
+    over xs[-1] - xs[0]: one float on both engines."""
     if len(xs) < 100:
         raise ValueError("need at least 100 samples for a stable mean")
-    if not isinstance(gs, list):
+    if isinstance(gs, list):
+        terms = [(b - a) * (h + g) / 2.0 for a, b, g, h in zip(xs, xs[1:], gs, gs[1:])]
+    else:
         import numpy as np
 
-        return float(np.trapezoid(gs, xs) / (xs[-1] - xs[0]))
-    terms = [(b - a) * (h + g) / 2.0 for a, b, g, h in zip(xs, xs[1:], gs, gs[1:])]
-    return _pairwise_sum(terms, 0, len(terms)) / (xs[-1] - xs[0])
+        terms = np.diff(xs) * (gs[1:] + gs[:-1]) / 2.0  # fsum reads it a float at a time
+    return math.fsum(terms) / float(xs[-1] - xs[0])
 
 
 def _window_residuals(spec: SurfaceSpec, lo: float, hi: float, grid):
-    """(ts, `residual` at ts) over the window [lo, hi], a block of levels
-    at a time, on numpy.  N(t) jumps and the averaged error kinks only at
+    """(ts, `residual` at ts) over the window [lo, hi], in batches on the
+    engine `_lists` picks.  N(t) jumps and the averaged error kinks only at
     levels, so the samples ts are the levels strictly inside (lo, hi), the
     midpoints between neighbouring ones and the grid points in [lo, hi],
-    sorted and unique in each batch.  A batch comes for each block of
-    `_prefix_blocks` with samples below its edge; a sample at or above the
-    edge waits for the next block, so the batches joined are the window's
-    samples made unique.
-    """
+    sorted and unique in each batch: one batch of lists on Python floats,
+    and on numpy one for each block of `_prefix_blocks` with samples below
+    its edge, a sample at or above the edge waiting for the next block, so
+    that the batches joined are the window's samples made unique."""
+    lo, hi = float(lo), float(hi)
+    sums = _lists(spec, hi, len(grid))
+    if sums is not None:
+        vals = sums[0]
+        inside = vals[bisect_right(vals, lo):bisect_left(vals, hi)]
+        ts = sorted({*(float(t) for t in grid if lo <= t <= hi), *inside,
+                     *(0.5 * (b + a) for a, b in zip(inside, inside[1:]))})
+        if ts:
+            yield ts, residual(spec, ts, _avg_lists(spec, ts, sums))
+        return
     import numpy as np
 
-    lo, hi = float(lo), float(hi)
     tilde = _smooth(spec, np.sqrt, hi)
     wait = np.asarray(grid, dtype=np.float64)
     wait = wait[(wait >= lo) & (wait <= hi)]
@@ -515,33 +508,35 @@ def _window_residuals(spec: SurfaceSpec, lo: float, hi: float, grid):
             yield ts, residual(spec, ts, avg)  # the sorted array above is not held
 
 
-def _window_lists(spec: SurfaceSpec, lo: float, hi: float, grid, sums):
-    """`_window_residuals` on Python floats from `_lists` sums: the
-    window's samples, sorted and unique, and their residuals, as lists."""
-    vals = sums[0]
-    inside = vals[bisect_right(vals, lo):bisect_left(vals, hi)]
-    ts = sorted({*(float(t) for t in grid if lo <= t <= hi), *inside,
-                 *(0.5 * (b + a) for a, b in zip(inside, inside[1:]))})
-    if not ts:
-        return [], []
-    return ts, residual(spec, ts, _avg_lists(spec, ts, sums))
+def _window_peaks(spec: SurfaceSpec, edges: list, grid, quarter: bool) -> list:
+    """The largest `residual` over the window samples of [edges[0],
+    edges[-1]] (`_window_residuals`) in each bucket [edges[i], edges[i + 1])
+    and last at edges[-1], -inf in an empty one; with quarter, of each
+    residual times t^{1/4}, sqrt(sqrt(t)) on both engines.  A batch is
+    sorted, so a bucket is the slice between the bisections of its edges."""
+    peaks = [-math.inf] * len(edges)
+    for ts, r in _window_residuals(spec, edges[0], edges[-1], grid):
+        if isinstance(r, list):
+            top = max
+            if quarter:
+                r = [x * math.sqrt(math.sqrt(t)) for x, t in zip(r, ts)]
+        else:
+            import numpy as np
+
+            top = np.max
+            if quarter:
+                r = r * np.sqrt(np.sqrt(ts))
+        cuts = [bisect_left(ts, e) for e in edges] + [len(ts)]
+        peaks = [max(p, float(top(r[a:b]))) if a < b else p
+                 for p, a, b in zip(peaks, cuts, cuts[1:])]
+        del ts, r  # else held while the next batch is made
+    return peaks
 
 
 def window_sup(spec: SurfaceSpec, lo: float, hi: float, grid) -> float:
     """The largest `residual` times t^{1/4} over the window samples of
     [lo, hi] with the caller's grid, on the engine `_lists` picks."""
-    lo, hi = float(lo), float(hi)
-    sums = _lists(spec, hi, len(grid))
-    if sums is not None:
-        ts, r = _window_lists(spec, lo, hi, grid, sums)
-        return max((x * math.sqrt(math.sqrt(t)) for x, t in zip(r, ts)), default=-math.inf)
-    import numpy as np
-
-    best = -math.inf
-    for ts, r in _window_residuals(spec, lo, hi, grid):
-        best = max(best, float((r * np.sqrt(np.sqrt(ts))).max()))
-        del ts, r  # else held while the next batch is made
-    return best
+    return max(_window_peaks(spec, [float(lo), float(hi)], grid, True))
 
 
 def _slope(xs: list, ys: list) -> float:
@@ -562,12 +557,11 @@ def remainder_exponent(spec: SurfaceSpec, t_lo, t_hi) -> float:
     sphere profile A * g(sqrt(t + 1/4)) for positively curved surfaces and
     zero for flat ones, whose averaged error already decays like t^{-1/4}.
     """
-    t_lo = float(t_lo)
-    t_hi = float(t_hi)
+    t_lo, t_hi = float(t_lo), float(t_hi)
     if not 0 < t_lo:
         raise ValueError("need t_lo > 0")
-    if t_hi < 4.0 * t_lo:
-        raise ValueError("need t_hi >= 4 * t_lo")
+    if not math.isfinite(t_hi):
+        raise ValueError("need a finite t_hi")
     n_win = 0  # the largest n with t_lo * 2^n <= t_hi: doubling is exact
     while t_lo * 2.0 ** (n_win + 1) <= t_hi:
         n_win += 1
@@ -575,23 +569,9 @@ def remainder_exponent(spec: SurfaceSpec, t_lo, t_hi) -> float:
         raise ValueError(
             f"only {n_win} full dyadic windows in [{t_lo:g}, {t_hi:g}]; need 3")
     edges = [t_lo * 2.0 ** i for i in range(n_win + 1)]
-    fit_grid = grid(t_lo, edges[-1], 160 * n_win, True)
-    sums = _lists(spec, edges[-1], len(fit_grid))
-    if sums is not None:
-        peaks = [0.0] * (n_win + 1)  # the last takes the samples at edges[-1]
-        for t, r in zip(*_window_lists(spec, t_lo, edges[-1], fit_grid, sums)):
-            i = bisect_right(edges, t) - 1
-            peaks[i] = max(peaks[i], r)
-    else:
-        import numpy as np
-
-        peaks = np.zeros(n_win + 1)
-        for ts, r in _window_residuals(spec, t_lo, edges[-1], fit_grid):
-            np.maximum.at(peaks, np.searchsorted(edges, ts, side="right") - 1, r)
-        peaks = peaks.tolist()
+    peaks = _window_peaks(spec, edges, grid(t_lo, edges[-1], 160 * n_win, True), False)
     xs = [0.5 * (math.log(edges[i]) + math.log(edges[i + 1])) for i in range(n_win)]
-    ys = [math.log(max(peak, 1e-300)) for peak in peaks[:-1]]
-    return _slope(xs, ys)
+    return _slope(xs, [math.log(max(peak, 1e-300)) for peak in peaks[:-1]])
 
 
 # --- the conjecture's checks ---

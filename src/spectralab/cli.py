@@ -188,13 +188,7 @@ def cmd_avg(args) -> int:
     from . import average
 
     ts = average.grid(*args.grid, args.log)
-    avg = average.avg_error_list(args.spec, ts)
-    if catalog.is_spherical(args.spec):
-        gx = [math.sqrt(t + 0.25) for t in ts]
-        g_est = avg
-    else:
-        gx = list(map(math.sqrt, ts))
-        g_est = [a * math.sqrt(x) for a, x in zip(avg, gx)]  # A(t) t^{1/4}
+    avg, gx, g_est = average.avg_columns(args.spec, ts)
     emit([{"t": ts, "avg": avg, "gx": gx, "g_est": g_est}], args.format)
     return 0
 

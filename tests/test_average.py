@@ -574,20 +574,14 @@ def test_remainder_exponent_counts_whole_windows(monkeypatch):
     # holds nine, none sampled past t_hi, and 2^10 times t_lo holds ten, on
     # the Python engine's samples and on the streamed ones
     top = []
-    residuals, lists = average._window_residuals, average._window_lists
+    residuals = average._window_residuals
 
     def recording(sp, lo, hi, grid):
         for ts, r in residuals(sp, lo, hi, grid):
-            top.append(float(ts.max()))
+            top.append(float(ts[-1]))  # a batch is sorted
             yield ts, r
 
-    def recording_lists(sp, lo, hi, grid, sums):
-        ts, r = lists(sp, lo, hi, grid, sums)
-        top.append(max(ts))
-        return ts, r
-
     monkeypatch.setattr(average, "_window_residuals", recording)
-    monkeypatch.setattr(average, "_window_lists", recording_lists)
     for py_points in (average._PY_POINTS, 0):
         monkeypatch.setattr(average, "_PY_POINTS", py_points)
         for t_hi, n_win in ((1000 * 1024 * (1 - 1e-12), 9), (1000.0 * 1024, 10)):
@@ -604,6 +598,9 @@ def test_remainder_exponent_validation():
         average.remainder_exponent(SPHERE, 1000.0, 5000.0)
     with pytest.raises(ValueError):
         average.remainder_exponent(SPHERE, 0.0, 1000.0)
+    with pytest.raises(ValueError, match="finite"):
+        # refused before doubling t_lo past the float range
+        average.remainder_exponent(SPHERE, 1000.0, math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -667,8 +664,8 @@ def test_window_samplers_agree_across_engines(monkeypatch):
 
 def test_profile_lists_match_numpy(monkeypatch):
     # the profile on Python floats is the profile on numpy, and
-    # window_mean np.trapezoid, bit for bit, on Python and on numpy sums;
-    # numpy's pairwise summation order holds at every length
+    # window_mean on its lists and on its arrays is one float, the
+    # correctly rounded sum of np.trapezoid's terms over the span
     monkeypatch.setattr(spectrum, "_TABLES", {})  # tables in array('q')
     for label in ("sphere", "projective_sphere", "rectangle:a=1,b=1,bc=N",
                   "mobius_band:a=1,b=1,bc=D"):
@@ -678,12 +675,19 @@ def test_profile_lists_match_numpy(monkeypatch):
         monkeypatch.setattr(average, "_PY_POINTS", 0)
         np_xs, np_gs = average.profile(spec(label), 100.0, 200.0, 8001)
         assert (np_xs.tolist(), np_gs.tolist()) == (xs, gs), label
-        assert average.window_mean(xs, gs) == float(
-            np.trapezoid(gs, xs) / (xs[-1] - xs[0])), label
-    rng = np.random.default_rng(5)
-    for n in [*range(0, 300), 1000, 8000, 8001, 100001]:
-        a = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-5, 5, n)
-        assert average._pairwise_sum(a.tolist(), 0, n) == float(np.add.reduce(a)), n
+        terms = np.diff(np_xs) * (np_gs[1:] + np_gs[:-1]) / 2.0
+        want = math.fsum(terms.tolist()) / (xs[-1] - xs[0])
+        assert average.window_mean(xs, gs) == average.window_mean(np_xs, np_gs) == want, label
+
+
+def test_window_mean_is_correctly_rounded():
+    # terms 1e16, 1/2, 1/2, 0, ..., 0, -1e16 sum exactly to 1: numpy's
+    # pairwise sum rounds away the halves it adds to 1e16 and gives 0
+    xs = np.arange(200.0)
+    gs = np.zeros(200)
+    gs[0], gs[2], gs[-1] = 2e16, 1.0, -2e16
+    assert float(np.trapezoid(gs, xs)) == 0.0
+    assert average.window_mean(xs, gs) == average.window_mean(xs.tolist(), gs.tolist()) == 1 / 199
 
 
 def test_slope_is_a_least_squares_fit():
