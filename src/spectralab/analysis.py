@@ -67,21 +67,45 @@ def window_mean(profile: APProfile) -> float:
     return average.window_mean(profile.xs, profile.gs)
 
 
-def _uniform_step(grid: np.ndarray, other_max: float, name: str) -> float:
+def _uniform_step(grid: np.ndarray, other_max: float, name: str, block: int) -> float:
     """Spacing of an evenly spaced grid, or ValueError if it is not one.
 
     The grid counts as uniform when its worst deviation from
     grid[0] + j * step, times the largest magnitude on the other grid,
-    stays within 1e-9 rad of phase.
+    stays within 1e-9 rad of phase.  The deviation is taken block points
+    at a time.
     """
     import numpy as np
 
     step = (grid[-1] - grid[0]) / (grid.size - 1)
-    dev = float(np.max(np.abs(grid - (grid[0] + step * np.arange(grid.size)))))
+    dev = 0.0
+    for lo in range(0, grid.size, block):
+        off = np.arange(lo, min(lo + block, grid.size), dtype=np.float64)
+        off *= step
+        off += grid[0]
+        np.subtract(grid[lo:lo + block], off, out=off)
+        dev = max(dev, float(np.max(np.abs(off, out=off))))
     if dev * other_max > 1e-9:
         raise ValueError(f"{name} grid must be uniform: a point sits {dev:.3g} "
                          f"off the line, {dev * other_max:.3g} rad of phase")
     return float(step)
+
+
+def _trapezoid_weights(xs: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The trapezoid weights of the grid xs at its points lo .. hi - 1."""
+    import numpy as np
+
+    n = xs.size
+    w = np.empty(hi - lo)
+    a, b = max(lo, 1), min(hi, n - 1)  # the inner points
+    inner = w[a - lo:b - lo]
+    np.subtract(xs[a + 1:b + 1], xs[a - 1:b - 1], out=inner)
+    inner *= 0.5
+    if lo == 0:
+        w[0] = 0.5 * (xs[1] - xs[0])
+    if hi == n:
+        w[-1] = 0.5 * (xs[-1] - xs[-2])
+    return w
 
 
 def fourier_coefficients(profile: APProfile, omega_grid) -> np.ndarray:
@@ -94,8 +118,22 @@ def fourier_coefficients(profile: APProfile, omega_grid) -> np.ndarray:
         omega_k x_j = w0 x0 + w0 j dx + x0 k dw + dw dx (k^2 + j^2 - (k-j)^2) / 2
 
     and the sum over j becomes one convolution with the chirp
-    e^{+i dw dx m^2 / 2}, done with zero-padded FFTs (Bluestein's chirp-z
-    transform): O((n + m) log(n + m)) instead of n * m complex exponentials.
+    e^{+i dw dx l^2 / 2} at the lags l = k - j, done with zero-padded FFTs
+    (Bluestein's chirp-z transform) instead of n * m complex exponentials.
+
+    The convolution runs by overlap-add: the FFT size S is the smallest
+    power of two at least min(n + m - 1, max(2^14, 2m)), set by the m
+    frequencies and not by the n samples once n passes S, and the samples
+    go in blocks of B = S - m + 1.  A block starting at sample lo is the
+    same sum with x0 moved to x0 + lo dx, so one transformed kernel serves
+    every block, and the blocks' m coefficients add up.  Beside the
+    profile the scan holds two S-long complex buffers and a few B- and
+    m-long temporaries, O(n log S) work in all; with a single block (n + m
+    - 1 <= S) it is the one-transform chirp-z.  The floor 2m keeps B above
+    S/2, where S near m would take many blocks, and a floor of 4m would
+    double the buffers on a million frequencies; the floor 2^14 keeps the
+    blocks few when m is small (four on the flat conjecture's 60001
+    samples and 901 frequencies).
 
     Guards: omega ascending and positive, spacing no coarser than the
     window resolution 2*pi/L, the window at least 10 periods of the
@@ -117,45 +155,56 @@ def fourier_coefficients(profile: APProfile, omega_grid) -> np.ndarray:
     if L < 10.0 * (2.0 * math.pi / omega[0]):
         raise ValueError("window shorter than 10 periods of the smallest "
                          "candidate frequency")
-    dx = _uniform_step(xs, float(omega[-1]), "x")
-    dw = _uniform_step(omega, float(np.max(np.abs(xs))), "omega")
-    w = np.empty_like(xs)
-    w[1:-1] = 0.5 * (xs[2:] - xs[:-2])
-    w[0] = 0.5 * (xs[1] - xs[0])
-    w[-1] = 0.5 * (xs[-1] - xs[-2])
     n, m = xs.size, omega.size
+    size = 1 << (min(n + m - 1, max(1 << 14, 2 * m)) - 1).bit_length()
+    block = size - m + 1  # samples per block
+    dx = _uniform_step(xs, float(omega[-1]), "x", block)
+    dw = _uniform_step(omega, max(abs(float(xs[0])), abs(float(xs[-1]))), "omega", block)
     x0, w0 = float(xs[0]), float(omega[0])
     half = 0.5 * dw * dx
-    size = 1 << (n + m - 2).bit_length()  # a power of two >= n + m - 1
-    # two FFT-sized buffers, each transformed in place: the chirp
-    # e^{i half lag^2} at lags k - j = 0 .. m-1 and -(n-1) .. -1, wrapped
-    # around the first
+    # the chirp e^{i half lag^2} at lags k - j = 0 .. m-1 and -(span-1) ..
+    # -1, wrapped around, span the longest block, transformed in place
+    span = min(block, n)
     kernel = np.zeros(size, dtype=np.complex128)
     for lag, part in ((np.arange(m, dtype=np.float64), kernel[:m]),
-                      (np.arange(-(n - 1), 0, dtype=np.float64), kernel[size - (n - 1):])):
+                      (np.arange(-(span - 1), 0, dtype=np.float64), kernel[size - (span - 1):])):
         np.multiply(1j * half, lag, out=part)
         part *= lag
         np.exp(part, out=part)
     np.fft.fft(kernel, out=kernel)
-    # the weighted, pre-chirped samples, in place in the front of the
-    # second buffer, in the float order of
-    # gs * w * np.exp(-1j * (w0 * dx * j + half * j * j))
-    conv = np.zeros(size, dtype=np.complex128)
-    pre = conv[:n]
-    j = np.arange(n, dtype=np.float64)
-    arg = half * j
-    arg *= j
-    arg += w0 * dx * j
-    np.multiply(-1j, arg, out=pre)
-    del j, arg
-    np.exp(pre, out=pre)
-    pre *= gs * w
-    np.fft.fft(conv, out=conv)
-    conv *= kernel
-    del kernel
-    np.fft.ifft(conv, out=conv)
     k = np.arange(m, dtype=np.float64)
-    return conv[:m] * np.exp(-1j * (w0 * x0 + x0 * dw * k + half * k * k)) * (2.0 / L)
+    kk = half * k * k
+    conv = np.empty(size, dtype=np.complex128)
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        # the block's weighted, pre-chirped samples in the front of the
+        # buffer, zeros behind them, in the float order of
+        # gs * w * np.exp(-1j * (w0 * dx * j + half * j * j))
+        pre = conv[:hi - lo]
+        conv[hi - lo:] = 0.0
+        j = np.arange(hi - lo, dtype=np.float64)
+        arg = half * j
+        arg *= j
+        j *= w0 * dx
+        arg += j
+        del j
+        np.multiply(-1j, arg, out=pre)
+        del arg
+        np.exp(pre, out=pre)
+        w = _trapezoid_weights(xs, lo, hi)
+        w *= gs[lo:hi]
+        pre *= w
+        del w
+        np.fft.fft(conv, out=conv)
+        conv *= kernel
+        np.fft.ifft(conv, out=conv)
+        x = x0 + lo * dx  # the block's first sample on the line
+        part = conv[:m] * np.exp(-1j * (w0 * x + x * dw * k + kk))
+        if lo:
+            coef += part
+        else:
+            coef = part
+    return coef * (2.0 / L)
 
 
 def frequency_spectrum(profile: APProfile, omega_grid) -> APProfile:

@@ -280,7 +280,8 @@ def heat_trace(spec: SurfaceSpec, t: float, cutoff: float) -> float:
     A*mu + bhat*sqrt(mu) + chat whose square-root coefficient doubles the
     surface's own, verified against every enumerated level below the
     cutoff.  A cutoff whose tail bound exceeds _HEAT_TOL is refused with
-    TailBoundError.
+    TailBoundError.  The sum is correctly rounded (`math.fsum`), so it is
+    the same float on every machine.
     """
     import numpy as np
 
@@ -311,6 +312,8 @@ def heat_trace(spec: SurfaceSpec, t: float, cutoff: float) -> float:
         raise TailBoundError(
             f"cutoff {cut:g} leaves a tail bound of {tail:.3g} at t={t:g}; "
             f"need below {_HEAT_TOL:g}")
-    if not vals.size:
-        return 0.0
-    return float(np.dot(mults.astype(np.float64), np.exp(-t * vals)))
+    # the terms m e^{-t lambda} summed correctly rounded: a BLAS dot
+    # product's last bits depend on its thread count
+    terms = np.exp(-t * vals)
+    terms *= mults
+    return math.fsum(terms.tolist())

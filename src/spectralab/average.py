@@ -90,8 +90,13 @@ def _smooth(spec: SurfaceSpec, sqrt, top: float):
     return _tilde_integral(rc, sqrt)
 
 
-_BLOCK = 65536  # times per block of the averaged error's temporaries
-_LEVELS = 1 << 15  # levels per block of `_prefix_blocks`
+# Levels per block of `_prefix_blocks`, and times per `_avg_block` call in
+# avg_error_grid: twice the levels, as many as a window batch holds of a
+# block's levels and their midpoints.  A block's arrays then take tens of
+# kB, well below the Fourier scan's two 256 kB buffers (on its 60001
+# samples and 901 frequencies); the results do not depend on either size.
+_LEVELS = 1 << 12
+_BLOCK = 2 * _LEVELS
 # Most times that the Python engine sums: about 0.5 us a time, 2.3-4.1 ms
 # at 4001 times and 29-30 ms at 65536 (sphere and a rational rectangle),
 # against about 165 ms for the numpy import, so the crossover lies past

@@ -1,6 +1,7 @@
 """Profile structure: means, periodicity, frequencies, sector proportions."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -90,6 +91,11 @@ def reference_coefficients(xs, gs, omega):
     (12345.678, 150.0, 2049, np.arange(0.7, 6.3, 0.02)),
     # arange grid with n + m - 1 = 8193
     (500.0, 100.0, 8034, np.arange(1.0, 5.0, 0.025)),
+    # blocks of B = S - m + 1 samples: m = 8000 near S/2 = 8192 gives B =
+    # 8385, and n = 2B + 1 three blocks, the last of one sample
+    (10000.0, 2000.0, 2 * 8385 + 1, np.linspace(0.5, 3.0, 8000)),
+    # the flat conjecture's grid, S = 2^14 and B = 15484, over five blocks
+    (200.0, 600.0, 4 * 15484 + 1, np.linspace(1.0, 10.0, 901)),
 ])
 def test_fourier_coefficients_match_direct_sum(x0, L, n, omega):
     rng = np.random.default_rng(n)
@@ -97,10 +103,28 @@ def test_fourier_coefficients_match_direct_sum(x0, L, n, omega):
     gs = rng.standard_normal(n)
     for w in rng.uniform(omega[0], omega[-1], 3):
         gs += rng.uniform(0.5, 2.0) * np.cos(w * xs + rng.uniform(0.0, 6.3))
-    want = reference_coefficients(xs, gs, omega)
     got = analysis.fourier_coefficients(synthetic_profile(xs, gs), omega)
     assert got.shape == omega.shape
-    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+    pick = slice(None, None, max(1, omega.size // 256))  # the direct sum at up to 511 omegas
+    want = reference_coefficients(xs, gs, omega[pick])
+    assert np.max(np.abs(got[pick] - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_fourier_scan_holds_its_buffers_not_the_window():
+    # the flat conjecture's scan, 60001 samples and 901 frequencies, holds
+    # about four of its S = 2^14 long complex buffers (two, the FFT plan
+    # and a few block temporaries); one transform over all the samples
+    # held two buffers of 2^16 and n-long temporaries, 4.6 MB
+    xs = np.linspace(200.0, 800.0, 60001)
+    p = synthetic_profile(xs, np.sin(2.0 * xs))
+    omega = np.linspace(1.0, 10.0, 901)
+    tracemalloc.start()
+    try:
+        analysis.fourier_coefficients(p, omega)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 16 * 2**14
 
 
 def test_fourier_coefficients_need_uniform_grids():

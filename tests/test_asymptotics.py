@@ -3,6 +3,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from spectralab import asymptotics, catalog, spectrum
@@ -325,6 +326,17 @@ def test_heat_trace_zero_mode_limit():
     assert heat_trace(catalog.rectangle(1, 1, "D"), 40.0, 600.0) < 1e-100
     # periodic-antiperiodic mix has no constant mode either
     assert heat_trace(catalog.rectangle(1, 1, "MM"), 40.0, 600.0) < 1e-40
+
+
+def test_heat_trace_is_correctly_rounded():
+    # over 24k levels, a BLAS dot product's last bits depend on its thread
+    # count: the trace is the correctly rounded sum of its terms instead
+    sp = catalog.rectangle(1, 1, "N")
+    vals, mults = spectrum.level_arrays(sp, 1e6)
+    assert vals.size > 10**4
+    for t in (4e-5, 5e-5, 1e-4):
+        terms = [m * e for m, e in zip(mults.tolist(), np.exp(-t * vals).tolist())]
+        assert heat_trace(sp, t, 1e6) == math.fsum(terms)
 
 
 def test_heat_trace_rejects_small_cutoff():

@@ -290,6 +290,16 @@ def test_streamed_sums_hold_blocks_not_tables(monkeypatch):
     assert _traced_peak(average.remainder_exponent, sp, 1e4, 1e6) < blocks + 8 * 8 * fit_grid
 
 
+def test_top_decade_sup_holds_less_than_the_scan():
+    # the flat conjecture's top decade sup on the unit torus streams 219k
+    # levels in blocks of 4096, 0.7 MB, where blocks of 32768 took 4.7 MB:
+    # below the Fourier scan's four 2^14-long complex buffers (1 MiB)
+    sp = spec("flat_torus_rect:a=1,b=1")
+    spectrum.count(sp, 1e7)  # built here: the table is not measured
+    grid = average.grid(1e6, 1e7, 1200, True)
+    assert _traced_peak(average.window_sup, sp, 1e6, 1e7, grid) <= 4 * 16 * 2**14
+
+
 def test_independent_quadrature_rectangle():
     # step integral summed interval by interval, smooth part integrated by
     # composite Simpson in the variable u = sqrt(s); nothing shared with
