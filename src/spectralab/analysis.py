@@ -280,9 +280,6 @@ def symmetry_proportions(base: str, T) -> list[ProportionReport]:
     for ir in irreps:
         rc = asymptotics.surface_constants(catalog.symmetry_sector(base, ir))
         out.append(ProportionReport(
-            irrep=ir,
-            measured=counts[ir] / total,
-            predicted=float(Fraction(dims[ir] ** 2, order)),
-            two_term=smooth(rc) / whole,
-            b_sign=rc.B.sign()))
+            irrep=ir, measured=counts[ir] / total, predicted=float(Fraction(dims[ir] ** 2, order)),
+            two_term=smooth(rc) / whole, b_sign=rc.B.sign()))
     return out

@@ -128,7 +128,7 @@ def surface_constants(spec: SurfaceSpec) -> RefinedAsymptotics:
         raise ArithmeticError(
             "constants for %s: the geometry gives (%s; %s; %s), "
             "the counting formula (%s; %s; %s)"
-            % (spec.label(), rc.A, rc.B, rc.C, want[0], want[1], want[2]))
+            % (catalog.short_label(spec), rc.A, rc.B, rc.C, want[0], want[1], want[2]))
     _CONSTANTS[spec] = rc
     return rc
 
@@ -214,8 +214,9 @@ def geodesic_lengths(spec: SurfaceSpec, L_max: float) -> list[float]:
         try:
             return _read_closed_form(spec, L_max)[1]
         except ValueError:  # name the caller's surface and L_max, not a dual torus's
-            raise ValueError(f"{spec.label()}: its geodesic lengths up to {L_max:g} need "
-                             "a level table over the cap or past int64 keys") from None
+            raise ValueError(f"{catalog.short_label(spec)}: its geodesic lengths up to "
+                             f"{L_max:g} need a level table over the cap or past int64 "
+                             "keys") from None
     step = orbit_step(spec)
     out = []
     j = 1
@@ -301,7 +302,7 @@ def heat_trace(spec: SurfaceSpec, t: float, cutoff: float) -> float:
         if worst > 0:
             raise ArithmeticError(
                 f"count envelope violated below cutoff {cut:g} for "
-                f"{spec.label()}; the tail estimate would be unsound")
+                f"{catalog.short_label(spec)}; the tail estimate would be unsound")
         n_cut = float(counts[-1])
     else:
         n_cut = 0.0

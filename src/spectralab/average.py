@@ -2,28 +2,23 @@
 
 The step-function integral of N is the sum of mult * (t - level) over
 levels below t, the smooth part integrates in closed form, and their
-scaled difference is the averaged error; on the sphere the tests hold it
-against its piecewise-algebraic closed form and its three-term
-decomposition (tests/reference_formulas.py).  One normalizer (`_g_est`)
-turns it into the conjecture's profile g_est, A(x^2 - 1/4) on a round
-surface and A(x^2) sqrt(x) on a flat one, on `profile`'s x grid and on
-`avg_columns`' t grid.
+scaled difference is the averaged error (on the sphere the tests hold it
+against its closed form, tests/reference_formulas.py).  `_g_est` turns it
+into the conjecture's profile g_est: A(x^2 - 1/4) on a round surface,
+A(x^2) sqrt(x) on a flat one.
 
 Every averaged error comes from float64 prefix sums of the level table,
-on numpy arrays (avg_error_grid) or on Python floats.  One rule picks the
-engine for every sampler here (`_lists`): Python floats for at most
-_PY_POINTS times over a table held in `array('q')`, where importing numpy
-would cost more than the sums, else numpy.  Both run the same correctly
-rounded steps in the same order (t^{3/2} is t * sqrt(t), t^{1/4} is
-sqrt(sqrt(t)): numpy's `power` is not libm's `pow`), so they agree bit
-for bit; avg_error_grid's docstring bounds the rounding.  Each reduction
-has one body for both: the decade sups and the decay fit take their
-peaks from `_window_peaks`, and `window_mean` sums its terms correctly
-rounded.  The numpy engine streams the sums and the window samples
-(`_window_residuals`) a block of levels at a time (`_prefix_blocks`):
-beside the table it holds a few blocks and its grid, never an array as
-long as the table.  numpy is imported where it is used, so that the
-Python engine runs without it.
+on numpy arrays (avg_error_grid) or on Python floats, by one engine rule
+(`_lists`): Python floats for at most _PY_POINTS times over a table held
+in `array('q')`, where importing numpy would cost more than the sums.
+Both run the same correctly rounded steps in the same order (t^{3/2} is
+t * sqrt(t), t^{1/4} is sqrt(sqrt(t))), so they agree bit for bit.  The
+numpy engine streams the table a block of levels at a time
+(`_prefix_blocks`), never holding an array as long as the table; numpy is
+imported where it is used.  The decade sups and the decay fit share one
+reducer (`_window_peaks`).  A window mean of g_est is read from the level
+sums with no sampling (`exact_window_mean`): a closed form on a flat
+surface, Gauss between the kinks on a round one.
 
 On a round surface the averaged error tends to `leading_profile`, whose
 Fourier lines are closed-form (`profile_lines`); `line_check` measures a
@@ -36,8 +31,7 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from functools import partial
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, islice
 from operator import le, lt, mul, sub
 
 from . import asymptotics, catalog, spectrum
@@ -110,13 +104,11 @@ def _prefix_blocks(spec: SurfaceSpec, T: float):
 
     Yields ((vals, n_pref, l_pref), edge) per block: the block's level
     values, and the sums of mult and of mult * value over every level
-    before the block's k-th one, k = 0 .. len(vals).  The first are the
-    table's prefix, exact in float64; the second start from the previous
-    block's total and add sequentially, as np.cumsum over the whole table
-    does, bit for bit.  A time t takes its sums from the first block whose
-    edge is above it: edge is the block's last value, or infinity on the
-    last block, so that np.searchsorted(vals, t, side="right") indexes
-    the block's sums.
+    before the block's k-th one, k = 0 .. len(vals): the table's prefix,
+    exact in float64, and a sequential sum from the previous block's total,
+    np.cumsum's over the whole table bit for bit.  A time t takes its sums
+    from the first block whose edge (its last value, infinity on the last
+    block) is above it, at np.searchsorted(vals, t, side="right").
     """
     import numpy as np
 
@@ -136,12 +128,15 @@ def _prefix_blocks(spec: SurfaceSpec, T: float):
         yield (vals, n_pref, l_pref), vals[-1] if hi < i else np.inf
 
 
+# the keys and the lists of the last table `_lists` read, shared read-only
+_HELD = [None, None]
+
+
 def _lists(spec: SurfaceSpec, T: float, n: int):
     """The engine rule: n times up to T over a table held in `array('q')`
     run on Python floats, with n at most _PY_POINTS.  Then the table's
-    (vals, n_pref, l_pref) lists of the levels <= T, the values and sums
-    of `_prefix_blocks` in one block, with the sums of mult * value added
-    sequentially as numpy's cumsum adds them; None sends the times to
+    (vals, n_pref, l_pref) lists of the levels <= T, `_prefix_blocks`'s in
+    one block, cut from the whole table's (`_HELD`); None sends the times to
     numpy.  `_smooth`'s refusal at T comes first, before any table read."""
     _smooth(spec, math.sqrt, T)
     if n > _PY_POINTS:
@@ -150,28 +145,34 @@ def _lists(spec: SurfaceSpec, T: float, n: int):
     i = tb.index(tb.qmax(T), T)
     if not isinstance(tb.keys, array):
         return None
-    value = tb.value
-    vals = [value(float(k)) for k in tb.keys[:i]]
-    return (vals, list(map(float, tb.prefix[:i + 1])),
-            list(accumulate(map(mul, tb.mults[:i], vals), initial=0.0)))
-
-
-def _indices(vals: list, ts: list):
-    """bisect_right(vals, t) for each of the ascending ts, from a bisection
-    of ts at each level between the first and the last t: one run of equal
-    indices per level, not a bisection per t."""
-    lo, hi = bisect_right(vals, ts[0]), bisect_right(vals, ts[-1])
-    cuts = [0, *map(partial(bisect_left, ts), vals[lo:hi]), len(ts)]
-    return chain.from_iterable(map(repeat, range(lo, hi + 1), map(sub, cuts[1:], cuts)))
+    if _HELD[0] is not tb.keys:
+        vals = list(map(tb.value, map(float, tb.keys)))
+        _HELD[:] = tb.keys, (vals, list(map(float, tb.prefix)),
+                             list(accumulate(map(mul, tb.mults, vals), initial=0.0)))
+    vals, n_pref, l_pref = _HELD[1]
+    return _HELD[1] if i == len(vals) else (vals[:i], n_pref[:i + 1], l_pref[:i + 1])
 
 
 def _avg_lists(spec: SurfaceSpec, ts: list, sums) -> list:
     """The averaged error at the ascending times ts from `_lists` sums, in
-    `_avg_block`'s operations and order: bisect_right stands for
-    searchsorted(side="right") (`_indices`)."""
+    `_avg_block`'s operations and order, in one walk: the level index j
+    (searchsorted(side="right")) moves on by bisect_right only when t
+    reaches the next level, and `_tilde_integral`'s terms are written out,
+    their constant factors taken first as it takes them."""
     vals, n_pref, l_pref = sums
-    tilde = _tilde_integral(asymptotics.surface_constants(spec), math.sqrt)
-    return [(t * n_pref[j] - l_pref[j] - tilde(t)) / t for t, j in zip(ts, _indices(vals, ts))]
+    rc = asymptotics.surface_constants(spec)
+    hA, tB, C = 0.5 * float(rc.A), (2.0 / 3.0) * float(rc.B), float(rc.C)
+    shift, c = (0.25, 0.125) if rc.sqrt_shift else (0.0, 0.0)
+    sqrt, top, out = math.sqrt, len(vals), []
+    j, n, l = 0, n_pref[0], l_pref[0]
+    nxt = vals[0] if top else math.inf
+    for t in ts:
+        if t >= nxt:
+            j = bisect_right(vals, t, j)
+            n, l, nxt = n_pref[j], l_pref[j], vals[j] if j < top else math.inf
+        s = t + shift
+        out.append((t * n - l - (hA * t * t + tB * (s * sqrt(s) - c) + C * t)) / t)
+    return out
 
 
 def _avg_block(t, block, tilde, out) -> None:
@@ -457,19 +458,82 @@ def avg_columns(spec: SurfaceSpec, ts) -> tuple:
 
 
 def window_mean(xs, gs) -> float:
-    """Trapezoidal mean of the samples gs over the ascending xs: the terms
-    of np.trapezoid(gs, xs), (b - a)(h + g) / 2, built in Python floats for
-    lists and by numpy for arrays, summed correctly rounded (`math.fsum`)
-    over xs[-1] - xs[0]: one float on both engines."""
+    """Trapezoidal mean of the samples gs over the ascending xs, lists or
+    arrays (read as lists): the terms of np.trapezoid(gs, xs), (b - a)(h +
+    g) / 2, summed correctly rounded (`math.fsum`) over xs[-1] - xs[0]."""
     if len(xs) < 100:
         raise ValueError("need at least 100 samples for a stable mean")
-    if isinstance(gs, list):
-        terms = [(b - a) * (h + g) / 2.0 for a, b, g, h in zip(xs, xs[1:], gs, gs[1:])]
-    else:
-        import numpy as np
+    xs, gs = (v if isinstance(v, list) else v.tolist() for v in (xs, gs))
+    terms = [(b - a) * (h + g) / 2.0 for a, b, g, h in zip(xs, xs[1:], gs, gs[1:])]
+    return math.fsum(terms) / (xs[-1] - xs[0])
 
-        terms = np.diff(xs) * (gs[1:] + gs[:-1]) / 2.0  # fsum reads it a float at a time
-    return math.fsum(terms) / float(xs[-1] - xs[0])
+
+# the 8-node Gauss-Legendre rule on [-1, 1]: its positive nodes and their
+# weights (Golub & Welsch, Math. Comp. 23, 1969)
+_GAUSS8 = ((0.18343464249564980494, 0.36268378337836198297),
+           (0.52553240991632898582, 0.31370664587788728734),
+           (0.79666647741362673959, 0.22238103445337447054),
+           (0.96028985649753623168, 0.10122853629037625915))
+_U = 2.0 ** -53  # the unit roundoff of float64
+
+
+def exact_window_mean(spec: SurfaceSpec, lo: float, hi: float) -> tuple:
+    """(mean, err): g_est's mean over [lo, hi] from the level sums, and a
+    bound err on its distance from the exact mean over the table's levels.
+
+    Round: 8-node Gauss on each piece between half-integers x = N + 1/2,
+    which hold every kink sqrt(lambda + 1/4), at nodes `avg_error_list`
+    sums.  On a piece g is n - (l + S(t)) / t, a quadratic in x plus terms
+    with poles at x = +-1/2 only: for lo >= 10 the rule's error is below
+    1e-25 of them.  A node is within 16u of (t n + l + |S|) / t, bounded
+    through t <= T = hi^2 - 1/4, n <= N(T) and l <= T N(T).
+    Flat: t = x^2 makes it half the integral of (t n - l - S(t)) t^{-5/4}
+    over [a, b] = [lo^2, hi^2], which is (4/3)(b^{3/4} n_b - a^{3/4} n_a) +
+    4 (l_b b^{-1/4} - l_a a^{-1/4}) - (16/3) q less (2A/7) t^{7/4} + (8B/15)
+    t^{5/4} + (4C/3) t^{3/4} from a to b; n_a and l_a sum m and m lambda over
+    the levels <= a, q sums m lambda^{3/4} over (a, b].  Each is summed
+    correctly rounded over the blocks of `_prefix_blocks`, so each term is
+    within 8u, and err is 16u of the terms' absolute sum.
+    """
+    lo, hi = float(lo), float(hi)
+    if not 0 < lo < hi or catalog.is_spherical(spec) and lo < 10:
+        raise ValueError("a window mean needs 0 < lo < hi, and lo >= 10 on a round surface")
+    rc = asymptotics.surface_constants(spec)
+    A, B, C = float(rc.A), float(rc.B), float(rc.C)
+    if catalog.is_spherical(spec):
+        cuts = [lo, *(k + 0.5 for k in range(math.floor(lo + 0.5), math.ceil(hi - 0.5))), hi]
+        rule = [(-z, w) for z, w in reversed(_GAUSS8)] + list(_GAUSS8)
+        xs = [0.5 * (u + v) + 0.5 * (v - u) * z for u, v in zip(cuts, cuts[1:]) for z, _ in rule]
+        ws = [0.5 * (v - u) * w for u, v in zip(cuts, cuts[1:]) for _, w in rule]
+        mean = math.fsum(map(mul, ws, avg_error_list(spec, [x * x - 0.25 for x in xs])))
+        T = hi * hi - 0.25
+        n = spectrum.count(spec, T)
+        size = 2 * T * n + abs(A) * T * T + abs(B) * (T + 1.0) ** 1.5 + abs(C) * T
+        if T * n > 2.0 ** 53:  # the prefix sums of l round, by n ulps at most
+            size += T * n * n
+        return mean / (hi - lo), 16 * _U * size / (lo * lo - 0.25)
+    import numpy as np
+
+    a, b = lo * lo, hi * hi
+    _smooth(spec, math.sqrt, b)
+    n_a, sums = 0.0, ([], [], [])  # per block: l_a, l_b and q
+    for (vals, n_pref, _), _ in _prefix_blocks(spec, b):
+        i = int(np.searchsorted(vals, a, side="right"))
+        n_a, n_b = float(n_pref[i]) if i else n_a, float(n_pref[-1])
+        m = np.diff(n_pref)
+        ml, lam = (m * vals).tolist(), vals[i:]
+        q = m[i:] * (lam / np.sqrt(np.sqrt(lam)))
+        for part, terms in zip(sums, (ml[:i], ml, q.tolist())):
+            part.append(math.fsum(terms))
+    l_a, l_b, q = map(math.fsum, sums)
+    ra, rb = math.sqrt(math.sqrt(a)), math.sqrt(math.sqrt(b))
+    terms = [4.0 / 3.0 * (b / rb) * n_b, -4.0 / 3.0 * (a / ra) * n_a,
+             4.0 * l_b / rb, -4.0 * l_a / ra, -16.0 / 3.0 * q]
+    for sign, t, r in ((-1.0, b, rb), (1.0, a, ra)):
+        terms += [sign * (2.0 * A / 7.0) * (t * (t / r)), sign * (8.0 * B / 15.0) * (t * r),
+                  sign * (4.0 * C / 3.0) * (t / r)]
+    span = 2.0 * (hi - lo)
+    return math.fsum(terms) / span, 16 * _U * math.fsum(map(abs, terms)) / span
 
 
 def _window_residuals(spec: SurfaceSpec, lo: float, hi: float, grid):
@@ -593,12 +657,13 @@ def conjecture_checks(spec: SurfaceSpec, seed: int):
     and one record (name, value, bound, ok) per check, in report order.
     ok is lo <= value <= hi for a bound (lo, hi), else |value| <= bound,
     and the check's line `check <name>...` ends in `-> ok` or `-> FAIL` by
-    it.  `mean [X,2X]` is the profile's window mean, `decay` the residual's
-    fitted exponent (round) or its first/last decade sups' ratio (flat),
-    `probes` the largest scaled residual at 64 seeded times, and `freq`
-    `line_check`'s worst deviation, infinite where a line is off the
-    geodesic lengths (round), or the largest distance from an asserted
-    length to the nearest top peak (flat surfaces of _ASSERTED_PEAKS)."""
+    it.  `mean [X,2X]` is g_est's mean over [X, 2X] (`exact_window_mean`),
+    `decay` the residual's fitted exponent (round) or its first/last decade
+    sups' ratio (flat), `probes` the largest scaled residual at 64 seeded
+    times, and `freq` `line_check`'s worst deviation on the [100, 200]
+    profile, infinite where a line is off the geodesic lengths (round), or
+    the largest distance from an asserted length to the nearest top peak
+    (flat surfaces of _ASSERTED_PEAKS)."""
     import random
 
     label = spec.label()
@@ -612,10 +677,9 @@ def conjecture_checks(spec: SurfaceSpec, seed: int):
         checks.append((name, value, bound, ok))
         lines.append(f"check {name}{text} -> {'ok' if ok else 'FAIL'}")
 
-    # window means of the normalized profile
-    profiles = {X: profile(spec, X, 2 * X, 8001) for X in (100, 200, 400)}
-    for X, prof in profiles.items():
-        mean = window_mean(*prof)
+    # window means of the normalized profile, from the level sums
+    for X in (100, 200, 400):
+        mean = exact_window_mean(spec, X, 2 * X)[0]
         check(f"mean [{X},{2 * X}]", f": {mean:+.6g} within {5.0 / X:g}", mean, 5.0 / X)
 
     # decay of the residual
@@ -646,7 +710,7 @@ def conjecture_checks(spec: SurfaceSpec, seed: int):
         # geodesic length
         lines.append("geodesic lengths: " + " ".join(
             "%.6g" % l for l in asymptotics.geodesic_lengths(spec, 30.0)))
-        rows, dev, tol = line_check(spec, *profiles[100], 30.0)
+        rows, dev, tol = line_check(spec, *profile(spec, 100, 200, 8001), 30.0)
         lines += [f"freq line {m * math.pi:.6g}: closed form {coef:+.6g}, measured {got:+.6g}"
                   for m, coef, got in rows]
         step = asymptotics.orbit_step(spec)

@@ -160,14 +160,22 @@ class SurfaceSpec(_Frozen):
         return (self.family, self.a, self.b, self.bc, self.m, self.bc_side,
                 self.bc_equator, self.base, self.irrep)
 
-    def label(self) -> str:
-        """Canonical text form, e.g. 'rectangle:a=1,b=2,bc=ND'."""
-        parts = []
-        for name in _FIELDS[self.family]:
-            parts.append(f"{name}={getattr(self, name)}")
-        if parts:
-            return self.family.value + ":" + ",".join(parts)
-        return self.family.value
+    def label(self, text=str) -> str:
+        """Canonical text form, e.g. 'rectangle:a=1,b=2,bc=ND', each value
+        written by text (`short_label`)."""
+        parts = ",".join(f"{name}={text(getattr(self, name))}" for name in _FIELDS[self.family])
+        return f"{self.family.value}:{parts}" if parts else self.family.value
+
+
+def short_label(spec: SurfaceSpec) -> str:
+    """`label()` for messages: a side whose numerator or denominator has
+    more than 20 digits is written as %.6g, so that a refusal on sides of
+    1e-300 stays one short line; sides are within the float range."""
+    def text(v):
+        long = isinstance(v, Fraction) and max(abs(v.numerator), v.denominator) >= 10 ** 20
+        return "%.6g" % v if long else str(v)
+
+    return spec.label(text)
 
 
 # the parameters after family, in __init__ order, and their defaults
@@ -208,14 +216,8 @@ BC_CHOICES: dict[Family, tuple[str, ...]] = {
     Family.HALF_TETRAHEDRON: ("N", "D"),
 }
 
-SECTOR_BASES = (
-    "square_torus",
-    "square_n",
-    "square_d",
-    "hex_torus",
-    "equilateral_n",
-    "equilateral_d",
-)
+SECTOR_BASES = ("square_torus", "square_n", "square_d", "hex_torus", "equilateral_n",
+                "equilateral_d")
 
 _SQUARE_BASES = ("square_torus", "square_n", "square_d")
 
@@ -270,10 +272,8 @@ def sector_domain(spec: SurfaceSpec) -> tuple[SurfaceSpec, int]:
     size (s = 1); the equilateral bases a 30-60-90 triangle with hypotenuse
     1/sqrt3, which is triangle_306090 shrunk by sqrt3 (s = 3)."""
     if spec.irrep == "2":
-        raise ValueError(
-            "the 2-dimensional sector has no single fundamental domain; "
-            "derive its asymptotics from the partition of the base surface"
-        )
+        raise ValueError("the 2-dimensional sector has no single fundamental domain; "
+                         "derive its asymptotics from the partition of the base surface")
     bc = _SECTOR_DOMAIN_BC[spec.base][spec.irrep]
     if spec.base in _SQUARE_BASES:
         return right_iso_triangle(Fraction(1, 2), bc), 1
@@ -285,9 +285,8 @@ def sector_domain(spec: SurfaceSpec) -> tuple[SurfaceSpec, int]:
 def sector_parts(base: str) -> list[tuple[SurfaceSpec, int]]:
     """The base surface with sign +1 and its one-dimensional sectors with
     sign -1: the signed sum of their levels is the 2-dimensional sector's."""
-    return [(base_spec(base), 1)] + [
-        (symmetry_sector(base, ir), -1) for ir in sector_irreps(base) if ir != "2"
-    ]
+    return [(base_spec(base), 1)] + [(symmetry_sector(base, ir), -1)
+                                     for ir in sector_irreps(base) if ir != "2"]
 
 
 def _frac(v, name: str) -> Fraction:
@@ -509,15 +508,11 @@ def _root(q, s: int) -> ExactConst:
     return ExactConst.term(Fraction(q), root=s)
 
 
-def _polygon(
-    area: ExactConst,
-    edges: list[tuple[ExactConst, str]],
-    corners: list[tuple[Fraction, int, int]],
-) -> GeometryData:
+def _polygon(area: ExactConst, edges: list[tuple[ExactConst, str]],
+             corners: list[tuple[Fraction, int, int]]) -> GeometryData:
     """Flat polygon data from edge list [(length, 'N'|'D')] and corner list
     [(angle/pi, edge_i, edge_j)]."""
-    len_n = _ZERO
-    len_d = _ZERO
+    len_n = len_d = _ZERO
     for length, bc in edges:
         if bc == "N":
             len_n = len_n + length
@@ -535,33 +530,14 @@ def _closed_flat(area: ExactConst, cone_angles: list[Fraction]) -> GeometryData:
     return GeometryData(area=area, cone_points=cones)
 
 
-_RECT_EDGE_BC = {
-    # bottom, right, top, left
-    "N": ("N", "N", "N", "N"),
-    "D": ("D", "D", "D", "D"),
-    "ND": ("N", "D", "N", "D"),
-    "NM": ("N", "N", "D", "N"),
-    "DM": ("N", "D", "D", "D"),
-    "MM": ("N", "D", "D", "N"),
-}
-
-_RIGHT_ISO_EDGE_BC = {
-    # leg, leg, hypotenuse
-    "N": ("N", "N", "N"),
-    "D": ("D", "D", "D"),
-    "ND": ("N", "N", "D"),
-    "DN": ("D", "D", "N"),
-    "MN": ("N", "D", "N"),
-    "MD": ("N", "D", "D"),
-}
-
-_306090_EDGE_BC = {
-    # hypotenuse, bisecting (long) side, shortest side
-    "N": ("N", "N", "N"),
-    "D": ("D", "D", "D"),
-    "ND": ("N", "D", "N"),
-    "DN": ("D", "N", "D"),
-}
+# each edge's condition, one letter an edge: a rectangle's bottom, right,
+# top and left; a right isosceles triangle's legs and hypotenuse; a 30-60-90
+# triangle's hypotenuse, bisecting (long) side and shortest side
+_RECT_EDGE_BC = {"N": "NNNN", "D": "DDDD", "ND": "NDND", "NM": "NNDN", "DM": "NDDD",
+                 "MM": "NDDN"}
+_RIGHT_ISO_EDGE_BC = {"N": "NNN", "D": "DDD", "ND": "NND", "DN": "DDN", "MN": "NDN",
+                      "MD": "NDD"}
+_306090_EDGE_BC = {"N": "NNN", "D": "DDD", "ND": "NDN", "DN": "DND"}
 
 
 def _geom_rectangle(a: Fraction, b: Fraction, bc: str) -> GeometryData:
@@ -575,11 +551,7 @@ def _geom_rectangle(a: Fraction, b: Fraction, bc: str) -> GeometryData:
 def _geom_right_iso(a: Fraction, bc: str) -> GeometryData:
     e = _RIGHT_ISO_EDGE_BC[bc]
     edges = [(_rat(a), e[0]), (_rat(a), e[1]), (_root(a, 2), e[2])]
-    corners = [
-        (Fraction(1, 2), 0, 1),
-        (Fraction(1, 4), 0, 2),
-        (Fraction(1, 4), 1, 2),
-    ]
+    corners = [(Fraction(1, 2), 0, 1), (Fraction(1, 4), 0, 2), (Fraction(1, 4), 1, 2)]
     return _polygon(_rat(a * a / 2), edges, corners)
 
 
@@ -594,11 +566,7 @@ def _geom_306090(bc: str) -> GeometryData:
     e = _306090_EDGE_BC[bc]
     hyp, long_side, short = _rat(1), _root(Fraction(1, 2), 3), _rat(Fraction(1, 2))
     edges = [(hyp, e[0]), (long_side, e[1]), (short, e[2])]
-    corners = [
-        (Fraction(1, 2), 1, 2),
-        (Fraction(1, 3), 0, 2),
-        (Fraction(1, 6), 0, 1),
-    ]
+    corners = [(Fraction(1, 2), 1, 2), (Fraction(1, 3), 0, 2), (Fraction(1, 6), 0, 1)]
     return _polygon(_root(Fraction(1, 8), 3), edges, corners)
 
 
@@ -609,11 +577,8 @@ def _geom_cylinder(a: Fraction, b: Fraction, bc: str) -> GeometryData:
 
 def _geom_mobius(a: Fraction, b: Fraction, bc: str) -> GeometryData:
     circle = _rat(2 * a)
-    return GeometryData(
-        area=_rat(a * b),
-        len_N=circle if bc == "N" else _ZERO,
-        len_D=circle if bc == "D" else _ZERO,
-    )
+    return GeometryData(area=_rat(a * b), len_N=circle if bc == "N" else _ZERO,
+                        len_D=circle if bc == "D" else _ZERO)
 
 
 def _geom_round(area_pi: Fraction, boundary_pi_n: Fraction = Fraction(0),
@@ -621,24 +586,15 @@ def _geom_round(area_pi: Fraction, boundary_pi_n: Fraction = Fraction(0),
                 corners: tuple[CornerSpec, ...] = (), cones: tuple[ConePoint, ...] = ()) -> GeometryData:
     """Unit-curvature surface; area and boundary lengths as multiples of pi."""
     area = _pi_times(area_pi)
-    return GeometryData(
-        area=area,
-        len_N=_pi_times(boundary_pi_n),
-        len_D=_pi_times(boundary_pi_d),
-        corners=corners,
-        cone_points=cones,
-        K2_total=area,
-    )
+    return GeometryData(area=area, len_N=_pi_times(boundary_pi_n),
+                        len_D=_pi_times(boundary_pi_d), corners=corners,
+                        cone_points=cones, K2_total=area)
 
 
 def _geom_lune(m: int, bc: str) -> GeometryData:
     pole = CornerSpec(_pi_times(Fraction(1, m)), CornerKind.LIKE)
-    return _geom_round(
-        Fraction(2, m),
-        Fraction(2) if bc == "N" else Fraction(0),
-        Fraction(2) if bc == "D" else Fraction(0),
-        corners=(pole, pole),
-    )
+    return _geom_round(Fraction(2, m), Fraction(2) if bc == "N" else Fraction(0),
+                       Fraction(2) if bc == "D" else Fraction(0), corners=(pole, pole))
 
 
 def _geom_half_lune(m: int, bc_side: str, bc_equator: str) -> GeometryData:
@@ -647,12 +603,10 @@ def _geom_half_lune(m: int, bc_side: str, bc_equator: str) -> GeometryData:
     foot = CornerSpec(_pi_times(Fraction(1, 2)), foot_kind)
     sides = Fraction(1)  # two meridian edges of length pi/2
     equator = Fraction(1, m)
-    return _geom_round(
-        Fraction(1, m),
-        (sides if bc_side == "N" else 0) + (equator if bc_equator == "N" else 0),
-        (sides if bc_side == "D" else 0) + (equator if bc_equator == "D" else 0),
-        corners=(pole, foot, foot),
-    )
+    return _geom_round(Fraction(1, m),
+                       (sides if bc_side == "N" else 0) + (equator if bc_equator == "N" else 0),
+                       (sides if bc_side == "D" else 0) + (equator if bc_equator == "D" else 0),
+                       corners=(pole, foot, foot))
 
 
 def _geom_sector(spec: SurfaceSpec) -> GeometryData:
@@ -686,11 +640,8 @@ def geometry(spec: SurfaceSpec) -> GeometryData:
     if f == Family.SPHERE:
         return _geom_round(Fraction(4))
     if f == Family.HEMISPHERE:
-        return _geom_round(
-            Fraction(2),
-            Fraction(2) if spec.bc == "N" else Fraction(0),
-            Fraction(2) if spec.bc == "D" else Fraction(0),
-        )
+        return _geom_round(Fraction(2), Fraction(2) if spec.bc == "N" else Fraction(0),
+                           Fraction(2) if spec.bc == "D" else Fraction(0))
     if f == Family.PROJECTIVE_SPHERE:
         return _geom_round(Fraction(2))
     if f == Family.LUNE:
@@ -707,13 +658,10 @@ def geometry(spec: SurfaceSpec) -> GeometryData:
     if f == Family.HALF_TETRAHEDRON:
         corner = CornerSpec(_pi_times(Fraction(1, 2)), CornerKind.LIKE)
         boundary = _rat(1) + _root(1, 3)  # 1 + sqrt3
-        return GeometryData(
-            area=_root(Fraction(1, 2), 3),
-            len_N=boundary if spec.bc == "N" else _ZERO,
-            len_D=boundary if spec.bc == "D" else _ZERO,
-            corners=(corner, corner),
-            cone_points=(ConePoint(_pi_times(Fraction(1))),),
-        )
+        return GeometryData(area=_root(Fraction(1, 2), 3),
+                            len_N=boundary if spec.bc == "N" else _ZERO,
+                            len_D=boundary if spec.bc == "D" else _ZERO, corners=(corner, corner),
+                            cone_points=(ConePoint(_pi_times(Fraction(1))),))
     if f == Family.SYMMETRY_SECTOR:
         return _geom_sector(spec)
     raise ValueError(f"no geometry for {spec}")
@@ -725,11 +673,7 @@ def geometry(spec: SurfaceSpec) -> GeometryData:
 def verification_roster() -> list[SurfaceSpec]:
     """Every family, each boundary-condition variant, a few parameter shapes:
     the list swept by the counting-identity verification."""
-    out = [
-        flat_torus_rect(1, 1),
-        flat_torus_rect(2, Fraction(3, 2)),
-        flat_torus_hex(),
-    ]
+    out = [flat_torus_rect(1, 1), flat_torus_rect(2, Fraction(3, 2)), flat_torus_hex()]
     out += [rectangle(1, 1, bc) for bc in BC_CHOICES[Family.RECTANGLE]]
     out += [rectangle(2, Fraction(3, 2), "ND"), rectangle(Fraction(3, 2), 1, "NM")]
     out += [right_iso_triangle(1, bc) for bc in BC_CHOICES[Family.RIGHT_ISO_TRIANGLE]]
@@ -744,17 +688,10 @@ def verification_roster() -> list[SurfaceSpec]:
     out += [hemisphere(bc) for bc in ("N", "D")]
     out.append(projective_sphere())
     out += [lune(m, bc) for m in (1, 2, 3, 5) for bc in ("N", "D")]
-    out += [
-        half_lune(m, s, e)
-        for m in (1, 2, 3, 4, 5)
-        for s in ("N", "D")
-        for e in ("N", "D")
-    ]
+    out += [half_lune(m, s, e) for m in (1, 2, 3, 4, 5) for s in ("N", "D") for e in ("N", "D")]
     out += [glued_lune(m) for m in (1, 2, 3, 5)]
     out.append(flat_projective_plane())
     out.append(tetrahedron_surface())
     out += [half_tetrahedron(bc) for bc in ("N", "D")]
-    out += [
-        symmetry_sector(base, ir) for base in SECTOR_BASES for ir in sector_irreps(base)
-    ]
+    out += [symmetry_sector(base, ir) for base in SECTOR_BASES for ir in sector_irreps(base)]
     return out

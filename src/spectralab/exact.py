@@ -63,7 +63,7 @@ class ExactConst:
     precision unless coefficients reach ~1e95).
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_float")
 
     def __init__(self, terms: dict[tuple[int, int], Fraction] | None = None):
         clean: dict[tuple[int, int], Fraction] = {}
@@ -198,12 +198,15 @@ class ExactConst:
         raise ArithmeticError(f"interval straddles zero: {self}")
 
     def __float__(self) -> float:
-        lo, hi = self.bounds()
-        try:
-            return float((lo + hi) / 2)
-        except OverflowError:
-            # a bad input, such as a surface area of 1e400, not a failed run
-            raise ValueError("constant beyond the float range") from None
+        """The middle of `bounds`, taken once: a constant never changes."""
+        if not hasattr(self, "_float"):
+            lo, hi = self.bounds()
+            try:
+                self._float = float((lo + hi) / 2)
+            except OverflowError:
+                # a bad input, such as a surface area of 1e400, not a failed run
+                raise ValueError("constant beyond the float range") from None
+        return self._float
 
     # --- presentation ---
 

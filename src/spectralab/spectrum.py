@@ -193,7 +193,8 @@ class _Table:
                     cutoff = "%g" % (self.value(qneed) if t is None else _t_float(t))
                 except OverflowError:  # past the float range
                     cutoff = "inf" if t is None else str(t)
-                raise ValueError(f"{self.spec.label()} {why[0]} below {cutoff}, {why[1]}")
+                raise ValueError(
+                    f"{catalog.short_label(self.spec)} {why[0]} below {cutoff}, {why[1]}")
             self.keys, self.mults, self.prefix = self.build(qcap)
             self.qcap = qcap
 
@@ -664,7 +665,4 @@ def closed_form_identity(spec: SurfaceSpec, t) -> CountReport:
 
 def symmetry_counts(base: str, t) -> dict:
     """Eigenvalue counts of every symmetry sector of a base surface at t."""
-    return {
-        ir: count(catalog.symmetry_sector(base, ir), t)
-        for ir in catalog.sector_irreps(base)
-    }
+    return {ir: count(catalog.symmetry_sector(base, ir), t) for ir in catalog.sector_irreps(base)}

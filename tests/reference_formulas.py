@@ -106,6 +106,41 @@ def avg_error_grid_whole(spec, ts):
     return out
 
 
+def window_mean_gauss(spec, lo, hi):
+    """(mean, err): g_est's mean over [lo, hi] by 16-node Gauss-Legendre
+    (numpy's leggauss) on each interval between the kinks inside it,
+    x = sqrt(lambda) flat and sqrt(lambda + 1/4) round, where N is
+    constant, all in np.longdouble, as `average.exact_window_mean` does it
+    by other routes.  g is smooth on each interval, with its singularities
+    at x = 0 or +-1/2, so the rule's error is negligible for lo >= 100;
+    err bounds the rounding: 32 + k ulps of longdouble (k levels, for the
+    cumulative sum of m lambda) of the size of g's terms at each node."""
+    ld = np.longdouble
+    shift = ld(0.25 if catalog.is_spherical(spec) else 0.0)
+    vals, mults = spectrum.level_arrays(spec, hi * hi - float(shift))
+    vals = vals.astype(ld)
+    kinks = np.sqrt(vals + shift)
+    edges = np.concatenate(([ld(lo)], kinks[(kinks > lo) & (kinks < hi)], [ld(hi)]))
+    z, w = (c.astype(ld) for c in np.polynomial.legendre.leggauss(16))
+    mid, half = (edges[1:] + edges[:-1]) / 2, (edges[1:] - edges[:-1]) / 2
+    x = (mid[:, None] + half[:, None] * z).ravel()
+    wx = (half[:, None] * w).ravel()
+    t = x * x - shift
+    idx = np.searchsorted(vals, t, side="right")
+    n = np.concatenate(([ld(0)], np.cumsum(mults, dtype=ld)))[idx]
+    l = np.concatenate(([ld(0)], np.cumsum(mults * vals)))[idx]
+    rc = asymptotics.surface_constants(spec)
+    A, B, C = (ld(float(c)) for c in (rc.A, rc.B, rc.C))
+    s = t + shift
+    smooth = (A * t * t / 2, 2 * B * (s * np.sqrt(s) - shift * np.sqrt(shift)) / 3, C * t)
+    scale = 1 if shift else np.sqrt(x)  # g_est is A(t) sqrt(x) on a flat surface
+    g = (t * n - l - sum(smooth)) / t * scale
+    size = (t * n + l + sum(map(abs, smooth))) / t * scale
+    eps = np.finfo(ld).eps
+    return (float(np.sum(wx * g) / ld(hi - lo)),
+            float((32 + vals.size) * eps * np.sum(wx * size) / ld(hi - lo)))
+
+
 def window_samples(vals, lo, hi, grid):
     """Sorted sample times for a sup or a fit over the window [lo, hi],
     all at once: the levels vals strictly inside (lo, hi), the midpoints

@@ -12,7 +12,7 @@ from spectralab import asymptotics, average, catalog, exact, oracle, spectrum
 
 from reference_formulas import (avg_error_grid_whole, remainder_exponent_whole,
                                 smooth_count, sphere_avg_closed_form, sphere_avg_decomposed,
-                                sphere_g, window_samples, window_sup_whole)
+                                sphere_g, window_mean_gauss, window_samples, window_sup_whole)
 
 
 def spec(label):
@@ -698,6 +698,99 @@ def test_window_mean_is_correctly_rounded():
     gs[0], gs[2], gs[-1] = 2e16, 1.0, -2e16
     assert float(np.trapezoid(gs, xs)) == 0.0
     assert average.window_mean(xs, gs) == average.window_mean(xs.tolist(), gs.tolist()) == 1 / 199
+
+
+@pytest.mark.parametrize("label", ["hemisphere:bc=D", "sphere", "rectangle:a=1,b=1,bc=D",
+                                   "mobius_band:a=1,b=1,bc=N"])
+def test_one_walk_sampler_matches_the_grid_engine(monkeypatch, label):
+    # the Python engine walks the ascending times once; at a level's own
+    # value the level counts (searchsorted's side="right"), and times
+    # below the first level, past the last one, repeated and alone give
+    # the numpy engine's floats exactly
+    monkeypatch.setattr(spectrum, "_TABLES", {})
+    sp = spec(label)
+    top = 3000.0 / float(asymptotics.surface_constants(sp).A)
+    vals = spectrum.level_arrays(sp, top)[0].tolist()
+    first, last = next(v for v in vals if v > 0), vals[-1]
+    grids = [[first], [first / 2], [last], [0.5 * first, 0.75 * first, first, first],
+             sorted(vals[1:40] * 2), [float(np.nextafter(v, 0)) for v in vals[1:40]],
+             [float(np.nextafter(v, np.inf)) for v in vals[1:40]],
+             [first / 3] + vals[1::7] + [last, last, 1.5 * last, 2.0 * last]]
+    for ts in grids:
+        assert average._lists(sp, ts[-1], len(ts)) is not None  # the Python engine
+        assert average.avg_error_list(sp, ts) == average.avg_error_grid(sp, ts).tolist(), ts
+
+
+# the window means of `conjecture`, on a round surface with no level in its
+# windows (the lune), a unit torus, a thin rectangle and a cylinder whose
+# levels are close
+EXACT_MEANS = ["sphere", "lune:m=1000,bc=D", "flat_torus_rect:a=1,b=1",
+               "rectangle:a=1,b=1/10,bc=N", "cylinder:a=1,b=1,bc=M"]
+
+
+@pytest.mark.parametrize("label", EXACT_MEANS)
+def test_exact_window_means_match_the_gauss_reference(label):
+    # the level-sum integrals, a closed form on flat surfaces and 8-node
+    # Gauss on round ones, within their stated rounding bound plus the
+    # reference's of 16-node Gauss between the kinks in longdouble; the
+    # bounds are tight enough to matter (below 1e-7)
+    sp = spec(label)
+    for X in (100, 200, 400):
+        mean, err = average.exact_window_mean(sp, X, 2 * X)
+        want, ref_err = window_mean_gauss(sp, X, 2 * X)
+        assert abs(mean - want) <= err + ref_err, (X, mean, want, err, ref_err)
+        assert err < 1e-7
+
+
+def test_exact_window_means_of_the_sphere_fall_as_x_squared():
+    # the trapezoid read -4.95e-5, -2.08e-4 and -8.33e-4 here: a bias of
+    # A h^2 / 3 from samples on the kinks, growing fourfold per window; a
+    # window that is empty, starts at 0, or starts below x = 10 on a round
+    # surface, where the Gauss rule's stated error does not hold, is refused
+    means = [average.exact_window_mean(SPHERE, X, 2 * X)[0] for X in (100, 200, 400)]
+    assert [round(m * X * X, 4) for m, X in zip(means, (100, 200, 400))] == [0.026] * 3
+    for sp, lo, hi in ((SPHERE, 5.0, 10.0), (SPHERE, 20.0, 20.0),
+                       (spec("rectangle:a=1,b=1,bc=N"), 0.0, 10.0)):
+        with pytest.raises(ValueError, match="0 < lo < hi, and lo >= 10"):
+            average.exact_window_mean(sp, lo, hi)
+
+
+def test_exact_flat_mean_holds_blocks_not_tables(monkeypatch):
+    # the flat window integral streams the levels in blocks, holding no
+    # array or list as long as the 24k levels below b = 1e6
+    monkeypatch.setattr(average, "_LEVELS", 1024)
+    sp = spec("rectangle:a=1,b=1,bc=N")
+    tb = spectrum._table(sp)
+    assert tb.index(tb.qmax(1e6)) > 20000  # built here: the table is not measured
+    assert _traced_peak(average.exact_window_mean, sp, 300.0, 1000.0) < 32 * 8 * 1024
+
+
+@pytest.mark.parametrize("label, want", [
+    ("sphere", [(100.0, 200.0, 8001)]), ("hemisphere:bc=N", [(100.0, 200.0, 8001)]),
+    ("flat_torus_rect:a=1,b=1", [(200.0, 800.0, 60001)]),
+    ("rectangle:a=1,b=1,bc=N", [(200.0, 800.0, 60001)])])
+def test_conjecture_samples_one_profile(monkeypatch, label, want):
+    # the mean records read the level sums: a round conjecture samples only
+    # its line check's profile, a flat one only its scan's, made through
+    # analysis.make_profile
+    from spectralab import analysis
+
+    calls, made = [], []
+    sampler, maker = average.profile, analysis.make_profile
+
+    def counting(sp, lo, hi, n):
+        calls.append((float(lo), float(hi), n))
+        return sampler(sp, lo, hi, n)
+
+    def making(sp, lo, hi, n):
+        made.append(n)
+        return maker(sp, lo, hi, n)
+
+    monkeypatch.setattr(average, "profile", counting)
+    monkeypatch.setattr(analysis, "make_profile", making)
+    average.conjecture_checks(spec(label), 0)
+    assert calls == want
+    assert made == ([] if catalog.is_spherical(spec(label)) else [60001])
 
 
 def test_slope_is_a_least_squares_fit():

@@ -71,6 +71,20 @@ def test_equal_specs_hash_equal():
         assert catalog.parse_spec(spec.label()) == spec
         assert hash(catalog.parse_spec(spec.label())) == hash(spec)
 
+def test_short_labels_write_long_sides_as_g():
+    # a side of more than 20 digits over or under its bar prints as %.6g;
+    # the rest, and label() itself, stay exact
+    tiny = catalog.parse_spec("rectangle:a=1e-300,b=1e-300,bc=N")
+    assert len(tiny.label()) > 600
+    assert catalog.short_label(tiny) == "rectangle:a=1e-300,b=1e-300,bc=N"
+    wide = catalog.flat_torus_rect(Fraction(10**20 + 1, 3), Fraction(3, 7))
+    assert catalog.short_label(wide) == "flat_torus_rect:a=3.33333e+19,b=3/7"
+    assert catalog.short_label(catalog.flat_torus_rect(Fraction(10**20 - 1, 3), 1)) == (
+        "flat_torus_rect:a=33333333333333333333,b=1")
+    for sp in catalog.verification_roster():
+        assert catalog.short_label(sp) == sp.label()
+
+
 def test_labels():
     assert catalog.sphere().label() == "sphere"
     assert catalog.rectangle(1, 2, "ND").label() == "rectangle:a=1,b=2,bc=ND"

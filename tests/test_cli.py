@@ -307,22 +307,21 @@ def test_identical_config_identical_bytes(capsys):
 
 
 def test_conjecture_passes_for_asserted_families(capsys):
-    # length and sha256 of the whole report: the sphere's captured when its
-    # frequency block became the closed-form line check, the torus's
-    # before the three level-window samplers became one
+    # length and sha256 of the whole report, both captured when the mean
+    # records became window integrals read from the level sums
     rc, out, _ = run_cli(capsys, "conjecture", "sphere")
     assert rc == 0
     assert out.rstrip().endswith("RESULT: PASS")
     assert "check freq" in out
-    assert len(out.encode()) == 741
+    assert len(out.encode()) == 740
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "5f58e0a7b767ad4b02ab7badfffd08fc0ebfd4bc7f69e38a5f76e57875b32e50")
+        "96fdaead204880d0319545e7cbc539bed3a6f0cc434453a61296d03e6635a7a6")
     rc, out, _ = run_cli(capsys, "conjecture", "flat_torus_rect:a=1,b=1")
     assert rc == 0
     assert out.rstrip().endswith("RESULT: PASS")
     assert len(out.encode()) == 625
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "5897177204b641bdbd410e60f1811d973fc30ceb54532459a15744cd7ab725c6")
+        "274a0f3efa76b47fbe4dea3f5fe4d649f88bc5d52b4cf563807210f9d0efe49a")
 
 
 @pytest.fixture(scope="module")
@@ -606,10 +605,11 @@ INT64_SURFACES = ["rectangle:a=1.000000000000000000001,b=1,bc=N",
 @pytest.mark.parametrize("label", INT64_SURFACES)
 def test_keys_past_int64_are_refused_as_usage(capsys, label):
     # keys past int64 are refused where the table grows, as the cap
-    # refuses a table: exit 2, naming the surface
+    # refuses a table: exit 2, naming the surface, a side of more than 20
+    # digits as %.6g
     rc, out, err = run_cli(capsys, "spectrum", label, "--max-t", "1")
     assert (rc, out) == (2, "")
-    assert f"{cli.parse_surface(label).label()} has level keys up to " in err
+    assert f"{catalog.short_label(cli.parse_surface(label))} has level keys up to " in err
     assert "below 1, which do not fit int64" in err and "usage:" in err
 
 
@@ -664,9 +664,9 @@ def test_no_command_ends_in_an_internal_error(capsys, label):
         if tiny and command == "conjecture":
             # the refusal names the surface and the lengths asked for, not
             # the dual torus and the cutoff that the lengths are read below
-            want = (f"{catalog.parse_spec(label).label()}: its geodesic lengths up to 10 "
+            want = ("rectangle:a=1e-300,b=1e-300,bc=N: its geodesic lengths up to 10 "
                     "need a level table over the cap or past int64 keys")
-            assert want in err
+            assert want in err and len(err.splitlines()[0]) < 200
             assert "flat_torus_rect" not in err and "ExactTime" not in err
 
 
@@ -942,9 +942,9 @@ GOLDEN = {
     # peak sits at a length of that lattice
     ("conjecture", "mobius_band:a=1,b=1,bc=D"):
         "label: mobius_band:a=1,b=1,bc=D\n"
-        "check mean [100,200]: -0.00509402 within 0.05 -> ok\n"
-        "check mean [200,400]: -0.000129233 within 0.025 -> ok\n"
-        "check mean [400,800]: +0.000109858 within 0.0125 -> ok\n"
+        "check mean [100,200]: -0.0050961 within 0.05 -> ok\n"
+        "check mean [200,400]: -0.000127991 within 0.025 -> ok\n"
+        "check mean [400,800]: +9.69808e-05 within 0.0125 -> ok\n"
         "check decay: scaled sups per decade 0.828396 0.913107 0.925037 0.933658, "
         "first/last ratio 1.12707 within 2 -> ok\n"
         "check probes (seed 0): worst scaled residual 0.837799 within 1.40049 -> ok\n"
@@ -959,9 +959,9 @@ GOLDEN = {
     # 2aZ^2 and the bouncing orbits, with no line at sqrt10
     ("conjecture", "right_iso_triangle:a=1,bc=N", "--seed", "3"):
         "label: right_iso_triangle:a=1,bc=N\n"
-        "check mean [100,200]: -0.000486859 within 0.05 -> ok\n"
-        "check mean [200,400]: -0.000247649 within 0.025 -> ok\n"
-        "check mean [400,800]: +8.9798e-05 within 0.0125 -> ok\n"
+        "check mean [100,200]: -0.000487413 within 0.05 -> ok\n"
+        "check mean [200,400]: -0.000249016 within 0.025 -> ok\n"
+        "check mean [400,800]: +8.84454e-05 within 0.0125 -> ok\n"
         "check decay: scaled sups per decade 0.250735 0.211167 0.206621 0.207863, "
         "first/last ratio 1.20625 within 2 -> ok\n"
         "check probes (seed 3): worst scaled residual 0.161656 within 0.376103 -> ok\n"
@@ -975,9 +975,9 @@ GOLDEN = {
     # m = 3 and with one of weight -1/4 on m = 2 (`_alternating_weight`)
     ("conjecture", "half_lune:m=3,bc_side=N,bc_equator=D", "--seed", "3"):
         "label: half_lune:m=3,bc_side=N,bc_equator=D\n"
-        "check mean [100,200]: -1.0577e-05 within 0.05 -> ok\n"
-        "check mean [200,400]: -1.37646e-05 within 0.025 -> ok\n"
-        "check mean [400,800]: -6.99527e-05 within 0.0125 -> ok\n"
+        "check mean [100,200]: -6.20665e-06 within 0.05 -> ok\n"
+        "check mean [200,400]: +3.65671e-06 within 0.025 -> ok\n"
+        "check mean [400,800]: -3.87912e-07 within 0.0125 -> ok\n"
         "check decay: exponent -0.474157 in [-0.65,-0.35] -> ok\n"
         "check probes (seed 3): worst scaled residual 0.044187 within 0.0914598 -> ok\n"
         "geodesic lengths: 2.0944 4.18879 6.28319 8.37758 10.472 12.5664 14.6608 16.7552 "
@@ -991,9 +991,9 @@ GOLDEN = {
         "RESULT: PASS\n",
     ("conjecture", "half_lune:m=2,bc_side=N,bc_equator=D", "--seed", "3"):
         "label: half_lune:m=2,bc_side=N,bc_equator=D\n"
-        "check mean [100,200]: -6.46203e-06 within 0.05 -> ok\n"
-        "check mean [200,400]: -2.60698e-05 within 0.025 -> ok\n"
-        "check mean [400,800]: -0.000104253 within 0.0125 -> ok\n"
+        "check mean [100,200]: +7.09875e-08 within 0.05 -> ok\n"
+        "check mean [200,400]: +1.701e-08 within 0.025 -> ok\n"
+        "check mean [400,800]: +4.16066e-09 within 0.0125 -> ok\n"
         "check decay: exponent -0.505395 in [-0.65,-0.35] -> ok\n"
         "check probes (seed 3): worst scaled residual 0.0184569 within 0.0289542 -> ok\n"
         "geodesic lengths: 3.14159 6.28319 9.42478 12.5664 15.708 18.8496 21.9911 "
@@ -1015,9 +1015,9 @@ GOLDEN = {
     # triangle wave's odd multiples of pi beside it on the projective sphere
     ("conjecture", "sphere", "--seed", "3"):
         "label: sphere\n"
-        "check mean [100,200]: -4.94795e-05 within 0.05 -> ok\n"
-        "check mean [200,400]: -0.000207683 within 0.025 -> ok\n"
-        "check mean [400,800]: -0.000833171 within 0.0125 -> ok\n"
+        "check mean [100,200]: +2.6042e-06 within 0.05 -> ok\n"
+        "check mean [200,400]: +6.51044e-07 within 0.025 -> ok\n"
+        "check mean [400,800]: +1.62761e-07 within 0.0125 -> ok\n"
         "check decay: exponent -0.506553 in [-0.65,-0.35] -> ok\n"
         "check probes (seed 3): worst scaled residual 0.0146734 within 0.0262072 -> ok\n"
         "geodesic lengths: 6.28319 12.5664 18.8496 25.1327\n"
@@ -1030,9 +1030,9 @@ GOLDEN = {
         "RESULT: PASS\n",
     ("conjecture", "projective_sphere", "--seed", "3"):
         "label: projective_sphere\n"
-        "check mean [100,200]: -2.47632e-05 within 0.05 -> ok\n"
-        "check mean [200,400]: -0.000103844 within 0.025 -> ok\n"
-        "check mean [400,800]: -0.000416586 within 0.0125 -> ok\n"
+        "check mean [100,200]: +1.27866e-06 within 0.05 -> ok\n"
+        "check mean [200,400]: +3.22592e-07 within 0.025 -> ok\n"
+        "check mean [400,800]: +8.10143e-08 within 0.0125 -> ok\n"
         "check decay: exponent -0.504209 in [-0.65,-0.35] -> ok\n"
         "check probes (seed 3): worst scaled residual 0.0587727 within 0.10145 -> ok\n"
         "geodesic lengths: 3.14159 6.28319 9.42478 12.5664 15.708 18.8496 21.9911 "
