@@ -282,7 +282,8 @@ def heat_trace(spec: SurfaceSpec, t: float, cutoff: float) -> float:
     surface's own, verified against every enumerated level below the
     cutoff.  A cutoff whose tail bound exceeds _HEAT_TOL is refused with
     TailBoundError.  The sum is correctly rounded (`math.fsum`), so it is
-    the same float on every machine.
+    the same float on every machine.  The envelope and the sum each stream
+    the table's blocks (`spectrum.level_blocks`) in a pass of their own.
     """
     import numpy as np
 
@@ -295,17 +296,13 @@ def heat_trace(spec: SurfaceSpec, t: float, cutoff: float) -> float:
     a = float(rc.A)
     bhat = 2.0 * abs(float(rc.B)) + 1.0
     chat = 8.0
-    vals, mults = spectrum.level_arrays(spec, cut)
-    if vals.size:
-        counts = np.cumsum(mults)
-        worst = float(np.max(counts - a * vals - bhat * np.sqrt(vals) - chat))
-        if worst > 0:
+    for (vals, n_pref, _), _ in spectrum.level_blocks(spec, cut):
+        # n_pref[1:] counts the eigenvalues <= each level; the last, all
+        if vals.size and np.max(n_pref[1:] - a * vals - bhat * np.sqrt(vals) - chat) > 0:
             raise ArithmeticError(
                 f"count envelope violated below cutoff {cut:g} for "
                 f"{catalog.short_label(spec)}; the tail estimate would be unsound")
-        n_cut = float(counts[-1])
-    else:
-        n_cut = 0.0
+    n_cut = float(n_pref[-1])
     tail = math.exp(-cut * t) * (
         a / t + max(0.0, a * cut - n_cut)
         + bhat * (math.sqrt(cut) + 0.5 / (math.sqrt(cut) * t)) + chat)
@@ -315,6 +312,5 @@ def heat_trace(spec: SurfaceSpec, t: float, cutoff: float) -> float:
             f"need below {_HEAT_TOL:g}")
     # the terms m e^{-t lambda} summed correctly rounded: a BLAS dot
     # product's last bits depend on its thread count
-    terms = np.exp(-t * vals)
-    terms *= mults
-    return math.fsum(terms.tolist())
+    return math.fsum(x for (vals, n_pref, _), _ in spectrum.level_blocks(spec, cut)
+                     for x in (np.exp(-t * vals) * np.diff(n_pref)).tolist())

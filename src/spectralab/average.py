@@ -7,18 +7,20 @@ against its closed form, tests/reference_formulas.py).  `_g_est` turns it
 into the conjecture's profile g_est: A(x^2 - 1/4) on a round surface,
 A(x^2) sqrt(x) on a flat one.
 
-Every averaged error comes from float64 prefix sums of the level table,
-on numpy arrays (avg_error_grid) or on Python floats, by one engine rule
-(`_lists`): Python floats for at most _PY_POINTS times over a table held
-in `array('q')`, where importing numpy would cost more than the sums.
-Both run the same correctly rounded steps in the same order (t^{3/2} is
-t * sqrt(t), t^{1/4} is sqrt(sqrt(t))), so they agree bit for bit.  The
-numpy engine streams the table a block of levels at a time
-(`_prefix_blocks`), never holding an array as long as the table; numpy is
-imported where it is used.  The decade sups and the decay fit share one
-reducer (`_window_peaks`).  A window mean of g_est is read from the level
-sums with no sampling (`exact_window_mean`): a closed form on a flat
-surface, Gauss between the kinks on a round one.
+Every averaged error comes from float64 prefix sums that `spectrum`
+makes from the level table on each call, so this module holds no copy
+of a table: numpy blocks (`spectrum.level_blocks`) or Python lists
+(`spectrum.level_lists`), by one engine rule (`_lists`): Python floats
+for at most _PY_POINTS times and levels over a table in `array('q')`,
+where importing numpy would cost more than the sums.  Both run the same
+correctly rounded steps in the same order (t^{3/2} is t * sqrt(t),
+t^{1/4} is sqrt(sqrt(t))), so they agree bit for bit.  The numpy engine
+streams the table a block of levels at a time, never holding an array
+as long as the table; numpy is imported where it is used.  The decade
+sups and the decay fit share one reducer (`_window_peaks`).  A window
+mean of g_est is read from the level sums with no sampling
+(`exact_window_mean`): a closed form on a flat surface, Gauss between
+the kinks on a round one.
 
 On a round surface the averaged error tends to `leading_profile`, whose
 Fourier lines are closed-form (`profile_lines`); `line_check` measures a
@@ -28,10 +30,9 @@ sampled profile's coefficient at each of them.
 from __future__ import annotations
 
 import math
-from array import array
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import islice
 from operator import le, lt, mul, sub
 
 from . import asymptotics, catalog, spectrum
@@ -84,73 +85,25 @@ def _smooth(spec: SurfaceSpec, sqrt, top: float):
     return _tilde_integral(rc, sqrt)
 
 
-# Levels per block of `_prefix_blocks`, and times per `_avg_block` call in
-# avg_error_grid: twice the levels, as many as a window batch holds of a
-# block's levels and their midpoints.  A block's arrays then take tens of
-# kB, well below the Fourier scan's two 256 kB buffers (on its 60001
-# samples and 901 frequencies); the results do not depend on either size.
-_LEVELS = 1 << 12
-_BLOCK = 2 * _LEVELS
-# Most times that the Python engine sums: about 0.5 us a time, 2.3-4.1 ms
-# at 4001 times and 29-30 ms at 65536 (sphere and a rational rectangle),
-# against about 165 ms for the numpy import, so the crossover lies past
-# 10^5 times.
+# Times per `_avg_block` call in avg_error_grid: twice the levels of a
+# `spectrum.level_blocks` block, as many as a window batch holds of a
+# block's levels and their midpoints; the results do not depend on it.
+_BLOCK = 2 * spectrum._LEVELS
+# Most times, and most levels below the last time, that the Python engine
+# sums: about 0.5 us a time, 2.3-4.1 ms at 4001 times and 29-30 ms at
+# 65536 (sphere and a rational rectangle), against about 165 ms for the
+# numpy import, so the crossover lies past 10^5 times.
 _PY_POINTS = 1 << 16
 
 
-def _prefix_blocks(spec: SurfaceSpec, T: float):
-    """The float64 prefix sums of the levels <= T, one block of _LEVELS
-    levels at a time, straight from the table's integer keys.
-
-    Yields ((vals, n_pref, l_pref), edge) per block: the block's level
-    values, and the sums of mult and of mult * value over every level
-    before the block's k-th one, k = 0 .. len(vals): the table's prefix,
-    exact in float64, and a sequential sum from the previous block's total,
-    np.cumsum's over the whole table bit for bit.  A time t takes its sums
-    from the first block whose edge (its last value, infinity on the last
-    block) is above it, at np.searchsorted(vals, t, side="right").
-    """
-    import numpy as np
-
-    tb = spectrum._table(spec)
-    i = tb.index(tb.qmax(T), T)
-    keys, mults, prefix = map(np.asarray, (tb.keys, tb.mults, tb.prefix))
-    l_run = 0.0
-    for lo in range(0, max(i, 1), _LEVELS):
-        hi = min(lo + _LEVELS, i)
-        vals = tb.value(keys[lo:hi].astype(np.float64))
-        n_pref = prefix[lo:hi + 1].astype(np.float64)
-        l_pref = np.empty(hi - lo + 1)
-        l_pref[0] = l_run
-        np.multiply(mults[lo:hi], vals, out=l_pref[1:])
-        np.cumsum(l_pref, out=l_pref)
-        l_run = l_pref[-1]
-        yield (vals, n_pref, l_pref), vals[-1] if hi < i else np.inf
-
-
-# the keys and the lists of the last table `_lists` read, shared read-only
-_HELD = [None, None]
-
-
 def _lists(spec: SurfaceSpec, T: float, n: int):
-    """The engine rule: n times up to T over a table held in `array('q')`
-    run on Python floats, with n at most _PY_POINTS.  Then the table's
-    (vals, n_pref, l_pref) lists of the levels <= T, `_prefix_blocks`'s in
-    one block, cut from the whole table's (`_HELD`); None sends the times to
+    """The engine rule: n times up to T run on Python floats where n and
+    the number of levels <= T are both at most _PY_POINTS and the table is
+    held in `array('q')`.  Then the table's (vals, n_pref, l_pref) lists
+    of those levels (`spectrum.level_lists`); None sends the times to
     numpy.  `_smooth`'s refusal at T comes first, before any table read."""
     _smooth(spec, math.sqrt, T)
-    if n > _PY_POINTS:
-        return None
-    tb = spectrum._table(spec)
-    i = tb.index(tb.qmax(T), T)
-    if not isinstance(tb.keys, array):
-        return None
-    if _HELD[0] is not tb.keys:
-        vals = list(map(tb.value, map(float, tb.keys)))
-        _HELD[:] = tb.keys, (vals, list(map(float, tb.prefix)),
-                             list(accumulate(map(mul, tb.mults, vals), initial=0.0)))
-    vals, n_pref, l_pref = _HELD[1]
-    return _HELD[1] if i == len(vals) else (vals[:i], n_pref[:i + 1], l_pref[:i + 1])
+    return spectrum.level_lists(spec, T, _PY_POINTS) if n <= _PY_POINTS else None
 
 
 def _avg_lists(spec: SurfaceSpec, ts: list, sums) -> list:
@@ -193,8 +146,8 @@ def avg_error_grid(spec: SurfaceSpec, ts):
     """Averaged error over an ascending grid, one spectrum fetch, on numpy.
 
     The level prefix sums are streamed a block of levels at a time
-    (`_prefix_blocks`), and each block's times are evaluated in blocks of
-    at most _BLOCK into one output array, so the temporaries stay
+    (`spectrum.level_blocks`), and each block's times are evaluated in
+    blocks of at most _BLOCK into one output array, so the temporaries stay
     block-sized however long the table and the grid are.  The sums are
     float64, and the absolute error grows with t: below 1e-12 up to
     t = 3000, 4.3e-10 on [1e5, 1e6] and 1.4e-8 at t = 1e7 (unit torus,
@@ -212,7 +165,7 @@ def avg_error_grid(spec: SurfaceSpec, ts):
     tilde = _smooth(spec, np.sqrt, float(ts[-1]))
     out = np.empty_like(ts)
     j = 0
-    for block, edge in _prefix_blocks(spec, float(ts[-1])):
+    for block, edge in spectrum.level_blocks(spec, float(ts[-1])):
         k = int(np.searchsorted(ts, edge))
         for i in range(j, k, _BLOCK):
             e = min(i + _BLOCK, k)
@@ -492,8 +445,8 @@ def exact_window_mean(spec: SurfaceSpec, lo: float, hi: float) -> tuple:
     4 (l_b b^{-1/4} - l_a a^{-1/4}) - (16/3) q less (2A/7) t^{7/4} + (8B/15)
     t^{5/4} + (4C/3) t^{3/4} from a to b; n_a and l_a sum m and m lambda over
     the levels <= a, q sums m lambda^{3/4} over (a, b].  Each is summed
-    correctly rounded over the blocks of `_prefix_blocks`, so each term is
-    within 8u, and err is 16u of the terms' absolute sum.
+    correctly rounded over the blocks of `spectrum.level_blocks`, so each
+    term is within 8u, and err is 16u of the terms' absolute sum.
     """
     lo, hi = float(lo), float(hi)
     if not 0 < lo < hi or catalog.is_spherical(spec) and lo < 10:
@@ -517,7 +470,7 @@ def exact_window_mean(spec: SurfaceSpec, lo: float, hi: float) -> tuple:
     a, b = lo * lo, hi * hi
     _smooth(spec, math.sqrt, b)
     n_a, sums = 0.0, ([], [], [])  # per block: l_a, l_b and q
-    for (vals, n_pref, _), _ in _prefix_blocks(spec, b):
+    for (vals, n_pref, _), _ in spectrum.level_blocks(spec, b):
         i = int(np.searchsorted(vals, a, side="right"))
         n_a, n_b = float(n_pref[i]) if i else n_a, float(n_pref[-1])
         m = np.diff(n_pref)
@@ -542,9 +495,10 @@ def _window_residuals(spec: SurfaceSpec, lo: float, hi: float, grid):
     levels, so the samples ts are the levels strictly inside (lo, hi), the
     midpoints between neighbouring ones and the grid points in [lo, hi],
     sorted and unique in each batch: one batch of lists on Python floats,
-    and on numpy one for each block of `_prefix_blocks` with samples below
-    its edge, a sample at or above the edge waiting for the next block, so
-    that the batches joined are the window's samples made unique."""
+    and on numpy one for each block of `spectrum.level_blocks` with samples
+    below its edge, a sample at or above the edge waiting for the next
+    block, so that the batches joined are the window's samples made
+    unique."""
     lo, hi = float(lo), float(hi)
     sums = _lists(spec, hi, len(grid))
     if sums is not None:
@@ -561,7 +515,7 @@ def _window_residuals(spec: SurfaceSpec, lo: float, hi: float, grid):
     wait = np.asarray(grid, dtype=np.float64)
     wait = wait[(wait >= lo) & (wait <= hi)]
     last = np.empty(0)  # the last level inside the window so far
-    for block, edge in _prefix_blocks(spec, hi):
+    for block, edge in spectrum.level_blocks(spec, hi):
         vals = block[0]
         inside = vals[(vals > lo) & (vals < hi)]
         ends = np.concatenate((last, inside))

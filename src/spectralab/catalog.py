@@ -169,11 +169,12 @@ class SurfaceSpec(_Frozen):
 
 def short_label(spec: SurfaceSpec) -> str:
     """`label()` for messages: a side whose numerator or denominator has
-    more than 20 digits is written as %.6g, so that a refusal on sides of
-    1e-300 stays one short line; sides are within the float range."""
+    more than 20 digits is written as ~ and its %.6g, which `parse_spec`
+    refuses, so that a refusal on sides of 1e-300 stays one short line and
+    names no other surface; sides are within the float range."""
     def text(v):
         long = isinstance(v, Fraction) and max(abs(v.numerator), v.denominator) >= 10 ** 20
-        return "%.6g" % v if long else str(v)
+        return "~%.6g" % v if long else str(v)
 
     return spec.label(text)
 

@@ -13,8 +13,8 @@ weights summed unexpanded, what the cap is held to) and build it.
 expand: a small table is summed in a dict into stdlib `array('q')`, a
 large one on numpy into arrays of the narrowest integers that hold them,
 int32 keys and counts wherever they fit.  `_Table` reads both types
-through what they share, so only the numpy engine and `_Table.arrays`
-import numpy.
+through what they share, so only the numpy engine and spectrum's array
+readers import numpy.
 """
 
 from __future__ import annotations

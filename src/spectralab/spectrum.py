@@ -29,7 +29,9 @@ different enumeration.
 
 `level_columns` hands the CLI's writer the levels in chunks of _CHUNK
 rows formatted from the integer keys, so that a dump holds little beyond
-the table however many levels it writes.  It and `level_arrays` take
+the table however many levels it writes.  The averaged error and heat
+trace read float64 sums made from the arrays on each call (`level_blocks`,
+`level_lists`), so the arrays are a table's one copy.  All readers take
 their values from one formula per kind (`value`).
 
 Cutoffs may be given as plain numbers (int, float, Fraction) or as an
@@ -53,6 +55,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
 from math import isqrt
+from operator import mul
 
 from . import catalog
 from .catalog import Family, SurfaceSpec
@@ -141,9 +144,13 @@ def _decided(t, ends, value):
 # level tables (the table route)
 
 
-# Levels per chunk of _Table.columns: a chunk's lists and the CSV writer's
+# Levels per chunk of `level_columns`: a chunk's lists and the CSV writer's
 # rows take about 300 B a level, 5 MB at this size (20 MB at 65536).
 _CHUNK = 16384
+# Levels per block of `level_blocks`.  A block's arrays take tens of kB,
+# well below the Fourier scan's two 256 kB buffers (on its 60001 samples
+# and 901 frequencies); no reader's results depend on the size.
+_LEVELS = 1 << 12
 _NEGATIVE = "negative multiplicity in level table"
 # Most eigenvalues a table may be built to hold, by its `bound`: the
 # largest roster table that `conjecture` builds, flat_torus_rect:a=2,b=3/2
@@ -239,31 +246,6 @@ class _Table:
         self.grow(q, t)  # may replace the arrays: read them after
         return int(self.prefix[bisect_right(self.keys, q)])
 
-    def levels(self, t) -> list:
-        """The levels <= t as (exact key, multiplicity) pairs."""
-        i = self.index(self.qmax(t), t)
-        return list(zip(map(self.key, self.keys[:i].tolist()), self.mults[:i].tolist()))
-
-    def columns(self, t):
-        """`level_columns` chunks of the levels <= t."""
-        i = self.index(self.qmax(t), t)
-        keys, mults = self.keys[:i], self.mults[:i]
-        value, printed = self.value, self.printed
-        for lo in range(0, max(i, 1), _CHUNK):
-            ks = keys[lo:lo + _CHUNK].tolist()
-            yield {"value": [value(k) for k in ks], "key": [printed(k) for k in ks],
-                   "multiplicity": mults[lo:lo + _CHUNK].tolist()}
-
-    def arrays(self, t):
-        """(values, multiplicities) arrays of the levels <= t; the
-        multiplicities are a read-only view of the table's."""
-        import numpy as np
-
-        i = self.index(self.qmax(t), t)
-        mults = np.asarray(self.mults)[:i]
-        mults.flags.writeable = False
-        return self.value(np.asarray(self.keys)[:i].astype(np.float64)), mults
-
 
 class _RoundTable(_Table):
     """A round surface's levels: key N, written as the integer, is the
@@ -276,13 +258,17 @@ class _RoundTable(_Table):
 
     def build(self, qcap: int):
         """(keys, mults, prefix) of the degrees <= qcap of nonzero
-        multiplicity, from the window counts up to window qcap + 1."""
-        cums = [_sph_cum(self.spec, k) for k in range(qcap + 2)]
-        keys = [N for N in range(qcap + 1) if cums[N + 1] != cums[N]]
-        mults = [cums[N + 1] - cums[N] for N in keys]
-        if min(mults, default=0) < 0:
-            raise ArithmeticError(_NEGATIVE)
-        return array("q", keys), array("q", mults), array("q", accumulate(mults, initial=0))
+        multiplicity, appended step by step from the window counts."""
+        keys, mults, prefix = array("q"), array("q"), array("q", [0])
+        for N in range(qcap + 1):
+            step = _sph_cum(self.spec, N + 1) - prefix[-1]
+            if step:
+                if step < 0:
+                    raise ArithmeticError(_NEGATIVE)
+                keys.append(N)
+                mults.append(step)
+                prefix.append(prefix[-1] + step)
+        return keys, mults, prefix
 
     def bound(self, q: int, stop=None) -> int:
         """The number of eigenvalues of degree <= q, exactly: window q + 1."""
@@ -604,6 +590,12 @@ def _form(spec: SurfaceSpec, tb):
 # public interface
 
 
+def _upto(spec: SurfaceSpec, T) -> tuple:
+    """The table of spec grown to hold the levels <= T, and their number."""
+    tb = _table(spec)
+    return tb, tb.index(tb.qmax(T), T)
+
+
 def levels(spec: SurfaceSpec, T) -> list[tuple]:
     """All levels <= T as sorted (exact key, multiplicity) pairs.
 
@@ -611,7 +603,8 @@ def levels(spec: SurfaceSpec, T) -> list[tuple]:
     grid: a Fraction rho (eigenvalue rho * pi^2) for flat families, an
     integer degree N (eigenvalue N(N+1)) for spherical ones.
     """
-    return _table(spec).levels(T)
+    tb, i = _upto(spec, T)
+    return list(zip(map(tb.key, tb.keys[:i].tolist()), tb.mults[:i].tolist()))
 
 
 def level_columns(spec: SurfaceSpec, T):
@@ -620,12 +613,66 @@ def level_columns(spec: SurfaceSpec, T):
     Each chunk holds _CHUNK levels, the last one fewer, and there is one
     empty chunk when there are none.
     """
-    return _table(spec).columns(T)
+    tb, i = _upto(spec, T)
+    keys, mults = tb.keys[:i], tb.mults[:i]
+    value, printed = tb.value, tb.printed
+    for lo in range(0, max(i, 1), _CHUNK):
+        ks = keys[lo:lo + _CHUNK].tolist()
+        yield {"value": [value(k) for k in ks], "key": [printed(k) for k in ks],
+               "multiplicity": mults[lo:lo + _CHUNK].tolist()}
 
 
 def level_arrays(spec: SurfaceSpec, T):
-    """(values, multiplicities) as numpy arrays, for bulk numerics."""
-    return _table(spec).arrays(T)
+    """(values, multiplicities) as numpy arrays, for bulk numerics; the
+    multiplicities are a read-only view of the table's."""
+    import numpy as np
+
+    tb, i = _upto(spec, T)
+    mults = np.asarray(tb.mults)[:i]
+    mults.flags.writeable = False
+    return tb.value(np.asarray(tb.keys)[:i].astype(np.float64)), mults
+
+
+def level_blocks(spec: SurfaceSpec, T):
+    """The float64 prefix sums of the levels <= T, one block of _LEVELS
+    levels at a time, straight from the table's integer keys.
+
+    Yields ((vals, n_pref, l_pref), edge) per block: the block's level
+    values, and the sums of mult and of mult * value over every level
+    before the block's k-th one, k = 0 .. len(vals): the table's prefix,
+    exact in float64, and a sequential sum from the previous block's total,
+    np.cumsum's over the whole table bit for bit.  A time t takes its sums
+    from the first block whose edge (its last value, infinity on the last
+    block) is above it, at np.searchsorted(vals, t, side="right").  There
+    is one empty block when there are no levels.
+    """
+    import numpy as np
+
+    tb, i = _upto(spec, T)
+    keys, mults, prefix = map(np.asarray, (tb.keys, tb.mults, tb.prefix))
+    l_run = 0.0
+    for lo in range(0, max(i, 1), _LEVELS):
+        hi = min(lo + _LEVELS, i)
+        vals = tb.value(keys[lo:hi].astype(np.float64))
+        n_pref = prefix[lo:hi + 1].astype(np.float64)
+        l_pref = np.empty(hi - lo + 1)
+        l_pref[0] = l_run
+        np.multiply(mults[lo:hi], vals, out=l_pref[1:])
+        np.cumsum(l_pref, out=l_pref)
+        l_run = l_pref[-1]
+        yield (vals, n_pref, l_pref), vals[-1] if hi < i else np.inf
+
+
+def level_lists(spec: SurfaceSpec, T, most: int):
+    """`level_blocks`'s sums of the levels <= T as Python lists, the same
+    floats, made on each call; None past most levels, or for a table held
+    on numpy, where the lists would save no import."""
+    tb, i = _upto(spec, T)
+    if i > most or not isinstance(tb.keys, array):
+        return None
+    vals = list(map(tb.value, map(float, tb.keys[:i].tolist())))
+    return (vals, list(map(float, tb.prefix[:i + 1].tolist())),
+            list(accumulate(map(mul, tb.mults[:i].tolist(), vals), initial=0.0)))
 
 
 def count(spec: SurfaceSpec, t, q=None) -> int:

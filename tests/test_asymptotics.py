@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -415,3 +416,22 @@ def test_refined_constants_works_on_raw_geometry():
     assert rc.C2 == rat(0)
     assert rc.C3 == rat(0)
     assert not rc.sqrt_shift
+
+
+def test_heat_trace_streams_its_table(monkeypatch):
+    # the envelope and the sum read the table a block of levels at a time:
+    # over 91k levels in blocks of 1024 they allocate a few blocks, where
+    # whole-table arrays and the list of terms took 5.1 MB
+    monkeypatch.setattr(spectrum, "_LEVELS", 1024)
+    sp = catalog.rectangle(1, 1, "N")
+    vals, mults = spectrum.level_arrays(sp, 4e6)  # built here: not measured
+    assert vals.size > 90000
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        heat = heat_trace(sp, 1e-5, 4e6)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert heat == math.fsum((np.exp(-1e-5 * vals) * mults).tolist())
+    assert peak < 400_000, peak

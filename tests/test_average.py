@@ -172,7 +172,8 @@ def test_engines_agree_on_grids(monkeypatch, label):
 
 def test_avg_error_list_picks_its_engine(monkeypatch):
     # a short grid over a table in array('q') is summed in Python floats;
-    # a grid longer than _PY_POINTS, or a table held on numpy, goes to
+    # a grid longer than _PY_POINTS, a table held on numpy, or one with
+    # more than _PY_POINTS levels up to the grid's end goes to
     # avg_error_grid, whose floats come back as they are
     monkeypatch.setattr(spectrum, "_TABLES", {})
     calls = []
@@ -190,12 +191,33 @@ def test_avg_error_list_picks_its_engine(monkeypatch):
         assert isinstance(spectrum._table(spec(label)).keys, array)
     assert calls == []
     for label, ts in ((shape, average.grid(77.22, 7722.0, average._PY_POINTS + 1, False)),
+                      ("lune:m=1000,bc=N", average.grid(5e9, 6e9, 5, False)),
                       ("rectangle:a=1,b=1,bc=N", average.grid(1e5, 1e6, 5, False))):
         calls.clear()
         avg = average.avg_error_list(spec(label), ts)
         assert calls == [len(ts)]
         assert avg == grid_engine(spec(label), ts).tolist()
+    assert isinstance(spectrum._table(spec("lune:m=1000,bc=N")).keys, array)
     assert type(spectrum._table(spec("rectangle:a=1,b=1,bc=N")).keys).__module__ == "numpy"
+
+
+def test_engine_rule_counts_levels_as_times(monkeypatch):
+    # the Python engine sums at most _PY_POINTS levels as well as times:
+    # below a round table's level count, the same times go to numpy, whose
+    # floats are the Python engine's bit for bit
+    sp = spec("lune:m=5,bc=N")
+    ts = average.grid(100.0, 1e4, 50, False)
+    want = average.avg_error_list(sp, ts)
+    xs, gs = average.profile(sp, 20.0, 100.0, 51)
+    assert isinstance(gs, list) and average._lists(sp, 1e4, 51) is not None
+    monkeypatch.setattr(average, "_PY_POINTS", 60)
+    assert len(spectrum.levels(sp, 1e4)) > 60
+    assert average._lists(sp, 1e4, 51) is None
+    assert average._lists(sp, 100.0, 51) is not None  # 10 levels
+    assert average.avg_error_list(sp, ts) == want
+    got_xs, got = average.profile(sp, 20.0, 100.0, 51)
+    assert isinstance(got, np.ndarray)
+    assert (got_xs.tolist(), got.tolist()) == (xs, gs)
 
 
 ROSTER = catalog.verification_roster()
@@ -206,7 +228,7 @@ def test_streamed_sums_match_the_whole_table_bit_for_bit(monkeypatch):
     # window sup equal the whole-table computation exactly on every roster
     # surface: at levels, at block edges, next to levels, and below the
     # first positive level
-    monkeypatch.setattr(average, "_LEVELS", 3)
+    monkeypatch.setattr(spectrum, "_LEVELS", 3)
     monkeypatch.setattr(average, "_BLOCK", 4)
     monkeypatch.setattr(average, "_PY_POINTS", 0)  # the streamed engine
     for sp in ROSTER:
@@ -232,7 +254,7 @@ def test_window_blocks_join_to_the_whole_window_samples(monkeypatch, levels):
     # joined are the sorted, unique samples of the whole window on every
     # roster surface, with grid points on levels, on midpoints, next to
     # both, on block edges and on the window's ends
-    monkeypatch.setattr(average, "_LEVELS", levels)
+    monkeypatch.setattr(spectrum, "_LEVELS", levels)
     for sp in ROSTER:
         top = 200.0 / float(asymptotics.surface_constants(sp).A)
         vals, _ = spectrum.level_arrays(sp, top)
@@ -249,7 +271,7 @@ def test_window_blocks_join_to_the_whole_window_samples(monkeypatch, levels):
 def test_window_fits_match_the_whole_window_bit_for_bit(monkeypatch):
     # the decay fit over blocks of 64 levels (a round table at 1e6 has
     # about a thousand) gives the floats of its whole-table computation
-    monkeypatch.setattr(average, "_LEVELS", 64)
+    monkeypatch.setattr(spectrum, "_LEVELS", 64)
     monkeypatch.setattr(average, "_PY_POINTS", 0)  # the streamed engine
     rounds = [sp for sp in ROSTER if catalog.is_spherical(sp)]
     assert len(rounds) == 36
@@ -276,7 +298,7 @@ def test_streamed_sums_hold_blocks_not_tables(monkeypatch):
     # the averaged error, the window sup and the decay fit over a table of
     # 24k levels allocate a few blocks and the grid, not arrays as long as
     # the table
-    monkeypatch.setattr(average, "_LEVELS", 1024)
+    monkeypatch.setattr(spectrum, "_LEVELS", 1024)
     monkeypatch.setattr(average, "_BLOCK", 1024)
     sp = spec("rectangle:a=1,b=1,bc=N")
     tb = spectrum._table(sp)
@@ -540,7 +562,7 @@ def test_sawtooth_weight_is_read_once_per_surface(monkeypatch):
     calls = []
     cum = spectrum._sph_cum
     monkeypatch.setattr(average, "_WEIGHTS", {})
-    monkeypatch.setattr(average, "_LEVELS", 5)
+    monkeypatch.setattr(spectrum, "_LEVELS", 5)
     monkeypatch.setattr(spectrum, "_sph_cum", lambda s, k: calls.append(k) or cum(s, k))
     average.remainder_exponent(hemi, 1e3, 1e6)
     assert 0 < len(calls) <= 2 * 4 * hemi.m + 1
@@ -758,7 +780,7 @@ def test_exact_window_means_of_the_sphere_fall_as_x_squared():
 def test_exact_flat_mean_holds_blocks_not_tables(monkeypatch):
     # the flat window integral streams the levels in blocks, holding no
     # array or list as long as the 24k levels below b = 1e6
-    monkeypatch.setattr(average, "_LEVELS", 1024)
+    monkeypatch.setattr(spectrum, "_LEVELS", 1024)
     sp = spec("rectangle:a=1,b=1,bc=N")
     tb = spectrum._table(sp)
     assert tb.index(tb.qmax(1e6)) > 20000  # built here: the table is not measured

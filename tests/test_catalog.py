@@ -1,4 +1,5 @@
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -72,17 +73,34 @@ def test_equal_specs_hash_equal():
         assert hash(catalog.parse_spec(spec.label())) == hash(spec)
 
 def test_short_labels_write_long_sides_as_g():
-    # a side of more than 20 digits over or under its bar prints as %.6g;
-    # the rest, and label() itself, stay exact
+    # a side of more than 20 digits over or under its bar prints as ~ and
+    # its %.6g; the rest, and label() itself, stay exact
     tiny = catalog.parse_spec("rectangle:a=1e-300,b=1e-300,bc=N")
     assert len(tiny.label()) > 600
-    assert catalog.short_label(tiny) == "rectangle:a=1e-300,b=1e-300,bc=N"
+    assert catalog.short_label(tiny) == "rectangle:a=~1e-300,b=~1e-300,bc=N"
     wide = catalog.flat_torus_rect(Fraction(10**20 + 1, 3), Fraction(3, 7))
-    assert catalog.short_label(wide) == "flat_torus_rect:a=3.33333e+19,b=3/7"
+    assert catalog.short_label(wide) == "flat_torus_rect:a=~3.33333e+19,b=3/7"
     assert catalog.short_label(catalog.flat_torus_rect(Fraction(10**20 - 1, 3), 1)) == (
         "flat_torus_rect:a=33333333333333333333,b=1")
     for sp in catalog.verification_roster():
         assert catalog.short_label(sp) == sp.label()
+
+
+def test_short_labels_of_long_sides_name_no_other_surface():
+    # a rounded side would read back as another surface, 1 for
+    # 1.000000000000000000001: its ~ makes parse_spec refuse the label
+    rng = random.Random(5)
+    sides = [Fraction("1.000000000000000000001"), Fraction(10**20 + 1, 3),
+             Fraction(3, 10**20 + 7), Fraction(1, 10**300), Fraction(10**300 + 1)]
+    sides += [Fraction(rng.randrange(1, 10**rng.randrange(21, 60)),
+                       rng.randrange(1, 10**rng.randrange(1, 60))) for _ in range(200)]
+    long = [s for s in sides if max(s.numerator, s.denominator) >= 10**20]
+    assert len(long) > 150
+    for side in long:
+        for sp in (catalog.rectangle(side, 1, "N"), catalog.flat_torus_rect(1, side),
+                   catalog.cylinder(side, side, "M")):
+            with pytest.raises(ValueError):
+                catalog.parse_spec(catalog.short_label(sp))
 
 
 def test_labels():

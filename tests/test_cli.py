@@ -236,14 +236,14 @@ def test_heat_retries_only_a_short_cutoff(capsys, monkeypatch):
     assert (rc, out) == (2, "")
     assert "do not fit int64" in err and "below 64," in err
     cutoffs = []
-    level_arrays = spectrum.level_arrays
+    level_blocks = spectrum.level_blocks
 
     def inflated(spec, cut):
         cutoffs.append(cut)
-        vals, mults = level_arrays(spec, cut)
-        return vals, mults * 1000
+        for (vals, n_pref, l_pref), edge in level_blocks(spec, cut):
+            yield (vals, n_pref * 1000, l_pref), edge
 
-    monkeypatch.setattr(spectrum, "level_arrays", inflated)
+    monkeypatch.setattr(spectrum, "level_blocks", inflated)
     rc, out, err = run_cli(capsys, "heat", "sphere", "--at", "0.1")
     assert (rc, out) == (1, "")
     assert "envelope violated" in err
@@ -606,10 +606,11 @@ INT64_SURFACES = ["rectangle:a=1.000000000000000000001,b=1,bc=N",
 def test_keys_past_int64_are_refused_as_usage(capsys, label):
     # keys past int64 are refused where the table grows, as the cap
     # refuses a table: exit 2, naming the surface, a side of more than 20
-    # digits as %.6g
+    # digits as ~ and its %.6g, which names no other surface
     rc, out, err = run_cli(capsys, "spectrum", label, "--max-t", "1")
     assert (rc, out) == (2, "")
-    assert f"{catalog.short_label(cli.parse_surface(label))} has level keys up to " in err
+    name = {INT64_SURFACES[0]: "rectangle:a=~1,b=1,bc=N"}.get(label, label)
+    assert f"error: {name} has level keys up to " in err
     assert "below 1, which do not fit int64" in err and "usage:" in err
 
 
@@ -664,7 +665,7 @@ def test_no_command_ends_in_an_internal_error(capsys, label):
         if tiny and command == "conjecture":
             # the refusal names the surface and the lengths asked for, not
             # the dual torus and the cutoff that the lengths are read below
-            want = ("rectangle:a=1e-300,b=1e-300,bc=N: its geodesic lengths up to 10 "
+            want = ("rectangle:a=~1e-300,b=~1e-300,bc=N: its geodesic lengths up to 10 "
                     "need a level table over the cap or past int64 keys")
             assert want in err and len(err.splitlines()[0]) < 200
             assert "flat_torus_rect" not in err and "ExactTime" not in err

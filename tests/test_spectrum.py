@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import random
@@ -5,6 +6,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1216,3 +1218,38 @@ def test_closed_form_refusals_keep_their_messages(monkeypatch):
     with pytest.raises(ArithmeticError, match=r"at ExactTime\(rho=Fraction\(5, 1\)\) is "
                                               r"non-integral: \d+/4$"):
         closed_form_identity(spec, ET(5))
+
+
+def test_round_build_holds_little_beyond_its_arrays(monkeypatch):
+    # the round build appends each step of the window counts straight into
+    # its array('q')s: its traced peak stays within 1.5 times the arrays'
+    # bytes, where lists of every window count, key and step took 4.8 times
+    monkeypatch.setattr(spectrum, "_TABLES", {})
+    sp = catalog.lune(10000, "N")
+    tracemalloc.start()
+    try:
+        count(sp, 4e9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tb = spectrum._table(sp)
+    held = sum(len(a) * a.itemsize for a in (tb.keys, tb.mults, tb.prefix))
+    assert len(tb.keys) > 60000
+    assert peak <= 1.5 * held, (peak, held)
+
+
+def test_only_the_table_modules_read_its_arrays():
+    # one owner per level table: no module but spectrum and its flat kind
+    # in lattice reads a table's mults or prefix or imports array, so every
+    # other reader takes the table through spectrum's readers
+    found = []
+    for path in sorted(Path(spectrum.__file__).parent.glob("*.py")):
+        if path.name in ("spectrum.py", "lattice.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ("mults", "prefix"):
+                found.append((path.name, node.lineno, node.attr))
+            elif (isinstance(node, ast.Import) and any(a.name == "array" for a in node.names)
+                  or isinstance(node, ast.ImportFrom) and node.module == "array"):
+                found.append((path.name, node.lineno, "import array"))
+    assert not found, found
