@@ -3,18 +3,26 @@
 A is the area term, B the signed boundary-length term, and C collects three
 geometric pieces: corner and cone-point angles (C1), geodesic curvature of
 the boundary (C2, zero here: every cataloged boundary is geodesic), and
-total Gauss curvature (C3).  `refined_constants` derives the triple from a
-GeometryData alone; `surface_constants` checks it against the counting
-formula and raises if the two disagree, so a slip in either the geometry
-data or the counting is a hard error instead of a silent drift.  On a flat
-surface the other side is read off the closed form of N(t) that the oracle
-verifies (`spectrum._closed_terms`); on a round one it is its family's
-formulas in the lune order m, which cost the same at every m.
+total Gauss curvature (C3).  Their data live here, with their one reader:
+`geometry` gives a surface's area, boundary length split by condition,
+corners, cone points and total curvature as ExactConst values (rational
+combinations of sqrt(s) and powers of pi), never floats; a
+one-dimensional symmetry sector's are its domain triangle's, scaled
+(`catalog.sector_domain`).
+
+`refined_constants` derives the triple from a GeometryData alone;
+`surface_constants` checks it against the counting formula and raises if
+the two disagree, so a slip in either the geometry data or the counting
+is a hard error instead of a silent drift.  On a flat surface the other
+side is read off the closed form of N(t) that the oracle verifies
+(`lattice._closed_terms`); on a round one it is its family's formulas in
+the lune order m, which cost the same at every m.
 
 The same closed form, Poisson-summed, gives the lengths at which N(t) -
 (A t + B sqrt(t) + C) oscillates: `geodesic_lengths` reads them in the
-pass that reads the constants (`_read_closed_form`).  Outside `spectrum`,
-which evaluates the closed form, no other module reads its terms.
+pass that reads the constants (`_read_closed_form`).  Outside `lattice`,
+which compiles and evaluates the closed form, no other module reads its
+terms, and only a flat surface's constants or lengths load it.
 
 Positively curved families take the square root at t + 1/4 rather than t
 (the `sqrt_shift` flag); the two differ only at order t^{-1/2} but the
@@ -26,12 +34,13 @@ counts as 2*psi(alpha/2), consistent with doubling across a corner.
 
 from __future__ import annotations
 
+import enum
 import math
 from collections import defaultdict, namedtuple
 from fractions import Fraction
 
 from . import catalog, spectrum
-from .catalog import CornerKind, Family, GeometryData, SurfaceSpec
+from .catalog import Family, SurfaceSpec
 from .exact import ExactConst
 
 _INV_4PI = ExactConst.term(Fraction(1, 4), pi_pow=-1)
@@ -42,6 +51,222 @@ _HEAT_TOL = 1e-9  # largest tail bound heat_trace accepts
 
 class TailBoundError(ArithmeticError):
     """heat_trace's cutoff leaves too large a tail: a larger one may not."""
+
+
+# --- geometry ---
+
+
+class CornerKind(enum.Enum):
+    """LIKE: both edges at the corner carry the same boundary condition."""
+
+    LIKE = "like"
+    MIXED = "mixed"
+
+
+class CornerSpec(namedtuple("CornerSpec", "angle kind")):
+    """A corner: its angle (an ExactConst) and its CornerKind."""
+
+    __slots__ = ()
+
+
+class ConePoint(namedtuple("ConePoint", "angle")):
+    """A cone point of the given total angle (an ExactConst)."""
+
+    __slots__ = ()
+
+
+def _rat(q) -> ExactConst:
+    return ExactConst.rational(q)
+
+
+_ZERO = _rat(0)
+
+
+class GeometryData(namedtuple(
+        "GeometryData", "area len_N len_D corners cone_points K2_total",
+        defaults=(_ZERO, _ZERO, (), (), _ZERO))):
+    """Exact geometric inputs to the refined counting constants.
+
+    area, len_N, len_D and K2_total are ExactConst values; corners is a
+    tuple of CornerSpec and cone_points one of ConePoint.  len_N / len_D
+    are the total boundary lengths carrying Neumann resp. Dirichlet
+    conditions.  K2_total is the integral of the Gauss curvature over the
+    surface.  A field left out is zero.  There is no field for the
+    geodesic curvature of the boundary: every cataloged boundary is
+    geodesic, so its integral would be zero on every surface.
+    """
+
+    __slots__ = ()
+
+
+def _pi_times(q) -> ExactConst:
+    return ExactConst.term(Fraction(q), pi_pow=1)
+
+
+def _root(q, s: int) -> ExactConst:
+    return ExactConst.term(Fraction(q), root=s)
+
+
+def _polygon(area: ExactConst, edges: list[tuple[ExactConst, str]],
+             corners: list[tuple[Fraction, int, int]]) -> GeometryData:
+    """Flat polygon data from edge list [(length, 'N'|'D')] and corner list
+    [(angle/pi, edge_i, edge_j)]."""
+    len_n = len_d = _ZERO
+    for length, bc in edges:
+        if bc == "N":
+            len_n = len_n + length
+        else:
+            len_d = len_d + length
+    cs = []
+    for q, i, j in corners:
+        kind = CornerKind.LIKE if edges[i][1] == edges[j][1] else CornerKind.MIXED
+        cs.append(CornerSpec(_pi_times(q), kind))
+    return GeometryData(area=area, len_N=len_n, len_D=len_d, corners=tuple(cs))
+
+
+def _closed_flat(area: ExactConst, cone_angles: list[Fraction]) -> GeometryData:
+    cones = tuple(ConePoint(_pi_times(q)) for q in cone_angles)
+    return GeometryData(area=area, cone_points=cones)
+
+
+# each edge's condition, one letter an edge: a rectangle's bottom, right,
+# top and left; a right isosceles triangle's legs and hypotenuse; a 30-60-90
+# triangle's hypotenuse, bisecting (long) side and shortest side
+_RECT_EDGE_BC = {"N": "NNNN", "D": "DDDD", "ND": "NDND", "NM": "NNDN", "DM": "NDDD",
+                 "MM": "NDDN"}
+_RIGHT_ISO_EDGE_BC = {"N": "NNN", "D": "DDD", "ND": "NND", "DN": "DDN", "MN": "NDN",
+                      "MD": "NDD"}
+_306090_EDGE_BC = {"N": "NNN", "D": "DDD", "ND": "NDN", "DN": "DND"}
+
+
+def _geom_rectangle(a: Fraction, b: Fraction, bc: str) -> GeometryData:
+    e = _RECT_EDGE_BC[bc]
+    edges = [(_rat(a), e[0]), (_rat(b), e[1]), (_rat(a), e[2]), (_rat(b), e[3])]
+    half = Fraction(1, 2)
+    corners = [(half, 0, 1), (half, 1, 2), (half, 2, 3), (half, 3, 0)]
+    return _polygon(_rat(a * b), edges, corners)
+
+
+def _geom_right_iso(a: Fraction, bc: str) -> GeometryData:
+    e = _RIGHT_ISO_EDGE_BC[bc]
+    edges = [(_rat(a), e[0]), (_rat(a), e[1]), (_root(a, 2), e[2])]
+    corners = [(Fraction(1, 2), 0, 1), (Fraction(1, 4), 0, 2), (Fraction(1, 4), 1, 2)]
+    return _polygon(_rat(a * a / 2), edges, corners)
+
+
+def _geom_equilateral(bc: str) -> GeometryData:
+    edges = [(_rat(1), bc)] * 3
+    third = Fraction(1, 3)
+    corners = [(third, 0, 1), (third, 1, 2), (third, 2, 0)]
+    return _polygon(_root(Fraction(1, 4), 3), edges, corners)
+
+
+def _geom_306090(bc: str) -> GeometryData:
+    e = _306090_EDGE_BC[bc]
+    hyp, long_side, short = _rat(1), _root(Fraction(1, 2), 3), _rat(Fraction(1, 2))
+    edges = [(hyp, e[0]), (long_side, e[1]), (short, e[2])]
+    corners = [(Fraction(1, 2), 1, 2), (Fraction(1, 3), 0, 2), (Fraction(1, 6), 0, 1)]
+    return _polygon(_root(Fraction(1, 8), 3), edges, corners)
+
+
+def _geom_cylinder(a: Fraction, b: Fraction, bc: str) -> GeometryData:
+    n = {"N": 2, "D": 0, "M": 1}[bc]  # Neumann circles of length a
+    return GeometryData(area=_rat(a * b), len_N=_rat(n * a), len_D=_rat((2 - n) * a))
+
+
+def _geom_mobius(a: Fraction, b: Fraction, bc: str) -> GeometryData:
+    circle = _rat(2 * a)
+    return GeometryData(area=_rat(a * b), len_N=circle if bc == "N" else _ZERO,
+                        len_D=circle if bc == "D" else _ZERO)
+
+
+def _geom_round(area_pi: Fraction, boundary_pi_n: Fraction = Fraction(0),
+                boundary_pi_d: Fraction = Fraction(0),
+                corners: tuple[CornerSpec, ...] = (), cones: tuple[ConePoint, ...] = ()) -> GeometryData:
+    """Unit-curvature surface; area and boundary lengths as multiples of pi."""
+    area = _pi_times(area_pi)
+    return GeometryData(area=area, len_N=_pi_times(boundary_pi_n),
+                        len_D=_pi_times(boundary_pi_d), corners=corners,
+                        cone_points=cones, K2_total=area)
+
+
+def _geom_lune(m: int, bc: str) -> GeometryData:
+    pole = CornerSpec(_pi_times(Fraction(1, m)), CornerKind.LIKE)
+    return _geom_round(Fraction(2, m), Fraction(2) if bc == "N" else Fraction(0),
+                       Fraction(2) if bc == "D" else Fraction(0), corners=(pole, pole))
+
+
+def _geom_half_lune(m: int, bc_side: str, bc_equator: str) -> GeometryData:
+    pole = CornerSpec(_pi_times(Fraction(1, m)), CornerKind.LIKE)
+    foot_kind = CornerKind.LIKE if bc_side == bc_equator else CornerKind.MIXED
+    foot = CornerSpec(_pi_times(Fraction(1, 2)), foot_kind)
+    sides = Fraction(1)  # two meridian edges of length pi/2
+    equator = Fraction(1, m)
+    return _geom_round(Fraction(1, m),
+                       (sides if bc_side == "N" else 0) + (equator if bc_equator == "N" else 0),
+                       (sides if bc_side == "D" else 0) + (equator if bc_equator == "D" else 0),
+                       corners=(pole, foot, foot))
+
+
+def _geom_sector(spec: SurfaceSpec) -> GeometryData:
+    """The domain triangle's data with area over s and lengths over sqrt(s)."""
+    domain, s = catalog.sector_domain(spec)
+    g = geometry(domain)
+    shrink = _root(Fraction(1, s), s)
+    return g._replace(area=g.area / s, len_N=g.len_N * shrink,
+                      len_D=g.len_D * shrink)
+
+
+def geometry(spec: SurfaceSpec) -> GeometryData:
+    """Exact geometric data for a surface."""
+    f = spec.family
+    if f == Family.FLAT_TORUS_RECT:
+        return _closed_flat(_rat(4 * spec.a * spec.b), [])
+    if f == Family.FLAT_TORUS_HEX:
+        return _closed_flat(_root(Fraction(3, 2), 3), [])
+    if f == Family.RECTANGLE:
+        return _geom_rectangle(spec.a, spec.b, spec.bc)
+    if f == Family.RIGHT_ISO_TRIANGLE:
+        return _geom_right_iso(spec.a, spec.bc)
+    if f == Family.EQUILATERAL_TRIANGLE:
+        return _geom_equilateral(spec.bc)
+    if f == Family.TRIANGLE_306090:
+        return _geom_306090(spec.bc)
+    if f == Family.CYLINDER:
+        return _geom_cylinder(spec.a, spec.b, spec.bc)
+    if f == Family.MOBIUS_BAND:
+        return _geom_mobius(spec.a, spec.b, spec.bc)
+    if f == Family.SPHERE:
+        return _geom_round(Fraction(4))
+    if f == Family.HEMISPHERE:
+        return _geom_round(Fraction(2), Fraction(2) if spec.bc == "N" else Fraction(0),
+                           Fraction(2) if spec.bc == "D" else Fraction(0))
+    if f == Family.PROJECTIVE_SPHERE:
+        return _geom_round(Fraction(2))
+    if f == Family.LUNE:
+        return _geom_lune(spec.m, spec.bc)
+    if f == Family.HALF_LUNE:
+        return _geom_half_lune(spec.m, spec.bc_side, spec.bc_equator)
+    if f == Family.GLUED_LUNE:
+        cone = ConePoint(_pi_times(Fraction(2, spec.m)))
+        return _geom_round(Fraction(4, spec.m), cones=(cone, cone))
+    if f == Family.FLAT_PROJECTIVE_PLANE:
+        return _closed_flat(_rat(1), [Fraction(1), Fraction(1)])
+    if f == Family.TETRAHEDRON_SURFACE:
+        return _closed_flat(_root(1, 3), [Fraction(1)] * 4)
+    if f == Family.HALF_TETRAHEDRON:
+        corner = CornerSpec(_pi_times(Fraction(1, 2)), CornerKind.LIKE)
+        boundary = _rat(1) + _root(1, 3)  # 1 + sqrt3
+        return GeometryData(area=_root(Fraction(1, 2), 3),
+                            len_N=boundary if spec.bc == "N" else _ZERO,
+                            len_D=boundary if spec.bc == "D" else _ZERO, corners=(corner, corner),
+                            cone_points=(ConePoint(_pi_times(Fraction(1))),))
+    if f == Family.SYMMETRY_SECTOR:
+        return _geom_sector(spec)
+    raise ValueError(f"no geometry for {spec}")
+
+
+# --- constants ---
 
 
 def psi(theta: ExactConst) -> Fraction:
@@ -121,7 +346,7 @@ def surface_constants(spec: SurfaceSpec) -> RefinedAsymptotics:
         rc = RefinedAsymptotics(A=A, B=B, C=C, C1=C, C2=_ZERO, C3=_ZERO,
                                 sqrt_shift=False)
     else:
-        rc = refined_constants(catalog.geometry(spec))
+        rc = refined_constants(geometry(spec))
     want = (_round_row(spec) if catalog.is_spherical(spec)
             else _read_closed_form(spec)[0])
     if (rc.A, rc.B, rc.C) != want:
@@ -131,13 +356,6 @@ def surface_constants(spec: SurfaceSpec) -> RefinedAsymptotics:
             % (catalog.short_label(spec), rc.A, rc.B, rc.C, want[0], want[1], want[2]))
     _CONSTANTS[spec] = rc
     return rc
-
-
-def _rat(q):
-    return ExactConst.rational(q)
-
-
-_ZERO = _rat(0)
 
 
 def _root_over_pi(x: Fraction) -> ExactConst:
@@ -154,7 +372,7 @@ def _root_over_pi(x: Fraction) -> ExactConst:
 
 def _read_closed_form(spec: SurfaceSpec, L_max=0) -> tuple:
     """((A, B, C), lines) of a flat surface, read in one pass off the
-    closed form of N(t) that the oracle verifies (`spectrum._closed_terms`);
+    closed form of N(t) that the oracle verifies (`lattice._closed_terms`);
     lines are the sorted lengths up to L_max at which N(t) - (A t + B
     sqrt(t) + C) oscillates, none when L_max is 0, which reads no table.
 
@@ -171,15 +389,17 @@ def _read_closed_form(spec: SurfaceSpec, L_max=0) -> tuple:
     since they decay at different orders, and a length whose weights
     cancel carries no line.
     """
+    from . import lattice
+
     A = B = C = _ZERO
     cap = Fraction(L_max) ** 2
     counts, floors = defaultdict(int), defaultdict(int)
-    for c, term in spectrum._closed_terms(spec):
-        if term == spectrum._ONE:
+    for c, term in lattice._closed_terms(spec):
+        if term == lattice._ONE:
             C += c
         elif term[0] == "count":
             _, sub, s = term
-            w = catalog.geometry(sub).area * (c * s)
+            w = geometry(sub).area * (c * s)
             A += w * _INV_4PI
             if not cap:
                 continue

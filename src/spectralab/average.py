@@ -233,7 +233,7 @@ def _alternating_weight(spec: SurfaceSpec) -> float:
     that deviation integrates to c (-1)^{k+1} k (t - k^2 + 1) / t, an
     order-one sawtooth tending to 2c (-1)^{k+1} (x - k) instead of a
     decaying term.  a and beta are read off the window counts
-    (`spectrum._sph_cum`) over one period from k = 4P, exactly:
+    (`spherical._sph_cum`) over one period from k = 4P, exactly:
     a = (W(k + 2P) - 2 W(k + P) + W(k)) / 2P^2 and
     beta(k) = (W(k + P) - W(k)) / P - a (2k + P).  On every family here
     the deviation is alternating or zero; any other shape raises
@@ -242,9 +242,11 @@ def _alternating_weight(spec: SurfaceSpec) -> float:
     w = _WEIGHTS.get(spec)
     if w is not None:
         return w
+    from . import spherical
+
     P = 4 * spec.m
     k0 = 4 * P
-    W = [spectrum._sph_cum(spec, k) for k in range(k0, k0 + 2 * P + 1)]
+    W = [spherical._sph_cum(spec, k) for k in range(k0, k0 + 2 * P + 1)]
     a = Fraction(W[2 * P] - 2 * W[P] + W[0], 2 * P * P)
     beta = [Fraction(W[i + P] - W[i], P) - a * (2 * (k0 + i) + P) for i in range(P)]
     mean = sum(beta) / P

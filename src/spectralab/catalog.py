@@ -3,25 +3,20 @@
 SurfaceSpec names one of the model surfaces: flat tori, flat polygons,
 cylinders and bands, round-sphere quotients, lunes, polyhedral surfaces, and
 symmetry sectors of the square/hexagonal families.  A spec is valid by
-construction, so the modules that take one never check it again.
-geometry() returns the exact data behind the two-term counting asymptotics
-(area, boundary length split by condition, corners, cone points, total
-curvature).  Every cataloged boundary is a geodesic (a straight edge, an
-equator or a meridian), so no geodesic-curvature integral is recorded.  A
-one-dimensional symmetry sector owns no geometry of its own: its data are
-its domain triangle's, scaled (`sector_domain`).
-
-All geometric quantities are ExactConst values (rational combinations of
-sqrt(s) and powers of pi), never floats.
+construction, so the modules that take one never check it again.  Beside
+the specs, their labels and the verification roster, the catalog holds
+only what every route reads: which families are round (`is_spherical`)
+and how a symmetry sector splits into domains (`sector_domain`,
+`sector_parts`).  Each surface's exact geometry lives with its one reader,
+`asymptotics.geometry`, so this module imports no other module of the
+package and every command, which parses a surface first, compiles no
+geometry it does not use.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import namedtuple
 from fractions import Fraction
-
-from .exact import ExactConst
 
 
 class Family(enum.Enum):
@@ -47,13 +42,6 @@ class Family(enum.Enum):
     SYMMETRY_SECTOR = "symmetry_sector"
 
 
-class CornerKind(enum.Enum):
-    """LIKE: both edges at the corner carry the same boundary condition."""
-
-    LIKE = "like"
-    MIXED = "mixed"
-
-
 # The value classes of the package are namedtuples, or frozen __slots__
 # classes (`_Frozen`) where a tuple's equality would be wrong: classes
 # generated at import would cost every command about 15 ms of start-up.
@@ -75,38 +63,6 @@ class _Frozen:
     def __reduce__(self):
         # rebuilt through __init__, which alone may set the fields
         return (type(self), tuple(getattr(self, name) for name in self.__slots__))
-
-
-class CornerSpec(namedtuple("CornerSpec", "angle kind")):
-    """A corner: its angle (an ExactConst) and its CornerKind."""
-
-    __slots__ = ()
-
-
-class ConePoint(namedtuple("ConePoint", "angle")):
-    """A cone point of the given total angle (an ExactConst)."""
-
-    __slots__ = ()
-
-
-_ZERO = ExactConst()
-
-
-class GeometryData(namedtuple(
-        "GeometryData", "area len_N len_D corners cone_points K2_total",
-        defaults=(_ZERO, _ZERO, (), (), _ZERO))):
-    """Exact geometric inputs to the refined counting constants.
-
-    area, len_N, len_D and K2_total are ExactConst values; corners is a
-    tuple of CornerSpec and cone_points one of ConePoint.  len_N / len_D
-    are the total boundary lengths carrying Neumann resp. Dirichlet
-    conditions.  K2_total is the integral of the Gauss curvature over the
-    surface.  A field left out is zero.  There is no field for the
-    geodesic curvature of the boundary: every cataloged boundary is
-    geodesic, so its integral would be zero on every surface.
-    """
-
-    __slots__ = ()
 
 
 class SurfaceSpec(_Frozen):
@@ -310,7 +266,7 @@ def _field(spec: SurfaceSpec, name: str, value):
     if name in ("a", "b"):
         side = _frac(value, name)
         if name == "b" and spec.family is not Family.FLAT_TORUS_RECT:
-            # the closed forms (`spectrum._closed_terms`) count on tori of
+            # the closed forms (`lattice._closed_terms`) count on tori of
             # side ratio up to 4 b / a or 4 a / b, each a spec of its own
             try:
                 float(4 * max(spec.a, side) / min(spec.a, side))
@@ -492,180 +448,6 @@ def is_spherical(spec: SurfaceSpec) -> bool:
         Family.HALF_LUNE,
         Family.GLUED_LUNE,
     )
-
-
-# --- geometry ---
-
-
-def _rat(q) -> ExactConst:
-    return ExactConst.rational(q)
-
-
-def _pi_times(q) -> ExactConst:
-    return ExactConst.term(Fraction(q), pi_pow=1)
-
-
-def _root(q, s: int) -> ExactConst:
-    return ExactConst.term(Fraction(q), root=s)
-
-
-def _polygon(area: ExactConst, edges: list[tuple[ExactConst, str]],
-             corners: list[tuple[Fraction, int, int]]) -> GeometryData:
-    """Flat polygon data from edge list [(length, 'N'|'D')] and corner list
-    [(angle/pi, edge_i, edge_j)]."""
-    len_n = len_d = _ZERO
-    for length, bc in edges:
-        if bc == "N":
-            len_n = len_n + length
-        else:
-            len_d = len_d + length
-    cs = []
-    for q, i, j in corners:
-        kind = CornerKind.LIKE if edges[i][1] == edges[j][1] else CornerKind.MIXED
-        cs.append(CornerSpec(_pi_times(q), kind))
-    return GeometryData(area=area, len_N=len_n, len_D=len_d, corners=tuple(cs))
-
-
-def _closed_flat(area: ExactConst, cone_angles: list[Fraction]) -> GeometryData:
-    cones = tuple(ConePoint(_pi_times(q)) for q in cone_angles)
-    return GeometryData(area=area, cone_points=cones)
-
-
-# each edge's condition, one letter an edge: a rectangle's bottom, right,
-# top and left; a right isosceles triangle's legs and hypotenuse; a 30-60-90
-# triangle's hypotenuse, bisecting (long) side and shortest side
-_RECT_EDGE_BC = {"N": "NNNN", "D": "DDDD", "ND": "NDND", "NM": "NNDN", "DM": "NDDD",
-                 "MM": "NDDN"}
-_RIGHT_ISO_EDGE_BC = {"N": "NNN", "D": "DDD", "ND": "NND", "DN": "DDN", "MN": "NDN",
-                      "MD": "NDD"}
-_306090_EDGE_BC = {"N": "NNN", "D": "DDD", "ND": "NDN", "DN": "DND"}
-
-
-def _geom_rectangle(a: Fraction, b: Fraction, bc: str) -> GeometryData:
-    e = _RECT_EDGE_BC[bc]
-    edges = [(_rat(a), e[0]), (_rat(b), e[1]), (_rat(a), e[2]), (_rat(b), e[3])]
-    half = Fraction(1, 2)
-    corners = [(half, 0, 1), (half, 1, 2), (half, 2, 3), (half, 3, 0)]
-    return _polygon(_rat(a * b), edges, corners)
-
-
-def _geom_right_iso(a: Fraction, bc: str) -> GeometryData:
-    e = _RIGHT_ISO_EDGE_BC[bc]
-    edges = [(_rat(a), e[0]), (_rat(a), e[1]), (_root(a, 2), e[2])]
-    corners = [(Fraction(1, 2), 0, 1), (Fraction(1, 4), 0, 2), (Fraction(1, 4), 1, 2)]
-    return _polygon(_rat(a * a / 2), edges, corners)
-
-
-def _geom_equilateral(bc: str) -> GeometryData:
-    edges = [(_rat(1), bc)] * 3
-    third = Fraction(1, 3)
-    corners = [(third, 0, 1), (third, 1, 2), (third, 2, 0)]
-    return _polygon(_root(Fraction(1, 4), 3), edges, corners)
-
-
-def _geom_306090(bc: str) -> GeometryData:
-    e = _306090_EDGE_BC[bc]
-    hyp, long_side, short = _rat(1), _root(Fraction(1, 2), 3), _rat(Fraction(1, 2))
-    edges = [(hyp, e[0]), (long_side, e[1]), (short, e[2])]
-    corners = [(Fraction(1, 2), 1, 2), (Fraction(1, 3), 0, 2), (Fraction(1, 6), 0, 1)]
-    return _polygon(_root(Fraction(1, 8), 3), edges, corners)
-
-
-def _geom_cylinder(a: Fraction, b: Fraction, bc: str) -> GeometryData:
-    n = {"N": 2, "D": 0, "M": 1}[bc]  # Neumann circles of length a
-    return GeometryData(area=_rat(a * b), len_N=_rat(n * a), len_D=_rat((2 - n) * a))
-
-
-def _geom_mobius(a: Fraction, b: Fraction, bc: str) -> GeometryData:
-    circle = _rat(2 * a)
-    return GeometryData(area=_rat(a * b), len_N=circle if bc == "N" else _ZERO,
-                        len_D=circle if bc == "D" else _ZERO)
-
-
-def _geom_round(area_pi: Fraction, boundary_pi_n: Fraction = Fraction(0),
-                boundary_pi_d: Fraction = Fraction(0),
-                corners: tuple[CornerSpec, ...] = (), cones: tuple[ConePoint, ...] = ()) -> GeometryData:
-    """Unit-curvature surface; area and boundary lengths as multiples of pi."""
-    area = _pi_times(area_pi)
-    return GeometryData(area=area, len_N=_pi_times(boundary_pi_n),
-                        len_D=_pi_times(boundary_pi_d), corners=corners,
-                        cone_points=cones, K2_total=area)
-
-
-def _geom_lune(m: int, bc: str) -> GeometryData:
-    pole = CornerSpec(_pi_times(Fraction(1, m)), CornerKind.LIKE)
-    return _geom_round(Fraction(2, m), Fraction(2) if bc == "N" else Fraction(0),
-                       Fraction(2) if bc == "D" else Fraction(0), corners=(pole, pole))
-
-
-def _geom_half_lune(m: int, bc_side: str, bc_equator: str) -> GeometryData:
-    pole = CornerSpec(_pi_times(Fraction(1, m)), CornerKind.LIKE)
-    foot_kind = CornerKind.LIKE if bc_side == bc_equator else CornerKind.MIXED
-    foot = CornerSpec(_pi_times(Fraction(1, 2)), foot_kind)
-    sides = Fraction(1)  # two meridian edges of length pi/2
-    equator = Fraction(1, m)
-    return _geom_round(Fraction(1, m),
-                       (sides if bc_side == "N" else 0) + (equator if bc_equator == "N" else 0),
-                       (sides if bc_side == "D" else 0) + (equator if bc_equator == "D" else 0),
-                       corners=(pole, foot, foot))
-
-
-def _geom_sector(spec: SurfaceSpec) -> GeometryData:
-    """The domain triangle's data with area over s and lengths over sqrt(s)."""
-    domain, s = sector_domain(spec)
-    g = geometry(domain)
-    shrink = _root(Fraction(1, s), s)
-    return g._replace(area=g.area / s, len_N=g.len_N * shrink,
-                      len_D=g.len_D * shrink)
-
-
-def geometry(spec: SurfaceSpec) -> GeometryData:
-    """Exact geometric data for a surface."""
-    f = spec.family
-    if f == Family.FLAT_TORUS_RECT:
-        return _closed_flat(_rat(4 * spec.a * spec.b), [])
-    if f == Family.FLAT_TORUS_HEX:
-        return _closed_flat(_root(Fraction(3, 2), 3), [])
-    if f == Family.RECTANGLE:
-        return _geom_rectangle(spec.a, spec.b, spec.bc)
-    if f == Family.RIGHT_ISO_TRIANGLE:
-        return _geom_right_iso(spec.a, spec.bc)
-    if f == Family.EQUILATERAL_TRIANGLE:
-        return _geom_equilateral(spec.bc)
-    if f == Family.TRIANGLE_306090:
-        return _geom_306090(spec.bc)
-    if f == Family.CYLINDER:
-        return _geom_cylinder(spec.a, spec.b, spec.bc)
-    if f == Family.MOBIUS_BAND:
-        return _geom_mobius(spec.a, spec.b, spec.bc)
-    if f == Family.SPHERE:
-        return _geom_round(Fraction(4))
-    if f == Family.HEMISPHERE:
-        return _geom_round(Fraction(2), Fraction(2) if spec.bc == "N" else Fraction(0),
-                           Fraction(2) if spec.bc == "D" else Fraction(0))
-    if f == Family.PROJECTIVE_SPHERE:
-        return _geom_round(Fraction(2))
-    if f == Family.LUNE:
-        return _geom_lune(spec.m, spec.bc)
-    if f == Family.HALF_LUNE:
-        return _geom_half_lune(spec.m, spec.bc_side, spec.bc_equator)
-    if f == Family.GLUED_LUNE:
-        cone = ConePoint(_pi_times(Fraction(2, spec.m)))
-        return _geom_round(Fraction(4, spec.m), cones=(cone, cone))
-    if f == Family.FLAT_PROJECTIVE_PLANE:
-        return _closed_flat(_rat(1), [Fraction(1), Fraction(1)])
-    if f == Family.TETRAHEDRON_SURFACE:
-        return _closed_flat(_root(1, 3), [Fraction(1)] * 4)
-    if f == Family.HALF_TETRAHEDRON:
-        corner = CornerSpec(_pi_times(Fraction(1, 2)), CornerKind.LIKE)
-        boundary = _rat(1) + _root(1, 3)  # 1 + sqrt3
-        return GeometryData(area=_root(Fraction(1, 2), 3),
-                            len_N=boundary if spec.bc == "N" else _ZERO,
-                            len_D=boundary if spec.bc == "D" else _ZERO, corners=(corner, corner),
-                            cone_points=(ConePoint(_pi_times(Fraction(1))),))
-    if f == Family.SYMMETRY_SECTOR:
-        return _geom_sector(spec)
-    raise ValueError(f"no geometry for {spec}")
 
 
 # --- roster ---

@@ -7,7 +7,8 @@ runs (wall-clock timing) goes to stderr.  Exit status: 0 for a clean run
 or PASS, 1 when a check fails or a numeric guard trips mid-run, 2 for
 usage errors; `main` returns it for every outcome.  Every argument is an
 argparse type, checked before a command runs: a bad one is refused with
-its command's usage and a message naming it.
+its command's usage and a message naming it, as is a ValueError the
+command raises once it runs.
 
 Surface grammar is `family:key=val,...` exactly as printed by the
 catalog labels; `rect` and `tri306090` are accepted as input shorthands
@@ -348,6 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_conjecture)
 
+    # a refusal raised inside a command prints that command's usage
+    for p in sub.choices.values():
+        p.set_defaults(usage=p.format_usage)
     return parser
 
 
@@ -361,7 +365,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
-        print(parser.format_usage().rstrip(), file=sys.stderr)
+        print(args.usage().rstrip(), file=sys.stderr)
         return 2
     except ArithmeticError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -1,7 +1,8 @@
-"""Flat level tables: keys q of eigenvalues unit * q * pi^2 and their
-multiplicities, sorted, with prefix sums.
+"""Flat surfaces, both routes: level tables of keys q of eigenvalues
+unit * q * pi^2 with their multiplicities and prefix sums, and the closed
+forms of N(t) that the oracle checks them against.
 
-`spectrum` imports this module for the first flat table: `_LevelTable`
+`spectrum` imports this module with the first flat table: `_LevelTable`
 is the flat kind of `spectrum._Table`, which grows and reads it.  Every
 table is reduced from its own weighted lattice rows (`_plan_flat`): one
 that counts on another surface's lattice (the flat projective plane, the
@@ -15,6 +16,12 @@ large one on numpy into arrays of the narrowest integers that hold them,
 int32 keys and counts wherever they fit.  `_Table` reads both types
 through what they share, so only the numpy engine and spectrum's array
 readers import numpy.
+
+The closed forms (`_closed_terms`, also read by `asymptotics`) are a
+constant, torus counts at rational rescalings of the cutoff and brackets
+floor(sqrt(c2 rho) + shift), rho = t / pi^2, compiled once per surface
+into an integer linear form cached on its table (`_Form`), so that a
+query is integer isqrt and floor division only (`closed_count`).
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from fractions import Fraction
 from itertools import accumulate, chain
 from math import gcd, isqrt
 
-from . import catalog
+from . import catalog, spectrum
 from .catalog import Family, SurfaceSpec
 from .spectrum import _NEGATIVE, _Table, _pq, _rho_ends
 
@@ -50,10 +57,11 @@ class _LevelTable(_Table):
     unit * q * pi^2, written as its Fraction rho, and a build reduces
     rows(qcap) over div (`_plan_flat`)."""
 
-    __slots__ = ("unit", "rows", "div", "terms", "signed")
+    __slots__ = ("unit", "rows", "div", "terms", "signed", "form")
 
     def __init__(self, spec):
         super().__init__(spec)
+        self.form = None
         self.unit, self.rows, self.div = _plan_flat(spec)
         self.signed = _signed(spec)
         n, d = self.unit.numerator, self.unit.denominator
@@ -112,6 +120,23 @@ class _LevelTable(_Table):
         num, den = k * self.unit.numerator, self.unit.denominator
         g = gcd(num, den)
         return str(num // g) if den == g else f"{num // g}/{den // g}"
+
+    def closed_count(self, t) -> tuple:
+        """(q, N(t)) by the compiled closed form (`_form`): the table's
+        largest key q and every term's integer read off the same ends of
+        rho = t / pi^2 (`_Form.ints`).  Only this table is held to the cap,
+        grown to q before `_Form.total` reads a term: a torus over the cap
+        is read by its `bound`, the sum of its rows.  The sum must land on
+        a multiple of the form's denominator, else ArithmeticError."""
+        form = _form(self.spec, self)
+        q, ks = self.decided(t, form.ints)
+        self.grow(q, t)
+        v = form.total(ks)
+        if v % form.den:
+            raise ArithmeticError(
+                "closed form for %s at %r is non-integral: %s"
+                % (self.spec, t, Fraction(v, form.den)))
+        return q, v // form.den
 
 
 def _reduce(qcap: int, rows, div: int, pair: int = 1):
@@ -536,3 +561,197 @@ def _plan_flat(spec: SurfaceSpec):
         unit, rows, div = _plan_flat(domain)
         return unit * s, rows, div
     raise ValueError("no flat table plan for %s" % (spec,))
+
+
+# --- closed forms ---
+
+
+HALF = Fraction(1, 2)
+QUARTER = Fraction(1, 4)
+_ONE = ("one",)
+
+
+def _closed_terms(spec: SurfaceSpec, r: Fraction = Fraction(1)) -> list:
+    """The closed form of N(r t) on a flat surface, as (coefficient, term).
+
+    A term is _ONE, ("count", sub, s), the number of eigenvalues <= s t of
+    the table of sub, or ("floor", c2, shift), the bracket
+    floor(sqrt(c2 rho) + shift) with rho = t / pi^2.
+    """
+    f, bc = spec.family, spec.bc
+    a, b = spec.a, spec.b
+
+    def C(sub, s=1):
+        return ("count", sub, r * s)
+
+    def tor(aa, bb):
+        # the aa x bb torus is the 1 x (bb/aa) one read at aa^2 times the
+        # cutoff: tori of one lattice shape share a table
+        aa, bb = sorted((Fraction(aa), Fraction(bb)))
+        return C(catalog.flat_torus_rect(1, bb / aa), aa * aa)
+
+    def fl(c2, shift=0):
+        return ("floor", r * c2, Fraction(shift))
+
+    if f in (Family.FLAT_TORUS_RECT, Family.FLAT_TORUS_HEX):
+        # reference families: the lattice count is the closed form
+        return [(1, C(spec))]
+
+    if f == Family.RECTANGLE:
+        if bc in ("N", "D", "ND"):
+            sa = -1 if bc == "D" else 1
+            sb = 1 if bc == "N" else -1
+            return [(QUARTER, tor(a, b)), (sa * HALF, fl(a * a)),
+                    (sb * HALF, fl(b * b)),
+                    (Fraction(3, 4) if bc == "N" else -QUARTER, _ONE)]
+        if bc in ("NM", "DM"):
+            return [(QUARTER, tor(a, 2 * b)), (-QUARTER, tor(a, b)),
+                    (HALF if bc == "NM" else -HALF, fl(b * b, HALF))]
+        # MM by four-torus inclusion-exclusion
+        return [(QUARTER, tor(2 * a, 2 * b)), (-QUARTER, tor(a, 2 * b)),
+                (-QUARTER, tor(2 * a, b)), (QUARTER, tor(a, b))]
+
+    if f == Family.RIGHT_ISO_TRIANGLE:
+        a2 = a * a
+        if bc in ("MN", "MD"):
+            mm = _closed_terms(catalog.rectangle(a, a, "MM"), r)
+            return [(HALF * c, term) for c, term in mm] + [
+                (HALF if bc == "MN" else -HALF, fl(a2 / 2, HALF))]
+        # C/8 + s1 (fl(a^2) + 1/2)/2 + s2 (fl(a^2/2) + 1/2)/2 + const
+        s1 = 1 if bc in ("N", "ND") else -1
+        s2 = 1 if bc in ("N", "DN") else -1
+        const = Fraction(3, 8) if bc in ("N", "D") else Fraction(-1, 8)
+        return [(Fraction(1, 8), tor(a, a)), (s1 * HALF, fl(a2)),
+                (s2 * HALF, fl(a2 / 2)), ((s1 + s2) * QUARTER + const, _ONE)]
+
+    if f == Family.EQUILATERAL_TRIANGLE:
+        # C/6 + s (fl(9/16) + 1/2) + 1/3
+        s = 1 if bc == "N" else -1
+        return [(Fraction(1, 6), C(catalog.flat_torus_hex())),
+                (s, fl(Fraction(9, 16))), (s * HALF + Fraction(1, 3), _ONE)]
+
+    if f == Family.TRIANGLE_306090:
+        # C/12 + s3 (fl(3/16) + 1/2)/2 + s9 (fl(9/16) + 1/2)/2 + const
+        s3 = 1 if bc in ("N", "DN") else -1
+        s9 = 1 if bc in ("N", "ND") else -1
+        const = Fraction(5, 12) if bc in ("N", "D") else Fraction(-1, 12)
+        return [(Fraction(1, 12), C(catalog.flat_torus_hex())),
+                (s3 * HALF, fl(Fraction(3, 16))), (s9 * HALF, fl(Fraction(9, 16))),
+                ((s3 + s9) * QUARTER + const, _ONE)]
+
+    if f == Family.CYLINDER:
+        # tor(a/2, b) is the a x 2b torus
+        if bc == "M":
+            return [(HALF, tor(a / 2, 2 * b)), (-HALF, tor(a / 2, b))]
+        s = 1 if bc == "N" else -1
+        return [(HALF, tor(a / 2, b)), (s, fl(a * a / 4)), (s * HALF, _ONE)]
+
+    if f == Family.MOBIUS_BAND:
+        # E, the torus points with j + k even: all of them, less those with
+        # j even and those with k even, plus twice those with both even
+        even = [(1, tor(a, b)), (-1, tor(a / 2, b)), (-1, tor(a, b / 2)),
+                (2, tor(a / 2, b / 2))]
+        if bc == "N":  # E/2 + fl(a^2/4) + 1/2
+            return [(HALF * c, term) for c, term in even] + [
+                (1, fl(a * a / 4)), (HALF, _ONE)]
+        # T(a, b)/2 - E/2 - fl(a^2/4, 1/2)
+        return [(HALF, tor(a, b))] + [(-HALF * c, term) for c, term in even] + [
+            (-1, fl(a * a / 4, HALF))]
+
+    if f == Family.FLAT_PROJECTIVE_PLANE:
+        # C/4 + 1/4 + eps/2 with eps = (-1)^fl(1); as floor(floor(x)/2) =
+        # floor(x/2), eps/2 = 1/2 - fl(1) + 2 fl(1/4)
+        return [(QUARTER, tor(1, 1)), (-1, fl(1)), (2, fl(QUARTER)),
+                (Fraction(3, 4), _ONE)]
+
+    if f in (Family.TETRAHEDRON_SURFACE, Family.HALF_TETRAHEDRON):
+        # the hexagonal lattice with keys in units of 4/3: the hex torus
+        # (unit 16/9) at 4/3 times the cutoff
+        ch = C(catalog.flat_torus_hex(), Fraction(4, 3))
+        if f == Family.TETRAHEDRON_SURFACE:
+            return [(HALF, ch), (HALF, _ONE)]
+        s = 1 if bc == "N" else -1
+        return [(QUARTER, ch), (s * HALF, fl(Fraction(3, 4))), (s * HALF, fl(QUARTER)),
+                (Fraction(3, 4) if bc == "N" else -QUARTER, _ONE)]
+
+    if f == Family.SYMMETRY_SECTOR:
+        if spec.irrep != "2":
+            domain, s = catalog.sector_domain(spec)
+            return _closed_terms(domain, r / s)
+        if spec.base == "square_torus":
+            return [(HALF, C(catalog.base_spec(spec.base))), (-HALF, _ONE)]
+        return [(sign * c, term) for part, sign in catalog.sector_parts(spec.base)
+                for c, term in _closed_terms(part, r)]
+
+    raise ValueError("no closed form for %s" % (spec,))
+
+
+class _Form:
+    """A flat surface's closed form, compiled once into an integer linear form.
+
+    den * N(t) = const + sum c * (eigenvalues of sub with key <= rho a / b)
+                       + sum c * floor(sqrt(p rho / q) + s / r)
+    with rho = t / pi^2.  Each term is a tuple of ints in `terms`, beside
+    its (c, sub) in `weights`: a count term is (a, b, None, None), and a
+    bracket (m, q, s, r) with sub None, m = r^2 p q, since at rho = P/Q it is
+    (isqrt(m P Q) // (q Q) + s) // r, as
+    floor(sqrt(x) + s/r) = floor((floor(r sqrt(x)) + s) / r).  `key` is the
+    (a, b) of the form's own table, of level spacing unit.  Tables are held,
+    not their arrays, which growth replaces.
+    """
+
+    __slots__ = ("den", "const", "key", "terms", "weights")
+
+    def __init__(self, terms, unit):
+        coef: dict = {}
+        for c, term in terms:
+            coef[term] = coef.get(term, 0) + Fraction(c)
+        coef = {term: c for term, c in coef.items() if c}
+        self.den = math.lcm(*(c.denominator for c in coef.values()))
+        self.const = 0
+        self.key = unit.denominator, unit.numerator
+        self.terms, self.weights = [], []
+        for term, c in coef.items():
+            c = int(c * self.den)
+            if term == _ONE:
+                self.const = c
+                continue
+            if term[0] == "count":
+                sub = spectrum._table(term[1])
+                self.terms.append((*_pq(term[2] / sub.unit), None, None))
+            else:
+                sub = None
+                (p, q), (s, r) = _pq(term[1]), _pq(term[2])
+                self.terms.append((r * r * p * q, q, s, r))
+            self.weights.append((c, sub))
+
+    def total(self, ks) -> int:
+        """den * N at the term integers ks of `ints`: the constant plus each
+        term's coefficient times its bracket or its torus's count at its
+        key k.  A torus reads its table where the table holds k or can grow
+        to k within `spectrum._LEVEL_CAP`, and its `bound` at k, the same
+        count summed over its rows, where the table would pass the cap; a
+        torus whose rows are too many to sum is refused by its table
+        (`_Table.grow`)."""
+        v = self.const
+        for (c, sub), k in zip(self.weights, ks):
+            if sub is not None:
+                n = sub.bound(k) if sub.qcap < k else 0
+                k = sub.count_upto(k) if n is None or n <= spectrum._LEVEL_CAP else n
+            v += c * k
+        return v
+
+    def ints(self, P: int, Q: int) -> tuple:
+        """At rho = P / Q: the largest key of the form's own table, and the
+        list of every term's integer, a table key or a bracket."""
+        ka, kb = self.key
+        return P * ka // (Q * kb), [
+            P * a // (Q * b) if s is None else (isqrt(a * P * Q) // (b * Q) + s) // r
+            for a, b, s, r in self.terms]
+
+
+def _form(spec: SurfaceSpec, tb):
+    """The compiled closed form of a flat spec, cached on its table tb."""
+    if tb.form is None:
+        tb.form = _Form(_closed_terms(spec), tb.unit)
+    return tb.form

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spectralab import asymptotics, average, catalog, exact, oracle, spectrum
+from spectralab import asymptotics, average, catalog, exact, oracle, spectrum, spherical
 
 from reference_formulas import (avg_error_grid_whole, remainder_exponent_whole,
                                 smooth_count, sphere_avg_closed_form, sphere_avg_decomposed,
@@ -546,9 +546,9 @@ def test_sawtooth_weight_over_the_roster():
 
 def test_sawtooth_weight_refuses_other_slopes(monkeypatch):
     # a slope that wobbles with period 3 is no alternating sawtooth
-    cum = spectrum._sph_cum
+    cum = spherical._sph_cum
     monkeypatch.setattr(average, "_WEIGHTS", {})
-    monkeypatch.setattr(spectrum, "_sph_cum", lambda s, k: cum(s, k) + k * (k % 3))
+    monkeypatch.setattr(spherical, "_sph_cum", lambda s, k: cum(s, k) + k * (k % 3))
     with pytest.raises(ArithmeticError):
         average._alternating_weight(SPHERE)
 
@@ -560,10 +560,10 @@ def test_sawtooth_weight_is_read_once_per_surface(monkeypatch):
     spectrum.count(hemi, 1e6)
     asymptotics.surface_constants(hemi)
     calls = []
-    cum = spectrum._sph_cum
+    cum = spherical._sph_cum
     monkeypatch.setattr(average, "_WEIGHTS", {})
     monkeypatch.setattr(spectrum, "_LEVELS", 5)
-    monkeypatch.setattr(spectrum, "_sph_cum", lambda s, k: calls.append(k) or cum(s, k))
+    monkeypatch.setattr(spherical, "_sph_cum", lambda s, k: calls.append(k) or cum(s, k))
     average.remainder_exponent(hemi, 1e3, 1e6)
     assert 0 < len(calls) <= 2 * 4 * hemi.m + 1
 

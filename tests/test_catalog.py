@@ -5,31 +5,16 @@ from fractions import Fraction
 import pytest
 
 from spectralab import catalog
+from spectralab.asymptotics import geometry
 from spectralab.catalog import (
     BC_CHOICES,
-    ConePoint,
-    CornerKind,
     Family,
     SECTOR_BASES,
     SurfaceSpec,
-    geometry,
     is_spherical,
     sector_irreps,
     verification_roster,
 )
-from spectralab.exact import ExactConst
-
-
-def rat(q):
-    return ExactConst.rational(q)
-
-
-def pi_times(q):
-    return ExactConst.term(Fraction(q), pi_pow=1)
-
-
-def root(q, s):
-    return ExactConst.term(Fraction(q), root=s)
 
 
 def test_factory_validation_errors():
@@ -109,129 +94,6 @@ def test_labels():
     assert catalog.flat_torus_rect(1, Fraction(3, 2)).label() == "flat_torus_rect:a=1,b=3/2"
     assert catalog.half_lune(3, "N", "D").label() == "half_lune:m=3,bc_side=N,bc_equator=D"
     assert catalog.symmetry_sector("hex_torus", "2").label() == "symmetry_sector:base=hex_torus,irrep=2"
-
-
-def test_geometry_flat_tori():
-    g = geometry(catalog.flat_torus_rect(1, 1))
-    assert g.area == rat(4)
-    assert g.len_N == 0 and g.len_D == 0
-    assert g.corners == () and g.cone_points == ()
-    assert g.K2_total == 0
-    g = geometry(catalog.flat_torus_hex())
-    assert g.area == root(Fraction(3, 2), 3)
-
-
-def test_geometry_rectangle_variants():
-    g = geometry(catalog.rectangle(1, 1, "N"))
-    assert g.len_N == rat(4) and g.len_D == 0
-    assert len(g.corners) == 4
-    assert all(c.kind == CornerKind.LIKE for c in g.corners)
-    assert all(c.angle.as_pi_multiple() == Fraction(1, 2) for c in g.corners)
-
-    g = geometry(catalog.rectangle(2, Fraction(3, 2), "ND"))
-    assert g.len_N == rat(4)  # both length-a edges
-    assert g.len_D == rat(3)
-    assert all(c.kind == CornerKind.MIXED for c in g.corners)
-
-    g = geometry(catalog.rectangle(1, 1, "NM"))
-    assert g.len_N == rat(3) and g.len_D == rat(1)
-    kinds = sorted(c.kind.value for c in g.corners)
-    assert kinds == ["like", "like", "mixed", "mixed"]
-
-    g = geometry(catalog.rectangle(1, 1, "MM"))
-    assert g.len_N == rat(2) and g.len_D == rat(2)
-    kinds = sorted(c.kind.value for c in g.corners)
-    assert kinds == ["like", "like", "mixed", "mixed"]
-
-
-def test_geometry_triangles():
-    g = geometry(catalog.right_iso_triangle(1, "ND"))
-    assert g.area == rat(Fraction(1, 2))
-    assert g.len_N == rat(2)
-    assert g.len_D == root(1, 2)
-    # right angle between the Neumann legs is LIKE, the two pi/4 corners MIXED
-    by_angle = {c.angle.as_pi_multiple(): c.kind for c in g.corners}
-    assert by_angle[Fraction(1, 2)] == CornerKind.LIKE
-    assert by_angle[Fraction(1, 4)] == CornerKind.MIXED
-
-    g = geometry(catalog.equilateral_triangle("D"))
-    assert g.area == root(Fraction(1, 4), 3)
-    assert g.len_D == rat(3)
-
-    g = geometry(catalog.triangle_306090("N"))
-    assert g.area == root(Fraction(1, 8), 3)
-    assert g.len_N == rat(Fraction(3, 2)) + root(Fraction(1, 2), 3)
-    angles = sorted(c.angle.as_pi_multiple() for c in g.corners)
-    assert angles == [Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)]
-
-    g = geometry(catalog.triangle_306090("ND"))
-    assert g.len_N == rat(Fraction(3, 2))
-    assert g.len_D == root(Fraction(1, 2), 3)
-
-
-def test_geometry_cylinder_and_band():
-    g = geometry(catalog.cylinder(2, 1, "M"))
-    assert g.area == rat(2)
-    assert g.len_N == rat(2) and g.len_D == rat(2)
-    g = geometry(catalog.mobius_band(2, 1, "D"))
-    assert g.area == rat(2)
-    assert g.len_D == rat(4) and g.len_N == 0
-
-
-def test_geometry_round_families():
-    g = geometry(catalog.sphere())
-    assert g.area == pi_times(4) and g.K2_total == pi_times(4)
-    g = geometry(catalog.hemisphere("D"))
-    assert g.area == pi_times(2) and g.len_D == pi_times(2)
-    assert g.len_N == 0 and g.cone_points == ()
-    g = geometry(catalog.projective_sphere())
-    assert g.area == pi_times(2)
-
-    g = geometry(catalog.lune(3, "D"))
-    assert g.area == pi_times(Fraction(2, 3))
-    assert g.len_D == pi_times(2)
-    assert len(g.corners) == 2
-    assert all(c.angle.as_pi_multiple() == Fraction(1, 3) for c in g.corners)
-    assert all(c.kind == CornerKind.LIKE for c in g.corners)
-
-    g = geometry(catalog.half_lune(2, "N", "D"))
-    assert g.area == pi_times(Fraction(1, 2))
-    assert g.len_N == pi_times(1)
-    assert g.len_D == pi_times(Fraction(1, 2))
-    kinds = sorted(c.kind.value for c in g.corners)
-    assert kinds == ["like", "mixed", "mixed"]
-
-    g = geometry(catalog.glued_lune(4))
-    assert g.area == pi_times(1)
-    assert g.cone_points == (
-        ConePoint(pi_times(Fraction(1, 2))),
-        ConePoint(pi_times(Fraction(1, 2))),
-    )
-
-
-def test_geometry_polyhedral():
-    g = geometry(catalog.flat_projective_plane())
-    assert g.area == rat(1)
-    assert [c.angle.as_pi_multiple() for c in g.cone_points] == [1, 1]
-    g = geometry(catalog.tetrahedron_surface())
-    assert g.area == root(1, 3)
-    assert len(g.cone_points) == 4
-    g = geometry(catalog.half_tetrahedron("N"))
-    assert g.area == root(Fraction(1, 2), 3)
-    assert g.len_N == rat(1) + root(1, 3)
-    assert len(g.corners) == 2 and len(g.cone_points) == 1
-
-
-def test_geometry_sectors():
-    g = geometry(catalog.symmetry_sector("square_d", "++"))
-    assert g == geometry(catalog.right_iso_triangle(Fraction(1, 2), "MN"))
-    g = geometry(catalog.symmetry_sector("hex_torus", "-"))
-    assert g == geometry(catalog.equilateral_triangle("D"))
-    g = geometry(catalog.symmetry_sector("equilateral_n", "+"))
-    assert g.area == root(Fraction(1, 24), 3)
-    assert g.len_N == rat(Fraction(1, 2)) + root(Fraction(1, 2), 3)
-    with pytest.raises(ValueError):
-        geometry(catalog.symmetry_sector("square_torus", "2"))
 
 
 def test_roster_covers_catalog():

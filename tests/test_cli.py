@@ -510,6 +510,21 @@ def test_argument_error_is_returned_with_its_usage(capsys, argv, named):
     assert "usage: spectralab " + ("" if argv[0] == "bogus" else argv[0]) in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["gprofile", "sphere", "--grid", "100:200:1"],
+    ["heat", "sphere", "--at", "0"],
+    ["proportions", "square_torus", "--max-t", "10"],
+    ["avg", "lune:m=3,bc=D", "--grid", "1e15:1e16:3"],
+], ids=["gprofile", "heat", "proportions", "avg"])
+def test_refusal_inside_a_command_prints_its_usage(capsys, argv):
+    # a ValueError raised once the command runs is refused with the usage
+    # of that command, not the root parser's list of every command
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ")
+    assert "\nusage: spectralab " + argv[0] + " " in err
+
+
 @pytest.mark.parametrize("argv", [["-h"], ["count", "-h"]], ids=["top", "count"])
 def test_help_is_returned_as_success(capsys, argv):
     rc, out, err = run_cli(capsys, *argv)
@@ -1203,11 +1218,26 @@ def loaded_modules(*argvs):
 def test_each_command_loads_only_what_it_calls():
     assert loaded_modules() == {"catalog", "exact", "spectrum", "cli"}
     assert loaded_modules(["list"]) == {"catalog", "exact", "spectrum", "cli"}
+    # the catalog holds no geometry: every command parses a surface with it
+    proc = subprocess.run([sys.executable, "-c", "import sys, spectralab.catalog; "
+                           "print(sorted(m for m in sys.modules if m.startswith('spectralab.')))"],
+                          capture_output=True, text=True, env=package_env())
+    assert proc.stdout == "['spectralab.catalog']\n", proc.stderr
     count = loaded_modules(["count", "rectangle:a=1,b=1,bc=N", "--at", "100,1e3"])
     assert count.isdisjoint({"oracle", "analysis", "average"} | _HEAVY)
     assert "asymptotics" not in count  # the level bound reads no constants
     # a flat table this small is summed on Python integers
     assert "lattice" in count and "numpy" not in count
+    # each command compiles only its own kind of table: a flat one no
+    # round code, a round one no flat code
+    flat = loaded_modules(["count", "cylinder:a=7/5,b=11/7,bc=M", "--at", "100,1e3"],
+                          ["spectrum", "mobius_band:a=1,b=1,bc=D", "--max-t", "1e3"],
+                          ["verify", "flat_torus_rect:a=1,b=1", "--max-t", "1e3"])
+    assert "lattice" in flat and "spherical" not in flat
+    round_ = loaded_modules(["count", "sphere", "--at", "100,1e5"],
+                            ["verify", "half_lune:m=3,bc_side=N,bc_equator=D", "--max-t", "1e4"],
+                            ["conjecture", "lune:m=3,bc=D"])
+    assert "spherical" in round_ and "lattice" not in round_
     verify = loaded_modules(["verify", "lune:m=2,bc=N", "--max-t", "1e4"])
     assert verify.isdisjoint({"analysis", "average"} | _HEAVY)
     assert "oracle" in verify and "asymptotics" not in verify
@@ -1215,7 +1245,12 @@ def test_each_command_loads_only_what_it_calls():
     assert verify.isdisjoint({"lattice", "numpy"})
     sector = ["spectrum", "symmetry_sector:base=hex_torus,irrep=2", "--max-t", "100"]
     assert "asymptotics" not in loaded_modules(sector)
-    for argv in (["asymptotics", "sphere"], ["asymptotics", "rectangle:a=1,b=1,bc=MM"],
+    # a flat surface's constants read its closed form's terms, which live
+    # with the flat tables in `lattice`, and build no table
+    constants = loaded_modules(["asymptotics", "rectangle:a=1,b=1,bc=MM"])
+    assert "lattice" in constants
+    assert constants.isdisjoint({"spherical", "numpy"} | _HEAVY)
+    for argv in (["asymptotics", "sphere"],
                  ["count", "sphere", "--at", "100,1e5"],
                  ["spectrum", "hemisphere:bc=D", "--max-t", "1e4"],
                  ["gprofile", "sphere", "--grid", "100:200:8001"]):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from spectralab import catalog, spectrum
+from spectralab import catalog, lattice, spectrum
 from spectralab.exact import PI_HI, PI_LO, ExactConst, isqrt_frac_floor
 
 
@@ -108,7 +108,7 @@ def bracket(x, a, c=Fraction(0)):
     """floor(a sqrt(x) + c) as a closed form's one floor bracket evaluates
     it at the exact cutoff x pi^2, i.e. at rho = x."""
     rho = spectrum.ExactTime(x).rho
-    form = spectrum._Form([(1, ("floor", a * a, c))], Fraction(1))
+    form = lattice._Form([(1, ("floor", a * a, c))], Fraction(1))
     _, (value,) = form.ints(rho.numerator, rho.denominator)
     return value
 

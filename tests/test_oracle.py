@@ -367,10 +367,14 @@ def _members_without_reader():
 # pair is a format two modules must both know; a new one is a design change
 _PRIVATE_READS = {
     ("analysis", "catalog"): {"_Frozen"},
-    ("asymptotics", "spectrum"): {"_ONE", "_closed_terms"},
-    ("average", "spectrum"): {"_LEVELS", "_sph_cum"},
-    ("lattice", "spectrum"): {"_NEGATIVE", "_Table", "_pq", "_rho_ends"},
+    ("asymptotics", "lattice"): {"_ONE", "_closed_terms"},
+    ("average", "spectrum"): {"_LEVELS"},
+    ("average", "spherical"): {"_sph_cum"},
+    ("lattice", "spectrum"): {"_LEVEL_CAP", "_NEGATIVE", "_Table", "_pq", "_rho_ends",
+                              "_table"},
     ("spectrum", "lattice"): {"_LevelTable"},
+    ("spectrum", "spherical"): {"_RoundTable"},
+    ("spherical", "spectrum"): {"_NEGATIVE", "_Table", "_t_ends"},
 }
 
 
@@ -547,9 +551,11 @@ def test_half_lune_count_matches_stepping():
 
 def test_oracle_reads_spectrum_only_to_compare():
     # the enumeration must stay independent of the closed-form machinery:
-    # spectrum and lattice are imported and read in check_equivalence only
+    # spectrum and the modules of its two table kinds (lattice, and
+    # spherical, whose window counts are the round closed form) are
+    # imported and read in check_equivalence only
     tree = ast.parse(Path(oracle.__file__).read_text())
-    kept = {"spectrum", "lattice"}
+    kept = {"spectrum", "lattice", "spherical"}
     compare = next(node for node in tree.body
                   if isinstance(node, ast.FunctionDef) and node.name == "check_equivalence")
     inside = {id(node) for node in ast.walk(compare)}

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spectralab import catalog, oracle, spectrum
+from spectralab import catalog, lattice, oracle, spectrum, spherical
 from spectralab.exact import PI_HI, PI_LO
 from spectralab.spectrum import (
     CountReport,
@@ -285,17 +285,17 @@ def test_window_counts_match_oracle_to_degree_1200():
         cum = 0
         for k in range(1, kmax + 1):
             cum += mult.get(k - 1, 0)
-            assert spectrum._sph_cum(spec, k) == cum, (spec.label(), k)
+            assert spherical._sph_cum(spec, k) == cum, (spec.label(), k)
 
 
 def test_window_count_guard_keeps_its_message(monkeypatch):
     spec = catalog.half_lune(3, "D", "D")
-    monkeypatch.setattr(spectrum, "_half_lune_cum", lambda m, side, eq, k: 4 * m * k + 1)
+    monkeypatch.setattr(spherical, "_half_lune_cum", lambda m, side, eq, k: 4 * m * k + 1)
     with pytest.raises(ArithmeticError, match=r"window count for .* at k=5 came out 61/12$"):
-        spectrum._sph_cum(spec, 5)
-    monkeypatch.setattr(spectrum, "_half_lune_cum", lambda m, side, eq, k: -4 * m)
+        spherical._sph_cum(spec, 5)
+    monkeypatch.setattr(spherical, "_half_lune_cum", lambda m, side, eq, k: -4 * m)
     with pytest.raises(ArithmeticError, match=r"at k=5 came out -1$"):
-        spectrum._sph_cum(spec, 5)
+        spherical._sph_cum(spec, 5)
 
 # --- symmetry sectors -----------------------------------------------------
 
@@ -618,7 +618,7 @@ def test_negative_multiplicity_is_refused(monkeypatch):
         # minus the squares: negative at every square key
         return [(0, 0, 1, range(isqrt(qcap) + 1), -1)]
 
-    monkeypatch.setattr(spectrum, "_sph_cum", lambda spec, k: k * k if k < 5 else 0)
+    monkeypatch.setattr(spherical, "_sph_cum", lambda spec, k: k * k if k < 5 else 0)
     monkeypatch.setattr(lattice, "_hex_norm_rows", falling)
     for reduce in (lattice._reduce_py, lattice._reduce_np):
         monkeypatch.setattr(spectrum, "_TABLES", {})
@@ -661,7 +661,7 @@ def test_each_table_is_reduced_from_its_own_rows(monkeypatch):
 
 
 def _torus_terms(spec):
-    form = spectrum._form(spec, spectrum._table(spec))
+    form = lattice._form(spec, spectrum._table(spec))
     return [sub for _, sub in form.weights if sub not in (None, spectrum._table(spec))]
 
 
@@ -1133,7 +1133,7 @@ def test_cutoff_inside_the_pi_enclosure_raises(spec):
             closed_form_identity(spec, t)
         # the compiled form's own terms, without the table's key, are
         # undecided there too
-        form = spectrum._form(spec, spectrum._table(spec))
+        form = lattice._form(spec, spectrum._table(spec))
         with pytest.raises(ArithmeticError):
             spectrum._decided(t, spectrum._rho_ends(t), lambda P, Q: form.ints(P, Q)[1])
 
@@ -1164,8 +1164,8 @@ def test_cutoffs_just_beside_levels(spec):
 
 def test_closed_form_is_compiled_once_per_table(monkeypatch):
     built = []
-    terms = spectrum._closed_terms
-    monkeypatch.setattr(spectrum, "_closed_terms",
+    terms = lattice._closed_terms
+    monkeypatch.setattr(lattice, "_closed_terms",
                         lambda *args: built.append(args) or terms(*args))
     spec = catalog.right_iso_triangle(1, "MD")
     monkeypatch.setattr(spectrum, "_TABLES", {})
@@ -1212,7 +1212,7 @@ def test_closed_form_refusals_keep_their_messages(monkeypatch):
     monkeypatch.setattr(spectrum, "_TABLES", {})
     with pytest.raises(ArithmeticError, match="too close to a level"):
         closed_form_identity(spec, PI_LO * PI_LO)
-    form = spectrum._form(spec, spectrum._table(spec))
+    form = lattice._form(spec, spectrum._table(spec))
     assert form.den > 1
     monkeypatch.setattr(form, "const", form.const + 1)
     with pytest.raises(ArithmeticError, match=r"at ExactTime\(rho=Fraction\(5, 1\)\) is "
@@ -1239,12 +1239,13 @@ def test_round_build_holds_little_beyond_its_arrays(monkeypatch):
 
 
 def test_only_the_table_modules_read_its_arrays():
-    # one owner per level table: no module but spectrum and its flat kind
-    # in lattice reads a table's mults or prefix or imports array, so every
-    # other reader takes the table through spectrum's readers
+    # one owner per level table: no module but spectrum and its two kinds,
+    # round in spherical and flat in lattice, reads a table's mults or
+    # prefix or imports array, so every other reader takes the table
+    # through spectrum's readers
     found = []
     for path in sorted(Path(spectrum.__file__).parent.glob("*.py")):
-        if path.name in ("spectrum.py", "lattice.py"):
+        if path.name in ("spectrum.py", "spherical.py", "lattice.py"):
             continue
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Attribute) and node.attr in ("mults", "prefix"):
