@@ -60,11 +60,16 @@ def make_profile(spec: SurfaceSpec, x_lo, x_hi, n: int) -> APProfile:
 
 
 def window_mean(profile: APProfile) -> float:
-    """Trapezoidal mean of g_est over the profile's window
-    (`average.window_mean`)."""
-    from . import average
-
-    return average.window_mean(profile.xs, profile.gs)
+    """Trapezoidal mean of g_est over the profile's window: its samples,
+    arrays or lists (read as lists), give the terms of
+    np.trapezoid(gs, xs), (b - a)(h + g) / 2, summed correctly rounded
+    (`math.fsum`) over xs[-1] - xs[0]."""
+    xs, gs = profile.xs, profile.gs
+    if len(xs) < 100:
+        raise ValueError("need at least 100 samples for a stable mean")
+    xs, gs = (v if isinstance(v, list) else v.tolist() for v in (xs, gs))
+    terms = [(b - a) * (h + g) / 2.0 for a, b, g, h in zip(xs, xs[1:], gs, gs[1:])]
+    return math.fsum(terms) / (xs[-1] - xs[0])
 
 
 def _uniform_step(grid: np.ndarray, other_max: float, name: str, block: int) -> float:

@@ -437,11 +437,12 @@ def geodesic_lengths(spec: SurfaceSpec, L_max: float) -> list[float]:
             raise ValueError(f"{catalog.short_label(spec)}: its geodesic lengths up to "
                              f"{L_max:g} need a level table over the cap or past int64 "
                              "keys") from None
-    step = orbit_step(spec)
+    # p * j / q is float(step * j): Python's int division is correctly rounded
+    p, q = orbit_step(spec).as_integer_ratio()
     out = []
     j = 1
-    while float(step * j) * math.pi <= L_max + 1e-12:
-        out.append(float(step * j) * math.pi)
+    while p * j / q * math.pi <= L_max + 1e-12:
+        out.append(p * j / q * math.pi)
         j += 1
     return out
 

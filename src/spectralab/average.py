@@ -232,12 +232,12 @@ def _alternating_weight(spec: SurfaceSpec) -> float:
     When beta deviates from its mean by c (-1)^{k+1} the running average of
     that deviation integrates to c (-1)^{k+1} k (t - k^2 + 1) / t, an
     order-one sawtooth tending to 2c (-1)^{k+1} (x - k) instead of a
-    decaying term.  a and beta are read off the window counts
-    (`spherical._sph_cum`) over one period from k = 4P, exactly:
-    a = (W(k + 2P) - 2 W(k + P) + W(k)) / 2P^2 and
-    beta(k) = (W(k + P) - W(k)) / P - a (2k + P).  On every family here
-    the deviation is alternating or zero; any other shape raises
-    ArithmeticError.  A constant of the surface, cached per spec.
+    decaying term.  a and beta come in integers from one period of window
+    counts W = `spherical._sph_cum` from k0 = 4P, each read once: 2P^2 a =
+    W(k0 + 2P) - 2 W(k0 + P) + W(k0), 2P^2 beta(k) = 2P (W(k + P) - W(k))
+    - 2P^2 a (2k + P).  As P is even, the deviation alternates when 2P^2
+    beta has one value at even and one at odd k, 2c being their difference
+    over 2P^2; any other shape raises ArithmeticError.  Cached per spec.
     """
     w = _WEIGHTS.get(spec)
     if w is not None:
@@ -246,17 +246,17 @@ def _alternating_weight(spec: SurfaceSpec) -> float:
 
     P = 4 * spec.m
     k0 = 4 * P
-    W = [spherical._sph_cum(spec, k) for k in range(k0, k0 + 2 * P + 1)]
-    a = Fraction(W[2 * P] - 2 * W[P] + W[0], 2 * P * P)
-    beta = [Fraction(W[i + P] - W[i], P) - a * (2 * (k0 + i) + P) for i in range(P)]
-    mean = sum(beta) / P
-    dev = [b - mean for b in beta]
-    if any(d != dev[0] * (-1) ** i for i, d in enumerate(dev)):
-        raise ArithmeticError(
-            "the window counts of %s deviate from their mean slope by more "
-            "than an alternating sign" % (spec,))
-    # dev = c (-1)^{k+1} is -c at k = k0, even
-    w = _WEIGHTS[spec] = float(-2 * dev[0])
+    top = spherical._sph_cum(spec, k0 + 2 * P)
+    beta = {}  # 2P^2 beta at even and at odd k
+    for k in range(k0, k0 + P):
+        lo, hi = spherical._sph_cum(spec, k), spherical._sph_cum(spec, k + P)
+        if k == k0:  # 2P^2 a
+            a2 = top - 2 * hi + lo
+        b = 2 * P * (hi - lo) - a2 * (2 * k + P)
+        if beta.setdefault(k & 1, b) != b:
+            raise ArithmeticError("the window counts of %s deviate from their mean "
+                                  "slope by more than an alternating sign" % (spec,))
+    w = _WEIGHTS[spec] = (beta[1] - beta[0]) / (2 * P * P)
     return w
 
 
@@ -410,17 +410,6 @@ def avg_columns(spec: SurfaceSpec, ts) -> tuple:
     avg, spherical = avg_error_list(spec, ts), catalog.is_spherical(spec)
     xs = [math.sqrt(t + (0.25 if spherical else 0.0)) for t in ts]  # + 0.0 is exact
     return avg, xs, _g_est(spherical, xs, avg)
-
-
-def window_mean(xs, gs) -> float:
-    """Trapezoidal mean of the samples gs over the ascending xs, lists or
-    arrays (read as lists): the terms of np.trapezoid(gs, xs), (b - a)(h +
-    g) / 2, summed correctly rounded (`math.fsum`) over xs[-1] - xs[0]."""
-    if len(xs) < 100:
-        raise ValueError("need at least 100 samples for a stable mean")
-    xs, gs = (v if isinstance(v, list) else v.tolist() for v in (xs, gs))
-    terms = [(b - a) * (h + g) / 2.0 for a, b, g, h in zip(xs, xs[1:], gs, gs[1:])]
-    return math.fsum(terms) / (xs[-1] - xs[0])
 
 
 # the 8-node Gauss-Legendre rule on [-1, 1]: its positive nodes and their

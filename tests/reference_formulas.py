@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from spectralab import asymptotics, average, catalog, spectrum
+from spectralab import asymptotics, average, catalog, spectrum, spherical
 
 
 def polygon_corner_limit(n) -> Fraction:
@@ -203,3 +203,47 @@ def frequency_peaks_loop(coef, omega):
             peaks.append((float(omega[i]), float(amp[i]), float(np.angle(coef[i]))))
     peaks.sort(key=lambda p: -p[1])
     return peaks
+
+
+def round_sweep():
+    """The round surfaces the integer loops are held against their
+    Fraction references on: the 36 round roster surfaces and every lune,
+    half lune and glued lune of order m <= 60 and m = 1000, once each."""
+    out = [s for s in catalog.verification_roster() if catalog.is_spherical(s)]
+    for m in [*range(1, 61), 1000]:
+        out += [catalog.lune(m, bc) for bc in "ND"]
+        out += [catalog.half_lune(m, side, eq) for side in "ND" for eq in "ND"]
+        out.append(catalog.glued_lune(m))
+    return list(dict.fromkeys(out))
+
+
+def alternating_weight_fractions(spec):
+    """`average._alternating_weight` in Fractions, over lists of one
+    period: the 2P + 1 window counts W from k0 = 4P, P = 4m,
+    a = (W(k0 + 2P) - 2 W(k0 + P) + W(k0)) / 2P^2, the P slopes
+    beta(k) = (W(k + P) - W(k)) / P - a (2k + P) and their deviations from
+    the mean slope, which must alternate; the weight is -2 times the first
+    deviation."""
+    P = 4 * spec.m
+    k0 = 4 * P
+    W = [spherical._sph_cum(spec, k) for k in range(k0, k0 + 2 * P + 1)]
+    a = Fraction(W[2 * P] - 2 * W[P] + W[0], 2 * P * P)
+    beta = [Fraction(W[i + P] - W[i], P) - a * (2 * (k0 + i) + P) for i in range(P)]
+    mean = sum(beta) / P
+    dev = [b - mean for b in beta]
+    if any(d != dev[0] * (-1) ** i for i, d in enumerate(dev)):
+        raise ArithmeticError("not an alternating sawtooth: %s" % (spec,))
+    return float(-2 * dev[0])
+
+
+def round_geodesic_lengths_fractions(spec, L_max):
+    """`asymptotics.geodesic_lengths` of a round surface from Fraction
+    products: float(step * j) * pi for j = 1, 2, ... up to L_max, step the
+    great-circle orbit (`asymptotics.orbit_step`)."""
+    step = asymptotics.orbit_step(spec)
+    out = []
+    j = 1
+    while float(step * j) * math.pi <= L_max + 1e-12:
+        out.append(float(step * j) * math.pi)
+        j += 1
+    return out

@@ -10,7 +10,8 @@ import pytest
 from spectralab import analysis, asymptotics, average, catalog
 from spectralab.analysis import APProfile
 
-from reference_formulas import frequency_peaks_loop, sphere_g
+from reference_formulas import (frequency_peaks_loop, round_geodesic_lengths_fractions,
+                                round_sweep, sphere_g)
 
 
 def spec(label):
@@ -351,6 +352,16 @@ def test_geodesic_lengths_fixtures():
         ("right_iso_triangle:a=1,bc=N", 3.5, [2, 4, 8]),
     ]:
         assert squares(spec(label), L) == want, label
+
+
+def test_round_geodesic_lengths_match_the_fraction_products():
+    # a round surface's lengths read only its orbit step, so one surface
+    # per step of the round sweep covers them all
+    steps = {asymptotics.orbit_step(s): s for s in round_sweep()}
+    for s in steps.values():
+        for L in (30.0, 2 * math.pi, 100.0):
+            assert asymptotics.geodesic_lengths(s, L) == round_geodesic_lengths_fractions(s, L), \
+                (s.label(), L)
 
 
 def test_geodesic_lengths_flat_unfoldings():

@@ -8,11 +8,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spectralab import asymptotics, average, catalog, exact, oracle, spectrum, spherical
+from spectralab import analysis, asymptotics, average, catalog, exact, oracle, spectrum, spherical
 
-from reference_formulas import (avg_error_grid_whole, remainder_exponent_whole,
-                                smooth_count, sphere_avg_closed_form, sphere_avg_decomposed,
-                                sphere_g, window_mean_gauss, window_samples, window_sup_whole)
+from reference_formulas import (alternating_weight_fractions, avg_error_grid_whole,
+                                remainder_exponent_whole, round_sweep, smooth_count,
+                                sphere_avg_closed_form, sphere_avg_decomposed, sphere_g,
+                                window_mean_gauss, window_samples, window_sup_whole)
 
 
 def spec(label):
@@ -568,6 +569,23 @@ def test_sawtooth_weight_is_read_once_per_surface(monkeypatch):
     assert 0 < len(calls) <= 2 * 4 * hemi.m + 1
 
 
+def test_sawtooth_weight_matches_the_fraction_reference(monkeypatch):
+    # the integer read gives the Fraction lists' float on every round
+    # surface of the sweep, zero and nonzero alike
+    monkeypatch.setattr(average, "_WEIGHTS", {})
+    for s in round_sweep():
+        assert average._alternating_weight(s) == alternating_weight_fractions(s), s.label()
+
+
+def test_sawtooth_weight_holds_no_period_long_lists(monkeypatch):
+    # the 80001 window counts of P = 40000 are read a pair at a time: a
+    # list of a period's counts or slopes would hold megabytes
+    monkeypatch.setattr(average, "_WEIGHTS", {})
+    sp = spec("half_lune:m=10000,bc_side=N,bc_equator=D")
+    assert _traced_peak(average._alternating_weight, sp) <= 64 * 1024
+    assert average._WEIGHTS[sp] == -1 / 20000
+
+
 SLOPE_LABELS = [
     "sphere",
     "projective_sphere",
@@ -709,7 +727,8 @@ def test_profile_lists_match_numpy(monkeypatch):
         assert (np_xs.tolist(), np_gs.tolist()) == (xs, gs), label
         terms = np.diff(np_xs) * (np_gs[1:] + np_gs[:-1]) / 2.0
         want = math.fsum(terms.tolist()) / (xs[-1] - xs[0])
-        assert average.window_mean(xs, gs) == average.window_mean(np_xs, np_gs) == want, label
+        assert (analysis.window_mean(analysis.APProfile(xs, gs))
+                == analysis.window_mean(analysis.APProfile(np_xs, np_gs)) == want), label
 
 
 def test_window_mean_is_correctly_rounded():
@@ -719,7 +738,8 @@ def test_window_mean_is_correctly_rounded():
     gs = np.zeros(200)
     gs[0], gs[2], gs[-1] = 2e16, 1.0, -2e16
     assert float(np.trapezoid(gs, xs)) == 0.0
-    assert average.window_mean(xs, gs) == average.window_mean(xs.tolist(), gs.tolist()) == 1 / 199
+    assert (analysis.window_mean(analysis.APProfile(xs, gs))
+            == analysis.window_mean(analysis.APProfile(xs.tolist(), gs.tolist())) == 1 / 199)
 
 
 @pytest.mark.parametrize("label", ["hemisphere:bc=D", "sphere", "rectangle:a=1,b=1,bc=D",

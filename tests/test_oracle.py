@@ -280,6 +280,7 @@ def test_package_checks_survive_optimize():
 _NO_PACKAGE_CALLER = {
     ("__init__", "__version__"): "package metadata for users and packaging",
     ("spectrum", "level_arrays"): "whole-table arrays for the tests and their references",
+    ("analysis", "window_mean"): "the trapezoidal mean of acceptance test_07 and the tests",
 }
 
 
