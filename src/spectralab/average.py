@@ -23,8 +23,8 @@ mean of g_est is read from the level sums with no sampling
 the kinks on a round one.
 
 On a round surface the averaged error tends to `leading_profile`, whose
-Fourier lines are closed-form (`profile_lines`); `line_check` measures a
-sampled profile's coefficient at each of them.
+sawtooth weight (`_alternating_weight`) and Fourier lines (`profile_lines`)
+are closed-form; `line_check` measures a sampled profile at each line.
 """
 
 from __future__ import annotations
@@ -192,7 +192,7 @@ def avg_error_list(spec: SurfaceSpec, ts) -> list:
 
 def _lead(spec: SurfaceSpec):
     """`leading_profile` at one Python float x: A g(x) plus the sawtooth,
-    + on odd k, of weight w; w = 0 adds +-0.0, which changes no float."""
+    + on odd k, of weight w = `_alternating_weight`; w = 0 adds +-0.0."""
     if not catalog.is_spherical(spec):
         return lambda x: 0.0
     A = float(asymptotics.surface_constants(spec).A)
@@ -221,52 +221,34 @@ def residual(spec: SurfaceSpec, ts, avg):
     return np.abs(avg, out=avg)
 
 
-_WEIGHTS: dict = {}
-
-
 def _alternating_weight(spec: SurfaceSpec) -> float:
-    """Amplitude of the alternating sawtooth in the leading profile.
+    """Amplitude w of the alternating sawtooth in the leading profile.
 
-    On window k the exact count is W(k) = a k^2 + beta(k) k + gamma(k) with
-    beta and gamma periodic in k; a period P = 4m covers every family here.
-    When beta deviates from its mean by c (-1)^{k+1} the running average of
-    that deviation integrates to c (-1)^{k+1} k (t - k^2 + 1) / t, an
-    order-one sawtooth tending to 2c (-1)^{k+1} (x - k) instead of a
-    decaying term.  a and beta come in integers from one period of window
-    counts W = `spherical._sph_cum` from k0 = 4P, each read once: 2P^2 a =
-    W(k0 + 2P) - 2 W(k0 + P) + W(k0), 2P^2 beta(k) = 2P (W(k + P) - W(k))
-    - 2P^2 a (2k + P).  As P is even, the deviation alternates when 2P^2
-    beta has one value at even and one at odd k, 2c being their difference
-    over 2P^2; any other shape raises ArithmeticError.  Cached per spec.
+    On window k the exact count `spherical._sph_cum` is W(k) = a k^2 +
+    beta(k) k + gamma(k), beta and gamma periodic in k.  A deviation
+    c (-1)^{k+1} of beta from its mean integrates to c (-1)^{k+1} k
+    (t - k^2 + 1) / t in the running average, a sawtooth tending to
+    w (-1)^{k+1} (x - k), w = 2c.  The projective sphere's slope is +-1/2
+    by k's parity: w = 1.  On a half lune of even m, k and p = k mod m
+    share a parity, and `_half_lune_cum`'s k-coefficient at odd p is 2/4m
+    above the one at even p with bc_equator N, below with D: w = +-1/(2m).
+    Every other round slope is constant: w = 0.  The tests walk a period
+    of window counts to the same floats (tests/reference_formulas.py).
     """
-    w = _WEIGHTS.get(spec)
-    if w is not None:
-        return w
-    from . import spherical
-
-    P = 4 * spec.m
-    k0 = 4 * P
-    top = spherical._sph_cum(spec, k0 + 2 * P)
-    beta = {}  # 2P^2 beta at even and at odd k
-    for k in range(k0, k0 + P):
-        lo, hi = spherical._sph_cum(spec, k), spherical._sph_cum(spec, k + P)
-        if k == k0:  # 2P^2 a
-            a2 = top - 2 * hi + lo
-        b = 2 * P * (hi - lo) - a2 * (2 * k + P)
-        if beta.setdefault(k & 1, b) != b:
-            raise ArithmeticError("the window counts of %s deviate from their mean "
-                                  "slope by more than an alternating sign" % (spec,))
-    w = _WEIGHTS[spec] = (beta[1] - beta[0]) / (2 * P * P)
-    return w
+    if spec.family is catalog.Family.PROJECTIVE_SPHERE:
+        return 1.0
+    if spec.family is catalog.Family.HALF_LUNE and spec.m % 2 == 0:
+        return (1 if spec.bc_equator == "N" else -1) / (2 * spec.m)
+    return 0.0
 
 
 def leading_profile(spec: SurfaceSpec, x):
     """Almost-periodic leading profile of the averaged error at x = sqrt(t+1/4).
 
-    A_weyl * g(x) plus, where the window counts force one, the alternating
-    sawtooth described in _alternating_weight.  Zero for flat surfaces,
-    whose averaged error already decays.  A Python float for a number, a
-    float64 array shaped as x for an array: `_lead` at each x.
+    A_weyl * g(x) plus the alternating sawtooth of `_alternating_weight`
+    on the projective sphere and the half lunes of even m.  Zero for flat
+    surfaces, whose averaged error already decays.  A Python float for a
+    number, a float64 array shaped as x for an array: `_lead` at each x.
     """
     if isinstance(x, (int, float)):
         return _lead(spec)(float(x))
@@ -283,9 +265,9 @@ def profile_lines(spec: SurfaceSpec, omega_max: float) -> list:
 
     A g(x) = sum over n of 2 A (-1)^{n+1} / (pi^2 n^2) cos(2 pi n x), from
     r^2 = 1/12 + sum (-1)^n cos(2 pi n r) / (pi^2 n^2) on [-1/2, 1/2].  The
-    sawtooth w (-1)^{k+1} (x - k) is -w times the triangle wave of period
-    2 and peak 1/2, whose sine series has 4 (-1)^j / (pi^2 m^2) at the odd
-    m = 2j + 1.  None on a flat surface.
+    sawtooth w (-1)^{k+1} (x - k), w = `_alternating_weight`, is -w times
+    the triangle wave of period 2 and peak 1/2, whose sine series has
+    4 (-1)^j / (pi^2 m^2) at the odd m = 2j + 1.  None on a flat surface.
     """
     if not catalog.is_spherical(spec):
         return []
@@ -650,15 +632,13 @@ def conjecture_checks(spec: SurfaceSpec, seed: int):
 
     # frequency content against geodesic lengths
     if spherical:
-        # the [100, 200] profile's coefficients at the multiples of pi up to
-        # 30 against the leading profile's closed-form lines, each at a
-        # geodesic length
-        lines.append("geodesic lengths: " + " ".join(
-            "%.6g" % l for l in asymptotics.geodesic_lengths(spec, 30.0)))
+        # the [100, 200] profile at each multiple of pi up to 30 against the
+        # leading profile's closed-form lines, each at a geodesic length
+        step = asymptotics.orbit_step(spec)
+        lines.append(f"geodesic lengths: multiples of {float(step) * math.pi:.6g} up to 30")
         rows, dev, tol = line_check(spec, *profile(spec, 100, 200, 8001), 30.0)
         lines += [f"freq line {m * math.pi:.6g}: closed form {coef:+.6g}, measured {got:+.6g}"
                   for m, coef, got in rows]
-        step = asymptotics.orbit_step(spec)
         on = all(m % step == 0 for m, _, _ in rows)
         check("freq", f": {len(rows)} lines {'at' if on else 'not all at'} geodesic "
               f"lengths; the worst multiple of pi up to 30 deviates {dev:.6g} within "

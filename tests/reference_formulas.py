@@ -206,9 +206,10 @@ def frequency_peaks_loop(coef, omega):
 
 
 def round_sweep():
-    """The round surfaces the integer loops are held against their
-    Fraction references on: the 36 round roster surfaces and every lune,
-    half lune and glued lune of order m <= 60 and m = 1000, once each."""
+    """The round surfaces the sawtooth weight's closed form and the round
+    lengths' integer loop are held against their Fraction references on:
+    the 36 round roster surfaces and every lune, half lune and glued lune
+    of order m <= 60 and m = 1000, once each."""
     out = [s for s in catalog.verification_roster() if catalog.is_spherical(s)]
     for m in [*range(1, 61), 1000]:
         out += [catalog.lune(m, bc) for bc in "ND"]
@@ -218,12 +219,12 @@ def round_sweep():
 
 
 def alternating_weight_fractions(spec):
-    """`average._alternating_weight` in Fractions, over lists of one
-    period: the 2P + 1 window counts W from k0 = 4P, P = 4m,
-    a = (W(k0 + 2P) - 2 W(k0 + P) + W(k0)) / 2P^2, the P slopes
+    """`average._alternating_weight` walked in Fractions over lists of one
+    period, from the window counts alone: the 2P + 1 counts W from k0 = 4P,
+    P = 4m, a = (W(k0 + 2P) - 2 W(k0 + P) + W(k0)) / 2P^2, the P slopes
     beta(k) = (W(k + P) - W(k)) / P - a (2k + P) and their deviations from
-    the mean slope, which must alternate; the weight is -2 times the first
-    deviation."""
+    the mean slope, which must alternate (else ArithmeticError); the weight
+    is -2 times the first deviation."""
     P = 4 * spec.m
     k0 = 4 * P
     W = [spherical._sph_cum(spec, k) for k in range(k0, k0 + 2 * P + 1)]

@@ -14,6 +14,7 @@ from reference_formulas import (alternating_weight_fractions, avg_error_grid_who
                                 remainder_exponent_whole, round_sweep, smooth_count,
                                 sphere_avg_closed_form, sphere_avg_decomposed, sphere_g,
                                 window_mean_gauss, window_samples, window_sup_whole)
+from mutations import MUTATION_SEED, WEIGHT_MUTATIONS, WEIGHT_SURFACES
 
 
 def spec(label):
@@ -530,9 +531,9 @@ def test_half_lune_even_m_sawtooth_weight():
 
 
 def test_sawtooth_weight_over_the_roster():
-    # read off the window counts, the weight is nonzero exactly where an
-    # alternating slope survives: the projective sphere's even degrees and
-    # the half lunes of even m in the roster, signed by the equator
+    # the weight is nonzero exactly where an alternating slope survives:
+    # the projective sphere's even degrees and the half lunes of even m in
+    # the roster, signed by the equator
     for s in catalog.verification_roster():
         if not catalog.is_spherical(s):
             continue
@@ -546,44 +547,53 @@ def test_sawtooth_weight_over_the_roster():
 
 
 def test_sawtooth_weight_refuses_other_slopes(monkeypatch):
-    # a slope that wobbles with period 3 is no alternating sawtooth
+    # a slope that wobbles with period 3 is no alternating sawtooth: the
+    # reference walk refuses it
     cum = spherical._sph_cum
-    monkeypatch.setattr(average, "_WEIGHTS", {})
     monkeypatch.setattr(spherical, "_sph_cum", lambda s, k: cum(s, k) + k * (k % 3))
     with pytest.raises(ArithmeticError):
-        average._alternating_weight(SPHERE)
+        alternating_weight_fractions(SPHERE)
 
 
-def test_sawtooth_weight_is_read_once_per_surface(monkeypatch):
-    # the weight is a constant of the surface: a decay fit over 5-level
-    # blocks, a batch of samples each, reads its 2P + 1 window counts once
-    hemi = spec("hemisphere:bc=N")
-    spectrum.count(hemi, 1e6)
-    asymptotics.surface_constants(hemi)
-    calls = []
-    cum = spherical._sph_cum
-    monkeypatch.setattr(average, "_WEIGHTS", {})
-    monkeypatch.setattr(spectrum, "_LEVELS", 5)
-    monkeypatch.setattr(spherical, "_sph_cum", lambda s, k: calls.append(k) or cum(s, k))
-    average.remainder_exponent(hemi, 1e3, 1e6)
-    assert 0 < len(calls) <= 2 * 4 * hemi.m + 1
-
-
-def test_sawtooth_weight_matches_the_fraction_reference(monkeypatch):
-    # the integer read gives the Fraction lists' float on every round
-    # surface of the sweep, zero and nonzero alike
-    monkeypatch.setattr(average, "_WEIGHTS", {})
-    for s in round_sweep():
+def test_sawtooth_weight_matches_the_fraction_reference():
+    # the closed form is the float of a walk over one period of window
+    # counts on every round surface of the sweep, zero and nonzero alike,
+    # and on half lunes of odd and even m past 1000
+    sweep = round_sweep() + [catalog.half_lune(m, side, eq)
+                             for m in (1001, 1002) for side in "ND" for eq in "ND"]
+    for s in sweep:
         assert average._alternating_weight(s) == alternating_weight_fractions(s), s.label()
 
 
-def test_sawtooth_weight_holds_no_period_long_lists(monkeypatch):
-    # the 80001 window counts of P = 40000 are read a pair at a time: a
-    # list of a period's counts or slopes would hold megabytes
-    monkeypatch.setattr(average, "_WEIGHTS", {})
-    sp = spec("half_lune:m=10000,bc_side=N,bc_equator=D")
-    assert _traced_peak(average._alternating_weight, sp) <= 64 * 1024
-    assert average._WEIGHTS[sp] == -1 / 20000
+@pytest.mark.parametrize("name", list(WEIGHT_MUTATIONS))
+def test_conjecture_catches_a_wrong_sawtooth_weight(monkeypatch, name):
+    # each mutant fails exactly its registered records; `freq` misses the
+    # sign flip and 1/m, since its tolerance 2 max|g - lead| grows with
+    # the wrong lead
+    mutate, want = WEIGHT_MUTATIONS[name]
+    monkeypatch.setattr(average, "_alternating_weight", mutate(average._alternating_weight))
+    for label in WEIGHT_SURFACES:
+        checks = average.conjecture_checks(spec(label), MUTATION_SEED)[1]
+        failed = {n for n, _, _, ok in checks if not ok}
+        assert failed == want.get(label, set()), (label, [
+            "%s %.6g against %s" % (n, v, b) for n, v, b, _ in checks])
+
+
+def test_round_conjecture_reads_as_many_window_counts_at_any_order(monkeypatch):
+    # the sawtooth weight and the lengths line are closed forms: a lune of
+    # order 10^10 reads the window counts of a table to 1e6 and no more,
+    # and prints a report as short as m = 5's
+    cum = spherical._sph_cum
+    reads, reports = [], []
+    for m in (5, 10 ** 10):
+        calls = []
+        monkeypatch.setattr(spectrum, "_TABLES", {})
+        monkeypatch.setattr(spherical, "_sph_cum", lambda s, k: calls.append(k) or cum(s, k))
+        reports.append(average.conjecture_checks(catalog.lune(m, "D"), 3)[0])
+        reads.append(len(calls))
+    assert reads[0] == reads[1] > 0
+    assert len(reports[0]) == len(reports[1])
+    assert all(len("\n".join(r).encode()) < 2048 for r in reports)
 
 
 SLOPE_LABELS = [

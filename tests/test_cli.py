@@ -307,15 +307,15 @@ def test_identical_config_identical_bytes(capsys):
 
 
 def test_conjecture_passes_for_asserted_families(capsys):
-    # length and sha256 of the whole report, both captured when the mean
-    # records became window integrals read from the level sums
+    # length and sha256 of the whole report, the sphere's captured when its
+    # lengths line became the orbit step and the line check's bound
     rc, out, _ = run_cli(capsys, "conjecture", "sphere")
     assert rc == 0
     assert out.rstrip().endswith("RESULT: PASS")
     assert "check freq" in out
-    assert len(out.encode()) == 740
+    assert len(out.encode()) == 738
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "96fdaead204880d0319545e7cbc539bed3a6f0cc434453a61296d03e6635a7a6")
+        "bbb70c66620d49903cf488cdd4ee5a65e08f015af06556a0c34ae2d72cff5c8b")
     rc, out, _ = run_cli(capsys, "conjecture", "flat_torus_rect:a=1,b=1")
     assert rc == 0
     assert out.rstrip().endswith("RESULT: PASS")
@@ -996,8 +996,7 @@ GOLDEN = {
         "check mean [400,800]: -3.87912e-07 within 0.0125 -> ok\n"
         "check decay: exponent -0.474157 in [-0.65,-0.35] -> ok\n"
         "check probes (seed 3): worst scaled residual 0.044187 within 0.0914598 -> ok\n"
-        "geodesic lengths: 2.0944 4.18879 6.28319 8.37758 10.472 12.5664 14.6608 16.7552 "
-        "18.8496 20.944 23.0383 25.1327 27.2271 29.3215\n"
+        "geodesic lengths: multiples of 2.0944 up to 30\n"
         "freq line 6.28319: closed form +0.0168869, measured +0.017016\n"
         "freq line 12.5664: closed form -0.00422172, measured -0.00425974\n"
         "freq line 18.8496: closed form +0.00187632, measured +0.00189848\n"
@@ -1012,8 +1011,7 @@ GOLDEN = {
         "check mean [400,800]: +4.16066e-09 within 0.0125 -> ok\n"
         "check decay: exponent -0.505395 in [-0.65,-0.35] -> ok\n"
         "check probes (seed 3): worst scaled residual 0.0184569 within 0.0289542 -> ok\n"
-        "geodesic lengths: 3.14159 6.28319 9.42478 12.5664 15.708 18.8496 21.9911 "
-        "25.1327 28.2743\n"
+        "geodesic lengths: multiples of 3.14159 up to 30\n"
         "freq line 3.14159: closed form +0.101321, measured +0.101686\n"
         "freq line 6.28319: closed form +0.0253303, measured +0.0254307\n"
         "freq line 9.42478: closed form -0.0112579, measured -0.0113087\n"
@@ -1036,7 +1034,7 @@ GOLDEN = {
         "check mean [400,800]: +1.62761e-07 within 0.0125 -> ok\n"
         "check decay: exponent -0.506553 in [-0.65,-0.35] -> ok\n"
         "check probes (seed 3): worst scaled residual 0.0146734 within 0.0262072 -> ok\n"
-        "geodesic lengths: 6.28319 12.5664 18.8496 25.1327\n"
+        "geodesic lengths: multiples of 6.28319 up to 30\n"
         "freq line 6.28319: closed form +0.202642, measured +0.202748\n"
         "freq line 12.5664: closed form -0.0506606, measured -0.050765\n"
         "freq line 18.8496: closed form +0.0225158, measured +0.0226207\n"
@@ -1051,8 +1049,7 @@ GOLDEN = {
         "check mean [400,800]: +8.10143e-08 within 0.0125 -> ok\n"
         "check decay: exponent -0.504209 in [-0.65,-0.35] -> ok\n"
         "check probes (seed 3): worst scaled residual 0.0587727 within 0.10145 -> ok\n"
-        "geodesic lengths: 3.14159 6.28319 9.42478 12.5664 15.708 18.8496 21.9911 "
-        "25.1327 28.2743\n"
+        "geodesic lengths: multiples of 3.14159 up to 30\n"
         "freq line 3.14159: closed form -0.405285, measured -0.405339\n"
         "freq line 6.28319: closed form +0.101321, measured +0.101374\n"
         "freq line 9.42478: closed form +0.0450316, measured +0.0450797\n"

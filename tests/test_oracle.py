@@ -370,7 +370,6 @@ _PRIVATE_READS = {
     ("analysis", "catalog"): {"_Frozen"},
     ("asymptotics", "lattice"): {"_ONE", "_closed_terms"},
     ("average", "spectrum"): {"_LEVELS"},
-    ("average", "spherical"): {"_sph_cum"},
     ("lattice", "spectrum"): {"_LEVEL_CAP", "_NEGATIVE", "_Table", "_pq", "_rho_ends",
                               "_table"},
     ("spectrum", "lattice"): {"_LevelTable"},
