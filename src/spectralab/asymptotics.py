@@ -422,11 +422,17 @@ def _read_closed_form(spec: SurfaceSpec, L_max=0) -> tuple:
     return (A, B, C), sorted(math.sqrt(float(sq)) for sq in lines)
 
 
+# Most lengths a round surface lists, about 32 MB of floats: a lune of
+# order 10^10 has 4.8e10 of them up to 30
+_ROUND_LENGTHS = 10**6
+
+
 def geodesic_lengths(spec: SurfaceSpec, L_max: float) -> list[float]:
     """Sorted lengths up to L_max at which the counting remainder oscillates.
 
-    A round surface lists the multiples of its great-circle orbit; a flat
-    one the lines of its closed form (`_read_closed_form`).
+    A round surface lists the multiples of its great-circle orbit, refused
+    with ValueError past _ROUND_LENGTHS of them; a flat one the lines of
+    its closed form (`_read_closed_form`).
     """
     if L_max <= 0:
         return []
@@ -439,6 +445,9 @@ def geodesic_lengths(spec: SurfaceSpec, L_max: float) -> list[float]:
                              "keys") from None
     # p * j / q is float(step * j): Python's int division is correctly rounded
     p, q = orbit_step(spec).as_integer_ratio()
+    if L_max + 1e-12 > _ROUND_LENGTHS * math.pi * (p / q):
+        raise ValueError(f"{catalog.short_label(spec)}: its geodesic lengths up to {L_max:g} "
+                         f"number more than {_ROUND_LENGTHS:g}")
     out = []
     j = 1
     while p * j / q * math.pi <= L_max + 1e-12:

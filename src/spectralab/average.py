@@ -16,7 +16,11 @@ where importing numpy would cost more than the sums.  Both run the same
 correctly rounded steps in the same order (t^{3/2} is t * sqrt(t),
 t^{1/4} is sqrt(sqrt(t))), so they agree bit for bit.  The numpy engine
 streams the table a block of levels at a time, never holding an array
-as long as the table; numpy is imported where it is used.  The decade
+as long as the table; numpy is imported where it is used.  Each engine
+is one walk forward over the table (`_engine`) that takes ascending
+times a chunk at a time, so the grid commands hold one chunk of their
+grid and rows (`avg_chunks`, `profile_chunks`), and `avg_error_grid`,
+`avg_error_list` and `profile` join its chunks.  The decade
 sups and the decay fit share one reducer (`_window_peaks`).  A window
 mean of g_est is read from the level sums with no sampling
 (`exact_window_mean`): a closed form on a flat surface, Gauss between
@@ -32,7 +36,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from operator import le, lt, mul, sub
 
 from . import asymptotics, catalog, spectrum
@@ -46,15 +50,64 @@ def grid(lo: float, hi: float, n: int, log: bool) -> list:
     np.linspace's bit for bit; libm's log10 and pow may round differently
     from numpy's, so a log grid's inner points may differ from
     np.geomspace's in the last bits."""
+    return list(chain.from_iterable(_grid_chunks(lo, hi, n, log, False)))
+
+
+def _grid_chunks(lo: float, hi: float, n: int, log: bool, arrays: bool):
+    """`grid`'s floats in chunks of `spectrum._CHUNK`: lists, or with
+    arrays float64 arrays, a linear grid's made by numpy in the same
+    correctly rounded steps (j * step + a, as np.linspace takes them), a
+    log grid's by Python's pow."""
     a, b = (math.log10(lo), math.log10(hi)) if log else (lo, hi)
     step = (b - a) / max(n - 1, 1)
-    xs = [i * step + a for i in range(n)]
-    if log:
-        xs = [10.0 ** x for x in xs]
-    xs[0] = lo
-    if n > 1:
-        xs[-1] = hi
-    return xs
+    size = spectrum._CHUNK
+    for i in range(0, n, size):
+        e = min(i + size, n)
+        if arrays and not log:
+            import numpy as np
+
+            xs = np.arange(i, e, dtype=np.float64)
+            xs *= step
+            xs += a
+        else:
+            xs = [j * step + a for j in range(i, e)]
+            if log:
+                xs = [10.0 ** x for x in xs]
+            if arrays:
+                import numpy as np
+
+                xs = np.array(xs)
+        if not i:
+            xs[0] = lo
+        if e == n > 1:
+            xs[-1] = hi
+        yield xs
+
+
+def _top(chunks, strict: bool) -> float:
+    """The last of the times in chunks, lists or float64 arrays, read in
+    one pass that stores nothing: ValueError where one is not > 0 or
+    where they do not ascend, strictly with strict; a NaN fails one of
+    the two."""
+    order = lt if strict else le
+    positive = ascending = True
+    last = None
+    for ts in chunks:
+        if isinstance(ts, list):
+            positive = positive and min(ts) > 0
+            ascending = ascending and all(map(order, ts, islice(ts, 1, None)))
+        else:
+            import numpy as np
+
+            positive = positive and bool(np.all(ts > 0))
+            ascending = ascending and bool(np.all(order(ts[:-1], ts[1:])))
+        ascending = ascending and (last is None or order(last, ts[0]))
+        last = ts[-1]
+    if not positive:
+        raise ValueError("averaged error needs t > 0")
+    if not ascending:
+        raise ValueError("grid must be strictly ascending" if strict else "grid must be ascending")
+    return float(last)
 
 
 def _tilde_integral(rc: asymptotics.RefinedAsymptotics, sqrt):
@@ -85,10 +138,6 @@ def _smooth(spec: SurfaceSpec, sqrt, top: float):
     return _tilde_integral(rc, sqrt)
 
 
-# Times per `_avg_block` call in avg_error_grid: twice the levels of a
-# `spectrum.level_blocks` block, as many as a window batch holds of a
-# block's levels and their midpoints; the results do not depend on it.
-_BLOCK = 2 * spectrum._LEVELS
 # Most times, and most levels below the last time, that the Python engine
 # sums: about 0.5 us a time, 2.3-4.1 ms at 4001 times and 29-30 ms at
 # 65536 (sphere and a rational rectangle), against about 165 ms for the
@@ -106,26 +155,61 @@ def _lists(spec: SurfaceSpec, T: float, n: int):
     return spectrum.level_lists(spec, T, _PY_POINTS) if n <= _PY_POINTS else None
 
 
-def _avg_lists(spec: SurfaceSpec, ts: list, sums) -> list:
-    """The averaged error at the ascending times ts from `_lists` sums, in
-    `_avg_block`'s operations and order, in one walk: the level index j
-    (searchsorted(side="right")) moves on by bisect_right only when t
-    reaches the next level, and `_tilde_integral`'s terms are written out,
-    their constant factors taken first as it takes them."""
+def _engine(spec: SurfaceSpec, T: float, sums):
+    """The averaged error as one walk forward over the levels <= T:
+    avg(ts) at each next chunk ts of ascending times, none above T, each
+    chunk's times at or after the last chunk's.
+
+    With `_lists`' sums, lists of Python floats in `_avg_block`'s
+    operations and order: the level index j (searchsorted(side="right"))
+    moves on by bisect_right only when t reaches the next level, and
+    `_tilde_integral`'s terms are written out, their constant factors
+    taken first as it takes them.  With sums None, float64 arrays at
+    float64 arrays ts, from one pass over `spectrum.level_blocks`, a
+    chunk's times taking their sums from the first block whose edge is
+    above them.  `_smooth`'s refusal at T and the table's come here,
+    before any rows."""
+    if sums is None:
+        import numpy as np
+
+        tilde = _smooth(spec, np.sqrt, T)
+        blocks = spectrum.level_blocks(spec, T)
+        block, edge = next(blocks)
+
+        def avg(ts):
+            nonlocal block, edge
+            out = np.empty_like(ts)
+            i = 0
+            while True:
+                k = int(np.searchsorted(ts, edge))
+                if k > i:
+                    _avg_block(ts[i:k], block, tilde, out[i:k])
+                if k == ts.size:
+                    return out
+                i = k
+                block, edge = next(blocks)
+
+        return avg
     vals, n_pref, l_pref = sums
     rc = asymptotics.surface_constants(spec)
     hA, tB, C = 0.5 * float(rc.A), (2.0 / 3.0) * float(rc.B), float(rc.C)
     shift, c = (0.25, 0.125) if rc.sqrt_shift else (0.0, 0.0)
-    sqrt, top, out = math.sqrt, len(vals), []
+    top = len(vals)
     j, n, l = 0, n_pref[0], l_pref[0]
     nxt = vals[0] if top else math.inf
-    for t in ts:
-        if t >= nxt:
-            j = bisect_right(vals, t, j)
-            n, l, nxt = n_pref[j], l_pref[j], vals[j] if j < top else math.inf
-        s = t + shift
-        out.append((t * n - l - (hA * t * t + tB * (s * sqrt(s) - c) + C * t)) / t)
-    return out
+
+    def avg(ts):
+        nonlocal j, n, l, nxt
+        sqrt, out = math.sqrt, []
+        for t in ts:
+            if t >= nxt:
+                j = bisect_right(vals, t, j)
+                n, l, nxt = n_pref[j], l_pref[j], vals[j] if j < top else math.inf
+            s = t + shift
+            out.append((t * n - l - (hA * t * t + tB * (s * sqrt(s) - c) + C * t)) / t)
+        return out
+
+    return avg
 
 
 def _avg_block(t, block, tilde, out) -> None:
@@ -143,51 +227,33 @@ def _avg_block(t, block, tilde, out) -> None:
 
 
 def avg_error_grid(spec: SurfaceSpec, ts):
-    """Averaged error over an ascending grid, one spectrum fetch, on numpy.
-
-    The level prefix sums are streamed a block of levels at a time
-    (`spectrum.level_blocks`), and each block's times are evaluated in
-    blocks of at most _BLOCK into one output array, so the temporaries stay
-    block-sized however long the table and the grid are.  The sums are
-    float64, and the absolute error grows with t: below 1e-12 up to
-    t = 3000, 4.3e-10 on [1e5, 1e6] and 1.4e-8 at t = 1e7 (unit torus,
-    against exact sums).  avg_error_list gives the same floats.
+    """Averaged error over an ascending grid, one spectrum fetch, on numpy:
+    the numpy `_engine` over the grid's chunks of `spectrum._CHUNK` times,
+    joined, so the temporaries stay chunk- and block-sized however long
+    the table and the grid are.  The sums are float64, and the absolute
+    error grows with t: below 1e-12 up to t = 3000, 4.3e-10 on [1e5, 1e6]
+    and 1.4e-8 at t = 1e7 (unit torus, against exact sums).
+    avg_error_list gives the same floats.
     """
     import numpy as np
 
     ts = np.asarray(ts, dtype=np.float64)
     if ts.size == 0:
         return ts.copy()
-    if not np.all(ts > 0):
-        raise ValueError("averaged error needs t > 0")
-    if np.any(ts[1:] < ts[:-1]):
-        raise ValueError("grid must be ascending")
-    tilde = _smooth(spec, np.sqrt, float(ts[-1]))
-    out = np.empty_like(ts)
-    j = 0
-    for block, edge in spectrum.level_blocks(spec, float(ts[-1])):
-        k = int(np.searchsorted(ts, edge))
-        for i in range(j, k, _BLOCK):
-            e = min(i + _BLOCK, k)
-            _avg_block(ts[i:e], block, tilde, out[i:e])
-        j = k
-    return out
+    avg, size = _engine(spec, _top([ts], False), None), spectrum._CHUNK
+    return np.concatenate([avg(ts[i:i + size]) for i in range(0, ts.size, size)])
 
 
 def avg_error_list(spec: SurfaceSpec, ts) -> list:
     """avg_error_grid as a list of floats, bit for bit, on the engine
     `_lists` picks: Python floats where it can, else avg_error_grid."""
     ts = list(map(float, ts))
-    if ts and not min(ts) > 0:  # a NaN fails here or in the order below
-        raise ValueError("averaged error needs t > 0")
-    if not all(map(le, ts, islice(ts, 1, None))):
-        raise ValueError("grid must be ascending")
     if not ts:
         return []
-    sums = _lists(spec, ts[-1], len(ts))
+    sums = _lists(spec, _top([ts], False), len(ts))
     if sums is None:
         return avg_error_grid(spec, ts).tolist()
-    return _avg_lists(spec, ts, sums)
+    return _engine(spec, ts[-1], sums)(ts)
 
 
 def _lead(spec: SurfaceSpec):
@@ -338,12 +404,25 @@ def line_check(spec: SurfaceSpec, xs: list, gs: list, omega_max: float):
 
 
 def profile(spec: SurfaceSpec, lo: float, hi: float, n: int):
-    """(xs, g_est) at the n points of np.linspace(lo, hi, n), on the engine
-    `_lists` picks: lists of `grid` on Python floats, else np.linspace's
-    float64 arrays, which hold no Python float.  Refused before any table
-    is read: a window not positive and ascending, n < 2, x <= 1/2 on a
-    round surface, an x^2 that underflows or overflows, and a smooth
-    integral that does (`_smooth`); after, xs not strictly ascending."""
+    """(xs, g_est) at the n points of np.linspace(lo, hi, n): the chunks of
+    `profile_chunks` joined, lists of `grid` on Python floats, else
+    np.linspace's float64 arrays, which hold no Python float."""
+    xs, gs = zip(*profile_chunks(spec, lo, hi, n))
+    if isinstance(xs[0], list):
+        return list(chain.from_iterable(xs)), list(chain.from_iterable(gs))
+    import numpy as np
+
+    return np.concatenate(xs), np.concatenate(gs)
+
+
+def profile_chunks(spec: SurfaceSpec, lo: float, hi: float, n: int):
+    """(xs, g_est) over the n points of np.linspace(lo, hi, n), one chunk
+    of `spectrum._CHUNK` points at a time, on the engine `_lists` picks
+    for the whole grid: lists on Python floats, else float64 arrays.
+    Refused before the first chunk, and before any table is read: a window
+    not positive and ascending, n < 2, x <= 1/2 on a round surface, an x^2
+    that underflows or overflows, and a smooth integral that does
+    (`_smooth`); after, xs not strictly ascending (`_top`)."""
     lo, hi = float(lo), float(hi)
     if not 0 < lo < hi:
         raise ValueError("window must be positive and ascending")
@@ -358,19 +437,12 @@ def profile(spec: SurfaceSpec, lo: float, hi: float, n: int):
         raise ValueError(f"grid value {hi:g} is too large: its square overflows the float range")
     shift = 0.25 if spherical else 0.0  # x * x - 0.0 is x * x
     sums = _lists(spec, hi * hi - shift, n)
-    if sums is None:
-        import numpy as np
-
-        xs = np.linspace(lo, hi, n)
-        if not np.all(xs[:-1] < xs[1:]):
-            raise ValueError("grid must be strictly ascending")
-        gs = avg_error_grid(spec, xs * xs - shift)
-    else:
-        xs = grid(lo, hi, n, False)
-        if not all(map(lt, xs, islice(xs, 1, None))):
-            raise ValueError("grid must be strictly ascending")
-        gs = _avg_lists(spec, [x * x - shift for x in xs], sums)
-    return xs, _g_est(spherical, xs, gs)
+    arrays = sums is None
+    _top(_grid_chunks(lo, hi, n, False, arrays), True)
+    avg = _engine(spec, hi * hi - shift, sums)
+    for xs in _grid_chunks(lo, hi, n, False, arrays):
+        ts = xs * xs - shift if arrays else [x * x - shift for x in xs]
+        yield xs, _g_est(spherical, xs, avg(ts))
 
 
 def _g_est(spherical: bool, xs, avg):
@@ -385,13 +457,28 @@ def _g_est(spherical: bool, xs, avg):
     return avg * np.sqrt(xs)
 
 
-def avg_columns(spec: SurfaceSpec, ts) -> tuple:
-    """(avg, xs, g_est) at the ascending times ts, as lists: the averaged
-    error (`avg_error_list`), x = sqrt(t + 1/4) on a round surface and
-    sqrt(t) on a flat one, and g_est at x (`_g_est`)."""
-    avg, spherical = avg_error_list(spec, ts), catalog.is_spherical(spec)
-    xs = [math.sqrt(t + (0.25 if spherical else 0.0)) for t in ts]  # + 0.0 is exact
-    return avg, xs, _g_est(spherical, xs, avg)
+def avg_chunks(spec: SurfaceSpec, lo: float, hi: float, n: int, log: bool):
+    """The averaged error on `grid(lo, hi, n, log)`, one chunk of
+    `spectrum._CHUNK` times at a time, on the engine `_lists` picks for the
+    whole grid: per chunk (ts, avg, xs, g_est), x = sqrt(t + 1/4) on a
+    round surface and sqrt(t) on a flat one, and g_est at x (`_g_est`),
+    lists on Python floats, else float64 arrays.  Refused before the first
+    chunk: a time not > 0 or not ascending (`_top`, over lists up to
+    _PY_POINTS times, else over arrays), then by `_lists`."""
+    T = _top(_grid_chunks(lo, hi, n, log, n > _PY_POINTS), False)
+    sums = _lists(spec, T, n)
+    spherical = catalog.is_spherical(spec)
+    shift = 0.25 if spherical else 0.0  # + 0.0 is exact
+    avg = _engine(spec, T, sums)
+    for ts in _grid_chunks(lo, hi, n, log, sums is None):
+        if isinstance(ts, list):
+            xs = [math.sqrt(t + shift) for t in ts]
+        else:
+            import numpy as np
+
+            xs = np.sqrt(ts + shift)
+        a = avg(ts)
+        yield ts, a, xs, _g_est(spherical, xs, a)
 
 
 # the 8-node Gauss-Legendre rule on [-1, 1]: its positive nodes and their
@@ -480,7 +567,7 @@ def _window_residuals(spec: SurfaceSpec, lo: float, hi: float, grid):
         ts = sorted({*(float(t) for t in grid if lo <= t <= hi), *inside,
                      *(0.5 * (b + a) for a, b in zip(inside, inside[1:]))})
         if ts:
-            yield ts, residual(spec, ts, _avg_lists(spec, ts, sums))
+            yield ts, residual(spec, ts, _engine(spec, hi, sums)(ts))
         return
     import numpy as np
 

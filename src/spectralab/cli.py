@@ -34,9 +34,12 @@ _FAMILY_ALIASES = {
     "tri306090": "triangle_306090",
 }
 
-# most points a --grid or --omega may ask for; at this size the largest
-# command, `freq sphere --window 100:200 --omega 1:15707:1000000`, peaks
-# at 293 MB and takes 2.5 s (2-vCPU VM, medians of three runs)
+# most points a --grid or --omega may ask for.  At this size `freq sphere
+# --window 100:200 --omega 1:15707:1000000` peaks at 252-260 MB, in its
+# Fourier scan; `avg rectangle:a=7/5,b=5/11,bc=ND --grid
+# 1289:1.289e+05:1000000` at 31 MB and `gprofile right_iso_triangle:a=1,
+# bc=MD --grid 108:608:1000000` at 30 MB, as they write their rows a
+# chunk at a time (2-vCPU VM, three runs each)
 _GRID_MAX = 10**6
 
 def parse_surface(text: str) -> catalog.SurfaceSpec:
@@ -127,10 +130,14 @@ def _csv_column(values: list):
 
 
 def emit(chunks, fmt: str) -> None:
-    """Write a table given as chunks, dicts of equal-length column lists
-    with the same names in the same order; each chunk is written as it
-    arrives.  CSV has one header line, JSON is one list of row objects."""
+    """Write a table given as chunks, dicts of equal-length columns, lists
+    or numpy arrays, with the same names in the same order; each chunk is
+    written as it arrives, so a command that makes its rows a chunk at a
+    time holds one chunk of them.  CSV has one header line, JSON is one
+    list of row objects."""
     write = sys.stdout.write
+    chunks = ({name: v if isinstance(v, list) else v.tolist() for name, v in chunk.items()}
+              for chunk in chunks)
     if fmt == "json":
         import json
 
@@ -188,17 +195,17 @@ def cmd_asymptotics(args) -> int:
 def cmd_avg(args) -> int:
     from . import average
 
-    ts = average.grid(*args.grid, args.log)
-    avg, gx, g_est = average.avg_columns(args.spec, ts)
-    emit([{"t": ts, "avg": avg, "gx": gx, "g_est": g_est}], args.format)
+    emit(({"t": ts, "avg": avg, "gx": gx, "g_est": g_est}
+          for ts, avg, gx, g_est in average.avg_chunks(args.spec, *args.grid, args.log)),
+         args.format)
     return 0
 
 
 def cmd_gprofile(args) -> int:
     from . import average
 
-    xs, gs = average.profile(args.spec, *args.grid)
-    emit([{"x": xs, "g_est": gs}], args.format)
+    emit(({"x": xs, "g_est": gs} for xs, gs in average.profile_chunks(args.spec, *args.grid)),
+         args.format)
     return 0
 
 
@@ -216,7 +223,9 @@ def cmd_freq(args) -> int:
     profile = analysis.make_profile(args.spec, x_lo, x_hi, n=n_samp)
     omega = np.linspace(w_lo, w_hi, n_w)
     amp = np.abs(analysis.fourier_coefficients(profile, omega))
-    emit([{"omega": omega.tolist(), "amplitude": amp.tolist()}], args.format)
+    size = spectrum._CHUNK
+    emit(({"omega": omega[i:i + size], "amplitude": amp[i:i + size]}
+          for i in range(0, n_w, size)), args.format)
     return 0
 
 

@@ -121,6 +121,13 @@ class _LevelTable(_Table):
         g = gcd(num, den)
         return str(num // g) if den == g else f"{num // g}/{den // g}"
 
+    def reach(self, t) -> None:
+        """Grow the tori that the closed form reads to their keys at t
+        (`_Form.grow`), once, rather than by doubling as queries reach
+        them."""
+        form = _form(self.spec, self)
+        form.grow(self.decided(t, form.ints)[1])
+
     def closed_count(self, t) -> tuple:
         """(q, N(t)) by the compiled closed form (`_form`): the table's
         largest key q and every term's integer read off the same ends of
@@ -740,6 +747,20 @@ class _Form:
                 k = sub.count_upto(k) if n is None or n <= spectrum._LEVEL_CAP else n
             v += c * k
         return v
+
+    def grow(self, ks) -> None:
+        """Grow each torus to its key k in ks where `total` would grow it,
+        where its table at k can be built within the cap (`_Table.grow`),
+        so that `total` at keys up to ks reads it with no rebuild.  A torus
+        whose table is refused at k is left as it is: `total` reads one
+        over the cap by its rows and refuses the others at the query that
+        reaches them."""
+        for (_, sub), k in zip(self.weights, ks):
+            if sub is not None and sub.qcap < k:
+                try:
+                    sub.grow(k)
+                except ValueError:  # refused before anything was built
+                    pass
 
     def ints(self, P: int, Q: int) -> tuple:
         """At rho = P / Q: the largest key of the form's own table, and the

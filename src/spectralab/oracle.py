@@ -538,6 +538,10 @@ def check_equivalence(spec: SurfaceSpec, T, n_times: int = 2000, seed: int = 0) 
         nums = [k.numerator * (den // k.denominator) for k, _ in brute]
     prefix = list(accumulate(m for _, m in brute))
     exact = spectrum.ExactTime
+    # the largest cutoff drawn is the last level's: the closed form's tori
+    # are grown to it once, not doubled as the draws reach them
+    spectrum.grow_closed_form(spec, Fraction(nums[-1], den) if spherical
+                              else exact(Fraction(nums[-1], den)))
     identity = spectrum.closed_form_identity
     last = len(brute) - 1
     passed = set()

@@ -148,9 +148,12 @@ def _decided(t, ends, value):
 # level tables (the table route)
 
 
-# Levels per chunk of `level_columns`: a chunk's lists and the CSV writer's
-# rows take about 300 B a level, 5 MB at this size (20 MB at 65536).
-_CHUNK = 16384
+# Rows per chunk of every streamed table: the levels of `level_columns`
+# and the grid points of `average.avg_chunks` and `average.profile_chunks`,
+# and the frequencies `cli.cmd_freq` writes.  A chunk's lists and the CSV
+# writer's rows take about 300 B a row, 0.3 MB at this size, so a 4001-row
+# grid spans four chunks.
+_CHUNK = 1024
 # Levels per block of `level_blocks`.  A block's arrays take tens of kB,
 # well below the Fourier scan's two 256 kB buffers (on its 60001 samples
 # and 901 frequencies); no reader's results depend on the size.
@@ -223,6 +226,10 @@ class _Table:
         if not self.fits(q):
             return f"has level keys up to {q}", "which do not fit int64 beside their weights"
         return None
+
+    def reach(self, t) -> None:
+        """Grow the other tables that the closed form reads to what a
+        query at t reads: a flat kind's tori; a round kind reads none."""
 
     def decided(self, t, value):
         """value(P, Q) at every end of t's cutoff (`_decided`).  When the
@@ -379,6 +386,14 @@ def closed_form_identity(spec: SurfaceSpec, t) -> CountReport:
     """
     q, closed = _table(spec).closed_count(t)
     return CountReport(_t_float(t), count(spec, t, q), closed)
+
+
+def grow_closed_form(spec: SurfaceSpec, t) -> None:
+    """Grow the tables that spec's closed form reads, beside its own, to
+    their keys at t where they can be built (`_Table.reach`), so that
+    `closed_form_identity` at cutoffs up to t, in any order, builds each
+    of them once."""
+    _table(spec).reach(t)
 
 
 def symmetry_counts(base: str, t) -> dict:

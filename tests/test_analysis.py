@@ -1,6 +1,7 @@
 """Profile structure: means, periodicity, frequencies, sector proportions."""
 
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -362,6 +363,18 @@ def test_round_geodesic_lengths_match_the_fraction_products():
         for L in (30.0, 2 * math.pi, 100.0):
             assert asymptotics.geodesic_lengths(s, L) == round_geodesic_lengths_fractions(s, L), \
                 (s.label(), L)
+
+
+def test_round_geodesic_lengths_refuse_a_long_list():
+    # a lune of order 10^10 has 4.8e10 multiples of 2 pi / m up to 30: the
+    # count is refused before one is listed, naming the surface and L_max
+    start = time.perf_counter()
+    for L in (30.0, math.inf):
+        with pytest.raises(ValueError, match=r"^lune:m=10000000000,bc=D: its geodesic "
+                           r"lengths up to (30|inf) number more than 1e\+06$"):
+            asymptotics.geodesic_lengths(catalog.lune(10**10, "D"), L)
+    assert time.perf_counter() - start < 1.0
+    assert len(asymptotics.geodesic_lengths(catalog.lune(10**5, "D"), 30.0)) == 477464
 
 
 def test_geodesic_lengths_flat_unfoldings():

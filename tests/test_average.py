@@ -231,7 +231,7 @@ def test_streamed_sums_match_the_whole_table_bit_for_bit(monkeypatch):
     # surface: at levels, at block edges, next to levels, and below the
     # first positive level
     monkeypatch.setattr(spectrum, "_LEVELS", 3)
-    monkeypatch.setattr(average, "_BLOCK", 4)
+    monkeypatch.setattr(spectrum, "_CHUNK", 4)
     monkeypatch.setattr(average, "_PY_POINTS", 0)  # the streamed engine
     for sp in ROSTER:
         top = 1000.0 / float(asymptotics.surface_constants(sp).A)
@@ -301,7 +301,7 @@ def test_streamed_sums_hold_blocks_not_tables(monkeypatch):
     # 24k levels allocate a few blocks and the grid, not arrays as long as
     # the table
     monkeypatch.setattr(spectrum, "_LEVELS", 1024)
-    monkeypatch.setattr(average, "_BLOCK", 1024)
+    monkeypatch.setattr(spectrum, "_CHUNK", 1024)
     sp = spec("rectangle:a=1,b=1,bc=N")
     tb = spectrum._table(sp)
     assert tb.index(tb.qmax(1e6)) > 20000  # built here: the table is not measured

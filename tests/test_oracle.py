@@ -1,6 +1,7 @@
 import ast
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
@@ -215,6 +216,28 @@ def test_sweep_queries_each_distinct_cutoff_once(spec, monkeypatch):
     assert calls == list(dict.fromkeys(t for _, t, _ in draws))
 
 
+def test_closed_form_tori_are_built_once(monkeypatch):
+    # random-order draws grew the MM rectangle's two tori by doubling (two
+    # builds and four row sums each at T = 1e4, seed 0); grown to the last
+    # level's keys before the draws, every table is built and summed once,
+    # and the report is the same
+    from spectralab import lattice
+
+    monkeypatch.setattr(spectrum, "_TABLES", {})
+    builds, bounds = Counter(), Counter()
+    build, bound = lattice._LevelTable.build, lattice._LevelTable.bound
+    monkeypatch.setattr(lattice._LevelTable, "build",
+                        lambda tb, q: builds.update([tb.spec.label()]) or build(tb, q))
+    monkeypatch.setattr(lattice._LevelTable, "bound",
+                        lambda tb, q, stop=None: bounds.update([tb.spec.label()])
+                        or bound(tb, q, stop))
+    rep = oracle.check_equivalence(catalog.rectangle(1, 1, "MM"), 10**4)
+    assert rep == ("rectangle:a=1,b=1,bc=MM", 293, 2000, True, "pass")
+    once = {"rectangle:a=1,b=1,bc=MM": 1, "flat_torus_rect:a=1,b=1": 1,
+            "flat_torus_rect:a=1,b=2": 1}
+    assert (builds, bounds) == (once, once)
+
+
 # --- fault injection: a wrong formula must actually be caught --------------
 
 
@@ -369,7 +392,8 @@ def _members_without_reader():
 _PRIVATE_READS = {
     ("analysis", "catalog"): {"_Frozen"},
     ("asymptotics", "lattice"): {"_ONE", "_closed_terms"},
-    ("average", "spectrum"): {"_LEVELS"},
+    ("average", "spectrum"): {"_CHUNK"},
+    ("cli", "spectrum"): {"_CHUNK"},
     ("lattice", "spectrum"): {"_LEVEL_CAP", "_NEGATIVE", "_Table", "_pq", "_rho_ends",
                               "_table"},
     ("spectrum", "lattice"): {"_LevelTable"},
