@@ -5,10 +5,11 @@ reals print with 17 significant digits, so rerunning the same command
 line gives byte-identical output.  Anything inherently unstable across
 runs (wall-clock timing) goes to stderr.  Exit status: 0 for a clean run
 or PASS, 1 when a check fails or a numeric guard trips mid-run, 2 for
-usage errors; `main` returns it for every outcome.  Every argument is an
-argparse type, checked before a command runs: a bad one is refused with
-its command's usage and a message naming it, as is a ValueError the
-command raises once it runs.
+usage errors; `main` returns it for every outcome, and `run` returns 1,
+quietly, when stdout is closed before the output ends (`... | head`).
+Every argument is an argparse type, checked before a command runs: a bad
+one is refused with its command's usage and a message naming it, as is a
+ValueError the command raises once it runs.
 
 Surface grammar is `family:key=val,...` exactly as printed by the
 catalog labels; `rect` and `tri306090` are accepted as input shorthands
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import gc
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -390,7 +392,14 @@ def run(argv=None) -> int:
     frees, and the OS reclaims the rest.  main() itself leaves the
     collector alone, as it also runs inside other processes."""
     try:
-        return main(argv)
+        status = main(argv)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # stdout's reader has gone: fd 1 goes to devnull, so that the
+        # flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     finally:
         gc.freeze()
 

@@ -121,20 +121,14 @@ class _LevelTable(_Table):
         g = gcd(num, den)
         return str(num // g) if den == g else f"{num // g}/{den // g}"
 
-    def reach(self, t) -> None:
-        """Grow the tori that the closed form reads to their keys at t
-        (`_Form.grow`), once, rather than by doubling as queries reach
-        them."""
-        form = _form(self.spec, self)
-        form.grow(self.decided(t, form.ints)[1])
-
     def closed_count(self, t) -> tuple:
         """(q, N(t)) by the compiled closed form (`_form`): the table's
         largest key q and every term's integer read off the same ends of
         rho = t / pi^2 (`_Form.ints`).  Only this table is held to the cap,
-        grown to q before `_Form.total` reads a term: a torus over the cap
-        is read by its `bound`, the sum of its rows.  The sum must land on
-        a multiple of the form's denominator, else ArithmeticError."""
+        grown to q before `_Form.total` reads a term, which grows each torus
+        to its key and reads one over the cap by its `bound`, the sum of its
+        rows.  The sum must land on a multiple of the form's denominator,
+        else ArithmeticError."""
         form = _form(self.spec, self)
         q, ks = self.decided(t, form.ints)
         self.grow(q, t)
@@ -735,32 +729,20 @@ class _Form:
     def total(self, ks) -> int:
         """den * N at the term integers ks of `ints`: the constant plus each
         term's coefficient times its bracket or its torus's count at its
-        key k.  A torus reads its table where the table holds k or can grow
-        to k within `spectrum._LEVEL_CAP`, and its `bound` at k, the same
-        count summed over its rows, where the table would pass the cap; a
-        torus whose rows are too many to sum is refused by its table
-        (`_Table.grow`)."""
+        key k, read off its table grown to k (`_Table.grow`), or, where that
+        table would pass `spectrum._LEVEL_CAP`, off its `bound` at k, the
+        same count summed over its rows; any other refusal stands."""
         v = self.const
         for (c, sub), k in zip(self.weights, ks):
             if sub is not None:
-                n = sub.bound(k) if sub.qcap < k else 0
-                k = sub.count_upto(k) if n is None or n <= spectrum._LEVEL_CAP else n
+                try:
+                    k = sub.count_upto(k)
+                except ValueError:
+                    k = sub.bound(k)
+                    if k is None or k <= spectrum._LEVEL_CAP:
+                        raise
             v += c * k
         return v
-
-    def grow(self, ks) -> None:
-        """Grow each torus to its key k in ks where `total` would grow it,
-        where its table at k can be built within the cap (`_Table.grow`),
-        so that `total` at keys up to ks reads it with no rebuild.  A torus
-        whose table is refused at k is left as it is: `total` reads one
-        over the cap by its rows and refuses the others at the query that
-        reaches them."""
-        for (_, sub), k in zip(self.weights, ks):
-            if sub is not None and sub.qcap < k:
-                try:
-                    sub.grow(k)
-                except ValueError:  # refused before anything was built
-                    pass
 
     def ints(self, P: int, Q: int) -> tuple:
         """At rho = P / Q: the largest key of the form's own table, and the

@@ -227,10 +227,6 @@ class _Table:
             return f"has level keys up to {q}", "which do not fit int64 beside their weights"
         return None
 
-    def reach(self, t) -> None:
-        """Grow the other tables that the closed form reads to what a
-        query at t reads: a flat kind's tori; a round kind reads none."""
-
     def decided(self, t, value):
         """value(P, Q) at every end of t's cutoff (`_decided`).  When the
         ends disagree, the table is first grown to the key at the first
@@ -386,14 +382,6 @@ def closed_form_identity(spec: SurfaceSpec, t) -> CountReport:
     """
     q, closed = _table(spec).closed_count(t)
     return CountReport(_t_float(t), count(spec, t, q), closed)
-
-
-def grow_closed_form(spec: SurfaceSpec, t) -> None:
-    """Grow the tables that spec's closed form reads, beside its own, to
-    their keys at t where they can be built (`_Table.reach`), so that
-    `closed_form_identity` at cutoffs up to t, in any order, builds each
-    of them once."""
-    _table(spec).reach(t)
 
 
 def symmetry_counts(base: str, t) -> dict:

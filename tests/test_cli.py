@@ -93,6 +93,18 @@ def test_count_example_subprocess(capsys, argv, code):
         assert out == "t,count,closed_form\n6,9,9\n"
 
 
+def test_closed_stdout_exits_quietly():
+    # a reader that stops after one line (`| head -1`) closes the pipe
+    # mid-dump: the process exits 1 with no traceback, at exit included
+    with subprocess.Popen([sys.executable, "-m", "spectralab.cli", "avg", "sphere",
+                           "--grid", "1:1e4:60000"], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=package_env()) as proc:
+        assert proc.stdout.readline() == b"t,avg,gx,g_est\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (1, b"")
+
+
 def test_asymptotics_c_fixture(capsys):
     rc, out, _ = run_cli(capsys, "asymptotics", "tri306090:bc=ND")
     assert rc == 0

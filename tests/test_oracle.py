@@ -1,6 +1,7 @@
 import ast
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
@@ -206,21 +207,38 @@ def test_sweep_fails_at_the_draw_a_query_per_draw_fails_at(spec, monkeypatch):
 
 @pytest.mark.parametrize("spec", _sweep_surfaces()[-2:], ids=lambda s: s.label())
 def test_sweep_queries_each_distinct_cutoff_once(spec, monkeypatch):
+    # one query at the last level's jump grows the closed form's tori
+    # before the draws, then each distinct draw is queried once
     T = _sweep_cutoff_t(spec)
-    _, draws = _sweep_cutoffs(spec, T, 2000, 3)
+    brute, draws = _sweep_cutoffs(spec, T, 2000, 3)
+    key = brute[-1][0]
+    top = F(key * (key + 1)) if catalog.is_spherical(spec) else spectrum.ExactTime(key)
     real = spectrum.closed_form_identity
     calls = []
     monkeypatch.setattr(spectrum, "closed_form_identity",
                         lambda s, at: calls.append(at) or real(s, at))
     assert oracle.check_equivalence(spec, T, n_times=2000, seed=3).times_checked == 2000
-    assert calls == list(dict.fromkeys(t for _, t, _ in draws))
+    assert calls == [top] + list(dict.fromkeys(t for _, t, _ in draws))
 
 
-def test_closed_form_tori_are_built_once(monkeypatch):
+# surface -> (levels below 1e4, the tori its closed form reads)
+_BUILT_ONCE = {
+    "rectangle:a=1,b=1,bc=MM": (293, ["flat_torus_rect:a=1,b=1", "flat_torus_rect:a=1,b=2"]),
+    "symmetry_sector:base=square_n,irrep=2":
+        (155, ["flat_torus_rect:a=1,b=1", "flat_torus_rect:a=1,b=2"]),
+    "mobius_band:a=1,b=1,bc=D": (155, ["flat_torus_rect:a=1,b=1", "flat_torus_rect:a=1,b=2"]),
+    "right_iso_triangle:a=1,bc=MD": (281, ["flat_torus_rect:a=1,b=1", "flat_torus_rect:a=1,b=2"]),
+    "symmetry_sector:base=hex_torus,irrep=2": (165, ["flat_torus_hex"]),
+    "cylinder:a=3/2,b=1,bc=M": (569, ["flat_torus_rect:a=1,b=8/3", "flat_torus_rect:a=1,b=4/3"]),
+}
+
+
+@pytest.mark.parametrize("label", _BUILT_ONCE)
+def test_closed_form_tori_are_built_once(label, monkeypatch):
     # random-order draws grew the MM rectangle's two tori by doubling (two
-    # builds and four row sums each at T = 1e4, seed 0); grown to the last
-    # level's keys before the draws, every table is built and summed once,
-    # and the report is the same
+    # builds and four row sums each at T = 1e4, seed 0); with one query at
+    # the last level's jump before the draws, every table is built and
+    # summed once, and the report is the same
     from spectralab import lattice
 
     monkeypatch.setattr(spectrum, "_TABLES", {})
@@ -231,10 +249,10 @@ def test_closed_form_tori_are_built_once(monkeypatch):
     monkeypatch.setattr(lattice._LevelTable, "bound",
                         lambda tb, q, stop=None: bounds.update([tb.spec.label()])
                         or bound(tb, q, stop))
-    rep = oracle.check_equivalence(catalog.rectangle(1, 1, "MM"), 10**4)
-    assert rep == ("rectangle:a=1,b=1,bc=MM", 293, 2000, True, "pass")
-    once = {"rectangle:a=1,b=1,bc=MM": 1, "flat_torus_rect:a=1,b=1": 1,
-            "flat_torus_rect:a=1,b=2": 1}
+    levels, tori = _BUILT_ONCE[label]
+    rep = oracle.check_equivalence(catalog.parse_spec(label), 10**4)
+    assert rep == (label, levels, 2000, True, "pass")
+    once = dict.fromkeys([label] + tori, 1)
     assert (builds, bounds) == (once, once)
 
 
@@ -431,6 +449,16 @@ def test_every_module_name_has_a_caller():
     unread = sorted(f"{mod}.{name}" for mod, name in _names_without_caller()
                     if (mod, name) not in _NO_PACKAGE_CALLER)
     assert not unread, unread
+
+
+def test_readme_names_exist():
+    # a backticked `module.name` in README.md names a live module-level
+    # name of that package module
+    trees = _package_trees()
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    stale = sorted({f"{mod}.{name}" for mod, name in re.findall(r"`(\w+)\.(\w+)", readme)
+                    if mod in trees and name not in set(_module_names(trees[mod]))})
+    assert not stale, stale
 
 
 def test_every_class_member_has_a_reader():
