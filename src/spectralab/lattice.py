@@ -1,5 +1,5 @@
 """Flat surfaces, both routes: level tables of keys q of eigenvalues
-unit * q * pi^2 with their multiplicities and prefix sums, and the closed
+unit * q * pi^2 with the prefix sums of their multiplicities, and the closed
 forms of N(t) that the oracle checks them against.
 
 `spectrum` imports this module with the first flat table: `_LevelTable`
@@ -38,17 +38,19 @@ from .spectrum import _NEGATIVE, _Table, _pq, _rho_ends
 
 # Entries up to which _reduce sums in a dict, where importing numpy would
 # cost more than the table: every table of `verify` at t = 1e4 (at most
-# 4619 entries) and of `count` and `spectrum` in the shapes benchmark (5618
-# over seeds 1-20).  On rectangle:a=1,b=1,bc=N in a fresh interpreter, a
-# dict sums its 32039 entries at t = 4e5 in 8 ms, the numpy engine in 3 ms
-# after a 55-76 ms import; at t = 1e7, 796782 entries, numpy takes 0.036 s
-# and a dict 0.41 s (2-vCPU VM, medians of 5 to 7 runs).
+# 3248 entries, on the MM rectangle and the mixed right triangles) and of
+# `count` and `spectrum` in the shapes benchmark (5618 over seeds 1-20).
+# On rectangle:a=1,b=1,bc=N in a fresh interpreter, a dict sums its 32039
+# entries at t = 4e5 in 8 ms, the numpy engine in 3 ms after a 55-76 ms
+# import; at t = 1e7, 796782 entries, numpy takes 0.036 s and a dict
+# 0.41 s (2-vCPU VM, medians of 5 to 7 runs).
 _PY_ENTRIES = 1 << 15
 
 # Most rows a table's `bound` sums before it refuses the table.  Rows run
 # along the side with fewer indices, so a plan of r rows holds at least
-# 0.043 r^2 eigenvalues on every flat roster surface and thin shape tried,
-# and refusing past 2^16 rows needs only r^2 * _LEVEL_CAP / 2^32, 0.0058 r^2.
+# 0.042 r^2 eigenvalues on every flat roster surface and thin shape tried
+# (0.24 r^2 and more on the folded hexagonal plans), and refusing past 2^16
+# rows needs only r^2 * _LEVEL_CAP / 2^32, 0.0058 r^2.
 _BOUND_ROWS = 1 << 16
 
 
@@ -141,7 +143,8 @@ class _LevelTable(_Table):
 
 
 def _reduce(qcap: int, rows, div: int, pair: int = 1):
-    """Sorted (keys, mults, prefix) of weighted integer keys in [0, qcap].
+    """Sorted keys in [0, qcap] of weighted rows, and the prefix sums of
+    their multiplicities.
 
     A row (c0, c1, c2, ks, w) puts the weight w on the key
     c0 + c1 k + c2 k^2 for each k in the range ks.  Each key's summed
@@ -195,33 +198,27 @@ def _reduce_py(qcap: int, rows, div: int, pair: int = 1):
     for q, v in zip(keys, sums):
         if v % whole:
             raise ArithmeticError(_NOT_WHOLE % (v, q, whole))
-    mults = [v // div for v in sums]
-    return (array("q", keys), array("q", mults),
-            array("q", accumulate(mults, initial=0)))
+    return array("q", keys), array("q", accumulate((v // div for v in sums), initial=0))
 
 
 def _reduce_np(qcap: int, rows, div: int, pair: int = 1):
     """`_reduce` on numpy arrays of the narrowest integers that hold them:
-    keys in int32 when qcap < 2^31, else int64, and multiplicities and
-    prefix sums in int32 when the table's count is below 2^31, as it is
-    under _LEVEL_CAP, else int64.
+    keys in int32 when qcap < 2^31, else int64, and prefix sums in int32
+    when the table's count is below 2^31, as under _LEVEL_CAP, else int64.
 
-    Each of the n row entries is packed with its weight in the low bits,
-    in int32 when (qcap << shift) | mask < 2^31, else int64.  The route
-    is picked by bytes.  When a span-sized int64 count array, 8 (qcap + 1)
-    bytes, is no larger than the packed array, the weights are counted
-    into it, the cheapest route for a table dense in its span; it stays
-    int64, as np.add.at into int32 is several times slower.  Otherwise
-    the packed keys are sorted in place, so that memory follows the
-    number of entries and not the span.  The runs of equal keys are then
-    summed a block of _RUN_BLOCK entries at a time (`_runs`) in two
-    passes: the first checks the sums and counts the keys kept and the
-    eigenvalues, which sizes the multiplicities and prefix sums exactly
-    and picks their type; the second writes the keys into the front of
-    the packed array, which is then shrunk in place to hold them.  The
-    packed array is the only one sized by the number of entries, and a
-    build holds little beyond it and the table.  Rows are expanded one at
-    a time on both routes.
+    Each of the n row entries, expanded a row at a time, is packed with its
+    weight in the low bits, in int32 when (qcap << shift) | mask < 2^31,
+    else int64.  The route is picked by bytes.  When a span-sized int64
+    count array, 8 (qcap + 1) bytes, is no larger than the packed array,
+    the weights are counted into it (in int64: np.add.at into int32 is
+    several times slower).  Otherwise the packed entries are sorted in
+    place, so that memory follows their number and not the span, and
+    their runs of equal keys are summed a block of _RUN_BLOCK entries at a
+    time (`_runs`) in two passes: the first checks the sums and counts the
+    keys and the eigenvalues, which sizes the prefix sums and picks their
+    type; the second writes the prefix sums, and the keys into the front
+    of the packed array, which is then shrunk in place to hold them.  A
+    build holds little beyond the packed array and the table.
     """
     import numpy as np
 
@@ -246,7 +243,8 @@ def _reduce_np(qcap: int, rows, div: int, pair: int = 1):
         del counts
         total = _check_sums([(keys, sums)], whole)[1]
         keys = keys.astype(key_type)
-        sums = (sums // div).astype(_count_type(total // div))
+        prefix = np.zeros(len(sums) + 1, dtype=_count_type(total // div))
+        np.cumsum(sums // div, dtype=prefix.dtype, out=prefix[1:])
     else:
         packed = np.empty(n, dtype=packed_type)
         i = 0
@@ -255,33 +253,30 @@ def _reduce_np(qcap: int, rows, div: int, pair: int = 1):
             i += len(keys)
         packed.sort()
         m, total = _check_sums(_runs(packed, shift, wlo), whole)
-        sums = np.empty(m, dtype=_count_type(total // div))
+        prefix = np.zeros(m + 1, dtype=_count_type(total // div))
         i = 0
         for ks, ss in _runs(packed, shift, wlo):
             # the block's keys are already copied out of packed, and every
             # kept run ends inside it: the writes stay behind the reads
             packed[i:i + len(ks)] = ks
-            sums[i:i + len(ss)] = ss // div
+            prefix[i + 1:i + 1 + len(ks)] = np.cumsum(ss // div) + prefix[i]
             i += len(ks)
         # no view of packed outlives the loop (its blocks are consumed, the
         # keys given out are copies), so the refcheck, which a profiler's
         # own reference to the array trips, is not needed
         packed.resize(m, refcheck=False)
         keys = packed.astype(key_type, copy=False)
-    prefix = np.zeros(len(sums) + 1, dtype=sums.dtype)
-    np.cumsum(sums, dtype=sums.dtype, out=prefix[1:])
-    return keys, sums, prefix
+    return keys, prefix
 
 
 def _count_type(total: int):
-    """int32 for multiplicities and prefix sums up to total, where it
-    holds them, else int64."""
+    """int32 for prefix sums up to total, where it holds them, else int64."""
     import numpy as np
 
     return np.int32 if total < 1 << 31 else np.int64
 
 
-_RUN_BLOCK = 1 << 16  # packed entries per block of _runs
+_RUN_BLOCK = 1 << 14  # packed entries per block of _runs: 128 kB an int64 temporary
 
 
 def _runs(packed, shift: int, wlo: int):
@@ -420,11 +415,14 @@ def _plan_mobius(a: Fraction, b: Fraction, klo: int):
 
 
 def _hex_norm_rows(qcap: int):
-    """Rows of n1^2 - n1 n2 + n2^2 <= qcap over (n1, n2) in Z^2."""
-    for n1 in range(-isqrt(4 * qcap // 3), isqrt(4 * qcap // 3) + 1):
+    """Rows of n1^2 - n1 n2 + n2^2 <= qcap over Z^2 folded by its six
+    rotations, the powers of (n1, n2) -> (n1 - n2, n1): the origin once, and
+    at weight 6 the sector n1 > n2 >= 0, which meets every other orbit once."""
+    yield 0, 0, 0, range(1), 1
+    for n1 in range(1, isqrt(4 * qcap // 3) + 1):
         # q <= qcap  <=>  |2 n2 - n1| <= sqrt(4 qcap - 3 n1^2)
         s = isqrt(4 * qcap - 3 * n1 * n1)
-        yield n1 * n1, -n1, 1, range(-((s - n1) // 2), (n1 + s) // 2 + 1), 1
+        yield n1 * n1, -n1, 1, range(max(0, (n1 - s + 1) // 2), min(n1, (n1 + s) // 2 + 1)), 6
 
 
 def _pair_rows(qcap: int, c: int, lo: int, step: int, diag):

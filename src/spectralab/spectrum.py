@@ -16,14 +16,15 @@ linear form, `_Form`).  This module is the shared core: the cutoffs,
 and reports both numbers side by side; `oracle.check_equivalence`
 compares them against a third, structurally different enumeration.
 
-Only occupied keys are held, in stdlib `array('q')` or, for a large flat
-table, numpy arrays of int32 keys and counts (int64 keys where a key
-passes 2^31), so memory follows the number of levels, 12 bytes each on
-numpy, not the size of the grid up to the cutoff.  Every table grows in
-`_Table.grow`, which refuses one whose `bound`, the count it would hold,
-is over _LEVEL_CAP, or whose keys do not fit int64, before building it:
-the bound is a round table's window count, or the weights of a flat
-table's own lattice rows summed without expanding them.
+Only occupied keys are held, with their prefix sums, whose steps are the
+multiplicities, in stdlib `array('q')` or, for a large flat table, numpy
+arrays of int32 keys and counts (int64 keys where a key passes 2^31), so
+memory follows the number of levels, 8 bytes each on numpy, not the size
+of the grid up to the cutoff.  Every table grows in `_Table.grow`, which
+refuses one whose `bound`, the count it would hold, is over _LEVEL_CAP, or
+whose keys do not fit int64, before building it: the bound is a round
+table's window count, or the weights of a flat table's own lattice rows
+summed without expanding them.
 
 `level_columns` hands the CLI's writer the levels in chunks of _CHUNK
 rows formatted from the integer keys, so that a dump holds little beyond
@@ -53,7 +54,7 @@ from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
-from operator import mul
+from operator import mul, sub
 
 from . import catalog
 from .catalog import SurfaceSpec
@@ -167,12 +168,12 @@ _LEVEL_CAP = 25_000_000
 
 
 class _Table:
-    """The levels of one surface: sorted integer keys, their nonzero
-    multiplicities mults and prefix[i], the sum of the first i of them, all
-    `array('q')` or all numpy arrays, with every key <= qcap present.  A
-    numpy table holds each array in int32 where its values fit (counts
-    always under _LEVEL_CAP, keys below 2^31), else int64, so its readers
-    cast keys to float64 or hand them out through `tolist()`.
+    """The levels of one surface: sorted integer keys and prefix[i], the
+    number of eigenvalues on the first i of them, both `array('q')` or both
+    numpy arrays, with every key <= qcap present.  A numpy table holds each
+    array in int32 where its values fit (counts always under _LEVEL_CAP,
+    keys below 2^31), else int64, so its readers cast keys to float64 or
+    hand them out through `tolist()`.
     A kind supplies `build(qcap)` (the arrays), `bound(q, stop)` (the
     number of eigenvalues with key <= q, or None where a flat table has
     too many rows to sum or passes stop before its last row), `fits(q)`
@@ -183,11 +184,11 @@ class _Table:
     (the key as written) and `closed_count(t)` (t's largest key q and the
     count at t by the kind's closed form)."""
 
-    __slots__ = ("spec", "keys", "mults", "prefix", "qcap")
+    __slots__ = ("spec", "keys", "prefix", "qcap")
 
     def __init__(self, spec):
         self.spec, self.qcap = spec, -1
-        self.keys, self.mults, self.prefix = array("q"), array("q"), array("q", [0])
+        self.keys, self.prefix = array("q"), array("q", [0])
 
     def grow(self, qneed: int, t=None) -> None:
         """Hold every level with key <= qneed, rebuilt at twice the size or
@@ -210,7 +211,7 @@ class _Table:
                     cutoff = "inf" if t is None else str(t)
                 raise ValueError(
                     f"{catalog.short_label(self.spec)} {why[0]} below {cutoff}, {why[1]}")
-            self.keys, self.mults, self.prefix = self.build(qcap)
+            self.keys, self.prefix = self.build(qcap)
             self.qcap = qcap
 
     def _refusal(self, q: int):
@@ -287,6 +288,13 @@ def _upto(spec: SurfaceSpec, T) -> tuple:
     return tb, tb.index(tb.qmax(T), T)
 
 
+def _steps(prefix, lo: int, hi: int):
+    """The multiplicities of levels lo to hi - 1, in prefix's own type."""
+    if isinstance(prefix, array):
+        return array("q", map(sub, prefix[lo + 1:hi + 1], prefix[lo:hi]))
+    return prefix[lo + 1:hi + 1] - prefix[lo:hi]
+
+
 def levels(spec: SurfaceSpec, T) -> list[tuple]:
     """All levels <= T as sorted (exact key, multiplicity) pairs.
 
@@ -295,7 +303,7 @@ def levels(spec: SurfaceSpec, T) -> list[tuple]:
     integer degree N (eigenvalue N(N+1)) for spherical ones.
     """
     tb, i = _upto(spec, T)
-    return list(zip(map(tb.key, tb.keys[:i].tolist()), tb.mults[:i].tolist()))
+    return list(zip(map(tb.key, tb.keys[:i].tolist()), _steps(tb.prefix, 0, i).tolist()))
 
 
 def level_columns(spec: SurfaceSpec, T):
@@ -305,21 +313,20 @@ def level_columns(spec: SurfaceSpec, T):
     empty chunk when there are none.
     """
     tb, i = _upto(spec, T)
-    keys, mults = tb.keys[:i], tb.mults[:i]
-    value, printed = tb.value, tb.printed
+    keys, prefix, value, printed = tb.keys, tb.prefix, tb.value, tb.printed
     for lo in range(0, max(i, 1), _CHUNK):
-        ks = keys[lo:lo + _CHUNK].tolist()
+        ks = keys[lo:min(lo + _CHUNK, i)].tolist()
         yield {"value": [value(k) for k in ks], "key": [printed(k) for k in ks],
-               "multiplicity": mults[lo:lo + _CHUNK].tolist()}
+               "multiplicity": _steps(prefix, lo, lo + len(ks)).tolist()}
 
 
 def level_arrays(spec: SurfaceSpec, T):
     """(values, multiplicities) as numpy arrays, for bulk numerics; the
-    multiplicities are a read-only view of the table's."""
+    multiplicities, the steps of the table's prefix sums, are read-only."""
     import numpy as np
 
     tb, i = _upto(spec, T)
-    mults = np.asarray(tb.mults)[:i]
+    mults = _steps(np.asarray(tb.prefix), 0, i)
     mults.flags.writeable = False
     return tb.value(np.asarray(tb.keys)[:i].astype(np.float64)), mults
 
@@ -340,7 +347,7 @@ def level_blocks(spec: SurfaceSpec, T):
     import numpy as np
 
     tb, i = _upto(spec, T)
-    keys, mults, prefix = map(np.asarray, (tb.keys, tb.mults, tb.prefix))
+    keys, prefix = np.asarray(tb.keys), np.asarray(tb.prefix)
     l_run = 0.0
     for lo in range(0, max(i, 1), _LEVELS):
         hi = min(lo + _LEVELS, i)
@@ -348,7 +355,7 @@ def level_blocks(spec: SurfaceSpec, T):
         n_pref = prefix[lo:hi + 1].astype(np.float64)
         l_pref = np.empty(hi - lo + 1)
         l_pref[0] = l_run
-        np.multiply(mults[lo:hi], vals, out=l_pref[1:])
+        np.multiply(_steps(prefix, lo, hi), vals, out=l_pref[1:])
         np.cumsum(l_pref, out=l_pref)
         l_run = l_pref[-1]
         yield (vals, n_pref, l_pref), vals[-1] if hi < i else np.inf
@@ -363,7 +370,7 @@ def level_lists(spec: SurfaceSpec, T, most: int):
         return None
     vals = list(map(tb.value, map(float, tb.keys[:i].tolist())))
     return (vals, list(map(float, tb.prefix[:i + 1].tolist())),
-            list(accumulate(map(mul, tb.mults[:i].tolist(), vals), initial=0.0)))
+            list(accumulate(map(mul, _steps(tb.prefix, 0, i), vals), initial=0.0)))
 
 
 def count(spec: SurfaceSpec, t, q=None) -> int:

@@ -3,8 +3,8 @@ and lunes (whole, half and glued), whose eigenvalues are N(N+1).
 
 `spectrum` imports this module with the first round table: `_RoundTable`
 is the round kind of `spectrum._Table`.  Both routes read one formula,
-the window counts (`_sph_cum`): the table's multiplicities are their
-steps, and the closed form at t is the count of t's window.
+the window counts (`_sph_cum`): the table's prefix sums are those that
+step, and the closed form at t is the count of t's window.
 """
 
 from __future__ import annotations
@@ -27,18 +27,17 @@ class _RoundTable(_Table):
     __slots__ = ()
 
     def build(self, qcap: int):
-        """(keys, mults, prefix) of the degrees <= qcap of nonzero
-        multiplicity, appended step by step from the window counts."""
-        keys, mults, prefix = array("q"), array("q"), array("q", [0])
+        """(keys, prefix) of the degrees <= qcap of nonzero multiplicity,
+        each window count that steps appended as it is made."""
+        keys, prefix = array("q"), array("q", [0])
         for N in range(qcap + 1):
-            step = _sph_cum(self.spec, N + 1) - prefix[-1]
-            if step:
-                if step < 0:
+            n = _sph_cum(self.spec, N + 1)
+            if n != prefix[-1]:
+                if n < prefix[-1]:
                     raise ArithmeticError(_NEGATIVE)
                 keys.append(N)
-                mults.append(step)
-                prefix.append(prefix[-1] + step)
-        return keys, mults, prefix
+                prefix.append(n)
+        return keys, prefix
 
     def bound(self, q: int, stop=None) -> int:
         """The number of eigenvalues of degree <= q, exactly: window q + 1."""

@@ -1320,9 +1320,22 @@ def peak_rss_mb(*argv):
 def test_closed_form_tori_fit_in_narrow_types():
     # the MM rectangle's closed form grows the 1 x 2 torus to 1.2e6 levels
     # (12.7e6 eigenvalues) beside the rectangle's and the unit torus's:
-    # packed in int32 and held in 32-bit keys and counts, at 58 MB, where
-    # int64 tables, counted into a span-sized array, peaked at 120 MB
-    assert peak_rss_mb("count", "rectangle:a=1,b=1,bc=MM", "--at", "2e7") <= 80
+    # packed in int32 and held in 32-bit keys and prefix sums, at 50.5 MB,
+    # where tables that also held their multiplicities peaked at 58 MB, and
+    # int64 tables, counted into a span-sized array, at 120 MB
+    assert peak_rss_mb("count", "rectangle:a=1,b=1,bc=MM", "--at", "2e7") <= 55
+
+
+def test_tetrahedron_table_holds_a_sixth_of_the_plane():
+    # the tetrahedron's table at t = 1e7 (139k levels) is reduced from the
+    # hexagonal sector n1 > n2 >= 0, 459k entries, and held as keys and
+    # prefix sums: 3.2 MB above the same command at 1e6, which loads numpy
+    # too, where the whole plane's 2.76e6 entries, counted into a
+    # span-sized array beside a table that also held its multiplicities,
+    # took 9.3 MB more
+    small = peak_rss_mb("count", "tetrahedron_surface", "--at", "1e6")
+    large = peak_rss_mb("count", "tetrahedron_surface", "--at", "1e7")
+    assert large <= small + 5, (large, small)
 
 
 def test_spectrum_memory_stays_near_the_table():

@@ -5,6 +5,7 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 from math import isqrt
 from pathlib import Path
 
@@ -161,8 +162,8 @@ def test_level_arrays_agree_with_levels():
 
 
 def test_level_arrays_multiplicities_are_a_read_only_view(monkeypatch):
-    # the multiplicities are handed out, not copied: read-only on every
-    # table kind, and on a table held in numpy the table's own memory
+    # the multiplicities are the steps of the table's prefix sums, in their
+    # type, and read-only on every table kind
     monkeypatch.setattr(spectrum, "_TABLES", {})
     for spec, T in ((catalog.sphere(), 1e4), (catalog.rectangle(1, 1, "N"), 100.0),
                     (catalog.rectangle(1, 1, "N"), 1e6)):
@@ -170,10 +171,10 @@ def test_level_arrays_multiplicities_are_a_read_only_view(monkeypatch):
         assert mults.size and not mults.flags.writeable
         with pytest.raises(ValueError):
             mults[0] = 7
-        tb = spectrum._table(spec)
-        if type(tb.mults).__module__ == "numpy":
-            assert np.shares_memory(mults, tb.mults)
-    assert type(spectrum._table(catalog.rectangle(1, 1, "N")).mults).__module__ == "numpy"
+        prefix = np.asarray(spectrum._table(spec).prefix)[:mults.size + 1]
+        assert mults.dtype == prefix.dtype
+        assert mults.tolist() == np.diff(prefix).tolist()
+    assert type(spectrum._table(catalog.rectangle(1, 1, "N")).prefix).__module__ == "numpy"
 
 
 # --- spherical families ---------------------------------------------------
@@ -506,7 +507,7 @@ def test_exact_bound_admits_what_the_box_refused(monkeypatch):
 
     def build(self, qcap):
         built.append((self.spec, qcap))
-        return array("q"), array("q"), array("q", [0])
+        return array("q"), array("q", [0])
 
     monkeypatch.setattr(spectrum, "_TABLES", {})
     monkeypatch.setattr(lattice._LevelTable, "build", build)
@@ -626,6 +627,59 @@ def test_negative_multiplicity_is_refused(monkeypatch):
         for spec in (catalog.flat_torus_hex(), catalog.sphere()):
             with pytest.raises(ArithmeticError, match="negative multiplicity"):
                 count(spec, 100)
+
+
+def _key_counts(parts, qcap):
+    """The weights of the (keys, weight) parts summed at each key <= qcap,
+    a bincount over 256 parts at a time."""
+    sums = np.zeros(qcap + 1, dtype=np.int64)
+    parts = iter(parts)
+    while batch := list(islice(parts, 256)):
+        keys = np.concatenate([k for k, _ in batch])
+        weights = np.concatenate([np.full(len(k), w) for k, w in batch])
+        sums += np.bincount(keys, weights, minlength=qcap + 1).astype(np.int64)
+    return sums
+
+
+def _hex_shells(qcap):
+    """r(q), the points (n1, n2) of Z^2 with n1^2 - n1 n2 + n2^2 = q, for
+    q <= qcap, counted over the whole box |n1|, |n2| <= sqrt(4 qcap / 3)."""
+    n = isqrt(4 * qcap // 3)
+    n2 = np.arange(-n, n + 1)
+    box = (n1 * n1 - n1 * n2 + n2 * n2 for n1 in range(-n, n + 1))
+    return _key_counts(((q[q <= qcap], 1) for q in box), qcap)
+
+
+def _expanded(rows, qcap):
+    """The weights of rows summed at each key <= qcap."""
+    return _key_counts(((c0 + k * (c1 + c2 * k), w) for c0, c1, c2, ks, w in rows
+                        for k in [np.arange(ks.start, ks.stop, ks.step, dtype=np.int64)]),
+                       qcap)
+
+
+def test_hexagonal_rows_fold_the_whole_plane():
+    # the origin and the sector n1 > n2 >= 0 six times over count every
+    # shell of the plane: at every qcap up to 600, whose last rows are cut
+    # near n1 = sqrt(4 qcap / 3) and at n2 = 0, and at three larger ones;
+    # no row reaches n1 < 0
+    shells = _hex_shells(600)
+    for qcap in range(601):
+        rows = list(lattice._hex_norm_rows(qcap))
+        assert all(c1 <= 0 and (c1 == 0 or 0 <= ks.start and ks.stop <= -c1)
+                   for _, c1, _, ks, _ in rows)
+        assert _expanded(rows, qcap).tolist() == shells[:qcap + 1].tolist(), qcap
+    for qcap in (10 ** 4, 123457, 10 ** 6):
+        assert np.array_equal(_expanded(lattice._hex_norm_rows(qcap), qcap), _hex_shells(qcap))
+
+
+@pytest.mark.parametrize("spec", [
+    catalog.flat_torus_hex(), catalog.tetrahedron_surface(), catalog.half_tetrahedron("N"),
+    catalog.half_tetrahedron("D")] + [
+    catalog.symmetry_sector("hex_torus", ir) for ir in catalog.sector_irreps("hex_torus")],
+    ids=lambda s: s.label())
+def test_folded_hexagonal_tables_match_the_oracle(spec, monkeypatch):
+    monkeypatch.setattr(spectrum, "_TABLES", {})
+    assert levels(spec, 1e5) == oracle.brute_levels(spec, 1e5)
 
 
 def test_tetrahedron_shells_must_halve(monkeypatch):
@@ -998,9 +1052,8 @@ def test_engines_agree_on_reduce_inputs():
         assert all(isinstance(x, array) for x in py)
         assert _lists(py) == _lists(npy)
     squares = [k * k for k in range(11)]
-    assert _lists(lattice._reduce_py(*cases[0])) == [squares, [3] + [1] * 10,
-                                                     [0] + list(range(3, 14))]
-    assert _lists(lattice._reduce_py(*cases[2])) == [[], [], [0]]
+    assert _lists(lattice._reduce_py(*cases[0])) == [squares, [0] + list(range(3, 14))]
+    assert _lists(lattice._reduce_py(*cases[2])) == [[], [0]]
     assert _lists(lattice._reduce_py(*cases[3])) == _lists(
         lattice._reduce_py(60, hexes, 1))
     for reduce in (lattice._reduce_py, lattice._reduce_np):
@@ -1039,7 +1092,7 @@ def test_signed_plans_agree_on_both_routes(spec):
     r = -(-2 * (q + 1) // n)
     for qcap, rows_, div in ((q, rows * r, tb.div * r), (max(q, n), rows, tb.div)):
         npy = lattice._reduce_np(qcap, rows_, div, pair)
-        assert [x.dtype for x in npy] == [np.int32] * 3
+        assert [x.dtype for x in npy] == [np.int32] * 2
         assert _lists(npy) == py, (spec, _route(qcap, rows_))
     assert [_route(q, rows * r)[0], _route(max(q, n), rows)[0]] == ["count", "packed"]
 
@@ -1058,7 +1111,7 @@ def test_keys_past_int32_are_held_in_int64(monkeypatch):
     tb = spectrum._table(spec)
     assert lattice._PY_ENTRIES < ns[-1] <= 2 * lattice._PY_ENTRIES
     assert int(tb.keys[-1]) > 2 ** 31
-    assert [x.dtype for x in (tb.keys, tb.mults, tb.prefix)] == [np.int64, np.int32, np.int32]
+    assert [x.dtype for x in (tb.keys, tb.prefix)] == [np.int64, np.int32]
     assert rep.count == rep.closed_form == int(tb.prefix[-1])
 
 
@@ -1085,9 +1138,9 @@ def test_narrow_types_at_their_edges(monkeypatch):
         tables = [lattice._reduce_np(qcap, rows, 1) for qcap, rows, _ in cases]
         for (qcap, rows, counts), table in zip(cases, tables):
             assert _lists(table) == _lists(lattice._reduce_py(qcap, rows, 1))
-            assert [x.dtype for x in table] == [np.int32, counts, counts]
+            assert [x.dtype for x in table] == [np.int32, counts]
         w = 40 * (2 ** 20 - 1)
-        assert [_lists(t) for t in tables[1:]] == [[[5], [w], [0, w]], [[5], [big], [0, big]]]
+        assert [_lists(t) for t in tables[1:]] == [[[5], [0, w]], [[5], [0, big]]]
 
 
 @pytest.mark.parametrize("spec, t", [
@@ -1221,9 +1274,10 @@ def test_closed_form_refusals_keep_their_messages(monkeypatch):
 
 
 def test_round_build_holds_little_beyond_its_arrays(monkeypatch):
-    # the round build appends each step of the window counts straight into
-    # its array('q')s: its traced peak stays within 1.5 times the arrays'
-    # bytes, where lists of every window count, key and step took 4.8 times
+    # the round build appends each window count that steps straight into
+    # its two array('q')s, 16 B a level: its traced peak stays within 1.5
+    # times the arrays' bytes, where lists of every window count, key and
+    # step took 4.8 times
     monkeypatch.setattr(spectrum, "_TABLES", {})
     sp = catalog.lune(10000, "N")
     tracemalloc.start()
@@ -1233,15 +1287,15 @@ def test_round_build_holds_little_beyond_its_arrays(monkeypatch):
     finally:
         tracemalloc.stop()
     tb = spectrum._table(sp)
-    held = sum(len(a) * a.itemsize for a in (tb.keys, tb.mults, tb.prefix))
-    assert len(tb.keys) > 60000
+    held = sum(len(a) * a.itemsize for a in (tb.keys, tb.prefix))
+    assert len(tb.keys) > 60000 and held == 16 * len(tb.keys) + 8
     assert peak <= 1.5 * held, (peak, held)
 
 
 def test_only_the_table_modules_read_its_arrays():
     # one owner per level table: no module but spectrum and its two kinds,
-    # round in spherical and flat in lattice, reads a table's mults or
-    # prefix or imports array, so every other reader takes the table
+    # round in spherical and flat in lattice, reads a table's prefix or
+    # any mults or imports array, so every other reader takes the table
     # through spectrum's readers
     found = []
     for path in sorted(Path(spectrum.__file__).parent.glob("*.py")):
