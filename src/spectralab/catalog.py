@@ -123,16 +123,24 @@ class SurfaceSpec(_Frozen):
         return f"{self.family.value}:{parts}" if parts else self.family.value
 
 
-def short_label(spec: SurfaceSpec) -> str:
-    """`label()` for messages: a side whose numerator or denominator has
-    more than 20 digits is written as ~ and its %.6g, which `parse_spec`
-    refuses, so that a refusal on sides of 1e-300 stays one short line and
-    names no other surface; sides are within the float range."""
-    def text(v):
-        long = isinstance(v, Fraction) and max(abs(v.numerator), v.denominator) >= 10 ** 20
-        return "~%.6g" % v if long else str(v)
+def short_number(v) -> str:
+    """An int or Fraction for messages: as written, or, past 20 digits in
+    its numerator or denominator, as ~ and its %.6g, which `parse_spec`
+    refuses, its exponent read off the integers past the float range."""
+    if max(abs(v.numerator), v.denominator) < 10 ** 20:
+        return str(v)
+    e = (abs(v.numerator).bit_length() - v.denominator.bit_length()) * 30103 // 100000
+    if abs(e) < 300:
+        return "~%.6g" % v
+    m, x = ("%.5e" % (v * Fraction(10) ** -e)).split("e")
+    return "~%se%+03d" % (m.rstrip("0").rstrip("."), e + int(x))
 
-    return spec.label(text)
+
+def short_label(spec: SurfaceSpec) -> str:
+    """`label()` for messages, each side by `short_number`, so that a
+    refusal on sides of 1e-300 stays one short line and names no other
+    surface."""
+    return spec.label(lambda v: short_number(v) if isinstance(v, Fraction) else str(v))
 
 
 # the parameters after family, in __init__ order, and their defaults

@@ -12,8 +12,9 @@ with fewer indices, and the same rows both bound a table (`bound`, their
 weights summed unexpanded, what the cap is held to) and build it.
 `_reduce` picks one of two engines by the number of entries it must
 expand: a small table is summed in a dict into stdlib `array('q')`, a
-large one on numpy into arrays of the narrowest integers that hold them,
-int32 keys and counts wherever they fit.  `_Table` reads both types
+large one packed with its weights, sorted and summed run by run on numpy
+into arrays of the narrowest integers that hold them, int32 keys and
+counts wherever they fit.  `_Table` reads both types
 through what they share, so only the numpy engine and spectrum's array
 readers import numpy.
 
@@ -208,72 +209,41 @@ def _reduce_np(qcap: int, rows, div: int, pair: int = 1):
 
     Each of the n row entries, expanded a row at a time, is packed with its
     weight in the low bits, in int32 when (qcap << shift) | mask < 2^31,
-    else int64.  The route is picked by bytes.  When a span-sized int64
-    count array, 8 (qcap + 1) bytes, is no larger than the packed array,
-    the weights are counted into it (in int64: np.add.at into int32 is
-    several times slower).  Otherwise the packed entries are sorted in
-    place, so that memory follows their number and not the span, and
-    their runs of equal keys are summed a block of _RUN_BLOCK entries at a
-    time (`_runs`) in two passes: the first checks the sums and counts the
-    keys and the eigenvalues, which sizes the prefix sums and picks their
-    type; the second writes the prefix sums, and the keys into the front
-    of the packed array, which is then shrunk in place to hold them.  A
-    build holds little beyond the packed array and the table.
+    else int64.  The packed entries are sorted in place, so that memory
+    follows their number and not the span, and their runs of equal keys are
+    summed a block of _RUN_BLOCK entries at a time (`_runs`) in two passes:
+    the first checks the sums and counts the keys and the eigenvalues,
+    which sizes the prefix sums and picks their type; the second writes the
+    prefix sums, and the keys into the front of the packed array, which is
+    then shrunk in place to hold them.  A build holds little beyond the
+    packed array and the table.
     """
     import numpy as np
 
     n = sum(len(r[3]) for r in rows)
     wlo, shift = _weight_shift(qcap, [r[4] for r in rows if len(r[3])])
-    key_type = np.int32 if qcap < 1 << 31 else np.int64
-    packed_type = np.int32 if (qcap + 1) << shift <= 1 << 31 else np.int64
-
-    def chunks():
-        for c0, c1, c2, ks, w in rows:
-            if len(ks):
-                k = np.arange(ks.start, ks.stop, ks.step, dtype=np.int64)
-                yield c0 + k * (c1 + c2 * k), w
-
-    whole = pair * div
-    if 8 * (qcap + 1) <= np.dtype(packed_type).itemsize * n:
-        counts = np.zeros(qcap + 1, dtype=np.int64)
-        for keys, w in chunks():
-            np.add.at(counts, keys, w)
-        keys = np.flatnonzero(counts)
-        sums = counts[keys]
-        del counts
-        total = _check_sums([(keys, sums)], whole)[1]
-        keys = keys.astype(key_type)
-        prefix = np.zeros(len(sums) + 1, dtype=_count_type(total // div))
-        np.cumsum(sums // div, dtype=prefix.dtype, out=prefix[1:])
-    else:
-        packed = np.empty(n, dtype=packed_type)
-        i = 0
-        for keys, w in chunks():
-            packed[i:i + len(keys)] = (keys << shift) | (w - wlo)
-            i += len(keys)
-        packed.sort()
-        m, total = _check_sums(_runs(packed, shift, wlo), whole)
-        prefix = np.zeros(m + 1, dtype=_count_type(total // div))
-        i = 0
-        for ks, ss in _runs(packed, shift, wlo):
-            # the block's keys are already copied out of packed, and every
-            # kept run ends inside it: the writes stay behind the reads
-            packed[i:i + len(ks)] = ks
-            prefix[i + 1:i + 1 + len(ks)] = np.cumsum(ss // div) + prefix[i]
-            i += len(ks)
-        # no view of packed outlives the loop (its blocks are consumed, the
-        # keys given out are copies), so the refcheck, which a profiler's
-        # own reference to the array trips, is not needed
-        packed.resize(m, refcheck=False)
-        keys = packed.astype(key_type, copy=False)
-    return keys, prefix
-
-
-def _count_type(total: int):
-    """int32 for prefix sums up to total, where it holds them, else int64."""
-    import numpy as np
-
-    return np.int32 if total < 1 << 31 else np.int64
+    packed = np.empty(n, dtype=np.int32 if (qcap + 1) << shift <= 1 << 31 else np.int64)
+    i = 0
+    for c0, c1, c2, ks, w in rows:
+        if len(ks):
+            k = np.arange(ks.start, ks.stop, ks.step, dtype=np.int64)
+            packed[i:i + len(k)] = ((c0 + k * (c1 + c2 * k)) << shift) | (w - wlo)
+            i += len(k)
+    packed.sort()
+    m, total = _check_sums(_runs(packed, shift, wlo), pair * div)
+    prefix = np.zeros(m + 1, dtype=np.int32 if total // div < 1 << 31 else np.int64)
+    i = 0
+    for ks, ss in _runs(packed, shift, wlo):
+        # the block's keys are already copied out of packed, and every kept
+        # run ends inside it: the writes stay behind the reads
+        packed[i:i + len(ks)] = ks
+        prefix[i + 1:i + 1 + len(ks)] = np.cumsum(ss // div) + prefix[i]
+        i += len(ks)
+    # no view of packed outlives the loop (its blocks are consumed, the keys
+    # given out are copies), so the refcheck, which a profiler's own
+    # reference to the array trips, is not needed
+    packed.resize(m, refcheck=False)
+    return packed.astype(np.int32 if qcap < 1 << 31 else np.int64, copy=False), prefix
 
 
 _RUN_BLOCK = 1 << 14  # packed entries per block of _runs: 128 kB an int64 temporary

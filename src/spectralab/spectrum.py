@@ -223,9 +223,11 @@ class _Table:
         if bound is None:
             return "has too many levels to count", f"over the cap of {_LEVEL_CAP:g}"
         if bound > _LEVEL_CAP:
-            return f"may have up to {bound} eigenvalues", f"over the cap of {_LEVEL_CAP:g}"
+            return (f"may have up to {catalog.short_number(bound)} eigenvalues",
+                    f"over the cap of {_LEVEL_CAP:g}")
         if not self.fits(q):
-            return f"has level keys up to {q}", "which do not fit int64 beside their weights"
+            return (f"has level keys up to {catalog.short_number(q)}",
+                    "which do not fit int64 beside their weights")
         return None
 
     def decided(self, t, value):

