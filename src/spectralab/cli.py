@@ -177,7 +177,9 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_count(args) -> int:
-    reps = [spectrum.closed_form_identity(args.spec, t) for t in args.at]
+    # the largest time first: each table is built once
+    reps = {t: spectrum.closed_form_identity(args.spec, t) for t in sorted(args.at, reverse=True)}
+    reps = [reps[t] for t in args.at]
     emit([{"t": [rep.t for rep in reps], "count": [rep.count for rep in reps],
            "closed_form": [rep.closed_form for rep in reps]}], args.format)
     return 0

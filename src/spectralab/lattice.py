@@ -9,7 +9,8 @@ that counts on another surface's lattice (the flat projective plane, the
 tetrahedra, the symmetry sectors) adds rows to that lattice's rows rather
 than reading its table.  A plan yields its rows lazily, along the side
 with fewer indices, and the same rows both bound a table (`bound`, their
-weights summed unexpanded, what the cap is held to) and build it.
+weights summed unexpanded, what the cap is held to and a count past it)
+and build it.
 `_reduce` picks one of two engines by the number of entries it must
 expand: a small table is summed in a dict into stdlib `array('q')`, a
 large one packed with its weights, sorted and summed run by run on numpy
@@ -51,7 +52,9 @@ _PY_ENTRIES = 1 << 15
 # along the side with fewer indices, so a plan of r rows holds at least
 # 0.042 r^2 eigenvalues on every flat roster surface and thin shape tried
 # (0.24 r^2 and more on the folded hexagonal plans), and refusing past 2^16
-# rows needs only r^2 * _LEVEL_CAP / 2^32, 0.0058 r^2.
+# rows needs only r^2 * _LEVEL_CAP / 2^32, 0.0058 r^2.  It also bounds the
+# time of a count past the cap, which sums the rows: 0.31-0.52 s cold at
+# worst, on `half_tetrahedron:bc=D` at t = 4.23e10 (2-vCPU VM).
 _BOUND_ROWS = 1 << 16
 
 
@@ -127,15 +130,13 @@ class _LevelTable(_Table):
     def closed_count(self, t) -> tuple:
         """(q, N(t)) by the compiled closed form (`_form`): the table's
         largest key q and every term's integer read off the same ends of
-        rho = t / pi^2 (`_Form.ints`).  Only this table is held to the cap,
-        grown to q before `_Form.total` reads a term, which grows each torus
-        to its key and reads one over the cap by its `bound`, the sum of its
-        rows.  The sum must land on a multiple of the form's denominator,
+        rho = t / pi^2 (`_Form.ints`), each torus counted at its key as the
+        table count is (`_Table.count_upto`), a refusal naming this surface
+        and t.  The sum must land on a multiple of the form's denominator,
         else ArithmeticError."""
         form = _form(self.spec, self)
         q, ks = self.decided(t, form.ints)
-        self.grow(q, t)
-        v = form.total(ks)
+        v = form.total(ks, t, self.spec)
         if v % form.den:
             raise ArithmeticError(
                 "closed form for %s at %r is non-integral: %s"
@@ -694,22 +695,13 @@ class _Form:
                 self.terms.append((r * r * p * q, q, s, r))
             self.weights.append((c, sub))
 
-    def total(self, ks) -> int:
+    def total(self, ks, t, spec) -> int:
         """den * N at the term integers ks of `ints`: the constant plus each
         term's coefficient times its bracket or its torus's count at its
-        key k, read off its table grown to k (`_Table.grow`), or, where that
-        table would pass `spectrum._LEVEL_CAP`, off its `bound` at k, the
-        same count summed over its rows; any other refusal stands."""
+        key k (`_Table.count_upto`), a refusal naming spec and t."""
         v = self.const
         for (c, sub), k in zip(self.weights, ks):
-            if sub is not None:
-                try:
-                    k = sub.count_upto(k)
-                except ValueError:
-                    k = sub.bound(k)
-                    if k is None or k <= spectrum._LEVEL_CAP:
-                        raise
-            v += c * k
+            v += c * (k if sub is None else sub.count_upto(k, t, spec))
         return v
 
     def ints(self, P: int, Q: int) -> tuple:

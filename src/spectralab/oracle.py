@@ -498,8 +498,9 @@ def check_equivalence(spec: SurfaceSpec, T, n_times: int = 2000, seed: int = 0) 
     """Compare the brute-force level table against spectrum.levels, then the
     table count and the closed form of spectrum.closed_form_identity at
     random jump and midpoint times.  Stops at the first mismatch.  The
-    table is built first, so a cutoff over its level cap is refused with
-    ValueError before anything is enumerated.
+    table's levels are read first, so a cutoff over its level cap is
+    refused with ValueError (`spectrum.levels`) before anything is
+    enumerated.
 
     Every draw is taken from the same random stream, but a draw of a
     cutoff (level, jump or midpoint) that has already passed is not
@@ -509,7 +510,7 @@ def check_equivalence(spec: SurfaceSpec, T, n_times: int = 2000, seed: int = 0) 
     from . import spectrum
 
     T = Fraction(T)
-    spectrum.count(spec, T)
+    got = spectrum.levels(spec, T)
     brute = brute_levels(spec, T)
 
     def report(ok: bool, times: int, detail: str) -> EquivalenceReport:
@@ -518,7 +519,6 @@ def check_equivalence(spec: SurfaceSpec, T, n_times: int = 2000, seed: int = 0) 
     if spec.family in _SQUARE_LATTICE_FAMILIES:
         gauss_circle_self_check(int(flat_rho_bounds(T)[0]))
 
-    got = spectrum.levels(spec, T)
     if got != brute:
         for i in range(max(len(got), len(brute))):
             want = brute[i] if i < len(brute) else None

@@ -20,11 +20,12 @@ Only occupied keys are held, with their prefix sums, whose steps are the
 multiplicities, in stdlib `array('q')` or, for a large flat table, numpy
 arrays of int32 keys and counts (int64 keys where a key passes 2^31), so
 memory follows the number of levels, 8 bytes each on numpy, not the size
-of the grid up to the cutoff.  Every table grows in `_Table.grow`, which
-refuses one whose `bound`, the count it would hold, is over _LEVEL_CAP, or
-whose keys do not fit int64, before building it: the bound is a round
-table's window count, or the weights of a flat table's own lattice rows
-summed without expanding them.
+of the grid up to the cutoff.  Every table grows in `_Table.grow`, to the
+key asked for, which refuses one whose `bound`, the count it would hold,
+is over _LEVEL_CAP, or whose keys do not fit int64, before building it:
+the bound is a round table's window count, or the weights of a flat
+table's own lattice rows summed without expanding them.  A count past the
+cap is that bound (`_Table.count_upto`).
 
 `level_columns` hands the CLI's writer the levels in chunks of _CHUNK
 rows formatted from the integer keys, so that a dump holds little beyond
@@ -190,29 +191,24 @@ class _Table:
         self.spec, self.qcap = spec, -1
         self.keys, self.prefix = array("q"), array("q", [0])
 
-    def grow(self, qneed: int, t=None) -> None:
-        """Hold every level with key <= qneed, rebuilt at twice the size or
-        qneed: the arrays are replaced, never resized, so views handed out
-        before stay as they were.  A doubled size that cannot be built
-        (`_refusal`) falls back to qneed, and qneed itself, when it cannot
-        be built either, is refused with ValueError naming the surface, the
-        cutoff t asked for (else qneed's eigenvalue) and what is past its
-        limit."""
-        if self.qcap < qneed:
-            qcap = max(qneed, 256, 2 * self.qcap)
-            why = self._refusal(qcap)
-            if why and qcap > qneed:
-                qcap = qneed
-                why = self._refusal(qcap)
+    def grow(self, q: int, t=None, spec=None) -> None:
+        """Hold every level with key <= q, rebuilt to exactly q: the arrays
+        are replaced, never resized, so views handed out before stay as they
+        were.  A table that cannot be built (`_refusal`) is refused with
+        ValueError naming spec, the surface that asked (this table's by
+        default), the cutoff t it asked for (else q's eigenvalue) and what
+        is past its limit."""
+        if self.qcap < q:
+            why = self._refusal(q)
             if why:
                 try:
-                    cutoff = "%g" % (self.value(qneed) if t is None else _t_float(t))
+                    cutoff = "%g" % (self.value(q) if t is None else _t_float(t))
                 except OverflowError:  # past the float range
                     cutoff = "inf" if t is None else str(t)
-                raise ValueError(
-                    f"{catalog.short_label(self.spec)} {why[0]} below {cutoff}, {why[1]}")
-            self.keys, self.prefix = self.build(qcap)
-            self.qcap = qcap
+                raise ValueError(f"{catalog.short_label(spec or self.spec)} {why[0]} "
+                                 f"below {cutoff}, {why[1]}")
+            self.keys, self.prefix = self.build(q)
+            self.qcap = q
 
     def _refusal(self, q: int):
         """None when build(q) can be made, else what is past its limit and
@@ -252,9 +248,16 @@ class _Table:
         self.grow(q, t)
         return bisect_right(self.keys, q)
 
-    def count_upto(self, q: int, t=None) -> int:
-        """The number of eigenvalues with key <= q (t as for `index`)."""
-        self.grow(q, t)  # may replace the arrays: read them after
+    def count_upto(self, q: int, t=None, spec=None) -> int:
+        """The number of eigenvalues with key <= q (t and spec as for
+        `grow`), off the table or, where the cap refuses it, its `bound`."""
+        try:
+            self.grow(q, t, spec)  # may replace the arrays: read them after
+        except ValueError:
+            n = self.bound(q)
+            if n is None or n <= _LEVEL_CAP:  # too many rows, or keys past int64
+                raise
+            return n
         return int(self.prefix[bisect_right(self.keys, q)])
 
 

@@ -378,24 +378,38 @@ def test_records_agree_with_their_verdicts(roster_checks):
 
 
 def test_flat_conjecture_builds_its_table_once(capsys, monkeypatch):
-    from spectralab import lattice
-
     builds = []
-    grow = lattice._LevelTable.grow
+    grow = spectrum._Table.grow
 
-    def counting_grow(self, qneed, t=None):
+    def counting_grow(self, q, *args):
         before = self.qcap
-        grow(self, qneed, t)
+        grow(self, q, *args)
         if self.qcap != before:
             builds.append(self.spec)
 
-    monkeypatch.setattr(lattice._LevelTable, "grow", counting_grow)
+    monkeypatch.setattr(spectrum._Table, "grow", counting_grow)
     monkeypatch.setattr(spectrum, "_TABLES", {})
     rc, _, _ = run_cli(capsys, "conjecture", "flat_torus_rect:a=1,b=1")
     assert rc == 0
     # the surface's own table, and the dual torus the geodesic lengths
     # read, each built once
     assert builds == [catalog.flat_torus_rect(1, 1), catalog.flat_torus_rect(0.5, 0.5)]
+    # every other command that reads a table builds each table it reads
+    # once, at its largest key: count reads its largest time first (read
+    # in order, 10 then 1e6 built this rectangle and its two tori twice
+    # each).  heat alone grows its table again, once per doubling of its
+    # cutoff
+    for label in ("rectangle:a=1,b=1,bc=MM", "lune:m=3,bc=N"):
+        for argv in (["count", label, "--at", "10,1e6"], ["verify", label, "--max-t", "1e3"],
+                     ["spectrum", label, "--max-t", "1e4"],
+                     ["avg", label, "--grid", "10:1e4:101"],
+                     ["gprofile", label, "--grid", "100:200:101"],
+                     ["proportions", "square_n", "--max-t", "1e4"]):
+            builds.clear()
+            monkeypatch.setattr(spectrum, "_TABLES", {})
+            rc, _, err = run_cli(capsys, *argv)
+            assert rc == 0, (argv, err)
+            assert builds and len(builds) == len(set(builds)), (argv, builds)
 
 
 def test_conjecture_report_only_for_others():
@@ -649,8 +663,9 @@ def test_keys_past_int64_are_refused_as_usage(capsys, label):
 
 
 def test_doubled_table_past_int64_falls_back_to_the_cutoff(capsys, monkeypatch):
-    # after t = 0.3 the table's doubled size has keys past int64, while
-    # those up to t = 0.45 fit: the table grows to t = 0.45 alone
+    # after t = 0.3 twice the table's size has keys past int64, while
+    # those up to t = 0.45 fit: a table is built to the key asked for, so
+    # both times answer
     monkeypatch.setattr(spectrum, "_TABLES", {})
     rc, out, err = run_cli(capsys, "count", INT64_SURFACES[1], "--at", "0.3,0.45")
     assert (rc, err) == (0, "")
@@ -741,6 +756,15 @@ def test_level_budget_guard(capsys, monkeypatch):
     assert rc == 2
     assert out == ""
     assert "over the cap" in err and "usage:" in err
+    # a count past the cap reads its rows, up to 2^16 of them: the unit
+    # torus has more at 4e10, and so has the one this rectangle's closed
+    # form reads at 1.6e11, though the rectangle's own rows are fewer; the
+    # refusal names the surface and the cutoff given, not that torus
+    for label in ("flat_torus_rect:a=1,b=1", "rectangle:a=1,b=1,bc=MM"):
+        rc, out, err = run_cli(capsys, "count", label, "--at", "4e10")
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: {label} has too many levels to count below 4e+10, "
+                              "over the cap of 2.5e+07\nusage:"), err
 
 
 @pytest.mark.parametrize("label", [
@@ -810,6 +834,80 @@ def test_over_cap_closed_form_term_is_counted_by_rows(label, capsys, monkeypatch
     assert out == f"t,count,closed_form\n20000,{prefix[-1]},{prefix[-1]}\n"
 
 
+def _circle_count(R):
+    """#{(j, k) in Z^2 : j^2 + k^2 <= R} by the divisor formula
+    1 + 4 sum_d chi(d) [R/d], chi the odd character mod 4, summed by the
+    hyperbola method: sum_{d <= s} chi(d) [R/d] + sum_{m <= s} X([R/m])
+    - s X(s), with s = isqrt(R) and X(x) = sum_{d <= x} chi(d)."""
+    s = math.isqrt(R)
+    X = [0, 1, 1, 0]
+    return 1 + 4 * (sum((R // d) * (1 if d % 4 == 1 else -1) for d in range(1, s + 1, 2))
+                    + sum(X[R // m % 4] for m in range(1, s + 1)) - s * X[s % 4])
+
+
+# surface -> T, below which it has at least 650 eigenvalues
+PAST_CAP = {"rectangle:a=1,b=1,bc=MM": 2e4, "flat_torus_hex": 1e4,
+            "symmetry_sector:base=square_n,irrep=2": 2e4, "flat_projective_plane": 1e4,
+            "sphere": 1e4, "lune:m=3,bc=D": 1e4,
+            "half_lune:m=4,bc_side=N,bc_equator=D": 1e4}
+
+
+def test_past_cap_counts_are_exact(capsys, monkeypatch):
+    # with the cap lowered below each surface's own count, a count past it
+    # is its rows' sum (flat) or its window count (round), and both columns
+    # are the enumerated prefix, at jumps and midpoints alike, with no table
+    # built past the cap
+    monkeypatch.setattr(spectrum, "_LEVEL_CAP", 200)
+    rng = random.Random(51)
+    past = set()
+    for label, T in PAST_CAP.items():
+        monkeypatch.setattr(spectrum, "_TABLES", {})
+        spec = catalog.parse_spec(label)
+        brute = oracle.brute_levels(spec, T)
+        prefix = list(itertools.accumulate(m for _, m in brute))
+        assert prefix[-1] > 3 * 200, label
+        for _ in range(12):
+            i = rng.randrange(len(brute) // 2, len(brute) - 1)
+            jump = rng.random() < 0.5
+            key = brute[i][0] if jump else (brute[i][0] + brute[i + 1][0]) / 2
+            t = key * (key + 1) if catalog.is_spherical(spec) else spectrum.ExactTime(key)
+            rep = spectrum.closed_form_identity(spec, t)
+            assert rep.count == rep.closed_form == prefix[i], (label, key, rep)
+            if rep.count > 200:
+                past.add(label)
+        assert all(int(tb.prefix[-1]) <= 200 for tb in spectrum._TABLES.values()), label
+    assert past == set(PAST_CAP)
+    monkeypatch.undo()
+    # at the real cap: the unit torus's count is Gauss's circle count at
+    # R = [t / pi^2], and the sphere's (K + 1)^2 for K the largest degree
+    # with K(K + 1) <= t
+    assert [_circle_count(R) for R in range(30)] == [
+        sum(1 for j in range(-6, 7) for k in range(-6, 7) if j * j + k * k <= R)
+        for R in range(30)]
+    R = math.floor(1e8 / math.pi ** 2)
+    assert R == 10132118 and _circle_count(R) == 31830981
+    K = (math.isqrt(4 * 4 * 10 ** 13 + 1) - 1) // 2
+    assert (K + 1) ** 2 == 39999995948025
+    for label, t, want in [("flat_torus_rect:a=1,b=1", "1e8", 31830981),
+                           ("sphere", "4e13", 39999995948025)]:
+        rc, out, err = run_cli(capsys, "count", label, "--at", t)
+        assert (rc, err) == (0, "")
+        assert out.splitlines()[1].split(",")[1:] == [str(want)] * 2
+    # one row weight off by one moves the count past the cap, and only the
+    # table column, which the rows sum
+    spec = catalog.rectangle(1, 1, "N")
+    tb = spectrum._table(spec)
+    rows = tb.rows
+
+    def off_by_one(q):
+        for i, (c0, c1, c2, ks, w) in enumerate(rows(q)):
+            yield c0, c1, c2, ks, w + (i == 7)
+
+    monkeypatch.setattr(tb, "rows", off_by_one)
+    rep = spectrum.closed_form_identity(spec, 1e9)
+    assert rep.closed_form == 79587524 != rep.count
+
+
 THIN = "rectangle:a=1/1000000,b=1000000,bc=N"
 
 
@@ -821,10 +919,15 @@ THIN = "rectangle:a=1/1000000,b=1000000,bc=N"
 ], ids=lambda argv: argv[0])
 def test_thin_surface_is_refused_at_once(capsys, argv):
     # the boundary term b sqrt(t) / pi outweighs the area term a hundredfold
-    # here: the bound counts it, and 55132890 levels are never built
+    # here: the bound counts it, and 55132890 levels are never built; a
+    # count is that bound, and a reader of every level is refused by it
     start = time.perf_counter()
     rc, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 1.0
+    if argv[0] == "count":
+        assert (rc, err) == (0, "")
+        assert out == "t,count,closed_form\n30000,55132890,55132890\n"
+        return
     assert rc == 2
     assert out == ""
     assert f"{THIN} may have up to 55132890 eigenvalues" in err

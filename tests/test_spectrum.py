@@ -580,33 +580,40 @@ def test_signed_plans_are_the_ones_with_negative_weights():
 
 @pytest.mark.parametrize("read", [count, level_arrays], ids=lambda f: f.__name__)
 def test_thin_surface_is_refused_by_the_library(read, monkeypatch):
-    # 55132890 levels, almost all of them the boundary term's: refused by
-    # the bound before anything is built
+    # 55132890 levels, almost all of them the boundary term's: nothing is
+    # built, a count is the bound and a reader of every level is refused
     monkeypatch.setattr(spectrum, "_TABLES", {})
     spec = catalog.rectangle(F(1, 10 ** 6), 10 ** 6, "N")
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="may have up to 55132890 eigenvalues "
-                                         "below 30000, over the cap of 2.5e"):
-        read(spec, 30000)
+    if read is count:
+        rep = closed_form_identity(spec, 30000)
+        assert rep.count == rep.closed_form == count(spec, 30000) == 55132890
+    else:
+        with pytest.raises(ValueError, match="may have up to 55132890 eigenvalues "
+                                             "below 30000, over the cap of 2.5e"):
+            read(spec, 30000)
     assert time.perf_counter() - start < 1.0
     assert all(tb.qcap < 0 for tb in spectrum._TABLES.values())
 
 
 def test_growth_stops_at_the_requested_key_below_the_cap(monkeypatch):
     # the unit torus's count of j^2 + k^2 <= q first passes 5000 at key
-    # 1594 = 2 * 797: doubling stops at the requested key below it, and the
-    # key above is refused with the table kept as it was
+    # 1594: a table is built to exactly the key asked for, with no floor
+    # and no doubling, and the key above the cap is refused with the table
+    # kept as it was, though its count is read off the rows
     monkeypatch.setattr(spectrum, "_TABLES", {})
     monkeypatch.setattr(spectrum, "_LEVEL_CAP", 5000)
     tb = spectrum._table(catalog.flat_torus_rect(1, 1))
     assert tb.bound(1593) == 4997 and tb.bound(1594) == 5005
-    tb.grow(797)
-    assert tb.qcap == 797
-    tb.grow(1593)
+    for q in (5, 797, 800, 1593):
+        tb.grow(q)
+        assert tb.qcap == q
+    tb.grow(1000)
     assert tb.qcap == 1593
     keys = tb.keys
     with pytest.raises(ValueError, match="up to 5005 eigenvalues below .*cap of 5000"):
         tb.grow(1594)
+    assert tb.count_upto(1594) == 5005
     assert tb.qcap == 1593 and tb.keys is keys
 
 
