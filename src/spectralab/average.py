@@ -19,8 +19,9 @@ streams the table a block of levels at a time, never holding an array
 as long as the table; numpy is imported where it is used.  Each engine
 is one walk forward over the table (`_engine`) that takes ascending
 times a chunk at a time, so the grid commands hold one chunk of their
-grid and rows (`avg_chunks`, `profile_chunks`), and `avg_error_grid`,
-`avg_error_list` and `profile` join its chunks.  The decade
+grid and rows (`avg_chunks`, `profile_chunks`), `avg_error_grid` and
+`avg_error_list` join its chunks, and `profile` copies them into one
+pair of outputs.  The decade
 sups and the decay fit share one reducer (`_window_peaks`).  A window
 mean of g_est is read from the level sums with no sampling
 (`exact_window_mean`): a closed form on a flat surface, Gauss between
@@ -405,14 +406,22 @@ def line_check(spec: SurfaceSpec, xs: list, gs: list, omega_max: float):
 
 def profile(spec: SurfaceSpec, lo: float, hi: float, n: int):
     """(xs, g_est) at the n points of np.linspace(lo, hi, n): the chunks of
-    `profile_chunks` joined, lists of `grid` on Python floats, else
-    np.linspace's float64 arrays, which hold no Python float."""
-    xs, gs = zip(*profile_chunks(spec, lo, hi, n))
-    if isinstance(xs[0], list):
-        return list(chain.from_iterable(xs)), list(chain.from_iterable(gs))
-    import numpy as np
+    `profile_chunks` copied into one pair of outputs as each comes, lists
+    of `grid` on Python floats, else np.linspace's float64 arrays, which
+    hold no Python float, so no more than one chunk is held beside them."""
+    out, at = None, 0
+    for xs, gs in profile_chunks(spec, lo, hi, n):
+        if out is None:
+            if isinstance(xs, list):
+                out = [], []
+            else:
+                import numpy as np
 
-    return np.concatenate(xs), np.concatenate(gs)
+                out = np.empty(n), np.empty(n)
+        end = at + len(xs)
+        out[0][at:end], out[1][at:end] = xs, gs
+        at = end
+    return out
 
 
 def profile_chunks(spec: SurfaceSpec, lo: float, hi: float, n: int):
@@ -683,7 +692,9 @@ def conjecture_checks(spec: SurfaceSpec, seed: int):
     label = spec.label()
     spherical = catalog.is_spherical(spec)
     decades = [10.0 ** d for d in range(3, 7 if spherical else 8)]
-    spectrum.count(spec, decades[-1])  # build the table once, at its largest cutoff
+    # build the table once, at its largest cutoff, refused there past the
+    # cap (a count would answer by rows); most=0 copies no level out
+    spectrum.level_lists(spec, decades[-1], 0)
     lines, checks = [f"label: {label}"], []
 
     def check(name: str, text: str, value: float, bound) -> None:
@@ -736,11 +747,16 @@ def conjecture_checks(spec: SurfaceSpec, seed: int):
         from . import analysis
 
         omega = np.linspace(1.0, 10.0, 901)
-        prof = analysis.frequency_spectrum(analysis.make_profile(spec, 200, 800, n=60001), omega)
+        # the lengths read the dual tori (on the hexagonal torus its own
+        # table), so they come while the table is held; the scan reads only
+        # the profile, so the table goes before it
+        lengths = asymptotics.geodesic_lengths(spec, float(omega[-1]))
+        prof = analysis.make_profile(spec, 200, 800, n=60001)
+        spectrum.release(spec)
+        prof = analysis.frequency_spectrum(prof, omega)
         # the rectangular window sprays sidelobes around each strong line, so
         # only the largest few maxima carry structure worth reporting
         top = sorted(prof.frequencies[:8, 0].tolist())
-        lengths = asymptotics.geodesic_lengths(spec, float(omega[-1]))
         matched = analysis.match_geodesics(top, lengths, _FREQ_TOL)
         lines.append("freq top peaks: " + (" ".join("%.6g" % f for f in top) or "none"))
         lines.append("geodesic lengths: " + " ".join("%.6g" % l for l in lengths))

@@ -25,7 +25,11 @@ key asked for, which refuses one whose `bound`, the count it would hold,
 is over _LEVEL_CAP, or whose keys do not fit int64, before building it:
 the bound is a round table's window count, or the weights of a flat
 table's own lattice rows summed without expanding them.  A count past the
-cap is that bound (`_Table.count_upto`).
+cap is that bound (`_Table.count_upto`).  A cached table is held until
+`release` drops it, which two readers do once they are done with one:
+`average.conjecture_checks` a flat surface's own table after sampling
+its profile, before the Fourier scan, and `symmetry_counts` each
+sector's after its count.  Every other table stays for the process.
 
 `level_columns` hands the CLI's writer the levels in chunks of _CHUNK
 rows formatted from the integer keys, so that a dump holds little beyond
@@ -396,6 +400,19 @@ def closed_form_identity(spec: SurfaceSpec, t) -> CountReport:
     return CountReport(_t_float(t), count(spec, t, q), closed)
 
 
+def release(spec: SurfaceSpec) -> None:
+    """Drop spec's cached table once its last reader is done with it; the
+    next reader builds it again, so no answer changes."""
+    _TABLES.pop(spec, None)
+
+
 def symmetry_counts(base: str, t) -> dict:
-    """Eigenvalue counts of every symmetry sector of a base surface at t."""
-    return {ir: count(catalog.symmetry_sector(base, ir), t) for ir in catalog.sector_irreps(base)}
+    """Eigenvalue counts of every symmetry sector of a base surface at t,
+    each sector's table released after its count, so that one is held at
+    a time."""
+    counts = {}
+    for ir in catalog.sector_irreps(base):
+        sector = catalog.symmetry_sector(base, ir)
+        counts[ir] = count(sector, t)
+        release(sector)
+    return counts

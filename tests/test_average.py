@@ -314,6 +314,20 @@ def test_streamed_sums_hold_blocks_not_tables(monkeypatch):
     assert _traced_peak(average.remainder_exponent, sp, 1e4, 1e6) < blocks + 8 * 8 * fit_grid
 
 
+def test_profile_holds_one_chunk_beside_its_outputs(monkeypatch):
+    # the flat conjecture's 60001-point profile fills its two outputs chunk
+    # by chunk: above them it holds one chunk's times and one block's sums,
+    # never a second copy of the profile
+    monkeypatch.setattr(spectrum, "_LEVELS", 1024)
+    monkeypatch.setattr(spectrum, "_CHUNK", 1024)
+    sp = spec("flat_torus_rect:a=1,b=1")
+    spectrum.count(sp, 800.0 ** 2)  # built here: the table is not measured
+    xs, gs = average.profile(sp, 200.0, 800.0, 60001)
+    assert isinstance(gs, np.ndarray) and gs.size == 60001  # the numpy engine
+    outputs = xs.nbytes + gs.nbytes
+    assert _traced_peak(average.profile, sp, 200.0, 800.0, 60001) < outputs + 32 * 8 * 1024
+
+
 def test_top_decade_sup_holds_less_than_the_scan():
     # the flat conjecture's top decade sup on the unit torus streams 219k
     # levels in blocks of 4096, 0.7 MB, where blocks of 32768 took 4.7 MB:
@@ -722,18 +736,30 @@ def test_window_samplers_agree_across_engines(monkeypatch):
                 average.remainder_exponent(sp, 1e3, 1e6)] == py, sp
 
 
+def _joined_chunks_bits(sp, lo, hi, n):
+    """The bytes of `profile_chunks`' xs and g_est, each joined whole."""
+    xs, gs = zip(*average.profile_chunks(sp, lo, hi, n))
+    return [np.concatenate([np.asarray(c, dtype=np.float64) for c in v]).tobytes()
+            for v in (xs, gs)]
+
+
 def test_profile_lists_match_numpy(monkeypatch):
-    # the profile on Python floats is the profile on numpy, and
-    # window_mean on its lists and on its arrays is one float, the
-    # correctly rounded sum of np.trapezoid's terms over the span
+    # the profile on Python floats is the profile on numpy, each engine's
+    # the joined chunks of `profile_chunks` bit for bit, and window_mean on
+    # its lists and on its arrays is one float, the correctly rounded sum
+    # of np.trapezoid's terms over the span
     monkeypatch.setattr(spectrum, "_TABLES", {})  # tables in array('q')
     for label in ("sphere", "projective_sphere", "rectangle:a=1,b=1,bc=N",
                   "mobius_band:a=1,b=1,bc=D"):
         monkeypatch.setattr(average, "_PY_POINTS", 1 << 16)
         xs, gs = average.profile(spec(label), 100.0, 200.0, 8001)
         assert isinstance(gs, list), label  # the Python engine
+        assert [np.array(v).tobytes() for v in (xs, gs)] == _joined_chunks_bits(
+            spec(label), 100.0, 200.0, 8001), label
         monkeypatch.setattr(average, "_PY_POINTS", 0)
         np_xs, np_gs = average.profile(spec(label), 100.0, 200.0, 8001)
+        assert [np_xs.tobytes(), np_gs.tobytes()] == _joined_chunks_bits(
+            spec(label), 100.0, 200.0, 8001), label
         assert (np_xs.tolist(), np_gs.tolist()) == (xs, gs), label
         terms = np.diff(np_xs) * (np_gs[1:] + np_gs[:-1]) / 2.0
         want = math.fsum(terms.tolist()) / (xs[-1] - xs[0])

@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from spectralab import average, catalog, cli, oracle, spectrum
+from spectralab import analysis, average, catalog, cli, oracle, spectrum
 
 
 def run_cli(capsys, *argv):
@@ -387,13 +387,29 @@ def test_flat_conjecture_builds_its_table_once(capsys, monkeypatch):
         if self.qcap != before:
             builds.append(self.spec)
 
+    held = []
+    scan = analysis.frequency_spectrum
+
+    def scan_without_table(prof, omega):
+        held.append([s for s, tb in spectrum._TABLES.items() if tb.qcap >= 0])
+        return scan(prof, omega)
+
     monkeypatch.setattr(spectrum._Table, "grow", counting_grow)
-    monkeypatch.setattr(spectrum, "_TABLES", {})
-    rc, _, _ = run_cli(capsys, "conjecture", "flat_torus_rect:a=1,b=1")
-    assert rc == 0
+    monkeypatch.setattr(analysis, "frequency_spectrum", scan_without_table)
     # the surface's own table, and the dual torus the geodesic lengths
-    # read, each built once
-    assert builds == [catalog.flat_torus_rect(1, 1), catalog.flat_torus_rect(0.5, 0.5)]
+    # read, each built once; the hexagonal torus is its own dual, read
+    # before its table is released.  The Fourier scan runs with the
+    # surface's table released, the dual's alone held
+    torus, dual = catalog.flat_torus_rect(1, 1), catalog.flat_torus_rect(0.5, 0.5)
+    for label, want in (("flat_torus_rect:a=1,b=1", [torus, dual]),
+                        ("flat_torus_hex", [catalog.flat_torus_hex()])):
+        builds.clear()
+        held.clear()
+        monkeypatch.setattr(spectrum, "_TABLES", {})
+        rc, _, _ = run_cli(capsys, "conjecture", label)
+        assert rc == 0
+        assert builds == want, label
+        assert held == [want[1:]], label
     # every other command that reads a table builds each table it reads
     # once, at its largest key: count reads its largest time first (read
     # in order, 10 then 1e6 built this rectangle and its two tori twice
@@ -916,11 +932,13 @@ THIN = "rectangle:a=1/1000000,b=1000000,bc=N"
     ["spectrum", THIN, "--max-t", "30000"],
     ["avg", THIN, "--grid", "1:30000:11"],
     ["verify", THIN, "--max-t", "30000"],
+    ["conjecture", THIN],
 ], ids=lambda argv: argv[0])
 def test_thin_surface_is_refused_at_once(capsys, argv):
     # the boundary term b sqrt(t) / pi outweighs the area term a hundredfold
     # here: the bound counts it, and 55132890 levels are never built; a
-    # count is that bound, and a reader of every level is refused by it
+    # count is that bound, and a reader of every level is refused by it,
+    # conjecture at its top cutoff, 1e7
     start = time.perf_counter()
     rc, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 1.0
@@ -930,6 +948,9 @@ def test_thin_surface_is_refused_at_once(capsys, argv):
         return
     assert rc == 2
     assert out == ""
+    if argv[0] == "conjecture":
+        assert f"{THIN} may have up to 1006584243 eigenvalues below 1e+07," in err
+        return
     assert f"{THIN} may have up to 55132890 eigenvalues" in err
 
 

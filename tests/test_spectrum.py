@@ -301,7 +301,19 @@ def test_window_count_guard_keeps_its_message(monkeypatch):
 # --- symmetry sectors -----------------------------------------------------
 
 
-def test_sector_counts_partition_base():
+def test_sector_counts_partition_base(monkeypatch):
+    # symmetry_counts holds one sector's table at a time, and none after
+    sectors = {catalog.symmetry_sector(base, ir) for base in catalog.SECTOR_BASES
+               for ir in catalog.sector_irreps(base)}
+    held = []
+    grow = spectrum._Table.grow
+
+    def holding_grow(self, *args):
+        grow(self, *args)
+        held.append(len(sectors.intersection(spectrum._TABLES)))
+
+    monkeypatch.setattr(spectrum, "_TABLES", {})
+    monkeypatch.setattr(spectrum._Table, "grow", holding_grow)
     rng = random.Random(5)
     for base in catalog.SECTOR_BASES:
         base_spec = catalog.base_spec(base)
@@ -311,6 +323,8 @@ def test_sector_counts_partition_base():
             parts = symmetry_counts(base, t)
             total = sum(parts.values())
             assert total == count(base_spec, t), base
+            assert not sectors.intersection(spectrum._TABLES), base
+    assert max(held) == 1
 
 
 def test_sector_fixture_square_base():
@@ -615,6 +629,24 @@ def test_growth_stops_at_the_requested_key_below_the_cap(monkeypatch):
         tb.grow(1594)
     assert tb.count_upto(1594) == 5005
     assert tb.qcap == 1593 and tb.keys is keys
+
+
+@pytest.mark.parametrize("spec, t", [
+    (catalog.flat_torus_rect(1, 1), 1e6), (catalog.rectangle(1, 1, "N"), 1e3),
+    (catalog.sphere(), 1e6)], ids=["numpy", "array", "round"])
+def test_a_released_table_is_rebuilt_as_it_was(spec, t, monkeypatch):
+    # release drops the cached table; the next reader builds a new one with
+    # the same keys and prefix sums, in the same storage, and the same count
+    monkeypatch.setattr(spectrum, "_TABLES", {})
+    n = count(spec, t)
+    old = spectrum._TABLES[spec]
+    spectrum.release(spec)
+    assert spec not in spectrum._TABLES
+    assert count(spec, t) == n
+    new = spectrum._TABLES[spec]
+    assert new is not old and new.qcap == old.qcap
+    for was, now in ((old.keys, new.keys), (old.prefix, new.prefix)):
+        assert type(now) is type(was) and list(now) == list(was)
 
 
 def test_negative_multiplicity_is_refused(monkeypatch):
